@@ -1,4 +1,12 @@
-"""Code generation backends and the data-movement cost model."""
+"""Code generation backends and the data-movement cost model.
+
+SDFGs are lowered by one traversal (:mod:`.sdfg_walk`: control-flow
+order, scoping, allocation accounting, write resolution, the
+vector/parallel/sequential decision per map) with two syntax emitters on
+top of it — :mod:`.sdfg_python` (interpreted) and :mod:`.sdfg_c`
+(native).  :mod:`.mlir_python` executes the control-centric pipelines
+that never build an SDFG.  All three write through :mod:`.writer`.
+"""
 
 from .control_flow import (
     BranchNode,
@@ -21,16 +29,9 @@ from .cost_model import (
 )
 from .loader import ProgramLoadError, load_entry
 from .mlir_python import CompiledMLIR, MLIRCodegenError, compile_mlir, generate_mlir_code
-from .sdfg_c import NativeCodegenError, SDFGCGenerator, c_symbolic, generate_c_code
-from .sdfg_python import (
-    CodegenError,
-    CompiledSDFG,
-    SDFGPythonGenerator,
-    compile_sdfg,
-    generate_code,
-    vectorizable_map,
-    python_expr,
-)
+from .sdfg_c import NativeCodegenError, c_symbolic, generate_c_code
+from .sdfg_python import CompiledSDFG, compile_sdfg, generate_code, python_expr
+from .sdfg_walk import CodegenError, vectorizable_map
 from .toolchain import (
     CompiledNative,
     CompilerFeatures,
@@ -58,8 +59,6 @@ __all__ = [
     "MovementReport",
     "NativeCodegenError",
     "ProgramLoadError",
-    "SDFGCGenerator",
-    "SDFGPythonGenerator",
     "SequenceNode",
     "StateNode",
     "ToolchainError",

@@ -26,6 +26,7 @@ from ..dialects.scf import ForOp, IfOp, WhileOp
 from ..ir.core import Operation, Value
 from ..ir.types import DYNAMIC, FloatType, IndexType, IntegerType, MemRefType
 from .loader import load_entry
+from .writer import SourceWriter
 
 
 class MLIRCodegenError(Exception):
@@ -46,25 +47,14 @@ def _numpy_dtype(type_obj) -> str:
     return _NUMPY_DTYPES.get(str(type_obj), "np.float64")
 
 
-class _Writer:
-    def __init__(self):
-        self.lines: List[str] = []
-        self.indent = 1
-
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-
 class MLIRPythonGenerator:
     """Generates Python code for one MLIR function."""
 
-    def __init__(self, func_op: FuncOp, native_scalars: bool = True, preallocate: bool = True,
-                 count_allocations: bool = True):
+    def __init__(self, func_op: FuncOp, native_scalars: bool = True, preallocate: bool = True):
         self.func_op = func_op
         self.native_scalars = native_scalars
         self.preallocate = preallocate
-        self.count_allocations = count_allocations
-        self.writer = _Writer()
+        self.writer = SourceWriter(braces=False, indent=1)  # the body of ``def run``
         self.names: Dict[Value, str] = {}
         self.scalar_cells: Dict[Value, str] = {}
         self._counter = 0
@@ -211,12 +201,10 @@ class MLIRPythonGenerator:
         if hoistable:
             indent = "    "
             self._prealloc_lines.append(indent + line)
-            if self.count_allocations:
-                self._prealloc_lines.append(indent + "_alloc_count += 1")
+            self._prealloc_lines.append(indent + "_alloc_count += 1")
         else:
             self.writer.emit(line)
-            if self.count_allocations:
-                self.writer.emit("_alloc_count += 1")
+            self.writer.emit("_alloc_count += 1")
 
     def _emit_load(self, op: Operation) -> None:
         memref = op.operand(0)
@@ -239,47 +227,31 @@ class MLIRPythonGenerator:
         if op.iter_args_init:
             raise MLIRCodegenError("scf.for with iteration arguments is not supported")
         induction = self._name(op.induction_variable)
-        self.writer.emit(
+        with self.writer.block(
             f"for {induction} in range(int({self._name(op.lower_bound)}), "
-            f"int({self._name(op.upper_bound)}), int({self._name(op.step)})):"
-        )
-        self.writer.indent += 1
-        body_start = len(self.writer.lines)
-        self._emit_block(op.body)
-        if len(self.writer.lines) == body_start:
-            self.writer.emit("pass")
-        self.writer.indent -= 1
+            f"int({self._name(op.upper_bound)}), int({self._name(op.step)}))"
+        ):
+            self._emit_block(op.body)
 
     def _emit_if(self, op: IfOp) -> None:
         if op.results:
             raise MLIRCodegenError("scf.if with results is not supported")
-        self.writer.emit(f"if {self._name(op.condition)}:")
-        self.writer.indent += 1
-        body_start = len(self.writer.lines)
-        self._emit_block(op.then_block)
-        if len(self.writer.lines) == body_start:
-            self.writer.emit("pass")
-        self.writer.indent -= 1
+        with self.writer.block(f"if {self._name(op.condition)}"):
+            self._emit_block(op.then_block)
         else_block = op.else_block
         if else_block is not None and len(else_block.operations) > 1:
-            self.writer.emit("else:")
-            self.writer.indent += 1
-            self._emit_block(else_block)
-            self.writer.indent -= 1
+            with self.writer.block("else"):
+                self._emit_block(else_block)
 
     def _emit_while(self, op: WhileOp) -> None:
         if op.operands:
             raise MLIRCodegenError("scf.while with loop-carried values is not supported")
-        self.writer.emit("while True:")
-        self.writer.indent += 1
-        self._emit_block(op.before_block)
-        condition_op = op.before_block.terminator
-        self.writer.emit(f"if not {self._name(condition_op.operand(0))}:")
-        self.writer.indent += 1
-        self.writer.emit("break")
-        self.writer.indent -= 1
-        self._emit_block(op.after_block)
-        self.writer.indent -= 1
+        with self.writer.block("while True"):
+            self._emit_block(op.before_block)
+            condition_op = op.before_block.terminator
+            with self.writer.block(f"if not {self._name(condition_op.operand(0))}"):
+                self.writer.emit("break")
+            self._emit_block(op.after_block)
 
 
 @dataclass

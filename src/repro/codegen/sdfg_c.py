@@ -3,10 +3,10 @@
 The paper's evaluation measures wall-clock time of *compiled* binaries;
 this generator emits a C translation unit from the SDFG so schedules can
 be validated against real machine code instead of the interpreted Python
-backend.  It mirrors :class:`~repro.codegen.sdfg_python.SDFGPythonGenerator`
-structurally — same control-flow tree, same state/scope emission order,
-same lazy allocation accounting — so a native run and an interpreted run
-of the same SDFG report identical ``__allocations`` counts and outputs:
+backend.  :class:`CEmitter` is the C syntax for the traversal it shares
+with the Python backend (:mod:`repro.codegen.sdfg_walk`), so a native run
+and an interpreted run of the same SDFG report identical
+``__allocations`` counts and outputs:
 
 * raised control flow becomes ``while``/``if``/``for`` statements (the
   dispatch fallback becomes an integer state machine);
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import ast
 import json
+from contextlib import ExitStack, contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..symbolic import Expr, Subset
@@ -61,21 +62,13 @@ from ..symbolic.expr import (
     Pow,
     Symbol,
 )
-from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
-from ..sdfg.data import Array, DTYPES, LIFETIME_PERSISTENT, Stream
-from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL, is_scope_entry, is_scope_exit
-from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo, analyze_map_parallelism
-from .control_flow import (
-    BranchNode,
-    ControlFlowNode,
-    DispatchNode,
-    LoopNode,
-    SequenceNode,
-    StateNode,
-    build_control_flow,
-)
-from .sdfg_python import CodegenError, vectorizable_map
+from ..sdfg import SDFG, Memlet, Scalar, Tasklet
+from ..sdfg.data import Array, DTYPES, Stream
+from ..sdfg.nodes import MapEntry
+from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
+from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker
 from .toolchain import ABI_MARKER
+from .writer import SourceWriter
 
 #: Exported entry-point symbol of every generated translation unit.
 ENTRY_SYMBOL = "repro_run"
@@ -250,7 +243,7 @@ class _TaskletTranslator:
     tasklets or loop iterations.
     """
 
-    def __init__(self, generator: "SDFGCGenerator", prefix: str,
+    def __init__(self, generator: "CEmitter", prefix: str,
                  rename: Dict[str, Optional[str]], types: Dict[str, str]):
         self.generator = generator
         self.prefix = prefix
@@ -432,74 +425,37 @@ class _TaskletTranslator:
         raise NativeCodegenError(f"Unsupported tasklet call {name!r}")
 
 
-class _CWriter:
-    """Tiny indentation-aware C source writer."""
+class CEmitter(SDFGWalker):
+    """C syntax for the SDFG walk: one translation unit exporting ``repro_run``."""
 
-    def __init__(self):
-        self.lines: List[str] = []
-        self.indent = 0
+    backend = "native"
+    error = NativeCodegenError
+    has_atomics = True  # ``#pragma omp atomic``
+    end = ";"
+    comment = "/* {} */"
+    while_header = "while ({})"
+    if_header = "if ({})"
+    elif_header = "else if ({})"
+    unless_header = "if (!({}))"
+    true = "1"
+    dispatch_live = "{} >= 0"
+    empty_read = None  # Python binds None; unusable in C
 
-    def emit(self, line: str = "") -> None:
-        self.lines.append("    " * self.indent + line if line else "")
-
-    def brace(self, header: str):
-        writer = self
-
-        class _Block:
-            def __enter__(self_inner):
-                writer.emit(header + " {")
-                writer.indent += 1
-
-            def __exit__(self_inner, *exc):
-                writer.indent -= 1
-                writer.emit("}")
-
-        return _Block()
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-class SDFGCGenerator:
-    """Generates a C translation unit implementing an SDFG.
-
-    Traversal order deliberately mirrors ``SDFGPythonGenerator`` (same
-    control-flow tree, same topological node order, same first-use lazy
-    allocation accounting) so the native and interpreted backends agree
-    on outputs *and* on the reported allocation count.
-    """
-
-    def __init__(self, sdfg: SDFG, vectorize: bool = False, count_allocations: bool = True):
-        self.sdfg = sdfg
-        self.vectorize = vectorize
-        self.count_allocations = count_allocations
-        self.writer = _CWriter()
-        self._value_counter = 0
+    def __init__(self, sdfg: SDFG, vectorize: bool = False):
+        super().__init__(sdfg, vectorize, SourceWriter(braces=True))
         self._tasklet_counter = 0
         self._bound_counter = 0
         self._dispatch_counter = 0
-        self._allocated_persistent: Set[str] = set()
-        self._value_types: Dict[str, str] = {}
+        #: C type of every local a tasklet or value edge declared.
+        self._types: Dict[str, str] = {}
         self._declared: Set[str] = set()
         self._heap: List[str] = []
         self._interface = self._interface_containers()
-        # Parallel-scheduled map scopes whose safety proof succeeds; maps
-        # annotated parallel that fail the proof lower sequentially (the
-        # annotation is a request, the proof is the authority).
-        self._parallel_maps: Dict[int, ParallelismInfo] = {}
-        self._atomic_edges: Set[int] = set()
-        for state, entry in sdfg.map_entries():
-            if entry.map.schedule != SCHEDULE_PARALLEL:
-                continue
-            if state.scope_dict().get(entry) is not None:
-                continue
-            info = analyze_map_parallelism(sdfg, state, entry)
-            if info.ok:
-                self._parallel_maps[id(entry)] = info
-                self._atomic_edges |= info.atomic_edges
 
-    # -- public -------------------------------------------------------------------
-    def generate(self) -> str:
+    expr = staticmethod(c_symbolic)
+
+    # -- program frame -----------------------------------------------------------------
+    def emit_preamble(self) -> None:
         writer = self.writer
         writer.emit("/* Generated by repro.codegen.sdfg_c — native SDFG backend. */")
         writer.emit(f"/* {ABI_MARKER} {json.dumps(self.abi(), sort_keys=True)} */")
@@ -513,12 +469,6 @@ class SDFGCGenerator:
             for line in _OMP_HELPERS.splitlines():
                 writer.emit(line)
         writer.emit()
-        with writer.brace(f"void {ENTRY_SYMBOL}({self._signature()})"):
-            self._emit_prologue()
-            tree = build_control_flow(self.sdfg)
-            self._emit_sequence(tree)
-            self._emit_epilogue()
-        return writer.text()
 
     def abi(self) -> Dict:
         """The JSON ABI header: everything the ctypes wrapper must know."""
@@ -542,7 +492,6 @@ class SDFGCGenerator:
             "constants": dict(self.sdfg.constants),
         }
 
-    # -- interface / signature ---------------------------------------------------------
     def _interface_containers(self) -> List[str]:
         """Containers crossing the ABI, in the epilogue's output order."""
         names = []
@@ -551,7 +500,7 @@ class SDFGCGenerator:
                 names.append(name)
         return list(dict.fromkeys(names))
 
-    def _signature(self) -> str:
+    def entry_header(self) -> str:
         parameters = []
         for name in self._interface:
             descriptor = self.sdfg.arrays[name]
@@ -570,10 +519,9 @@ class SDFGCGenerator:
             parameters.append(f"int64_t {symbol}")
             self._declared.add(symbol)
         parameters.append("int64_t *_alloc_out")
-        return ", ".join(parameters)
+        return f"void {ENTRY_SYMBOL}({', '.join(parameters)})"
 
-    # -- prologue / epilogue -----------------------------------------------------------
-    def _emit_prologue(self) -> None:
+    def emit_prologue(self) -> None:
         writer = self.writer
         writer.emit("int64_t _alloc_count = 0;")
         for name, value in self.sdfg.constants.items():
@@ -582,10 +530,7 @@ class SDFGCGenerator:
             self._declared.add(name)
         free = self.sdfg.free_symbols()
         for name in sorted(set(self.sdfg.symbols) - free - set(self.sdfg.constants)):
-            ctype = DTYPES[self.sdfg.symbols[name]].c_type
-            zero = "0.0" if _is_float_type(ctype) else "0"
-            writer.emit(f"{ctype} {name} = {zero};")
-            self._declared.add(name)
+            self._declare_zero(name, DTYPES[self.sdfg.symbols[name]].c_type)
         # Interstate assignments may introduce loop variables that were
         # never registered as SDFG symbols; Python creates them on first
         # assignment, C must declare them up front.
@@ -603,42 +548,33 @@ class SDFGCGenerator:
                 ctype = DTYPES[descriptor.dtype].c_type
                 writer.emit(f"{ctype} {name} = *_io_{name};")
                 self._declared.add(name)
-        # Transient storage.  Interface transients (return values) are
-        # wrapper-allocated parameters; everything else is malloc'd here.
-        # Allocation *counting* mirrors the Python backend exactly:
-        # persistent containers are charged up front, the rest at their
-        # first-use state (see _emit_lazy_allocations).
-        for name, descriptor in self.sdfg.arrays.items():
-            if not descriptor.transient:
-                continue
-            if isinstance(descriptor, Scalar):
-                if name in self._interface:
-                    continue  # already bound from its in/out cell above
-                ctype = DTYPES[descriptor.dtype].c_type
-                zero = "0.0" if _is_float_type(ctype) else "0"
-                writer.emit(f"{ctype} {name} = {zero};")
-                self._declared.add(name)
-            elif isinstance(descriptor, Stream):
-                raise NativeCodegenError(
-                    f"Stream container {name!r} is not supported by the native backend"
-                )
-            else:
-                count_now = descriptor.lifetime == LIFETIME_PERSISTENT
-                if name not in self._interface:
-                    ctype = DTYPES[descriptor.dtype].c_type
-                    total = c_symbolic(descriptor.total_size())
-                    writer.emit(
-                        f"{ctype} *{name} = "
-                        f"({ctype} *)malloc(sizeof({ctype}) * (size_t)(int64_t)({total}));"
-                    )
-                    self._declared.add(name)
-                    self._heap.append(name)
-                if self.count_allocations and count_now:
-                    writer.emit("_alloc_count += 1;")
-                if count_now:
-                    self._allocated_persistent.add(name)
 
-    def _emit_epilogue(self) -> None:
+    def _declare_zero(self, name: str, ctype: str) -> None:
+        zero = "0.0" if _is_float_type(ctype) else "0"
+        self.writer.emit(f"{ctype} {name} = {zero};")
+        self._declared.add(name)
+
+    def declare_transient(self, name: str, descriptor) -> None:
+        # Interface transients (return values) are wrapper-allocated
+        # parameters; everything else is malloc'd here.
+        ctype = DTYPES[descriptor.dtype].c_type
+        if isinstance(descriptor, Scalar):
+            if name not in self._interface:  # else already bound from its in/out cell
+                self._declare_zero(name, ctype)
+        elif isinstance(descriptor, Stream):
+            raise NativeCodegenError(
+                f"Stream container {name!r} is not supported by the native backend"
+            )
+        elif name not in self._interface:
+            total = c_symbolic(descriptor.total_size())
+            self.writer.emit(
+                f"{ctype} *{name} = "
+                f"({ctype} *)malloc(sizeof({ctype}) * (size_t)(int64_t)({total}));"
+            )
+            self._declared.add(name)
+            self._heap.append(name)
+
+    def emit_epilogue(self) -> None:
         writer = self.writer
         for name in self._heap:
             writer.emit(f"free({name});")
@@ -647,236 +583,22 @@ class SDFGCGenerator:
                 writer.emit(f"*_io_{name} = {name};")
         writer.emit("*_alloc_out = _alloc_count;")
 
-    # -- control flow ----------------------------------------------------------------------
-    def _emit_sequence(self, node: SequenceNode) -> None:
-        for child in node.children:
-            self._emit_cf(child)
+    # -- control flow ------------------------------------------------------------------
+    def emit_assignment(self, name: str, value: Expr) -> None:
+        if name not in self._declared:
+            raise NativeCodegenError(f"Assignment to undeclared symbol {name!r}")
+        self.writer.emit(f"{name} = {c_symbolic(value)};")
 
-    def _emit_cf(self, node: ControlFlowNode) -> None:
-        writer = self.writer
-        if isinstance(node, StateNode):
-            self._emit_state(node.state)
-            self._emit_assignments(node.assignments)
-        elif isinstance(node, SequenceNode):
-            self._emit_sequence(node)
-        elif isinstance(node, LoopNode):
-            if node.guard.is_empty():
-                with writer.brace(f"while ({c_symbolic(node.condition)})"):
-                    self._emit_sequence(node.body)
-            else:
-                with writer.brace("while (1)"):
-                    self._emit_state(node.guard)
-                    with writer.brace(f"if (!({c_symbolic(node.condition)}))"):
-                        writer.emit("break;")
-                    self._emit_sequence(node.body)
-            self._emit_assignments(node.exit_assignments)
-        elif isinstance(node, BranchNode):
-            with writer.brace(f"if ({c_symbolic(node.condition)})"):
-                self._emit_assignments(node.then_assignments)
-                self._emit_sequence(node.then_body)
-            if node.else_body.children or node.else_assignments:
-                with writer.brace("else"):
-                    self._emit_assignments(node.else_assignments)
-                    self._emit_sequence(node.else_body)
-        elif isinstance(node, DispatchNode):
-            self._emit_dispatch(node)
-        else:  # pragma: no cover - defensive
-            raise NativeCodegenError(f"Unknown control-flow node {node!r}")
-
-    def _emit_assignments(self, assignments: Dict[str, Expr]) -> None:
-        for name, value in assignments.items():
-            if name not in self._declared:
-                raise NativeCodegenError(f"Assignment to undeclared symbol {name!r}")
-            self.writer.emit(f"{name} = {c_symbolic(value)};")
-
-    def _emit_dispatch(self, node: DispatchNode) -> None:
-        """Integer state machine for unstructured control-flow regions."""
-        writer = self.writer
-        index = {state: position for position, state in enumerate(node.states)}
+    def dispatch_register(self, node):
         register = f"_disp{self._dispatch_counter}"
         self._dispatch_counter += 1
-        writer.emit(f"int64_t {register} = {index[node.entry]};")
-        with writer.brace(f"while ({register} >= 0)"):
-            for position, state in enumerate(node.states):
-                keyword = "if" if position == 0 else "else if"
-                with writer.brace(f"{keyword} ({register} == {position})"):
-                    self._emit_state(state)
-                    out_edges = self.sdfg.out_edges(state)
-                    if not out_edges:
-                        writer.emit(f"{register} = -1;")
-                        continue
-                    branch_first = True
-                    unconditional_emitted = False
-                    for edge in out_edges:
-                        if edge.data.is_unconditional:
-                            header = "if (1)" if branch_first else "else"
-                            unconditional_emitted = True
-                        else:
-                            keyword2 = "if" if branch_first else "else if"
-                            header = f"{keyword2} ({c_symbolic(edge.data.condition)})"
-                        with writer.brace(header):
-                            self._emit_assignments(edge.data.assignments)
-                            writer.emit(f"{register} = {index[edge.dst]};")
-                        branch_first = False
-                    if not unconditional_emitted:
-                        with writer.brace("else"):
-                            writer.emit(f"{register} = -1;")
-            with writer.brace("else"):
-                writer.emit(f"{register} = -1;")
+        codes = {state: str(position) for position, state in enumerate(node.states)}
+        codes[None] = "-1"
+        self.writer.emit(f"int64_t {register} = {codes[node.entry]};")
+        return register, codes
 
-    # -- state dataflow ------------------------------------------------------------------------
-    def _emit_state(self, state: SDFGState) -> None:
-        if state.is_empty():
-            return
-        self._emit_lazy_allocations(state)
-        scope = state.scope_dict()
-        value_names: Dict[Tuple[int, Optional[str]], str] = {}
-        for node in state.topological_nodes():
-            if scope.get(node) is not None:
-                continue  # emitted as part of its map scope
-            self._emit_node(state, node, scope, value_names)
-
-    def _emit_lazy_allocations(self, state: SDFGState) -> None:
-        # Mirrors SDFGPythonGenerator._emit_lazy_allocations exactly, so
-        # both backends charge allocations at the same program points.
-        if not self.count_allocations:
-            return
-        for name in sorted(state.read_set() | state.write_set()):
-            descriptor = self.sdfg.arrays.get(name)
-            if (
-                isinstance(descriptor, Array)
-                and descriptor.transient
-                and descriptor.lifetime != LIFETIME_PERSISTENT
-                and name not in self._allocated_persistent
-            ):
-                self._allocated_persistent.add(name)
-                self.writer.emit(f"_alloc_count += 1;  /* allocation of {name} on this path */")
-
-    def _emit_node(self, state, node, scope, value_names) -> None:
-        if isinstance(node, Tasklet):
-            self._emit_tasklet(state, node, value_names)
-        elif isinstance(node, MapEntry):
-            self._emit_map(state, node, scope, value_names)
-        elif isinstance(node, AccessNode):
-            self._emit_access_copies(state, node)
-        elif isinstance(node, MapExit) or is_scope_exit(node):
-            return
-        elif is_scope_entry(node):
-            return
-
-    # -- access-node copies -----------------------------------------------------------------
-    def _emit_access_copies(self, state, node: AccessNode) -> None:
-        writer = self.writer
-        for edge in state.in_edges(node):
-            if not isinstance(edge.src, AccessNode) or edge.data.is_empty:
-                continue
-            source, destination = edge.src.data, node.data
-            src_descriptor = self.sdfg.arrays[source]
-            dst_descriptor = self.sdfg.arrays[destination]
-            if isinstance(dst_descriptor, Scalar) and isinstance(src_descriptor, Scalar):
-                writer.emit(f"{destination} = {source};")
-            elif isinstance(dst_descriptor, Scalar):
-                subset = edge.data.subset
-                index = self._flat_index(src_descriptor, subset.indices()) if subset is not None else "[0]"
-                writer.emit(f"{destination} = {source}{index};")
-            elif isinstance(src_descriptor, Scalar):
-                subset = edge.data.subset
-                if subset is not None and subset.is_point():
-                    index = self._flat_index(dst_descriptor, subset.indices())
-                    writer.emit(f"{destination}{index} = {source};")
-                else:
-                    self._emit_fill(destination, dst_descriptor, "=", source)
-            else:
-                self._emit_array_copy(destination, dst_descriptor, source, src_descriptor)
-
-    def _emit_array_copy(self, destination, dst_descriptor, source, src_descriptor) -> None:
-        if [str(d) for d in dst_descriptor.shape] != [str(d) for d in src_descriptor.shape]:
-            raise NativeCodegenError(
-                f"Array copy {source} -> {destination} with mismatched shapes"
-            )
-        ctype = DTYPES[dst_descriptor.dtype].c_type
-        counter = f"_copy{self._bound_counter}"
-        self._bound_counter += 1
-        total = c_symbolic(dst_descriptor.total_size())
-        header = (
-            f"for (int64_t {counter} = 0; {counter} < (int64_t)({total}); {counter}++)"
-        )
-        with self.writer.brace(header):
-            self.writer.emit(f"{destination}[{counter}] = ({ctype}){source}[{counter}];")
-
-    def _emit_fill(self, name, descriptor, operator, value_expr) -> None:
-        counter = f"_fill{self._bound_counter}"
-        self._bound_counter += 1
-        total = c_symbolic(descriptor.total_size())
-        header = (
-            f"for (int64_t {counter} = 0; {counter} < (int64_t)({total}); {counter}++)"
-        )
-        with self.writer.brace(header):
-            self.writer.emit(f"{name}[{counter}] {operator} {value_expr};")
-
-    # -- tasklets -------------------------------------------------------------------------------
-    def _emit_tasklet(self, state, tasklet: Tasklet, value_names) -> None:
-        if tasklet.language == "mlir":
-            raise NativeCodegenError(
-                f"Tasklet {tasklet.label!r} was kept in MLIR form and cannot be "
-                "lowered by the native backend"
-            )
-        writer = self.writer
-        prefix = f"_t{self._tasklet_counter}_"
-        self._tasklet_counter += 1
-        rename: Dict[str, Optional[str]] = {}
-        types: Dict[str, str] = {}
-        for edge in state.in_edges(tasklet):
-            connector = edge.dst_conn
-            if connector is None:
-                continue
-            read = self._read_expression(state, edge, value_names)
-            if read is None:
-                rename[connector] = None  # Python binds None; unusable in C
-                continue
-            text, ctype = read
-            mangled = prefix + connector
-            rename[connector] = mangled
-            types[mangled] = ctype
-            writer.emit(f"{ctype} {mangled} = {text};")
-        _TaskletTranslator(self, prefix, rename, types).translate(tasklet.code)
-        for edge in state.out_edges(tasklet):
-            connector = edge.src_conn
-            if connector is None:
-                continue
-            mangled = rename.get(connector)
-            if mangled is None:
-                raise NativeCodegenError(
-                    f"Tasklet {tasklet.label!r} never assigns out connector {connector!r}"
-                )
-            if isinstance(edge.dst, (AccessNode, MapExit)):
-                self._emit_write(edge, mangled)
-            else:
-                temp = f"_val{self._value_counter}"
-                self._value_counter += 1
-                ctype = types[mangled]
-                writer.emit(f"{ctype} {temp} = {mangled};")
-                value_names[(id(tasklet), connector)] = temp
-                self._value_types[temp] = ctype
-
-    def _read_expression(self, state, edge, value_names) -> Optional[Tuple[str, str]]:
-        source = edge.src
-        memlet: Memlet = edge.data
-        if isinstance(source, AccessNode):
-            return self._memlet_read(source.data, memlet)
-        if isinstance(source, MapEntry):
-            if memlet.is_empty:
-                return None
-            return self._memlet_read(memlet.data, memlet)
-        key = (id(source), edge.src_conn)
-        if key in value_names:
-            temp = value_names[key]
-            return temp, self._value_types[temp]
-        if memlet.is_empty:
-            return None
-        return self._memlet_read(memlet.data, memlet)
-
-    def _memlet_read(self, data: str, memlet: Memlet) -> Tuple[str, str]:
+    # -- reads, copies, tasklets, writes -----------------------------------------------
+    def read(self, data: str, memlet: Memlet) -> Tuple[str, str]:
         descriptor = self.sdfg.arrays[data]
         ctype = DTYPES[descriptor.dtype].c_type
         if isinstance(descriptor, Scalar):
@@ -892,42 +614,79 @@ class SDFGCGenerator:
             f"Non-point read of {data!r} is not expressible in scalar C"
         )
 
-    def _emit_write(self, edge, value_expr: str) -> None:
-        memlet: Memlet = edge.data
-        destination_node = edge.dst
-        data = memlet.data if not memlet.is_empty else (
-            destination_node.data if isinstance(destination_node, AccessNode) else None
-        )
-        if data is None:
-            return
-        descriptor = self.sdfg.arrays[data]
+    def emit_copy(self, source: str, destination: str, subset: Optional[Subset]) -> None:
         writer = self.writer
-        atomic = id(edge) in self._atomic_edges
-        if isinstance(descriptor, Scalar):
-            self._emit_update(data, descriptor, memlet.wcr, value_expr)
-            return
-        if memlet.dynamic and memlet.subset is None:
-            return  # in-place mutation already performed through the input view
-        if memlet.subset is None:
-            operator = {"+": "+=", "*": "*="}.get(memlet.wcr, "=")
-            if memlet.wcr in ("min", "max"):
-                raise NativeCodegenError(f"Broadcast {memlet.wcr}-WCR write to {data!r}")
-            self._emit_fill(data, descriptor, operator, value_expr)
-            return
-        if memlet.subset.is_point():
-            target = f"{data}{self._flat_index(descriptor, memlet.subset.indices())}"
-            self._emit_update(target, descriptor, memlet.wcr, value_expr, atomic=atomic)
-            return
-        if self._covers_whole(descriptor, memlet.subset) and memlet.dynamic:
-            return
-        raise NativeCodegenError(
-            f"Strided subset write to {data!r} is not expressible in scalar C"
-        )
+        src_descriptor = self.sdfg.arrays[source]
+        dst_descriptor = self.sdfg.arrays[destination]
+        if isinstance(dst_descriptor, Scalar) and isinstance(src_descriptor, Scalar):
+            writer.emit(f"{destination} = {source};")
+        elif isinstance(dst_descriptor, Scalar):
+            index = self._flat_index(src_descriptor, subset.indices()) if subset is not None else "[0]"
+            writer.emit(f"{destination} = {source}{index};")
+        elif isinstance(src_descriptor, Scalar):
+            if subset is not None and subset.is_point():
+                index = self._flat_index(dst_descriptor, subset.indices())
+                writer.emit(f"{destination}{index} = {source};")
+            else:
+                self.emit_broadcast(destination, dst_descriptor, None, source)
+        else:
+            if [str(d) for d in dst_descriptor.shape] != [str(d) for d in src_descriptor.shape]:
+                raise NativeCodegenError(
+                    f"Array copy {source} -> {destination} with mismatched shapes"
+                )
+            ctype = DTYPES[dst_descriptor.dtype].c_type
+            with self._each_element("_copy", dst_descriptor) as counter:
+                writer.emit(f"{destination}[{counter}] = ({ctype}){source}[{counter}];")
 
-    def _emit_update(
-        self, target: str, descriptor, wcr: Optional[str], value_expr: str,
-        atomic: bool = False,
-    ) -> None:
+    @contextmanager
+    def _each_element(self, stem: str, descriptor):
+        """Block looping a fresh counter over every element of a container."""
+        counter = f"{stem}{self._bound_counter}"
+        self._bound_counter += 1
+        total = c_symbolic(descriptor.total_size())
+        with self.writer.block(
+            f"for (int64_t {counter} = 0; {counter} < (int64_t)({total}); {counter}++)"
+        ):
+            yield counter
+
+    def emit_tasklet(self, tasklet: Tasklet, inputs, vectorized: bool):
+        prefix = f"_t{self._tasklet_counter}_"
+        self._tasklet_counter += 1
+        rename: Dict[str, Optional[str]] = {}
+        for connector, read in inputs:
+            if read is None:
+                rename[connector] = None
+                continue
+            text, ctype = read
+            mangled = prefix + connector
+            rename[connector] = mangled
+            self._types[mangled] = ctype
+            self.writer.emit(f"{ctype} {mangled} = {text};")
+        _TaskletTranslator(self, prefix, rename, self._types).translate(tasklet.code)
+
+        def output(connector: str) -> str:
+            mangled = rename.get(connector)
+            if mangled is None:
+                raise NativeCodegenError(
+                    f"Tasklet {tasklet.label!r} never assigns out connector {connector!r}"
+                )
+            return mangled
+
+        return output
+
+    def bind_value(self, temp: str, value: str) -> Tuple[str, str]:
+        ctype = self._types[temp] = self._types[value]
+        self.writer.emit(f"{ctype} {temp} = {value};")
+        return temp, ctype
+
+    def write_target(self, data: str, descriptor, subset: Subset) -> str:
+        if not subset.is_point():
+            raise NativeCodegenError(
+                f"Strided subset write to {data!r} is not expressible in scalar C"
+            )
+        return f"{data}{self._flat_index(descriptor, subset.indices())}"
+
+    def emit_update(self, target: str, descriptor, wcr, value: str, atomic: bool = False) -> None:
         """One write-conflict-resolved update: WCR memlets accumulate in place.
 
         ``atomic`` marks ``+``/``*`` WCR updates inside a parallel map
@@ -942,55 +701,40 @@ class SDFGCGenerator:
             writer.emit("#endif")
         if wcr in ("min", "max"):
             suffix = "f64" if descriptor.dtype.startswith("float") else "i64"
-            writer.emit(f"{target} = repro_{wcr}_{suffix}({target}, {value_expr});")
-        elif wcr == "+":
-            writer.emit(f"{target} += {value_expr};")
-        elif wcr == "*":
-            writer.emit(f"{target} *= {value_expr};")
-        elif wcr is None:
-            writer.emit(f"{target} = {value_expr};")
+            writer.emit(f"{target} = repro_{wcr}_{suffix}({target}, {value});")
+        elif wcr in UPDATE_OPERATORS:
+            writer.emit(f"{target} {UPDATE_OPERATORS[wcr]} {value};")
         else:
             raise NativeCodegenError(f"Unsupported WCR operator {wcr!r}")
 
-    # -- maps ------------------------------------------------------------------------------------
-    def _emit_map(self, state, entry: MapEntry, scope, value_names) -> None:
+    def emit_broadcast(self, data: str, descriptor, wcr, value: str) -> None:
+        if wcr in ("min", "max"):
+            raise NativeCodegenError(f"Broadcast {wcr}-WCR write to {data!r}")
+        with self._each_element("_fill", descriptor) as counter:
+            self.writer.emit(f"{data}[{counter}] {UPDATE_OPERATORS.get(wcr, '=')} {value};")
+
+    # -- maps --------------------------------------------------------------------------
+    def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:
         writer = self.writer
-        exit_node = state.exit_node(entry)
-        members = [
-            node
-            for node in state.topological_nodes()
-            if scope.get(node) is entry and node is not exit_node
-        ]
-        vectorized = (
-            (self.vectorize or entry.map.vectorized)
-            and vectorizable_map(state, entry, members)
-        )
-        parallel = None if vectorized else self._parallel_maps.get(id(entry))
-        opened = 0
-        for position, (param, rng) in enumerate(zip(entry.map.params, entry.map.ranges)):
-            bound = self._bound_counter
-            self._bound_counter += 1
-            writer.emit(f"const int64_t _lo{bound} = (int64_t)({c_symbolic(rng.start)});")
-            writer.emit(f"const int64_t _hi{bound} = (int64_t)({c_symbolic(rng.end)});")
-            writer.emit(f"const int64_t _st{bound} = (int64_t)({c_symbolic(rng.step)});")
-            declare = "" if param in self._declared else "int64_t "
-            if vectorized:
-                # A Vectorization(width)-tiled inner map: fixed-width,
-                # single-parameter, WCR-free — safe to ask for SIMD.
-                writer.emit("#pragma GCC ivdep")
-            if parallel is not None and position == 0:
-                self._emit_parallel_pragma(entry, parallel)
-            writer.emit(
-                f"for ({declare}{param} = _lo{bound}; {param} < _hi{bound}; "
-                f"{param} += _st{bound}) {{"
-            )
-            writer.indent += 1
-            opened += 1
-        for node in members:
-            self._emit_scope_member(state, node, scope, value_names)
-        for _ in range(opened):
-            writer.indent -= 1
-            writer.emit("}")
+        with ExitStack() as nest:
+            for position, (param, rng) in enumerate(zip(entry.map.params, entry.map.ranges)):
+                bound = self._bound_counter
+                self._bound_counter += 1
+                writer.emit(f"const int64_t _lo{bound} = (int64_t)({c_symbolic(rng.start)});")
+                writer.emit(f"const int64_t _hi{bound} = (int64_t)({c_symbolic(rng.end)});")
+                writer.emit(f"const int64_t _st{bound} = (int64_t)({c_symbolic(rng.step)});")
+                declare = "" if param in self._declared else "int64_t "
+                if vectorized:
+                    # A Vectorization(width)-tiled inner map: fixed-width,
+                    # single-parameter, WCR-free — safe to ask for SIMD.
+                    writer.emit("#pragma GCC ivdep")
+                if parallel is not None and position == 0:
+                    self._emit_parallel_pragma(entry, parallel)
+                nest.enter_context(writer.block(
+                    f"for ({declare}{param} = _lo{bound}; {param} < _hi{bound}; "
+                    f"{param} += _st{bound})"
+                ))
+            emit_members()
 
     def _emit_parallel_pragma(self, entry: MapEntry, info: ParallelismInfo) -> None:
         """The ``omp parallel for`` line splitting the chunked parameter.
@@ -1015,15 +759,7 @@ class SDFGCGenerator:
         writer.emit(f"#pragma omp parallel for {' '.join(clauses)}")
         writer.emit("#endif")
 
-    def _emit_scope_member(self, state, node, scope, value_names) -> None:
-        if isinstance(node, Tasklet):
-            self._emit_tasklet(state, node, value_names)
-        elif isinstance(node, MapEntry):
-            self._emit_map(state, node, scope, value_names)
-        elif isinstance(node, AccessNode):
-            self._emit_access_copies(state, node)
-
-    # -- subset rendering ----------------------------------------------------------------------------
+    # -- subset rendering --------------------------------------------------------------
     def _flat_index(self, descriptor, indices) -> str:
         if len(indices) != len(descriptor.shape):
             raise NativeCodegenError(
@@ -1044,11 +780,6 @@ class SDFGCGenerator:
             terms.append(text)
         return "[" + " + ".join(terms) + "]"
 
-    def _covers_whole(self, descriptor, subset: Subset) -> bool:
-        if len(descriptor.shape) != subset.dims:
-            return False
-        return bool(subset.covers(Subset.full(descriptor.shape)))
-
 
 def generate_c_code(sdfg: SDFG, vectorize: bool = False) -> str:
     """Generate a C translation unit implementing ``sdfg``.
@@ -1057,4 +788,4 @@ def generate_c_code(sdfg: SDFG, vectorize: bool = False) -> str:
     native backend cannot express — callers fall back to
     :func:`~repro.codegen.sdfg_python.generate_code`.
     """
-    return SDFGCGenerator(sdfg, vectorize=vectorize).generate()
+    return CEmitter(sdfg, vectorize=vectorize).generate()

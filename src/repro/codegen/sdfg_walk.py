@@ -1,0 +1,442 @@
+"""The one SDFG traversal behind both SDFG code generators.
+
+:class:`SDFGWalker` owns every decision the interpreted (Python) and the
+native (C) backend must make identically, so that a native run and an
+interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
+
+* the order of the raised control-flow tree (states, loops, branches, and
+  the state-machine skeleton of regions that did not raise);
+* per-state topological order and which nodes a map scope owns;
+* value-edge naming (``_valN``) between code nodes;
+* allocation accounting: persistent transients are charged up front, all
+  others at the first state that touches them — inside a loop if that is
+  where they are used (§6.3);
+* which container a write lands in and which writes are no-ops;
+* whether a map is emitted as a vector operation, as a parallel loop or
+  as a sequential loop nest.
+
+A backend subclasses the walker and supplies syntax only — the class
+attributes and the hook methods listed under "what an emitter provides"
+below.  Hooks are ordinary methods: the walk is on the cold-compile path.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+from ..symbolic import Expr, Subset
+from ..sdfg import SDFG, AccessNode, SDFGState, Scalar, Tasklet
+from ..sdfg.data import Array, LIFETIME_PERSISTENT, Stream
+from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
+from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
+from .control_flow import (
+    BranchNode,
+    ControlFlowNode,
+    DispatchNode,
+    LoopNode,
+    SequenceNode,
+    StateNode,
+    build_control_flow,
+)
+from .writer import SourceWriter
+
+
+class CodegenError(Exception):
+    """Raised when an SDFG cannot be turned into executable code."""
+
+
+def vectorizable_map(state, entry: "MapEntry", members) -> bool:
+    """Whether a map scope can be emitted as a vector operation.
+
+    Shared between the code generators (the global ``vectorize`` flag of
+    the ``dcir+vec`` pipeline vectorizes every eligible map) and the
+    ``Vectorization`` transformation (which annotates individual maps):
+    single parameter, no nested scopes, assignment-only tasklets, and no
+    WCR updates (vector semantics would reorder the reduction).
+    """
+    if len(entry.map.params) != 1:
+        return False
+    for node in members:
+        if isinstance(node, MapEntry):
+            return False
+        if isinstance(node, Tasklet):
+            for line in node.code.splitlines():
+                if not re.match(r"^\s*\w+\s*=[^=].*$", line) and line.strip():
+                    return False
+        for edge in state.in_edges(node) + state.out_edges(node):
+            if edge.data.wcr is not None:
+                return False
+    return True
+
+
+#: In-place operator of each WCR the update statement spells directly
+#: (``min``/``max`` need a call); the same in both target languages.
+UPDATE_OPERATORS = {None: "=", "+": "+=", "*": "*="}
+
+
+class SDFGWalker:
+    """Walks an SDFG in code-generation order; subclasses supply the syntax."""
+
+    # -- what an emitter provides: syntax table ------------------------------------------
+    #: Backend name for diagnostics, and the error type it raises.
+    backend: str
+    error = CodegenError
+    #: The one capability difference: whether a WCR update can be made
+    #: atomic.  Without atomics, maps that need them lower sequentially.
+    has_atomics: bool
+    #: Statement terminator and comment form (``"# {}"``).
+    end: str
+    comment: str
+    #: Block headers with a ``{}`` for the condition (the writer appends its
+    #: block opener), and the always-true condition.
+    while_header: str
+    if_header: str
+    elif_header: str
+    unless_header: str
+    true: str
+    #: Condition (``{}`` = register) under which a dispatch register still
+    #: names a state.
+    dispatch_live: str
+    #: What a connector fed by an empty memlet is bound to.
+    empty_read: object
+
+    def __init__(self, sdfg: SDFG, vectorize: bool, writer: SourceWriter):
+        self.sdfg = sdfg
+        self.vectorize = vectorize
+        self.writer = writer
+        self._value_counter = 0
+        self._allocated_persistent: Set[str] = set()
+        # Top-level parallel-scheduled maps whose safety proof succeeds —
+        # the annotation is a request, the proof is the authority.
+        self._parallel_maps: Dict[int, ParallelismInfo] = {}
+        self._atomic_edges: Set[int] = set()
+        for state, entry in sdfg.map_entries():
+            if entry.map.schedule != SCHEDULE_PARALLEL:
+                continue
+            if state.scope_dict().get(entry) is not None:
+                continue
+            info = analyze_map_parallelism(sdfg, state, entry)
+            if info.ok and (self.has_atomics or not info.atomic_edges):
+                self._parallel_maps[id(entry)] = info
+                self._atomic_edges |= info.atomic_edges
+
+    # -- what an emitter provides: hooks -------------------------------------------------
+    def expr(self, expression: Expr) -> str:
+        """Render a symbolic expression."""
+        raise NotImplementedError
+
+    def emit_preamble(self) -> None:
+        """Everything before the entry function (imports, helpers)."""
+        raise NotImplementedError
+
+    def entry_header(self) -> str:
+        """Header of the block holding the whole program."""
+        raise NotImplementedError
+
+    def emit_prologue(self) -> None:
+        """Bind the allocation counter, symbols and interface containers."""
+        raise NotImplementedError
+
+    def declare_transient(self, name: str, descriptor) -> None:
+        """Give one transient container its storage."""
+        raise NotImplementedError
+
+    def emit_epilogue(self) -> None:
+        """Release storage and hand outputs and the allocation count back."""
+        raise NotImplementedError
+
+    def emit_assignment(self, name: str, value: Expr) -> None:
+        """One interstate symbol assignment."""
+        raise NotImplementedError
+
+    def dispatch_register(self, node: DispatchNode) -> Tuple[str, Dict]:
+        """Initialise a state register at ``node.entry``.
+
+        Returns its name and the code of every state in ``node.states``,
+        plus the code of "no state left" under the key ``None``.
+        """
+        raise NotImplementedError
+
+    def read(self, data: str, memlet):
+        """What a connector reading ``memlet`` of ``data`` is bound to."""
+        raise NotImplementedError
+
+    def emit_copy(self, source: str, destination: str, subset: Optional[Subset]) -> None:
+        """One access-node → access-node copy."""
+        raise NotImplementedError
+
+    def emit_tasklet(self, tasklet: Tasklet, inputs: List[Tuple[str, object]],
+                     vectorized: bool) -> Callable[[str], str]:
+        """Bind ``inputs`` (connector, read) and emit the tasklet body.
+
+        Returns a function from an output connector to the name that
+        holds its value.
+        """
+        raise NotImplementedError
+
+    def bind_value(self, temp: str, value: str):
+        """Store a tasklet output in ``temp``; return what reading it yields."""
+        raise NotImplementedError
+
+    def write_target(self, data: str, descriptor, subset: Subset) -> str:
+        """The assignable form of ``data[subset]``."""
+        raise NotImplementedError
+
+    def emit_update(self, target: str, descriptor, wcr: Optional[str], value: str,
+                    atomic: bool = False) -> None:
+        """Store ``value`` into ``target``, resolving conflicts by ``wcr``."""
+        raise NotImplementedError
+
+    def emit_broadcast(self, data: str, descriptor, wcr: Optional[str], value: str) -> None:
+        """Store ``value`` into every element of ``data``."""
+        raise NotImplementedError
+
+    def emit_map(self, entry: MapEntry, emit_members: Callable[[], None], vectorized: bool,
+                 parallel: Optional[ParallelismInfo]) -> None:
+        """Open the scope's loops (or vector/parallel form) around ``emit_members()``."""
+        raise NotImplementedError
+
+    # -- the program -------------------------------------------------------------------
+    def generate(self) -> str:
+        writer = self.writer
+        self.emit_preamble()
+        with writer.block(self.entry_header()):
+            self.emit_prologue()
+            self._emit_transients()
+            tree = build_control_flow(self.sdfg)
+            if not tree.children:
+                writer.fill()  # pinned output: a stateless SDFG gets an explicit no-op
+            self._emit_sequence(tree)
+            self.emit_epilogue()
+        return writer.text()
+
+    def _emit_transients(self) -> None:
+        # Arrays are storage, declared once here for correctness; the *cost*
+        # of a non-persistent (not pre-allocated) container is modelled by
+        # the counter increments at its first-use state
+        # (_emit_lazy_allocations), which may sit inside a loop.
+        for name, descriptor in self.sdfg.arrays.items():
+            if not descriptor.transient:
+                continue
+            self.declare_transient(name, descriptor)
+            if (
+                not isinstance(descriptor, (Scalar, Stream))
+                and descriptor.lifetime == LIFETIME_PERSISTENT
+            ):
+                self._count_allocation()
+                self._allocated_persistent.add(name)
+
+    def _count_allocation(self, note: Optional[str] = None) -> None:
+        line = f"_alloc_count += 1{self.end}"
+        if note is not None:
+            line += "  " + self.comment.format(note)
+        self.writer.emit(line)
+
+    # -- control flow ------------------------------------------------------------------
+    def _emit_sequence(self, node: SequenceNode) -> None:
+        for child in node.children:
+            self._emit_cf(child)
+
+    def _emit_cf(self, node: ControlFlowNode) -> None:
+        writer = self.writer
+        if isinstance(node, StateNode):
+            self._emit_state(node.state)
+            self._emit_assignments(node.assignments)
+        elif isinstance(node, SequenceNode):
+            self._emit_sequence(node)
+        elif isinstance(node, LoopNode):
+            if node.guard.is_empty():
+                with writer.block(self.while_header.format(self.expr(node.condition))):
+                    self._emit_sequence(node.body)
+            else:
+                with writer.block(self.while_header.format(self.true)):
+                    self._emit_state(node.guard)
+                    with writer.block(self.unless_header.format(self.expr(node.condition))):
+                        writer.emit("break" + self.end)
+                    self._emit_sequence(node.body)
+            self._emit_assignments(node.exit_assignments)
+        elif isinstance(node, BranchNode):
+            with writer.block(self.if_header.format(self.expr(node.condition))):
+                self._emit_arm(node.then_assignments, node.then_body)
+            if node.else_body.children or node.else_assignments:
+                with writer.block("else"):
+                    self._emit_arm(node.else_assignments, node.else_body)
+        elif isinstance(node, DispatchNode):
+            self._emit_dispatch(node)
+        else:  # pragma: no cover - defensive
+            raise self.error(f"Unknown control-flow node {node!r}")
+
+    def _emit_arm(self, assignments: Dict[str, Expr], body: SequenceNode) -> None:
+        self._emit_assignments(assignments)
+        if body.children:
+            self._emit_sequence(body)
+        else:
+            self.writer.fill()  # pinned output: explicit even after assignments
+
+    def _emit_assignments(self, assignments: Dict[str, Expr]) -> None:
+        for name, value in assignments.items():
+            self.emit_assignment(name, value)
+
+    def _emit_dispatch(self, node: DispatchNode) -> None:
+        """State-machine skeleton for regions that did not raise to structured flow."""
+        writer = self.writer
+        register, codes = self.dispatch_register(node)
+
+        def goto(state: Optional[SDFGState]) -> None:
+            writer.emit(f"{register} = {codes[state]}{self.end}")
+
+        with writer.block(self.while_header.format(self.dispatch_live.format(register))):
+            for position, state in enumerate(node.states):
+                with writer.block(self._case(position, f"{register} == {codes[state]}")):
+                    self._emit_state(state)
+                    self._emit_transitions(self.sdfg.out_edges(state), goto)
+            with writer.block("else"):
+                goto(None)
+
+    def _case(self, position: int, condition: str) -> str:
+        return (self.elif_header if position else self.if_header).format(condition)
+
+    def _emit_transitions(self, out_edges, goto: Callable) -> None:
+        if not out_edges:
+            goto(None)
+            return
+        writer = self.writer
+        unconditional = False
+        for position, edge in enumerate(out_edges):
+            if not edge.data.is_unconditional:
+                header = self._case(position, self.expr(edge.data.condition))
+            elif position:
+                header = "else"
+            else:
+                header = self._case(0, self.true)
+            unconditional = unconditional or edge.data.is_unconditional
+            with writer.block(header):
+                self._emit_assignments(edge.data.assignments)
+                goto(edge.dst)
+        if not unconditional:
+            with writer.block("else"):
+                goto(None)
+
+    # -- state dataflow ----------------------------------------------------------------
+    def _emit_state(self, state: SDFGState) -> None:
+        if state.is_empty():
+            return
+        self._emit_lazy_allocations(state)
+        scope = state.scope_dict()
+        value_names: Dict[Tuple[int, Optional[str]], object] = {}
+        for node in state.topological_nodes():
+            if scope.get(node) is None:  # others are emitted as part of their map scope
+                self._emit_node(state, node, scope, value_names)
+
+    def _emit_lazy_allocations(self, state: SDFGState) -> None:
+        """Charge allocation cost for non-pre-allocated transients.
+
+        Containers that were not hoisted by memory pre-allocation (§6.3) pay
+        an allocation each time their first-use state executes — inside a
+        loop if that is where they are used — which is what the allocation
+        counter of the run results reports.
+        """
+        for name in sorted(state.read_set() | state.write_set()):
+            descriptor = self.sdfg.arrays.get(name)
+            if (
+                isinstance(descriptor, Array)
+                and descriptor.transient
+                and descriptor.lifetime != LIFETIME_PERSISTENT
+                and name not in self._allocated_persistent
+            ):
+                self._allocated_persistent.add(name)
+                self._count_allocation(f"allocation of {name} on this path")
+
+    def _emit_node(self, state, node, scope, value_names, vectorized: bool = False) -> None:
+        if isinstance(node, Tasklet):
+            self._emit_tasklet(state, node, value_names, vectorized)
+        elif isinstance(node, MapEntry):
+            self._emit_map(state, node, scope, value_names)
+        elif isinstance(node, AccessNode):
+            for edge in state.in_edges(node):
+                if isinstance(edge.src, AccessNode) and not edge.data.is_empty:
+                    self.emit_copy(edge.src.data, node.data, edge.data.subset)
+
+    def _emit_tasklet(self, state, tasklet: Tasklet, value_names, vectorized: bool) -> None:
+        if tasklet.language == "mlir":
+            raise self.error(
+                f"Tasklet {tasklet.label!r} was kept in MLIR form and cannot be "
+                f"emitted by the {self.backend} backend"
+            )
+        inputs = [
+            (edge.dst_conn, self._read_expression(edge, value_names))
+            for edge in state.in_edges(tasklet)
+            if edge.dst_conn is not None
+        ]
+        output = self.emit_tasklet(tasklet, inputs, vectorized)
+        for edge in state.out_edges(tasklet):
+            if edge.src_conn is None:
+                continue
+            value = output(edge.src_conn)
+            if isinstance(edge.dst, (AccessNode, MapExit)):
+                self._emit_write(edge, value)
+            else:
+                # Value edge to another code node.
+                temp = f"_val{self._value_counter}"
+                self._value_counter += 1
+                value_names[(id(tasklet), edge.src_conn)] = self.bind_value(temp, value)
+
+    def _read_expression(self, edge, value_names):
+        source, memlet = edge.src, edge.data
+        if isinstance(source, AccessNode):
+            return self.read(source.data, memlet)
+        if not isinstance(source, MapEntry):
+            bound = value_names.get((id(source), edge.src_conn))
+            if bound is not None:
+                return bound
+        if memlet.is_empty:
+            return self.empty_read
+        return self.read(memlet.data, memlet)
+
+    def _emit_write(self, edge, value: str) -> None:
+        memlet = edge.data
+        if not memlet.is_empty:
+            data = memlet.data
+        elif isinstance(edge.dst, AccessNode):
+            data = edge.dst.data
+        else:
+            return
+        descriptor = self.sdfg.arrays[data]
+        if isinstance(descriptor, Scalar):
+            self.emit_update(data, descriptor, memlet.wcr, value)
+        elif memlet.subset is None:
+            # A dynamic whole-array memlet was mutated in place through the input view.
+            if not memlet.dynamic:
+                self.emit_broadcast(data, descriptor, memlet.wcr, value)
+        elif memlet.subset.is_point() or not (
+            memlet.dynamic and self._covers_whole(descriptor, memlet.subset)
+        ):
+            self.emit_update(
+                self.write_target(data, descriptor, memlet.subset), descriptor,
+                memlet.wcr, value, atomic=id(edge) in self._atomic_edges,
+            )
+
+    def _emit_map(self, state, entry: MapEntry, scope, value_names) -> None:
+        exit_node = state.exit_node(entry)
+        members = [
+            node
+            for node in state.topological_nodes()
+            if scope.get(node) is entry and node is not exit_node
+        ]
+        vectorized = (
+            (self.vectorize or entry.map.vectorized)
+            and vectorizable_map(state, entry, members)
+        )
+        parallel = None if vectorized else self._parallel_maps.get(id(entry))
+
+        def emit_members() -> None:
+            for node in members:
+                self._emit_node(state, node, scope, value_names, vectorized)
+
+        self.emit_map(entry, emit_members, vectorized, parallel)
+
+    def _covers_whole(self, descriptor, subset: Subset) -> bool:
+        if len(descriptor.shape) != subset.dims:
+            return False
+        return bool(subset.covers(Subset.full(descriptor.shape)))

@@ -2,25 +2,23 @@
 
 Both IR layers — the MLIR-like control-centric IR (:mod:`repro.passes`) and
 the SDFG data-centric IR (:mod:`repro.transforms`) — run ordered lists of
-passes to a fixed point and record per-pass statistics.  Historically each
-layer carried its own copy of that machinery (``Pass``/``PassManager``/
-``PassPipelineReport`` vs. ``DataCentricPass``/``DataCentricPipeline``/
-``PipelineReport``); this module is the single shared implementation,
-mirroring MLIR's homogenized pass infrastructure:
+passes to a fixed point and record per-pass statistics.  This module is
+the single implementation of that machinery, mirroring MLIR's homogenized
+pass infrastructure:
 
 * :class:`PassBase` — a named pass with a ``run(target) -> bool`` hook;
 * :class:`PassRunner` — runs an ordered pass list, optionally repeating
   until a fixed point, producing a :class:`StageReport`;
 * :class:`PassRegistry` — a name → pass-class registry so declarative
   pipeline specs (:mod:`repro.pipeline.spec`) can reference passes by name;
-* :class:`StageReport` / :class:`PassRecord` — per-stage pass statistics
-  (the former ``PassPipelineReport`` and ``PipelineReport``, unified);
+* :class:`StageReport` / :class:`PassRecord` — per-stage pass statistics;
 * :class:`CompilationReport` — per-stage timings of one whole compilation
   (frontend / control / bridge / data / codegen), surfaced on
   :class:`~repro.pipeline.GeneratedProgram`.
 
-The layer-specific base classes remain as thin aliases so existing passes
-and callers keep working unchanged.
+Each layer adds only its own hook name on top: :class:`repro.passes.Pass`
+(``run_on_module``) and :class:`repro.transforms.DataCentricPass`
+(``apply``).
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ class PassRecord:
     applied: Optional[int] = None
 
 
-#: Backwards-compatible alias (the control-centric layer's historical name).
-PassStatistics = PassRecord
-
-
 @dataclass
 class StageReport:
     """Per-pass statistics of one pipeline stage (control or data)."""
@@ -84,11 +78,6 @@ class StageReport:
     #: Wall time of the whole stage including runner overhead; falls back
     #: to the per-pass sum when the stage was not run through a runner.
     wall_seconds: Optional[float] = None
-
-    @property
-    def statistics(self) -> List[PassRecord]:
-        """Alias of :attr:`records` (the control-centric layer's name)."""
-        return self.records
 
     @property
     def total_seconds(self) -> float:
@@ -132,7 +121,7 @@ class StageReport:
     def summary(self) -> str:
         lines = [
             f"{record.name:<34} changed={record.changed} {record.seconds * 1e3:8.2f} ms"
-            + _match_suffix(record)
+            + match_suffix(record)
             for record in self.records
         ]
         lines.append(f"{'total':<34} {'':13} {self.total_seconds * 1e3:8.2f} ms")
@@ -187,7 +176,7 @@ class CompilationReport:
             for record in report.records:
                 lines.append(
                     f"    {record.name:<32} changed={record.changed} "
-                    f"{record.seconds * 1e3:8.2f} ms" + _match_suffix(record)
+                    f"{record.seconds * 1e3:8.2f} ms" + match_suffix(record)
                 )
         lines.append(f"  {'total':<10} {self.total_seconds * 1e3:8.2f} ms")
         for name in sorted(self.counters):
@@ -204,10 +193,6 @@ def match_suffix(record: PassRecord) -> str:
     if record.matches is None and record.applied is None:
         return ""
     return f"  matches={record.matches or 0} applied={record.applied or 0}"
-
-
-#: Backwards-compatible private alias.
-_match_suffix = match_suffix
 
 
 class PassRunner:

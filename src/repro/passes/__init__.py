@@ -14,7 +14,7 @@ from .dce import DeadCodeElimination
 from .inlining import Inlining
 from .licm import LoopInvariantCodeMotion
 from .memref_dce import DeadMemoryElimination
-from .pass_manager import Pass, PassManager, PassPipelineReport, PassStatistics
+from .pass_manager import Pass, PassManager
 from .registry import CONTROL_PASSES, list_control_passes, register_control_pass
 from .scalar_replacement import ScalarReplacement
 
@@ -47,8 +47,6 @@ __all__ = [
     "LoopInvariantCodeMotion",
     "Pass",
     "PassManager",
-    "PassPipelineReport",
-    "PassStatistics",
     "ScalarReplacement",
     "constant_value",
     "control_centric_pipeline",

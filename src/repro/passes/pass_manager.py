@@ -2,10 +2,8 @@
 
 A thin layer over the unified infrastructure in :mod:`repro.passbase`:
 :class:`Pass` keeps the MLIR-flavoured ``run_on_module`` hook name and
-:class:`PassManager` the ``verify_each`` convenience, while the report
-types are the shared ones (``PassPipelineReport``/``PassStatistics`` are
-aliases of :class:`~repro.passbase.StageReport`/
-:class:`~repro.passbase.PassRecord`).
+:class:`PassManager` the ``verify_each`` convenience; runs report the
+shared :class:`~repro.passbase.StageReport`.
 """
 
 from __future__ import annotations
@@ -14,11 +12,7 @@ from typing import Sequence
 
 from ..ir.core import Operation
 from ..ir.verifier import verify
-from ..passbase import PassBase, PassRecord, PassRunner, StageReport
-
-#: Backwards-compatible aliases for the historical control-centric names.
-PassStatistics = PassRecord
-PassPipelineReport = StageReport
+from ..passbase import PassBase, PassRunner
 
 
 class Pass(PassBase):

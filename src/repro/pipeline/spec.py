@@ -50,22 +50,11 @@ class PassSpec:
     ``max_elements``, plus the universal ``only_matches`` /
     ``max_applications``).  They are part of the canonical serialization,
     so a parameter change produces a new spec ``content_id`` (and hence a
-    new compile-cache address).  ``options`` remains as a read/write alias
-    of ``params`` for older call sites, and :meth:`of`/:meth:`to_dict`
-    accept the legacy ``"options"`` serialization key.
+    new compile-cache address).
     """
 
     name: str
     params: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def options(self) -> Dict[str, object]:
-        """Alias of :attr:`params` (the historical field name)."""
-        return self.params
-
-    @options.setter
-    def options(self, value: Dict[str, object]) -> None:
-        self.params = value
 
     @classmethod
     def of(cls, item: "PassLike") -> "PassSpec":
@@ -74,17 +63,23 @@ class PassSpec:
         Always returns a fresh instance — ``PipelineSpec.__post_init__``
         routes every pass list through here, so two specs never share
         ``PassSpec`` objects (or their params dicts), even when one is
-        derived from the other's lists.
+        derived from the other's lists.  A mapping may carry only
+        ``name`` and ``params``: any other key (a typo'd ``"parms"``) would
+        otherwise build the pass with default parameters and content-alias
+        the default spec in the compile cache.
         """
         if isinstance(item, PassSpec):
             return cls(name=item.name, params=copy.deepcopy(dict(item.params)))
         if isinstance(item, str):
             return cls(name=item)
         if isinstance(item, Mapping):
-            params = item.get("params")
-            if params is None:
-                params = item.get("options")  # legacy serialization key
-            return cls(name=item["name"], params=dict(params or {}))
+            unknown = sorted(set(item) - {"name", "params"})
+            if unknown:
+                raise PipelineError(
+                    f"Unknown key {unknown[0]!r} in pass specification {dict(item)!r}; "
+                    "accepted keys: 'name', 'params'"
+                )
+            return cls(name=item["name"], params=dict(item.get("params") or {}))
         if isinstance(item, Sequence) and len(item) == 2:
             return cls(name=item[0], params=dict(item[1] or {}))
         raise PipelineError(f"Cannot interpret {item!r} as a pass specification")

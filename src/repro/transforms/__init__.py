@@ -46,7 +46,6 @@ from .memory_allocation import MemoryPreAllocation, StackPromotion
 from .pipeline import (
     DataCentricPass,
     DataCentricPipeline,
-    PipelineReport,
     data_centric_pipeline,
     memory_scheduling_pipeline,
     simplification_pipeline,
@@ -76,7 +75,6 @@ __all__ = [
     "MemletConsolidation",
     "MemoryPreAllocation",
     "Parallelize",
-    "PipelineReport",
     "RedundantIterationElimination",
     "ScalarToSymbolPromotion",
     "StackPromotion",

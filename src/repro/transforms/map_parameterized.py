@@ -367,7 +367,7 @@ class Vectorization(Transformation):
         self.width = None if width is None else int(width)
 
     def match(self, sdfg: SDFG) -> List[Match]:
-        from ..codegen.sdfg_python import vectorizable_map
+        from ..codegen.sdfg_walk import vectorizable_map
 
         matches: List[Match] = []
         for state, entry in sdfg.map_entries():
@@ -392,7 +392,7 @@ class Vectorization(Transformation):
         return matches
 
     def apply_match(self, sdfg: SDFG, match: Match) -> bool:
-        from ..codegen.sdfg_python import vectorizable_map
+        from ..codegen.sdfg_walk import vectorizable_map
 
         state: SDFGState = match.payload["state"]
         entry: MapEntry = match.payload["entry"]

@@ -2,9 +2,8 @@
 
 A thin layer over the unified infrastructure in :mod:`repro.passbase`:
 :class:`DataCentricPass` keeps the DaCe-flavoured ``apply`` hook name and
-:class:`DataCentricPipeline` the ``validate`` convenience, while the report
-types are the shared ones (``PipelineReport``/``PassRecord`` are aliases of
-:class:`~repro.passbase.StageReport`/:class:`~repro.passbase.PassRecord`).
+:class:`DataCentricPipeline` the ``validate`` convenience; runs report the
+shared :class:`~repro.passbase.StageReport`.
 
 ``DataCentricPass`` is the *whole-graph* contract: ``apply(sdfg) -> bool``
 transforms in place and reports whether anything changed.  Almost every
@@ -34,11 +33,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..passbase import PassBase, PassRecord, PassRunner, StageReport
+from ..passbase import PassBase, PassRunner, StageReport
 from ..sdfg import SDFG
-
-#: Backwards-compatible alias for the historical data-centric report name.
-PipelineReport = StageReport
 
 
 class DataCentricPass(PassBase):

@@ -7,10 +7,11 @@ the ``-O1``-equivalent step of the DaCe side of DCIR.
 
 from __future__ import annotations
 
+from ..passbase import StageReport
 from ..sdfg import SDFG
-from .pipeline import PipelineReport, simplification_pipeline
+from .pipeline import simplification_pipeline
 
 
-def simplify_sdfg(sdfg: SDFG, max_iterations: int = 4) -> PipelineReport:
+def simplify_sdfg(sdfg: SDFG, max_iterations: int = 4) -> StageReport:
     """Run the simplification pipeline on ``sdfg`` in place."""
     return simplification_pipeline(max_iterations=max_iterations).apply(sdfg)

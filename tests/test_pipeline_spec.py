@@ -166,14 +166,19 @@ class TestPassSpecParams:
         assert clone == spec and clone is not spec
         assert clone.params is not spec.params
 
-    def test_legacy_options_key_and_alias_still_work(self):
+    @pytest.mark.parametrize("stale_key", ["options", "parms"])
+    def test_unknown_pass_keys_are_rejected_not_dropped(self, stale_key):
+        # Dropping the key would build the pass with default parameters and
+        # content-alias the default spec in the compile cache.
         from repro.pipeline.spec import PassSpec
 
-        legacy = PassSpec.of({"name": "map-fusion", "options": {"max_applications": 1}})
-        assert legacy.params == {"max_applications": 1}
-        assert legacy.options is legacy.params  # live alias
-        legacy.options = {"max_applications": 2}
-        assert legacy.params == {"max_applications": 2}
+        entry = {"name": "map-fusion", stale_key: {"max_applications": 1}}
+        with pytest.raises(PipelineError, match=f"'{stale_key}'.*'name', 'params'"):
+            PassSpec.of(entry)
+        document = get_pipeline("dcir").to_dict()
+        document["data_passes"][-1] = entry
+        with pytest.raises(PipelineError, match=f"'{stale_key}'"):
+            PipelineSpec.from_dict(document)
 
     def test_with_params_returns_a_fresh_spec(self):
         from repro.pipeline.spec import PassSpec
@@ -259,7 +264,7 @@ class TestSerialization:
     def test_pass_coercion_accepts_names_and_pairs(self):
         spec = PipelineSpec(control_passes=["cse", ("dce", {})])
         assert [p.name for p in spec.control_passes] == ["cse", "dce"]
-        assert spec.control_passes[0].options == {}
+        assert spec.control_passes[0].params == {}
 
     def test_data_passes_require_bridge(self):
         with pytest.raises(PipelineError, match="bridge"):
@@ -286,18 +291,18 @@ class TestSerialization:
         # mutating an ablation's pass options must not touch the parent.
         parent = get_pipeline("dcir")
         child = parent.without_pass("map-fusion")
-        child.data_passes[0].options["tweak"] = 1
-        assert parent.data_passes[0].options == {}
+        child.data_passes[0].params["tweak"] = 1
+        assert parent.data_passes[0].params == {}
         assert cache_key(SAXPY, parent) == cache_key(SAXPY, "dcir")
 
         spec = _ablated("isolation-test")
-        spec.control_passes[0].options["levels"] = [1, 2]
+        spec.control_passes[0].params["levels"] = [1, 2]
         register_pipeline(spec)
         try:
             spec.codegen.vectorize = True  # caller mutation after registering
-            spec.control_passes[0].options["levels"].append(3)  # nested mutation
+            spec.control_passes[0].params["levels"].append(3)  # nested mutation
             assert get_pipeline("isolation-test").codegen.vectorize is False
-            assert get_pipeline("isolation-test").control_passes[0].options == {"levels": [1, 2]}
+            assert get_pipeline("isolation-test").control_passes[0].params == {"levels": [1, 2]}
         finally:
             unregister_pipeline("isolation-test")
 
@@ -403,7 +408,7 @@ class TestCustomPipelineEndToEnd:
 
     def test_unserializable_options_are_isolated_per_item(self):
         bad = get_pipeline("dcir")
-        bad.data_passes[0].options["bad"] = {1, 2, 3}  # sets are not JSON
+        bad.data_passes[0].params["bad"] = {1, 2, 3}  # sets are not JSON
         with pytest.raises(PipelineError, match="JSON-serializable"):
             compile_c(SAXPY, bad)
         outcomes = compile_many(
@@ -552,6 +557,16 @@ class TestCLI:
         proc = self._run("compile", "--kernel", "gemm", "--spec", "/no/such/spec.json")
         assert proc.returncode != 0
         assert "Cannot read spec file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_spec_file_with_a_typoed_pass_key_is_a_clean_error(self, tmp_path):
+        document = get_pipeline("dcir").to_dict()
+        document["data_passes"][0] = {"name": document["data_passes"][0]["name"], "parms": {}}
+        spec_path = tmp_path / "typo.json"
+        spec_path.write_text(json.dumps(document), encoding="utf-8")
+        proc = self._run("compile", "--kernel", "gemm", "--spec", str(spec_path))
+        assert proc.returncode != 0
+        assert "Bad pipeline spec" in proc.stderr and "'parms'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_non_object_spec_file_is_a_clean_error(self, tmp_path):

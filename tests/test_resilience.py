@@ -346,15 +346,15 @@ class TestCacheIntegrity:
         assert not cache.get_or_compile(SAXPY, "gcc").cache_hit
         assert cache.stats.quarantined == 1
 
-    def test_legacy_bare_payload_entries_still_hit(self, tmp_path):
-        # Caches written before the envelope format stored the payload
-        # directly; they carry no checksum but remain readable.
+    def test_legacy_bare_payload_entries_are_quarantined_and_recompiled(self, tmp_path):
+        # A payload without the checksummed envelope cannot be verified, and
+        # no released writer produces one at the current payload version.
         _, path = self._seed_entry(tmp_path)
         document = json.loads(path.read_text())
         path.write_text(json.dumps(document["payload"]), encoding="utf-8")
         cache = self._fresh(tmp_path)
-        assert cache.get_or_compile(SAXPY, "gcc").cache_hit
-        assert cache.stats.quarantined == 0
+        assert not cache.get_or_compile(SAXPY, "gcc").cache_hit
+        assert cache.stats.quarantined == 1
 
     def test_contains_rejects_corrupt_entries_too(self, tmp_path):
         key, path = self._seed_entry(tmp_path)
