@@ -194,7 +194,10 @@ class ControlFlowBuilder:
         return sequence
 
     def _dispatch_from(self, entry: SDFGState) -> DispatchNode:
-        reachable = [entry] + list(nx.descendants(self.sdfg._graph, entry))
+        # ``nx.descendants`` is a set of id-hashed states: list them in SDFG
+        # state order, so every process emits the same dispatcher.
+        descendants = nx.descendants(self.sdfg._graph, entry)
+        reachable = [entry] + [s for s in self.sdfg.states() if s in descendants]
         return DispatchNode(entry=entry, states=reachable)
 
 

@@ -15,6 +15,18 @@ variable overrides compiler discovery; pointing it at a non-existent
 path simulates a machine without a compiler (the graceful-degradation
 tests do exactly that).
 
+The process also remembers what it already did.  :func:`find_compiler`
+walks ``PATH`` once per ``(REPRO_CC, PATH)`` value, and
+:meth:`CompiledNative.from_code` keeps the last
+:data:`LOADED_LIBRARY_LIMIT` libraries it ``dlopen``-ed in a lock-guarded
+table keyed by ``(code, name, cache directory, compiler)``.  A table hit
+costs one ``os.stat`` of the ``.so`` — its (inode, size, mtime) must
+still be what was loaded — and shares the library handle and entry
+function, nothing mutable: each :class:`CompiledNative` gets its own
+``abi`` dict.  A missing or replaced ``.so``, another
+``REPRO_NATIVE_CACHE_DIR`` or another ``REPRO_CC`` misses the table and
+takes the full build / ``dlopen`` / self-heal path below.
+
 Every external wait here is bounded and every failure typed: the
 compiler runs in its own process group under a deadline
 (``REPRO_CC_TIMEOUT``, default 120s; on expiry the whole group is
@@ -30,6 +42,7 @@ garbled on disk) is quarantined and rebuilt once before
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import hashlib
 import json
@@ -41,7 +54,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +62,7 @@ from ..errors import CacheCorruption, CompileTimeout, ToolchainCrash, ToolchainE
 from ..perf import PERF
 from ..sdfg.data import DTYPES
 from ..symbolic import sympify
+from .bounded import BoundedTable
 
 #: Environment variable naming (or stubbing away) the C compiler.
 CC_ENV = "REPRO_CC"
@@ -80,6 +94,12 @@ ABI_MARKER = "REPRO-NATIVE-ABI:"
 #: absent" rather than raising.
 PROBE_TIMEOUT = 10.0
 
+#: How many loaded shared objects :meth:`CompiledNative.from_code`
+#: remembers (least recently used goes first).  An evicted library is
+#: simply ``dlopen``-ed again from the on-disk ``.so`` cache.
+LOADED_LIBRARY_LIMIT = 256
+
+
 def cc_timeout() -> Optional[float]:
     """The compiler-process deadline in seconds (None: disabled)."""
     raw = os.environ.get(CC_TIMEOUT_ENV)
@@ -92,22 +112,32 @@ def cc_timeout() -> Optional[float]:
     return value if value > 0 else None
 
 
+#: Discovered compilers memoized per ``(REPRO_CC, PATH)`` for the process
+#: lifetime, like the feature probes below are per compiler path.  Only
+#: successes are remembered: "no compiler" is re-probed on every call.
+_COMPILERS: Dict[Tuple[Optional[str], Optional[str]], str] = {}
+
+
 def find_compiler() -> Optional[str]:
     """Path of the system C compiler, or None when there is none.
 
     ``REPRO_CC`` wins when set (even if it names a missing file — that is
     the supported way to simulate a compiler-less machine); otherwise the
-    first of ``cc``/``gcc``/``clang`` found on PATH.
+    first of ``cc``/``gcc``/``clang`` found on PATH.  The walk over PATH
+    happens once per distinct ``(REPRO_CC, PATH)`` environment.
     """
     override = os.environ.get(CC_ENV)
+    key = (override, os.environ.get("PATH"))
+    path = _COMPILERS.get(key)
+    if path is not None:
+        return path
     if override:
         path = shutil.which(override) or (override if os.access(override, os.X_OK) else None)
-        return path
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
+    else:
+        path = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    if path is not None:
+        _COMPILERS[key] = path
+    return path
 
 
 def have_compiler() -> bool:
@@ -369,6 +399,20 @@ def _evaluate_shape(dims: List[str], env: Dict[str, float]) -> tuple:
     return tuple(int(sympify(dim).evaluate(dict(env))) for dim in dims)
 
 
+def _stat_signature(path) -> Optional[Tuple[int, int, int]]:
+    """What identifies the file a library is loaded from (None: no such file)."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return (status.st_ino, status.st_size, status.st_mtime_ns)
+
+
+#: Libraries this process already has mapped: ``(code, name, cache
+#: directory, compiler)`` → ``(stat signature, abi, library, function)``.
+_LOADED = BoundedTable(LOADED_LIBRARY_LIMIT)
+
+
 @dataclass
 class CompiledNative:
     """A natively compiled SDFG program behind the interpreted calling convention.
@@ -398,6 +442,12 @@ class CompiledNative:
     ) -> "CompiledNative":
         """Compile (or reuse the cached .so for) generated C and load it.
 
+        A library this process already loaded for the same code, name,
+        cache directory and compiler is served from the loaded-library
+        table after one ``os.stat`` confirms the ``.so`` on disk is still
+        the file that was mapped (``toolchain.so_cache_hits`` ticks as for
+        any other reuse); everything else takes the full path.
+
         A cached shared object that fails to ``dlopen`` (truncated or
         garbled by a killed writer or a bad disk) is quarantined
         (unlinked, counted under ``toolchain.so_corrupt_evicted``) and
@@ -405,12 +455,25 @@ class CompiledNative:
         compile cache.  A rebuild that *still* cannot be loaded raises
         :class:`~repro.errors.CacheCorruption`.
         """
+        key = (code, name, native_cache_dir(), find_compiler())
+        entry = _LOADED.get(key)
+        if entry is not None:
+            signature, abi, library, function = entry
+            if signature is not None and _stat_signature(library) == signature:
+                PERF.increment("toolchain.so_cache_hits")
+                return cls(code=code, abi=copy.deepcopy(abi), library=library,
+                           _function=function)
+            _LOADED.discard(key)
+
         abi = parse_abi(code)
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", str(abi.get("name") or name))
         handle = None
         for attempt in (1, 2):
             library = compile_shared(code, name=safe, timeout=timeout, retry=retry)
             try:
+                # Taken before the load: a file replaced in between fails
+                # the next validation instead of passing for what is mapped.
+                signature = _stat_signature(library)
                 handle = ctypes.CDLL(str(library))
                 break
             except OSError as exc:
@@ -442,6 +505,7 @@ class CompiledNative:
                     "version": features.version,
                     "openmp": bool(features.openmp),
                 }
+        _LOADED.put(key, (signature, copy.deepcopy(abi), library, function))
         return cls(code=code, abi=abi, library=library, _function=function)
 
     # -- the interpreted-backend calling convention -----------------------------------

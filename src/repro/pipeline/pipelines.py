@@ -238,11 +238,13 @@ class GeneratedProgram:
 
     def to_result(self) -> CompileResult:
         """Construct the executable artifact from this program."""
-        result = CompileResult(
+        return _build_result(
+            self.code,
+            f"<{self.pipeline}>",
+            self.native_code,
+            self.native_fallback,
             pipeline=self.pipeline,
             function=self.function,
-            code=self.code,
-            runner=load_runner(self.code, name=f"<{self.pipeline}>"),
             sdfg=self.sdfg,
             mlir_module=self.mlir_module,
             compile_seconds=self.compile_seconds,
@@ -250,8 +252,6 @@ class GeneratedProgram:
             spec=self.spec,
             report=self.report,
         )
-        _attach_backend(result, self.native_code, self.native_fallback)
-        return result
 
 
 def load_runner(code: str, name: str = "<generated>") -> Callable:
@@ -266,11 +266,15 @@ class _LazyNativeRunner:
     (the tuner rehydrates many candidates it will never execute, and
     repeat-run cache reuse is asserted to spawn zero work), so the
     toolchain — ``cc`` process, ``dlopen`` — is only touched when the
-    program is actually run.  Under the result's default ``"fallback"``
-    degradation mode a missing, failing, hung or corrupted toolchain
-    degrades to the interpreted runner with a warning and a recorded
-    diagnostic; under ``"strict"`` the typed error propagates to the
-    caller (the diagnostic is still recorded first).
+    program is actually run, and the interpreted source of a native
+    result is not loaded at all unless the toolchain fails.  The first
+    call goes through :meth:`CompiledNative.from_code`, which serves a
+    library this process already has mapped from its loaded-library table.
+    Under the result's default ``"fallback"`` degradation mode a missing,
+    failing, hung or corrupted toolchain loads the interpreted runner
+    instead, with a warning and a recorded diagnostic; under ``"strict"``
+    the typed error propagates to the caller (the diagnostic is still
+    recorded first).
     """
 
     def __init__(self, result: CompileResult, native_code: str):
@@ -308,26 +312,41 @@ class _LazyNativeRunner:
         return self._callable(**kwargs)
 
 
-def _attach_backend(
-    result: CompileResult,
+def _build_result(
+    code: str,
+    filename: str,
     native_code: Optional[str],
     native_fallback: Optional[str],
-) -> None:
-    """Wire a result's execution backend from the generated artifacts."""
+    **fields,
+) -> CompileResult:
+    """The one constructor of results: fields plus the execution backend.
+
+    A result with emitted C runs natively and loads nothing here — its
+    :class:`_LazyNativeRunner` loads the interpreted source itself if the
+    toolchain ever fails.  Every other result loads its interpreted
+    runner now, under the display ``filename``.
+    """
     if native_code:
-        result.backend = "native"
-        result.native_code = native_code
+        result = CompileResult(
+            code=code, runner=None, backend="native", native_code=native_code, **fields
+        )
         result.runner = _LazyNativeRunner(result, native_code)
-    elif native_fallback:
-        result.backend = "python"
-        result.backend_diagnostic = native_fallback
+        return result
+    return CompileResult(
+        code=code,
+        runner=load_runner(code, name=filename),
+        backend_diagnostic=native_fallback,
+        **fields,
+    )
 
 
 def result_from_payload(payload: Dict) -> CompileResult:
     """Rehydrate a :class:`CompileResult` from a cached payload.
 
-    Only the generated code is re-``exec``-ed — no frontend, pass or codegen
-    work runs.  The rehydrated result has no live SDFG/MLIR objects; the
+    No frontend, pass or codegen work runs: an interpreted result
+    re-``exec``-s its generated code (compiled once per process, see
+    :func:`~repro.codegen.loader.load_entry`), a native one loads nothing
+    until it is run.  The rehydrated result has no live SDFG/MLIR objects; the
     movement report, eliminated-container list and stage timings recorded
     at compile time stand in for them.
     """
@@ -352,11 +371,13 @@ def result_from_payload(payload: Dict) -> CompileResult:
             report.add_stage(stage, seconds)
         # Profiler counters recorded by the original (cache-filling) compile.
         report.counters = dict(payload.get("counters") or {})
-    result = CompileResult(
+    return _build_result(
+        payload["code"],
+        f"<cached:{payload['pipeline']}>",
+        payload.get("native_code"),
+        payload.get("native_fallback"),
         pipeline=payload["pipeline"],
         function=payload.get("function"),
-        code=payload["code"],
-        runner=load_runner(payload["code"], name=f"<cached:{payload['pipeline']}>"),
         compile_seconds=payload.get("compile_seconds", 0.0),
         spec=spec,
         report=report,
@@ -364,8 +385,6 @@ def result_from_payload(payload: Dict) -> CompileResult:
         _cached_movement=movement,
         _cached_eliminated=list(payload.get("eliminated_containers", [])),
     )
-    _attach_backend(result, payload.get("native_code"), payload.get("native_fallback"))
-    return result
 
 
 def available_functions(module) -> List[str]:

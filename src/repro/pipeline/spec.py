@@ -34,10 +34,16 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..errors import PipelineError
+
+
+def _own(options: Optional[Mapping]) -> Dict[str, object]:
+    """A dict of ``options`` that aliases nothing, nested values included."""
+    return copy.deepcopy(dict(options)) if options else {}
 
 
 @dataclass
@@ -60,16 +66,17 @@ class PassSpec:
     def of(cls, item: "PassLike") -> "PassSpec":
         """Coerce a name, ``(name, params)`` pair or dict into a spec.
 
-        Always returns a fresh instance — ``PipelineSpec.__post_init__``
-        routes every pass list through here, so two specs never share
-        ``PassSpec`` objects (or their params dicts), even when one is
-        derived from the other's lists.  A mapping may carry only
+        Always returns a fresh instance owning a deep copy of the params —
+        ``PipelineSpec.__post_init__`` routes every pass list through here
+        (once), so two specs never share ``PassSpec`` objects or params
+        dicts, nor a spec and the serialized form it was read from, even
+        when one is derived from the other's lists.  A mapping may carry only
         ``name`` and ``params``: any other key (a typo'd ``"parms"``) would
         otherwise build the pass with default parameters and content-alias
         the default spec in the compile cache.
         """
         if isinstance(item, PassSpec):
-            return cls(name=item.name, params=copy.deepcopy(dict(item.params)))
+            return cls(name=item.name, params=_own(item.params))
         if isinstance(item, str):
             return cls(name=item)
         if isinstance(item, Mapping):
@@ -79,21 +86,21 @@ class PassSpec:
                     f"Unknown key {unknown[0]!r} in pass specification {dict(item)!r}; "
                     "accepted keys: 'name', 'params'"
                 )
-            return cls(name=item["name"], params=dict(item.get("params") or {}))
+            return cls(name=item["name"], params=_own(item.get("params")))
         if isinstance(item, Sequence) and len(item) == 2:
-            return cls(name=item[0], params=dict(item[1] or {}))
+            return cls(name=item[0], params=_own(item[1]))
         raise PipelineError(f"Cannot interpret {item!r} as a pass specification")
 
     def with_params(self, **params) -> "PassSpec":
         """A fresh spec with some parameters replaced (a tuning-axis step)."""
-        merged = copy.deepcopy(dict(self.params))
+        merged = _own(self.params)
         merged.update(params)
         return PassSpec(name=self.name, params=merged)
 
     def to_dict(self) -> Dict:
         # Deep-copied so serialized snapshots (and spec copies built from
         # them) never alias nested mutable parameter values.
-        return {"name": self.name, "params": copy.deepcopy(dict(self.params))}
+        return {"name": self.name, "params": _own(self.params)}
 
 
 PassLike = Union[PassSpec, str, Mapping, Sequence]
@@ -165,7 +172,7 @@ class PipelineSpec:
         # Defensively copy every mutable field: two specs must never share
         # state, or mutating one would silently change the other's cache
         # identity (PassSpec.of always returns fresh instances).
-        self.frontend_options = copy.deepcopy(dict(self.frontend_options))
+        self.frontend_options = _own(self.frontend_options)
         self.control_passes = [PassSpec.of(item) for item in self.control_passes]
         self.data_passes = [PassSpec.of(item) for item in self.data_passes]
         if isinstance(self.codegen, Mapping):
@@ -193,19 +200,35 @@ class PipelineSpec:
         This is the cache-key basis — a registered name and an equivalent
         anonymous spec content-address identically, while any change to
         passes, options or codegen flags yields a different address.
+        The returned dict is a snapshot sharing nothing with the spec.
         """
+        return self._basis(_own)
+
+    def cache_basis_view(self) -> Dict:
+        """:meth:`cache_basis` without the copies, for serializing keys.
+
+        The nested option dicts *are* the spec's own: dump the view and
+        drop it, never keep or mutate it.
+        """
+        return self._basis(lambda options: options)
+
+    def _basis(self, options: Callable[[Dict], Dict]) -> Dict:
         return {
-            "frontend": copy.deepcopy(dict(self.frontend_options)),
-            "control_passes": [p.to_dict() for p in self.control_passes],
+            "frontend": options(self.frontend_options),
+            "control_passes": [
+                {"name": p.name, "params": options(p.params)} for p in self.control_passes
+            ],
             "control_max_iterations": int(self.control_max_iterations),
             "bridge": bool(self.bridge),
-            "data_passes": [p.to_dict() for p in self.data_passes],
+            "data_passes": [
+                {"name": p.name, "params": options(p.params)} for p in self.data_passes
+            ],
             "data_max_iterations": int(self.data_max_iterations),
             "codegen": self.codegen.to_dict(),
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.cache_basis(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.cache_basis_view(), sort_keys=True, separators=(",", ":"))
 
     def content_id(self) -> str:
         """SHA-256 of the canonical serialization (stable across processes)."""
@@ -220,11 +243,11 @@ class PipelineSpec:
         return cls(
             name=data.get("name"),
             description=data.get("description", ""),
-            frontend_options=dict(data.get("frontend") or {}),
-            control_passes=[PassSpec.of(p) for p in data.get("control_passes") or []],
+            frontend_options=data.get("frontend") or {},
+            control_passes=data.get("control_passes") or [],
             control_max_iterations=int(data.get("control_max_iterations", 3)),
             bridge=bool(data.get("bridge", False)),
-            data_passes=[PassSpec.of(p) for p in data.get("data_passes") or []],
+            data_passes=data.get("data_passes") or [],
             data_max_iterations=int(data.get("data_max_iterations", 3)),
             codegen=CodegenOptions.from_dict(data.get("codegen")),
         )

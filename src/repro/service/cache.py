@@ -13,7 +13,13 @@ produces a new address.  Two stores back the cache:
 
 * an in-memory LRU holding serialized payloads (never live objects — every
   hit rehydrates a fresh :class:`~repro.pipeline.CompileResult`, so cached
-  results share no mutable state between callers);
+  results share no mutable state between callers).  A memory hit costs a
+  key (one hash over the normalized source and the spec's fields,
+  serialized without copying them), a dictionary lookup and the
+  rehydration; what the result would only need later — the interpreted
+  source of a native result, the shared object — is loaded when it is
+  run, from the process-level tables of :mod:`repro.codegen.loader` and
+  :mod:`repro.codegen.toolchain`;
 * an optional on-disk store (one JSON file per key) that survives
   processes, letting consecutive test or benchmark invocations skip
   compilation entirely.  Set the ``REPRO_CACHE_DIR`` environment variable
@@ -109,7 +115,7 @@ def cache_key(source, pipeline: PipelineLike = "dcir", function: Optional[str] =
     basis = json.dumps(
         {
             "source": normalize_source(source),
-            "pipeline": resolve_pipeline(pipeline).cache_basis(),
+            "pipeline": resolve_pipeline(pipeline).cache_basis_view(),
             "function": function,
             "version": __version__,
         },

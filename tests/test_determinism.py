@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro import PIPELINES, generate_program
+from repro.pipeline import load_runner
 from repro.workloads import get_kernel, mish_source
 
 #: Directory holding the ``repro`` package, for child interpreters.
@@ -66,14 +67,14 @@ _GRID = [
 ]
 
 
-def _digests_under_seed(seed: str) -> dict:
+def _digests_under_seed(seed: str, child: str = _CHILD) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in [_SRC_DIR, env.get("PYTHONPATH")] if path
     )
     output = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(_GRID)],
+        [sys.executable, "-c", child, json.dumps(_GRID)],
         capture_output=True,
         text=True,
         env=env,
@@ -92,3 +93,36 @@ def test_codegen_is_stable_under_hash_seed_variation():
         code = generate_program(get_kernel(name, sizes), pipeline).code
         digest = hashlib.sha256(code.encode()).hexdigest()
         assert seed_zero[f"{name}/{pipeline}"] == digest
+
+
+# An unraised ``while`` loop: with no data-centric pass to raise it, both
+# SDFG code generators emit the generic state dispatcher, whose states used
+# to be listed in the iteration order of a set of id-hashed objects.
+_WHILE_SOURCE = (
+    "int f() { int i = 0; int s = 0; while (i * i < 50) {"
+    " if (s < 7) { s = s + i; } else { s = s - 1; } i = i + 1; } return s + i; }"
+)
+
+_DISPATCH_CHILD = f"""
+import hashlib, json
+from repro import PipelineSpec, generate_program
+
+spec = PipelineSpec(bridge=True).with_codegen(backend="native")
+program = generate_program({_WHILE_SOURCE!r}, spec)
+assert "_state ==" in program.code, "expected a dispatch region"
+print(json.dumps({{
+    "python": hashlib.sha256(program.code.encode()).hexdigest(),
+    "c": hashlib.sha256(program.native_code.encode()).hexdigest(),
+}}))
+"""
+
+
+def test_dispatch_regions_are_stable_under_hash_seed_variation():
+    seed_zero = _digests_under_seed("0", _DISPATCH_CHILD)
+    assert seed_zero == _digests_under_seed("4242", _DISPATCH_CHILD)
+
+    spec = repro.PipelineSpec(bridge=True).with_codegen(backend="native")
+    program = generate_program(_WHILE_SOURCE, spec)
+    assert hashlib.sha256(program.code.encode()).hexdigest() == seed_zero["python"]
+    assert hashlib.sha256(program.native_code.encode()).hexdigest() == seed_zero["c"]
+    assert load_runner(program.code)()["__return"] == 15
