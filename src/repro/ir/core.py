@@ -10,6 +10,7 @@ unregistered op, mirroring MLIR's generic op form.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .types import Type
@@ -246,14 +247,29 @@ class Operation:
         snapshot it first (``for op in list(module.walk()): ...``), as the
         mutating passes do.
         """
-        if not post_order:
-            yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in block.operations:
-                    yield from op.walk(post_order=post_order)
         if post_order:
+            for op in self._nested_ops():
+                yield from op.walk(post_order=True)
             yield self
+            return
+        # Pre-order with an explicit stack of child iterators: one generator
+        # frame per op yielded instead of one per nesting level above it.
+        yield self
+        stack = [self._nested_ops()]
+        while stack:
+            for op in stack[-1]:
+                yield op
+                if op.regions:
+                    stack.append(op._nested_ops())
+                    break
+            else:
+                stack.pop()
+
+    def _nested_ops(self) -> Iterator["Operation"]:
+        """Directly nested ops, read lazily from the live lists."""
+        return chain.from_iterable(
+            block.operations for region in self.regions for block in region.blocks
+        )
 
     # -- mutation ---------------------------------------------------------------
     def erase(self) -> None:

@@ -309,7 +309,7 @@ class PassRegistry:
     def build(self, name: str, options: Optional[Mapping[str, object]] = None) -> PassBase:
         cls = self.get(name)
         try:
-            return cls(**dict(options or {}))
+            return cls(**options) if options else cls()
         except TypeError as exc:
             raise PipelineError(
                 f"Bad options {dict(options or {})!r} for {self.kind} pass {name!r}: {exc}"

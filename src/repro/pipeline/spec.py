@@ -39,6 +39,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Union
 
 from ..errors import PipelineError
+from ..passes import CONTROL_PASSES
+from ..transforms import DATA_PASSES
 
 
 def _own(options: Optional[Mapping]) -> Dict[str, object]:
@@ -355,17 +357,19 @@ class PipelineSpec:
         Called by ``generate_program`` before any compilation stage runs so
         misspelled pass names fail fast with a closest-match suggestion.
         """
-        from ..passes import CONTROL_PASSES
-        from ..transforms import DATA_PASSES
-
         for pass_spec in self.control_passes:
             CONTROL_PASSES.get(pass_spec.name)
         for pass_spec in self.data_passes:
             DATA_PASSES.get(pass_spec.name)
         if self.control_max_iterations < 1 or self.data_max_iterations < 1:
             raise PipelineError("max_iterations fields must be >= 1")
+        passes = self.control_passes + self.data_passes
         try:
-            self.canonical_json()
+            # Only the option dicts can hold arbitrary values; dumping the
+            # non-empty ones alone rejects exactly what canonical_json would.
+            for options in (self.frontend_options, *(p.params for p in passes)):
+                if options:
+                    json.dumps(options, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise PipelineError(
                 "Pipeline options must be JSON-serializable (they form the "

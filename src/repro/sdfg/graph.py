@@ -1,0 +1,86 @@
+"""The ordered multigraph under both :class:`SDFG` and :class:`SDFGState`.
+
+Both IR levels are directed multigraphs of edge *objects* (``src``/``dst``/
+``key``) kept in a ``networkx.MultiDiGraph``.  Queries read its adjacency
+mappings (``_node``, ``_succ[u][v][key]``, ``_pred[v][u][key]``) instead of
+building an ``EdgeDataView`` per call, in the neighbour-then-key order the
+views iterate in; ``tests/test_graph_contract.py`` holds every query to the
+``networkx`` expression it replaces.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+
+
+class OrderedMultiDiGraph:
+    """Nodes in insertion order, parallel edges and self-loops allowed."""
+
+    def __init__(self):
+        self._graph = nx.MultiDiGraph()
+        #: ``topological_nodes()`` of the current graph; every mutator drops it.
+        self._topological = None
+
+    def add_node(self, node):
+        self._graph.add_node(node)
+        self._topological = None
+        return node
+
+    def remove_node(self, node) -> None:
+        self._graph.remove_node(node)
+        self._topological = None
+
+    def _insert_edge(self, edge):
+        self._graph.add_edge(edge.src, edge.dst, key=edge.key, edge=edge)
+        self._topological = None
+        return edge
+
+    def remove_edge(self, edge) -> None:
+        self._graph.remove_edge(edge.src, edge.dst, key=edge.key)
+        self._topological = None
+
+    def nodes(self) -> list:
+        return list(self._graph._node)
+
+    def __contains__(self, node) -> bool:
+        return node in self._graph._node
+
+    def number_of_nodes(self) -> int:
+        return len(self._graph._node)
+
+    def edges(self) -> list:
+        return [
+            data["edge"]
+            for neighbours in self._graph._succ.values()
+            for keyed in neighbours.values()
+            for data in keyed.values()
+        ]
+
+    def in_edges(self, node) -> list:
+        return [d["edge"] for keyed in self._graph._pred[node].values() for d in keyed.values()]
+
+    def out_edges(self, node) -> list:
+        return [d["edge"] for keyed in self._graph._succ[node].values() for d in keyed.values()]
+
+    def in_degree(self, node) -> int:
+        return sum(map(len, self._graph._pred[node].values()))
+
+    def out_degree(self, node) -> int:
+        return sum(map(len, self._graph._succ[node].values()))
+
+    def edges_between(self, src, dst) -> list:
+        keyed = self._graph._succ.get(src, {}).get(dst, {})
+        return [data["edge"] for data in keyed.values()]
+
+    def predecessors(self, node) -> list:
+        return list(self._graph._pred[node])
+
+    def successors(self, node) -> list:
+        return list(self._graph._succ[node])
+
+    def topological_nodes(self) -> list:
+        """A topological order (``networkx.NetworkXUnfeasible`` on a cycle),
+        computed once per mutation; callers get their own copy."""
+        if self._topological is None:
+            self._topological = list(nx.topological_sort(self._graph))
+        return list(self._topological)

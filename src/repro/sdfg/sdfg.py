@@ -22,6 +22,7 @@ from ..symbolic import (
     sympify,
 )
 from .data import Array, Data, Scalar, Stream
+from .graph import OrderedMultiDiGraph
 from .memlet import Memlet
 from .state import SDFGState
 
@@ -99,15 +100,17 @@ class StateEdge:
         return isinstance(other, StateEdge) and other.key == self.key
 
 
-class SDFG:
-    """A stateful dataflow multigraph."""
+class SDFG(OrderedMultiDiGraph):
+    """A stateful dataflow multigraph: the nodes are states, ``state in sdfg``
+    is a constant-time membership test and state labels are unique."""
 
     def __init__(self, name: str):
+        super().__init__()
         self.name = name
         self.arrays: Dict[str, Data] = {}
         self.symbols: Dict[str, str] = {}
         self.constants: Dict[str, Union[int, float]] = {}
-        self._graph = nx.MultiDiGraph()
+        self._labels: Set[str] = set()
         self.start_state: Optional[SDFGState] = None
         self._state_counter = 0
         self._temp_counter = 0
@@ -227,19 +230,15 @@ class SDFG:
 
     # -- state machine ---------------------------------------------------------------------
     def add_state(self, label: Optional[str] = None, is_start_state: bool = False) -> SDFGState:
-        if label is None:
-            label = f"state_{self._state_counter}"
+        """Add a state; a missing or already-taken label gets a counter suffix."""
+        base = "state" if label is None else label
+        while label is None or label in self._labels:
+            label = f"{base}_{self._state_counter}"
             self._state_counter += 1
-        elif any(state.label == label for state in self.states()):
-            label = f"{label}_{self._state_counter}"
-            self._state_counter += 1
-        state = SDFGState(label, self)
-        self._graph.add_node(state)
+        self._labels.add(label)
+        state = self.add_node(SDFGState(label, self))
         if is_start_state or self.start_state is None:
-            if is_start_state:
-                self.start_state = state
-            elif self.start_state is None:
-                self.start_state = state
+            self.start_state = state
         return state
 
     def add_state_after(self, state: SDFGState, label: Optional[str] = None) -> SDFGState:
@@ -252,59 +251,27 @@ class SDFG:
         return new_state
 
     def add_edge(self, src: SDFGState, dst: SDFGState, data: Optional[InterstateEdge] = None) -> StateEdge:
-        data = data or InterstateEdge()
-        edge = StateEdge(src, dst, data)
-        self._graph.add_edge(src, dst, key=edge.key, edge=edge)
-        return edge
-
-    def remove_edge(self, edge: StateEdge) -> None:
-        self._graph.remove_edge(edge.src, edge.dst, key=edge.key)
+        return self._insert_edge(StateEdge(src, dst, data or InterstateEdge()))
 
     def remove_state(self, state: SDFGState) -> None:
-        self._graph.remove_node(state)
+        self.remove_node(state)
+        self._labels.discard(state.label)
         if self.start_state is state:
             self.start_state = None
 
-    def states(self) -> List[SDFGState]:
-        return list(self._graph.nodes())
-
-    def edges(self) -> List[StateEdge]:
-        return [data["edge"] for _, _, data in self._graph.edges(data=True)]
-
-    def in_edges(self, state: SDFGState) -> List[StateEdge]:
-        return [data["edge"] for _, _, data in self._graph.in_edges(state, data=True)]
-
-    def out_edges(self, state: SDFGState) -> List[StateEdge]:
-        return [data["edge"] for _, _, data in self._graph.out_edges(state, data=True)]
-
-    def in_degree(self, state: SDFGState) -> int:
-        return self._graph.in_degree(state)
-
-    def out_degree(self, state: SDFGState) -> int:
-        return self._graph.out_degree(state)
-
-    def edges_between(self, src: SDFGState, dst: SDFGState) -> List[StateEdge]:
-        if not self._graph.has_edge(src, dst):
-            return []
-        return [data["edge"] for data in self._graph[src][dst].values()]
+    states = OrderedMultiDiGraph.nodes
 
     def topological_states(self) -> List[SDFGState]:
         """States in a quasi-topological order (loops broken arbitrarily)."""
         try:
-            return list(nx.topological_sort(self._graph))
+            return self.topological_nodes()
         except nx.NetworkXUnfeasible:
             # Cyclic state machine (loops): DFS preorder from the start state.
             if self.start_state is None:
                 return self.states()
             order = list(nx.dfs_preorder_nodes(self._graph, self.start_state))
-            remaining = [state for state in self.states() if state not in order]
-            return order + remaining
-
-    def predecessors(self, state: SDFGState) -> List[SDFGState]:
-        return list(self._graph.predecessors(state))
-
-    def successors(self, state: SDFGState) -> List[SDFGState]:
-        return list(self._graph.successors(state))
+            reached = set(order)
+            return order + [state for state in self.states() if state not in reached]
 
     # -- queries ---------------------------------------------------------------------------------
     def arglist(self) -> Dict[str, Data]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-import networkx as nx
-
 from ..symbolic import Range
+from .graph import OrderedMultiDiGraph
 from .memlet import Memlet
 from .nodes import (
     AccessNode,
@@ -66,19 +65,15 @@ class MultiConnectorEdge:
         )
 
 
-class SDFGState:
+class SDFGState(OrderedMultiDiGraph):
     """A single state: an acyclic multigraph of dataflow nodes."""
 
     def __init__(self, label: str, sdfg: Optional["SDFG"] = None):  # noqa: F821
+        super().__init__()
         self.label = label
         self.sdfg = sdfg
-        self._graph = nx.MultiDiGraph()
 
     # -- node management -----------------------------------------------------------
-    def add_node(self, node: Node) -> Node:
-        self._graph.add_node(node)
-        return node
-
     def add_access(self, data: str) -> AccessNode:
         return self.add_node(AccessNode(data))
 
@@ -102,22 +97,10 @@ class SDFGState:
         self.add_node(exit_node)
         return entry, exit_node
 
-    def remove_node(self, node: Node) -> None:
-        self._graph.remove_node(node)
-
     def remove_nodes(self, nodes: Iterable[Node]) -> None:
         for node in list(nodes):
-            if node in self._graph:
-                self._graph.remove_node(node)
-
-    def nodes(self) -> List[Node]:
-        return list(self._graph.nodes())
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._graph
-
-    def number_of_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+            if node in self:
+                self.remove_node(node)
 
     # -- edge management --------------------------------------------------------------
     def add_edge(
@@ -128,69 +111,32 @@ class SDFGState:
         dst_conn: Optional[str],
         memlet: Memlet,
     ) -> MultiConnectorEdge:
-        if src not in self._graph:
-            self.add_node(src)
-        if dst not in self._graph:
-            self.add_node(dst)
-        edge = MultiConnectorEdge(src, src_conn, dst, dst_conn, memlet)
+        """Connect two nodes, adding them to the state if absent."""
         if src_conn and isinstance(src, CodeNode):
             src.add_out_connector(src_conn)
         if dst_conn and isinstance(dst, CodeNode):
             dst.add_in_connector(dst_conn)
-        self._graph.add_edge(src, dst, key=edge.key, edge=edge)
-        return edge
+        return self._insert_edge(MultiConnectorEdge(src, src_conn, dst, dst_conn, memlet))
 
     def add_nedge(self, src: Node, dst: Node, memlet: Optional[Memlet] = None) -> MultiConnectorEdge:
         """Add an edge without connectors (access-to-access copies, dependencies)."""
         return self.add_edge(src, None, dst, None, memlet or Memlet.empty())
 
-    def remove_edge(self, edge: MultiConnectorEdge) -> None:
-        self._graph.remove_edge(edge.src, edge.dst, key=edge.key)
-
-    def edges(self) -> List[MultiConnectorEdge]:
-        return [data["edge"] for _, _, data in self._graph.edges(data=True)]
-
-    def in_edges(self, node: Node) -> List[MultiConnectorEdge]:
-        return [data["edge"] for _, _, data in self._graph.in_edges(node, data=True)]
-
-    def out_edges(self, node: Node) -> List[MultiConnectorEdge]:
-        return [data["edge"] for _, _, data in self._graph.out_edges(node, data=True)]
-
-    def in_degree(self, node: Node) -> int:
-        return self._graph.in_degree(node)
-
-    def out_degree(self, node: Node) -> int:
-        return self._graph.out_degree(node)
-
-    def edges_between(self, src: Node, dst: Node) -> List[MultiConnectorEdge]:
-        if not self._graph.has_edge(src, dst):
-            return []
-        return [data["edge"] for data in self._graph[src][dst].values()]
-
-    def predecessors(self, node: Node) -> List[Node]:
-        return list(self._graph.predecessors(node))
-
-    def successors(self, node: Node) -> List[Node]:
-        return list(self._graph.successors(node))
-
     # -- traversal helpers ----------------------------------------------------------------
-    def topological_nodes(self) -> List[Node]:
-        return list(nx.topological_sort(self._graph))
-
     def data_nodes(self) -> List[AccessNode]:
-        return [node for node in self._graph.nodes() if isinstance(node, AccessNode)]
+        return [node for node in self._graph if isinstance(node, AccessNode)]
 
     def tasklets(self) -> List[Tasklet]:
-        return [node for node in self._graph.nodes() if isinstance(node, Tasklet)]
+        return [node for node in self._graph if isinstance(node, Tasklet)]
 
     def source_nodes(self) -> List[Node]:
-        return [node for node in self._graph.nodes() if self._graph.in_degree(node) == 0]
+        return [node for node in self._graph if not self._graph._pred[node]]
 
     def sink_nodes(self) -> List[Node]:
-        return [node for node in self._graph.nodes() if self._graph.out_degree(node) == 0]
+        return [node for node in self._graph if not self._graph._succ[node]]
 
     def is_empty(self) -> bool:
-        return self._graph.number_of_nodes() == 0
+        return self.number_of_nodes() == 0
 
     # -- read/write sets --------------------------------------------------------------------
     def read_set(self) -> Set[str]:
@@ -251,7 +197,7 @@ class SDFGState:
     # -- scopes ------------------------------------------------------------------------------
     def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing scope entry (or None)."""
-        scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._graph.nodes()}
+        scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._graph}
         entries = [node for node in self.topological_nodes() if is_scope_entry(node)]
         for entry in entries:
             exit_node = self.exit_node(entry)
@@ -263,23 +209,23 @@ class SDFGState:
 
     def _scope_members(self, entry: Node, exit_node: Node) -> Set[Node]:
         members: Set[Node] = set()
-        frontier = [successor for successor in self._graph.successors(entry)]
+        frontier = list(self._graph._succ[entry])
         while frontier:
             node = frontier.pop()
             if node is exit_node or node in members:
                 continue
             members.add(node)
-            frontier.extend(self._graph.successors(node))
+            frontier.extend(self._graph._succ[node])
         return members
 
     def exit_node(self, entry: Node) -> Node:
         """The exit node matching a scope entry."""
         if isinstance(entry, MapEntry):
-            for node in self._graph.nodes():
+            for node in self._graph:
                 if isinstance(node, MapExit) and node.map is entry.map:
                     return node
         if isinstance(entry, ConsumeEntry):
-            for node in self._graph.nodes():
+            for node in self._graph:
                 if isinstance(node, ConsumeExit) and node.label == entry.label.replace(
                     "_entry", "_exit"
                 ):
@@ -288,7 +234,7 @@ class SDFGState:
 
     def entry_node(self, exit_node: Node) -> Node:
         if isinstance(exit_node, MapExit):
-            for node in self._graph.nodes():
+            for node in self._graph:
                 if isinstance(node, MapEntry) and node.map is exit_node.map:
                     return node
         raise KeyError(f"No entry node for scope exit {exit_node!r}")

@@ -20,9 +20,19 @@ hooks, selected by the class attribute :attr:`Transformation.DRAIN`:
   independent sites (container promotions, loop conversions, dead writes);
   each application revalidates, so matches invalidated by an earlier
   application in the same sweep are skipped, not mis-applied.
-* ``"restart"`` — apply the first applicable match, then re-enumerate.
-  For cascading rewrites (state fusion, map fusion) where one application
-  creates or destroys other sites.
+* ``"restart"`` — apply the first applicable match, then re-examine what
+  the rewrite touched.  For cascading rewrites (state fusion, map fusion)
+  where one application creates or destroys other sites.  After each
+  application the drain asks :meth:`Transformation.rematch` for the match
+  list as it now stands; the default re-enumerates the whole SDFG, which
+  costs one full ``match`` per application.  A transformation whose
+  rewrite has a bounded footprint overrides it and patches the previous
+  list — state fusion does, turning a drain quadratic in the number of
+  states into a linear one — and owes exactly the list a fresh ``match``
+  would return, so nothing the drain reports or selects by index moves.
+  A drain that is still rewriting after :attr:`Transformation.MAX_ROUNDS`
+  applications raises :class:`~repro.errors.PipelineError` rather than
+  hand back a half-rewritten graph.
 
 Every run records how many sites matched and how many were rewritten
 (:attr:`last_matches` / :attr:`last_applied`); the shared
@@ -49,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..errors import PipelineError
 from ..sdfg import SDFG
 from .pipeline import DataCentricPass
 
@@ -107,7 +118,7 @@ class Transformation(DataCentricPass):
 
     #: Hard cap on restart rounds — a runaway guard far above any real
     #: cascade depth, so a buggy ``apply_match`` that keeps reporting
-    #: progress cannot loop forever.
+    #: progress ends in a ``PipelineError`` instead of looping forever.
     MAX_ROUNDS = 10_000
 
     def __init__(
@@ -116,6 +127,7 @@ class Transformation(DataCentricPass):
         max_applications: Optional[int] = None,
     ):
         self.only_matches = list(only_matches) if only_matches is not None else None
+        self._allowed = frozenset(self.only_matches) if only_matches is not None else None
         self.max_applications = max_applications
         #: Sites found by the first enumeration of the most recent run.
         self.last_matches = 0
@@ -136,10 +148,25 @@ class Transformation(DataCentricPass):
         """
         raise NotImplementedError
 
+    def rematch(self, sdfg: SDFG, found: List[Match], applied: Match) -> List[Match]:
+        """The match list as it stands after ``applied`` was rewritten.
+
+        Called by the ``"restart"`` drain with ``found``, the complete
+        enumeration ``applied`` was taken from.  The default re-enumerates.
+        An override may patch ``found`` instead, re-examining only what the
+        rewrite touched, under one obligation: the result must equal a
+        fresh :meth:`match` — same sites, same order, same payload objects
+        — because ``only_matches`` indices, the reported counts and the
+        order of applications are all defined by that enumeration.
+        """
+        return self.match(sdfg)
+
     # -- enumeration helpers -----------------------------------------------------------
     def matches(self, sdfg: SDFG) -> List[Match]:
         """:meth:`match` with indices assigned in enumeration order."""
-        found = self.match(sdfg)
+        return self._indexed(self.match(sdfg))
+
+    def _indexed(self, found: List[Match]) -> List[Match]:
         for index, entry in enumerate(found):
             entry.index = index
             if not entry.transformation:
@@ -147,10 +174,9 @@ class Transformation(DataCentricPass):
         return found
 
     def _selected(self, found: List[Match]) -> List[Match]:
-        if self.only_matches is None:
+        if self._allowed is None:
             return found
-        allowed = set(self.only_matches)
-        return [entry for entry in found if entry.index in allowed]
+        return [entry for entry in found if entry.index in self._allowed]
 
     # -- the pass-pipeline driver ------------------------------------------------------
     def apply(self, sdfg: SDFG, match: Optional[Match] = None) -> bool:
@@ -181,24 +207,22 @@ class Transformation(DataCentricPass):
         return changed
 
     def _drain_restart(self, sdfg: SDFG) -> bool:
-        changed = False
-        for round_index in range(self.MAX_ROUNDS):
-            found = self.matches(sdfg)
-            if round_index == 0:
-                self.last_matches = len(found)
-            selected = self._selected(found)
-            if not selected or not self._budget_left():
+        found = self.matches(sdfg)
+        self.last_matches = len(found)
+        while self._budget_left():
+            if self.last_applied == self.MAX_ROUNDS:  # one application per round
+                raise PipelineError(
+                    f"{self.name} did not converge: still rewriting after "
+                    f"{self.MAX_ROUNDS} restart rounds"
+                )
+            applied = next(
+                (entry for entry in self._selected(found) if self.apply_match(sdfg, entry)), None
+            )
+            if applied is None:
                 break
-            progressed = False
-            for entry in selected:
-                if self.apply_match(sdfg, entry):
-                    self.last_applied += 1
-                    changed = True
-                    progressed = True
-                    break
-            if not progressed:
-                break
-        return changed
+            self.last_applied += 1
+            found = self._indexed(self.rematch(sdfg, found, applied))
+        return self.last_applied > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Transformation {self.name}>"

@@ -9,8 +9,12 @@ introducing data races.
 
 Pattern-based: a match is one fusable ``(first, second)`` state pair; each
 application creates new fusion opportunities (the fused state may now have
-a unique unconditional successor), so the driver re-enumerates after every
-application (``DRAIN = "restart"``).
+a unique unconditional successor), so the drain restarts after every
+application (``DRAIN = "restart"``).  A fusion changes the answer of
+``_fusable_edge`` for ``first`` only, so :meth:`StateFusion.rematch`
+patches the previous match list with one probe instead of probing every
+state again: draining a chain of *n* states costs O(n) probes, not O(n²),
+and yields the same fusions in the same order.
 """
 
 from __future__ import annotations
@@ -28,26 +32,48 @@ class StateFusion(Transformation):
     DRAIN = "restart"
 
     def match(self, sdfg: SDFG) -> List[Match]:
-        matches: List[Match] = []
-        for first in sdfg.states():
-            edge = self._fusable_edge(sdfg, first)
-            if edge is None:
-                continue
-            matches.append(Match(
-                transformation=self.name,
-                kind="state-pair",
-                where=first.label,
-                subject=f"{first.label} <- {edge.dst.label}",
-                payload={"first": first, "second": edge.dst, "edge": edge},
-            ))
-        return matches
+        found = (self._match_at(sdfg, first) for first in sdfg.states())
+        return [entry for entry in found if entry is not None]
+
+    def _match_at(self, sdfg: SDFG, first: SDFGState) -> Optional[Match]:
+        edge = self._fusable_edge(sdfg, first)
+        if edge is None:
+            return None
+        return Match(
+            transformation=self.name,
+            kind="state-pair",
+            where=first.label,
+            subject=f"{first.label} <- {edge.dst.label}",
+            payload={"first": first, "second": edge.dst, "edge": edge},
+        )
+
+    def rematch(self, sdfg: SDFG, found: List[Match], applied: Match) -> List[Match]:
+        """Patch ``found`` instead of probing every state again.
+
+        Fusing ``(first, second)`` removes ``second`` and hands its
+        out-transitions to ``first``; every other state keeps its
+        out-edges, and every surviving destination keeps its in-edge
+        *count* (each ``second -> t`` became one ``first -> t``), so
+        :meth:`_fusable_edge` can answer differently for ``first`` alone.
+        ``sdfg.states()`` keeps its order under removal, hence a fresh
+        enumeration is ``found`` without ``second``'s entry and with
+        ``first``'s entry re-derived where it stood.
+        """
+        first, second = applied.payload["first"], applied.payload["second"]
+        patched: List[Match] = []
+        for entry in found:
+            if entry is applied:
+                entry = self._match_at(sdfg, first)
+            if entry is not None and entry.payload["first"] is not second:
+                patched.append(entry)
+        return patched
 
     def apply_match(self, sdfg: SDFG, match: Match) -> bool:
         first: SDFGState = match.payload["first"]
         second: SDFGState = match.payload["second"]
         # Revalidate against the current graph: an earlier fusion may have
         # consumed either state or rewired the transition.
-        if first not in sdfg.states() or second not in sdfg.states():
+        if first not in sdfg or second not in sdfg:
             return False
         edge = self._fusable_edge(sdfg, first)
         if edge is None or edge.dst is not second:

@@ -395,6 +395,31 @@ class TestRewriteEngine:
         # A stale match reports failure instead of re-applying.
         assert not promotion.apply_match(sdfg, matches[0])
 
+    def test_restart_drain_that_never_converges_raises(self):
+        from repro.errors import PipelineError
+
+        class Flipper(Transformation):
+            """Always finds its one site again and always reports progress."""
+
+            NAME = "flipper"
+            DRAIN = "restart"
+            MAX_ROUNDS = 7
+
+            def match(self, sdfg):
+                return [Match(self.name, "toggle", "s", "s")]
+
+            def apply_match(self, sdfg, match):
+                return True
+
+        sdfg = SDFG("runaway")
+        sdfg.add_state("s", is_start_state=True)
+        flipper = Flipper()
+        with pytest.raises(PipelineError, match=r"flipper did not converge.*7 restart rounds"):
+            flipper.apply(sdfg)
+        assert flipper.last_applied == 7
+        # The budget still ends a run before the guard does.
+        assert Flipper(max_applications=7).apply(sdfg)
+
     def test_pass_records_carry_match_accounting(self):
         from repro.transforms import DataCentricPipeline
 
