@@ -234,21 +234,24 @@ _BINARY_MATH = {"atan2", "pow"}
 
 
 class _TaskletTranslator:
-    """Translates one tasklet's Python assignment lines into C statements.
+    """Translates tasklet Python into C over a typed environment.
 
     Tasklet code (see :mod:`repro.conversion.raise_tasklets`) is a flat
     sequence of ``name = <expression>`` lines over a small expression
-    grammar.  Each emitted tasklet gets a unique name prefix, so its
-    locals live at the enclosing C scope without colliding across
-    tasklets or loop iterations.
+    grammar.  ``env`` maps each name the code may read — connectors, then
+    the locals it assigns — to the ``(text, C type)`` it stands for, or to
+    ``None`` for a connector fed by an empty memlet.  The direct form
+    lowers one expression (:meth:`lower`) over the reads themselves; the
+    bound form (:meth:`translate`) declares a local per assigned name,
+    under a per-tasklet prefix so locals of different tasklets share the
+    enclosing C scope without colliding.
     """
 
-    def __init__(self, generator: "CEmitter", prefix: str,
-                 rename: Dict[str, Optional[str]], types: Dict[str, str]):
+    def __init__(self, generator: "CEmitter", env: Dict[str, Optional[Tuple[str, str]]],
+                 prefix: str = ""):
         self.generator = generator
+        self.env = env
         self.prefix = prefix
-        self.rename = rename
-        self.types = types
 
     def translate(self, code: str) -> None:
         try:
@@ -265,19 +268,16 @@ class _TaskletTranslator:
                     "Native backend supports only 'name = expression' tasklet lines"
                 )
             name = statement.targets[0].id
-            text, ctype = self._visit(statement.value)
-            mangled = self.rename.get(name)
-            if mangled is None:
-                mangled = self.prefix + name
-                self.rename[name] = mangled
-            if mangled in self.types:
-                self.generator.writer.emit(f"{mangled} = {text};")
+            text, ctype = self.lower(statement.value)
+            declared = self.env.get(name)
+            if declared is not None:
+                self.generator.writer.emit(f"{declared[0]} = {text};")
             else:
-                self.types[mangled] = ctype
-                self.generator.writer.emit(f"{ctype} {mangled} = {text};")
+                self.env[name] = (self.prefix + name, ctype)
+                self.generator.writer.emit(f"{ctype} {self.prefix}{name} = {text};")
 
     # -- expression lowering -----------------------------------------------------------
-    def _visit(self, node: ast.expr) -> Tuple[str, str]:
+    def lower(self, node: ast.expr) -> Tuple[str, str]:
         if isinstance(node, ast.Constant):
             value = node.value
             if isinstance(value, bool):
@@ -292,7 +292,7 @@ class _TaskletTranslator:
         if isinstance(node, ast.BinOp):
             return self._binop(node)
         if isinstance(node, ast.UnaryOp):
-            text, ctype = self._visit(node.operand)
+            text, ctype = self.lower(node.operand)
             if isinstance(node.op, ast.USub):
                 return f"(-({text}))", ctype
             if isinstance(node.op, ast.UAdd):
@@ -308,17 +308,17 @@ class _TaskletTranslator:
             operator = _CMP_OPS.get(type(node.ops[0]))
             if operator is None:
                 raise NativeCodegenError(f"Unsupported comparison {node.ops[0]!r}")
-            left, _ = self._visit(node.left)
-            right, _ = self._visit(node.comparators[0])
+            left, _ = self.lower(node.left)
+            right, _ = self.lower(node.comparators[0])
             return f"(({left}) {operator} ({right}))", "int64_t"
         if isinstance(node, ast.BoolOp):
             joiner = " && " if isinstance(node.op, ast.And) else " || "
-            parts = [f"({self._visit(value)[0]})" for value in node.values]
+            parts = [f"({self.lower(value)[0]})" for value in node.values]
             return "(" + joiner.join(parts) + ")", "int64_t"
         if isinstance(node, ast.IfExp):
-            condition, _ = self._visit(node.test)
-            then_text, then_type = self._visit(node.body)
-            else_text, else_type = self._visit(node.orelse)
+            condition, _ = self.lower(node.test)
+            then_text, then_type = self.lower(node.body)
+            else_text, else_type = self.lower(node.orelse)
             return (
                 f"(({condition}) ? ({then_text}) : ({else_text}))",
                 _promote(then_type, else_type),
@@ -330,13 +330,13 @@ class _TaskletTranslator:
         )
 
     def _name(self, name: str) -> Tuple[str, str]:
-        if name in self.rename:
-            mangled = self.rename[name]
-            if mangled is None:
+        if name in self.env:
+            bound = self.env[name]
+            if bound is None:
                 raise NativeCodegenError(
                     f"Tasklet reads connector {name!r} bound to an empty memlet"
                 )
-            return mangled, self.types[mangled]
+            return bound
         sdfg = self.generator.sdfg
         if name in sdfg.symbols:
             return name, DTYPES[sdfg.symbols[name]].c_type
@@ -346,8 +346,8 @@ class _TaskletTranslator:
         raise NativeCodegenError(f"Tasklet references unknown name {name!r}")
 
     def _binop(self, node: ast.BinOp) -> Tuple[str, str]:
-        left, left_type = self._visit(node.left)
-        right, right_type = self._visit(node.right)
+        left, left_type = self.lower(node.left)
+        right, right_type = self.lower(node.right)
         floats = _is_float_type(left_type) or _is_float_type(right_type)
         operator = node.op
         if isinstance(operator, ast.Div):
@@ -380,7 +380,7 @@ class _TaskletTranslator:
     def _call(self, node: ast.Call) -> Tuple[str, str]:
         if node.keywords:
             raise NativeCodegenError("Keyword arguments are not supported in tasklets")
-        args = [self._visit(argument) for argument in node.args]
+        args = [self.lower(argument) for argument in node.args]
         func = node.func
         if (
             isinstance(func, ast.Attribute)
@@ -446,8 +446,6 @@ class CEmitter(SDFGWalker):
         self._tasklet_counter = 0
         self._bound_counter = 0
         self._dispatch_counter = 0
-        #: C type of every local a tasklet or value edge declared.
-        self._types: Dict[str, str] = {}
         self._declared: Set[str] = set()
         self._heap: List[str] = []
         self._interface = self._interface_containers()
@@ -628,7 +626,9 @@ class CEmitter(SDFGWalker):
                 index = self._flat_index(dst_descriptor, subset.indices())
                 writer.emit(f"{destination}{index} = {source};")
             else:
-                self.emit_broadcast(destination, dst_descriptor, None, source)
+                self.emit_broadcast(
+                    destination, dst_descriptor, None, self.read(source, Memlet(data=source))
+                )
         else:
             if [str(d) for d in dst_descriptor.shape] != [str(d) for d in src_descriptor.shape]:
                 raise NativeCodegenError(
@@ -649,34 +649,35 @@ class CEmitter(SDFGWalker):
         ):
             yield counter
 
+    def render_expression(self, assignment, bindings) -> Tuple[str, str]:
+        return _TaskletTranslator(self, bindings).lower(assignment.value)
+
+    def bind_input(self, connector: str, read: Tuple[str, str]) -> Tuple[str, str]:
+        self._bound_counter += 1
+        return self.bind_value(f"_read{self._bound_counter - 1}", read)
+
     def emit_tasklet(self, tasklet: Tasklet, inputs, vectorized: bool):
         prefix = f"_t{self._tasklet_counter}_"
         self._tasklet_counter += 1
-        rename: Dict[str, Optional[str]] = {}
-        for connector, read in inputs:
-            if read is None:
-                rename[connector] = None
-                continue
-            text, ctype = read
-            mangled = prefix + connector
-            rename[connector] = mangled
-            self._types[mangled] = ctype
-            self.writer.emit(f"{ctype} {mangled} = {text};")
-        _TaskletTranslator(self, prefix, rename, self._types).translate(tasklet.code)
+        env: Dict[str, Optional[Tuple[str, str]]] = {
+            connector: read and self.bind_value(prefix + connector, read)
+            for connector, read in inputs
+        }
+        _TaskletTranslator(self, env, prefix).translate(tasklet.code)
 
-        def output(connector: str) -> str:
-            mangled = rename.get(connector)
-            if mangled is None:
+        def output(connector: str) -> Tuple[str, str]:
+            value = env.get(connector)
+            if value is None:
                 raise NativeCodegenError(
                     f"Tasklet {tasklet.label!r} never assigns out connector {connector!r}"
                 )
-            return mangled
+            return value
 
         return output
 
-    def bind_value(self, temp: str, value: str) -> Tuple[str, str]:
-        ctype = self._types[temp] = self._types[value]
-        self.writer.emit(f"{ctype} {temp} = {value};")
+    def bind_value(self, temp: str, value: Tuple[str, str]) -> Tuple[str, str]:
+        text, ctype = value
+        self.writer.emit(f"{ctype} {temp} = {text};")
         return temp, ctype
 
     def write_target(self, data: str, descriptor, subset: Subset) -> str:
@@ -686,7 +687,7 @@ class CEmitter(SDFGWalker):
             )
         return f"{data}{self._flat_index(descriptor, subset.indices())}"
 
-    def emit_update(self, target: str, descriptor, wcr, value: str, atomic: bool = False) -> None:
+    def emit_update(self, target: str, descriptor, wcr, value, atomic: bool = False) -> None:
         """One write-conflict-resolved update: WCR memlets accumulate in place.
 
         ``atomic`` marks ``+``/``*`` WCR updates inside a parallel map
@@ -695,6 +696,7 @@ class CEmitter(SDFGWalker):
         byte-identical and non-OpenMP builds compile the same code.
         """
         writer = self.writer
+        value = value[0]
         if atomic and wcr in ("+", "*"):
             writer.emit("#ifdef _OPENMP")
             writer.emit("#pragma omp atomic")
@@ -707,11 +709,11 @@ class CEmitter(SDFGWalker):
         else:
             raise NativeCodegenError(f"Unsupported WCR operator {wcr!r}")
 
-    def emit_broadcast(self, data: str, descriptor, wcr, value: str) -> None:
+    def emit_broadcast(self, data: str, descriptor, wcr, value) -> None:
         if wcr in ("min", "max"):
             raise NativeCodegenError(f"Broadcast {wcr}-WCR write to {data!r}")
         with self._each_element("_fill", descriptor) as counter:
-            self.writer.emit(f"{data}[{counter}] {UPDATE_OPERATORS.get(wcr, '=')} {value};")
+            self.writer.emit(f"{data}[{counter}] {UPDATE_OPERATORS.get(wcr, '=')} {value[0]};")
 
     # -- maps --------------------------------------------------------------------------
     def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:

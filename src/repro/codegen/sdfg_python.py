@@ -266,6 +266,13 @@ class PythonEmitter(SDFGWalker):
             writer.emit(line)
         return lambda connector: connector
 
+    def render_expression(self, assignment, bindings) -> str:
+        return assignment.operand(bindings)
+
+    def bind_input(self, connector: str, read: str) -> str:
+        self.writer.emit(f"{connector} = {read}")
+        return connector
+
     def bind_value(self, temp: str, value: str) -> str:
         self.writer.emit(f"{temp} = {value}")
         return temp

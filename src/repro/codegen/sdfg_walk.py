@@ -6,14 +6,27 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
 
 * the order of the raised control-flow tree (states, loops, branches, and
   the state-machine skeleton of regions that did not raise);
-* per-state topological order and which nodes a map scope owns;
+* per-state order — program order, the topological order closest to the
+  order nodes were inserted in — and which nodes a map scope owns;
 * value-edge naming (``_valN``) between code nodes;
 * allocation accounting: persistent transients are charged up front, all
   others at the first state that touches them — inside a loop if that is
   where they are used (§6.3);
 * which container a write lands in and which writes are no-ops;
 * whether a map is emitted as a vector operation, as a parallel loop or
-  as a sequential loop nest.
+  as a sequential loop nest;
+* the form a tasklet takes.  A dataflow edge is not a variable: a tasklet
+  whose body is one ``_out = <expression>`` line is emitted in **direct
+  form** — every connector is replaced by the read it stands for and the
+  result is written straight to its target
+  (``C[i, j] = (C[i, j] + (t * B[k, j]))``).  A temporary is bound only
+  where the dataflow forks: a subscripted read the expression uses more
+  than once, or a result that feeds more than one out-edge.  Every other
+  tasklet (several statements, an assigned name that is not the connector
+  its out-edges leave from) and every tasklet of a vectorized map takes
+  the **bound form**: connectors become locals, the body is emitted as
+  written, outputs are read back from the locals it assigned.  The choice
+  is made from the tasklet's shape alone.
 
 A backend subclasses the walker and supplies syntax only — the class
 attributes and the hook methods listed under "what an emitter provides"
@@ -22,7 +35,7 @@ below.  Hooks are ordinary methods: the walk is on the cold-compile path.
 
 from __future__ import annotations
 
-import re
+import ast
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..symbolic import Expr, Subset
@@ -30,6 +43,7 @@ from ..sdfg import SDFG, AccessNode, SDFGState, Scalar, Tasklet
 from ..sdfg.data import Array, LIFETIME_PERSISTENT, Stream
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
+from ..sdfg.tasklet_code import Assignment, single_assignment
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
@@ -46,24 +60,53 @@ class CodegenError(Exception):
     """Raised when an SDFG cannot be turned into executable code."""
 
 
+#: Builtins that take one value, not a vector of them.
+_SCALAR_ONLY_CALLS = frozenset({"float", "int", "bool", "min", "max"})
+
+
+def _elementwise(code: str) -> bool:
+    """Whether tasklet code means the same over a vector as over each element.
+
+    Plain-name assignments of arithmetic and ``math`` calls do (``math.``
+    becomes ``np.``).  Casts, builtin ``min``/``max``, conditional
+    expressions and boolean operators are scalar-only: ``float(np.arange(n))``
+    raises, ``a if v else b`` asks a vector for one truth value.
+    """
+    try:
+        tree = ast.parse(code)
+    except SyntaxError:
+        return False
+    for statement in tree.body:
+        if not isinstance(statement, ast.Assign) or not all(
+            isinstance(target, ast.Name) for target in statement.targets
+        ):
+            return False
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.IfExp, ast.BoolOp, ast.Not)):
+            return False
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _SCALAR_ONLY_CALLS:
+            return False
+    return True
+
+
 def vectorizable_map(state, entry: "MapEntry", members) -> bool:
     """Whether a map scope can be emitted as a vector operation.
 
     Shared between the code generators (the global ``vectorize`` flag of
     the ``dcir+vec`` pipeline vectorizes every eligible map) and the
     ``Vectorization`` transformation (which annotates individual maps):
-    single parameter, no nested scopes, assignment-only tasklets, and no
-    WCR updates (vector semantics would reorder the reduction).
+    single parameter, no nested scopes, tasklets that are element-wise
+    assignments (:func:`_elementwise`), and no WCR updates (vector
+    semantics would reorder the reduction).
     """
     if len(entry.map.params) != 1:
         return False
     for node in members:
         if isinstance(node, MapEntry):
             return False
-        if isinstance(node, Tasklet):
-            for line in node.code.splitlines():
-                if not re.match(r"^\s*\w+\s*=[^=].*$", line) and line.strip():
-                    return False
+        if isinstance(node, Tasklet) and not _elementwise(node.code):
+            return False
         for edge in state.in_edges(node) + state.out_edges(node):
             if edge.data.wcr is not None:
                 return False
@@ -167,15 +210,23 @@ class SDFGWalker:
         raise NotImplementedError
 
     def emit_tasklet(self, tasklet: Tasklet, inputs: List[Tuple[str, object]],
-                     vectorized: bool) -> Callable[[str], str]:
-        """Bind ``inputs`` (connector, read) and emit the tasklet body.
+                     vectorized: bool) -> Callable[[str], object]:
+        """Bound form: bind ``inputs`` (connector, read) and emit the tasklet body.
 
-        Returns a function from an output connector to the name that
-        holds its value.
+        Returns a function from an output connector to the value it holds.
         """
         raise NotImplementedError
 
-    def bind_value(self, temp: str, value: str):
+    def render_expression(self, assignment: Assignment, bindings: Dict[str, object]):
+        """The value of a direct-form tasklet: its expression over ``bindings``
+        (connector → read), without emitting anything."""
+        raise NotImplementedError
+
+    def bind_input(self, connector: str, read):
+        """Load ``read`` into a temporary once; return what reading that yields."""
+        raise NotImplementedError
+
+    def bind_value(self, temp: str, value):
         """Store a tasklet output in ``temp``; return what reading it yields."""
         raise NotImplementedError
 
@@ -183,12 +234,12 @@ class SDFGWalker:
         """The assignable form of ``data[subset]``."""
         raise NotImplementedError
 
-    def emit_update(self, target: str, descriptor, wcr: Optional[str], value: str,
+    def emit_update(self, target: str, descriptor, wcr: Optional[str], value,
                     atomic: bool = False) -> None:
         """Store ``value`` into ``target``, resolving conflicts by ``wcr``."""
         raise NotImplementedError
 
-    def emit_broadcast(self, data: str, descriptor, wcr: Optional[str], value: str) -> None:
+    def emit_broadcast(self, data: str, descriptor, wcr: Optional[str], value) -> None:
         """Store ``value`` into every element of ``data``."""
         raise NotImplementedError
 
@@ -324,10 +375,11 @@ class SDFGWalker:
             return
         self._emit_lazy_allocations(state)
         scope = state.scope_dict()
+        order = state.program_order()
         value_names: Dict[Tuple[int, Optional[str]], object] = {}
-        for node in state.topological_nodes():
+        for node in order:
             if scope.get(node) is None:  # others are emitted as part of their map scope
-                self._emit_node(state, node, scope, value_names)
+                self._emit_node(state, node, scope, order, value_names)
 
     def _emit_lazy_allocations(self, state: SDFGState) -> None:
         """Charge allocation cost for non-pre-allocated transients.
@@ -348,11 +400,12 @@ class SDFGWalker:
                 self._allocated_persistent.add(name)
                 self._count_allocation(f"allocation of {name} on this path")
 
-    def _emit_node(self, state, node, scope, value_names, vectorized: bool = False) -> None:
+    def _emit_node(self, state, node, scope, order, value_names,
+                   vectorized: bool = False) -> None:
         if isinstance(node, Tasklet):
             self._emit_tasklet(state, node, value_names, vectorized)
         elif isinstance(node, MapEntry):
-            self._emit_map(state, node, scope, value_names)
+            self._emit_map(state, node, scope, order, value_names)
         elif isinstance(node, AccessNode):
             for edge in state.in_edges(node):
                 if isinstance(edge.src, AccessNode) and not edge.data.is_empty:
@@ -364,23 +417,43 @@ class SDFGWalker:
                 f"Tasklet {tasklet.label!r} was kept in MLIR form and cannot be "
                 f"emitted by the {self.backend} backend"
             )
-        inputs = [
-            (edge.dst_conn, self._read_expression(edge, value_names))
-            for edge in state.in_edges(tasklet)
-            if edge.dst_conn is not None
-        ]
-        output = self.emit_tasklet(tasklet, inputs, vectorized)
-        for edge in state.out_edges(tasklet):
-            if edge.src_conn is None:
-                continue
+        in_edges = [edge for edge in state.in_edges(tasklet) if edge.dst_conn is not None]
+        inputs = [(edge.dst_conn, self._read_expression(edge, value_names)) for edge in in_edges]
+        out_edges = [edge for edge in state.out_edges(tasklet) if edge.src_conn is not None]
+        assignment = None if vectorized else single_assignment(tasklet.code)
+        if assignment is not None and all(
+            edge.src_conn == assignment.target for edge in out_edges
+        ):
+            bindings = {}
+            for edge, (connector, read) in zip(in_edges, inputs):
+                if assignment.uses(connector) > 1 and self._subscripted(edge):
+                    read = self.bind_input(connector, read)
+                bindings[connector] = read
+            result = self.render_expression(assignment, bindings)
+            if len(out_edges) > 1:
+                result = self.bind_value(self._fresh_value(), result)
+            output = lambda connector: result
+        else:
+            output = self.emit_tasklet(tasklet, inputs, vectorized)
+        for edge in out_edges:
             value = output(edge.src_conn)
             if isinstance(edge.dst, (AccessNode, MapExit)):
                 self._emit_write(edge, value)
             else:
                 # Value edge to another code node.
-                temp = f"_val{self._value_counter}"
-                self._value_counter += 1
-                value_names[(id(tasklet), edge.src_conn)] = self.bind_value(temp, value)
+                value_names[(id(tasklet), edge.src_conn)] = self.bind_value(
+                    self._fresh_value(), value
+                )
+
+    def _fresh_value(self) -> str:
+        self._value_counter += 1
+        return f"_val{self._value_counter - 1}"
+
+    def _subscripted(self, edge) -> bool:
+        """Whether reading ``edge`` indexes memory rather than naming a local."""
+        return not edge.data.is_empty and isinstance(
+            self.sdfg.arrays.get(edge.data.data), Array
+        )
 
     def _read_expression(self, edge, value_names):
         source, memlet = edge.src, edge.data
@@ -394,7 +467,7 @@ class SDFGWalker:
             return self.empty_read
         return self.read(memlet.data, memlet)
 
-    def _emit_write(self, edge, value: str) -> None:
+    def _emit_write(self, edge, value) -> None:
         memlet = edge.data
         if not memlet.is_empty:
             data = memlet.data
@@ -417,12 +490,10 @@ class SDFGWalker:
                 memlet.wcr, value, atomic=id(edge) in self._atomic_edges,
             )
 
-    def _emit_map(self, state, entry: MapEntry, scope, value_names) -> None:
+    def _emit_map(self, state, entry: MapEntry, scope, order, value_names) -> None:
         exit_node = state.exit_node(entry)
         members = [
-            node
-            for node in state.topological_nodes()
-            if scope.get(node) is entry and node is not exit_node
+            node for node in order if scope.get(node) is entry and node is not exit_node
         ]
         vectorized = (
             (self.vectorize or entry.map.vectorized)
@@ -432,7 +503,7 @@ class SDFGWalker:
 
         def emit_members() -> None:
             for node in members:
-                self._emit_node(state, node, scope, value_names, vectorized)
+                self._emit_node(state, node, scope, order, value_names, vectorized)
 
         self.emit_map(entry, emit_members, vectorized, parallel)
 

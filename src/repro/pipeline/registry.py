@@ -146,6 +146,7 @@ DATA_SUITE = (
     "scalar-to-symbol",
     "symbol-propagation",
     "state-fusion",
+    "tasklet-fusion",
     "augassign-to-wcr",
     "dead-state-elimination",
     "dead-dataflow-elimination",

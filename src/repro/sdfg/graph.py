@@ -10,6 +10,8 @@ views iterate in; ``tests/test_graph_contract.py`` holds every query to the
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 import networkx as nx
 
 
@@ -18,26 +20,28 @@ class OrderedMultiDiGraph:
 
     def __init__(self):
         self._graph = nx.MultiDiGraph()
-        #: ``topological_nodes()`` of the current graph; every mutator drops it.
+        #: ``topological_nodes()`` / ``program_order()`` of the current graph;
+        #: every mutator drops both.
         self._topological = None
+        self._program = None
 
     def add_node(self, node):
         self._graph.add_node(node)
-        self._topological = None
+        self._topological = self._program = None
         return node
 
     def remove_node(self, node) -> None:
         self._graph.remove_node(node)
-        self._topological = None
+        self._topological = self._program = None
 
     def _insert_edge(self, edge):
         self._graph.add_edge(edge.src, edge.dst, key=edge.key, edge=edge)
-        self._topological = None
+        self._topological = self._program = None
         return edge
 
     def remove_edge(self, edge) -> None:
         self._graph.remove_edge(edge.src, edge.dst, key=edge.key)
-        self._topological = None
+        self._topological = self._program = None
 
     def nodes(self) -> list:
         return list(self._graph._node)
@@ -78,9 +82,61 @@ class OrderedMultiDiGraph:
     def successors(self, node) -> list:
         return list(self._graph._succ[node])
 
+    def ancestors(self, node) -> set:
+        """Every node with a path to ``node`` (itself excluded)."""
+        return _closure(self._graph._pred, node)
+
+    def descendants(self, node) -> set:
+        """Every node reachable from ``node`` (itself excluded)."""
+        return _closure(self._graph._succ, node)
+
     def topological_nodes(self) -> list:
         """A topological order (``networkx.NetworkXUnfeasible`` on a cycle),
         computed once per mutation; callers get their own copy."""
         if self._topological is None:
             self._topological = list(nx.topological_sort(self._graph))
         return list(self._topological)
+
+    def program_order(self) -> list:
+        """The topological order that departs least from insertion order.
+
+        Of all valid orders, the one that always continues with the
+        earliest-inserted ready node.  Builders insert nodes in program
+        order and state fusion appends the later state's nodes, so this is
+        the order the source program ran its operations in — which the
+        edges alone do not always pin (two writers of one container are
+        joined through their access nodes, not to each other).  Code
+        generation emits in this order.  Memoized like
+        :meth:`topological_nodes`; callers get their own copy.
+        """
+        if self._program is None:
+            pred, succ = self._graph._pred, self._graph._succ
+            nodes = list(self._graph._node)
+            index = {node: position for position, node in enumerate(nodes)}
+            waiting = {node: len(pred[node]) for node in nodes}
+            ready = [position for position, node in enumerate(nodes) if not waiting[node]]
+            heapify(ready)
+            order = []
+            while ready:
+                node = nodes[heappop(ready)]
+                order.append(node)
+                for successor in succ[node]:
+                    waiting[successor] -= 1
+                    if not waiting[successor]:
+                        heappush(ready, index[successor])
+            if len(order) != len(nodes):
+                raise nx.NetworkXUnfeasible("Graph contains a cycle")
+            self._program = order
+        return list(self._program)
+
+
+def _closure(adjacency, start) -> set:
+    seen: set = set()
+    frontier = [start]
+    while frontier:
+        for neighbour in adjacency[frontier.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    seen.discard(start)  # on a cycle it reaches itself; the contract is networkx's
+    return seen

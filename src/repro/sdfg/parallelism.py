@@ -215,14 +215,15 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     family = _partition_family(state, entry, members)
     scope_params: Set[str] = set(map_obj.params)
     private: List[str] = list(map_obj.params[1:])
-    for node in members:
-        if isinstance(node, MapEntry):
+    for node in state.nodes():  # not ``members``: a set's order is per process
+        if node in members and isinstance(node, MapEntry):
             scope_params.update(node.map.params)
             private.extend(node.map.params)
 
     reductions: Dict[str, str] = {}
     atomic_edges: Set[int] = set()
     written_arrays: List[str] = []
+    shared_access: Dict[str, Optional[str]] = {}
     read_scalars: Set[str] = set()
 
     for edge in state.edges():
@@ -277,6 +278,11 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         )
         if data not in written_arrays:
             written_arrays.append(data)
+        # Atomic updates commute only among themselves: every write that
+        # can meet another iteration's must resolve with the same operator.
+        shared = "partitioned" if partitioned else memlet.wcr
+        if shared_access.setdefault(data, shared) != shared:
+            return _refuse(f"{data!r} is written both atomically and otherwise")
         if partitioned:
             continue
         if memlet.wcr in ("+", "*"):

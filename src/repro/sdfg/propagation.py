@@ -23,7 +23,9 @@ def propagate_subset(memlet: Memlet, params: List[str], ranges: List[Range]) -> 
     if memlet.is_empty or memlet.subset is None:
         return memlet.clone()
     subset = memlet.subset
-    volume = memlet.num_elements()
+    # Start from the volume, not the subset size: across a nested scope the
+    # memlet already carries the inner scope's repetitions.
+    volume = memlet.volume
     free_names = {sym.name for sym in subset.free_symbols()}
     for param, rng in zip(params, ranges):
         # Whether or not the access depends on this parameter, every

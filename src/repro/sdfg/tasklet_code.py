@@ -1,0 +1,169 @@
+"""Structural reading of tasklet code.
+
+The bridge raises every MLIR operation to a tasklet whose body is one
+``_out = <expression>`` line (§5.2).  Everything that looks *inside* such
+a body — tasklet fusion, update detection, the direct form of the code
+generators, the vectorizability check — goes through
+:func:`single_assignment`, which parses the line once and exposes the
+expression as an :mod:`ast` tree plus the source offsets of its names.
+Rewrites splice text at those offsets, so they are exact where a regular
+expression over identifiers would also hit attribute names or substrings.
+"""
+
+from __future__ import annotations
+
+import ast
+from functools import lru_cache
+from typing import Mapping, Optional, Tuple
+
+#: Expression nodes that bind tighter than any operator: their text can
+#: replace a name without parentheses.
+_ATOMS = (ast.Name, ast.Constant, ast.Call, ast.Subscript, ast.Attribute)
+
+
+class Assignment:
+    """A tasklet body that is exactly one ``target = <expression>`` line.
+
+    ``value`` is the expression's tree (shared through the parse cache:
+    read it, never mutate it), ``text`` its source without enclosing
+    parentheses, and ``names`` every identifier it loads, left to right,
+    with the offsets into ``text`` that :meth:`substitute` splices at.
+    """
+
+    __slots__ = ("target", "value", "text", "names")
+
+    def __init__(self, target: str, value: ast.expr, text: str,
+                 names: Tuple[Tuple[str, int, int], ...]):
+        self.target = target
+        self.value = value
+        self.text = text
+        self.names = names
+
+    def uses(self, name: str) -> int:
+        """How many times the expression loads ``name``."""
+        return sum(1 for used, _, _ in self.names if used == name)
+
+    def substitute(self, replacements: Mapping[str, str]) -> str:
+        """The expression text with each mapped name replaced, all at once.
+
+        Replacement is simultaneous (``{a: b, b: a}`` swaps) and verbatim:
+        see :meth:`operand` for the parenthesised form.
+        """
+        pieces = []
+        position = 0
+        for name, start, end in self.names:
+            if name in replacements:
+                pieces.append(self.text[position:start])
+                pieces.append(replacements[name])
+                position = end
+        pieces.append(self.text[position:])
+        return "".join(pieces)
+
+    def operand_text(self, node: ast.expr) -> str:
+        """Source text of one sub-expression of :attr:`value`, as an operand."""
+        offset = self.value.col_offset
+        return _as_operand(self.text[node.col_offset - offset:node.end_col_offset - offset], node)
+
+    def operand(self, replacements: Mapping[str, str]) -> str:
+        """:meth:`substitute`, ready to stand inside a larger expression."""
+        return _as_operand(self.substitute(replacements), self.value)
+
+
+def _as_operand(text: str, node: ast.expr) -> str:
+    """``text`` (the source of ``node``), parenthesised unless ``node`` binds
+    tighter than any operator."""
+    return text if isinstance(node, _ATOMS) else f"({text})"
+
+
+@lru_cache(maxsize=8192)
+def single_assignment(code: str) -> Optional[Assignment]:
+    """Read ``code`` as one ``name = <expression>`` line, or ``None``.
+
+    ``None`` covers everything else a tasklet body can be: several
+    statements, ``pass``, an augmented or tuple assignment, MLIR text, code
+    that does not parse.  Results are cached by the code string — tasklet
+    bodies repeat heavily across a compile and across compiles.
+    """
+    line = code.strip()
+    if "\n" in line or not line.isascii():  # offsets below are per-line byte columns
+        return None
+    try:
+        body = ast.parse(line).body
+    except SyntaxError:
+        return None
+    if len(body) != 1 or not isinstance(body[0], ast.Assign):
+        return None
+    statement = body[0]
+    if len(statement.targets) != 1 or not isinstance(statement.targets[0], ast.Name):
+        return None
+    value = statement.value
+    offset = value.col_offset
+    names = sorted(
+        (node.col_offset - offset, node.end_col_offset - offset, node.id)
+        for node in ast.walk(value)
+        if isinstance(node, ast.Name)
+    )
+    return Assignment(
+        target=statement.targets[0].id,
+        value=value,
+        text=line[offset:value.end_col_offset],
+        names=tuple((name, start, end) for start, end, name in names),
+    )
+
+
+#: ``math`` functions the backends evaluate in double precision.
+_FLOAT_MATH = frozenset(
+    {"sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs", "atan2", "pow"}
+)
+
+
+def _promote(left: Optional[str], right: Optional[str]) -> Optional[str]:
+    if left is None or right is None:
+        return None
+    for dtype in ("float64", "float32"):
+        if dtype in (left, right):
+            return dtype
+    return "int64"
+
+
+def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
+    """Element type an expression evaluates to, or ``None`` when unknown.
+
+    ``names`` types the identifiers (connectors, symbols, constants).  The
+    rules are the native backend's, where a typed store can convert:
+    arithmetic promotes to ``float64`` / ``float32`` / ``int64``, true
+    division and ``math`` functions are ``float64``, tests are ``bool``.
+    """
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool):
+            return "bool"
+        if isinstance(node.value, int):
+            return "int64"
+        return "float64" if isinstance(node.value, float) else None
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, (ast.Div, ast.Pow)):
+            return "float64"
+        return _promote(result_dtype(node.left, names), result_dtype(node.right, names))
+    if isinstance(node, ast.UnaryOp):
+        return "bool" if isinstance(node.op, ast.Not) else result_dtype(node.operand, names)
+    if isinstance(node, (ast.Compare, ast.BoolOp)):
+        return "bool"
+    if isinstance(node, ast.IfExp):
+        return _promote(result_dtype(node.body, names), result_dtype(node.orelse, names))
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if func.attr in _FLOAT_MATH:
+                return "float64"
+            return "int64" if func.attr in ("floor", "ceil") else None
+        if isinstance(func, ast.Name):
+            if func.id in ("float", "int", "bool"):
+                return {"float": "float64", "int": "int64", "bool": "bool"}[func.id]
+            if func.id in ("abs", "min", "max"):
+                dtype: Optional[str] = "int64"
+                for argument in node.args:
+                    dtype = _promote(dtype, result_dtype(argument, names))
+                return "float64" if dtype == "float32" else dtype
+    return None

@@ -55,6 +55,7 @@ from .rewrite import Match, Transformation, transformation_parameters
 from .simplify import simplify_sdfg
 from .state_fusion import StateFusion
 from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
+from .tasklet_fusion import TaskletFusion
 from .wcr_detection import AugAssignToWCR
 
 __all__ = [
@@ -80,6 +81,7 @@ __all__ = [
     "StackPromotion",
     "StateFusion",
     "SymbolPropagation",
+    "TaskletFusion",
     "Transformation",
     "Vectorization",
     "data_centric_pipeline",

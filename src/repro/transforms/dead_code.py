@@ -249,6 +249,12 @@ class RedundantIterationElimination(Transformation):
                 return False
             reads |= state.read_set()
             writes |= state.write_set()
+            # An update (WCR) reads what it writes: ``s += x`` is carried
+            # from iteration to iteration even though no edge reads ``s``.
+            reads |= {
+                edge.data.data for edge in state.edges()
+                if edge.data.wcr is not None and not edge.data.is_empty
+            }
             for edge in sdfg.out_edges(state):
                 if edge.dst in loop_region:
                     if induction in edge.data.free_symbols() and edge not in loop.latch_edges:

@@ -75,11 +75,11 @@ class LoopToMap(Transformation):
         }
         if extra_assignments:
             return False
-        # Iterations must be independent: nothing read is also written,
-        # except through update (WCR) edges which commute.
-        reads = body.read_set()
-        writes = LoopToMap._non_wcr_writes(body)
-        if reads & writes:
+        # Iterations must be independent: nothing read is also written.
+        # Updates (WCR edges) commute with each other, but not with a read
+        # of what they update: ``B[i][j] += A[k][i] * B[k][j]`` carries a
+        # dependence from iteration to iteration, it is not a reduction.
+        if body.read_set() & body.write_set():
             return False
         if loop.step_expr is None or not loop.step_expr.is_constant():
             return False
@@ -115,16 +115,6 @@ class LoopToMap(Transformation):
         return True
 
     @staticmethod
-    def _non_wcr_writes(state: SDFGState) -> Set[str]:
-        writes: Set[str] = set()
-        for edge in state.edges():
-            if edge.data.is_empty:
-                continue
-            if isinstance(edge.dst, AccessNode) and edge.data.wcr is None:
-                writes.add(edge.dst.data)
-        return writes
-
-    @staticmethod
     def _wrap_state_in_map(state: SDFGState, label: str, param: str, map_range: Range) -> None:
         entry, exit_node = state.add_map(label, [param], [map_range])
         sources = [
@@ -140,12 +130,24 @@ class LoopToMap(Transformation):
         for source in sources:
             if isinstance(source, AccessNode):
                 # Reads enter the scope through the map entry.
+                reads = 0
                 for edge in list(state.out_edges(source)):
+                    state.remove_edge(edge)
+                    if edge.data.is_empty and isinstance(edge.dst, AccessNode):
+                        # A pure ordering edge (state fusion's write-after-read
+                        # marker).  Towards a sink the scope boundary already
+                        # orders the two; otherwise it keeps the node inside.
+                        if edge.dst not in sinks:
+                            state.add_nedge(entry, edge.dst, Memlet.empty())
+                        continue
+                    reads += 1
                     connector = f"OUT_{source.data}"
                     entry.add_in_connector(f"IN_{source.data}")
                     entry.add_out_connector(connector)
                     state.add_edge(entry, connector, edge.dst, edge.dst_conn, edge.data)
-                    state.remove_edge(edge)
+                if not reads:
+                    state.remove_node(source)
+                    continue
                 descriptor_shape = state.sdfg.arrays[source.data].shape if state.sdfg else ()
                 from ..symbolic import Subset
 
@@ -181,10 +183,11 @@ class LoopToMap(Transformation):
         # Make sure the scope is connected even with no external reads.
         if state.in_degree(entry) == 0 and state.out_degree(entry) == 0:
             state.add_nedge(entry, exit_node, Memlet.empty())
-        from ..sdfg.propagation import propagate_memlets_state
+        # Only the new scope: it wraps the whole state, so every scope
+        # inside it kept its own, already propagated, boundary memlets.
+        from ..sdfg.propagation import propagate_memlets_scope
 
-        if state.sdfg is not None:
-            propagate_memlets_state(state.sdfg, state)
+        propagate_memlets_scope(state, entry)
 
 
 class MapFusion(Transformation):
@@ -235,7 +238,15 @@ class MapFusion(Transformation):
 
     @staticmethod
     def _fusable(sdfg: SDFG, state: SDFGState, intermediate: AccessNode):
-        """The fusable (producer exit, consumer entry) around a transient."""
+        """The fusable (producer exit, consumer entry) around a transient.
+
+        Fusing runs iteration *i* of the consumer right after iteration *i*
+        of the producer and drops the intermediate, so it needs more than
+        matching ranges: the intermediate has no other access anywhere, the
+        consumer reads exactly the element its own iteration produced, the
+        intermediate is the only dataflow between the two scopes, and the
+        consumer overwrites nothing the producer still has to read or write.
+        """
         if intermediate not in state:
             return None
         descriptor = sdfg.arrays.get(intermediate.data)
@@ -255,6 +266,57 @@ class MapFusion(Transformation):
             return None
         if first_map.ranges[0] != second_map.ranges[0]:
             return None
+        name = intermediate.data
+        if name in sdfg.return_values or any(
+            node.data == name and node is not intermediate
+            for other in sdfg.states() for node in other.data_nodes()
+        ):
+            return None
+        writes = [
+            edge.data for edge in state.in_edges(producer_exit)
+            if not edge.data.is_empty and edge.data.data == name
+        ]
+        if len(writes) != 1 or writes[0].wcr is not None or writes[0].subset is None \
+                or not writes[0].subset.is_point():
+            return None
+        rename = {second_map.params[0]: Symbol(first_map.params[0])}
+        for edge in state.out_edges(consumer_entry):
+            if not edge.data.is_empty and edge.data.data == name \
+                    and edge.data.subs(rename).subset != writes[0].subset:
+                return None
+
+        def touched(edges) -> Set[str]:
+            return {edge.data.data for edge in edges if not edge.data.is_empty}
+
+        producer_entry = state.entry_node(producer_exit)
+        consumer_exit = state.exit_node(consumer_entry)
+        produced = touched(state.out_edges(producer_exit))
+        consumed = touched(state.in_edges(consumer_entry))
+        written = touched(state.out_edges(consumer_exit))
+        if consumed & produced != {name}:
+            return None
+        if written & (produced | touched(state.in_edges(producer_entry))):
+            return None
+        # The consumer moves up to the producer's position.  Nothing it
+        # would cross may write what it touches or read what it writes:
+        # such a node has to come before the producer or after the consumer.
+        settled = (
+            state.ancestors(producer_entry) | state.descendants(consumer_exit)
+            | state.descendants(producer_entry) & state.ancestors(producer_exit)
+            | state.descendants(consumer_entry) & state.ancestors(consumer_exit)
+            | {producer_entry, producer_exit, consumer_entry, consumer_exit}
+        )
+        for edge in state.edges():
+            if edge.data.is_empty:
+                continue
+            if isinstance(edge.dst, (AccessNode, MapExit)):
+                conflict = edge.data.data in consumed | written
+                node = edge.dst if isinstance(edge.src, AccessNode) else edge.src
+            else:
+                conflict = edge.data.data in written
+                node = edge.dst
+            if conflict and node not in settled:
+                return None
         return producer_exit, consumer_entry
 
     def _fuse_scopes(self, sdfg: SDFG, state: SDFGState, producer_exit: MapExit,
@@ -288,9 +350,10 @@ class MapFusion(Transformation):
         ]
         for write_edge in inner_write_edges:
             for read_edge in inner_read_edges:
+                # The element now travels as a value, not through memory.
                 state.add_edge(
                     write_edge.src, write_edge.src_conn, read_edge.dst, read_edge.dst_conn,
-                    read_edge.data.clone(),
+                    Memlet.empty(),
                 )
         for edge in inner_write_edges + inner_read_edges:
             state.remove_edge(edge)
@@ -326,14 +389,7 @@ class MapFusion(Transformation):
         state.remove_node(consumer_entry)
         state.remove_node(consumer_exit)
 
-        # If the intermediate is not used anywhere else, it is dead memory.
-        still_used = any(
-            node.data == intermediate.data
-            for other_state in sdfg.states()
-            for node in other_state.data_nodes()
-        )
-        if not still_used:
-            sdfg.remove_data(intermediate.data, validate=False)
+        sdfg.remove_data(intermediate.data, validate=False)
 
         from ..sdfg.propagation import propagate_memlets_state
 

@@ -20,7 +20,7 @@ on their :class:`~repro.passbase.PassRecord`.
 Three standard pipelines are provided, matching the paper:
 
 * :func:`simplification_pipeline` — the idempotent ``-O1``-equivalent
-  simplification (§6.1/§6.2): inference, state fusion, dead state / dead
+  simplification (§6.1/§6.2): inference, state and tasklet fusion, dead state / dead
   dataflow elimination, array elimination, memlet consolidation.
 * :func:`memory_scheduling_pipeline` — the ``-O2``-equivalent memory
   scheduling optimizations (§6.3): memory (pre-)allocation and
@@ -78,6 +78,7 @@ def simplification_pipeline(max_iterations: int = 4) -> DataCentricPipeline:
     from .memlet_consolidation import MemletConsolidation
     from .state_fusion import StateFusion
     from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
+    from .tasklet_fusion import TaskletFusion
     from .wcr_detection import AugAssignToWCR
 
     return DataCentricPipeline(
@@ -85,6 +86,7 @@ def simplification_pipeline(max_iterations: int = 4) -> DataCentricPipeline:
             ScalarToSymbolPromotion(),
             SymbolPropagation(),
             StateFusion(),
+            TaskletFusion(),
             AugAssignToWCR(),
             DeadStateElimination(),
             DeadDataflowElimination(),

@@ -25,6 +25,7 @@ from .memlet_consolidation import MemletConsolidation
 from .memory_allocation import MemoryPreAllocation, StackPromotion
 from .state_fusion import StateFusion
 from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
+from .tasklet_fusion import TaskletFusion
 from .wcr_detection import AugAssignToWCR
 
 #: The data-centric (SDFG-side) pass registry.
@@ -34,6 +35,7 @@ for _cls in (
     ScalarToSymbolPromotion,
     SymbolPropagation,
     StateFusion,
+    TaskletFusion,
     AugAssignToWCR,
     DeadStateElimination,
     DeadDataflowElimination,

@@ -13,17 +13,15 @@ resolution (WCR) function.
 
 from __future__ import annotations
 
-import re
+import ast
 from typing import List, Optional, Tuple
 
 from ..sdfg import SDFG, AccessNode, Tasklet
+from ..sdfg.tasklet_code import single_assignment
 from .rewrite import Match, Transformation
 
-#: Associative operators eligible for WCR conversion.
-_WCR_PATTERNS = {
-    "+": re.compile(r"^\s*_out\s*=\s*\((?P<a>\w+)\s*\+\s*(?P<b>\w+)\)\s*$"),
-    "*": re.compile(r"^\s*_out\s*=\s*\((?P<a>\w+)\s*\*\s*(?P<b>\w+)\)\s*$"),
-}
+#: Associative, commutative operators eligible for WCR conversion.
+_WCR_OPERATORS = {ast.Add: "+", ast.Mult: "*"}
 
 
 class AugAssignToWCR(Transformation):
@@ -39,7 +37,7 @@ class AugAssignToWCR(Transformation):
                 conversion = self._find_conversion(state, tasklet)
                 if conversion is None:
                     continue
-                operator, _, write_edge = conversion
+                operator, _, write_edge, _ = conversion
                 matches.append(Match(
                     transformation=self.name,
                     kind="update",
@@ -57,56 +55,67 @@ class AugAssignToWCR(Transformation):
         conversion = self._find_conversion(state, tasklet)
         if conversion is None:
             return False
-        operator, read_edge, write_edge = conversion
-        read_connector = read_edge.dst_conn
-        match_info = self._match_code(tasklet.code)
-        operand_a, operand_b = match_info[1], match_info[2]
-        other_connector = operand_b if read_connector == operand_a else operand_a
-        # Rewrite the tasklet: it now only forwards the other operand.
-        tasklet.code = f"_out = {other_connector}"
-        tasklet.in_connectors.discard(read_connector)
+        operator, read_edge, write_edge, update = conversion
+        # Rewrite the tasklet: it now only computes the value combined in.
+        tasklet.code = f"{write_edge.src_conn} = {update}"
+        tasklet.in_connectors.discard(read_edge.dst_conn)
         state.remove_edge(read_edge)
-        # The read-side access node may now be dangling.
+        # The read-side access node may now be dangling: nothing reads it
+        # any more, so neither does it need its ordering edges.
         source = read_edge.src
-        if isinstance(source, AccessNode) and state.out_degree(source) == 0 \
-                and state.in_degree(source) == 0:
+        if isinstance(source, AccessNode) and state.in_degree(source) == 0 \
+                and all(edge.data.is_empty for edge in state.out_edges(source)):
             state.remove_node(source)
         write_edge.data.wcr = operator
         return True
 
     def _find_conversion(self, state, tasklet: Tasklet):
-        """Return (operator, read edge, write edge) when the pattern holds."""
-        match_info = self._match_code(tasklet.code)
-        if match_info is None:
-            return None
-        operator, operand_a, operand_b = match_info
-
+        """``(operator, read edge, write edge, update text)`` when the pattern holds."""
         out_edges = [edge for edge in state.out_edges(tasklet) if not edge.data.is_empty]
-        if len(out_edges) != 1:
+        if len(out_edges) != 1 or tasklet.language != "python":
             return None
         write_edge = out_edges[0]
         if not isinstance(write_edge.dst, AccessNode) or write_edge.data.wcr is not None:
             return None
         target = write_edge.data.data
         target_subset = write_edge.data.subset
-
-        # Find the input edge reading the same container at the same subset.
-        for edge in state.in_edges(tasklet):
-            if edge.data.is_empty or edge.data.data != target:
-                continue
-            if edge.dst_conn not in (operand_a, operand_b):
-                continue
-            if (edge.data.subset is None) != (target_subset is None):
-                continue
-            if edge.data.subset is not None and edge.data.subset != target_subset:
-                continue
-            return operator, edge, write_edge
-        return None
+        # The target may be read once, at the written subset: an update
+        # that also reads it elsewhere (``B[i][j] += A[k][i] * B[k][j]``)
+        # depends on other elements' updates and stays a plain write.
+        reads = [
+            edge for edge in state.in_edges(tasklet)
+            if not edge.data.is_empty and edge.data.data == target
+        ]
+        if len(reads) != 1:
+            return None
+        read_edge = reads[0]
+        if (read_edge.data.subset is None) != (target_subset is None):
+            return None
+        if read_edge.data.subset is not None and read_edge.data.subset != target_subset:
+            return None
+        match_info = self._match_code(tasklet.code, write_edge.src_conn, read_edge.dst_conn)
+        if match_info is None:
+            return None
+        return match_info[0], read_edge, write_edge, match_info[1]
 
     @staticmethod
-    def _match_code(code: str) -> Optional[Tuple[str, str, str]]:
-        for operator, pattern in _WCR_PATTERNS.items():
-            match = pattern.match(code.strip())
-            if match:
-                return operator, match.group("a"), match.group("b")
+    def _match_code(code: str, target: str, connector: str) -> Optional[Tuple[str, str]]:
+        """``(operator, other operand's text)`` of ``target = connector <op> other``.
+
+        Structural, on the expression tree: the top-level operation is
+        ``+`` or ``*`` and exactly one operand is the bare connector
+        (either side — both operators commute), used nowhere else.
+        """
+        assignment = single_assignment(code)
+        if assignment is None or assignment.target != target:
+            return None
+        value = assignment.value
+        if not isinstance(value, ast.BinOp) or assignment.uses(connector) != 1:
+            return None
+        operator = _WCR_OPERATORS.get(type(value.op))
+        if operator is None:
+            return None
+        for operand, other in ((value.left, value.right), (value.right, value.left)):
+            if isinstance(operand, ast.Name) and operand.id == connector:
+                return operator, assignment.operand_text(other)
         return None

@@ -188,6 +188,68 @@ class TestCodegen:
         compiled.run(A=A, B=B)
         np.testing.assert_allclose(B, np.exp(A))
 
+    @pytest.mark.parametrize("code", [
+        "_b = float(_a)", "_b = int(_a)", "_b = (_a if _a > 0.5 else 0.0)",
+        "_b = min(_a, 0.5)", "_b = max(_a, 0.5)", "_b = (_a > 0.2 and _a < 0.8)",
+    ])
+    def test_scalar_only_constructs_keep_a_map_scalar(self, code):
+        """``float(np.arange(n))`` raises: such maps loop, whatever the vectorize flag says."""
+
+        def build():
+            sdfg = SDFG("vec")
+            sdfg.add_array("A", [16], "float64", transient=False)
+            sdfg.add_array("B", [16], "float64", transient=False)
+            state = sdfg.add_state("s0", is_start_state=True)
+            state.add_mapped_tasklet(
+                "t", {"i": Range(0, 16)}, {"_a": Memlet.simple("A", "i")}, code,
+                {"_b": Memlet.simple("B", "i")},
+            )
+            return sdfg
+
+        outputs = []
+        for vectorize in (False, True):
+            compiled = compile_sdfg(build(), vectorize=vectorize)
+            assert "np.arange" not in compiled.code
+            B = np.zeros(16)
+            compiled.run(A=np.linspace(0, 1, 16), B=B)
+            outputs.append(B)
+        np.testing.assert_array_equal(*outputs)
+
+    def _fork_sdfg(self, code, outputs=("B",)):
+        sdfg = SDFG("fork")
+        sdfg.add_symbol("i")
+        for name in ("A",) + tuple(outputs):
+            sdfg.add_array(name, [4], "float64", transient=False)
+        state = sdfg.add_state("s0", is_start_state=True)
+        tasklet = state.add_tasklet("t", ["_in"], ["_out"], code)
+        state.add_edge(state.add_access("A"), None, tasklet, "_in", Memlet.simple("A", "i"))
+        for name in outputs:
+            state.add_edge(tasklet, "_out", state.add_access(name), None, Memlet.simple(name, "i"))
+        return sdfg
+
+    def test_direct_form_binds_a_temporary_only_where_dataflow_forks(self):
+        from repro.codegen import generate_c_code
+
+        once = self._fork_sdfg("_out = (_in + 1.0)")
+        assert "B[i] = (A[i] + 1.0)" in generate_code(once)
+        assert "_in" not in generate_code(once) and "_t0_" not in generate_c_code(once)
+        # A subscripted read the expression uses twice is loaded once ...
+        twice = self._fork_sdfg("_out = (_in * _in)")
+        assert "_in = A[i]" in generate_code(twice) and "B[i] = (_in * _in)" in generate_code(twice)
+        assert "double _read0 = A[" in generate_c_code(twice)
+        # ... and a result with two destinations is computed once.
+        shared = self._fork_sdfg("_out = (_in + 1.0)", outputs=("B", "C"))
+        python = generate_code(shared)
+        assert "_val0 = (A[i] + 1.0)" in python and "B[i] = _val0" in python and "C[i] = _val0" in python
+        assert generate_c_code(shared).count("A[") == 1
+
+    def test_multi_statement_tasklets_keep_the_bound_form(self):
+        sdfg = self._fork_sdfg("_tmp = _in + 1.0\n_out = _tmp * 2.0")
+        code = generate_code(sdfg)
+        assert "_in = A[i]" in code and "_tmp = _in + 1.0" in code and "B[i] = _out" in code
+        result = compile_sdfg(sdfg).run(A=np.arange(4.0), B=np.zeros(4), i=2)
+        assert result["B"][2] == 6.0
+
     def test_dispatcher_fallback_for_while_loops(self):
         source = "int f() { int i = 0; while (i < 5) { i = i + 1; } return i; }"
         module = compile_c_to_mlir(source)

@@ -79,6 +79,8 @@ def _assert_matches_networkx(graph):
         assert graph.out_degree(node) == G.out_degree(node)
         assert graph.predecessors(node) == list(G.predecessors(node))
         assert graph.successors(node) == list(G.successors(node))
+        assert graph.ancestors(node) == nx.ancestors(G, node)
+        assert graph.descendants(node) == nx.descendants(G, node)
         for other in G.nodes():
             expected = (
                 [data["edge"] for data in G[node][other].values()]
@@ -90,9 +92,15 @@ def _assert_matches_networkx(graph):
     except nx.NetworkXUnfeasible:
         with pytest.raises(nx.NetworkXUnfeasible):
             graph.topological_nodes()
+        with pytest.raises(nx.NetworkXUnfeasible):
+            graph.program_order()
     else:
         assert graph.topological_nodes() == expected_order
         assert graph.topological_nodes() == expected_order  # the memoized answer
+        inserted = {node: position for position, node in enumerate(G.nodes())}
+        program = list(nx.lexicographical_topological_sort(G, key=inserted.__getitem__))
+        assert graph.program_order() == program
+        assert graph.program_order() == program  # the memoized answer
 
 
 def _mutate(graph, rng, steps, acyclic):
@@ -133,6 +141,17 @@ def test_topological_nodes_hands_out_copies():
     graph.connect(graph.new_node(0), graph.new_node(1))
     graph.topological_nodes().reverse()
     assert graph.topological_nodes() == [0, 1]
+
+
+def test_program_order_is_insertion_order_wherever_the_edges_allow():
+    graph = _Plain()
+    for index in range(5):
+        graph.new_node(index)
+    assert graph.program_order() == [0, 1, 2, 3, 4]
+    graph.connect(4, 1)  # 1 must wait for 4; nothing else moves
+    assert graph.program_order() == [0, 2, 3, 4, 1]
+    graph.program_order().reverse()
+    assert graph.program_order() == [0, 2, 3, 4, 1]
 
 
 def test_state_membership_and_labels_follow_removal():

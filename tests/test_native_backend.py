@@ -86,6 +86,20 @@ def test_native_outputs_equal_interpreted_for_all_pipelines(kernel):
         _outputs_match(interpreted, native.outputs)
 
 
+@pytest.mark.parametrize("backend", ["python", pytest.param("native", marks=requires_cc)])
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_vectorized_pipeline_agrees_with_scalar(kernel, backend):
+    """``dcir+vec`` sweeps every eligible map, and PolyBench's init loops are
+    maps now: their casts and ``%`` chains must stay scalar, not raise."""
+    source = get_kernel(kernel)
+    scalar, vectorized = (
+        run_compiled(compile_c(source, get_pipeline(name).with_codegen(backend=backend)))
+        for name in ("dcir", "dcir+vec")
+    )
+    assert vectorized.return_value == pytest.approx(scalar.return_value, rel=1e-9)
+    assert vectorized.allocations == scalar.allocations
+
+
 @pytest.mark.parametrize("pipeline", sorted(set(list_pipelines()) - set(BRIDGE_PIPELINES)))
 def test_non_bridge_pipelines_fall_back_with_a_reason(pipeline):
     spec = get_pipeline(pipeline).with_codegen(backend="native")

@@ -34,6 +34,7 @@ from repro import (
     unregister_pipeline,
 )
 from repro.pipeline import CompileResult, pipeline_label
+from repro.pipeline.registry import DATA_SUITE
 from repro.service import cache_key, payload_digest
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -279,7 +280,7 @@ class TestSerialization:
         derived.data_passes.pop()
         derived.frontend_options["run_verifier"] = False
         assert get_pipeline("dcir").codegen.vectorize is False
-        assert len(get_pipeline("dcir").data_passes) == 13
+        assert len(get_pipeline("dcir").data_passes) == len(DATA_SUITE)
         assert get_pipeline("dcir").frontend_options == {}
 
         fetched = get_pipeline("gcc")

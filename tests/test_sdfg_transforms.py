@@ -129,6 +129,16 @@ class TestSDFGCore:
         assert str(outer_reads[0].subset) == "0:N"
         assert outer_reads[0].volume == Symbol("N")
 
+    def test_memlet_propagation_keeps_the_inner_scopes_repetitions(self):
+        """A memlet leaving a nested scope already counts the inner iterations."""
+        from repro.sdfg import propagate_subset
+
+        inner = propagate_subset(Memlet.simple("C", "i, j"), ["j"], [Range(0, 13)])
+        assert (str(inner.subset), inner.volume) == ("i, 0:13", Integer(13))
+        # ``k`` does not index C: the subset stays, the traffic is 12 times it.
+        outer = propagate_subset(inner, ["k"], [Range(0, 12)])
+        assert (str(outer.subset), outer.volume) == ("i, 0:13", Integer(156))
+
     def test_free_symbols(self):
         sdfg = _vector_scale_sdfg()
         assert sdfg.free_symbols() == {"N"}
@@ -630,6 +640,179 @@ class TestMatchSets:
         assert len(matches) == 1 and "via T" in matches[0].subject
         assert fusion.apply(sdfg)
         assert fusion.matches(sdfg) == []
+
+
+def _update_loop(read_index, code="_out = (_in0 + _in1)", target="i"):
+    """``for i: A[target] = A[target] <op> A[read_index]`` as one body tasklet."""
+    sdfg = _loop_sdfg()
+    body = [s for s in sdfg.states() if s.label == "body"][0]
+    for node in body.nodes():
+        body.remove_node(node)
+    tasklet = body.add_tasklet("update", ["_in0", "_in1"], ["_out"], code)
+    source = body.add_access("A")
+    body.add_edge(source, None, tasklet, "_in0", Memlet.simple("A", target))
+    body.add_edge(source, None, tasklet, "_in1", Memlet.simple("A", read_index))
+    body.add_edge(tasklet, "_out", body.add_access("A"), None, Memlet.simple("A", target))
+    return sdfg, body, tasklet
+
+
+def _two_maps(read_index="j", extra=None):
+    """``T[i] = A[i] + 1`` then ``B[j] = T[read_index] * 2`` joined through one ``T`` node."""
+    sdfg = SDFG("fusion")
+    sdfg.add_symbol("N")
+    sdfg.add_array("A", ["N"], "float64")
+    sdfg.add_transient("T", ["N"], "float64")
+    sdfg.add_array("B", ["N"], "float64")
+    state = sdfg.add_state("s0", is_start_state=True)
+    state.add_mapped_tasklet(
+        "first", {"i": Range(0, "N")},
+        {"_a": Memlet.simple("A", "i")}, "_t = _a + 1.0", {"_t": Memlet.simple("T", "i")},
+    )
+    state.add_mapped_tasklet(
+        "second", {"j": Range(0, "N")},
+        {"_t": Memlet.simple("T", read_index)}, "_b = _t * 2.0", {"_b": Memlet.simple("B", "j")},
+    )
+    written, read = sorted(
+        (n for n in state.data_nodes() if n.data == "T"), key=state.in_degree, reverse=True
+    )
+    for edge in list(state.out_edges(read)):
+        state.add_edge(written, None, edge.dst, edge.dst_conn, edge.data)
+    state.remove_node(read)
+    return sdfg, state
+
+
+class TestSoundness:
+    """Shapes the C-derived suite only reaches now that tasklets fuse."""
+
+    def test_wcr_detection_reads_the_fused_expression(self):
+        sdfg, body, tasklet = _update_loop("i", code="_out = ((_in1 * 2.0) + _in0)")
+        tasklet.code = "_out = (_in0 + (_in1 * _in2))"
+        body.add_edge(body.add_access("A"), None, tasklet, "_in2", Memlet.simple("A", "i"))
+        assert not AugAssignToWCR().apply(sdfg)  # reads A through _in1 and _in2 as well
+
+    def test_wcr_detection_takes_either_operand_and_keeps_the_rest(self):
+        sdfg = SDFG("wcr")
+        sdfg.add_array("A", [8], "float64")
+        sdfg.add_array("B", [8], "float64")
+        sdfg.add_scalar("v", "float64")
+        state = sdfg.add_state("s0", is_start_state=True)
+        tasklet = state.add_tasklet(
+            "fma", ["_in0", "_in1", "_in2"], ["_out"], "_out = ((_in0 * _in1) + _in2)"
+        )
+        state.add_edge(state.add_access("v"), None, tasklet, "_in0", Memlet(data="v"))
+        state.add_edge(state.add_access("B"), None, tasklet, "_in1", Memlet.simple("B", "3"))
+        state.add_edge(state.add_access("A"), None, tasklet, "_in2", Memlet.simple("A", "3"))
+        state.add_edge(tasklet, "_out", state.add_access("A"), None, Memlet.simple("A", "3"))
+        assert AugAssignToWCR().apply(sdfg)
+        assert tasklet.code == "_out = (_in0 * _in1)"
+        assert [e.data.wcr for e in state.out_edges(tasklet)] == ["+"]
+        assert sorted(e.dst_conn for e in state.in_edges(tasklet)) == ["_in0", "_in1"]
+
+    @pytest.mark.parametrize("code", [
+        "_out = ((_in0 + _in1) + 1.0)",  # the read sits below the top-level operator
+        "_out = (_in0 - _in1)",          # not commutative
+        "_out = (_in0 + _in0)",          # the target is not one operand
+    ])
+    def test_wcr_detection_refuses_what_is_not_an_update(self, code):
+        sdfg = SDFG("wcr")
+        sdfg.add_array("A", [8], "float64")
+        sdfg.add_scalar("v", "float64")
+        state = sdfg.add_state("s0", is_start_state=True)
+        tasklet = state.add_tasklet("t", ["_in0", "_in1"], ["_out"], code)
+        state.add_edge(state.add_access("A"), None, tasklet, "_in0", Memlet.simple("A", "3"))
+        state.add_edge(state.add_access("v"), None, tasklet, "_in1", Memlet(data="v"))
+        state.add_edge(tasklet, "_out", state.add_access("A"), None, Memlet.simple("A", "3"))
+        assert not AugAssignToWCR().apply(sdfg)
+
+    def test_wcr_detection_refuses_a_second_read_of_the_target(self):
+        """trmm: ``B[i] += A[k] * B[k]`` depends on other elements' updates."""
+        sdfg, _, _ = _update_loop("0")
+        assert not AugAssignToWCR().apply(sdfg)
+
+    def test_loop_to_map_refuses_a_prefix_sum(self):
+        sdfg, _, _ = _update_loop("i - 1")
+        assert LoopToMap().matches(sdfg) == []
+
+    def test_loop_to_map_refuses_an_update_that_also_reads_its_target(self):
+        """``A[0] += A[i]`` carried through a WCR edge is a dependence, not a reduction."""
+        sdfg, body, tasklet = _update_loop("i", target="0")
+        read = [e for e in body.in_edges(tasklet) if e.dst_conn == "_in0"][0]
+        body.remove_edge(read)
+        tasklet.in_connectors.discard("_in0")
+        tasklet.code = "_out = _in1"
+        body.out_edges(tasklet)[0].data.wcr = "+"
+        assert LoopToMap().matches(sdfg) == []
+
+    def test_loop_to_map_takes_a_pure_reduction(self):
+        sdfg, body, tasklet = _update_loop("i", target="0")
+        sdfg.add_array("B", ["N"], "float64")
+        for edge in body.in_edges(tasklet):
+            body.remove_edge(edge)
+        tasklet.in_connectors.clear()
+        body.add_edge(body.add_access("B"), None, tasklet, "_in1", Memlet.simple("B", "i"))
+        tasklet.code = "_out = _in1"
+        body.out_edges(tasklet)[0].data.wcr = "+"
+        for node in body.data_nodes():
+            if body.in_degree(node) == 0 and body.out_degree(node) == 0:
+                body.remove_node(node)
+        assert LoopToMap().apply(sdfg)
+        sdfg.validate()
+
+    def test_redundant_iteration_keeps_an_induction_free_update(self):
+        """``for i: s += 5`` runs N times even though no edge reads ``s``."""
+        sdfg = _loop_sdfg()
+        body = [s for s in sdfg.states() if s.label == "body"][0]
+        for edge in body.edges():
+            edge.data = Memlet.simple("A", "0", wcr="+")
+        for tasklet in body.tasklets():
+            tasklet.code = "_out = 5.0"
+        assert not RedundantIterationElimination().apply(sdfg)
+
+    def test_loop_to_map_drops_ordering_edges_instead_of_routing_them(self):
+        """State fusion's read→write marker must not pull the sink into the scope."""
+        sdfg, body, tasklet = _update_loop("i")
+        sdfg.add_array("B", ["N"], "float64")
+        other = [e for e in body.in_edges(tasklet) if e.dst_conn == "_in1"][0]
+        body.remove_edge(other)
+        body.add_edge(body.add_access("B"), None, tasklet, "_in1", Memlet.simple("B", "i"))
+        read, write = other.src, body.out_edges(tasklet)[0].dst
+        body.add_nedge(read, write, Memlet.empty())
+        assert AugAssignToWCR().apply(sdfg)  # leaves ``read`` with the marker only
+        assert read not in body
+        assert LoopToMap().apply(sdfg)
+        sdfg.validate()
+        scope = body.scope_dict()
+        assert scope[write] is None
+
+    def test_map_fusion_refuses_a_shifted_read(self):
+        sdfg, _ = _two_maps(read_index="N - 1 - j")
+        assert MapFusion().matches(sdfg) == []
+
+    def test_map_fusion_refuses_an_intermediate_used_elsewhere(self):
+        sdfg, state = _two_maps()
+        later = sdfg.add_state("later")
+        sdfg.add_edge(state, later, InterstateEdge())
+        copy = later.add_tasklet("copy", ["_in"], ["_out"], "_out = _in")
+        later.add_edge(later.add_access("T"), None, copy, "_in", Memlet.simple("T", "0"))
+        later.add_edge(copy, "_out", later.add_access("B"), None, Memlet.simple("B", "0"))
+        assert MapFusion().matches(sdfg) == []
+
+    def test_map_fusion_refuses_to_carry_the_consumer_over_a_conflicting_write(self):
+        """``T = f(A); B[:] = 0; B += T``: the zeroing sits between the two maps."""
+        sdfg, state = _two_maps()
+        exit_edge = [e for e in state.edges() if e.dst.label == "B"][0]
+        exit_edge.data.wcr = "+"
+        zero = state.add_tasklet("zero", [], ["_out"], "_out = 0.0")
+        zeroed = state.add_access("B")
+        state.add_edge(zero, "_out", zeroed, None, Memlet.simple("B", "0"))
+        state.add_nedge(zeroed, exit_edge.dst, Memlet.empty())
+        assert MapFusion().matches(sdfg) == []
+
+    def test_fused_maps_pass_the_element_as_a_value(self):
+        sdfg, state = _two_maps()
+        assert MapFusion().apply(sdfg)
+        sdfg.validate()  # no memlet names the removed intermediate
+        assert "T" not in sdfg.arrays
 
 
 class TestParameterizedTransforms:

@@ -133,6 +133,19 @@ class TestCacheSemantics:
         result = _fresh_cache(directory=tmp_path).get_or_compile(SAXPY, "gcc")
         assert not result.cache_hit  # incompatible entries never rehydrate
 
+    def test_an_entry_stored_by_another_release_is_a_miss(self, tmp_path, monkeypatch):
+        """Emitted text changes between releases: the version is part of the key,
+        so a directory filled by the previous release serves nothing."""
+        import repro.service.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "__version__", "1.8.0")
+        old_key = cache_key(SAXPY, "dcir")
+        _fresh_cache(directory=tmp_path).get_or_compile(SAXPY, "dcir")
+        assert (tmp_path / f"{old_key}.json").exists()
+        monkeypatch.undo()
+        assert cache_key(SAXPY, "dcir") != old_key
+        assert not _fresh_cache(directory=tmp_path).get_or_compile(SAXPY, "dcir").cache_hit
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = _fresh_cache(directory=tmp_path)
         key = cache_key(SAXPY, "gcc")
