@@ -66,6 +66,7 @@ from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import Array, DTYPES, Stream
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
+from ..sdfg.tasklet_code import node_dtype, typed_operands
 from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker
 from .toolchain import ABI_MARKER
 from .writer import SourceWriter
@@ -208,16 +209,8 @@ def c_symbolic(expression: Expr) -> str:
     )
 
 
-def _is_float_type(ctype: str) -> bool:
-    return ctype in ("double", "float")
-
-
-def _promote(left: str, right: str) -> str:
-    if "double" in (left, right):
-        return "double"
-    if "float" in (left, right):
-        return "float"
-    return "int64_t"
+def _is_float(dtype: str) -> bool:
+    return dtype in ("float64", "float32")
 
 
 _CMP_OPS = {
@@ -239,8 +232,10 @@ class _TaskletTranslator:
     Tasklet code (see :mod:`repro.conversion.raise_tasklets`) is a flat
     sequence of ``name = <expression>`` lines over a small expression
     grammar.  ``env`` maps each name the code may read — connectors, then
-    the locals it assigns — to the ``(text, C type)`` it stands for, or to
-    ``None`` for a connector fed by an empty memlet.  The direct form
+    the locals it assigns — to the ``(text, dtype)`` it stands for, or to
+    ``None`` for a connector fed by an empty memlet.  Types come from
+    :func:`~repro.sdfg.tasklet_code.node_dtype`, the table tasklet fusion
+    reads as well.  The direct form
     lowers one expression (:meth:`lower`) over the reads themselves; the
     bound form (:meth:`translate`) declares a local per assigned name,
     under a per-tasklet prefix so locals of different tasklets share the
@@ -268,40 +263,43 @@ class _TaskletTranslator:
                     "Native backend supports only 'name = expression' tasklet lines"
                 )
             name = statement.targets[0].id
-            text, ctype = self.lower(statement.value)
+            value = self.lower(statement.value)
             declared = self.env.get(name)
             if declared is not None:
-                self.generator.writer.emit(f"{declared[0]} = {text};")
+                self.generator.writer.emit(f"{declared[0]} = {value[0]};")
             else:
-                self.env[name] = (self.prefix + name, ctype)
-                self.generator.writer.emit(f"{ctype} {self.prefix}{name} = {text};")
+                self.env[name] = self.generator.bind_value(self.prefix + name, value)
 
     # -- expression lowering -----------------------------------------------------------
     def lower(self, node: ast.expr) -> Tuple[str, str]:
+        """``(C text, dtype)`` of one expression; the dtype is :func:`node_dtype`'s."""
+        if isinstance(node, ast.Name):
+            return self._name(node.id)
+        operands = [self.lower(operand) for operand in typed_operands(node)]
+        text = self._render(node, [text for text, _ in operands],
+                            any(_is_float(dtype) for _, dtype in operands))
+        return text, node_dtype(node, [dtype for _, dtype in operands], {})
+
+    def _render(self, node: ast.expr, operands: List[str], floats: bool) -> str:
+        """C text of ``node`` over its lowered typed operands (``floats``: any is floating)."""
         if isinstance(node, ast.Constant):
             value = node.value
             if isinstance(value, bool):
-                return ("1" if value else "0"), "int64_t"
+                return "1" if value else "0"
             if isinstance(value, int):
-                return _int_literal(value), "int64_t"
+                return _int_literal(value)
             if isinstance(value, float):
-                return repr(value), "double"
+                return repr(value)
             raise NativeCodegenError(f"Unsupported tasklet constant {value!r}")
-        if isinstance(node, ast.Name):
-            return self._name(node.id)
         if isinstance(node, ast.BinOp):
-            return self._binop(node)
+            return self._binop(node.op, *operands, floats)
         if isinstance(node, ast.UnaryOp):
-            text, ctype = self.lower(node.operand)
-            if isinstance(node.op, ast.USub):
-                return f"(-({text}))", ctype
-            if isinstance(node.op, ast.UAdd):
-                return f"(+({text}))", ctype
-            if isinstance(node.op, ast.Not):
-                return f"(!({text}))", "int64_t"
-            if isinstance(node.op, ast.Invert):
-                return f"(~({text}))", ctype
-            raise NativeCodegenError(f"Unsupported unary operator {node.op!r}")
+            operator = {ast.USub: "-", ast.UAdd: "+", ast.Not: "!", ast.Invert: "~"}.get(
+                type(node.op)
+            )
+            if operator is None:
+                raise NativeCodegenError(f"Unsupported unary operator {node.op!r}")
+            return f"({operator}({operands[0]}))"
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1 or len(node.comparators) != 1:
                 raise NativeCodegenError("Chained comparisons are not supported")
@@ -310,21 +308,16 @@ class _TaskletTranslator:
                 raise NativeCodegenError(f"Unsupported comparison {node.ops[0]!r}")
             left, _ = self.lower(node.left)
             right, _ = self.lower(node.comparators[0])
-            return f"(({left}) {operator} ({right}))", "int64_t"
+            return f"(({left}) {operator} ({right}))"
         if isinstance(node, ast.BoolOp):
             joiner = " && " if isinstance(node.op, ast.And) else " || "
             parts = [f"({self.lower(value)[0]})" for value in node.values]
-            return "(" + joiner.join(parts) + ")", "int64_t"
+            return "(" + joiner.join(parts) + ")"
         if isinstance(node, ast.IfExp):
             condition, _ = self.lower(node.test)
-            then_text, then_type = self.lower(node.body)
-            else_text, else_type = self.lower(node.orelse)
-            return (
-                f"(({condition}) ? ({then_text}) : ({else_text}))",
-                _promote(then_type, else_type),
-            )
+            return f"(({condition}) ? ({operands[0]}) : ({operands[1]}))"
         if isinstance(node, ast.Call):
-            return self._call(node)
+            return self._call(node, operands, floats)
         raise NativeCodegenError(
             f"Unsupported tasklet expression {ast.dump(node)}"
         )
@@ -339,30 +332,26 @@ class _TaskletTranslator:
             return bound
         sdfg = self.generator.sdfg
         if name in sdfg.symbols:
-            return name, DTYPES[sdfg.symbols[name]].c_type
+            return name, sdfg.symbols[name]
         if name in sdfg.constants:
-            value = sdfg.constants[name]
-            return name, "double" if isinstance(value, float) else "int64_t"
+            return name, "float64" if isinstance(sdfg.constants[name], float) else "int64"
         raise NativeCodegenError(f"Tasklet references unknown name {name!r}")
 
-    def _binop(self, node: ast.BinOp) -> Tuple[str, str]:
-        left, left_type = self.lower(node.left)
-        right, right_type = self.lower(node.right)
-        floats = _is_float_type(left_type) or _is_float_type(right_type)
-        operator = node.op
+    @staticmethod
+    def _binop(operator: ast.operator, left: str, right: str, floats: bool) -> str:
         if isinstance(operator, ast.Div):
             # Python true division: always double (the raiser uses // for ints).
-            return f"((double)({left}) / (double)({right}))", "double"
+            return f"((double)({left}) / (double)({right}))"
         if isinstance(operator, ast.FloorDiv):
             if floats:
-                return f"floor((double)({left}) / (double)({right}))", "double"
-            return f"repro_fdiv_i64((int64_t)({left}), (int64_t)({right}))", "int64_t"
+                return f"floor((double)({left}) / (double)({right}))"
+            return f"repro_fdiv_i64((int64_t)({left}), (int64_t)({right}))"
         if isinstance(operator, ast.Mod):
             if floats:
-                return f"repro_mod_f64((double)({left}), (double)({right}))", "double"
-            return f"repro_mod_i64((int64_t)({left}), (int64_t)({right}))", "int64_t"
+                return f"repro_mod_f64((double)({left}), (double)({right}))"
+            return f"repro_mod_i64((int64_t)({left}), (int64_t)({right}))"
         if isinstance(operator, ast.Pow):
-            return f"pow((double)({left}), (double)({right}))", "double"
+            return f"pow((double)({left}), (double)({right}))"
         simple = {
             ast.Add: "+",
             ast.Sub: "-",
@@ -375,12 +364,12 @@ class _TaskletTranslator:
         }.get(type(operator))
         if simple is None:
             raise NativeCodegenError(f"Unsupported binary operator {operator!r}")
-        return f"(({left}) {simple} ({right}))", _promote(left_type, right_type)
+        return f"(({left}) {simple} ({right}))"
 
-    def _call(self, node: ast.Call) -> Tuple[str, str]:
+    @staticmethod
+    def _call(node: ast.Call, args: List[str], floats: bool) -> str:
         if node.keywords:
             raise NativeCodegenError("Keyword arguments are not supported in tasklets")
-        args = [self.lower(argument) for argument in node.args]
         func = node.func
         if (
             isinstance(func, ast.Attribute)
@@ -389,39 +378,32 @@ class _TaskletTranslator:
         ):
             name = func.attr
             if name in _UNARY_MATH and len(args) == 1:
-                return f"{name}((double)({args[0][0]}))", "double"
+                return f"{name}((double)({args[0]}))"
             if name in _BINARY_MATH and len(args) == 2:
-                return (
-                    f"{name}((double)({args[0][0]}), (double)({args[1][0]}))",
-                    "double",
-                )
+                return f"{name}((double)({args[0]}), (double)({args[1]}))"
             if name in ("floor", "ceil") and len(args) == 1:
                 # math.floor/ceil return Python ints; the cast keeps parity.
-                return f"(int64_t){name}((double)({args[0][0]}))", "int64_t"
+                return f"(int64_t){name}((double)({args[0]}))"
             raise NativeCodegenError(f"Unsupported math function math.{name}")
         if not isinstance(func, ast.Name):
             raise NativeCodegenError("Unsupported tasklet call target")
         name = func.id
         if name == "float" and len(args) == 1:
-            return f"((double)({args[0][0]}))", "double"
+            return f"((double)({args[0]}))"
         if name == "int" and len(args) == 1:
-            return f"((int64_t)({args[0][0]}))", "int64_t"
+            return f"((int64_t)({args[0]}))"
         if name == "bool" and len(args) == 1:
-            return f"(({args[0][0]}) != 0)", "int64_t"
+            return f"(({args[0]}) != 0)"
         if name == "abs" and len(args) == 1:
-            text, ctype = args[0]
-            if _is_float_type(ctype):
-                return f"fabs((double)({text}))", "double"
-            return f"repro_abs_i64((int64_t)({text}))", "int64_t"
+            if floats:
+                return f"fabs((double)({args[0]}))"
+            return f"repro_abs_i64((int64_t)({args[0]}))"
         if name in ("min", "max") and len(args) >= 2:
-            result_type = "int64_t"
-            for _, ctype in args:
-                result_type = _promote(result_type, ctype)
-            suffix = "f64" if _is_float_type(result_type) else "i64"
-            text = args[0][0]
-            for argument, _ in args[1:]:
+            suffix = "f64" if floats else "i64"
+            text = args[0]
+            for argument in args[1:]:
                 text = f"repro_{name}_{suffix}({text}, {argument})"
-            return text, "double" if suffix == "f64" else "int64_t"
+            return text
         raise NativeCodegenError(f"Unsupported tasklet call {name!r}")
 
 
@@ -528,7 +510,7 @@ class CEmitter(SDFGWalker):
             self._declared.add(name)
         free = self.sdfg.free_symbols()
         for name in sorted(set(self.sdfg.symbols) - free - set(self.sdfg.constants)):
-            self._declare_zero(name, DTYPES[self.sdfg.symbols[name]].c_type)
+            self._declare_zero(name, self.sdfg.symbols[name])
         # Interstate assignments may introduce loop variables that were
         # never registered as SDFG symbols; Python creates them on first
         # assignment, C must declare them up front.
@@ -547,9 +529,9 @@ class CEmitter(SDFGWalker):
                 writer.emit(f"{ctype} {name} = *_io_{name};")
                 self._declared.add(name)
 
-    def _declare_zero(self, name: str, ctype: str) -> None:
-        zero = "0.0" if _is_float_type(ctype) else "0"
-        self.writer.emit(f"{ctype} {name} = {zero};")
+    def _declare_zero(self, name: str, dtype: str) -> None:
+        zero = "0.0" if _is_float(dtype) else "0"
+        self.writer.emit(f"{DTYPES[dtype].c_type} {name} = {zero};")
         self._declared.add(name)
 
     def declare_transient(self, name: str, descriptor) -> None:
@@ -558,7 +540,7 @@ class CEmitter(SDFGWalker):
         ctype = DTYPES[descriptor.dtype].c_type
         if isinstance(descriptor, Scalar):
             if name not in self._interface:  # else already bound from its in/out cell
-                self._declare_zero(name, ctype)
+                self._declare_zero(name, descriptor.dtype)
         elif isinstance(descriptor, Stream):
             raise NativeCodegenError(
                 f"Stream container {name!r} is not supported by the native backend"
@@ -598,16 +580,17 @@ class CEmitter(SDFGWalker):
     # -- reads, copies, tasklets, writes -----------------------------------------------
     def read(self, data: str, memlet: Memlet) -> Tuple[str, str]:
         descriptor = self.sdfg.arrays[data]
-        ctype = DTYPES[descriptor.dtype].c_type
         if isinstance(descriptor, Scalar):
-            return data, ctype
+            return data, descriptor.dtype
         if memlet.is_empty or memlet.subset is None or memlet.dynamic:
             raise NativeCodegenError(
                 f"Whole-array connector binding of {data!r} (dynamic or unsubscripted "
                 "memlet) is not expressible in scalar C"
             )
         if memlet.subset.is_point():
-            return f"{data}{self._flat_index(descriptor, memlet.subset.indices())}", ctype
+            return (
+                f"{data}{self._flat_index(descriptor, memlet.subset.indices())}", descriptor.dtype
+            )
         raise NativeCodegenError(
             f"Non-point read of {data!r} is not expressible in scalar C"
         )
@@ -676,9 +659,9 @@ class CEmitter(SDFGWalker):
         return output
 
     def bind_value(self, temp: str, value: Tuple[str, str]) -> Tuple[str, str]:
-        text, ctype = value
-        self.writer.emit(f"{ctype} {temp} = {text};")
-        return temp, ctype
+        text, dtype = value
+        self.writer.emit(f"{DTYPES[dtype].c_type} {temp} = {text};")
+        return temp, dtype
 
     def write_target(self, data: str, descriptor, subset: Subset) -> str:
         if not subset.is_point():

@@ -20,28 +20,26 @@ class OrderedMultiDiGraph:
 
     def __init__(self):
         self._graph = nx.MultiDiGraph()
-        #: ``topological_nodes()`` / ``program_order()`` of the current graph;
-        #: every mutator drops both.
-        self._topological = None
+        #: ``program_order()`` of the current graph; every mutator drops it.
         self._program = None
 
     def add_node(self, node):
         self._graph.add_node(node)
-        self._topological = self._program = None
+        self._program = None
         return node
 
     def remove_node(self, node) -> None:
         self._graph.remove_node(node)
-        self._topological = self._program = None
+        self._program = None
 
     def _insert_edge(self, edge):
         self._graph.add_edge(edge.src, edge.dst, key=edge.key, edge=edge)
-        self._topological = self._program = None
+        self._program = None
         return edge
 
     def remove_edge(self, edge) -> None:
         self._graph.remove_edge(edge.src, edge.dst, key=edge.key)
-        self._topological = self._program = None
+        self._program = None
 
     def nodes(self) -> list:
         return list(self._graph._node)
@@ -90,13 +88,6 @@ class OrderedMultiDiGraph:
         """Every node reachable from ``node`` (itself excluded)."""
         return _closure(self._graph._succ, node)
 
-    def topological_nodes(self) -> list:
-        """A topological order (``networkx.NetworkXUnfeasible`` on a cycle),
-        computed once per mutation; callers get their own copy."""
-        if self._topological is None:
-            self._topological = list(nx.topological_sort(self._graph))
-        return list(self._topological)
-
     def program_order(self) -> list:
         """The topological order that departs least from insertion order.
 
@@ -105,9 +96,12 @@ class OrderedMultiDiGraph:
         order and state fusion appends the later state's nodes, so this is
         the order the source program ran its operations in — which the
         edges alone do not always pin (two writers of one container are
-        joined through their access nodes, not to each other).  Code
-        generation emits in this order.  Memoized like
-        :meth:`topological_nodes`; callers get their own copy.
+        joined through their access nodes, not to each other).  It is the
+        only order the graph hands out: scope queries, every pass and both
+        code generators see one sequence, so a pass that inserts a node
+        where it belongs in the program is ordered the same everywhere.
+        Raises ``networkx.NetworkXUnfeasible`` on a cycle.  Computed once
+        per mutation; callers get their own copy.
         """
         if self._program is None:
             pred, succ = self._graph._pred, self._graph._succ

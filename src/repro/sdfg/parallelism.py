@@ -98,7 +98,7 @@ def _scope_nodes(state, entry: MapEntry) -> Set:
     return members
 
 
-def _monotone_in(expression: Expr, param: str) -> bool:
+def monotone_in(expression: Expr, param: str) -> bool:
     """Whether ``expression`` is strictly monotone in ``param`` by structure.
 
     Accepts the affine shapes subsets actually use — ``p``, ``p + c``,
@@ -122,7 +122,7 @@ def _monotone_in(expression: Expr, param: str) -> bool:
             a for a in expression.args
             if param in {s.name for s in a.free_symbols()}
         ]
-        return len(carrying) == 1 and _monotone_in(carrying[0], param)
+        return len(carrying) == 1 and monotone_in(carrying[0], param)
     return False
 
 
@@ -141,7 +141,7 @@ def _injective_dimension(expression: Expr, family: Set[str], scope_params: Set[s
     (param,) = carried
     if param not in family:
         return False
-    return _monotone_in(expression, param)
+    return monotone_in(expression, param)
 
 
 def _interval_of(start: Expr, end: Expr, param: str, step: Expr) -> bool:
@@ -223,7 +223,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     reductions: Dict[str, str] = {}
     atomic_edges: Set[int] = set()
     written_arrays: List[str] = []
-    shared_access: Dict[str, Optional[str]] = {}
     read_scalars: Set[str] = set()
 
     for edge in state.edges():
@@ -278,11 +277,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         )
         if data not in written_arrays:
             written_arrays.append(data)
-        # Atomic updates commute only among themselves: every write that
-        # can meet another iteration's must resolve with the same operator.
-        shared = "partitioned" if partitioned else memlet.wcr
-        if shared_access.setdefault(data, shared) != shared:
-            return _refuse(f"{data!r} is written both atomically and otherwise")
         if partitioned:
             continue
         if memlet.wcr in ("+", "*"):

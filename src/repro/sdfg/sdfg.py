@@ -264,7 +264,7 @@ class SDFG(OrderedMultiDiGraph):
     def topological_states(self) -> List[SDFGState]:
         """States in a quasi-topological order (loops broken arbitrarily)."""
         try:
-            return self.topological_nodes()
+            return self.program_order()
         except nx.NetworkXUnfeasible:
             # Cyclic state machine (loops): DFS preorder from the start state.
             if self.start_state is None:
@@ -298,7 +298,7 @@ class SDFG(OrderedMultiDiGraph):
     def map_entries(self) -> Iterator:
         """Yield ``(state, map entry)`` pairs in deterministic order.
 
-        The enumeration order (state order, then topological node order)
+        The enumeration order (state order, then program order of the nodes)
         is the order pattern-based map transformations number their
         matches in.
         """

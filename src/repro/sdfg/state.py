@@ -175,14 +175,14 @@ class SDFGState(OrderedMultiDiGraph):
 
     # -- scope queries -----------------------------------------------------------------------
     def map_entries(self) -> List[MapEntry]:
-        """Map-scope entries of this state, in topological (deterministic) order."""
-        return [node for node in self.topological_nodes() if isinstance(node, MapEntry)]
+        """Map-scope entries of this state, in program order."""
+        return [node for node in self.program_order() if isinstance(node, MapEntry)]
 
     def scope_children(self) -> Dict[Optional[MapEntry], List[Node]]:
         """Nodes per innermost enclosing scope (``None`` = top level).
 
         The inverse view of :meth:`scope_dict`; node lists follow the
-        state's topological order, so consumers enumerate scope members
+        state's program order, so consumers enumerate scope members
         deterministically.
         """
         scope = self.scope_dict()
@@ -190,7 +190,7 @@ class SDFGState(OrderedMultiDiGraph):
         for entry in scope.values():
             if entry is not None:
                 children.setdefault(entry, [])
-        for node in self.topological_nodes():
+        for node in self.program_order():
             children.setdefault(scope.get(node), []).append(node)
         return children
 
@@ -198,7 +198,7 @@ class SDFGState(OrderedMultiDiGraph):
     def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing scope entry (or None)."""
         scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._graph}
-        entries = [node for node in self.topological_nodes() if is_scope_entry(node)]
+        entries = [node for node in self.program_order() if is_scope_entry(node)]
         for entry in entries:
             exit_node = self.exit_node(entry)
             # Nodes strictly between entry and exit belong to this scope.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 #: Expression nodes that bind tighter than any operator: their text can
 #: replace a name without parentheses.
@@ -116,23 +116,40 @@ _FLOAT_MATH = frozenset(
     {"sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs", "atan2", "pow"}
 )
 
+_FLOATS = ("float64", "float32")
 
-def _promote(left: Optional[str], right: Optional[str]) -> Optional[str]:
-    if left is None or right is None:
+
+def _promote(*dtypes: Optional[str]) -> Optional[str]:
+    if None in dtypes:
         return None
-    for dtype in ("float64", "float32"):
-        if dtype in (left, right):
-            return dtype
-    return "int64"
+    return next((dtype for dtype in _FLOATS if dtype in dtypes), "int64")
 
 
-def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
-    """Element type an expression evaluates to, or ``None`` when unknown.
+def typed_operands(node: ast.expr) -> Sequence[ast.expr]:
+    """The sub-expressions whose types decide the type of ``node``."""
+    if isinstance(node, ast.BinOp):
+        return node.left, node.right
+    if isinstance(node, ast.UnaryOp):
+        return (node.operand,)
+    if isinstance(node, ast.IfExp):
+        return node.body, node.orelse
+    if isinstance(node, ast.Call):
+        return node.args
+    return ()
 
-    ``names`` types the identifiers (connectors, symbols, constants).  The
-    rules are the native backend's, where a typed store can convert:
-    arithmetic promotes to ``float64`` / ``float32`` / ``int64``, true
-    division and ``math`` functions are ``float64``, tests are ``bool``.
+
+def node_dtype(node: ast.expr, operands: Sequence[Optional[str]],
+               names: Mapping[str, str]) -> Optional[str]:
+    """Element type of ``node`` given those of its :func:`typed_operands`.
+
+    The one typing table of tasklet expressions: the native backend
+    declares its temporaries and picks its integer or floating helpers by
+    it, and tasklet fusion decides by it whether a store converts.
+    ``names`` types the identifiers (connectors, symbols, constants);
+    ``None`` is "unknown".  Arithmetic promotes to ``float64`` / ``float32``
+    / ``int64``; true division, ``**``, ``math`` functions and any ``%`` or
+    ``//`` with a floating operand are evaluated in ``float64``; tests are
+    ``bool``.
     """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool):
@@ -142,17 +159,20 @@ def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
         return "float64" if isinstance(node.value, float) else None
     if isinstance(node, ast.Name):
         return names.get(node.id)
+    if isinstance(node, (ast.Compare, ast.BoolOp)):
+        return "bool"
+    if isinstance(node, ast.UnaryOp):
+        return "bool" if isinstance(node.op, ast.Not) else _promote(*operands)
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, (ast.Div, ast.Pow)):
             return "float64"
-        return _promote(result_dtype(node.left, names), result_dtype(node.right, names))
-    if isinstance(node, ast.UnaryOp):
-        return "bool" if isinstance(node.op, ast.Not) else result_dtype(node.operand, names)
-    if isinstance(node, (ast.Compare, ast.BoolOp)):
-        return "bool"
+        promoted = _promote(*operands)
+        if isinstance(node.op, (ast.Mod, ast.FloorDiv)) and promoted in _FLOATS:
+            return "float64"
+        return promoted
     if isinstance(node, ast.IfExp):
-        return _promote(result_dtype(node.body, names), result_dtype(node.orelse, names))
-    if isinstance(node, ast.Call) and node.args:
+        return _promote(*operands)
+    if isinstance(node, ast.Call) and operands:
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr in _FLOAT_MATH:
@@ -162,8 +182,13 @@ def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
             if func.id in ("float", "int", "bool"):
                 return {"float": "float64", "int": "int64", "bool": "bool"}[func.id]
             if func.id in ("abs", "min", "max"):
-                dtype: Optional[str] = "int64"
-                for argument in node.args:
-                    dtype = _promote(dtype, result_dtype(argument, names))
-                return "float64" if dtype == "float32" else dtype
+                promoted = _promote("int64", *operands)
+                return "float64" if promoted == "float32" else promoted
     return None
+
+
+def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
+    """Element type an expression evaluates to, or ``None`` when unknown."""
+    return node_dtype(
+        node, [result_dtype(operand, names) for operand in typed_operands(node)], names
+    )

@@ -20,11 +20,12 @@ fusion with a third).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, List
 
 from ..symbolic import Range, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Tasklet
 from ..sdfg.nodes import MapEntry, MapExit
+from ..sdfg.parallelism import monotone_in
 from .loop_analysis import LoopInfo, find_loops
 from .rewrite import Match, Transformation
 
@@ -81,8 +82,41 @@ class LoopToMap(Transformation):
         # dependence from iteration to iteration, it is not a reduction.
         if body.read_set() & body.write_set():
             return False
+        if not LoopToMap._iterations_write_apart(body, loop.induction_symbol):
+            return False
         if loop.step_expr is None or not loop.step_expr.is_constant():
             return False
+        return True
+
+    @staticmethod
+    def _iterations_write_apart(body: SDFGState, induction: str) -> bool:
+        """Whether no two iterations store to the same element, per container.
+
+        Either every write is an update (WCR) with one operator — those
+        commute wherever they land — or all of them, at every nesting level
+        and updates included, agree on one dimension: the same single
+        index, strictly monotone in the induction variable.
+        ``A[i] = x; A[i + 1] = y`` agrees on none (iteration ``i + 1``
+        overwrites what ``i`` stored) and ``s = A[i]`` has none that moves:
+        run in order the last store wins, run as a map (vectorized, or in
+        parallel) any of them may.
+        """
+        stores: Dict[str, List[Memlet]] = {}
+        for edge in body.edges():
+            if not edge.data.is_empty and isinstance(edge.dst, AccessNode):
+                stores.setdefault(edge.dst.data, []).append(edge.data)
+        for memlets in stores.values():
+            operator = memlets[0].wcr
+            if operator is not None and all(memlet.wcr == operator for memlet in memlets):
+                continue
+            if any(memlet.subset is None for memlet in memlets):
+                return False
+            if not any(
+                rng.is_point() and monotone_in(rng.start, induction)
+                and all(memlet.subset.ranges[dim:dim + 1] == [rng] for memlet in memlets)
+                for dim, rng in enumerate(memlets[0].subset.ranges)
+            ):
+                return False
         return True
 
     def _convert(self, sdfg: SDFG, loop: LoopInfo) -> bool:
@@ -243,9 +277,9 @@ class MapFusion(Transformation):
         Fusing runs iteration *i* of the consumer right after iteration *i*
         of the producer and drops the intermediate, so it needs more than
         matching ranges: the intermediate has no other access anywhere, the
-        consumer reads exactly the element its own iteration produced, the
-        intermediate is the only dataflow between the two scopes, and the
-        consumer overwrites nothing the producer still has to read or write.
+        consumer reads exactly the element its own iteration produced, and
+        nothing else in the state touches what the consumer writes or
+        writes what it reads.
         """
         if intermediate not in state:
             return None
@@ -285,37 +319,22 @@ class MapFusion(Transformation):
                     and edge.data.subs(rename).subset != writes[0].subset:
                 return None
 
-        def touched(edges) -> Set[str]:
-            return {edge.data.data for edge in edges if not edge.data.is_empty}
-
-        producer_entry = state.entry_node(producer_exit)
+        # The consumer moves up to the producer's position.  It may cross
+        # any node when nothing in this state can conflict with it: what it
+        # writes has no other access node or writer, and whatever else it
+        # reads is written nowhere here.
         consumer_exit = state.exit_node(consumer_entry)
-        produced = touched(state.out_edges(producer_exit))
-        consumed = touched(state.in_edges(consumer_entry))
-        written = touched(state.out_edges(consumer_exit))
-        if consumed & produced != {name}:
+        outputs = [edge.dst for edge in state.out_edges(consumer_exit)]
+        if any(edge.src is not consumer_exit for node in outputs for edge in state.in_edges(node)):
             return None
-        if written & (produced | touched(state.in_edges(producer_entry))):
-            return None
-        # The consumer moves up to the producer's position.  Nothing it
-        # would cross may write what it touches or read what it writes:
-        # such a node has to come before the producer or after the consumer.
-        settled = (
-            state.ancestors(producer_entry) | state.descendants(consumer_exit)
-            | state.descendants(producer_entry) & state.ancestors(producer_exit)
-            | state.descendants(consumer_entry) & state.ancestors(consumer_exit)
-            | {producer_entry, producer_exit, consumer_entry, consumer_exit}
-        )
-        for edge in state.edges():
-            if edge.data.is_empty:
-                continue
-            if isinstance(edge.dst, (AccessNode, MapExit)):
-                conflict = edge.data.data in consumed | written
-                node = edge.dst if isinstance(edge.src, AccessNode) else edge.src
-            else:
-                conflict = edge.data.data in written
-                node = edge.dst
-            if conflict and node not in settled:
+        written = {node.data for node in outputs}
+        consumed = {
+            edge.data.data for edge in state.in_edges(consumer_entry) if not edge.data.is_empty
+        } - {name}
+        for node in state.data_nodes():
+            if node.data in written and node not in outputs:
+                return None
+            if node.data in consumed and state.in_degree(node):
                 return None
         return producer_exit, consumer_entry
 

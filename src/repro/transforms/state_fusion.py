@@ -100,27 +100,22 @@ class StateFusion(Transformation):
         return edge
 
     def _fuse(self, sdfg: SDFG, first: SDFGState, second: SDFGState, edge) -> None:
-        # First access node per container in the second state ...
+        # Last access node per container in the first state (for merging).
+        last_in_first: Dict[str, AccessNode] = {}
+        for node in first.program_order():
+            if isinstance(node, AccessNode):
+                last_in_first[node.data] = node
+
+        # Move nodes of the second state into the first, appended in their
+        # own order so that the fused state's insertion order stays the
+        # program's order.
+        node_order = second.program_order()
         first_read_node_in_second: Dict[str, AccessNode] = {}
-        for node in second.topological_nodes():
+        for node in node_order:
             if isinstance(node, AccessNode) and node.data not in first_read_node_in_second:
                 first_read_node_in_second[node.data] = node
-        # ... and, for those containers, the last one in the first state (for
-        # merging).  The growing first state is sorted only when a container
-        # has several access nodes to choose from.
-        shared = [
-            node for node in first.data_nodes() if node.data in first_read_node_in_second
-        ]
-        if len({node.data for node in shared}) < len(shared):
-            candidates = set(shared)
-            shared = [node for node in first.topological_nodes() if node in candidates]
-        last_in_first: Dict[str, AccessNode] = {node.data: node for node in shared}
 
-        # Move nodes of the second state into the first.
-
-        # Appended in the order they were inserted, so that the fused state's
-        # insertion order stays the program's order (``program_order``).
-        for node in second.nodes():
+        for node in node_order:
             first.add_node(node)
         for dataflow_edge in second.edges():
             first.add_edge(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import ast
 from collections import ChainMap, Counter
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ..sdfg import SDFG, AccessNode, Scalar, SDFGState, Tasklet
 from ..sdfg.nodes import MapExit
@@ -47,10 +47,11 @@ from .rewrite import Match, Transformation
 
 
 class _Usage:
-    """Where container names are referenced, counted once per enumeration.
+    """Where container names are referenced, counted once per sweep.
 
-    Fusions only remove references and never add a write, so the counts of
-    one enumeration stay a sound basis for revalidating its matches.
+    Fusions only remove references and never add a write, so the counts
+    taken when a sweep starts stay a sound basis for revalidating its
+    matches; across any other mutation they do not (see ``apply``).
     """
 
     def __init__(self, sdfg: SDFG):
@@ -101,8 +102,24 @@ class TaskletFusion(Transformation):
     NAME = "tasklet-fusion"
     DRAIN = "sweep"
 
+    #: The reference counts of the sweep in progress, ``None`` outside one.
+    _sweep_usage: Optional[_Usage] = None
+
+    def apply(self, sdfg: SDFG, match: Optional[Match] = None) -> bool:
+        """One count serves a whole sweep — fusions only remove references.
+
+        Nothing else may: a match applied on its own (``apply(sdfg, match)``
+        or :meth:`apply_match`, after whatever the caller did to the graph
+        in between) is revalidated against a fresh count.
+        """
+        self._sweep_usage = _Usage(sdfg) if match is None else None
+        try:
+            return super().apply(sdfg, match)
+        finally:
+            self._sweep_usage = None
+
     def match(self, sdfg: SDFG) -> List[Match]:
-        usage = _Usage(sdfg)
+        usage = self._sweep_usage or _Usage(sdfg)
         matches: List[Match] = []
         for state in sdfg.states():
             for node in state.data_nodes():
@@ -115,7 +132,7 @@ class TaskletFusion(Transformation):
                     kind="chain",
                     where=state.label,
                     subject=f"{producer.label} -> {node.data} -> {consumer.label}",
-                    payload={"state": state, "node": node, "usage": usage},
+                    payload={"state": state, "node": node},
                 ))
         return matches
 
@@ -124,8 +141,7 @@ class TaskletFusion(Transformation):
         node: AccessNode = match.payload["node"]
         if state not in sdfg or node not in state:
             return False
-        usage = match.payload.get("usage") or _Usage(sdfg)
-        site = self._site(sdfg, state, node, usage)
+        site = self._site(sdfg, state, node, self._sweep_usage or _Usage(sdfg))
         if site is None:
             return False
         self._fuse(sdfg, state, node, *site)

@@ -87,18 +87,13 @@ def _assert_matches_networkx(graph):
                 if G.has_edge(node, other) else []
             )
             assert graph.edges_between(node, other) == expected
+    inserted = {node: position for position, node in enumerate(G.nodes())}
     try:
-        expected_order = list(nx.topological_sort(G))
+        program = list(nx.lexicographical_topological_sort(G, key=inserted.__getitem__))
     except nx.NetworkXUnfeasible:
-        with pytest.raises(nx.NetworkXUnfeasible):
-            graph.topological_nodes()
         with pytest.raises(nx.NetworkXUnfeasible):
             graph.program_order()
     else:
-        assert graph.topological_nodes() == expected_order
-        assert graph.topological_nodes() == expected_order  # the memoized answer
-        inserted = {node: position for position, node in enumerate(G.nodes())}
-        program = list(nx.lexicographical_topological_sort(G, key=inserted.__getitem__))
         assert graph.program_order() == program
         assert graph.program_order() == program  # the memoized answer
 
@@ -130,17 +125,10 @@ def _mutate(graph, rng, steps, acyclic):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("acyclic", [True, False], ids=["dag", "cyclic"])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__.strip("_").lower())
-def test_queries_and_topological_memo_match_networkx(kind, acyclic, seed):
+def test_queries_and_program_order_memo_match_networkx(kind, acyclic, seed):
     graph = kind()
     _mutate(graph, random.Random(seed), steps=120, acyclic=acyclic)
     assert graph.number_of_nodes() > 3 and graph.edges()
-
-
-def test_topological_nodes_hands_out_copies():
-    graph = _Plain()
-    graph.connect(graph.new_node(0), graph.new_node(1))
-    graph.topological_nodes().reverse()
-    assert graph.topological_nodes() == [0, 1]
 
 
 def test_program_order_is_insertion_order_wherever_the_edges_allow():

@@ -100,6 +100,36 @@ def test_vectorized_pipeline_agrees_with_scalar(kernel, backend):
     assert vectorized.allocations == scalar.allocations
 
 
+#: Each iteration also stores into its successor's element: in order the
+#: later iteration wins, as a vector ``A[1:9] = Y`` lands after all of
+#: ``A[0:8] = X``, in parallel whichever thread comes last.
+OVERLAPPING_STORES = """
+double kernel() {
+  double A[9]; double X[8]; double Y[8];
+  for (int i = 0; i < 8; i++) { X[i] = i * 3.0 + 1.0; Y[i] = i * 7.0 + 2.0; }
+  for (int i = 0; i < 9; i++) A[i] = 0.0;
+  for (int i = 0; i < 8; i++) { A[i] = X[i]; A[i + 1] = Y[i]; }
+  double s = 0.0;
+  for (int i = 0; i < 9; i++) s += A[i] * (i + 1);
+  return s;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("native", marks=requires_cc)])
+def test_overlapping_stores_stay_a_sequential_loop(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+    dcir = get_pipeline("dcir")
+    passes = [(p.name, dict(p.params)) for p in dcir.data_passes]
+    parallel = dcir.with_passes("data", passes + [("parallelize", {"n_threads": 2})])
+    expected = run_compiled(compile_c(OVERLAPPING_STORES, "gcc")).return_value
+    assert expected == 999.0
+    for spec in (dcir, get_pipeline("dcir+vec"), parallel):
+        result = compile_c(OVERLAPPING_STORES, spec.with_codegen(backend=backend))
+        for _ in range(3):
+            assert run_compiled(result).return_value == expected, spec.label
+
+
 @pytest.mark.parametrize("pipeline", sorted(set(list_pipelines()) - set(BRIDGE_PIPELINES)))
 def test_non_bridge_pipelines_fall_back_with_a_reason(pipeline):
     spec = get_pipeline(pipeline).with_codegen(backend="native")

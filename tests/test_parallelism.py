@@ -143,22 +143,6 @@ class TestAnalysis:
         sdfg, state, entry = _single_map(build)
         assert not analyze_map_parallelism(sdfg, state, entry).ok
 
-    def test_atomic_updates_with_different_operators_refused(self):
-        """``B[0] *= a; B[0] += a`` per iteration: each is atomic, the pair is ordered."""
-        def build(sdfg, state):
-            sdfg.add_array("A", [64], "float64")
-            sdfg.add_array("B", [4], "float64")
-            tasklet, _, exit_node = state.add_mapped_tasklet(
-                "mixed", {"i": Range(0, 64)},
-                {"_a": Memlet.simple("A", "i")}, "_out = _a\n_out2 = _a",
-                {"_out": Memlet.simple("B", "0", wcr="*")},
-            )
-            state.add_edge(tasklet, "_out2", exit_node, "IN_B", Memlet.simple("B", "0", wcr="+"))
-
-        sdfg, state, entry = _single_map(build)
-        info = analyze_map_parallelism(sdfg, state, entry)
-        assert not info.ok and "atomically" in info.reason
-
     def test_private_parameters_come_out_in_graph_order(self):
         """Node ids differ from compile to compile; the clause order may not."""
         orders = set()

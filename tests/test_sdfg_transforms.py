@@ -758,6 +758,47 @@ class TestSoundness:
         assert LoopToMap().apply(sdfg)
         sdfg.validate()
 
+    @pytest.mark.parametrize("stores, eligible", [
+        ([("i", None)], True),
+        ([("i", None), ("i", "+")], True),           # zero it, then accumulate: one element
+        ([("0", "+"), ("i", "+")], True),            # one operator commutes anywhere
+        ([("i", None), ("i + 1", None)], False),     # iteration i + 1 overwrites i's store
+        ([("0", None)], False),                      # the last store wins, in order only
+        ([("i % 2", None)], False),
+        ([("0", "+"), ("0", "*")], False),           # two operators do not commute
+        ([("0", "+"), ("i", None)], False),
+    ])
+    def test_loop_to_map_needs_iterations_that_write_apart(self, stores, eligible):
+        sdfg = _loop_sdfg()
+        body = [s for s in sdfg.states() if s.label == "body"][0]
+        for node in body.nodes():
+            body.remove_node(node)
+        for index, wcr in stores:
+            tasklet = body.add_tasklet("store", [], ["_out"], "_out = 1.0")
+            body.add_edge(tasklet, "_out", body.add_access("A"), None,
+                          Memlet.simple("A", index, wcr=wcr))
+        assert bool(LoopToMap().matches(sdfg)) is eligible
+
+    def test_loop_to_map_reads_the_stores_of_nested_scopes(self):
+        """2mm's row loop: ``tmp[i, j] = 0`` inside the ``j`` map, ``tmp[i, 0:M] +=``
+        leaving it — two subsets, one row index."""
+        sdfg = _loop_sdfg()
+        sdfg.add_array("T", ["N", 4], "float64")
+        body = [s for s in sdfg.states() if s.label == "body"][0]
+        for node in body.nodes():
+            body.remove_node(node)
+        _, _, exit_node = body.add_mapped_tasklet(
+            "row", {"j": Range(0, 4)}, {}, "_out = 0.0", {"_out": Memlet.simple("T", "i, j")},
+        )
+        update = body.add_tasklet("update", [], ["_out"], "_out = 1.0")
+        body.add_edge(update, "_out", body.out_edges(exit_node)[0].dst, None,
+                      Memlet.simple("T", "i, 0:4", wcr="+"))
+        propagate_memlets_sdfg(sdfg)  # the map's own store leaves it as T[i, 0:4]
+        assert LoopToMap().matches(sdfg)
+        body.in_edges(exit_node)[0].data = Memlet.simple("T", "j, i")
+        propagate_memlets_sdfg(sdfg)
+        assert LoopToMap().matches(sdfg) == []
+
     def test_redundant_iteration_keeps_an_induction_free_update(self):
         """``for i: s += 5`` runs N times even though no edge reads ``s``."""
         sdfg = _loop_sdfg()
