@@ -15,8 +15,16 @@ and an interpreted run of the same SDFG report identical
   loops (``#pragma GCC ivdep`` over the fixed-width body the transform
   already tiled);
 * WCR memlets become in-place accumulations (``+=``, ``*=``, min/max);
-* transient arrays become ``malloc``/``free`` pairs; the allocation
-  counter is threaded out through a pointer argument.
+* transient arrays are carved from one caller-owned workspace (the
+  trailing ``char *_ws`` argument) by ``repro_take``, a 64-byte-aligning
+  bump that leaves one cache line between containers — the translation
+  unit calls no allocator.  The ABI header's ``workspace`` says how many
+  bytes the block must hold: an integer when every transient's size is
+  constant, else an expression in the free symbols; each container is
+  charged its bytes plus 128 (alignment and the free line).
+  Nothing zeroes the block, so a transient holds whatever the thread's
+  last program left there until this one writes it;
+* the allocation counter is threaded out through a pointer argument.
 
 The generated source is self-contained and carries a one-line JSON ABI
 header (interface containers, free symbols, constants), so
@@ -83,35 +91,59 @@ class NativeCodegenError(CodegenError):
     """
 
 
-_HELPERS = """\
+#: Every ``static`` helper a translation unit may call, by name, in the
+#: order they are written out; only the ones the body references are.
+#:
+#: ``repro_take`` must stay ``malloc`` + ``noinline``: pointers carved from
+#: one block are, to the C compiler, offsets of one pointer that may all
+#: alias, and the attribute is what says they do not (without it the
+#: matrix-product kernels compile to 1.5–2 × slower loops than with
+#: ``malloc``'d arrays; ``restrict`` on the local declarations does not
+#: restore it).  It leaves a cache line between containers: PolyBench's
+#: arrays are whole pages, and packed back to back they would all start at
+#: the same offset in a page — the same L1 sets, and 4 KiB-aliased loads and
+#: stores (symm and syr2k ran 7–15 % slower than with ``malloc``, whose
+#: chunk headers staggered them; one line apart they run 20–30 % faster).
+#:
+#: ``repro_omp_threads`` resolves the worker count of a parallel map in the
+#: interpreted backend's order: explicit ``n_threads`` annotation, then the
+#: environment override, then the OpenMP runtime default (1 without OpenMP).
+_HELPERS = {
+    "repro_take": """\
+__attribute__((malloc, noinline)) static void *repro_take(char **ws, uint64_t bytes) {
+    char *base = (char *)(((uintptr_t)*ws + 63) & ~(uintptr_t)63);
+    *ws = base + bytes + 64;
+    return base;
+}""",
+    "repro_fdiv_i64": """\
 static inline int64_t repro_fdiv_i64(int64_t a, int64_t b) {
     int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;  /* Python floor division */
     return q;
-}
+}""",
+    "repro_mod_i64": """\
 static inline int64_t repro_mod_i64(int64_t a, int64_t b) {
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;  /* Python sign-of-divisor rule */
     return r;
-}
+}""",
+    "repro_mod_f64": """\
 static inline double repro_mod_f64(double a, double b) {
     double r = fmod(a, b);
     if (r != 0.0 && ((r < 0.0) != (b < 0.0))) r += b;
     return r;
-}
-static inline int64_t repro_min_i64(int64_t a, int64_t b) { return a < b ? a : b; }
-static inline int64_t repro_max_i64(int64_t a, int64_t b) { return a > b ? a : b; }
-static inline double repro_min_f64(double a, double b) { return a < b ? a : b; }
-static inline double repro_max_f64(double a, double b) { return a > b ? a : b; }
-static inline int64_t repro_abs_i64(int64_t a) { return a < 0 ? -a : a; }\
-"""
-
-#: Worker-count resolution for parallel map schedules, emitted only when
-#: the SDFG contains a provably parallel map (sequential translation
-#: units stay byte-identical).  Resolution order matches the interpreted
-#: backend: explicit ``n_threads`` annotation, then the environment
-#: override, then the OpenMP runtime default (1 without OpenMP).
-_OMP_HELPERS = f"""\
+}""",
+    "repro_min_i64":
+        "static inline int64_t repro_min_i64(int64_t a, int64_t b) { return a < b ? a : b; }",
+    "repro_max_i64":
+        "static inline int64_t repro_max_i64(int64_t a, int64_t b) { return a > b ? a : b; }",
+    "repro_min_f64":
+        "static inline double repro_min_f64(double a, double b) { return a < b ? a : b; }",
+    "repro_max_f64":
+        "static inline double repro_max_f64(double a, double b) { return a > b ? a : b; }",
+    "repro_abs_i64":
+        "static inline int64_t repro_abs_i64(int64_t a) { return a < 0 ? -a : a; }",
+    "repro_omp_threads": f"""\
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -127,8 +159,13 @@ static inline int repro_omp_threads(int64_t requested) {{
 #else
     return 1;
 #endif
-}}\
-"""
+}}""",
+}
+
+#: Bytes charged per workspace container on top of its own: what
+#: ``repro_take`` may skip to reach a 64-byte boundary, plus the line it
+#: leaves free behind the container.
+_WORKSPACE_SLACK = 128
 
 
 def _int_literal(value: int) -> str:
@@ -429,26 +466,30 @@ class CEmitter(SDFGWalker):
         self._bound_counter = 0
         self._dispatch_counter = 0
         self._declared: Set[str] = set()
-        self._heap: List[str] = []
         self._interface = self._interface_containers()
 
     expr = staticmethod(c_symbolic)
 
     # -- program frame -----------------------------------------------------------------
     def emit_preamble(self) -> None:
-        writer = self.writer
+        """Nothing yet: which helpers the file needs is known once the body is written."""
+
+    def generate(self) -> str:
+        body = super().generate()
+        helpers = [text for name, text in _HELPERS.items() if f"{name}(" in body]
+        writer = SourceWriter(braces=True)
         writer.emit("/* Generated by repro.codegen.sdfg_c — native SDFG backend. */")
         writer.emit(f"/* {ABI_MARKER} {json.dumps(self.abi(), sort_keys=True)} */")
         writer.emit("#include <math.h>")
         writer.emit("#include <stdint.h>")
-        writer.emit("#include <stdlib.h>")
+        if any("getenv(" in text for text in helpers):
+            writer.emit("#include <stdlib.h>")
         writer.emit()
-        for line in _HELPERS.splitlines():
-            writer.emit(line)
-        if self._parallel_maps:
-            for line in _OMP_HELPERS.splitlines():
-                writer.emit(line)
-        writer.emit()
+        for text in helpers:
+            writer.emit(text)
+        if helpers:
+            writer.emit()
+        return writer.text() + body
 
     def abi(self) -> Dict:
         """The JSON ABI header: everything the ctypes wrapper must know."""
@@ -470,7 +511,39 @@ class CEmitter(SDFGWalker):
             "args": args,
             "symbols": sorted(self.sdfg.free_symbols()),
             "constants": dict(self.sdfg.constants),
+            "workspace": self._workspace_bytes(),
         }
+
+    def _in_workspace(self, name: str, descriptor) -> bool:
+        """Interface transients (return values) are wrapper-allocated parameters;
+        every other transient array is a slice of the caller's workspace."""
+        return (
+            isinstance(descriptor, Array)
+            and descriptor.transient
+            and name not in self._interface
+        )
+
+    def _workspace_bytes(self):
+        """Bytes the caller's block must hold: an ``int``, or an expression string
+        in the free symbols that the wrapper evaluates like a ``shape`` entry."""
+        total: Expr = Integer(0)
+        for name, descriptor in self.sdfg.arrays.items():
+            if self._in_workspace(name, descriptor):
+                total = total + (
+                    descriptor.total_size() * DTYPES[descriptor.dtype].bytes
+                    + _WORKSPACE_SLACK
+                )
+        if total.is_constant():
+            return total.as_int()  # folded here, so a cache hit evaluates nothing
+        unknown = {symbol.name for symbol in total.free_symbols()} - (
+            self.sdfg.free_symbols() | set(self.sdfg.constants)
+        )
+        if unknown:
+            raise NativeCodegenError(
+                f"Transient sizes depend on {sorted(unknown)}, assigned inside the "
+                "program: the workspace cannot be sized before the call"
+            )
+        return str(total)
 
     def _interface_containers(self) -> List[str]:
         """Containers crossing the ABI, in the epilogue's output order."""
@@ -499,6 +572,7 @@ class CEmitter(SDFGWalker):
             parameters.append(f"int64_t {symbol}")
             self._declared.add(symbol)
         parameters.append("int64_t *_alloc_out")
+        parameters.append("char *_ws")
         return f"void {ENTRY_SYMBOL}({', '.join(parameters)})"
 
     def emit_prologue(self) -> None:
@@ -535,29 +609,23 @@ class CEmitter(SDFGWalker):
         self._declared.add(name)
 
     def declare_transient(self, name: str, descriptor) -> None:
-        # Interface transients (return values) are wrapper-allocated
-        # parameters; everything else is malloc'd here.
-        ctype = DTYPES[descriptor.dtype].c_type
-        if isinstance(descriptor, Scalar):
-            if name not in self._interface:  # else already bound from its in/out cell
-                self._declare_zero(name, descriptor.dtype)
-        elif isinstance(descriptor, Stream):
+        if isinstance(descriptor, Stream):
             raise NativeCodegenError(
                 f"Stream container {name!r} is not supported by the native backend"
             )
-        elif name not in self._interface:
+        if isinstance(descriptor, Scalar):
+            if name not in self._interface:  # else already bound from its in/out cell
+                self._declare_zero(name, descriptor.dtype)
+        elif self._in_workspace(name, descriptor):
+            ctype = DTYPES[descriptor.dtype].c_type
             total = c_symbolic(descriptor.total_size())
             self.writer.emit(
-                f"{ctype} *{name} = "
-                f"({ctype} *)malloc(sizeof({ctype}) * (size_t)(int64_t)({total}));"
+                f"{ctype} *{name} = ({ctype} *)repro_take(&_ws, sizeof({ctype}) * {total});"
             )
             self._declared.add(name)
-            self._heap.append(name)
 
     def emit_epilogue(self) -> None:
         writer = self.writer
-        for name in self._heap:
-            writer.emit(f"free({name});")
         for name in self._interface:
             if isinstance(self.sdfg.arrays[name], Scalar):
                 writer.emit(f"*_io_{name} = {name};")

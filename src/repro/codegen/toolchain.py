@@ -46,12 +46,15 @@ import copy
 import ctypes
 import hashlib
 import json
+import mmap
 import os
 import re
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -399,6 +402,67 @@ def _evaluate_shape(dims: List[str], env: Dict[str, float]) -> tuple:
     return tuple(int(sympify(dim).evaluate(dict(env))) for dim in dims)
 
 
+#: ``MADV_WIPEONFORK`` (Linux 4.14), which the ``mmap`` module does not name.
+_MADV_WIPEONFORK = 18
+
+
+class _Workspace(threading.local):
+    """The calling thread's transient storage for native programs.
+
+    One anonymous private mapping per thread, grown to the largest
+    ``workspace`` any program this thread ran asked for and kept until the
+    thread exits, so a warm call allocates nothing and faults on no page.
+    A program finds there whatever the thread's previous program left.
+
+    Private, so a forked child computes in pages of its own
+    (``mmap.mmap(-1, n)`` without flags maps *shared*), and wiped on fork,
+    so it gets them as fresh zero pages instead of copy-on-write ones:
+    otherwise every ``fork`` — a ``subprocess`` with a ``preexec_fn``, a
+    pool worker — write-protects the whole block in the parent, whose next
+    call then faults on each page again.
+    """
+
+    block: Optional[mmap.mmap] = None
+    size = 0
+    address = 0
+
+    def reserve(self, needed: int) -> int:
+        """Address of a block of at least ``needed`` bytes (0 when none are)."""
+        if needed > self.size:
+            if self.block is not None:
+                # Unmapped first: both blocks mapped at once is the process's peak.
+                self.block.close()
+                self.block, self.size, self.address = None, 0, 0
+            try:
+                block = mmap.mmap(-1, needed, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            except (OSError, OverflowError, ValueError) as exc:
+                raise ToolchainError(
+                    f"Cannot map a {needed}-byte workspace for native transients ({exc})"
+                ) from exc
+            if sys.platform == "linux":
+                try:
+                    block.madvise(_MADV_WIPEONFORK)
+                except OSError:
+                    pass  # an older kernel: copy-on-write, right answers, faults after a fork
+            # The ctypes view is dropped at once: a live export would forbid close().
+            self.address = ctypes.addressof(ctypes.c_char.from_buffer(block))
+            self.block, self.size = block, needed
+        return self.address
+
+
+_WORKSPACE = _Workspace()
+
+
+def _workspace_bytes(declared, env: Dict[str, float]) -> int:
+    """Bytes of workspace one call needs, from the ABI header's ``workspace``."""
+    value = declared if isinstance(declared, int) else sympify(declared).evaluate(dict(env))
+    if value < 0 or value != int(value):
+        raise ToolchainError(
+            f"Native workspace size {declared!r} evaluates to {value!r} bytes under {env!r}"
+        )
+    return int(value)
+
+
 def _stat_signature(path) -> Optional[Tuple[int, int, int]]:
     """What identifies the file a library is loaded from (None: no such file)."""
     try:
@@ -466,6 +530,12 @@ class CompiledNative:
             _LOADED.discard(key)
 
         abi = parse_abi(code)
+        if "workspace" not in abi:
+            raise ToolchainError(
+                "Native ABI header has no 'workspace' key: the C text was generated "
+                "before 1.10.0, whose entry point takes the transient workspace as "
+                "its last argument; regenerate it"
+            )
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", str(abi.get("name") or name))
         handle = None
         for attempt in (1, 2):
@@ -541,6 +611,7 @@ class CompiledNative:
         argv.extend(ctypes.c_int64(symbol_values[name]) for name in abi["symbols"])
         allocations = ctypes.c_int64(0)
         argv.append(ctypes.byref(allocations))
+        argv.append(ctypes.c_void_p(_WORKSPACE.reserve(_workspace_bytes(abi["workspace"], env))))
         self._function(*argv)
         outputs: Dict = {"__allocations": int(allocations.value)}
         for name, original, buffer in arrays:

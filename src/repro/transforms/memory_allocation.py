@@ -16,6 +16,17 @@ MLIR codes:
 
 Each match is one promotable container; both transforms sweep their match
 list once per run (container promotions are independent sites).
+
+What the two decide is a container's ``storage`` and ``lifetime``, and
+through them the ``__allocations`` count both backends report (a
+persistent container is charged once up front, any other each time its
+first-use state runs).  On the native backend that count is all they
+decide: every transient array, whatever its size, storage or lifetime,
+is a slice of the calling thread's workspace
+(:mod:`repro.codegen.sdfg_c`), mapped before the first call and kept —
+so no native call allocates, with or without these passes, and neither
+pass can move a native timing.  Both therefore remain candidates in
+ROADMAP's per-pass attribution item.
 """
 
 from __future__ import annotations
