@@ -208,9 +208,9 @@ def chaos_demo() -> None:
     surfaces as a *typed, recorded* outcome instead of a crash.  Here a
     deterministic fault plan (``REPRO_FAULTS``, seeded RNG) tears every
     on-disk cache write; the clean re-read quarantines the corrupt
-    entries and transparently recompiles.  The chaos benchmark
-    (``benchmarks/bench_chaos.py``) runs PolyBench under every fault
-    class the same way and gates on zero crashes.
+    entries and transparently recompiles.  ``tests/test_resilience.py``
+    runs PolyBench kernels under every fault class the same way and
+    asserts zero crashes.
     """
     import os
     import tempfile
@@ -256,9 +256,8 @@ def perf_demo() -> None:
     The compiler's hot paths (symbolic interning, canonicalizer memos,
     the expression-parse cache, pass execution, the compile cache) feed
     the process-global :data:`repro.perf.PERF` profiler; each compile
-    attaches the delta it caused to its report.  ``python -m repro bench``
-    sweeps the PolyBench suite with the same machinery and writes
-    ``BENCH_compile.json``.
+    attaches the delta it caused to its report.  Compile *time* is
+    measured by ``python3 benchmarks/e2e/run.py --workload cold_compile``.
     """
     result = compile_c(SOURCE, "dcir")
     counters = result.report.counters

@@ -29,12 +29,7 @@ Mirrors the library's pipeline API:
   (``--pipeline``/``--spec``) with a pluggable strategy and evaluator,
   print the ranking and optionally write the ``TuningReport`` JSON
   (``-o``); seeded searches (``--budget N --seed S``) produce the same
-  winner digest in every process;
-* ``bench`` — compile-time benchmark: sweep the registered pipelines over
-  the PolyBench suite (cold and through the compile cache) and write
-  ``BENCH_compile.json``; ``--quick`` restricts to three kernels and
-  ``--check-cached-counters`` fails when a cache hit performed any
-  frontend/pass work (the CI benchmark smoke gate).
+  winner digest in every process.
 
 Examples::
 
@@ -42,7 +37,6 @@ Examples::
     python -m repro show-pipeline dcir > dcir.json
     python -m repro compile --kernel gemm --size NI=8 NJ=9 NK=10 --spec ablation.json --stats
     python -m repro run kernel.c --pipeline dcir+vec --repetitions 5
-    python -m repro bench --quick --check-cached-counters
 """
 
 from __future__ import annotations
@@ -633,14 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="register the winning spec under this pipeline name (in this process)",
     )
     tune_parser.set_defaults(func=_cmd_tune)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="compile-time benchmark sweep (writes BENCH_compile.json)"
-    )
-    from .perf.bench import add_bench_arguments, run_bench_cli
-
-    add_bench_arguments(bench_parser)
-    bench_parser.set_defaults(func=run_bench_cli)
 
     return parser
 

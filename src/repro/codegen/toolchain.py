@@ -216,8 +216,8 @@ def compiler_features(
 
     Each fact is probed at most once per process and per compiler path:
     the version on the first call, OpenMP support on the first call with
-    ``probe_openmp=True`` (OpenMP builds and bench metadata ask; plain
-    sequential compiles never do).  Returns None without a compiler.
+    ``probe_openmp=True`` (OpenMP builds ask; plain sequential compiles
+    never do).  Returns None without a compiler.
     """
     if compiler is None:
         compiler = find_compiler()

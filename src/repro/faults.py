@@ -2,7 +2,7 @@
 
 The robustness layer (timeouts, retries, pool respawn, cache
 self-healing) is only trustworthy if it is *exercised*; this module
-arms the seams it protects so chaos tests and ``benchmarks/bench_chaos.py``
+arms the seams it protects so the chaos tests (``tests/test_resilience.py``)
 can prove — deterministically, with a seeded RNG — that every injected
 fault degrades into a typed, recorded outcome instead of a crash.
 
@@ -34,8 +34,7 @@ processes; without it limits are per-process.
 
 The fault-free path stays fast: every seam calls :func:`active_plan`,
 which is one environment lookup returning ``None`` when ``REPRO_FAULTS``
-is unset — the <5% hardening-overhead gate in ``bench_chaos`` measures
-exactly this.
+is unset.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ class FaultPlan:
 
 
 #: Cache of the environment-armed plan, keyed by the raw env triple so a
-#: changed ``REPRO_FAULTS`` (tests, the chaos benchmark) rebuilds it.
+#: changed ``REPRO_FAULTS`` (the chaos tests re-arm it) rebuilds it.
 _CACHED: Tuple[Optional[Tuple[Optional[str], Optional[str], Optional[str]]],
                Optional[FaultPlan]] = (None, None)
 

@@ -140,13 +140,13 @@ class CompilationReport:
 
     pipeline: str = ""
     stages: List[StageReport] = field(default_factory=list)
-    #: Profiler counter/timer increments attributed to this compilation
+    #: Profiler counter increments attributed to this compilation
     #: (a delta of :data:`repro.perf.PERF` around the compile).  Includes
     #: symbolic-engine cache statistics, frontend/pass work counts, etc.
     #: Exact for non-overlapping compiles; compiles running concurrently
     #: on threads of one process fold each other's work into their deltas
     #: (worker *processes* keep independent counters).
-    counters: Dict[str, float] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict)
 
     def add_stage(
         self, name: str, seconds: float, records: Sequence[PassRecord] = ()
@@ -246,7 +246,6 @@ class PassRunner:
             if not iteration_changed:
                 break
         report.wall_seconds = time.perf_counter() - wall_start
-        PERF.add_seconds(f"passes.{self.stage}", report.wall_seconds)
         return report
 
 

@@ -1,4 +1,4 @@
-"""Compile-time profiling: process-global counters, timers and cache stats.
+"""Compile-time profiling: process-global counters and cache stats.
 
 The compiler's hot paths (symbolic interning, canonicalizer memo tables,
 the expression-parser cache, pass execution, the compile cache) report
@@ -7,8 +7,9 @@ The service and pipeline layers snapshot it around a compilation and
 attach the delta to the
 :class:`~repro.passbase.CompilationReport`, so every compile carries an
 account of the work it actually performed — and, crucially, of the work
-it *skipped* (a compile-cache hit must perform zero frontend/pass work,
-a regression-tested invariant of the CI benchmark smoke job).
+it *skipped* (a compile-cache hit must perform zero frontend/pass work:
+``test_cached_compile_does_zero_frontend_or_pass_work`` and
+``tests/test_warm_path.py`` hold that invariant).
 
 Counter naming convention (dotted, lowercase):
 
@@ -32,13 +33,11 @@ process see each other's increments folded into their deltas.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 
 class PerfCounters:
-    """Named monotonic counters plus named accumulated timers.
+    """Named monotonic counters.
 
     Increment operations are unsynchronized dict updates: under the GIL
     they are safe, merely approximate if multiple threads race — fine for
@@ -46,11 +45,10 @@ class PerfCounters:
     work to a region of execution.
     """
 
-    __slots__ = ("_counts", "_seconds")
+    __slots__ = ("_counts",)
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
-        self._seconds: Dict[str, float] = {}
 
     # -- counters -------------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
@@ -60,38 +58,15 @@ class PerfCounters:
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
 
-    # -- timers ---------------------------------------------------------------
-    def add_seconds(self, name: str, seconds: float) -> None:
-        table = self._seconds
-        table[name] = table.get(name, 0.0) + seconds
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_seconds(name, time.perf_counter() - start)
-
-    def seconds(self, name: str) -> float:
-        return self._seconds.get(name, 0.0)
-
     # -- snapshots -------------------------------------------------------------
-    def snapshot(self) -> Dict[str, float]:
-        """A point-in-time copy of all counters and timers.
+    def snapshot(self) -> Dict[str, int]:
+        """A point-in-time copy of all counters."""
+        return dict(self._counts)
 
-        Timer entries are suffixed with ``.seconds`` so one flat mapping
-        carries both kinds.
-        """
-        combined: Dict[str, float] = dict(self._counts)
-        for name, seconds in self._seconds.items():
-            combined[f"{name}.seconds"] = seconds
-        return combined
-
-    def delta_since(self, snapshot: Mapping[str, float]) -> Dict[str, float]:
-        """Counter/timer increments since ``snapshot`` (zero deltas omitted)."""
+    def delta_since(self, snapshot: Mapping[str, int]) -> Dict[str, int]:
+        """Counter increments since ``snapshot`` (zero deltas omitted)."""
         current = self.snapshot()
-        delta: Dict[str, float] = {}
+        delta: Dict[str, int] = {}
         for name, value in current.items():
             change = value - snapshot.get(name, 0)
             if change:
@@ -100,7 +75,6 @@ class PerfCounters:
 
     def reset(self) -> None:
         self._counts.clear()
-        self._seconds.clear()
 
     # -- reporting --------------------------------------------------------------
     def hit_rate(self, prefix: str) -> Optional[float]:
@@ -114,8 +88,6 @@ class PerfCounters:
         lines = []
         for name in sorted(self._counts):
             lines.append(f"{name:<40} {self._counts[name]:>12}")
-        for name in sorted(self._seconds):
-            lines.append(f"{name + '.seconds':<40} {self._seconds[name]:>12.4f}")
         return "\n".join(lines)
 
 

@@ -1,66 +1,19 @@
-"""Compile-time benchmark: sweep pipelines over PolyBench, emit JSON.
+"""Provenance of the machine a measurement was taken on.
 
-This is the measured baseline all compile-time optimization work is
-judged against: it compiles the PolyBench suite through every registered
-pipeline **cold** (no compile cache — every stage runs) and **warm**
-(through a fresh in-memory :class:`~repro.service.CompileCache`, where
-every compile after priming must be a pure cache hit), and emits one
-``BENCH_compile.json`` document with per-(kernel, pipeline) timings,
-stage breakdowns, profiler counters and symbolic-engine cache hit rates.
-
-The warm sweep doubles as a regression check of the cached-compile
-invariant: a cache hit performs **zero** frontend and pass work.  Any
-frontend/pass counter increment observed during the cached phase is
-reported under ``warm.violations`` (the CLI's
-``--check-cached-counters`` turns that into a failing exit code, which
-CI uses as a benchmark smoke gate).
-
-``--compare BASELINE`` turns the run into a regression gate: per-pipeline
-cold compile totals (over the kernels both documents share) must stay
-within ``--tolerance`` (default 2x) of the committed baseline, or the
-exit code is non-zero — CI's guard against compile-time regressions
-slipping in silently.  Refresh the baseline by re-running the full sweep
-and committing the new ``BENCH_compile.json``.
-
-Entry points: ``python -m repro bench`` and
-``benchmarks/bench_compile.py`` (both thin wrappers over
-:func:`run_bench` / :func:`render_summary`).
+``benchmarks/e2e/run.py`` stamps :func:`machine_metadata` into every
+result document it writes: a timing means nothing without the core count
+it was measured with and the compiler that built the native kernels.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import platform
-import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-from . import PERF
-
-#: JSON schema tag of the emitted document.
-BENCH_SCHEMA = "repro-bench-compile/v1"
-
-#: Kernel subset of ``--quick`` mode (CI smoke): small, medium and
-#: loop-carried shapes.
-QUICK_KERNELS = ("gemm", "atax", "jacobi-1d")
-
-#: Counters that must stay at zero while serving cache hits.
-ZERO_WORK_COUNTERS = ("frontend.runs", "passes.runs", "passes.applied")
+from typing import Dict
 
 
-def machine_metadata(probe_openmp: bool = False) -> Dict:
-    """Provenance of the machine a benchmark document was measured on.
-
-    Stamped into every ``BENCH_*.json`` emitter so committed baselines are
-    self-describing: parallel speedup numbers are meaningless without the
-    core count they were measured with, and compile timings without the
-    compiler that produced them.  ``probe_openmp=True`` additionally
-    test-compiles the OpenMP feature probe (one subprocess, memoized) —
-    benchmarks that never build parallel code skip it.
-    """
-    import os
-
+def machine_metadata() -> Dict:
+    """Interpreter, platform, CPU counts, thread override and C compiler."""
     from ..codegen import compiler_features
     from ..sdfg.parallelism import NUM_THREADS_ENV
 
@@ -74,345 +27,10 @@ def machine_metadata(probe_openmp: bool = False) -> Dict:
         metadata["available_cpus"] = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         metadata["available_cpus"] = metadata["cpu_count"]
-    features = compiler_features(probe_openmp=probe_openmp)
+    features = compiler_features()
     metadata["compiler"] = None if features is None else {
         "path": features.path,
         "version": features.version,
         "openmp": features.openmp,
     }
     return metadata
-
-
-def _resolve_workloads(kernels: Optional[Sequence[str]], quick: bool) -> Dict[str, str]:
-    from ..passbase import suggest
-    from ..errors import PipelineError
-    from ..workloads import polybench_suite
-
-    suite = polybench_suite()
-    if kernels is None:
-        kernels = list(QUICK_KERNELS) if quick else list(suite)
-    if not kernels:
-        # An explicitly empty selection (e.g. `--kernels` fed an empty CI
-        # variable) must not produce a vacuous sweep that passes the gate.
-        raise PipelineError("No kernels selected for the benchmark sweep")
-    selected: Dict[str, str] = {}
-    for name in kernels:
-        if name not in suite:
-            raise PipelineError(
-                f"Unknown PolyBench kernel {name!r}; "
-                + suggest(name, list(suite), "available kernels")
-            )
-        selected[name] = suite[name]
-    return selected
-
-
-def run_bench(
-    kernels: Optional[Sequence[str]] = None,
-    pipelines: Optional[Sequence[str]] = None,
-    repetitions: int = 1,
-    quick: bool = False,
-) -> Dict:
-    """Run the compile-time sweep and return the benchmark document.
-
-    ``repetitions`` compiles each (kernel, pipeline) pair N times and
-    keeps the best time (compilation is deterministic; the minimum is the
-    least-noisy estimator).
-    """
-    from .. import __version__, generate_program, list_pipelines
-    from ..service import CompileCache, cache_key
-
-    workloads = _resolve_workloads(kernels, quick)
-    pipeline_names = list(pipelines) if pipelines is not None else list_pipelines()
-    if not pipeline_names:
-        from ..errors import PipelineError
-
-        raise PipelineError("No pipelines selected for the benchmark sweep")
-    repetitions = max(1, int(repetitions))
-    run_before = PERF.snapshot()
-
-    # -- cold sweep: full pipelines, no cache ---------------------------------
-    # The last compile of each pair also primes the warm-sweep cache (by
-    # payload, not by recompiling): compilation is deterministic, so the
-    # cold sweep's own products are exactly what the cache would hold.
-    cache = CompileCache(max_entries=4096, directory=None, use_env_directory=False)
-    cold_entries: List[Dict] = []
-    cold_before = PERF.snapshot()
-    cold_start = time.perf_counter()
-    for kernel, source in workloads.items():
-        for pipeline in pipeline_names:
-            best: Optional[Dict] = None
-            program = None
-            for _ in range(repetitions):
-                start = time.perf_counter()
-                program = generate_program(source, pipeline)
-                seconds = time.perf_counter() - start
-                if best is None or seconds < best["seconds"]:
-                    best = {
-                        "kernel": kernel,
-                        "pipeline": pipeline,
-                        # Content address of the spec actually compiled —
-                        # makes entries diffable across runs and immune to
-                        # registry renames (self-describing CI artifacts).
-                        "spec_id": program.spec.content_id() if program.spec else None,
-                        "seconds": seconds,
-                        "stage_seconds": dict(program.stage_seconds),
-                        "code_bytes": len(program.code),
-                    }
-            cold_entries.append(best)
-            cache.store(cache_key(source, pipeline), program.to_payload())
-    cold_wall = time.perf_counter() - cold_start
-    cold_total = sum(entry["seconds"] for entry in cold_entries)
-    cold_counters = PERF.delta_since(cold_before)
-
-    # -- warm sweep: every compile must be a pure cache hit -------------------
-    warm_entries: List[Dict] = []
-    warm_before = PERF.snapshot()
-    warm_start = time.perf_counter()
-    for kernel, source in workloads.items():
-        for pipeline in pipeline_names:
-            best_seconds: Optional[float] = None
-            for _ in range(repetitions):
-                start = time.perf_counter()
-                result = cache.get_or_compile(source, pipeline)
-                seconds = time.perf_counter() - start
-                if not result.cache_hit:
-                    raise RuntimeError(
-                        f"warm compile of {kernel}/{pipeline} missed the compile cache"
-                    )
-                if best_seconds is None or seconds < best_seconds:
-                    best_seconds = seconds
-            warm_entries.append(
-                {"kernel": kernel, "pipeline": pipeline, "seconds": best_seconds}
-            )
-    warm_wall = time.perf_counter() - warm_start
-    warm_total = sum(entry["seconds"] for entry in warm_entries)
-    warm_counters = PERF.delta_since(warm_before)
-    violations = {
-        name: warm_counters[name]
-        for name in ZERO_WORK_COUNTERS
-        if warm_counters.get(name)
-    }
-
-    # Hit rates over this run only (a warm process must not skew the
-    # committed baseline with pre-existing counter history).
-    run_delta = PERF.delta_since(run_before)
-    hit_rates: Dict[str, float] = {}
-    for prefix in ("symbolic.intern", "symbolic.make", "symbolic.parse", "compile_cache"):
-        hits = run_delta.get(f"{prefix}.hits", 0)
-        misses = run_delta.get(f"{prefix}.misses", 0)
-        if hits + misses:
-            hit_rates[prefix] = hits / (hits + misses)
-
-    return {
-        "schema": BENCH_SCHEMA,
-        "version": __version__,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "machine": machine_metadata(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "quick": bool(quick),
-        "repetitions": repetitions,
-        "kernels": list(workloads),
-        "pipelines": pipeline_names,
-        "cold": {
-            # Sum of best-of-N per (kernel, pipeline) — the headline number.
-            "total_seconds": cold_total,
-            # Wall time of the whole sweep including all repetitions.
-            "wall_seconds": cold_wall,
-            "entries": cold_entries,
-            "counters": cold_counters,
-        },
-        "warm": {
-            "total_seconds": warm_total,
-            "wall_seconds": warm_wall,
-            "entries": warm_entries,
-            "counters": warm_counters,
-            "violations": violations,
-        },
-        "speedup_warm_over_cold": (cold_total / warm_total) if warm_total > 0 else None,
-        "cache_hit_rates": hit_rates,
-    }
-
-
-#: Default regression tolerance of :func:`compare_bench`: a pipeline's
-#: cold compile may be up to this factor slower than the committed
-#: baseline before the CI gate fails.  Generous by design — the baseline
-#: and the CI runner are different machines — but well inside the ~11x
-#: regression the hash-consing work guards against.
-DEFAULT_TOLERANCE = 2.0
-
-
-def compare_bench(
-    baseline: Dict, fresh: Dict, tolerance: float = DEFAULT_TOLERANCE
-) -> List[str]:
-    """Compare two benchmark documents; returns regression messages.
-
-    Per-pipeline cold compile totals are compared over the (kernel,
-    pipeline) pairs present in *both* documents — a ``--quick`` run gates
-    against a full-suite baseline by comparing only the kernels it
-    compiled.  A pipeline regresses when its fresh total exceeds
-    ``tolerance`` × its baseline total; pipelines or kernels absent from
-    either side are skipped (they have no baseline to regress against).
-    An empty list means the gate passes.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"Tolerance must be positive, got {tolerance}")
-
-    def per_pair(document: Dict) -> Dict:
-        return {
-            (entry["kernel"], entry["pipeline"]): entry["seconds"]
-            for entry in document.get("cold", {}).get("entries", [])
-        }
-
-    base_pairs, fresh_pairs = per_pair(baseline), per_pair(fresh)
-    shared = sorted(set(base_pairs) & set(fresh_pairs))
-    base_totals: Dict[str, float] = {}
-    fresh_totals: Dict[str, float] = {}
-    for kernel, pipeline in shared:
-        base_totals[pipeline] = base_totals.get(pipeline, 0.0) + base_pairs[(kernel, pipeline)]
-        fresh_totals[pipeline] = fresh_totals.get(pipeline, 0.0) + fresh_pairs[(kernel, pipeline)]
-
-    regressions: List[str] = []
-    for pipeline in sorted(base_totals):
-        base_seconds = base_totals[pipeline]
-        fresh_seconds = fresh_totals[pipeline]
-        if base_seconds > 0 and fresh_seconds > tolerance * base_seconds:
-            regressions.append(
-                f"{pipeline}: cold compile {fresh_seconds * 1e3:.1f}ms vs baseline "
-                f"{base_seconds * 1e3:.1f}ms ({fresh_seconds / base_seconds:.2f}x > "
-                f"{tolerance:g}x tolerance)"
-            )
-    return regressions
-
-
-def write_bench(document: Dict, path) -> Path:
-    """Write the benchmark document as pretty-printed JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def render_summary(document: Dict) -> str:
-    """Aligned text summary of a benchmark document (per-pipeline totals)."""
-    per_pipeline: Dict[str, float] = {}
-    for entry in document["cold"]["entries"]:
-        per_pipeline[entry["pipeline"]] = (
-            per_pipeline.get(entry["pipeline"], 0.0) + entry["seconds"]
-        )
-    lines = [
-        f"compile-time benchmark ({len(document['kernels'])} kernels x "
-        f"{len(document['pipelines'])} pipelines, best of {document['repetitions']})",
-        f"{'pipeline':<12} {'cold total':>12}",
-    ]
-    for pipeline in document["pipelines"]:
-        lines.append(f"{pipeline:<12} {per_pipeline.get(pipeline, 0.0) * 1e3:>10.1f}ms")
-    lines.append(f"{'all':<12} {document['cold']['total_seconds'] * 1e3:>10.1f}ms")
-    warm = document["warm"]
-    speedup = document.get("speedup_warm_over_cold")
-    lines.append(
-        f"warm (cached) total: {warm['total_seconds'] * 1e3:.1f}ms"
-        + (f" — {speedup:.0f}x over cold" if speedup else "")
-    )
-    for prefix, rate in sorted(document.get("cache_hit_rates", {}).items()):
-        lines.append(f"hit rate {prefix:<18} {rate * 100:5.1f}%")
-    if warm["violations"]:
-        lines.append(f"CACHED-COMPILE VIOLATIONS: {warm['violations']}")
-    else:
-        lines.append("cached compiles performed zero frontend/pass work")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Stand-alone entry point (used by ``benchmarks/bench_compile.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Compile-time benchmark sweep")
-    add_bench_arguments(parser)
-    args = parser.parse_args(argv)
-    from ..errors import PipelineError
-
-    try:
-        return run_bench_cli(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def add_bench_arguments(parser) -> None:
-    """Register the shared bench CLI options on an argparse parser."""
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"sweep only {', '.join(QUICK_KERNELS)} (CI smoke mode)",
-    )
-    parser.add_argument("--kernels", nargs="*", help="PolyBench kernels to compile")
-    parser.add_argument("--pipelines", nargs="*", help="registered pipelines to sweep")
-    parser.add_argument(
-        "--repetitions", type=int, default=1, help="best-of-N compile timing (default 1)"
-    )
-    parser.add_argument(
-        "-o", "--output", default="BENCH_compile.json",
-        help="output JSON path (default BENCH_compile.json)",
-    )
-    parser.add_argument(
-        "--check-cached-counters", action="store_true",
-        help="exit non-zero if cached compiles performed any frontend/pass work",
-    )
-    parser.add_argument(
-        "--compare", metavar="BASELINE",
-        help="compare against a committed BENCH_compile.json; exit non-zero when "
-        "any pipeline's cold compile regresses beyond the tolerance",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"regression factor allowed by --compare (default {DEFAULT_TOLERANCE}x)",
-    )
-
-
-def run_bench_cli(args) -> int:
-    """Execute a parsed bench invocation; shared by CLI and script."""
-    baseline = None
-    if args.compare is not None:
-        # Refuse the self-comparison footgun up front: with --output left
-        # at its default, writing the fresh document first would both
-        # clobber the committed baseline and compare the run to itself
-        # (every ratio 1.0 — a gate that can never fail).
-        if Path(args.compare).resolve() == Path(args.output).resolve():
-            print(
-                f"error: --compare baseline {args.compare!r} is the same file as "
-                "--output; pass a different -o (e.g. -o BENCH_compile.fresh.json)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline = json.loads(Path(args.compare).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.compare!r}: {exc}", file=sys.stderr)
-            return 1
-    document = run_bench(
-        kernels=args.kernels,
-        pipelines=args.pipelines,
-        repetitions=args.repetitions,
-        quick=args.quick,
-    )
-    path = write_bench(document, args.output)
-    print(render_summary(document))
-    print(f"wrote {path}")
-    if args.check_cached_counters and document["warm"]["violations"]:
-        print(
-            "error: cached compiles performed frontend/pass work: "
-            f"{document['warm']['violations']}",
-            file=sys.stderr,
-        )
-        return 1
-    if baseline is not None:
-        regressions = compare_bench(baseline, document, tolerance=args.tolerance)
-        if regressions:
-            print("error: compile-time regressions against the baseline:", file=sys.stderr)
-            for message in regressions:
-                print(f"  {message}", file=sys.stderr)
-            return 1
-        print(
-            f"no cold-compile regressions against {args.compare} "
-            f"(tolerance {args.tolerance:g}x)"
-        )
-    return 0

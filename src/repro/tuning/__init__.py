@@ -17,8 +17,7 @@ content-addressed compile cache (repeat runs cost ~zero)::
     register_winner(report, "gemm-tuned")            # now a named pipeline
 
 Entry points: :func:`tune` (any C source), :func:`tune_kernel` (PolyBench
-by name), ``python -m repro tune`` (CLI), and
-``benchmarks/bench_tuning.py`` (end-to-end benchmark).
+by name) and ``python -m repro tune`` (CLI).
 """
 
 from .evaluate import (

@@ -52,7 +52,7 @@ class EvaluatedCandidate:
     allocations: Optional[float] = None
     #: Compile-time profiler counters recorded by the compile that produced
     #: this candidate's program (empty for cache hits served without work).
-    counters: Dict[str, float] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
     error_type: Optional[str] = None
     #: Live compile result, populated during evaluation (not serialized).

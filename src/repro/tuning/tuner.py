@@ -56,7 +56,7 @@ class TuningReport:
     #: Aggregate compile-work counters of the run: the summed profiler
     #: deltas of every *fresh* compile (cache hits contribute nothing, so
     #: a fully cached re-run reports an empty dict — the "zero work" proof).
-    counters: Dict[str, float] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0
@@ -214,7 +214,7 @@ def tune(
     # contract must account for all work performed, not just the work that
     # produced a ranking score.  Cache hits served without work contribute
     # empty dicts by construction.
-    counters: Dict[str, float] = {}
+    counters: Dict[str, int] = {}
     for entry in evaluated:
         for name, value in entry.counters.items():
             counters[name] = counters.get(name, 0) + value

@@ -549,6 +549,14 @@ class TestCLI:
         assert proc.returncode == 2
         assert "Unknown pipeline" in proc.stderr
 
+    def test_removed_bench_subcommand_is_an_invalid_choice(self):
+        proc = self._run("bench")
+        assert proc.returncode == 2
+        assert "invalid choice: 'bench'" in proc.stderr
+        proc = self._run("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "bench" not in proc.stdout
+
     def test_unknown_kernel_and_missing_spec_are_clean_errors(self):
         proc = self._run("compile", "--kernel", "gemmm")
         assert proc.returncode != 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import PIPELINES, compile_c, compile_and_run, run_compiled
+from repro import PIPELINES, compile_c, compile_and_run, get_pipeline, run_compiled
 from repro.workloads import (
     bandwidth_source,
     fig2_source,
@@ -49,6 +49,16 @@ _SMALL_SIZES = {
 }
 
 
+#: ``dcir`` minus one of the data-centric eliminations that make Fig. 2 fast:
+#: slower, never wrong.
+_FIG2_ABLATIONS = [
+    get_pipeline("dcir").without_pass(name, name=f"dcir-no-{name}")
+    for name in (
+        "dead-dataflow-elimination", "redundant-iteration-elimination", "array-elimination"
+    )
+]
+
+
 def _reference(source: str) -> float:
     return compile_and_run(source, "gcc").return_value
 
@@ -62,7 +72,10 @@ class TestPipelineCorrectness:
         result = compile_and_run(source, pipeline).return_value
         assert result == pytest.approx(reference, rel=1e-9)
 
-    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize(
+        "pipeline", list(PIPELINES) + _FIG2_ABLATIONS,
+        ids=lambda pipeline: getattr(pipeline, "name", pipeline),
+    )
     def test_fig2_example_all_pipelines(self, pipeline):
         source = fig2_source({"N": 80, "M": 10})
         assert compile_and_run(source, pipeline).return_value == 5

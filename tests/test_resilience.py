@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import stat
+import warnings
 
 import pytest
 
@@ -60,7 +61,8 @@ from repro.service import (
     payload_digest,
 )
 from repro.service.cache import QUARANTINE_DIR
-from repro.service.resilience import Deadline, RetryPolicy, validate_degradation
+from repro.service.resilience import BACKOFF_ENV, Deadline, RetryPolicy, validate_degradation
+from repro.workloads import get_kernel
 
 SAXPY = """
 double saxpy() {
@@ -85,6 +87,11 @@ def _kernels(count):
 
 MINIMAL_C = "int repro_probe(void) { return 42; }\n"
 
+#: The PolyBench sweep the fault classes run over: small, medium and
+#: loop-carried shapes, through the baseline and the flagship pipeline.
+CHAOS_KERNELS = ("gemm", "atax", "jacobi-1d")
+CHAOS_PIPELINES = ("gcc", "dcir")
+
 
 @pytest.fixture(autouse=True)
 def _fresh_fault_plan():
@@ -92,6 +99,24 @@ def _fresh_fault_plan():
     reset_plan()
     yield
     reset_plan()
+
+
+@pytest.fixture(scope="module")
+def chaos_references():
+    """Fault-free interpreted return value per sweep kernel (the oracle)."""
+    return {
+        kernel: run_compiled(compile_c(get_kernel(kernel), "dcir")).return_value
+        for kernel in CHAOS_KERNELS
+    }
+
+
+def _chaos_requests():
+    return [
+        CompileRequest(source=get_kernel(kernel), pipeline=pipeline,
+                       name=f"{kernel}/{pipeline}", timeout=60.0)
+        for kernel in CHAOS_KERNELS
+        for pipeline in CHAOS_PIPELINES
+    ]
 
 
 def _write_script(path, body):
@@ -550,6 +575,88 @@ class TestBatchResilience:
         assert not result.cache_hit  # torn entry was a miss...
         assert reader.stats.quarantined == 1  # ...and was quarantined
         assert result.run()["__return"] == pytest.approx(212.0, rel=1e-9)
+
+
+# -- the PolyBench sweep under each fault class ---------------------------------------------
+
+
+class TestChaosSweep:
+    @requires_cc
+    @pytest.mark.parametrize("fault", ["cc_hang", "cc_crash"])
+    def test_half_the_native_builds_fail_and_every_kernel_still_answers(
+        self, fault, chaos_references, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(FAULTS_ENV, f"{fault}:0.5")
+        monkeypatch.setenv(FAULTS_SEED_ENV, "0")
+        monkeypatch.delenv(FAULTS_DIR_ENV, raising=False)
+        # A fresh .so cache forces every kernel through a cold build, so the
+        # armed compiler seam is actually crossed.
+        monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path / "native"))
+        monkeypatch.setenv(BACKOFF_ENV, "0.001")
+        reset_plan()
+        spec = get_pipeline("dcir").with_codegen(backend="native")
+        before = PERF.snapshot()
+        for kernel in CHAOS_KERNELS:
+            result = compile_c(get_kernel(kernel), spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # degradation warns
+                run = run_compiled(result)
+            # Healed by retry or degraded to the interpreter: nothing else.
+            assert result.backend in ("native", "python")
+            assert run.return_value == pytest.approx(chaos_references[kernel], rel=1e-9)
+        delta = PERF.delta_since(before)
+        assert delta.get(f"faults.{fault}.fired", 0) >= 1
+        assert delta.get("toolchain.cc_retries", 0) >= 1
+
+    @pytest.mark.parametrize("faults, torn", [("cache_corrupt:1", 6), (None, 0)])
+    def test_disk_cache_sweep_quarantines_exactly_what_was_torn(
+        self, faults, torn, chaos_references, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        monkeypatch.delenv(FAULTS_DIR_ENV, raising=False)
+        monkeypatch.setenv(FAULTS_SEED_ENV, "0")
+        if faults:
+            monkeypatch.setenv(FAULTS_ENV, faults)
+        reset_plan()
+        run_before = PERF.snapshot()
+
+        def sweep():
+            cache = CompileCache(directory=tmp_path, use_env_directory=False)
+            return compile_many(
+                _chaos_requests(), executor="serial", cache=cache,
+                retry_policy=RetryPolicy.from_env(),
+            )
+
+        # Armed writer: every disk entry is written torn, yet the batch
+        # itself stays green (it serves what it compiled, not what it stored).
+        before = PERF.snapshot()
+        written = sweep()
+        assert all(outcome.ok for outcome in written)
+        assert PERF.delta_since(before).get("faults.cache_corrupt.fired", 0) == torn
+
+        # Clean reader over that store: torn entries are quarantined and
+        # recompiled, intact ones are hits; either way the values are right.
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        reset_plan()
+        before = PERF.snapshot()
+        healed = sweep()
+        assert PERF.delta_since(before).get("compile_cache.corrupt_evicted", 0) == torn
+        assert len(list(tmp_path.glob(f"{QUARANTINE_DIR}/*"))) == torn
+        assert sum(outcome.cache_hit for outcome in healed) == 6 - torn
+        for outcome in healed:
+            assert outcome.ok
+            kernel = outcome.request.name.split("/")[0]
+            assert run_compiled(outcome.result).return_value == pytest.approx(
+                chaos_references[kernel], rel=1e-9
+            )
+
+        # The healed store serves pure disk hits.
+        before = PERF.snapshot()
+        warm = sweep()
+        assert all(outcome.ok and outcome.cache_hit for outcome in warm)
+        assert not PERF.delta_since(before).get("frontend.runs")
+        # Torn or not, nothing in the three sweeps was retried.
+        assert not PERF.delta_since(run_before).get("compile_batch.retries")
 
 
 # -- suite-level reporting ------------------------------------------------------------------

@@ -272,8 +272,8 @@ class TestSuiteRunner:
         )
 
         # Sweeping the same suite again is served entirely from the cache and
-        # at least 5× faster on compile time (the full-suite version of this
-        # claim is demonstrated by benchmarks/bench_service.py).
+        # at least 5× faster on compile time (benchmarks/e2e measures the
+        # full-suite version: request_path, service.mem_hit_s).
         warm = session.run_suite(polybench_suite(sorted(_TINY), sizes=_TINY), pipelines=PIPELINES)
         assert warm.ok
         assert warm.cache_hits == len(warm.entries)

@@ -3,8 +3,7 @@
 Covers the interning guarantees (leaf identity, hash/eq consistency with
 cached keys), the substitution fast paths, exact rational handling,
 randomized algebraic round-trips over every node type, the perf-counter
-plumbing, and the zero-work invariant of cached compiles that the CI
-benchmark smoke job gates on.
+plumbing, and the zero-work invariant of cached compiles.
 """
 
 import copy
@@ -14,7 +13,6 @@ import random
 import pytest
 
 from repro.perf import PERF, PerfCounters
-from repro.perf.bench import ZERO_WORK_COUNTERS, run_bench
 from repro.symbolic import (
     Add,
     BoolConst,
@@ -309,16 +307,13 @@ class TestAlgebraicRoundTrips:
 
 
 class TestPerfCounters:
-    def test_counters_and_timers(self):
+    def test_counters(self):
         perf = PerfCounters()
         perf.increment("x.hits")
         perf.increment("x.hits", 2)
         perf.increment("x.misses")
-        with perf.timer("stage"):
-            pass
         assert perf.get("x.hits") == 3
         assert perf.hit_rate("x") == pytest.approx(0.75)
-        assert perf.seconds("stage") >= 0.0
         snap = perf.snapshot()
         perf.increment("x.hits")
         assert perf.delta_since(snap) == {"x.hits": 1}
@@ -358,31 +353,16 @@ class TestPerfCounters:
         delta = PERF.delta_since(before)
         assert result.cache_hit
         assert delta.get("compile_cache.hits") == 1
-        for counter in ZERO_WORK_COUNTERS:
+        for counter in ("frontend.runs", "passes.runs", "passes.applied"):
             assert not delta.get(counter), f"cache hit performed work: {counter}"
         # The rehydrated report carries the counters recorded by the
         # original (cache-filling) compile.
         assert result.report.counters.get("frontend.runs") == 1
 
+    def test_machine_metadata_keys(self):
+        # The one name benchmarks/e2e/run.py imports from repro.perf.bench.
+        from repro.perf.bench import machine_metadata
 
-class TestBenchQuick:
-    def test_bench_document_shape(self, tmp_path):
-        from repro.perf.bench import write_bench
-
-        document = run_bench(kernels=["gemm"], pipelines=["gcc", "dcir"])
-        assert document["schema"] == "repro-bench-compile/v1"
-        assert document["kernels"] == ["gemm"]
-        assert len(document["cold"]["entries"]) == 2
-        assert len(document["warm"]["entries"]) == 2
-        assert document["warm"]["violations"] == {}
-        for entry in document["cold"]["entries"]:
-            assert entry["seconds"] > 0
-            assert "frontend" in entry["stage_seconds"]
-        path = write_bench(document, tmp_path / "BENCH_compile.json")
-        assert path.exists() and path.read_text().startswith("{")
-
-    def test_bench_unknown_kernel_suggests(self):
-        from repro.errors import PipelineError
-
-        with pytest.raises(PipelineError, match="gemm"):
-            run_bench(kernels=["gem"])
+        assert set(machine_metadata()) == {
+            "python", "platform", "cpu_count", "available_cpus", "threads_env", "compiler",
+        }

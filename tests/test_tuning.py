@@ -6,9 +6,8 @@ reproducibility, the two acceptance invariants — the winner never loses
 to the best pre-registered pipeline under the same evaluator, and a
 repeat search over the same space is served entirely from the compile
 cache with zero frontend/pass work — plus winner registration, the
-``tune`` CLI, the bench regression gate (:func:`compare_bench`) and the
-self-describing JSON reports (library version + spec ``content_id`` on
-every entry).
+``tune`` CLI and the self-describing JSON reports (library version +
+spec ``content_id`` on every entry).
 """
 
 import json
@@ -24,7 +23,6 @@ from repro import (
     unregister_pipeline,
 )
 from repro.__main__ import main as cli_main
-from repro.perf.bench import compare_bench
 from repro.service import SUITE_SCHEMA, CompileCache, compile_specs
 from repro.tuning import (
     Candidate,
@@ -475,16 +473,6 @@ class TestReportsSelfDescribing:
         assert document["entries"][0]["spec_id"] == get_pipeline("gcc").content_id()
         assert document["entries"][1]["spec_id"] == get_pipeline("dcir").content_id()
 
-    def test_bench_entries_carry_spec_ids(self):
-        from repro.perf.bench import run_bench
-
-        document = run_bench(kernels=["gemm"], pipelines=["gcc", "dcir"])
-        for entry in document["cold"]["entries"]:
-            assert entry["spec_id"]
-        assert document["cold"]["entries"][1]["spec_id"] == (
-            get_pipeline("dcir").content_id()
-        )
-
 
 # -- service plumbing --------------------------------------------------------------------
 
@@ -509,55 +497,6 @@ class TestServicePlumbing:
     def test_compile_specs_validates_label_alignment(self):
         with pytest.raises(ValueError, match="labels"):
             compile_specs("int f() { return 0; }", ["gcc", "dcir"], labels=["only-one"])
-
-
-# -- the bench regression gate -----------------------------------------------------------
-
-
-def _bench_doc(entries):
-    return {"cold": {"entries": [
-        {"kernel": k, "pipeline": p, "seconds": s} for k, p, s in entries
-    ]}}
-
-
-class TestCompareBench:
-    def test_no_regressions_within_tolerance(self):
-        baseline = _bench_doc([("gemm", "dcir", 0.10), ("atax", "dcir", 0.10)])
-        fresh = _bench_doc([("gemm", "dcir", 0.15), ("atax", "dcir", 0.18)])
-        assert compare_bench(baseline, fresh, tolerance=2.0) == []
-
-    def test_regression_beyond_tolerance_is_reported(self):
-        baseline = _bench_doc([("gemm", "dcir", 0.10), ("gemm", "gcc", 0.05)])
-        fresh = _bench_doc([("gemm", "dcir", 0.25), ("gemm", "gcc", 0.06)])
-        regressions = compare_bench(baseline, fresh, tolerance=2.0)
-        assert len(regressions) == 1
-        assert regressions[0].startswith("dcir:")
-        assert "2.50x" in regressions[0]
-
-    def test_only_shared_pairs_are_compared(self):
-        # Baseline covers the full suite; fresh is a --quick subset plus a
-        # new kernel the baseline never saw — neither mismatch may trip.
-        baseline = _bench_doc([("gemm", "dcir", 0.10), ("lu", "dcir", 5.00)])
-        fresh = _bench_doc([("gemm", "dcir", 0.11), ("brand-new", "dcir", 9.99)])
-        assert compare_bench(baseline, fresh, tolerance=2.0) == []
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            compare_bench(_bench_doc([]), _bench_doc([]), tolerance=0)
-
-    def test_bench_cli_refuses_to_self_compare(self, tmp_path, capsys):
-        """--compare == --output would clobber the baseline and compare the
-        run against itself (a gate that can never fail) — refuse up front,
-        before any sweep runs or the file is touched."""
-        from repro.perf.bench import main as bench_main
-
-        baseline = tmp_path / "BENCH_compile.json"
-        baseline.write_text(json.dumps(_bench_doc([("gemm", "dcir", 0.1)])))
-        before = baseline.read_text()
-        code = bench_main(["--quick", "--compare", str(baseline), "-o", str(baseline)])
-        assert code == 2
-        assert "same file" in capsys.readouterr().err
-        assert baseline.read_text() == before
 
 
 # -- the tune CLI ------------------------------------------------------------------------
