@@ -13,7 +13,7 @@ from repro.codegen import generate_code
 from repro.conversion import convert_to_sdfg_dialect, translate_module
 from repro.frontend import compile_c_to_mlir
 from repro.ir import print_module
-from repro.passes import control_centric_pipeline
+from repro.pipeline import control_runner, data_runner, get_pipeline
 
 SOURCE = """
 int fName(int *A, int *B) {
@@ -26,11 +26,12 @@ def main() -> None:
     print("=== (a) C source ===")
     print(SOURCE)
 
+    spec = get_pipeline("dcir")
     module = compile_c_to_mlir(SOURCE)
     print("=== (b) Polygeist-style MLIR (scf/arith/memref) ===")
     print(print_module(module))
 
-    control_centric_pipeline().run(module)
+    control_runner(spec).run(module)
     print("\n=== after control-centric passes (LICM, CSE, DCE, scalar replacement) ===")
     print(print_module(module))
 
@@ -50,8 +51,8 @@ def main() -> None:
         for edge in state.edges():
             print(f"    {edge.src.label} -> {edge.dst.label}: {edge.data}")
 
-    sdfg.simplify()
-    print("\n=== generated Python (after simplification) ===")
+    data_runner(spec).run(sdfg)
+    print("\n=== generated Python (after the data-centric passes) ===")
     print(generate_code(sdfg))
 
 

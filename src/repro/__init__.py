@@ -65,6 +65,7 @@ Evaluation-scale sweeps go through the service layer
 compiles batches in parallel, and runs whole workload suites::
 
     from repro.service import CompileCache, Session, compile_many
+    from repro.workloads import polybench_suite
 
     # Content-addressed cache: the second compile is a rehydration, not a
     # re-run of the pipeline.  Point it at a directory (or set the
@@ -79,7 +80,7 @@ compiles batches in parallel, and runs whole workload suites::
     # Suite runner: compile + run a workload set, with cache reuse and a
     # structured report (compile/run time, cache hits, movement stats).
     session = Session(cache=cache)
-    report = session.run_polybench(["gemm", "atax"], pipelines=("gcc", "dcir"))
+    report = session.run_suite(polybench_suite(["gemm", "atax"]), pipelines=("gcc", "dcir"))
     print(report.table())
 
 Data-centric passes are pattern-based transformations

@@ -40,7 +40,6 @@ from .toolchain import (
     compiler_features,
     find_compiler,
     have_compiler,
-    have_openmp,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "generate_c_code",
     "generate_code",
     "have_compiler",
-    "have_openmp",
     "vectorizable_map",
     "generate_mlir_code",
     "load_entry",

@@ -33,7 +33,7 @@ marshalling layer from the code string alone — the same
 rehydrate-from-source contract as ``CompiledSDFG.from_code``.
 
 Constructs the scalar C model cannot express (MLIR-language tasklets,
-streams, whole-array connector bindings, strided subset writes) raise
+whole-array connector bindings, strided subset writes) raise
 :class:`NativeCodegenError`; the pipeline layer falls back to the Python
 backend with a diagnostic rather than failing the compilation.
 
@@ -71,7 +71,7 @@ from ..symbolic.expr import (
     Symbol,
 )
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
-from ..sdfg.data import Array, DTYPES, Stream
+from ..sdfg.data import Array, DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
 from ..sdfg.tasklet_code import node_dtype, typed_operands
@@ -557,8 +557,6 @@ class CEmitter(SDFGWalker):
         parameters = []
         for name in self._interface:
             descriptor = self.sdfg.arrays[name]
-            if isinstance(descriptor, Stream):
-                raise NativeCodegenError(f"Stream container {name!r} crosses the ABI")
             ctype = DTYPES[descriptor.dtype].c_type
             if isinstance(descriptor, Scalar):
                 parameters.append(f"{ctype} *_io_{name}")
@@ -609,10 +607,6 @@ class CEmitter(SDFGWalker):
         self._declared.add(name)
 
     def declare_transient(self, name: str, descriptor) -> None:
-        if isinstance(descriptor, Stream):
-            raise NativeCodegenError(
-                f"Stream container {name!r} is not supported by the native backend"
-            )
         if isinstance(descriptor, Scalar):
             if name not in self._interface:  # else already bound from its in/out cell
                 self._declare_zero(name, descriptor.dtype)

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from ..symbolic import Expr, Subset
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
-from ..sdfg.data import DTYPES, Stream
+from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
 from .loader import load_entry
@@ -203,8 +203,6 @@ class PythonEmitter(SDFGWalker):
         if isinstance(descriptor, Scalar):
             default = "0.0" if descriptor.dtype.startswith("float") else "0"
             self.writer.emit(f"{name} = {default}")
-        elif isinstance(descriptor, Stream):
-            self.writer.emit(f"{name} = []")
         else:
             shape = ", ".join(f"int({python_expr(dim)})" for dim in descriptor.shape)
             dtype = _NUMPY_DTYPES[descriptor.dtype]

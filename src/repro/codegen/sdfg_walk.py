@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..symbolic import Expr, Subset
 from ..sdfg import SDFG, AccessNode, SDFGState, Scalar, Tasklet
-from ..sdfg.data import Array, LIFETIME_PERSISTENT, Stream
+from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
 from ..sdfg.tasklet_code import Assignment, single_assignment
@@ -272,7 +272,7 @@ class SDFGWalker:
                 continue
             self.declare_transient(name, descriptor)
             if (
-                not isinstance(descriptor, (Scalar, Stream))
+                not isinstance(descriptor, Scalar)
                 and descriptor.lifetime == LIFETIME_PERSISTENT
             ):
                 self._count_allocation()

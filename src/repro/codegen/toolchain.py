@@ -237,12 +237,6 @@ def compiler_features(
     )
 
 
-def have_openmp() -> bool:
-    """Whether the discovered compiler accepts ``-fopenmp`` (probed once)."""
-    features = compiler_features(probe_openmp=True)
-    return bool(features and features.openmp)
-
-
 def native_cache_dir() -> Path:
     """Directory holding compiled shared objects (created on demand)."""
     override = os.environ.get(NATIVE_CACHE_ENV)

@@ -8,8 +8,10 @@ and state-transition conditions are then parametric — which is exactly the
 visibility data-centric optimizations require (§1).
 
 Values that cannot be represented symbolically (loads from memory,
-floating-point math) are routed through scalar data containers instead,
-and the scalar-to-symbol promotion pass (§6.1) may still lift them later.
+floating-point math) are routed through scalar data containers instead
+and stay there: this evaluator is the only place §6.1's symbol inference
+happens, so a data-dependent loop bound (``n = idx[0]``) remains a scalar
+read on the interstate edge.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ dialects and produces an ``sdfg.sdfg`` operation:
 
 SSA values that are not symbolically representable are routed through
 scalar data containers — "every SSA value becomes a scalar data
-container" (§6.1) — which the scalar-to-symbol promotion pass may later
-lift.
+container" (§6.1).  Nothing lifts them later: symbol inference happens
+here, in :class:`~repro.conversion.symbols.SymbolicEvaluator`, and a
+data-dependent bound stays a scalar read on its interstate edge.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..dialects.sdfg_dialect import (
     EdgeOp,
-    MapOp,
     SdfgAllocOp,
     SdfgArrayType,
     SdfgCopyOp,

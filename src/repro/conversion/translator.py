@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 from ..dialects.builtin import ModuleOp
 from ..dialects.sdfg_dialect import (
     EdgeOp,
-    MapOp,
     SdfgAllocOp,
     SdfgArrayType,
     SdfgCopyOp,
@@ -154,11 +153,6 @@ class SDFGTranslator:
                 shape = self.sdfg.arrays[destination].shape
                 memlet = Memlet(data=destination, subset=Subset.full(shape) if shape else None)
                 state.add_edge(read_node(source), None, write_node(destination), None, memlet)
-            elif isinstance(op, MapOp):
-                raise TranslationError(
-                    "sdfg.map translation is not implemented; parallel maps are created by "
-                    "the LoopToMap data-centric transformation instead"
-                )
             else:
                 raise TranslationError(f"Unsupported op {op.name!r} inside sdfg.state")
 

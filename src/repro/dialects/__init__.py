@@ -8,7 +8,7 @@ ops available to passes, printers and converters.
 from . import arith, builtin, func, math_dialect, memref, scf, sdfg_dialect
 from .builtin import ModuleOp
 from .func import CallOp, FuncOp, ReturnOp
-from .sdfg_dialect import SdfgArrayType, SdfgStreamType, SymbolStore
+from .sdfg_dialect import SdfgArrayType, SymbolStore
 
 __all__ = [
     "arith",
@@ -23,6 +23,5 @@ __all__ = [
     "ModuleOp",
     "ReturnOp",
     "SdfgArrayType",
-    "SdfgStreamType",
     "SymbolStore",
 ]

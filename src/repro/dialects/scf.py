@@ -243,39 +243,3 @@ class WhileOp(Operation):
             raise VerificationError(
                 "scf.while 'before' region must terminate with scf.condition", self
             )
-
-
-@register_operation
-class ParallelOp(Operation):
-    """``scf.parallel`` / ``affine.parallel`` stand-in — a parallel loop nest.
-
-    Operands: ``[lb0, ub0, step0, lb1, ub1, step1, ...]``; the body receives
-    one induction variable per dimension.  The converter maps this directly
-    onto ``sdfg.map`` (the paper notes ``affine.parallel`` is the closest
-    MLIR equivalent of parametric-parallel map scopes).
-    """
-
-    OP_NAME = "scf.parallel"
-    REQUIRES_TERMINATOR = True
-
-    @staticmethod
-    def build(bounds: Sequence[Value]) -> "ParallelOp":
-        if len(bounds) % 3 != 0 or not bounds:
-            raise VerificationError("scf.parallel bounds must come in (lb, ub, step) triples")
-        op = ParallelOp(ParallelOp.OP_NAME, operands=list(bounds), regions=1)
-        dims = len(bounds) // 3
-        block = op.regions[0].add_block([bounds[0].type] * dims)
-        for index, argument in enumerate(block.arguments):
-            argument.name_hint = f"i{index}"
-        return op
-
-    @property
-    def num_dims(self) -> int:
-        return len(self.operands) // 3
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].entry_block
-
-    def bound_triple(self, dim: int) -> tuple:
-        return (self.operand(3 * dim), self.operand(3 * dim + 1), self.operand(3 * dim + 2))

@@ -9,8 +9,9 @@ features, reproduced here:
   analysis and compile-time size verification (Fig. 3).
 * **Table 1 operations**: ``sdfg.sdfg``, ``sdfg.state``, ``sdfg.edge``,
   ``sdfg.tasklet``, ``sdfg.load``, ``sdfg.store`` (with optional
-  write-conflict resolution), ``sdfg.alloc``, ``sdfg.map`` and
-  ``sdfg.consume``.
+  write-conflict resolution), ``sdfg.alloc``.  ``sdfg.map`` and
+  ``sdfg.consume`` are not modelled: no conversion produces them (maps
+  are raised on the SDFG side by ``loop-to-map``).
 * **Symbol store**: symbols are defined per ``sdfg.sdfg`` scope by name and
   are read-only throughout their lifetime.
 """
@@ -72,21 +73,6 @@ class SdfgArrayType(Type):
         if parts:
             return f"!sdfg.array<{' x '.join(parts)} x {self.element_type}>"
         return f"!sdfg.array<{self.element_type}>"
-
-
-class SdfgStreamType(Type):
-    """``!sdfg.stream<f64>`` — FIFO queue container."""
-
-    __slots__ = ("element_type",)
-
-    def __init__(self, element_type: Type):
-        self.element_type = element_type
-
-    def key(self) -> tuple:
-        return ("sdfg.stream", self.element_type.key())
-
-    def __str__(self) -> str:
-        return f"!sdfg.stream<{self.element_type}>"
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +171,6 @@ class SDFGOp(Operation):
 
     def edges(self) -> List["EdgeOp"]:
         return [op for op in self.body.operations if isinstance(op, EdgeOp)]
-
-    def state_by_name(self, name: str) -> Optional["StateOp"]:
-        for state in self.states():
-            if state.sym_name == name:
-                return state
-        return None
-
-    def argument_by_name(self, name: str) -> Optional[Value]:
-        for argument in self.body.arguments:
-            if argument.name_hint == name:
-                return argument
-        return None
 
     def verify_op(self) -> None:
         state_names = [state.sym_name for state in self.states()]
@@ -524,43 +498,6 @@ class SdfgCopyOp(Operation):
 
 
 @register_operation
-class MapOp(Operation):
-    """``sdfg.map (%i) = (0) to (sym("N")) step (1) { ... }`` — parametric
-    parallelism: a scope executed in parallel over its iteration space."""
-
-    OP_NAME = "sdfg.map"
-    REQUIRES_TERMINATOR = True
-
-    @staticmethod
-    def build(
-        params: Sequence[str],
-        ranges: Sequence[str],
-        index_type: Type,
-    ) -> "MapOp":
-        if len(params) != len(ranges):
-            raise VerificationError("sdfg.map requires one range per parameter")
-        op = MapOp(MapOp.OP_NAME, regions=1)
-        op.attributes["params"] = list(params)
-        op.attributes["ranges"] = [str(rng) for rng in ranges]
-        block = op.regions[0].add_block([index_type] * len(params))
-        for argument, hint in zip(block.arguments, params):
-            argument.name_hint = hint
-        return op
-
-    @property
-    def params(self) -> List[str]:
-        return self.attributes["params"]
-
-    @property
-    def ranges(self) -> List[str]:
-        return self.attributes["ranges"]
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].entry_block
-
-
-@register_operation
 class SymValueOp(Operation):
     """``sdfg.sym_value`` — reads the value of a symbolic expression.
 
@@ -580,33 +517,3 @@ class SymValueOp(Operation):
     @property
     def expression(self) -> str:
         return self.attributes["expr"]
-
-
-@register_operation
-class ConsumeOp(Operation):
-    """``sdfg.consume`` — producer/consumer scope over a stream.
-
-    No MLIR core dialect converts to it, but the construct exists for full
-    commutability between data-centric and control-centric optimizations
-    (§3.2); it is exercised by the unit tests and the streaming example.
-    """
-
-    OP_NAME = "sdfg.consume"
-    REQUIRES_TERMINATOR = True
-
-    @staticmethod
-    def build(stream: Value, num_pes: int = 1) -> "ConsumeOp":
-        if not isinstance(stream.type, SdfgStreamType):
-            raise VerificationError("sdfg.consume requires an sdfg.stream operand")
-        op = ConsumeOp(ConsumeOp.OP_NAME, operands=[stream], regions=1)
-        op.attributes["num_pes"] = num_pes
-        op.regions[0].add_block([stream.type.element_type])
-        return op
-
-    @property
-    def stream(self) -> Value:
-        return self.operand(0)
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].entry_block

@@ -36,11 +36,6 @@ class CType:
     def is_integer(self) -> bool:
         return self.base in ("int", "long", "char")
 
-    def pointee(self) -> "CType":
-        if self.pointer_depth == 0:
-            raise ValueError(f"{self} is not a pointer type")
-        return CType(self.base, self.pointer_depth - 1)
-
     def __str__(self) -> str:
         return self.base + "*" * self.pointer_depth
 

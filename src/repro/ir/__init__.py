@@ -18,8 +18,6 @@ from .core import (
     Value,
     defining_op,
     register_operation,
-    values_defined_above,
-    walk_operations,
 )
 from .printer import IRPrinter, print_module, print_operation
 from .types import (
@@ -38,9 +36,8 @@ from .types import (
     NONE,
     NoneType,
     Type,
-    is_compatible,
 )
-from .verifier import VerificationError, verify, verify_module
+from .verifier import VerificationError, verify
 
 __all__ = [
     "Block",
@@ -71,12 +68,8 @@ __all__ = [
     "Value",
     "VerificationError",
     "defining_op",
-    "is_compatible",
     "print_module",
     "print_operation",
     "register_operation",
-    "values_defined_above",
     "verify",
-    "verify_module",
-    "walk_operations",
 ]

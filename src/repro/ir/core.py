@@ -11,7 +11,7 @@ unregistered op, mirroring MLIR's generic op form.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .types import Type
 
@@ -190,11 +190,6 @@ class Operation:
         self._operands[index] = value
         value.add_use(self, index)
 
-    def replace_uses_of(self, old: Value, new: Value) -> None:
-        for index, operand in enumerate(self._operands):
-            if operand is old:
-                self.set_operand(index, new)
-
     def drop_all_operand_uses(self) -> None:
         for index, operand in enumerate(self._operands):
             operand.remove_use(self, index)
@@ -220,24 +215,8 @@ class Operation:
             return self.parent_block.parent_region.parent_op
         return None
 
-    def ancestors(self) -> Iterator["Operation"]:
-        current = self.parent_op
-        while current is not None:
-            yield current
-            current = current.parent_op
-
-    def is_ancestor_of(self, other: "Operation") -> bool:
-        return any(ancestor is self for ancestor in other.ancestors())
-
     def region(self, index: int = 0) -> "Region":
         return self.regions[index]
-
-    def body_block(self, region_index: int = 0) -> "Block":
-        """First block of the given region (the common single-block case)."""
-        region = self.regions[region_index]
-        if not region.blocks:
-            raise IRError(f"Operation {self.name} region {region_index} has no blocks")
-        return region.blocks[0]
 
     def walk(self, post_order: bool = False) -> Iterator["Operation"]:
         """Iterate over this op and all nested ops.
@@ -299,14 +278,6 @@ class Operation:
             self.parent_block.remove(self)
         block = other.parent_block
         block.insert_before(other, self)
-
-    def move_after(self, other: "Operation") -> None:
-        if other.parent_block is None:
-            raise IRError("Cannot move after an op that is not in a block")
-        if self.parent_block is not None:
-            self.parent_block.remove(self)
-        block = other.parent_block
-        block.insert_after(other, self)
 
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy the operation (and nested regions), remapping operands."""
@@ -400,14 +371,6 @@ class Block:
         self.arguments.append(argument)
         return argument
 
-    def erase_argument(self, index: int) -> None:
-        argument = self.arguments[index]
-        if argument.has_uses():
-            raise IRError(f"Cannot erase block argument {index}: still in use")
-        del self.arguments[index]
-        for position, remaining in enumerate(self.arguments):
-            remaining.arg_index = position
-
     # -- operation list -------------------------------------------------------
     def append(self, op: Operation) -> Operation:
         op.parent_block = self
@@ -422,10 +385,6 @@ class Block:
     def insert_before(self, anchor: Operation, op: Operation) -> Operation:
         index = self.operations.index(anchor)
         return self.insert(index, op)
-
-    def insert_after(self, anchor: Operation, op: Operation) -> Operation:
-        index = self.operations.index(anchor)
-        return self.insert(index + 1, op)
 
     def remove(self, op: Operation) -> None:
         self.operations.remove(op)
@@ -554,36 +513,8 @@ class Builder:
 # ---------------------------------------------------------------------------
 
 
-def walk_operations(root: Operation, predicate: Optional[Callable[[Operation], bool]] = None):
-    """Yield all ops under ``root`` (inclusive), optionally filtered."""
-    for op in root.walk():
-        if predicate is None or predicate(op):
-            yield op
-
-
 def defining_op(value: Value) -> Optional[Operation]:
     """The operation defining ``value``, or None for block arguments."""
     if isinstance(value, OpResult):
         return value.operation
     return None
-
-
-def values_defined_above(region: Region) -> set:
-    """SSA values used inside ``region`` but defined outside it."""
-    inside_values: set = set()
-    for block in region.blocks:
-        inside_values.update(block.arguments)
-        for op in block.operations:
-            for nested in op.walk():
-                inside_values.update(nested.results)
-                for nested_region in nested.regions:
-                    for nested_block in nested_region.blocks:
-                        inside_values.update(nested_block.arguments)
-    external: set = set()
-    for block in region.blocks:
-        for op in block.operations:
-            for nested in op.walk():
-                for operand in nested.operands:
-                    if operand not in inside_values:
-                        external.add(operand)
-    return external

@@ -192,13 +192,3 @@ F32 = FloatType(32)
 F64 = FloatType(64)
 INDEX = IndexType()
 NONE = NoneType()
-
-
-def is_compatible(lhs: Type, rhs: Type) -> bool:
-    """Loose compatibility used by the verifier for memref element access."""
-    if lhs == rhs:
-        return True
-    # index and i64 interconvert freely in our lowering.
-    if {type(lhs), type(rhs)} == {IndexType, IntegerType}:
-        return True
-    return False

@@ -28,29 +28,6 @@ class VerificationError(IRError):
         super().__init__(message)
 
 
-def _collect_visible_values(op: Operation) -> Set[Value]:
-    """Values visible to ``op``'s regions from enclosing scopes."""
-    visible: Set[Value] = set()
-    current = op
-    while current is not None:
-        if current.IS_ISOLATED_FROM_ABOVE:
-            break
-        block = current.parent_block
-        if block is None:
-            break
-        # Values defined earlier in the same block and block arguments.
-        visible.update(block.arguments)
-        for earlier in block.operations:
-            if earlier is current:
-                break
-            visible.update(earlier.results)
-        current = block.parent_op
-        if current is None:
-            break
-        # Walk outwards through the parent op (loop/if/function).
-    return visible
-
-
 def verify(root: Operation) -> None:
     """Verify ``root`` and everything nested inside it."""
     _verify_op(root, visible=set())
@@ -100,8 +77,3 @@ def _verify_terminator(parent: Operation, block: Block) -> None:
             raise VerificationError(
                 f"Terminator '{other.name}' appears in the middle of a block", parent
             )
-
-
-def verify_module(module: Operation) -> None:
-    """Convenience wrapper matching MLIR's `verify(ModuleOp)` entry point."""
-    verify(module)

@@ -27,7 +27,7 @@ import difflib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Type
 
 from .errors import PipelineError
 from .perf import PERF
@@ -94,13 +94,6 @@ class StageReport:
 
     def applied_passes(self) -> List[str]:
         return [record.name for record in self.records if record.changed]
-
-    def by_pass(self) -> Dict[str, float]:
-        """Total seconds spent per pass name."""
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            totals[record.name] = totals.get(record.name, 0.0) + record.seconds
-        return totals
 
     def match_totals(self) -> Dict[str, Dict[str, int]]:
         """Aggregated pattern accounting per pass name.
@@ -198,26 +191,19 @@ def match_suffix(record: PassRecord) -> str:
 class PassRunner:
     """Runs an ordered sequence of passes, optionally to a fixed point.
 
-    ``validate`` is an optional callable invoked on the target after every
-    pass (IR verification / SDFG validation).  The runner is IR-agnostic:
-    it only requires each pass to implement ``run(target) -> bool``.
+    The runner is IR-agnostic: it only requires each pass to implement
+    ``run(target) -> bool``.
     """
 
     def __init__(
         self,
         passes: Sequence[PassBase],
         max_iterations: int = 1,
-        validate: Optional[Callable] = None,
         stage: str = "passes",
     ):
         self.passes = list(passes)
         self.max_iterations = max(1, max_iterations)
-        self.validate = validate
         self.stage = stage
-
-    def add(self, pass_obj: PassBase) -> "PassRunner":
-        self.passes.append(pass_obj)
-        return self
 
     def run(self, target) -> StageReport:
         report = StageReport(stage=self.stage)
@@ -238,11 +224,6 @@ class PassRunner:
                 if changed:
                     PERF.increment("passes.applied")
                 iteration_changed = iteration_changed or changed
-                if self.validate is not None:
-                    # Run even after a reportedly-unchanged pass: validation
-                    # is an opt-in safety net, and a buggy pass may mutate
-                    # the IR while reporting changed=False.
-                    self.validate(target)
             if not iteration_changed:
                 break
         report.wall_seconds = time.perf_counter() - wall_start

@@ -36,8 +36,3 @@ for _cls in (
 def register_control_pass(cls=None, *, name=None, overwrite=False):
     """Register a control-centric pass class (usable as a decorator)."""
     return CONTROL_PASSES.register(cls, name=name, overwrite=overwrite)
-
-
-def list_control_passes():
-    """Names of all registered control-centric passes."""
-    return CONTROL_PASSES.names()

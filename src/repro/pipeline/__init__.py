@@ -35,6 +35,8 @@ from .pipelines import (
     available_functions,
     compile_and_run,
     compile_c,
+    control_runner,
+    data_runner,
     generate_program,
     generate_sdfg,
     load_runner,
@@ -61,6 +63,8 @@ __all__ = [
     "available_functions",
     "compile_and_run",
     "compile_c",
+    "control_runner",
+    "data_runner",
     "generate_program",
     "generate_sdfg",
     "get_pipeline",

@@ -407,7 +407,9 @@ def compile_frontend(source, spec: PipelineSpec):
     return compile_python_to_mlir(as_program(source), **spec.frontend_options)
 
 
-def _build_control_runner(spec: PipelineSpec) -> PassRunner:
+def control_runner(spec: PipelineSpec) -> PassRunner:
+    """The runner of ``spec``'s control-centric stage — the one
+    :func:`generate_program` runs over the MLIR module."""
     return PassRunner(
         [CONTROL_PASSES.build(p.name, p.params) for p in spec.control_passes],
         max_iterations=spec.control_max_iterations,
@@ -415,7 +417,9 @@ def _build_control_runner(spec: PipelineSpec) -> PassRunner:
     )
 
 
-def _build_data_runner(spec: PipelineSpec) -> PassRunner:
+def data_runner(spec: PipelineSpec) -> PassRunner:
+    """The runner of ``spec``'s data-centric stage — the one
+    :func:`generate_program` runs over the bridged SDFG."""
     return PassRunner(
         [DATA_PASSES.build(p.name, p.params) for p in spec.data_passes],
         max_iterations=spec.data_max_iterations,
@@ -457,10 +461,10 @@ def generate_sdfg(
     module = compile_frontend(source, spec)
     require_function(module, function)
     if spec.control_passes:
-        _build_control_runner(spec).run(module)
+        control_runner(spec).run(module)
     sdfg = mlir_to_sdfg(module, function=function)
     if spec.data_passes:
-        _build_data_runner(spec).run(sdfg)
+        data_runner(spec).run(sdfg)
     return sdfg
 
 
@@ -491,7 +495,7 @@ def generate_program(
 
     control_report: Optional[StageReport] = None
     if spec.control_passes:
-        control_report = _build_control_runner(spec).run(module)
+        control_report = control_runner(spec).run(module)
         report.stages.append(control_report)
 
     if not spec.bridge:
@@ -526,7 +530,7 @@ def generate_program(
     stage_start = time.perf_counter()
     sdfg = mlir_to_sdfg(module, function=function)
     report.add_stage("bridge", time.perf_counter() - stage_start)
-    data_report = _build_data_runner(spec).run(sdfg)
+    data_report = data_runner(spec).run(sdfg)
     report.stages.append(data_report)
     stage_start = time.perf_counter()
     code = generate_sdfg_code(sdfg, vectorize=spec.codegen.vectorize)

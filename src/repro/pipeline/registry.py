@@ -143,8 +143,6 @@ CONTROL_SUITE = (
 #: Canonical data-centric pass suite of §6 (simplify then schedule), in
 #: pipeline order (the registered names of :data:`repro.transforms.DATA_PASSES`).
 DATA_SUITE = (
-    "scalar-to-symbol",
-    "symbol-propagation",
     "state-fusion",
     "tasklet-fusion",
     "augassign-to-wcr",
@@ -152,7 +150,6 @@ DATA_SUITE = (
     "dead-dataflow-elimination",
     "redundant-iteration-elimination",
     "array-elimination",
-    "memlet-consolidation",
     "stack-promotion",
     "memory-preallocation",
     "loop-to-map",

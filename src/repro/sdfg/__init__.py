@@ -2,17 +2,10 @@
 
 Public entry points: :class:`SDFG`, :class:`SDFGState`,
 :class:`InterstateEdge`, the node classes, :class:`Memlet`, and the data
-descriptors (:class:`Array`, :class:`Scalar`, :class:`Stream`).
+descriptors (:class:`Array`, :class:`Scalar`).
 """
 
-from .analysis import (
-    containers_ever_read,
-    containers_ever_written,
-    live_containers_per_state,
-    reachable_states,
-    state_access_sets,
-    symbols_assigned_once,
-)
+from .analysis import live_containers_per_state, state_access_sets
 from .data import (
     Array,
     Data,
@@ -22,15 +15,12 @@ from .data import (
     STORAGE_REGISTER,
     STORAGE_STACK,
     Scalar,
-    Stream,
     mlir_type_to_dtype,
 )
 from .memlet import Memlet, WCR_OPERATORS
 from .nodes import (
     AccessNode,
     CodeNode,
-    ConsumeEntry,
-    ConsumeExit,
     MAP_SCHEDULES,
     Map,
     MapEntry,
@@ -39,8 +29,6 @@ from .nodes import (
     SCHEDULE_PARALLEL,
     SCHEDULE_SEQUENTIAL,
     Tasklet,
-    is_scope_entry,
-    is_scope_exit,
 )
 from .propagation import propagate_memlets_sdfg, propagate_memlets_state, propagate_subset
 from .sdfg import SDFG, InterstateEdge, InvalidSDFGError, StateEdge
@@ -51,8 +39,6 @@ __all__ = [
     "AccessNode",
     "Array",
     "CodeNode",
-    "ConsumeEntry",
-    "ConsumeExit",
     "Data",
     "InterstateEdge",
     "InvalidSDFGError",
@@ -74,21 +60,14 @@ __all__ = [
     "STORAGE_STACK",
     "Scalar",
     "StateEdge",
-    "Stream",
     "Tasklet",
     "WCR_OPERATORS",
-    "containers_ever_read",
-    "containers_ever_written",
-    "is_scope_entry",
-    "is_scope_exit",
     "live_containers_per_state",
     "mlir_type_to_dtype",
     "propagate_memlets_sdfg",
     "propagate_memlets_state",
     "propagate_subset",
-    "reachable_states",
     "state_access_sets",
-    "symbols_assigned_once",
     "validate_sdfg",
     "validate_state",
 ]

@@ -1,4 +1,4 @@
-"""State-machine level analyses: reachability, liveness, access sets.
+"""State-machine level analyses: liveness and access sets.
 
 These analyses back the extended dead code elimination of §6.2 (Dead State
 Elimination works on symbolic conditions; Dead Dataflow Elimination walks
@@ -8,46 +8,16 @@ containers) and the memory-scheduling heuristics of §6.3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
-import networkx as nx
-
-from ..symbolic import FALSE, BoolConst
 from .data import Scalar
-from .sdfg import SDFG, InterstateEdge
+from .sdfg import SDFG
 from .state import SDFGState
-
-
-def reachable_states(sdfg: SDFG) -> Set[SDFGState]:
-    """States reachable from the start state via edges not provably false."""
-    if sdfg.start_state is None:
-        return set()
-    reachable: Set[SDFGState] = set()
-    frontier = [sdfg.start_state]
-    while frontier:
-        state = frontier.pop()
-        if state in reachable:
-            continue
-        reachable.add(state)
-        for edge in sdfg.out_edges(state):
-            condition = edge.data.condition
-            if isinstance(condition, BoolConst) and not condition.value:
-                continue
-            frontier.append(edge.dst)
-    return reachable
 
 
 def state_access_sets(sdfg: SDFG) -> Dict[SDFGState, Tuple[Set[str], Set[str]]]:
     """Per-state (read set, write set) of container names."""
     return {state: (state.read_set(), state.write_set()) for state in sdfg.states()}
-
-
-def interstate_read_symbols(sdfg: SDFG) -> Set[str]:
-    """Names (symbols or scalar containers) read by interstate edges."""
-    names: Set[str] = set()
-    for edge in sdfg.edges():
-        names |= edge.data.free_symbols()
-    return names
 
 
 def live_containers_per_state(sdfg: SDFG) -> Dict[SDFGState, Set[str]]:
@@ -101,33 +71,3 @@ def live_containers_per_state(sdfg: SDFG) -> Dict[SDFGState, Set[str]]:
     for state in sdfg.states():
         live_out[state] |= externally_visible
     return live_out
-
-
-def containers_ever_read(sdfg: SDFG) -> Set[str]:
-    """Containers read in any state or on any interstate edge."""
-    read: Set[str] = set()
-    for state in sdfg.states():
-        read |= state.read_set()
-    read |= interstate_read_symbols(sdfg) & set(sdfg.arrays)
-    return read
-
-
-def containers_ever_written(sdfg: SDFG) -> Set[str]:
-    written: Set[str] = set()
-    for state in sdfg.states():
-        written |= state.write_set()
-    for edge in sdfg.edges():
-        written |= set(edge.data.assignments) & set(sdfg.arrays)
-    return written
-
-
-def symbols_assigned_once(sdfg: SDFG) -> Dict[str, object]:
-    """Symbols assigned exactly once across all interstate edges, with the
-    assigned expression (the precondition for symbol propagation, §6.1)."""
-    counts: Dict[str, int] = {}
-    values: Dict[str, object] = {}
-    for edge in sdfg.edges():
-        for name, value in edge.data.assignments.items():
-            counts[name] = counts.get(name, 0) + 1
-            values[name] = value
-    return {name: values[name] for name, count in counts.items() if count == 1}

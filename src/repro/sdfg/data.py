@@ -1,7 +1,7 @@
 """Data descriptors for SDFG containers (mini-DaCe).
 
 SDFGs separate *data containers* from their use (§2.2 of the paper): every
-array, scalar or stream is described once, with a (possibly symbolic)
+array or scalar is described once, with a (possibly symbolic)
 shape, an element type, and allocation attributes that the memory
 scheduling passes of §6.3 manipulate (transient/persistent, heap vs stack,
 pre-allocation).
@@ -156,19 +156,6 @@ class Scalar(Data):
 
     def __init__(self, dtype: str, transient: bool = True, storage: str = STORAGE_REGISTER):
         super().__init__(dtype, (), transient, storage, LIFETIME_SCOPE)
-
-
-class Stream(Data):
-    """A FIFO-queue container (``sdfg.stream``); consumed by consume scopes."""
-
-    def __init__(
-        self,
-        dtype: str,
-        buffer_size: Union[int, str, Expr] = 0,
-        transient: bool = True,
-    ):
-        super().__init__(dtype, (), transient, STORAGE_HEAP, LIFETIME_SCOPE)
-        self.buffer_size = sympify(buffer_size)
 
 
 def mlir_type_to_dtype(type_obj) -> str:

@@ -153,27 +153,3 @@ class MapExit(CodeNode):
     def __init__(self, map_obj: Map):
         super().__init__(label=f"{map_obj.label}_exit")
         self.map = map_obj
-
-
-class ConsumeEntry(CodeNode):
-    """Entry node of a consume (producer/consumer) scope over a stream."""
-
-    def __init__(self, label: str, stream: str, num_pes: int = 1):
-        super().__init__(label=f"{label}_entry")
-        self.stream = stream
-        self.num_pes = num_pes
-
-
-class ConsumeExit(CodeNode):
-    """Exit node of a consume scope."""
-
-    def __init__(self, label: str):
-        super().__init__(label=f"{label}_exit")
-
-
-def is_scope_entry(node: Node) -> bool:
-    return isinstance(node, (MapEntry, ConsumeEntry))
-
-
-def is_scope_exit(node: Node) -> bool:
-    return isinstance(node, (MapExit, ConsumeExit))

@@ -28,8 +28,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..symbolic import Expr
 from ..symbolic.expr import Add, Integer, Min, Mul, Symbol
-from .data import Scalar, Stream
-from .nodes import MapEntry, MapExit, SCHEDULE_PARALLEL, is_scope_exit
+from .data import Scalar
+from .nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 
 #: Environment variable overriding the default worker count of parallel
 #: schedules (both backends and the cost model honor it).
@@ -237,12 +237,12 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             not memlet.is_empty
             and memlet.data is not None
             and isinstance(sdfg.arrays.get(memlet.data), Scalar)
-            and not isinstance(destination, (type(state.exit_node(entry)), MapExit))
+            and not isinstance(destination, MapExit)
             and memlet.wcr is None
             and destination in members
         ):
             read_scalars.add(memlet.data)
-        if source not in members or is_scope_exit(source):
+        if source not in members or isinstance(source, MapExit):
             continue  # entry boundary reads / exit propagation plumbing
         if not isinstance(destination, (MapExit,)) and not hasattr(destination, "data"):
             continue  # value edge between code nodes
@@ -256,8 +256,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         descriptor = sdfg.arrays.get(data)
         if descriptor is None:
             continue
-        if isinstance(descriptor, Stream):
-            return _refuse(f"stream container {data!r} written in scope")
         if isinstance(descriptor, Scalar):
             if memlet.wcr is None:
                 return _refuse(f"scalar {data!r} written without WCR")

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from ..symbolic import Range, Subset
 from .memlet import Memlet
-from .nodes import MapEntry, MapExit, is_scope_entry, is_scope_exit
+from .nodes import MapEntry, MapExit
 from .sdfg import SDFG
 from .state import MultiConnectorEdge, SDFGState
 

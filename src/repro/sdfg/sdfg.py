@@ -21,7 +21,7 @@ from ..symbolic import (
     TRUE,
     sympify,
 )
-from .data import Array, Data, Scalar, Stream
+from .data import Array, Data, Scalar
 from .graph import OrderedMultiDiGraph
 from .memlet import Memlet
 from .state import SDFGState
@@ -153,17 +153,6 @@ class SDFG(OrderedMultiDiGraph):
         self.arrays[name] = descriptor
         return name, descriptor
 
-    def add_stream(self, name: str, dtype: str, transient: bool = True) -> Tuple[str, Stream]:
-        if name in self.arrays:
-            raise InvalidSDFGError(f"Container {name!r} already exists")
-        descriptor = Stream(dtype, transient=transient)
-        self.arrays[name] = descriptor
-        return name, descriptor
-
-    def add_temp_transient(self, shape: Sequence, dtype: str) -> Tuple[str, Array]:
-        name = self._find_new_name("__tmp")
-        return self.add_array(name, shape, dtype, transient=True)
-
     def remove_data(self, name: str, validate: bool = True) -> None:
         """Remove a container descriptor (it must be unused if ``validate``)."""
         if validate:
@@ -287,14 +276,6 @@ class SDFG(OrderedMultiDiGraph):
             name: descriptor for name, descriptor in self.arrays.items() if descriptor.transient
         }
 
-    def total_nodes(self) -> int:
-        return sum(state.number_of_nodes() for state in self.states())
-
-    def node_iter(self) -> Iterator:
-        for state in self.states():
-            for node in state.nodes():
-                yield state, node
-
     def map_entries(self) -> Iterator:
         """Yield ``(state, map entry)`` pairs in deterministic order.
 
@@ -306,25 +287,11 @@ class SDFG(OrderedMultiDiGraph):
             for entry in state.map_entries():
                 yield state, entry
 
-    # -- high-level pipeline hooks (implemented in repro.transforms) ------------------------------
+    # -- validation and execution hooks ------------------------------------------------------------
     def validate(self) -> None:
         from .validation import validate_sdfg
 
         validate_sdfg(self)
-
-    def simplify(self) -> "SDFG":
-        """Run the simplification pipeline (§6.1) in place and return self."""
-        from ..transforms.simplify import simplify_sdfg
-
-        simplify_sdfg(self)
-        return self
-
-    def apply_auto_optimizations(self) -> "SDFG":
-        """Run the -O1/-O2-equivalent data-centric passes (§6.2, §6.3)."""
-        from ..transforms.pipeline import data_centric_pipeline
-
-        data_centric_pipeline().apply(self)
-        return self
 
     def compile(self, **kwargs):
         """Generate and load an executable Python program for this SDFG."""

@@ -9,7 +9,7 @@ flow.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..symbolic import Range
 from .graph import OrderedMultiDiGraph
@@ -17,15 +17,11 @@ from .memlet import Memlet
 from .nodes import (
     AccessNode,
     CodeNode,
-    ConsumeEntry,
-    ConsumeExit,
     Map,
     MapEntry,
     MapExit,
     Node,
     Tasklet,
-    is_scope_entry,
-    is_scope_exit,
 )
 
 _edge_counter = itertools.count()
@@ -97,11 +93,6 @@ class SDFGState(OrderedMultiDiGraph):
         self.add_node(exit_node)
         return entry, exit_node
 
-    def remove_nodes(self, nodes: Iterable[Node]) -> None:
-        for node in list(nodes):
-            if node in self:
-                self.remove_node(node)
-
     # -- edge management --------------------------------------------------------------
     def add_edge(
         self,
@@ -159,20 +150,6 @@ class SDFGState(OrderedMultiDiGraph):
                 writes.add(edge.dst.data)
         return writes
 
-    def read_memlets(self, data: str) -> List[Memlet]:
-        return [
-            edge.data
-            for edge in self.edges()
-            if isinstance(edge.src, AccessNode) and edge.src.data == data and not edge.data.is_empty
-        ]
-
-    def write_memlets(self, data: str) -> List[Memlet]:
-        return [
-            edge.data
-            for edge in self.edges()
-            if isinstance(edge.dst, AccessNode) and edge.dst.data == data and not edge.data.is_empty
-        ]
-
     # -- scope queries -----------------------------------------------------------------------
     def map_entries(self) -> List[MapEntry]:
         """Map-scope entries of this state, in program order."""
@@ -198,8 +175,7 @@ class SDFGState(OrderedMultiDiGraph):
     def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing scope entry (or None)."""
         scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._graph}
-        entries = [node for node in self.program_order() if is_scope_entry(node)]
-        for entry in entries:
+        for entry in self.map_entries():
             exit_node = self.exit_node(entry)
             # Nodes strictly between entry and exit belong to this scope.
             for node in self._scope_members(entry, exit_node):
@@ -223,12 +199,6 @@ class SDFGState(OrderedMultiDiGraph):
         if isinstance(entry, MapEntry):
             for node in self._graph:
                 if isinstance(node, MapExit) and node.map is entry.map:
-                    return node
-        if isinstance(entry, ConsumeEntry):
-            for node in self._graph:
-                if isinstance(node, ConsumeExit) and node.label == entry.label.replace(
-                    "_entry", "_exit"
-                ):
                     return node
         raise KeyError(f"No exit node for scope entry {entry!r}")
 

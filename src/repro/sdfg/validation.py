@@ -13,9 +13,9 @@ from typing import Set
 import networkx as nx
 
 from ..symbolic import Integer
-from .data import Scalar, Stream
+from .data import Scalar
 from .memlet import Memlet
-from .nodes import AccessNode, MapEntry, MapExit, Tasklet, is_scope_entry, is_scope_exit
+from .nodes import AccessNode, MapEntry, MapExit, Tasklet
 from .sdfg import SDFG, InvalidSDFGError
 from .state import SDFGState
 
@@ -110,7 +110,7 @@ def _validate_memlet(sdfg: SDFG, state: SDFGState, memlet: Memlet) -> None:
     descriptor = sdfg.arrays[memlet.data]
     if memlet.subset is None:
         return
-    if isinstance(descriptor, (Scalar, Stream)):
+    if isinstance(descriptor, Scalar):
         return
     if memlet.subset.dims != descriptor.rank and descriptor.rank > 0:
         raise InvalidSDFGError(
@@ -132,8 +132,8 @@ def _validate_memlet(sdfg: SDFG, state: SDFGState, memlet: Memlet) -> None:
 
 
 def _validate_scopes(state: SDFGState, scope) -> None:
-    entries = [node for node in state.nodes() if is_scope_entry(node)]
-    exits = [node for node in state.nodes() if is_scope_exit(node)]
+    entries = [node for node in state.nodes() if isinstance(node, MapEntry)]
+    exits = [node for node in state.nodes() if isinstance(node, MapExit)]
     if len(entries) != len(exits):
         raise InvalidSDFGError(
             f"State {state.label!r} has {len(entries)} scope entries but {len(exits)} exits"

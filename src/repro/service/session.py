@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import failure_kind as classify_failure
-from ..pipeline import PAPER_PIPELINES, CompileResult, resolve_pipeline, run_compiled
+from ..pipeline import CompileResult, resolve_pipeline, run_compiled
 from ..pipeline.spec import PipelineLike, pipeline_label
 from .batch import BatchOutcome, CompileRequest, compile_many
 from .cache import CacheStats, CompileCache
@@ -372,24 +372,3 @@ class Session:
         report.wall_seconds = time.perf_counter() - start
         report.cache_stats = self.cache.stats.snapshot()
         return report
-
-    def run_polybench(
-        self,
-        kernels: Optional[Sequence[str]] = None,
-        # A fixed snapshot of the paper's six, not the live PIPELINES view:
-        # registering a custom pipeline must not silently widen the default
-        # Fig. 6 sweep (or feed unsound ablations to its differential check).
-        pipelines: Sequence[PipelineLike] = PAPER_PIPELINES,
-        sizes: Optional[Dict[str, Dict[str, int]]] = None,
-        repetitions: int = 1,
-        parallel: bool = False,
-    ) -> SuiteReport:
-        """Run the PolyBench workload set (the paper's Fig. 6 sweep)."""
-        from ..workloads import polybench_suite
-
-        return self.run_suite(
-            polybench_suite(kernels, sizes=sizes),
-            pipelines=pipelines,
-            repetitions=repetitions,
-            parallel=parallel,
-        )

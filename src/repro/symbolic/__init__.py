@@ -6,7 +6,7 @@ Public entry points:
   values or strings,
 * :class:`Symbol`, :class:`Integer`, :class:`Float` and the operator nodes,
 * :class:`Range` / :class:`Subset` — the memlet subset algebra,
-* :func:`solve_linear` / :func:`solve_equations` — symbol inference.
+* :func:`definitely_nonzero` — sign reasoning for size verification.
 
 Interning and immutability guarantees
 -------------------------------------
@@ -64,14 +64,7 @@ from .expr import (
 )
 from .parser import parse_expr
 from .ranges import Range, Subset
-from .solve import (
-    definitely_nonzero,
-    linear_coefficients,
-    sign_assuming_positive,
-    solve_equations,
-    solve_linear,
-    substitute_all,
-)
+from .solve import definitely_nonzero, sign_assuming_positive
 
 __all__ = [
     "Add",
@@ -98,12 +91,8 @@ __all__ = [
     "SymbolicError",
     "TRUE",
     "definitely_nonzero",
-    "linear_coefficients",
     "sign_assuming_positive",
     "parse_expr",
-    "solve_equations",
-    "solve_linear",
-    "substitute_all",
     "symbols",
     "sympify",
 ]

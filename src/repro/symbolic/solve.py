@@ -1,127 +1,15 @@
-"""Light-weight symbolic solving utilities.
+"""Sign reasoning under the positive-size assumption.
 
-The DCIR symbol-propagation pass (§6.1 of the paper) needs two services:
-
-* detect whether an expression is *linear* in a given symbol and solve the
-  equation ``expr == value`` for that symbol, and
-* solve small systems of linear equations arising at call sites where
-  caller shapes must equal callee shapes (e.g. ``2*N == 200`` → ``N = 100``).
+The ``sdfg`` dialect's compile-time size verification (§3.1, Fig. 3b)
+asks one question of two symbolic sizes: is their difference provably
+nonzero when every free symbol is positive?
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .expr import Add, Div, Expr, Integer, Mul, Symbol, SymbolicError, sympify
-
-
-def linear_coefficients(expr: Expr, symbol: Symbol) -> Optional[Tuple[Expr, Expr]]:
-    """Return ``(a, b)`` such that ``expr == a*symbol + b``, or ``None``.
-
-    ``None`` means the expression is not (recognizably) linear in ``symbol``.
-    Both returned expressions are free of ``symbol``.
-    """
-    expr = sympify(expr)
-    name = symbol.name
-
-    def split(term: Expr) -> Optional[Tuple[Expr, Expr]]:
-        if name not in {s.name for s in term.free_symbols()}:
-            return Integer(0), term
-        if isinstance(term, Symbol):
-            return Integer(1), Integer(0)
-        if isinstance(term, Add):
-            a_total: Expr = Integer(0)
-            b_total: Expr = Integer(0)
-            for arg in term.args:
-                parts = split(arg)
-                if parts is None:
-                    return None
-                a_total = a_total + parts[0]
-                b_total = b_total + parts[1]
-            return a_total, b_total
-        if isinstance(term, Mul):
-            # Exactly one factor may contain the symbol, and linearly so.
-            symbolic_factor = None
-            other: Expr = Integer(1)
-            for arg in term.args:
-                if name in {s.name for s in arg.free_symbols()}:
-                    if symbolic_factor is not None:
-                        return None
-                    symbolic_factor = arg
-                else:
-                    other = other * arg
-            assert symbolic_factor is not None
-            inner = split(symbolic_factor)
-            if inner is None:
-                return None
-            a_inner, b_inner = inner
-            return other * a_inner, other * b_inner
-        if isinstance(term, Div):
-            if name in {s.name for s in term.den.free_symbols()}:
-                return None
-            inner = split(term.num)
-            if inner is None:
-                return None
-            a_inner, b_inner = inner
-            return Div.make(a_inner, term.den), Div.make(b_inner, term.den)
-        return None
-
-    return split(expr)
-
-
-def solve_linear(expr: Expr, symbol: Symbol, value: Expr) -> Optional[Expr]:
-    """Solve ``expr == value`` for ``symbol`` when ``expr`` is linear in it."""
-    expr = sympify(expr)
-    value = sympify(value)
-    coefficients = linear_coefficients(expr, symbol)
-    if coefficients is None:
-        return None
-    a, b = coefficients
-    if a == Integer(0):
-        return None
-    try:
-        return Div.make(value - b, a)
-    except SymbolicError:
-        return None
-
-
-def solve_equations(
-    equations: Sequence[Tuple[Expr, Expr]], unknowns: Iterable[Symbol]
-) -> Dict[str, Expr]:
-    """Solve a small system ``lhs_i == rhs_i`` for the given unknowns.
-
-    Uses repeated substitution: each round, find an equation linear in a
-    single remaining unknown, solve it and substitute everywhere.  Returns a
-    mapping of the unknowns that could be determined (possibly partial).
-    This mirrors the paper's "on every function call, an attempt is made to
-    reduce symbols by solving a system of equations" (§6.1).
-    """
-    remaining = {sym.name: sym for sym in unknowns}
-    pending = [(sympify(lhs), sympify(rhs)) for lhs, rhs in equations]
-    solution: Dict[str, Expr] = {}
-
-    progress = True
-    while progress and remaining:
-        progress = False
-        for index, (lhs, rhs) in enumerate(pending):
-            lhs_sub = lhs.subs(solution)
-            rhs_sub = rhs.subs(solution)
-            difference_syms = {
-                s.name for s in (lhs_sub.free_symbols() | rhs_sub.free_symbols())
-            } & set(remaining)
-            if len(difference_syms) != 1:
-                continue
-            name = next(iter(difference_syms))
-            symbol = remaining[name]
-            solved = solve_linear(lhs_sub - rhs_sub, symbol, Integer(0))
-            if solved is None:
-                continue
-            solution[name] = solved
-            del remaining[name]
-            pending.pop(index)
-            progress = True
-            break
-    return solution
+from .expr import Add, Expr, Integer, Mul, Symbol, sympify
 
 
 def sign_assuming_positive(expr: Expr) -> Optional[int]:
@@ -181,14 +69,3 @@ def _term_coefficient(term: Expr) -> Tuple[Optional[float], Expr]:
                 return None, term
         return coefficient, term
     return None, term
-
-
-def substitute_all(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Repeatedly substitute until a fixed point (bounded to avoid cycles)."""
-    expr = sympify(expr)
-    for _ in range(16):
-        new_expr = expr.subs(mapping)
-        if new_expr == expr:
-            return new_expr
-        expr = new_expr
-    return expr

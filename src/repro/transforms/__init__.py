@@ -19,10 +19,14 @@ spec's content address.  Two parameters exist on every transformation:
 ``only_matches`` (apply only the given match indices — per-match enable
 subsets) and ``max_applications`` (cap the number of rewrites per run).
 
-The standard §6 suite (simplification + memory scheduling) is registered
-in :data:`DATA_PASSES`; the parameterized scheduling transforms
-(``MapTiling``, ``MapInterchange``, ``MapCollapse``, ``Vectorization``)
-are additive choices the tuner's search space proposes on top.
+Every transformation is registered by name in :data:`DATA_PASSES`.  The
+one ordered §6 suite (simplification, then memory scheduling) is
+:data:`repro.pipeline.DATA_SUITE`, and
+:func:`repro.pipeline.data_runner` is what builds a runner from a spec;
+the parameterized scheduling transforms (``MapTiling``, ``MapInterchange``,
+``MapCollapse``, ``Vectorization``) are additive choices the tuner's
+search space proposes on top.  Symbol inference is not a pass here: the
+bridge's :class:`~repro.conversion.symbols.SymbolicEvaluator` does it.
 """
 
 from .array_elimination import ArrayElimination
@@ -40,21 +44,12 @@ from .map_parameterized import (
     tile_map,
 )
 from .map_transforms import LoopToMap, MapFusion
-from .memlet_consolidation import MemletConsolidation
 from .parallelize import Parallelize
 from .memory_allocation import MemoryPreAllocation, StackPromotion
-from .pipeline import (
-    DataCentricPass,
-    DataCentricPipeline,
-    data_centric_pipeline,
-    memory_scheduling_pipeline,
-    simplification_pipeline,
-)
-from .registry import DATA_PASSES, list_data_passes, register_data_pass
+from .pipeline import DataCentricPass
+from .registry import DATA_PASSES, register_data_pass
 from .rewrite import Match, Transformation, transformation_parameters
-from .simplify import simplify_sdfg
 from .state_fusion import StateFusion
-from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
 from .tasklet_fusion import TaskletFusion
 from .wcr_detection import AugAssignToWCR
 
@@ -63,7 +58,6 @@ __all__ = [
     "AugAssignToWCR",
     "DATA_PASSES",
     "DataCentricPass",
-    "DataCentricPipeline",
     "DeadDataflowElimination",
     "DeadStateElimination",
     "LoopInfo",
@@ -73,24 +67,16 @@ __all__ = [
     "MapInterchange",
     "MapTiling",
     "Match",
-    "MemletConsolidation",
     "MemoryPreAllocation",
     "Parallelize",
     "RedundantIterationElimination",
-    "ScalarToSymbolPromotion",
     "StackPromotion",
     "StateFusion",
-    "SymbolPropagation",
     "TaskletFusion",
     "Transformation",
     "Vectorization",
-    "data_centric_pipeline",
     "find_loops",
-    "list_data_passes",
-    "memory_scheduling_pipeline",
     "register_data_pass",
-    "simplification_pipeline",
-    "simplify_sdfg",
     "symbols_used_in_state",
     "tile_map",
     "transformation_parameters",

@@ -26,7 +26,6 @@ import networkx as nx
 
 from ..symbolic import BoolConst
 from ..sdfg import SDFG, AccessNode, SDFGState, Tasklet
-from ..sdfg.nodes import is_scope_entry, is_scope_exit
 from .loop_analysis import find_loops, symbols_used_in_state
 from .rewrite import Match, Transformation
 
@@ -186,8 +185,6 @@ class DeadDataflowElimination(Transformation):
                     if state.out_degree(node) == 0 and state.in_degree(node) == 0:
                         state.remove_node(node)
                         changed = True
-                elif is_scope_entry(node) or is_scope_exit(node):
-                    continue
 
 
 class RedundantIterationElimination(Transformation):

@@ -21,10 +21,8 @@ from .dead_code import (
 from .map_parameterized import MapCollapse, MapInterchange, MapTiling, Vectorization
 from .map_transforms import LoopToMap, MapFusion
 from .parallelize import Parallelize
-from .memlet_consolidation import MemletConsolidation
 from .memory_allocation import MemoryPreAllocation, StackPromotion
 from .state_fusion import StateFusion
-from .symbol_passes import ScalarToSymbolPromotion, SymbolPropagation
 from .tasklet_fusion import TaskletFusion
 from .wcr_detection import AugAssignToWCR
 
@@ -32,8 +30,6 @@ from .wcr_detection import AugAssignToWCR
 DATA_PASSES = PassRegistry("data-centric")
 
 for _cls in (
-    ScalarToSymbolPromotion,
-    SymbolPropagation,
     StateFusion,
     TaskletFusion,
     AugAssignToWCR,
@@ -41,7 +37,6 @@ for _cls in (
     DeadDataflowElimination,
     RedundantIterationElimination,
     ArrayElimination,
-    MemletConsolidation,
     StackPromotion,
     MemoryPreAllocation,
     LoopToMap,
@@ -60,8 +55,3 @@ for _cls in (
 def register_data_pass(cls=None, *, name=None, overwrite=False):
     """Register a data-centric pass class (usable as a decorator)."""
     return DATA_PASSES.register(cls, name=name, overwrite=overwrite)
-
-
-def list_data_passes():
-    """Names of all registered data-centric passes."""
-    return DATA_PASSES.names()

@@ -22,10 +22,9 @@ from repro.conversion import (
 from repro.dialects.sdfg_dialect import SDFGOp, StateOp, TaskletOp
 from repro.frontend import compile_c_to_mlir
 from repro.ir import print_module, verify
-from repro.passes import control_centric_pipeline
+from repro.pipeline import control_runner, data_runner, get_pipeline
 from repro.sdfg import Memlet, SDFG, InterstateEdge
 from repro.symbolic import Range
-from repro.transforms import data_centric_pipeline
 
 FIG5_SOURCE = """
 int fName(int *A, int *B) {
@@ -149,9 +148,9 @@ class TestCodegen:
 
     def test_optimized_sdfg_matches(self):
         module = compile_c_to_mlir(LOOP_SOURCE)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         sdfg = mlir_to_sdfg(module)
-        data_centric_pipeline().apply(sdfg)
+        data_runner(get_pipeline("dcir")).run(sdfg)
         sdfg.validate()
         assert compile_sdfg(sdfg).run()["__return"] == pytest.approx(90.0)
 
@@ -268,9 +267,9 @@ class TestCodegen:
 
         source = fig2_source({"N": 50, "M": 10})
         module = compile_c_to_mlir(source)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         sdfg = mlir_to_sdfg(module)
         before = sdfg_movement_report(sdfg).elements_moved
-        data_centric_pipeline().apply(sdfg)
+        data_runner(get_pipeline("dcir")).run(sdfg)
         after = sdfg_movement_report(sdfg).elements_moved
         assert after < before

@@ -34,8 +34,8 @@ from repro.passes import (
     Inlining,
     LoopInvariantCodeMotion,
     ScalarReplacement,
-    control_centric_pipeline,
 )
+from repro.pipeline import control_runner, get_pipeline
 
 
 def _simple_add_module():
@@ -262,7 +262,7 @@ class TestControlCentricPasses:
 
     def test_dce_removes_unused(self):
         module = compile_c_to_mlir("int f() { int unused = 5 * 3; return 1; }")
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         assert "arith.muli" not in print_module(module)
 
     def test_licm_hoists_invariant_load(self):
@@ -280,7 +280,7 @@ class TestControlCentricPasses:
         }
         """
         module = compile_c_to_mlir(source)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         # The multiplication 1.5 * A[i][k] must be hoisted out of the j loop.
         text = print_module(module)
         innermost = text.split("scf.for %j")[-1]
@@ -288,7 +288,7 @@ class TestControlCentricPasses:
 
     def test_scalar_replacement_forwards_store(self):
         module = compile_c_to_mlir("int f() { int x = 7; return x + 1; }")
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         text = print_module(module)
         assert "arith.constant 8" in text
 
@@ -311,12 +311,12 @@ class TestControlCentricPasses:
 
     def test_pipeline_is_idempotent(self):
         module = compile_c_to_mlir(CSOURCE)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         first = print_module(module)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         assert print_module(module) == first
 
     def test_fold_constant_if(self):
         module = compile_c_to_mlir("int f() { int x = 0; if (1 < 2) x = 5; return x; }")
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         assert "scf.if" not in print_module(module)

@@ -143,6 +143,16 @@ class TestRegistry:
         assert "map-fusoin" in str(excinfo.value)
         assert "map-fusion" in str(excinfo.value)
 
+    def test_spec_naming_a_deleted_pass_fails_validation(self):
+        # A spec saved as JSON before the pass was deleted: loud, not skipped.
+        saved = get_pipeline("dcir").to_dict()
+        saved["data_passes"].insert(0, {"name": "scalar-to-symbol", "params": {}})
+        with pytest.raises(PipelineError) as excinfo:
+            PipelineSpec.from_dict(saved).validate()
+        message = str(excinfo.value)
+        assert "Unknown data-centric pass 'scalar-to-symbol'" in message
+        assert "registered passes: state-fusion, " in message
+
 
 class TestPassSpecParams:
     def test_params_feed_the_content_address(self):

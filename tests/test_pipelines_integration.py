@@ -7,11 +7,22 @@ import numpy as np
 import pytest
 
 import repro
-from repro import PIPELINES, compile_c, compile_and_run, get_pipeline, run_compiled
+from repro import (
+    PIPELINES,
+    compile_c,
+    compile_and_run,
+    generate_program,
+    get_pipeline,
+    run_compiled,
+)
+from repro.codegen import have_compiler
+from repro.conversion import ConversionError
+from repro.pipeline import CONTROL_SUITE, DATA_SUITE
 from repro.workloads import (
     bandwidth_source,
     fig2_source,
     get_kernel,
+    get_suite,
     kernel_names,
     milc_source,
     mish_source,
@@ -20,6 +31,8 @@ from repro.workloads import (
     run_jit,
     syrk_source,
 )
+
+requires_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler on PATH")
 
 #: Small problem sizes so the whole matrix of (kernel × pipeline) stays fast.
 _SMALL_SIZES = {
@@ -59,8 +72,52 @@ _FIG2_ABLATIONS = [
 ]
 
 
+#: Source-level exercisers of the two suite passes no shipped workload
+#: reaches, each with the value a C compiler returns for ``kernel()``.
+#: ``inline`` needs a call; ``dead-state-elimination`` needs a branch whose
+#: condition is constant, and fires under ``dace`` only — under the other
+#: bridge pipelines ``canonicalize`` folds the branch before the bridge.
+_EXERCISERS = {
+    "two-function": ("""
+double sq(double x) { return x * x; }
+double kernel() {
+  double A[16];
+  for (int i = 0; i < 16; i++) A[i] = i * 0.5 + 1.0;
+  double s = 0.0;
+  for (int i = 0; i < 16; i++) s += sq(A[i]);
+  return s;
+}
+""", 446.0),
+    "dead-branches": ("""
+double kernel() {
+  double A[8];
+  int flag = 0;
+  for (int i = 0; i < 8; i++) A[i] = i + 1.0;
+  if (3 > 5) { for (int i = 0; i < 8; i++) A[i] = -1.0; }
+  if (flag) { A[0] = 100.0; }
+  while (0) { A[1] = 200.0; }
+  for (int i = 5; i < 3; i++) A[i] = 300.0;
+  double s = 0.0;
+  for (int i = 0; i < 8; i++) s += A[i] * (i + 1);
+  return s;
+}
+""", 204.0),
+}
+
+
 def _reference(source: str) -> float:
     return compile_and_run(source, "gcc").return_value
+
+
+def _applications(program) -> dict:
+    """Pass name → rewrites over one compile (sites for pattern passes,
+    else one per invocation that reported a change)."""
+    totals = {}
+    for stage in program.report.stages:
+        for record in stage.records:
+            count = record.applied if record.applied is not None else int(record.changed)
+            totals[record.name] = totals.get(record.name, 0) + count
+    return totals
 
 
 class TestPipelineCorrectness:
@@ -98,6 +155,46 @@ class TestPipelineCorrectness:
         expected = reference_checksum(64)
         assert compile_and_run(source, pipeline).return_value == pytest.approx(expected)
 
+    @pytest.mark.parametrize("backend", ["python", pytest.param("native", marks=requires_cc)])
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    @pytest.mark.parametrize("program", sorted(_EXERCISERS))
+    def test_pass_exercisers_all_pipelines(self, program, pipeline, backend):
+        source, expected = _EXERCISERS[program]
+        spec = get_pipeline(pipeline).with_codegen(backend=backend)
+        if (program, pipeline) == ("two-function", "dace"):
+            # No control-centric stage, so nothing inlines the call.
+            with pytest.raises(ConversionError, match="must be inlined"):
+                generate_program(source, spec, function="kernel")
+            return
+        generated = generate_program(source, spec, function="kernel")
+        result = generated.to_result()
+        assert run_compiled(result).return_value == expected
+        if spec.bridge and backend == "native":
+            assert result.backend == "native", result.backend_diagnostic
+        applied = _applications(generated)
+        if program == "two-function":
+            assert applied["inline"] >= 1
+        elif pipeline == "dace":
+            assert applied["dead-state-elimination"] >= 1
+
+    def test_every_suite_pass_fires_on_some_source_program(self):
+        """A pass in the default suites that no C or traced-Python program
+        can make fire is dead weight in every compile and every tuning run."""
+        programs = [
+            (source, None)
+            for suite in ("polybench", "casestudies", "mish", "python")
+            for source in get_suite(suite).values()
+        ] + [(source, "kernel") for source, _ in _EXERCISERS.values()]
+        uninlined = (_EXERCISERS["two-function"][0], "dace")  # a ConversionError, pinned above
+        fired = set()
+        for source, function in programs:
+            for pipeline in ("dace", "dcir"):
+                if (source, pipeline) != uninlined:
+                    program = generate_program(source, pipeline, function=function)
+                    fired.update(name for name, n in _applications(program).items() if n)
+        idle = [name for name in CONTROL_SUITE + DATA_SUITE if name not in fired]
+        assert not idle, f"suite passes that fired on no program: {idle}"
+
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(repro.PipelineError):
             compile_c("int f() { return 0; }", "icc")
@@ -130,11 +227,11 @@ class TestPaperClaims:
         DaCe C frontend view (no control-centric passes) does not."""
         source = syrk_source({"N": 6, "M": 5})
         from repro.frontend import compile_c_to_mlir
-        from repro.passes import control_centric_pipeline
+        from repro.pipeline import control_runner
         from repro.ir import print_module
 
         module = compile_c_to_mlir(source)
-        control_centric_pipeline().run(module)
+        control_runner(get_pipeline("dcir")).run(module)
         text = print_module(module)
         # After LICM the innermost (j) loop no longer contains the multiply
         # of the two loop-invariant operands.

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.passbase import PassRunner
+from repro.pipeline import data_runner, get_pipeline
 from repro.sdfg import (
     SDFG,
     AccessNode,
@@ -12,8 +14,6 @@ from repro.sdfg import (
     Tasklet,
     live_containers_per_state,
     propagate_memlets_sdfg,
-    reachable_states,
-    symbols_assigned_once,
 )
 from repro.symbolic import FALSE, Integer, Range, Subset, Symbol, parse_expr
 from repro.transforms import (
@@ -27,17 +27,13 @@ from repro.transforms import (
     MapInterchange,
     MapTiling,
     Match,
-    MemletConsolidation,
     MemoryPreAllocation,
     RedundantIterationElimination,
-    ScalarToSymbolPromotion,
     StackPromotion,
     StateFusion,
-    SymbolPropagation,
     Transformation,
     Vectorization,
     find_loops,
-    simplify_sdfg,
 )
 
 
@@ -150,16 +146,10 @@ class TestSDFGCore:
         assert loops[0].induction_symbol == "i"
         assert str(loops[0].trip_count()) == "N"
 
-    def test_reachability_and_liveness(self):
+    def test_liveness(self):
         sdfg = _loop_sdfg()
-        assert len(reachable_states(sdfg)) == 4
         live = live_containers_per_state(sdfg)
         assert any("A" in names for names in live.values())
-
-    def test_symbols_assigned_once(self):
-        sdfg = _loop_sdfg()
-        once = symbols_assigned_once(sdfg)
-        assert "i" not in once  # assigned twice (init + increment)
 
     def test_arglist_excludes_transients(self):
         sdfg = _vector_scale_sdfg()
@@ -244,17 +234,6 @@ class TestTransforms:
         sdfg = _loop_sdfg()
         assert not RedundantIterationElimination().apply(sdfg)
 
-    def test_symbol_propagation(self):
-        sdfg = SDFG("prop")
-        sdfg.add_array("A", ["K"], "float64")
-        first = sdfg.add_state("a", is_start_state=True)
-        second = sdfg.add_state("b")
-        sdfg.add_edge(first, second, InterstateEdge(assignments={"K": 8}))
-        sdfg.add_symbol("K")
-        assert SymbolPropagation().apply(sdfg)
-        assert sdfg.constants["K"] == 8
-        assert str(sdfg.arrays["A"].shape[0]) == "8"
-
     def test_wcr_detection(self):
         sdfg = SDFG("wcr")
         sdfg.add_array("A", [8], "float64")
@@ -327,7 +306,7 @@ class TestTransforms:
 
     def test_simplify_pipeline_runs(self):
         sdfg = _loop_sdfg()
-        report = simplify_sdfg(sdfg)
+        report = data_runner(get_pipeline("dcir")).run(sdfg)
         assert report.records
         sdfg.validate()
 
@@ -431,10 +410,8 @@ class TestRewriteEngine:
         assert Flipper(max_applications=7).apply(sdfg)
 
     def test_pass_records_carry_match_accounting(self):
-        from repro.transforms import DataCentricPipeline
-
         sdfg = _loop_sdfg()
-        report = DataCentricPipeline([LoopToMap()], max_iterations=1).apply(sdfg)
+        report = PassRunner([LoopToMap()]).run(sdfg)
         record = report.records[0]
         assert record.matches == 1 and record.applied == 1
         assert report.match_totals()["loop-to-map"] == {"matches": 1, "applied": 1}
@@ -512,64 +489,6 @@ class TestMatchSets:
         assert elimination.apply(sdfg)
         assert "never" not in sdfg.arrays and "cpy" not in sdfg.arrays
         assert sorted(sdfg.eliminated_containers) == ["cpy", "never"]
-
-    def test_memlet_consolidation_matches_merges_and_unions(self):
-        sdfg = SDFG("memlets")
-        sdfg.add_array("A", [8], "float64")
-        state = sdfg.add_state("s0", is_start_state=True)
-        t = state.add_tasklet("t", ["_a", "_b"], [], "pass")
-        state.add_edge(state.add_access("A"), None, t, "_a", Memlet.simple("A", "0"))
-        state.add_edge(state.add_access("A"), None, t, "_b", Memlet.simple("A", "1"))
-        consolidation = MemletConsolidation()
-        matches = consolidation.matches(sdfg)
-        assert [m.kind for m in matches] == ["merge-reads"]
-        assert consolidation.apply(sdfg)
-        assert len([n for n in state.data_nodes() if n.data == "A"]) == 1
-        # The merged node now carries parallel edges to different connectors —
-        # distinct connector pairs, so no consolidate match remains.
-        assert consolidation.matches(sdfg) == []
-
-    def test_memlet_union_match_on_same_connector_pair(self):
-        sdfg = SDFG("union")
-        sdfg.add_array("A", [8], "float64")
-        sdfg.add_array("B", [8], "float64")
-        state = sdfg.add_state("s0", is_start_state=True)
-        a, b = state.add_access("A"), state.add_access("B")
-        state.add_edge(a, None, b, None, Memlet.simple("A", "0"))
-        state.add_edge(a, None, b, None, Memlet.simple("A", "3"))
-        consolidation = MemletConsolidation()
-        matches = consolidation.matches(sdfg)
-        assert [m.kind for m in matches] == ["consolidate"]
-        assert consolidation.apply(sdfg)
-        edges = state.edges_between(a, b)
-        assert len(edges) == 1
-        assert str(edges[0].data.subset) == "0:4"  # bounding-box union
-
-    def test_scalar_promotion_match_and_apply(self):
-        sdfg = SDFG("promote")
-        sdfg.add_scalar("n", "int64")
-        first = sdfg.add_state("first", is_start_state=True)
-        second = sdfg.add_state("second")
-        sdfg.add_edge(first, second, InterstateEdge(condition="n > 1"))
-        t = first.add_tasklet("def_n", [], ["_out"], "_out = 5")
-        first.add_edge(t, "_out", first.add_access("n"), None, Memlet(data="n"))
-        promotion = ScalarToSymbolPromotion()
-        matches = promotion.matches(sdfg)
-        assert [m.subject for m in matches] == ["n = 5"]
-        assert promotion.apply(sdfg)
-        assert "n" not in sdfg.arrays and "n" in sdfg.symbols
-
-    def test_symbol_propagation_match_set(self):
-        sdfg = SDFG("prop")
-        sdfg.add_array("A", ["K"], "float64")
-        first = sdfg.add_state("a", is_start_state=True)
-        second = sdfg.add_state("b")
-        sdfg.add_edge(first, second, InterstateEdge(assignments={"K": 8}))
-        sdfg.add_symbol("K")
-        propagation = SymbolPropagation()
-        assert [m.subject for m in propagation.matches(sdfg)] == ["K = 8"]
-        assert propagation.apply(sdfg)
-        assert propagation.matches(sdfg) == []
 
     def test_wcr_match_set(self):
         sdfg = SDFG("wcr")

@@ -17,11 +17,8 @@ from repro.symbolic import (
     SymbolicError,
     TRUE,
     definitely_nonzero,
-    linear_coefficients,
     parse_expr,
     sign_assuming_positive,
-    solve_equations,
-    solve_linear,
     sympify,
     symbols,
 )
@@ -180,27 +177,6 @@ class TestSubstitutionAndSolving:
     def test_evaluate_missing_symbol_raises(self):
         with pytest.raises(SymbolicError):
             Symbol("N").evaluate({})
-
-    def test_linear_coefficients(self):
-        N = Symbol("N")
-        a, b = linear_coefficients(parse_expr("3*N + 7"), N)
-        assert a == Integer(3) and b == Integer(7)
-
-    def test_linear_coefficients_nonlinear(self):
-        N = Symbol("N")
-        assert linear_coefficients(parse_expr("N*N"), N) is None
-
-    def test_solve_linear(self):
-        N = Symbol("N")
-        assert solve_linear(parse_expr("2*N"), N, Integer(200)) == Integer(100)
-
-    def test_solve_equations_system(self):
-        N, M = Symbol("N"), Symbol("M")
-        solution = solve_equations(
-            [(parse_expr("2*N"), Integer(20)), (parse_expr("N + M"), Integer(25))], [N, M]
-        )
-        assert solution["N"] == Integer(10)
-        assert solution["M"] == Integer(15)
 
     def test_sign_assuming_positive(self):
         assert sign_assuming_positive(parse_expr("2*N + 1")) == 1
