@@ -55,6 +55,7 @@ from . import (
     list_pipelines,
     run_compiled,
 )
+from .passbase import cap_suffix, match_suffix
 from .service.resilience import DEGRADATION_MODES
 from .pipeline.spec import PipelineLike
 
@@ -313,8 +314,8 @@ def _cmd_compile(args) -> int:
     if args.stats or args.verbose:
         print(f"pipeline: {program.pipeline}")
         print(f"compile:  {program.compile_seconds * 1e3:.2f} ms")
-        for stage, seconds in program.stage_seconds.items():
-            print(f"  {stage:<10} {seconds * 1e3:8.2f} ms")
+        for stage in program.report.stages if program.report is not None else ():
+            print(f"  {stage.stage:<10} {stage.seconds * 1e3:8.2f} ms" + cap_suffix(stage))
         print(f"code:     {len(program.code)} bytes")
         if program.native_code is not None:
             print(f"native:   {len(program.native_code)} bytes of C")
@@ -322,8 +323,6 @@ def _cmd_compile(args) -> int:
             print(f"native:   fell back to python ({program.native_fallback})")
         if args.verbose and program.report is not None:
             # Per-pass records with the pattern engine's site accounting.
-            from .passbase import match_suffix
-
             for stage_report in program.report.stages:
                 if not stage_report.records:
                     continue

@@ -10,11 +10,14 @@ and an interpreted run of the same SDFG report identical
 
 * raised control flow becomes ``while``/``if``/``for`` statements (the
   dispatch fallback becomes an integer state machine);
-* map scopes become counted loops; maps annotated by ``Vectorization``
-  (or swept by the global ``vectorize`` flag) become SIMD-friendly inner
-  loops (``#pragma GCC ivdep`` over the fixed-width body the transform
-  already tiled);
-* WCR memlets become in-place accumulations (``+=``, ``*=``, min/max);
+* map scopes become counted loops — integer-literal bounds written in the
+  header, a bound that is an expression hoisted into ``const int64_t``
+  ``_loN``/``_hiN``/``_stN`` so it is evaluated once; maps annotated by
+  ``Vectorization`` (or swept by the global ``vectorize`` flag) become
+  SIMD-friendly inner loops (``#pragma GCC ivdep`` over the fixed-width
+  body the transform already tiled);
+* WCR memlets become in-place accumulations (``+=``, ``*=``, min/max), into
+  a ``double``/``int64_t`` local where the walker finds a reduction;
 * transient arrays are carved from one caller-owned workspace (the
   trailing ``char *_ws`` argument) by ``repro_take``, a 64-byte-aligning
   bump that leaves one cache line between containers — the translation
@@ -765,11 +768,16 @@ class CEmitter(SDFGWalker):
         writer = self.writer
         with ExitStack() as nest:
             for position, (param, rng) in enumerate(zip(entry.map.params, entry.map.ranges)):
-                bound = self._bound_counter
-                self._bound_counter += 1
-                writer.emit(f"const int64_t _lo{bound} = (int64_t)({c_symbolic(rng.start)});")
-                writer.emit(f"const int64_t _hi{bound} = (int64_t)({c_symbolic(rng.end)});")
-                writer.emit(f"const int64_t _st{bound} = (int64_t)({c_symbolic(rng.step)});")
+                bounds = (rng.start, rng.end, rng.step)
+                if all(isinstance(bound, Integer) for bound in bounds):
+                    low, high, step = map(c_symbolic, bounds)
+                else:
+                    # An expression is evaluated once, not once per iteration.
+                    suffix = self._bound_counter
+                    self._bound_counter += 1
+                    low, high, step = f"_lo{suffix}", f"_hi{suffix}", f"_st{suffix}"
+                    for name, bound in zip((low, high, step), bounds):
+                        writer.emit(f"const int64_t {name} = (int64_t)({c_symbolic(bound)});")
                 declare = "" if param in self._declared else "int64_t "
                 if vectorized:
                     # A Vectorization(width)-tiled inner map: fixed-width,
@@ -778,8 +786,7 @@ class CEmitter(SDFGWalker):
                 if parallel is not None and position == 0:
                     self._emit_parallel_pragma(entry, parallel)
                 nest.enter_context(writer.block(
-                    f"for ({declare}{param} = _lo{bound}; {param} < _hi{bound}; "
-                    f"{param} += _st{bound})"
+                    f"for ({declare}{param} = {low}; {param} < {high}; {param} += {step})"
                 ))
             emit_members()
 

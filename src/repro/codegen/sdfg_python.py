@@ -10,7 +10,7 @@ dispatch overhead), transient containers are allocated either up front
 use inside whatever loop that happens to be (modelling allocation cost on
 the critical path), map scopes become loops — or vectorized numpy
 expressions in the ICC/SLEEF-modelling vectorized mode — and WCR memlets
-become in-place updates.
+become in-place updates, of a local where the walker finds a reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..symbolic import Expr, Subset
+from ..symbolic import Expr, Integer, Subset
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
@@ -391,10 +391,12 @@ class PythonEmitter(SDFGWalker):
 
 def _range_args(rng) -> str:
     """Argument list of ``range``/``np.arange`` over one map dimension."""
-    return (
-        f"(int({python_expr(rng.start)}), "
-        f"int({python_expr(rng.end)}), int({python_expr(rng.step)}))"
-    )
+    bounds = (rng.start, rng.end, rng.step)
+    if all(isinstance(bound, Integer) for bound in bounds):
+        # Literals need no coercion, and a unit step need not be written.
+        written = bounds[:2] if rng.step.value == 1 else bounds
+        return "(" + ", ".join(str(bound) for bound in written) + ")"
+    return "(" + ", ".join(f"int({python_expr(bound)})" for bound in bounds) + ")"
 
 
 def _subset_index(subset: Subset) -> str:

@@ -15,6 +15,19 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
 * which container a write lands in and which writes are no-ops;
 * whether a map is emitted as a vector operation, as a parallel loop or
   as a sequential loop nest;
+* which WCR writes are reductions over a sequential map.  An update whose
+  target element does not move with the map (``C[i, j] += …`` under
+  ``for k``) accumulates in a local: ``_accN = T[idx]`` ahead of the loop
+  nest, ``_accN op= value`` in place of the update, ``T[idx] = _accN``
+  after it — the same operations in the same order on the same type, so
+  results are bit-identical.  The local is bound at the outermost map for
+  which :meth:`SDFGWalker._accumulators` holds; a map that may run zero
+  times gets the load/store pair under its own ``lo < hi`` guard.
+  Vectorized maps carry no WCR, parallel maps (and everything nested in
+  them) keep their reduction and atomic paths, ``min``/``max`` updates
+  and element types whose store would round where a local does not
+  (anything but ``float64``, or ``int64`` updated with an integer) are
+  left as they are;
 * the form a tasklet takes.  A dataflow edge is not a variable: a tasklet
   whose body is one ``_out = <expression>`` line is emitted in **direct
   form** — every connector is replaced by the read it stands for and the
@@ -36,14 +49,15 @@ below.  Hooks are ordinary methods: the walk is on the cold-compile path.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..symbolic import Expr, Subset
-from ..sdfg import SDFG, AccessNode, SDFGState, Scalar, Tasklet
+from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
-from ..sdfg.tasklet_code import Assignment, single_assignment
+from ..sdfg.tasklet_code import Assignment, assignment_dtype, name_dtypes, single_assignment
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
@@ -117,6 +131,29 @@ def vectorizable_map(state, entry: "MapEntry", members) -> bool:
 #: (``min``/``max`` need a call); the same in both target languages.
 UPDATE_OPERATORS = {None: "=", "+": "+=", "*": "*="}
 
+#: Element types a value must have for an ``int64`` accumulator to stay one.
+_INTEGRAL = frozenset({"int64", "int32", "int8", "bool"})
+
+
+class Accumulator(NamedTuple):
+    """One reduction of a sequential map: the element ``data[subset]`` that
+    every edge in ``edges`` updates, held in the local ``name``."""
+
+    name: str
+    data: str
+    subset: Subset
+    edges: Tuple[object, ...]
+
+
+def _is_update(edge) -> bool:
+    """Whether a dataflow edge is a ``+``/``*`` WCR write out of a tasklet."""
+    return edge.data.wcr in ("+", "*") and isinstance(edge.src, Tasklet)
+
+
+def _may_be_empty(ranges) -> bool:
+    """Whether some range is not provably non-empty."""
+    return any(rng.is_empty() is not False for rng in ranges)
+
 
 class SDFGWalker:
     """Walks an SDFG in code-generation order; subclasses supply the syntax."""
@@ -149,6 +186,14 @@ class SDFGWalker:
         self.vectorize = vectorize
         self.writer = writer
         self._value_counter = 0
+        self._accumulator_counter = 0
+        #: ``id()`` of each write edge redirected to a local → that local's name.
+        self._accumulated: Dict[int, str] = {}
+        #: Of the state being emitted, see :meth:`_index_updates`.
+        self._updates: List = []
+        self._touches: Dict[str, List] = {}
+        self._in_parallel = False
+        self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
         self._allocated_persistent: Set[str] = set()
         # Top-level parallel-scheduled maps whose safety proof succeeds —
         # the annotation is a request, the proof is the authority.
@@ -374,12 +419,40 @@ class SDFGWalker:
         if state.is_empty():
             return
         self._emit_lazy_allocations(state)
+        self._index_updates(state)
         scope = state.scope_dict()
         order = state.program_order()
         value_names: Dict[Tuple[int, Optional[str]], object] = {}
         for node in order:
             if scope.get(node) is None:  # others are emitted as part of their map scope
                 self._emit_node(state, node, scope, order, value_names)
+
+    def _index_updates(self, state: SDFGState) -> None:
+        """What :meth:`_accumulators` asks of a state, gathered in one pass:
+        its ``+``/``*`` WCR writes out of tasklets, and for every container
+        the source nodes of the edges that touch it in any other way (a
+        read, a copy, any other write; a map exit only hands writes on)."""
+        edges = state.edges()
+        self._updates = [edge for edge in edges if _is_update(edge)]
+        self._touches = {}
+        if not self._updates:
+            return
+        for edge in edges:
+            source, destination, memlet = edge.src, edge.dst, edge.data
+            if _is_update(edge) or isinstance(source, MapExit):
+                continue
+            touched = [] if memlet.is_empty else [memlet.data]
+            if isinstance(source, AccessNode) and (
+                not memlet.is_empty
+                or isinstance(destination, Tasklet) and edge.dst_conn is not None
+            ):
+                touched.append(source.data)
+            if isinstance(destination, AccessNode) and (
+                not memlet.is_empty or isinstance(source, Tasklet)
+            ):
+                touched.append(destination.data)
+            for data in touched:
+                self._touches.setdefault(data, []).append(source)
 
     def _emit_lazy_allocations(self, state: SDFGState) -> None:
         """Charge allocation cost for non-pre-allocated transients.
@@ -476,7 +549,10 @@ class SDFGWalker:
         else:
             return
         descriptor = self.sdfg.arrays[data]
-        if isinstance(descriptor, Scalar):
+        accumulator = self._accumulated.get(id(edge))
+        if accumulator is not None:
+            self.emit_update(accumulator, descriptor, memlet.wcr, value)
+        elif isinstance(descriptor, Scalar):
             self.emit_update(data, descriptor, memlet.wcr, value)
         elif memlet.subset is None:
             # A dynamic whole-array memlet was mutated in place through the input view.
@@ -505,7 +581,111 @@ class SDFGWalker:
             for node in members:
                 self._emit_node(state, node, scope, order, value_names, vectorized)
 
-        self.emit_map(entry, emit_members, vectorized, parallel)
+        # Reductions are rewritten only in sequentially emitted maps; a
+        # parallel map keeps its reduction and atomic paths all the way down.
+        sequential = not (vectorized or parallel is not None or self._in_parallel)
+        guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
+        outside = self._in_parallel
+        self._in_parallel = outside or parallel is not None
+        with nullcontext() if guard is None else self.writer.block(
+            self.if_header.format(self.expr(guard))
+        ):
+            bound = []
+            for name, data, subset, edges in accumulators:
+                element = self.read(data, Memlet(data=data, subset=subset))
+                bound.append(self.bind_value(name, element))
+                self._accumulated.update((id(edge), name) for edge in edges)
+            self.emit_map(entry, emit_members, vectorized, parallel)
+            for (_, data, subset, _), local in zip(accumulators, bound):
+                descriptor = self.sdfg.arrays[data]
+                target = self.write_target(data, descriptor, subset)
+                self.emit_update(target, descriptor, None, local)
+        self._in_parallel = outside
+
+    def _accumulators(self, state, entry: MapEntry, scope):
+        """``(guard, accumulators)`` of one sequentially emitted map scope.
+
+        A WCR write is a reduction over the scope when it updates, by ``+``
+        or ``*`` through a non-dynamic memlet, one ``Array`` element whose
+        index names no parameter of ``entry`` or of a map nested between it
+        and the write, and the container is touched nowhere else inside the
+        scope except by updates of the same element with the same operator
+        (which share the local).  Writes an enclosing map already bound are
+        skipped, so each is bound at the outermost scope that qualifies.
+
+        The load and the store run once whatever the trip counts inside, so
+        the scope must be entered exactly when the update would have run:
+        every nested map on the way to a write, and every dimension of this
+        map after the first, must be provably non-empty; the first dimension
+        may be unknown, and then ``guard`` is its ``lo < hi``.
+        """
+        ranges = entry.map.ranges
+        if not self._updates or not ranges or ranges[0].is_empty() or _may_be_empty(ranges[1:]):
+            return None, []
+
+        nesting: Dict[object, Optional[Tuple[MapEntry, ...]]] = {entry: ()}
+
+        def nested(node) -> Optional[Tuple[MapEntry, ...]]:
+            """The maps inside ``entry`` that enclose ``node``; None outside the scope."""
+            if node not in nesting:
+                parent = scope.get(node)
+                outer = None if parent is None else nested(parent)
+                nesting[node] = (
+                    None if outer is None else outer if parent is entry else outer + (parent,)
+                )
+            return nesting[node]
+
+        writes: Dict[str, List] = {}
+        refused: Set[Optional[str]] = set()
+        for edge in self._updates:
+            maps = nested(edge.src)
+            if maps is None or id(edge) in self._accumulated:
+                continue
+            data = edge.data.data if not edge.data.is_empty else getattr(edge.dst, "data", None)
+            if self._reduces(state, edge, data, (entry,) + maps):
+                writes.setdefault(data, []).append(edge)
+            else:
+                refused.add(data)
+
+        accumulators = []
+        for data, edges in writes.items():
+            if data in refused or any(
+                nested(source) is not None for source in self._touches.get(data, ())
+            ):
+                continue
+            subset, wcr = edges[0].data.subset, edges[0].data.wcr
+            if all(edge.data.subset == subset and edge.data.wcr == wcr for edge in edges):
+                name = f"_acc{self._accumulator_counter}"
+                self._accumulator_counter += 1
+                accumulators.append(Accumulator(name, data, subset, tuple(edges)))
+        if not accumulators or ranges[0].is_empty() is False:
+            return None, accumulators
+        return ranges[0].start.lt(ranges[0].end), accumulators
+
+    def _reduces(self, state, edge, data: Optional[str], maps: Tuple[MapEntry, ...]) -> bool:
+        """Whether ``edge``, a ``+``/``*`` update of ``data`` inside ``maps``
+        (outermost first), may update a local bound outside them instead."""
+        memlet, descriptor = edge.data, self.sdfg.arrays.get(data)
+        if (
+            not isinstance(descriptor, Array)
+            or memlet.dynamic or memlet.subset is None or not memlet.subset.is_point()
+            or edge.src_conn is None
+            or any(_may_be_empty(inner.map.ranges) for inner in maps[1:])
+        ):
+            return False
+        moving = {param for scope_entry in maps for param in scope_entry.map.params}
+        if moving & {symbol.name for symbol in memlet.subset.free_symbols()}:
+            return False
+        if descriptor.dtype == "float64":
+            return True  # float64 op anything is float64: nothing to round
+        assignment = single_assignment(edge.src.code)
+        return (
+            descriptor.dtype == "int64"
+            and assignment is not None and assignment.target == edge.src_conn
+            and assignment_dtype(
+                assignment, state.in_edges(edge.src), self.sdfg.arrays, self._name_dtypes
+            ) in _INTEGRAL
+        )
 
     def _covers_whole(self, descriptor, subset: Subset) -> bool:
         if len(descriptor.shape) != subset.dims:

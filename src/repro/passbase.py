@@ -78,6 +78,9 @@ class StageReport:
     #: Wall time of the whole stage including runner overhead; falls back
     #: to the per-pass sum when the stage was not run through a runner.
     wall_seconds: Optional[float] = None
+    #: False when the runner's ``max_iterations`` ended the stage while its
+    #: last sweep still changed something; True when it stopped by itself.
+    converged: bool = True
 
     @property
     def total_seconds(self) -> float:
@@ -165,7 +168,9 @@ class CompilationReport:
     def summary(self) -> str:
         lines = [f"pipeline {self.pipeline or '<anonymous>'}"]
         for report in self.stages:
-            lines.append(f"  {report.stage:<10} {report.seconds * 1e3:8.2f} ms")
+            lines.append(
+                f"  {report.stage:<10} {report.seconds * 1e3:8.2f} ms" + cap_suffix(report)
+            )
             for record in report.records:
                 lines.append(
                     f"    {record.name:<32} changed={record.changed} "
@@ -175,6 +180,11 @@ class CompilationReport:
         for name in sorted(self.counters):
             lines.append(f"  {name:<40} {self.counters[name]:12g}")
         return "\n".join(lines)
+
+
+def cap_suffix(report: StageReport) -> str:
+    """The stage-line tail saying ``max_iterations``, not a fixed point, ended it."""
+    return "" if report.converged else "  iteration cap reached"
 
 
 def match_suffix(record: PassRecord) -> str:
@@ -226,6 +236,8 @@ class PassRunner:
                 iteration_changed = iteration_changed or changed
             if not iteration_changed:
                 break
+        else:
+            report.converged = False
         report.wall_seconds = time.perf_counter() - wall_start
         return report
 

@@ -231,6 +231,9 @@ class GeneratedProgram:
             "eliminated_containers": eliminated,
             "spec": self.spec.to_dict() if self.spec is not None else None,
             "stage_seconds": self.stage_seconds,
+            "capped_stages": [
+                stage.stage for stage in self.report.stages if not stage.converged
+            ] if self.report is not None else [],
             "counters": dict(self.report.counters) if self.report is not None else {},
             "native_code": self.native_code,
             "native_fallback": self.native_fallback,
@@ -367,8 +370,9 @@ def result_from_payload(payload: Dict) -> CompileResult:
     report = None
     if payload.get("stage_seconds"):
         report = CompilationReport(pipeline=payload["pipeline"])
+        capped = payload.get("capped_stages") or ()
         for stage, seconds in payload["stage_seconds"].items():
-            report.add_stage(stage, seconds)
+            report.add_stage(stage, seconds).converged = stage not in capped
         # Profiler counters recorded by the original (cache-filling) compile.
         report.counters = dict(payload.get("counters") or {})
     return _build_result(

@@ -13,8 +13,9 @@ expression over identifiers would also hit attribute names or substrings.
 from __future__ import annotations
 
 import ast
+from collections import ChainMap
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 #: Expression nodes that bind tighter than any operator: their text can
 #: replace a name without parentheses.
@@ -192,3 +193,31 @@ def result_dtype(node: ast.expr, names: Mapping[str, str]) -> Optional[str]:
     return node_dtype(
         node, [result_dtype(operand, names) for operand in typed_operands(node)], names
     )
+
+
+def name_dtypes(symbols: Mapping[str, str], constants: Mapping[str, object]) -> Dict[str, str]:
+    """Types of the identifiers tasklet code may load besides its connectors:
+    an SDFG's symbols and its constants."""
+    names = dict(symbols)
+    for name, value in constants.items():
+        names[name] = "float64" if isinstance(value, float) else "int64"
+    return names
+
+
+def assignment_dtype(assignment: Assignment, reads, arrays: Mapping[str, object],
+                     names: Mapping[str, str]) -> Optional[str]:
+    """Element type ``assignment`` evaluates to in a tasklet whose in-edges are ``reads``.
+
+    A connector has the element type of the container its memlet names;
+    ``names`` (:func:`name_dtypes`) types everything else.  A connector fed
+    by a value edge or an empty read is untyped, and then so is the result.
+    """
+    connectors: Dict[str, str] = {}
+    for edge in reads:
+        if edge.dst_conn is None:
+            continue
+        descriptor = None if edge.data.is_empty else arrays.get(edge.data.data)
+        if descriptor is None:
+            return None
+        connectors[edge.dst_conn] = descriptor.dtype
+    return result_dtype(assignment.value, ChainMap(connectors, names))

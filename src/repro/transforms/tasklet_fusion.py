@@ -37,12 +37,12 @@ The pass refuses when
 from __future__ import annotations
 
 import ast
-from collections import ChainMap, Counter
+from collections import Counter
 from typing import Dict, List, Optional, Set
 
 from ..sdfg import SDFG, AccessNode, Scalar, SDFGState, Tasklet
 from ..sdfg.nodes import MapExit
-from ..sdfg.tasklet_code import Assignment, result_dtype, single_assignment
+from ..sdfg.tasklet_code import Assignment, assignment_dtype, name_dtypes, single_assignment
 from .rewrite import Match, Transformation
 
 
@@ -67,9 +67,7 @@ class _Usage:
         for edge in sdfg.edges():
             self.elsewhere |= edge.data.free_symbols()
             self.elsewhere |= set(edge.data.assignments)
-        self.names: Dict[str, str] = dict(sdfg.symbols)
-        for name, value in sdfg.constants.items():
-            self.names[name] = "float64" if isinstance(value, float) else "int64"
+        self.names: Dict[str, str] = name_dtypes(sdfg.symbols, sdfg.constants)
         self._states: Dict[SDFGState, tuple] = {}
 
     def only_here(self, name: str) -> bool:
@@ -176,7 +174,8 @@ class TaskletFusion(Transformation):
         if uses == 0 or uses > 1 and not isinstance(produced.value, (ast.Name, ast.Constant)):
             return None
         producer_reads = state.in_edges(producer)
-        if self._dtype_of(sdfg, producer_reads, produced, usage) != descriptor.dtype:
+        if assignment_dtype(produced, producer_reads, sdfg.arrays, usage.names) \
+                != descriptor.dtype:
             return None
         scope, writers = usage.of_state(state)
         if scope is not None and not scope[producer] is scope[node] is scope[consumer]:
@@ -184,18 +183,6 @@ class TaskletFusion(Transformation):
         if self._write_between(state, producer_reads, producer, consumer, writers):
             return None
         return produced, consumed
-
-    @staticmethod
-    def _dtype_of(sdfg: SDFG, producer_reads, produced: Assignment, usage: _Usage):
-        connectors: Dict[str, str] = {}
-        for edge in producer_reads:
-            if edge.dst_conn is None:
-                continue
-            descriptor = None if edge.data.is_empty else sdfg.arrays.get(edge.data.data)
-            if descriptor is None:
-                return None  # a value edge or an empty read: untyped
-            connectors[edge.dst_conn] = descriptor.dtype
-        return result_dtype(produced.value, ChainMap(connectors, usage.names))
 
     @staticmethod
     def _write_between(state: SDFGState, producer_reads, producer: Tasklet,

@@ -34,8 +34,10 @@ from repro import (
     unregister_pipeline,
 )
 from repro.pipeline import CompileResult, pipeline_label
+from repro.pipeline.pipelines import result_from_payload
 from repro.pipeline.registry import DATA_SUITE
 from repro.service import cache_key, payload_digest
+from repro.workloads import get_kernel
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -369,6 +371,31 @@ class TestBackCompat:
         assert warm.cache_hit
         assert set(warm.stage_seconds) == {"frontend", "control", "bridge", "data", "codegen"}
         assert warm.spec == get_pipeline("dcir")
+
+
+    def test_stage_says_whether_it_converged_or_was_cut_off(self):
+        """``data_max_iterations`` ends the data stage of 2mm while its last
+        sweep still changes something; the report, the payload and the
+        summary say so, and a cap the stage never reaches does not."""
+        source = get_kernel("2mm")
+        dcir = get_pipeline("dcir")
+        cut = generate_program(source, dcir.derive(data_max_iterations=1))
+        assert cut.report.stage("data").converged is False
+        assert cut.report.stage("control").converged is True
+        data_line = next(
+            line for line in cut.report.summary().splitlines() if line.startswith("  data")
+        )
+        assert data_line.endswith("iteration cap reached")
+        rehydrated = result_from_payload(json.loads(json.dumps(cut.to_payload())))
+        assert rehydrated.report.stage("data").converged is False
+        assert rehydrated.report.stage("control").converged is True
+
+        free = generate_program(source, dcir.derive(data_max_iterations=12))
+        data = free.report.stage("data")
+        assert data.converged is True
+        assert len(data.records) < 12 * len(dcir.data_passes)  # it stopped by itself
+        assert "iteration cap reached" not in free.report.summary()
+        assert result_from_payload(free.to_payload()).report.stage("data").converged is True
 
 
 class TestCustomPipelineEndToEnd:

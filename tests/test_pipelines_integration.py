@@ -105,6 +105,27 @@ double kernel() {
 }
 
 
+#: ROADMAP's first open item, pinned: C's ``%`` and ``/`` round toward
+#: zero, the bridge rounds down.  A weighted sum over ``i < 8`` of one
+#: operation on the negative operand ``i - 5``, with the value C gives.
+_TRUNCATING = {
+    "% 3": 6.0,   # the bridge pipelines return 42
+    "/ 2": -5.0,  # the bridge pipelines return -14
+}
+
+_TRUNCATING_SOURCE = """
+double kernel() {
+  double s = 0.0;
+  for (int i = 0; i < 8; i++) s += ((i - 5) %s) * (i + 1);
+  return s;
+}
+"""
+
+_rounds_down = pytest.mark.xfail(
+    strict=True, reason="the bridge maps arith.divsi / arith.remsi to floor semantics"
+)
+
+
 def _reference(source: str) -> float:
     return compile_and_run(source, "gcc").return_value
 
@@ -176,6 +197,21 @@ class TestPipelineCorrectness:
             assert applied["inline"] >= 1
         elif pipeline == "dace":
             assert applied["dead-state-elimination"] >= 1
+
+    @pytest.mark.parametrize("pipeline,backend", [
+        ("gcc", "python"),
+        ("mlir", "python"),
+        pytest.param("dace", "python", marks=_rounds_down),
+        pytest.param("dcir", "python", marks=_rounds_down),
+        pytest.param("dcir", "native", marks=[requires_cc, _rounds_down]),
+    ])
+    @pytest.mark.parametrize("operation", sorted(_TRUNCATING))
+    def test_c_division_and_remainder_truncate(self, operation, pipeline, backend):
+        """Strict: the PR that fixes the bridge flips these, none is skipped."""
+        spec = get_pipeline(pipeline).with_codegen(backend=backend)
+        result = compile_c(_TRUNCATING_SOURCE % operation, spec)
+        assert result.backend == backend
+        assert result.run()["__return"] == _TRUNCATING[operation]
 
     def test_every_suite_pass_fires_on_some_source_program(self):
         """A pass in the default suites that no C or traced-Python program

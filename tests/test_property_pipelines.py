@@ -26,6 +26,10 @@ def _programs(draw):
     offset = draw(st.integers(0, 3))
     use_if = draw(st.booleans())
     use_accumulate = draw(st.booleans())
+    # A reduction into an array element: invariant in its whole nest, in the
+    # inner parameter only, or indexed through a loaded value.
+    reduction = draw(st.sampled_from([None, "whole", "inner", "loaded"]))
+    m = draw(st.integers(1, 4))
 
     lines = ["double kernel() {", f"  double A[{n}];"]
     if use_second_array:
@@ -50,6 +54,15 @@ def _programs(draw):
         lines.append(f"    s += {source_array}[i];")
     else:
         lines.append(f"    s = s + {source_array}[i] * 2.0;")
+    if reduction is not None:
+        lines.insert(2, f"  double R[{n}]; int idx[1];")
+        lines.append(f"  for (int i = 0; i < {n}; i++) R[i] = i * 0.25;")
+        lines.append(f"  idx[0] = {offset % n};")
+        lines.append(f"  for (int i = 0; i < {n}; i++)")
+        lines.append(f"    for (int j = 0; j < {m}; j++)")
+        target = {"whole": f"R[{coeff % n}]", "inner": "R[i]", "loaded": "R[idx[0]]"}[reduction]
+        lines.append(f"      {target} += {source_array}[i] {op1} (j + 1) * 0.5;")
+        lines.append(f"  for (int i = 0; i < {n}; i++) s += R[i];")
     lines.append("  return s;")
     lines.append("}")
     return "\n".join(lines)

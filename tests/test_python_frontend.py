@@ -103,6 +103,33 @@ def test_python_division_semantics():
     assert out.return_value == pytest.approx(division(), abs=1e-12)
 
 
+@pytest.mark.parametrize("pipeline", [
+    pytest.param("mlir", marks=pytest.mark.xfail(
+        strict=True,
+        reason="the Python frontend emits arith.divsi / arith.remsi, which mlir truncates",
+    )),
+    "dace",
+    "dcir",
+])
+def test_floor_division_and_remainder_of_a_negative_operand(pipeline):
+    """The traced twin of ``test_c_division_and_remainder_truncate`` (ROADMAP's
+    first open item): NumPy rounds down, so the two weighted sums are 42 and
+    -14; ``mlir`` never crosses the bridge and returns 6 - 5.  Strict, so the
+    fix flips it."""
+    floors = _prog(
+        """
+        def floors(N=8):
+            s = 0
+            for i in range(N):
+                s += ((i - 5) % 3) * (i + 1) + ((i - 5) // 2) * (i + 1)
+            return s
+        """,
+        "floors", N=8,
+    )
+    assert floors() == 28
+    assert compile_and_run(floors, pipeline).return_value == 28
+
+
 def test_downward_range_and_while():
     loops = _prog(
         """

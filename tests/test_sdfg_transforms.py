@@ -969,3 +969,8 @@ class TestTransformsCLI:
         printed = capsys.readouterr().out
         assert "data passes:" in printed
         assert "matches=" in printed and "applied=" in printed
+        # atax still changes in the third and last allowed data sweep; the
+        # control stage stops by itself.
+        stage_lines = {line.split()[0]: line for line in printed.splitlines() if line[:2] == "  "}
+        assert stage_lines["data"].endswith("iteration cap reached")
+        assert "iteration cap" not in stage_lines["control"]

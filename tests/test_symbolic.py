@@ -165,6 +165,24 @@ class TestParser:
         assert parse_expr("1 < 2 ? 10 : 20") == Integer(10)
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Mul prints a %, // or / operand without parentheses: "
+               "'(i + 1) * ((i - 5) % 3)' comes out as '(i + 1) * (i - 5) % 3'",
+    )
+    @pytest.mark.parametrize("text", [
+        "(i + 1) * ((i - 5) % 3)", "(i + 1) * ((i - 5) // 2)", "1 - i % 2",
+    ])
+    def test_printed_text_means_what_the_tree_means(self, text):
+        """Found while pinning ROADMAP's first open item: the interpreted
+        backend runs ``str(expr)``, so an operand of ``*`` that binds no
+        tighter than ``*`` is regrouped by Python.  Strict, like that item's
+        own tests; fixing ``_maybe_paren`` flips it."""
+        expression = parse_expr(text)
+        for value in range(8):
+            assert eval(str(expression), {"i": value}) == expression.evaluate({"i": value})
+
+
 class TestSubstitutionAndSolving:
     def test_subs_by_name(self):
         expr = parse_expr("2*N + M")
