@@ -29,8 +29,8 @@ from .cost_model import (
 )
 from .loader import ProgramLoadError, load_entry
 from .mlir_python import CompiledMLIR, MLIRCodegenError, compile_mlir, generate_mlir_code
-from .sdfg_c import NativeCodegenError, c_symbolic, generate_c_code
-from .sdfg_python import CompiledSDFG, compile_sdfg, generate_code, python_expr
+from .sdfg_c import NativeCodegenError, generate_c_code
+from .sdfg_python import CompiledSDFG, compile_sdfg, generate_code
 from .sdfg_walk import CodegenError, vectorizable_map
 from .toolchain import (
     CompiledNative,
@@ -63,7 +63,6 @@ __all__ = [
     "ToolchainError",
     "CompilerFeatures",
     "build_control_flow",
-    "c_symbolic",
     "compile_mlir",
     "compile_sdfg",
     "compile_shared",
@@ -76,7 +75,6 @@ __all__ = [
     "generate_mlir_code",
     "load_entry",
     "movement_score",
-    "python_expr",
     "sdfg_movement_report",
     "sdfg_score",
     "states_in_tree",

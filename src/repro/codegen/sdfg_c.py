@@ -44,7 +44,10 @@ Python-semantics note: ``/`` always divides in ``double`` (the tasklet
 raiser emits ``//`` for integer division), ``//``/``%`` follow Python's
 floor/sign rules via inline helpers, and ``int()`` truncates toward zero
 — all matching the interpreted backend so differential checks compare
-equal bit-for-bit on integer data.
+equal bit-for-bit on integer data.  :func:`_c_binop` is the one place
+``/``, ``//``, ``%`` and ``**`` are spelled (:func:`_c_minmax` for n-ary
+``min``/``max``): the tasklet translator and the ``C`` table of symbolic
+node classes both call it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from ..symbolic.expr import (
     Pow,
     Symbol,
 )
+from ..symbolic.printer import render
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import Array, DTYPES
 from ..sdfg.nodes import MapEntry
@@ -176,77 +180,67 @@ def _int_literal(value: int) -> str:
 
 
 def _contains_float(expression: Expr) -> bool:
-    if isinstance(expression, Float):
-        return True
-    for attr in ("args",):
-        children = getattr(expression, attr, None)
-        if children is not None:
-            return any(_contains_float(child) for child in children)
-    return any(
-        _contains_float(child)
-        for attr in ("num", "den", "base", "exp", "lhs", "rhs", "arg")
-        for child in [getattr(expression, attr, None)]
-        if isinstance(child, Expr)
-    )
+    return isinstance(expression, Float) or any(map(_contains_float, expression.children()))
+
+
+def _c_binop(operator: str, left: str, right: str, floats: bool) -> str:
+    """C text of ``left operator right`` with Python's meaning (``floats``: an operand is floating).
+
+    The one place ``/``, ``//``, ``%`` and ``**`` are spelled in C — for
+    tasklet code and for symbolic expressions alike.
+    """
+    if operator == "/":
+        # Python true division: always double (the raiser uses // for ints).
+        return f"((double)({left}) / (double)({right}))"
+    if operator == "//":
+        if floats:
+            return f"floor((double)({left}) / (double)({right}))"
+        return f"repro_fdiv_i64((int64_t)({left}), (int64_t)({right}))"
+    if operator == "%":
+        if floats:
+            return f"repro_mod_f64((double)({left}), (double)({right}))"
+        return f"repro_mod_i64((int64_t)({left}), (int64_t)({right}))"
+    if operator == "**":
+        return f"pow((double)({left}), (double)({right}))"
+    return f"(({left}) {operator} ({right}))"
+
+
+def _c_minmax(kind: str, operands: List[str], floats: bool) -> str:
+    """C text of n-ary ``min``/``max``: a left fold over the two-operand helper."""
+    suffix = "f64" if floats else "i64"
+    text = operands[0]
+    for operand in operands[1:]:
+        text = f"repro_{kind}_{suffix}({text}, {operand})"
+    return text
+
+
+#: The C spelling of every symbolic node class (``symbolic/printer.py`` holds
+#: the Python one).  Every compound operand is parenthesised, so C's grouping
+#: never matters.  Bounds and tiling clamps are integral; a float literal
+#: anywhere under ``//``, ``%``, ``min`` or ``max`` switches to the double form.
+C = {
+    Integer: lambda node, _: _int_literal(node.value),
+    Float: lambda node, _: repr(node.value),
+    Symbol: lambda node, _: node.name,
+    BoolConst: lambda node, _: "1" if node.value else "0",
+    Add: lambda node, operands: "(" + " + ".join(operands) + ")",
+    Mul: lambda node, operands: "(" + " * ".join(operands) + ")",
+    Div: lambda node, operands: _c_binop("/", *operands, False),
+    FloorDiv: lambda node, operands: _c_binop("//", *operands, _contains_float(node)),
+    Mod: lambda node, operands: _c_binop("%", *operands, _contains_float(node)),
+    Pow: lambda node, operands: _c_binop("**", *operands, False),
+    Min: lambda node, operands: _c_minmax("min", operands, _contains_float(node)),
+    Max: lambda node, operands: _c_minmax("max", operands, _contains_float(node)),
+    Compare: lambda node, operands: _c_binop(node.op, *operands, False),
+    And: lambda node, operands: "(" + " && ".join(f"({operand})" for operand in operands) + ")",
+    Or: lambda node, operands: "(" + " || ".join(f"({operand})" for operand in operands) + ")",
+    Not: lambda node, operands: f"(!({operands[0]}))",
+}
 
 
 def c_symbolic(expression: Expr) -> str:
-    """Render a symbolic expression as C source (the ``python_expr`` analog)."""
-    if isinstance(expression, Integer):
-        return _int_literal(expression.value)
-    if isinstance(expression, Float):
-        return repr(expression.value)
-    if isinstance(expression, Symbol):
-        return expression.name
-    if isinstance(expression, Add):
-        return "(" + " + ".join(c_symbolic(arg) for arg in expression.args) + ")"
-    if isinstance(expression, Mul):
-        return "(" + " * ".join(c_symbolic(arg) for arg in expression.args) + ")"
-    if isinstance(expression, Div):
-        return (
-            f"((double)({c_symbolic(expression.num)}) / "
-            f"(double)({c_symbolic(expression.den)}))"
-        )
-    if isinstance(expression, FloorDiv):
-        return (
-            f"repro_fdiv_i64((int64_t)({c_symbolic(expression.num)}), "
-            f"(int64_t)({c_symbolic(expression.den)}))"
-        )
-    if isinstance(expression, Mod):
-        return (
-            f"repro_mod_i64((int64_t)({c_symbolic(expression.num)}), "
-            f"(int64_t)({c_symbolic(expression.den)}))"
-        )
-    if isinstance(expression, Pow):
-        return (
-            f"pow((double)({c_symbolic(expression.base)}), "
-            f"(double)({c_symbolic(expression.exp)}))"
-        )
-    if isinstance(expression, (Min, Max)):
-        # Bounds and tiling clamps are integral; a float literal anywhere in
-        # the tree switches to the double helper.
-        suffix = "f64" if _contains_float(expression) else "i64"
-        kind = "min" if isinstance(expression, Min) else "max"
-        text = c_symbolic(expression.args[0])
-        for arg in expression.args[1:]:
-            text = f"repro_{kind}_{suffix}({text}, {c_symbolic(arg)})"
-        return text
-    if isinstance(expression, BoolConst):
-        return "1" if expression.value else "0"
-    if isinstance(expression, Compare):
-        return (
-            f"(({c_symbolic(expression.lhs)}) {expression.op} "
-            f"({c_symbolic(expression.rhs)}))"
-        )
-    if isinstance(expression, And):
-        return "(" + " && ".join(f"({c_symbolic(a)})" for a in expression.args) + ")"
-    if isinstance(expression, Or):
-        return "(" + " || ".join(f"({c_symbolic(a)})" for a in expression.args) + ")"
-    if isinstance(expression, Not):
-        return f"(!({c_symbolic(expression.arg)}))"
-    raise NativeCodegenError(
-        f"Cannot render symbolic expression {expression!r} as C"
-    )
+    """Render a symbolic expression as C source."""
+    return render(expression, C, NativeCodegenError)
 
 
 def _is_float(dtype: str) -> bool:
@@ -260,6 +254,21 @@ _CMP_OPS = {
     ast.LtE: "<=",
     ast.Gt: ">",
     ast.GtE: ">=",
+}
+
+_BINARY_OPS = {
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.Div: "/",
+    ast.FloorDiv: "//",
+    ast.Mod: "%",
+    ast.Pow: "**",
+    ast.BitAnd: "&",
+    ast.BitOr: "|",
+    ast.BitXor: "^",
+    ast.LShift: "<<",
+    ast.RShift: ">>",
 }
 
 _UNARY_MATH = {"sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs"}
@@ -332,7 +341,10 @@ class _TaskletTranslator:
                 return repr(value)
             raise NativeCodegenError(f"Unsupported tasklet constant {value!r}")
         if isinstance(node, ast.BinOp):
-            return self._binop(node.op, *operands, floats)
+            operator = _BINARY_OPS.get(type(node.op))
+            if operator is None:
+                raise NativeCodegenError(f"Unsupported binary operator {node.op!r}")
+            return _c_binop(operator, *operands, floats)
         if isinstance(node, ast.UnaryOp):
             operator = {ast.USub: "-", ast.UAdd: "+", ast.Not: "!", ast.Invert: "~"}.get(
                 type(node.op)
@@ -348,7 +360,7 @@ class _TaskletTranslator:
                 raise NativeCodegenError(f"Unsupported comparison {node.ops[0]!r}")
             left, _ = self.lower(node.left)
             right, _ = self.lower(node.comparators[0])
-            return f"(({left}) {operator} ({right}))"
+            return _c_binop(operator, left, right, floats)
         if isinstance(node, ast.BoolOp):
             joiner = " && " if isinstance(node.op, ast.And) else " || "
             parts = [f"({self.lower(value)[0]})" for value in node.values]
@@ -376,35 +388,6 @@ class _TaskletTranslator:
         if name in sdfg.constants:
             return name, "float64" if isinstance(sdfg.constants[name], float) else "int64"
         raise NativeCodegenError(f"Tasklet references unknown name {name!r}")
-
-    @staticmethod
-    def _binop(operator: ast.operator, left: str, right: str, floats: bool) -> str:
-        if isinstance(operator, ast.Div):
-            # Python true division: always double (the raiser uses // for ints).
-            return f"((double)({left}) / (double)({right}))"
-        if isinstance(operator, ast.FloorDiv):
-            if floats:
-                return f"floor((double)({left}) / (double)({right}))"
-            return f"repro_fdiv_i64((int64_t)({left}), (int64_t)({right}))"
-        if isinstance(operator, ast.Mod):
-            if floats:
-                return f"repro_mod_f64((double)({left}), (double)({right}))"
-            return f"repro_mod_i64((int64_t)({left}), (int64_t)({right}))"
-        if isinstance(operator, ast.Pow):
-            return f"pow((double)({left}), (double)({right}))"
-        simple = {
-            ast.Add: "+",
-            ast.Sub: "-",
-            ast.Mult: "*",
-            ast.BitAnd: "&",
-            ast.BitOr: "|",
-            ast.BitXor: "^",
-            ast.LShift: "<<",
-            ast.RShift: ">>",
-        }.get(type(operator))
-        if simple is None:
-            raise NativeCodegenError(f"Unsupported binary operator {operator!r}")
-        return f"(({left}) {simple} ({right}))"
 
     @staticmethod
     def _call(node: ast.Call, args: List[str], floats: bool) -> str:
@@ -439,11 +422,7 @@ class _TaskletTranslator:
                 return f"fabs((double)({args[0]}))"
             return f"repro_abs_i64((int64_t)({args[0]}))"
         if name in ("min", "max") and len(args) >= 2:
-            suffix = "f64" if floats else "i64"
-            text = args[0]
-            for argument in args[1:]:
-                text = f"repro_{name}_{suffix}({text}, {argument})"
-            return text
+            return _c_minmax(name, args, floats)
         raise NativeCodegenError(f"Unsupported tasklet call {name!r}")
 
 

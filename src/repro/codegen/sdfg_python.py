@@ -29,11 +29,6 @@ from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker
 from .writer import SourceWriter
 
 
-def python_expr(expression: Expr) -> str:
-    """Render a symbolic expression as Python source."""
-    return str(expression).replace("Min(", "min(").replace("Max(", "max(")
-
-
 # Derived from the central dtype table so the interpreted and native
 # backends can never disagree on element types (sdfg/data.py::DTYPES).
 _NUMPY_DTYPES = {name: f"np.{info.numpy_name}" for name, info in DTYPES.items()}
@@ -163,7 +158,7 @@ class PythonEmitter(SDFGWalker):
         super().__init__(sdfg, vectorize, SourceWriter(braces=False))
         self._parallel_counter = 0
 
-    expr = staticmethod(python_expr)
+    expr = staticmethod(str)  # ``str(expr)`` is Python source: symbolic/printer.py
 
     # -- program frame -----------------------------------------------------------------
     def emit_preamble(self) -> None:
@@ -204,7 +199,7 @@ class PythonEmitter(SDFGWalker):
             default = "0.0" if descriptor.dtype.startswith("float") else "0"
             self.writer.emit(f"{name} = {default}")
         else:
-            shape = ", ".join(f"int({python_expr(dim)})" for dim in descriptor.shape)
+            shape = ", ".join(f"int({dim})" for dim in descriptor.shape)
             dtype = _NUMPY_DTYPES[descriptor.dtype]
             self.writer.emit(f"{name} = np.empty(({shape},), dtype={dtype})")
 
@@ -218,7 +213,7 @@ class PythonEmitter(SDFGWalker):
 
     # -- control flow ------------------------------------------------------------------
     def emit_assignment(self, name: str, value: Expr) -> None:
-        self.writer.emit(f"{name} = {python_expr(value)}")
+        self.writer.emit(f"{name} = {value}")
 
     def dispatch_register(self, node):
         codes = {state: repr(state.label) for state in node.states}
@@ -329,11 +324,10 @@ class PythonEmitter(SDFGWalker):
         self._parallel_counter += 1
         chunks = f"_pchunks{index}"
         first = entry.map.ranges[0]
-        step = f"int({python_expr(first.step)})"
+        step = f"int({first.step})"
         requested = entry.map.n_threads or 0
         writer.emit(
-            f"{chunks} = _repro_chunks(int({python_expr(first.start)}), "
-            f"int({python_expr(first.end)}), {step}, "
+            f"{chunks} = _repro_chunks(int({first.start}), int({first.end}), {step}, "
             f"_repro_workers({requested})) if _repro_fork_ok else []"
         )
         with writer.block(f"if len({chunks}) <= 1"):
@@ -396,22 +390,22 @@ def _range_args(rng) -> str:
         # Literals need no coercion, and a unit step need not be written.
         written = bounds[:2] if rng.step.value == 1 else bounds
         return "(" + ", ".join(str(bound) for bound in written) + ")"
-    return "(" + ", ".join(f"int({python_expr(bound)})" for bound in bounds) + ")"
+    return "(" + ", ".join(f"int({bound})" for bound in bounds) + ")"
 
 
 def _subset_index(subset: Subset) -> str:
-    return ", ".join(python_expr(index) for index in subset.indices())
+    return ", ".join(str(index) for index in subset.indices())
 
 
 def _subset_slices(subset: Subset) -> str:
     pieces = []
     for rng in subset.ranges:
         if rng.is_point():
-            pieces.append(python_expr(rng.start))
+            pieces.append(str(rng.start))
         else:
-            piece = f"int({python_expr(rng.start)}):int({python_expr(rng.end)})"
+            piece = f"int({rng.start}):int({rng.end})"
             if str(rng.step) != "1":
-                piece += f":int({python_expr(rng.step)})"
+                piece += f":int({rng.step})"
             pieces.append(piece)
     return ", ".join(pieces)
 

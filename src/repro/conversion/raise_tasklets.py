@@ -81,8 +81,7 @@ def _render_op(op: Operation, expressions: Dict[Value, str]) -> Optional[str]:
         value = op.attributes["value"]
         return repr(value)
     if name == "sdfg.sym_value":
-        text = op.attributes["expr"]
-        return "(" + text.replace("Min(", "min(").replace("Max(", "max(") + ")"
+        return "(" + op.attributes["expr"] + ")"
     if name in BINARY_PYTHON_OPERATORS:
         lhs = _render_operand(op.operand(0), expressions)
         rhs = _render_operand(op.operand(1), expressions)

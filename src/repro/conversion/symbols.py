@@ -45,19 +45,6 @@ _SYMBOLIC_BINARY = {
     "arith.maxsi": lambda a, b: Max.make(a, b),
 }
 
-_SYMBOLIC_CMP = {
-    "eq": "==",
-    "ne": "!=",
-    "slt": "<",
-    "sle": "<=",
-    "sgt": ">",
-    "sge": ">=",
-    "ult": "<",
-    "ule": "<=",
-    "ugt": ">",
-    "uge": ">=",
-}
-
 _IDENTITY_CASTS = (
     "arith.index_cast",
     "arith.extsi",
@@ -115,7 +102,7 @@ class SymbolicEvaluator:
             rhs = self.get(op.operand(1))
             if lhs is None or rhs is None:
                 return None
-            return Compare.make(_SYMBOLIC_CMP[op.attributes["predicate"]], lhs, rhs)
+            return Compare.make(arith.CMP_PYTHON_OPERATORS[op.attributes["predicate"]], lhs, rhs)
         if name == "arith.select":
             # Selects are handled as tasklets; no symbolic form.
             return None

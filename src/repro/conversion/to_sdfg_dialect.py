@@ -251,7 +251,7 @@ class SDFGDialectConverter:
                 [],
                 [],
                 [value.type],
-                f"_out = {_python_expr(expression)}",
+                f"_out = {expression}",
             )
             return tasklet.results[0]
         raise ConversionError("Operand is neither symbolic nor stored in a container")
@@ -447,7 +447,7 @@ class SDFGDialectConverter:
             for position, index in enumerate(op.operands[1:]):
                 expression = self.symbolic.get(index)
                 if expression is not None:
-                    index_terms.append(f"int({_python_expr(expression)})")
+                    index_terms.append(f"int({expression})")
                 else:
                     operands.append(self._scalar_source(builder, index))
                     names.append(f"_i{position}")
@@ -484,7 +484,7 @@ class SDFGDialectConverter:
             for position, index in enumerate(op.operands[2:]):
                 expression = self.symbolic.get(index)
                 if expression is not None:
-                    index_terms.append(f"int({_python_expr(expression)})")
+                    index_terms.append(f"int({expression})")
                 else:
                     operands.append(self._scalar_source(builder, index))
                     names.append(f"_i{position}")
@@ -617,12 +617,6 @@ class SDFGDialectConverter:
         builder = Builder.at_end(state.body)
         value = self._scalar_source(builder, op.operand(0))
         builder.create(SdfgStoreOp, value, self.container_value["__return"], [])
-
-
-def _python_expr(expression: Expr) -> str:
-    """Render a symbolic expression as Python source (Min/Max → min/max)."""
-    text = str(expression)
-    return text.replace("Min(", "min(").replace("Max(", "max(")
 
 
 def convert_to_sdfg_dialect(module: ModuleOp, function: Optional[str] = None) -> ModuleOp:

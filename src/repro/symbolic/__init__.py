@@ -8,6 +8,12 @@ Public entry points:
 * :class:`Range` / :class:`Subset` — the memlet subset algebra,
 * :func:`definitely_nonzero` — sign reasoning for size verification.
 
+A node class *declares* its shape in :mod:`.expr` (key tag, operand
+slots, numeric fold) and the walks over it are written once on
+:class:`Expr`; it is spelled by one table per language —
+:mod:`.printer`'s ``PYTHON`` behind ``str(expr)``, the ``C`` table in
+:mod:`repro.codegen.sdfg_c` — and needs a row in each.
+
 Interning and immutability guarantees
 -------------------------------------
 
@@ -25,7 +31,7 @@ on two guarantees every consumer may rely on — and must uphold:
 2. **All nodes are immutable.**  Never mutate an expression, range or
    subset after construction (``__slots__`` prevents adding attributes;
    rebinding existing fields is undefined behavior).  Every node caches
-   its structural key, hash and free-symbol set on first use, repeated
+   its structural key, hash, free-symbol set and text on first use, repeated
    string parses return the shared parse-cache entry, and
    ``Add.make``/``Mul.make`` memoize on operand tuples — mutation would
    silently corrupt all of these.  Build modified expressions through

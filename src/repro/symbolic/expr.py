@@ -11,6 +11,15 @@ Expressions are immutable.  Construction performs light canonicalization
 elements) so that structurally equal expressions compare equal in the
 common cases data-centric passes rely on (e.g. ``N + 0`` equals ``N``).
 
+One node shape: the four leaves define their own key and value; each of
+the twelve compound classes only *declares* what distinguishes it — key
+tag, operand slots, whether it is n-ary, numeric fold — beside its
+``make`` canonicalizer, and the constructor, :meth:`~Expr.children`, the
+key, ``subs`` and :meth:`~Expr.evaluate` are written once on
+:class:`Expr` over those declarations.  No class spells itself:
+``str(expr)`` is :func:`repro.symbolic.printer.render` with the
+``PYTHON`` table, and the native backend has a table of its own.
+
 Performance model (the compiler's hot core):
 
 * **Hash consing** — :class:`Integer`, :class:`Symbol` and
@@ -18,8 +27,8 @@ Performance model (the compiler's hot core):
   returns the same object (``Integer(2) is Integer(2)``), so the most
   common equality checks are pointer comparisons.
 * **Per-node caches** — every node caches its structural :meth:`key`,
-  its hash and its :meth:`free_symbols` set in slots the first time they
-  are computed.  Equality collapses onto the cached-key comparison in
+  its hash, its :meth:`free_symbols` set and its printed text in slots
+  the first time they are computed.  Equality collapses onto the cached-key comparison in
   this base class; there is no per-class ``__eq__``/``__ne__``.
 * **Memoized canonicalizers** — :meth:`Add.make` / :meth:`Mul.make`
   results are memoized on their operand tuples (bounded tables).
@@ -34,6 +43,7 @@ construction (all node classes use ``__slots__`` to enforce this).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Union
 
@@ -47,8 +57,6 @@ ExprLike = Union["Expr", int, float, str]
 #: or the table is cleared (memos) — correctness never depends on a cache.
 _INTERN_LIMIT = 65536
 _MEMO_LIMIT = 16384
-
-_EMPTY_FROZENSET: frozenset = frozenset()
 
 
 class SymbolicError(Exception):
@@ -80,8 +88,6 @@ def sympify(value: ExprLike) -> "Expr":
         # constants into an (inexact) float.
         return Div(Integer(value.numerator), Integer(value.denominator))
     if isinstance(value, str):
-        from .parser import parse_expr
-
         return parse_expr(value)
     raise SymbolicError(f"Cannot convert {value!r} to a symbolic expression")
 
@@ -89,11 +95,31 @@ def sympify(value: ExprLike) -> "Expr":
 class Expr:
     """Base class of all symbolic expressions.
 
-    Nodes are immutable; the three slots below lazily cache the
-    structural key, its hash, and the free-symbol set.
+    Nodes are immutable; the four slots below lazily cache the
+    structural key, its hash, the free-symbol set and ``str(self)``.
     """
 
-    __slots__ = ("_key", "_hash", "_free")
+    __slots__ = ("_key", "_hash", "_free", "_text")
+
+    # -- what a compound class declares; the walks below read nothing else ----
+    #: First element of :meth:`key`.
+    _tag: str = ""
+    #: The slots that hold one operand each, in :meth:`children` order.
+    _operands: tuple = ()
+    #: Instead: any number of operands in the one slot ``args``, in an order
+    #: that carries no meaning — so :meth:`key` sorts their keys.
+    _nary = False
+    #: :meth:`evaluate`: the operands' values (one iterable of them when
+    #: n-ary, evaluated as it is consumed) to the node's value.
+    _fold = None
+
+    def __init__(self, *operands):
+        """Store the operands in their declared slots (``Add(terms)``, ``Div(num, den)``)."""
+        if self._nary:
+            self.args = tuple(*operands)
+        else:
+            for name, operand in zip(self._operands, operands):
+                setattr(self, name, operand)
 
     # -- construction helpers ------------------------------------------------
     def __add__(self, other: ExprLike) -> "Expr":
@@ -138,24 +164,9 @@ class Expr:
     def __pow__(self, other: ExprLike) -> "Expr":
         return Pow.make(self, sympify(other))
 
-    # -- comparisons produce boolean expressions -----------------------------
-    def eq(self, other: ExprLike) -> "BoolExpr":
-        return Compare.make("==", self, sympify(other))
-
-    def ne(self, other: ExprLike) -> "BoolExpr":
-        return Compare.make("!=", self, sympify(other))
-
+    # -- a comparison produces a boolean expression --------------------------
     def lt(self, other: ExprLike) -> "BoolExpr":
         return Compare.make("<", self, sympify(other))
-
-    def le(self, other: ExprLike) -> "BoolExpr":
-        return Compare.make("<=", self, sympify(other))
-
-    def gt(self, other: ExprLike) -> "BoolExpr":
-        return Compare.make(">", self, sympify(other))
-
-    def ge(self, other: ExprLike) -> "BoolExpr":
-        return Compare.make(">=", self, sympify(other))
 
     # -- structural equality / hashing ---------------------------------------
     def key(self) -> tuple:
@@ -167,7 +178,10 @@ class Expr:
             return key
 
     def _compute_key(self) -> tuple:
-        raise NotImplementedError
+        keys = [child.key() for child in self.children()]
+        if self._nary:
+            return (self._tag, tuple(sorted(keys)))
+        return (self._tag, *keys)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -186,6 +200,11 @@ class Expr:
         except AttributeError:
             result = self._hash = hash(self.key())
             return result
+
+    def __reduce__(self):
+        # Pickle through the constructor: a leaf comes back as its interned
+        # self, and no cached key or hash travels to another process.
+        return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
 
     # Immutable trees: copies are the object itself.  This also keeps
     # structures embedding expressions (interstate edges, memlets) cheap
@@ -216,7 +235,9 @@ class Expr:
         return frozenset(result)
 
     def children(self) -> Sequence["Expr"]:
-        return ()
+        if self._nary:
+            return self.args
+        return tuple([getattr(self, name) for name in self._operands])
 
     def subs(self, mapping: Mapping[Union[str, "Symbol"], ExprLike]) -> "Expr":
         """Substitute symbols (by name or object) and re-simplify."""
@@ -236,7 +257,7 @@ class Expr:
         return self
 
     def _subs_impl(self, mapping: Dict[str, "Expr"]) -> "Expr":
-        raise NotImplementedError
+        return type(self).make(*[child._subs(mapping) for child in self.children()])
 
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         """Evaluate the expression numerically.
@@ -244,7 +265,8 @@ class Expr:
         Raises :class:`SymbolicError` if a free symbol is missing from
         ``env``.
         """
-        raise NotImplementedError
+        values = (child.evaluate(env) for child in self.children())
+        return self._fold(values) if self._nary else self._fold(*values)
 
     def is_constant(self) -> bool:
         return not self.free_symbols()
@@ -263,7 +285,11 @@ class Expr:
         return f"{type(self).__name__}({self})"
 
     def __str__(self) -> str:
-        raise NotImplementedError
+        try:
+            return self._text
+        except AttributeError:
+            text = self._text = render(self, PYTHON)
+            return text
 
     def __bool__(self) -> bool:
         # Guard against `if expr:` silently misbehaving for symbolic values.
@@ -281,6 +307,7 @@ class Integer(Expr):
     """Integer constant (hash-consed: equal values share one object)."""
 
     __slots__ = ("value",)
+    __init__ = object.__init__  # ``__new__`` builds, or finds, the instance
 
     _interned: Dict[int, "Integer"] = {}
 
@@ -300,23 +327,11 @@ class Integer(Expr):
             Integer._interned[value] = self
         return self
 
-    def __reduce__(self):
-        return (Integer, (self.value,))
-
     def _compute_key(self) -> tuple:
         return ("int", self.value)
 
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return self
-
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         return self.value
-
-    def _compute_free(self) -> frozenset:
-        return _EMPTY_FROZENSET
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 class Float(Expr):
@@ -330,23 +345,15 @@ class Float(Expr):
     def _compute_key(self) -> tuple:
         return ("float", self.value)
 
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return self
-
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         return self.value
-
-    def _compute_free(self) -> frozenset:
-        return _EMPTY_FROZENSET
-
-    def __str__(self) -> str:
-        return repr(self.value)
 
 
 class Symbol(Expr):
     """A named symbolic value (e.g. an array dimension ``N``), hash-consed."""
 
     __slots__ = ("name",)
+    __init__ = object.__init__  # ``__new__`` builds, or finds, the instance
 
     _interned: Dict[str, "Symbol"] = {}
 
@@ -365,9 +372,6 @@ class Symbol(Expr):
             Symbol._interned[name] = self
         return self
 
-    def __reduce__(self):
-        return (Symbol, (self.name,))
-
     def _compute_key(self) -> tuple:
         return ("sym", self.name)
 
@@ -382,9 +386,6 @@ class Symbol(Expr):
         if self.name not in env:
             raise SymbolicError(f"Symbol {self.name!r} has no value in environment")
         return env[self.name]
-
-    def __str__(self) -> str:
-        return self.name
 
 
 def symbols(names: str) -> tuple:
@@ -426,9 +427,9 @@ class Add(Expr):
     """Sum of terms (n-ary, flattened, constants folded)."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
+    _tag = "add"
+    _nary = True
+    _fold = sum
 
     @staticmethod
     def make(*operands: Expr) -> Expr:
@@ -484,38 +485,14 @@ class Add(Expr):
             return new_terms[0]
         return Add(new_terms)
 
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("add", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Add.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return sum(arg.evaluate(env) for arg in self.args)
-
-    def __str__(self) -> str:
-        parts = []
-        for index, arg in enumerate(self.args):
-            text = _maybe_paren(arg, Add)
-            if index == 0:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(f"+ {text}")
-        return " ".join(parts)
-
 
 class Mul(Expr):
     """Product of factors (n-ary, flattened, constants folded)."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
+    _tag = "mul"
+    _nary = True
+    _fold = math.prod
 
     @staticmethod
     def make(*operands: Expr) -> Expr:
@@ -558,33 +535,14 @@ class Mul(Expr):
             return result_factors[0]
         return Mul(result_factors)
 
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("mul", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Mul.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        result: Number = 1
-        for arg in self.args:
-            result = result * arg.evaluate(env)
-        return result
-
-    def __str__(self) -> str:
-        return " * ".join(_maybe_paren(arg, Mul) for arg in self.args)
-
 
 class Div(Expr):
     """True division (kept exact when both sides are integer constants that divide)."""
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        self.num = num
-        self.den = den
+    _tag = "div"
+    _operands = ("num", "den")
+    _fold = operator.truediv
 
     @staticmethod
     def make(num: Expr, den: Expr) -> Expr:
@@ -602,30 +560,14 @@ class Div(Expr):
             return num
         return Div(num, den)
 
-    def children(self) -> Sequence[Expr]:
-        return (self.num, self.den)
-
-    def _compute_key(self) -> tuple:
-        return ("div", self.num.key(), self.den.key())
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Div.make(self.num._subs(mapping), self.den._subs(mapping))
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return self.num.evaluate(env) / self.den.evaluate(env)
-
-    def __str__(self) -> str:
-        return f"{_maybe_paren(self.num, Div)} / {_maybe_paren(self.den, Div)}"
-
 
 class FloorDiv(Expr):
     """Floor division, used for tiling and strided subsets."""
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        self.num = num
-        self.den = den
+    _tag = "floordiv"
+    _operands = ("num", "den")
+    _fold = staticmethod(lambda num, den: int(math.floor(num / den)))
 
     @staticmethod
     def make(num: Expr, den: Expr) -> Expr:
@@ -641,30 +583,14 @@ class FloorDiv(Expr):
             return num
         return FloorDiv(num, den)
 
-    def children(self) -> Sequence[Expr]:
-        return (self.num, self.den)
-
-    def _compute_key(self) -> tuple:
-        return ("floordiv", self.num.key(), self.den.key())
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return FloorDiv.make(self.num._subs(mapping), self.den._subs(mapping))
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return int(math.floor(self.num.evaluate(env) / self.den.evaluate(env)))
-
-    def __str__(self) -> str:
-        return f"{_maybe_paren(self.num, FloorDiv)} // {_maybe_paren(self.den, FloorDiv)}"
-
 
 class Mod(Expr):
     """Modulo operation."""
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        self.num = num
-        self.den = den
+    _tag = "mod"
+    _operands = ("num", "den")
+    _fold = operator.mod
 
     @staticmethod
     def make(num: Expr, den: Expr) -> Expr:
@@ -680,30 +606,14 @@ class Mod(Expr):
             return Integer(0)
         return Mod(num, den)
 
-    def children(self) -> Sequence[Expr]:
-        return (self.num, self.den)
-
-    def _compute_key(self) -> tuple:
-        return ("mod", self.num.key(), self.den.key())
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Mod.make(self.num._subs(mapping), self.den._subs(mapping))
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return self.num.evaluate(env) % self.den.evaluate(env)
-
-    def __str__(self) -> str:
-        return f"{_maybe_paren(self.num, Mod)} % {_maybe_paren(self.den, Mod)}"
-
 
 class Pow(Expr):
     """Power operation (rarely needed; kept for math-dialect lowering)."""
 
     __slots__ = ("base", "exp")
-
-    def __init__(self, base: Expr, exp: Expr):
-        self.base = base
-        self.exp = exp
+    _tag = "pow"
+    _operands = ("base", "exp")
+    _fold = operator.pow
 
     @staticmethod
     def make(base: Expr, exp: Expr) -> Expr:
@@ -719,76 +629,31 @@ class Pow(Expr):
             return Integer(1)
         return Pow(base, exp)
 
-    def children(self) -> Sequence[Expr]:
-        return (self.base, self.exp)
-
-    def _compute_key(self) -> tuple:
-        return ("pow", self.base.key(), self.exp.key())
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Pow.make(self.base._subs(mapping), self.exp._subs(mapping))
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return self.base.evaluate(env) ** self.exp.evaluate(env)
-
-    def __str__(self) -> str:
-        return f"{_maybe_paren(self.base, Pow)} ** {_maybe_paren(self.exp, Pow)}"
-
 
 class Min(Expr):
     """n-ary minimum."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
+    _tag = "min"
+    _nary = True
+    _fold = min
 
     @staticmethod
     def make(*operands: ExprLike) -> Expr:
-        return _make_minmax(Min, min, operands)
-
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("min", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Min.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return min(arg.evaluate(env) for arg in self.args)
-
-    def __str__(self) -> str:
-        return "Min(" + ", ".join(str(arg) for arg in self.args) + ")"
+        return _make_minmax(Min, operands)
 
 
 class Max(Expr):
     """n-ary maximum."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[Expr]):
-        self.args = tuple(args)
+    _tag = "max"
+    _nary = True
+    _fold = max
 
     @staticmethod
     def make(*operands: ExprLike) -> Expr:
-        return _make_minmax(Max, max, operands)
-
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("max", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Max.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return max(arg.evaluate(env) for arg in self.args)
-
-    def __str__(self) -> str:
-        return "Max(" + ", ".join(str(arg) for arg in self.args) + ")"
+        return _make_minmax(Max, operands)
 
 
 def _linear_bounds_assuming_positive(expr: Expr):
@@ -824,7 +689,7 @@ def _provably_ge(a: Expr, b: Expr) -> bool:
     return lower is not None and lower >= 0
 
 
-def _make_minmax(cls, fold, operands: Iterable[ExprLike]) -> Expr:
+def _make_minmax(cls, operands: Iterable[ExprLike]) -> Expr:
     flat: list[Expr] = []
     constants: list[Number] = []
     for operand in operands:
@@ -845,7 +710,7 @@ def _make_minmax(cls, fold, operands: Iterable[ExprLike]) -> Expr:
             symbolic.append(expr)
     args: list[Expr] = list(symbolic)
     if constants:
-        args.append(_number_to_expr(fold(constants)))
+        args.append(_number_to_expr(cls._fold(constants)))
     if not args:
         raise SymbolicError("Min/Max requires at least one operand")
     # Prune arguments dominated under the positive-symbol assumption
@@ -882,20 +747,12 @@ class BoolExpr(Expr):
 
     __slots__ = ()
 
-    def logical_and(self, other: "BoolExpr") -> "BoolExpr":
-        return And.make(self, other)
-
-    def logical_or(self, other: "BoolExpr") -> "BoolExpr":
-        return Or.make(self, other)
-
-    def logical_not(self) -> "BoolExpr":
-        return Not.make(self)
-
 
 class BoolConst(BoolExpr):
     """Boolean constant ``true`` / ``false`` (two interned instances)."""
 
     __slots__ = ("value",)
+    __init__ = object.__init__  # ``__new__`` builds, or finds, the instance
 
     _interned: Dict[bool, "BoolConst"] = {}
 
@@ -913,23 +770,11 @@ class BoolConst(BoolExpr):
             BoolConst._interned[value] = self
         return self
 
-    def __reduce__(self):
-        return (BoolConst, (self.value,))
-
     def _compute_key(self) -> tuple:
         return ("bool", self.value)
 
-    def _compute_free(self) -> frozenset:
-        return _EMPTY_FROZENSET
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return self
-
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         return self.value
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 TRUE = BoolConst(True)
@@ -949,6 +794,7 @@ class Compare(BoolExpr):
     """Binary comparison between two arithmetic expressions."""
 
     __slots__ = ("op", "lhs", "rhs")
+    _operands = ("lhs", "rhs")
 
     def __init__(self, op: str, lhs: Expr, rhs: Expr):
         if op not in _COMPARE_FOLD:
@@ -978,9 +824,7 @@ class Compare(BoolExpr):
             return BoolConst(_COMPARE_FOLD[op](dval, 0))
         return Compare(op, lhs, rhs)
 
-    def children(self) -> Sequence[Expr]:
-        return (self.lhs, self.rhs)
-
+    # ``op`` is not an operand: the three walks that must carry it.
     def _compute_key(self) -> tuple:
         return ("cmp", self.op, self.lhs.key(), self.rhs.key())
 
@@ -990,101 +834,59 @@ class Compare(BoolExpr):
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
         return _COMPARE_FOLD[self.op](self.lhs.evaluate(env), self.rhs.evaluate(env))
 
-    def __str__(self) -> str:
-        return f"{self.lhs} {self.op} {self.rhs}"
+
+def _make_andor(cls, absorbing: bool, operands: Iterable[ExprLike]) -> BoolExpr:
+    """``And`` (absorbed by ``False``) or ``Or`` (by ``True``) of ``operands``, flattened."""
+    flat: list[BoolExpr] = []
+    for operand in operands:
+        expr = sympify(operand)
+        if isinstance(expr, cls):
+            flat.extend(expr.args)
+        elif isinstance(expr, BoolConst):
+            if expr.value is absorbing:
+                return expr
+        else:
+            flat.append(expr)
+    if not flat:
+        return FALSE if absorbing else TRUE
+    if len(flat) == 1:
+        return flat[0]
+    return cls(flat)
 
 
 class And(BoolExpr):
     """Logical conjunction."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[BoolExpr]):
-        self.args = tuple(args)
+    _tag = "and"
+    _nary = True
+    _fold = all  # stops at the first false operand
 
     @staticmethod
     def make(*operands: ExprLike) -> BoolExpr:
-        flat: list[BoolExpr] = []
-        for operand in operands:
-            expr = sympify(operand)
-            if isinstance(expr, And):
-                flat.extend(expr.args)
-            elif isinstance(expr, BoolConst):
-                if not expr.value:
-                    return FALSE
-            else:
-                flat.append(expr)
-        if not flat:
-            return TRUE
-        if len(flat) == 1:
-            return flat[0]
-        return And(flat)
-
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("and", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return And.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return all(arg.evaluate(env) for arg in self.args)
-
-    def __str__(self) -> str:
-        return " and ".join(f"({arg})" for arg in self.args)
+        return _make_andor(And, False, operands)
 
 
 class Or(BoolExpr):
     """Logical disjunction."""
 
     __slots__ = ("args",)
-
-    def __init__(self, args: Sequence[BoolExpr]):
-        self.args = tuple(args)
+    _tag = "or"
+    _nary = True
+    _fold = any  # stops at the first true operand
 
     @staticmethod
     def make(*operands: ExprLike) -> BoolExpr:
-        flat: list[BoolExpr] = []
-        for operand in operands:
-            expr = sympify(operand)
-            if isinstance(expr, Or):
-                flat.extend(expr.args)
-            elif isinstance(expr, BoolConst):
-                if expr.value:
-                    return TRUE
-            else:
-                flat.append(expr)
-        if not flat:
-            return FALSE
-        if len(flat) == 1:
-            return flat[0]
-        return Or(flat)
-
-    def children(self) -> Sequence[Expr]:
-        return self.args
-
-    def _compute_key(self) -> tuple:
-        return ("or", tuple(sorted(arg.key() for arg in self.args)))
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Or.make(*[arg._subs(mapping) for arg in self.args])
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return any(arg.evaluate(env) for arg in self.args)
-
-    def __str__(self) -> str:
-        return " or ".join(f"({arg})" for arg in self.args)
+        return _make_andor(Or, True, operands)
 
 
 class Not(BoolExpr):
     """Logical negation."""
 
     __slots__ = ("arg",)
-
-    def __init__(self, arg: BoolExpr):
-        self.arg = arg
+    _tag = "not"
+    _operands = ("arg",)
+    _fold = operator.not_
 
     @staticmethod
     def make(operand: ExprLike) -> BoolExpr:
@@ -1097,21 +899,6 @@ class Not(BoolExpr):
             negated = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
             return Compare.make(negated[expr.op], expr.lhs, expr.rhs)
         return Not(expr)
-
-    def children(self) -> Sequence[Expr]:
-        return (self.arg,)
-
-    def _compute_key(self) -> tuple:
-        return ("not", self.arg.key())
-
-    def _subs_impl(self, mapping: Dict[str, Expr]) -> Expr:
-        return Not.make(self.arg._subs(mapping))
-
-    def evaluate(self, env: Mapping[str, Number] | None = None) -> Number:
-        return not self.arg.evaluate(env)
-
-    def __str__(self) -> str:
-        return f"not ({self.arg})"
 
 
 # ---------------------------------------------------------------------------
@@ -1148,16 +935,9 @@ def _split_coefficient(term: Expr) -> tuple:
     return 1, term
 
 
-_PRECEDENCE = {Add: 1, Compare: 0, Or: 0, And: 0, Mul: 2, Div: 2, FloorDiv: 2, Mod: 2, Pow: 3}
-
 #: Shared -1 constant used by negation/subtraction (hot construction path).
 _NEG_ONE = Integer(-1)
 
-
-def _maybe_paren(expr: Expr, parent_cls: type) -> str:
-    text = str(expr)
-    child_prec = _PRECEDENCE.get(type(expr))
-    parent_prec = _PRECEDENCE.get(parent_cls)
-    if child_prec is not None and parent_prec is not None and child_prec < parent_prec:
-        return f"({text})"
-    return text
+# Last: the parser builds, and the printer's table is keyed by, the classes above.
+from .parser import parse_expr  # noqa: E402
+from .printer import PYTHON, render  # noqa: E402

@@ -1,16 +1,32 @@
 """Unit and property-based tests for the symbolic math engine."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import ctypes
+import pickle
+import random
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.codegen.sdfg_c import _HELPERS, C, NativeCodegenError, c_symbolic
+from repro.codegen.toolchain import NATIVE_CACHE_ENV, compile_shared
 from repro.symbolic import (
     Add,
+    And,
+    BoolConst,
     Compare,
+    Div,
+    Expr,
     FALSE,
+    Float,
+    FloorDiv,
     Integer,
     Max,
     Min,
+    Mod,
     Mul,
+    Not,
+    Or,
+    Pow,
     Range,
     Subset,
     Symbol,
@@ -22,6 +38,7 @@ from repro.symbolic import (
     sympify,
     symbols,
 )
+from repro.symbolic.printer import PYTHON, render
 
 
 class TestExpressionConstruction:
@@ -164,23 +181,22 @@ class TestParser:
     def test_parse_ternary_constant(self):
         assert parse_expr("1 < 2 ? 10 : 20") == Integer(10)
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Mul prints a %, // or / operand without parentheses: "
-               "'(i + 1) * ((i - 5) % 3)' comes out as '(i + 1) * (i - 5) % 3'",
-    )
     @pytest.mark.parametrize("text", [
         "(i + 1) * ((i - 5) % 3)", "(i + 1) * ((i - 5) // 2)", "1 - i % 2",
+        # The five further mis-prints of the strictly-looser-only rule.
+        "N // (2 * i)", "N % (2 * i)", "N / (i / 2)", "(N ** i) ** 2", "(0 - 1) ** N",
+        "N + (0 - 3) // i", "(not ((i < N) and (N < 5))) * 2", "(i < 3) == (N < 3)",
+        "N // 2.5 + 0.5",
     ])
     def test_printed_text_means_what_the_tree_means(self, text):
-        """Found while pinning ROADMAP's first open item: the interpreted
-        backend runs ``str(expr)``, so an operand of ``*`` that binds no
-        tighter than ``*`` is regrouped by Python.  Strict, like that item's
-        own tests; fixing ``_maybe_paren`` flips it."""
+        """``str(expr)`` is the bridge's wire format and the source the
+        interpreted backend runs, so it has to parse back to the same tree
+        and mean the same under Python's own grouping."""
         expression = parse_expr(text)
-        for value in range(8):
-            assert eval(str(expression), {"i": value}) == expression.evaluate({"i": value})
+        assert parse_expr(str(expression)) == expression
+        for value in range(1, 8):
+            env = {"i": value, "N": 3}
+            assert eval(str(expression), dict(env)) == expression.evaluate(env)
 
 
 class TestSubstitutionAndSolving:
@@ -321,3 +337,194 @@ def test_property_subset_union_covers_both(a_start, a_len, b_start, b_len):
     union = a.union(b)
     assert union.covers(a) is True
     assert union.covers(b) is True
+
+
+# ---------------------------------------------------------------------------
+# One node shape, one table per language
+# ---------------------------------------------------------------------------
+
+
+def _concrete_classes(base=Expr):
+    for cls in base.__subclasses__():
+        yield from _concrete_classes(cls)
+        if hasattr(cls, "make") or not cls.__subclasses__():
+            yield cls
+
+
+@pytest.mark.parametrize("cls", sorted(_concrete_classes(), key=lambda cls: cls.__name__))
+def test_every_node_class_has_a_spelling_in_every_language(cls):
+    assert cls in PYTHON, f"{cls.__name__} has no Python spelling in symbolic/printer.py"
+    assert cls in C, f"{cls.__name__} has no C spelling in codegen/sdfg_c.py"
+
+
+def test_the_tables_cover_the_sixteen_classes_and_nothing_else():
+    classes = set(_concrete_classes())
+    assert len(classes) == 16
+    assert set(PYTHON) == classes == set(C)
+
+
+def test_a_class_without_a_spelling_is_an_error_naming_it():
+    class Conjugate(Expr):
+        __slots__ = _operands = ("arg",)
+
+    assert Conjugate in set(_concrete_classes())  # the coverage test would see it
+    tree = Add([Symbol("N"), Conjugate(Symbol("M"))])
+    with pytest.raises(SymbolicError, match="Conjugate"):
+        str(tree)
+    with pytest.raises(NativeCodegenError, match="Conjugate"):
+        c_symbolic(tree)
+
+
+_NAMES = ("i", "j", "N", "M")
+
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _tree(pick, depth=0, exact=False):
+    """An arithmetic tree with integer leaves, built by the canonicalizers.
+
+    ``pick(low, high)`` supplies the integers, so Hypothesis and a seeded
+    ``random.Random`` draw from the one builder.  ``exact`` leaves out
+    ``Div``, the only class that makes a value floating.
+    """
+    kind = pick(0, 1) if depth >= 4 else pick(0 if depth else 2, 11)  # no bare leaf at the root
+    if kind == 0:
+        return Integer(pick(-9, 9))
+    if kind == 1:
+        return Symbol(_NAMES[pick(0, 3)])
+    if kind <= 3:  # a condition as a 0/1 factor, the way the parser spells ``c ? a : b``
+        return _condition(pick, depth, exact)
+    lhs = _tree(pick, depth + 1, exact)
+    if kind == 4:
+        return Pow.make(lhs, pick(0, 3))
+    rhs = _tree(pick, depth + 1, exact)
+    make = {5: FloorDiv.make if exact else Div.make, 6: FloorDiv.make, 7: Mod.make,
+            8: Min.make, 9: Max.make, 10: Mul.make, 11: Add.make}[kind]
+    try:
+        return make(lhs, rhs)
+    except SymbolicError:  # a divisor that folded to zero
+        return lhs
+
+
+def _condition(pick, depth=0, exact=False):
+    """A boolean tree: ``and``/``or``/``not`` mean what ``evaluate`` computes only over these."""
+    kind = 0 if depth >= 4 else pick(0 if depth else 1, 3)
+    if kind == 0:
+        return BoolConst(pick(0, 1))
+    if kind == 1:
+        operands = [_tree(pick, depth + 1, exact) for _ in range(2)]
+        return Compare.make(_COMPARISONS[pick(0, 5)], *operands)
+    operands = [_condition(pick, depth + 1, exact) for _ in range(2)]
+    both = (And.make, Or.make)[pick(0, 1)](*operands)
+    return Not.make(both) if kind == 2 else both  # ``Not.make`` folds every other operand away
+
+
+@st.composite
+def _trees(draw, exact=False):
+    return _tree(lambda low, high: draw(st.integers(low, high)), exact=exact)
+
+
+def _subtrees(expr):
+    yield expr
+    for child in expr.children():
+        yield from _subtrees(child)
+
+
+def _defined(expr, env):
+    """Whether ``evaluate`` and Python must agree on ``expr`` under ``env``.
+
+    Not where a divisor is zero; not where a value leaves the range in
+    which ``FloorDiv``'s floored float quotient is exact; and not where
+    ``//`` or ``%`` meets a float, which ``evaluate`` floors by a rule of
+    its own (``1 // 0.1`` is 9.0 in Python, ``floor(1 / 0.1)`` is 10).
+    """
+    try:
+        for node in _subtrees(expr):
+            if abs(node.evaluate(env)) >= 2**31:
+                return False
+            if isinstance(node, (FloorDiv, Mod)) and any(
+                isinstance(child.evaluate(env), float) for child in node.children()
+            ):
+                return False
+    except ZeroDivisionError:
+        return False
+    return True
+
+
+_values = st.integers(-6, 6)
+
+
+@given(_trees(), _values, _values, _values, _values)
+@settings(max_examples=300, deadline=None)
+def test_property_text_round_trips_and_means_the_tree(expr, i, j, n, m):
+    text = str(expr)
+    reparsed = parse_expr(text)
+    # The parser multiplies pairwise, so where a product leads with its
+    # coefficient and a sum, ``Mul.make`` meets those two alone and
+    # distributes (``-1 * (i + 1) * i``): same value, another tree.
+    if not any(
+        isinstance(node, Mul)
+        and isinstance(node.args[0], (Integer, Float))
+        and isinstance(node.args[1], Add)
+        for node in _subtrees(expr)
+    ):
+        assert reparsed == expr
+    env = {"i": i, "j": j, "N": n, "M": m}
+    assume(_defined(expr, env))
+    assert eval(text, dict(env)) == expr.evaluate(env) == reparsed.evaluate(env)
+
+
+@given(_trees(exact=True), st.lists(st.integers(1, 6), min_size=4, max_size=4), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_property_subs_then_evaluate_is_evaluate(expr, values, bound):
+    # Symbols are sizes and trip counts: ``Min``/``Max`` prune on ``>= 1``.
+    env = dict(zip(_NAMES, values))
+    assume(_defined(expr, env))
+    early = {name: env[name] for name in _NAMES[:bound]}
+    late = {name: env[name] for name in _NAMES[bound:]}
+    assert expr.subs(early).evaluate(late) == expr.evaluate(env)
+
+
+@given(_trees())
+@settings(max_examples=100, deadline=None)
+def test_property_key_and_hash_survive_pickle(expr):
+    key, digest = expr.key(), hash(expr)
+    copy = pickle.loads(pickle.dumps(expr))
+    assert (copy.key(), hash(copy), copy) == (key, digest, expr)
+    assert type(copy) is type(expr) and str(copy) == str(expr)
+
+
+def test_c_spelling_computes_what_evaluate_computes(tmp_path, monkeypatch):
+    """250 distinct integer-valued trees, rendered with the ``C`` table into one
+    translation unit beside the emitter's own helpers, built by the
+    toolchain every native program goes through, valued under two
+    environments of mixed sign."""
+    monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path / "native"))
+    envs = [dict(zip(_NAMES, values)) for values in ((2, -5, 3, -4), (-3, 4, -1, 6))]
+    rng = random.Random(23)
+    distinct = {}
+    while len(distinct) < 250:
+        tree = _tree(rng.randint, exact=True)
+        if tree.children() and all(_defined(tree, env) for env in envs):
+            distinct[tree.key()] = tree
+    trees = list(distinct.values())
+    assert {type(node) for tree in trees for node in _subtrees(tree)} == set(C) - {Div, Float}
+
+    body = "\n".join(
+        f"    out[{index}] = (int64_t)({c_symbolic(tree)});" for index, tree in enumerate(trees)
+    )
+    helpers = "\n".join(text for name, text in _HELPERS.items() if f"{name}(" in body)
+    arguments = ", ".join(f"int64_t {name}" for name in _NAMES)
+    code = (
+        f"#include <math.h>\n#include <stdint.h>\n{helpers}\n"
+        f"void repro_values({arguments}, int64_t *out) {{\n{body}\n}}\n"
+    )
+    values = ctypes.CDLL(str(compile_shared(code, name="symbolic_table"))).repro_values
+    values.argtypes = [ctypes.c_int64] * len(_NAMES) + [ctypes.POINTER(ctypes.c_int64)]
+    values.restype = None
+    for env in envs:
+        out = (ctypes.c_int64 * len(trees))()
+        values(*(env[name] for name in _NAMES), out)
+        for tree, value in zip(trees, out):
+            assert value == tree.evaluate(env), f"{tree} under {env}: C computed {value}"
