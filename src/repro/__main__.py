@@ -307,6 +307,31 @@ def _cmd_show_pipeline(args) -> int:
     return 0
 
 
+def _innermost_maps(program) -> str:
+    """How the interpreted emitter wrote the program's innermost maps, from
+    the ``codegen.python.*`` counters of its report ("" when it wrote none)."""
+    prefix = "codegen.python."
+    counted = {
+        name[len(prefix):]: count
+        for name, count in (program.report.counters if program.report is not None else {}).items()
+        if name.startswith(prefix)
+    }
+    if not counted:
+        return ""
+    def named(stem: str) -> str:
+        parts = [
+            f"{name[len(stem):].replace('_', ' ')} {count}"
+            for name, count in sorted(counted.items()) if name.startswith(stem)
+        ]
+        return f" ({', '.join(parts)})" if parts else ""
+
+    return (
+        f"{counted.get('array_maps', 0)} innermost as array operations"
+        + named("array_maps.")
+        + f", {counted.get('loop_maps', 0)} as loops" + named("refused.")
+    )
+
+
 def _cmd_compile(args) -> int:
     program = generate_program(
         _load_source(args), _load_pipeline(args), function=args.function
@@ -317,6 +342,9 @@ def _cmd_compile(args) -> int:
         for stage in program.report.stages if program.report is not None else ():
             print(f"  {stage.stage:<10} {stage.seconds * 1e3:8.2f} ms" + cap_suffix(stage))
         print(f"code:     {len(program.code)} bytes")
+        maps = _innermost_maps(program)
+        if maps:
+            print(f"maps:     {maps}")
         if program.native_code is not None:
             print(f"native:   {len(program.native_code)} bytes of C")
         elif program.native_fallback is not None:

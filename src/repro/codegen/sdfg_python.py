@@ -8,24 +8,41 @@ structured loops are raised from the state machine (no per-iteration
 dispatch overhead), transient containers are allocated either up front
 (``persistent`` lifetime, after memory pre-allocation) or at their first
 use inside whatever loop that happens to be (modelling allocation cost on
-the critical path), map scopes become loops — or vectorized numpy
-expressions in the ICC/SLEEF-modelling vectorized mode — and WCR memlets
-become in-place updates, of a local where the walker finds a reduction.
+the critical path), and WCR memlets become in-place updates, of a local
+where the walker finds a reduction.
+
+A map is an array expression.  Every innermost map the walker classifies
+(:meth:`~repro.codegen.sdfg_walk.SDFGWalker._array_form`) is written as
+NumPy operations, one per tasklet, under every pipeline — the ``vectorize``
+flag of ``dcir+vec`` changes nothing here.  An index affine in the
+parameter with a positive literal coefficient, in one dimension of its
+memlet, is a **slice** (``A[i_1, 0:26]``, ``B[2:n - 1]``; with a negative
+one the same slice read backwards, ``x[0:k][::-1]``); the parameter
+becomes the vector of its values (``j = np.arange(…)``, bound on first use)
+only where a tasklet computes with it or an index is anything else.  The
+tasklet expression is spelled through :data:`NUMPY`; an update of an
+element that moves is an in-place slice update, an update of one that does
+not is folded in with ``np.add.accumulate`` — left to right from the
+element, the order of the loop it replaces.
 """
 
 from __future__ import annotations
 
+import ast
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import lru_cache
+from typing import Callable, List, Optional
 
-from ..symbolic import Expr, Integer, Subset
+from ..symbolic import Expr, Integer, Range, Subset, Symbol
+from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
+from ..sdfg.tasklet_code import typed_operands
 from .loader import load_entry
-from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker
+from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, affine_in
 from .writer import SourceWriter
 
 
@@ -137,6 +154,80 @@ _REDUCTION_COMBINE = {
 }
 
 
+class Refused(str):
+    """In :data:`NUMPY`: the name under which a construct keeps its map a loop."""
+
+
+#: The NumPy spelling of a tasklet expression: for every operator and
+#: expression type of the ``ast`` tree, and every call name, that
+#: :func:`~repro.sdfg.tasklet_code.node_dtype` types, the text over its
+#: already spelled operands — or the :class:`Refused` name of what has no
+#: element-wise meaning (``a if v else b`` asks a vector for one truth
+#: value) or another one (``int ** -1`` raises, ``min`` hands back an
+#: operand).  Casts truncate as C's do.
+NUMPY = {
+    ast.Add: "{} + {}", ast.Sub: "{} - {}", ast.Mult: "{} * {}", ast.Div: "{} / {}",
+    ast.FloorDiv: "{} // {}", ast.Mod: "{} % {}", ast.Pow: Refused("power"),
+    ast.BitAnd: "{} & {}", ast.BitOr: "{} | {}", ast.BitXor: "{} ^ {}",
+    ast.LShift: "{} << {}", ast.RShift: "{} >> {}",
+    ast.USub: "-{}", ast.UAdd: "+{}", ast.Invert: "~{}", ast.Not: Refused("boolean"),
+    ast.Eq: "{} == {}", ast.NotEq: "{} != {}", ast.Lt: "{} < {}", ast.LtE: "{} <= {}",
+    ast.Gt: "{} > {}", ast.GtE: "{} >= {}",
+    ast.IfExp: Refused("conditional"), ast.BoolOp: Refused("boolean"),
+    "math.sqrt": "np.sqrt({})", "math.exp": "np.exp({})", "math.log": "np.log({})",
+    "math.log2": "np.log2({})", "math.sin": "np.sin({})", "math.cos": "np.cos({})",
+    "math.tanh": "np.tanh({})", "math.fabs": "np.fabs({})",
+    "math.atan2": "np.arctan2({}, {})", "math.pow": "np.float_power({}, {})",
+    "math.floor": "np.int64(np.floor({}))", "math.ceil": "np.int64(np.ceil({}))",
+    "float": "np.float64({})", "int": "np.int64({})", "abs": "abs({})",
+    "bool": Refused("bool_cast"), "min": Refused("min_max"), "max": Refused("min_max"),
+}
+
+
+def numpy_expression(node: ast.expr, name: Callable[[str], str], operand: bool = False) -> str:
+    """``node`` spelled through :data:`NUMPY`; ``name`` spells an identifier.
+
+    Raises the :class:`Refused` name (as a ``LookupError``) of the first
+    construct without a spelling.  As an ``operand`` the text is
+    parenthesised unless it binds tighter than any operator.
+    """
+    if isinstance(node, ast.Name):
+        return name(node.id)
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    operands = typed_operands(node)
+    if isinstance(node, ast.Call):
+        key = None if node.keywords else ast.unparse(node.func)
+    elif isinstance(node, ast.Compare):
+        key = type(node.ops[0]) if len(node.ops) == 1 else None  # no chained comparison
+        operands = (node.left, *node.comparators)
+    else:
+        key = type(node.op if isinstance(node, (ast.BinOp, ast.UnaryOp)) else node)
+    spelling = NUMPY.get(key)
+    if isinstance(spelling, Refused):
+        raise LookupError(spelling)
+    if spelling is None or spelling.count("{}") != len(operands):
+        raise LookupError(Refused("expression"))  # no construct, or arity, the table knows
+    text = spelling.format(*(
+        numpy_expression(child, name, operand=not isinstance(node, ast.Call)) for child in operands
+    ))
+    return f"({text})" if operand and not isinstance(node, ast.Call) else text
+
+
+@lru_cache(maxsize=8192)  # one per tasklet body: ``single_assignment`` shares them
+def _refusal(assignment) -> Optional[str]:
+    """The :class:`Refused` name of ``assignment``'s expression; ``None`` when it spells."""
+    try:
+        numpy_expression(assignment.value, str)
+    except LookupError as refusal:
+        return refusal.args[0]
+    return None
+
+
+#: The ufunc whose ``accumulate`` folds a vector in by each update operator.
+_ACCUMULATE = {"+": "np.add", "*": "np.multiply"}
+
+
 class PythonEmitter(SDFGWalker):
     """Python syntax for the SDFG walk: a ``run(**kwargs)`` function."""
 
@@ -144,6 +235,7 @@ class PythonEmitter(SDFGWalker):
     # The interpreted executor's workers are processes: there are no
     # atomics, so maps needing atomic WCR updates lower sequentially.
     has_atomics = False
+    array_maps = True  # NumPy
     end = ""
     comment = "# {}"
     while_header = "while {}"
@@ -157,6 +249,8 @@ class PythonEmitter(SDFGWalker):
     def __init__(self, sdfg: SDFG, vectorize: bool = False):
         super().__init__(sdfg, vectorize, SourceWriter(braces=False))
         self._parallel_counter = 0
+        #: Whether the array map being emitted has bound its parameter's values.
+        self._values_bound = False
 
     expr = staticmethod(str)  # ``str(expr)`` is Python source: symbolic/printer.py
 
@@ -199,7 +293,7 @@ class PythonEmitter(SDFGWalker):
             default = "0.0" if descriptor.dtype.startswith("float") else "0"
             self.writer.emit(f"{name} = {default}")
         else:
-            shape = ", ".join(f"int({dim})" for dim in descriptor.shape)
+            shape = ", ".join(map(self._integer, descriptor.shape))
             dtype = _NUMPY_DTYPES[descriptor.dtype]
             self.writer.emit(f"{name} = np.empty(({shape},), dtype={dtype})")
 
@@ -238,11 +332,11 @@ class PythonEmitter(SDFGWalker):
         if destination_scalar and source_scalar:
             self.writer.emit(f"{destination} = {source}")
         elif destination_scalar:
-            index = _subset_index(subset) if subset is not None else "0"
-            self.writer.emit(f"{destination} = {source}[{index}]")
+            element = self._subscript(subset) if subset is not None else "[0]"
+            self.writer.emit(f"{destination} = {source}{element}")
         elif source_scalar:
-            index = _subset_index(subset) if subset is not None else ":"
-            self.writer.emit(f"{destination}[{index}] = {source}")
+            element = self._subscript(subset) if subset is not None else "[:]"
+            self.writer.emit(f"{destination}{element} = {source}")
         else:
             self.writer.emit(f"np.copyto({destination}, {source})")
 
@@ -250,17 +344,23 @@ class PythonEmitter(SDFGWalker):
         writer = self.writer
         for connector, expression in inputs:
             writer.emit(f"{connector} = {expression}")
-        code = tasklet.code
-        if vectorized:
-            # Vector emission (global flag or per-map annotation): scalar
-            # math functions become their numpy element-wise equivalents.
-            code = code.replace("math.", "np.")
-        for line in code.splitlines():
+        for line in tasklet.code.splitlines():
             writer.emit(line)
         return lambda connector: connector
 
     def render_expression(self, assignment, bindings) -> str:
-        return assignment.operand(bindings)
+        if self._array_map is None:
+            return assignment.operand(bindings)
+        param = self._array_map.params[0]
+
+        def name(identifier: str) -> str:
+            if identifier in bindings:
+                return bindings[identifier]
+            return self._parameter_values() if identifier == param else identifier
+
+        return numpy_expression(assignment.value, name)
+
+    array_refusal = staticmethod(_refusal)
 
     def bind_input(self, connector: str, read: str) -> str:
         self.writer.emit(f"{connector} = {read}")
@@ -272,8 +372,8 @@ class PythonEmitter(SDFGWalker):
 
     def write_target(self, data: str, descriptor, subset: Subset) -> str:
         if subset.is_point():
-            return f"{data}[{_subset_index(subset)}]"
-        return f"{data}[{_subset_slices(subset)}]"
+            return data + self._subscript(subset)
+        return f"{data}[{self._slices(subset)}]"
 
     def emit_update(self, target: str, descriptor, wcr, value: str, atomic: bool = False) -> None:
         if wcr in ("min", "max"):
@@ -285,15 +385,86 @@ class PythonEmitter(SDFGWalker):
         # Pinned output: a min/max WCR broadcast has always been a plain store.
         self.writer.emit(f"{data}[...] {UPDATE_OPERATORS.get(wcr, '=')} {value}")
 
+    def emit_reduction(self, target: str, wcr: str, values: str) -> None:
+        # ``accumulate`` computes every prefix, so it cannot reassociate.
+        self.writer.emit(
+            f"{target} = {_ACCUMULATE[wcr]}.accumulate(np.concatenate((({target},), {values})))[-1]"
+        )
+
+    # -- bounds and subscripts ---------------------------------------------------------
+    def _integer(self, expression: Expr) -> str:
+        """``expression`` where an integer must stand: as written when it
+        provably is one (a literal, an integer symbol, ``+ * // % min max`` of
+        such), else coerced."""
+        text = str(expression)
+        return text if self._integral(expression) else f"int({text})"
+
+    def _integral(self, expression: Expr) -> bool:
+        if isinstance(expression, Symbol):
+            return not self._name_dtypes.get(expression.name, "int64").startswith("float")
+        return isinstance(expression, Integer) or (
+            isinstance(expression, (Add, Mul, FloorDiv, Mod, Min, Max))
+            and all(map(self._integral, expression.children()))
+        )
+
+    def _span(self, rng: Range, separator: str) -> str:
+        """``rng`` as the arguments of ``range``/``np.arange`` (``", "``) or the
+        bounds of a slice (``":"``): a unit step is not written."""
+        parts = (rng.start, rng.end) if rng.step == 1 else (rng.start, rng.end, rng.step)
+        return separator.join(map(self._integer, parts))
+
+    def _slices(self, subset: Subset) -> str:
+        return ", ".join(
+            str(rng.start) if rng.is_point() else self._span(rng, ":") for rng in subset.ranges
+        )
+
+    def _subscript(self, subset: Subset) -> str:
+        """``[…]`` selecting one element; inside an array map, that element of
+        every iteration.  Where the only index that moves with the parameter
+        is ``a * p + b`` with a literal ``a`` and the map's step is a literal,
+        that is a slice — for ``a < 0`` (and a unit step) the slice of the
+        same elements read backwards, since a negative stride cannot name an
+        end below element 0 — else the index over the parameter's values."""
+        indices = subset.indices()
+        texts = list(map(str, indices))
+        reverse = ""
+        if self._array_map is not None:
+            param, rng = self._array_map.params[0], self._array_map.ranges[0]
+            symbol = Symbol(param)
+            moving = [dim for dim, index in enumerate(indices) if symbol in index.free_symbols()]
+            slope, offset = (
+                affine_in(indices[moving[0]], param, (0, None))
+                if len(moving) == 1 and isinstance(rng.step, Integer) else (0, None)
+            )
+            if slope > 0 or (slope < 0 and rng.step == 1):
+                first, beyond = slope * rng.start + offset, slope * rng.end + offset
+                if slope > 0:
+                    elements = Range(first, beyond, slope * rng.step)
+                else:  # the last iteration's element up to the first one's
+                    elements, reverse = Range(beyond - slope, first + 1, -slope), "[::-1]"
+                texts[moving[0]] = self._span(elements, ":")
+            elif moving:
+                self._parameter_values()
+        return f"[{', '.join(texts)}]{reverse}"
+
+    def _parameter_values(self) -> str:
+        """The array map's parameter as the vector of its values, bound on first use."""
+        param, rng = self._array_map.params[0], self._array_map.ranges[0]
+        if not self._values_bound:
+            self.writer.emit(f"{param} = np.arange({self._span(rng, ', ')})")
+            self._values_bound = True
+        return param
+
     # -- maps --------------------------------------------------------------------------
     def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:
-        dimensions = list(zip(entry.map.params, entry.map.ranges))
         if vectorized:
-            for param, rng in dimensions:
-                self.writer.emit(f"{param} = np.arange{_range_args(rng)}")
+            self._values_bound = False
             emit_members()
             return
-        loops = [f"for {param} in range{_range_args(rng)}" for param, rng in dimensions]
+        loops = [
+            f"for {param} in range({self._span(rng, ', ')})"
+            for param, rng in zip(entry.map.params, entry.map.ranges)
+        ]
         if parallel is not None:
             self._emit_fork_join(entry, loops, emit_members, parallel)
         else:
@@ -324,10 +495,11 @@ class PythonEmitter(SDFGWalker):
         self._parallel_counter += 1
         chunks = f"_pchunks{index}"
         first = entry.map.ranges[0]
-        step = f"int({first.step})"
+        step = self._integer(first.step)
         requested = entry.map.n_threads or 0
         writer.emit(
-            f"{chunks} = _repro_chunks(int({first.start}), int({first.end}), {step}, "
+            f"{chunks} = _repro_chunks({self._integer(first.start)}, "
+            f"{self._integer(first.end)}, {step}, "
             f"_repro_workers({requested})) if _repro_fork_ok else []"
         )
         with writer.block(f"if len({chunks}) <= 1"):
@@ -353,7 +525,8 @@ class PythonEmitter(SDFGWalker):
                 for name, operator in info.reductions:
                     dtype = self.sdfg.arrays[name].dtype
                     writer.emit(f"{name} = {_reduction_identity(operator, dtype)}")
-                chunk_loop = f"for {entry.map.params[0]} in range(_plow, _phigh, {step})"
+                stride = "" if first.step == 1 else f", {step}"
+                chunk_loop = f"for {entry.map.params[0]} in range(_plow, _phigh{stride})"
                 self._emit_loops([chunk_loop] + loops[1:], emit_members)
                 for name, _ in info.reductions:
                     writer.emit(f"{partials[name]}[_pindex] = {name}")
@@ -381,33 +554,6 @@ class PythonEmitter(SDFGWalker):
                 writer.emit(f"{targets} = {shared}.restore()")
             else:
                 writer.emit(f"{shared}.restore()")
-
-
-def _range_args(rng) -> str:
-    """Argument list of ``range``/``np.arange`` over one map dimension."""
-    bounds = (rng.start, rng.end, rng.step)
-    if all(isinstance(bound, Integer) for bound in bounds):
-        # Literals need no coercion, and a unit step need not be written.
-        written = bounds[:2] if rng.step.value == 1 else bounds
-        return "(" + ", ".join(str(bound) for bound in written) + ")"
-    return "(" + ", ".join(f"int({bound})" for bound in bounds) + ")"
-
-
-def _subset_index(subset: Subset) -> str:
-    return ", ".join(str(index) for index in subset.indices())
-
-
-def _subset_slices(subset: Subset) -> str:
-    pieces = []
-    for rng in subset.ranges:
-        if rng.is_point():
-            pieces.append(str(rng.start))
-        else:
-            piece = f"int({rng.start}):int({rng.end})"
-            if str(rng.step) != "1":
-                piece += f":int({rng.step})"
-            pieces.append(piece)
-    return ", ".join(pieces)
 
 
 @dataclass

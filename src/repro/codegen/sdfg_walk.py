@@ -13,8 +13,26 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   others at the first state that touches them — inside a loop if that is
   where they are used (§6.3);
 * which container a write lands in and which writes are no-ops;
-* whether a map is emitted as a vector operation, as a parallel loop or
-  as a sequential loop nest;
+* whether a map is emitted as array operations, as a parallel loop or as
+  a sequential loop nest.  A map *is* an array expression: every
+  single-parameter map without a nested scope is classified once
+  (:meth:`SDFGWalker._array_form`) as ``elementwise``, ``updates in
+  place`` or ``reduces in order`` — or refused under a name
+  (:class:`ArrayForm`), counted per compile as
+  ``codegen.<backend>.array_maps`` (and ``.array_maps.<kind>``) /
+  ``.loop_maps`` (and ``.refused.<name>``).
+  An emitter that has array operations (:attr:`SDFGWalker.array_maps`)
+  emits every classified map that would otherwise be a sequential loop in
+  **operation order** — each tasklet over all iterations before the next
+  — under every pipeline; a parallel-scheduled map keeps its fork/join
+  and the maps inside it take the array form.  The verdict guarantees
+  that no element sees its floating-point operations in another order: a
+  store is injective in the parameter, a container written in the scope
+  is accessed there at one element per iteration, and an update of an
+  element that does not move adds (multiplies) left to right starting
+  from that element.  An emitter without array operations annotates what
+  ``Vectorization`` (or the ``vectorize`` flag) marked and
+  :func:`vectorizable_map` accepts;
 * which WCR writes are reductions over a sequential map.  An update whose
   target element does not move with the map (``C[i, j] += …`` under
   ``for k``) accumulates in a local: ``_accN = T[idx]`` ahead of the loop
@@ -23,7 +41,7 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   results are bit-identical.  The local is bound at the outermost map for
   which :meth:`SDFGWalker._accumulators` holds; a map that may run zero
   times gets the load/store pair under its own ``lo < hi`` guard.
-  Vectorized maps carry no WCR, parallel maps (and everything nested in
+  Parallel maps (and everything nested in
   them) keep their reduction and atomic paths, ``min``/``max`` updates
   and element types whose store would round where a local does not
   (anything but ``float64``, or ``int64`` updated with an integer) are
@@ -36,10 +54,11 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   where the dataflow forks: a subscripted read the expression uses more
   than once, or a result that feeds more than one out-edge.  Every other
   tasklet (several statements, an assigned name that is not the connector
-  its out-edges leave from) and every tasklet of a vectorized map takes
+  its out-edges leave from) and every tasklet of an annotated map takes
   the **bound form**: connectors become locals, the body is emitted as
   written, outputs are read back from the locals it assigned.  The choice
-  is made from the tasklet's shape alone.
+  is made from the tasklet's shape alone; a map of bound-form tasklets is
+  no array expression.
 
 A backend subclasses the walker and supplies syntax only — the class
 attributes and the hook methods listed under "what an emitter provides"
@@ -50,9 +69,11 @@ from __future__ import annotations
 
 import ast
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..symbolic import Expr, Subset
+from ..perf import PERF
+from ..symbolic import Expr, Integer, Subset, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
@@ -74,18 +95,16 @@ class CodegenError(Exception):
     """Raised when an SDFG cannot be turned into executable code."""
 
 
-#: Builtins that take one value, not a vector of them.
-_SCALAR_ONLY_CALLS = frozenset({"float", "int", "bool", "min", "max"})
+#: Calls ``Vectorization`` annotates no map over: the pinned C text carries
+#: no ``ivdep`` there.  (What the interpreted emitter spells over arrays is
+#: its own table, ``sdfg_python.NUMPY``.)
+_UNANNOTATED_CALLS = frozenset({"float", "int", "bool", "min", "max"})
 
 
 def _elementwise(code: str) -> bool:
-    """Whether tasklet code means the same over a vector as over each element.
-
-    Plain-name assignments of arithmetic and ``math`` calls do (``math.``
-    becomes ``np.``).  Casts, builtin ``min``/``max``, conditional
-    expressions and boolean operators are scalar-only: ``float(np.arange(n))``
-    raises, ``a if v else b`` asks a vector for one truth value.
-    """
+    """Whether tasklet code is plain-name assignments of arithmetic and
+    ``math`` calls: no cast, builtin ``min``/``max``, conditional
+    expression or boolean operator."""
     try:
         tree = ast.parse(code)
     except SyntaxError:
@@ -99,20 +118,19 @@ def _elementwise(code: str) -> bool:
         if isinstance(node, (ast.IfExp, ast.BoolOp, ast.Not)):
             return False
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _SCALAR_ONLY_CALLS:
+                and node.func.id in _UNANNOTATED_CALLS:
             return False
     return True
 
 
 def vectorizable_map(state, entry: "MapEntry", members) -> bool:
-    """Whether a map scope can be emitted as a vector operation.
+    """Whether a map scope may carry the ``vectorized`` annotation.
 
-    Shared between the code generators (the global ``vectorize`` flag of
-    the ``dcir+vec`` pipeline vectorizes every eligible map) and the
-    ``Vectorization`` transformation (which annotates individual maps):
-    single parameter, no nested scopes, tasklets that are element-wise
-    assignments (:func:`_elementwise`), and no WCR updates (vector
-    semantics would reorder the reduction).
+    The matcher of the ``Vectorization`` transformation, and what an
+    emitter without array operations checks before it honours the
+    annotation (or the global ``vectorize`` flag of ``dcir+vec``): single
+    parameter, no nested scopes, tasklets that are element-wise
+    assignments (:func:`_elementwise`), and no WCR updates.
     """
     if len(entry.map.params) != 1:
         return False
@@ -125,6 +143,42 @@ def vectorizable_map(state, entry: "MapEntry", members) -> bool:
             if edge.data.wcr is not None:
                 return False
     return True
+
+
+#: What a map can be as an array expression (:attr:`ArrayForm.kind`), least
+#: demanding first.
+ARRAY_KINDS = ("elementwise", "updates in place", "reduces in order")
+
+#: Element types whose scalar and vector arithmetic agree bit for bit.
+_ARRAY_DTYPES = frozenset({"float64", "int64"})
+
+
+class ArrayForm(NamedTuple):
+    """Verdict of :meth:`SDFGWalker._array_form` on one innermost map.
+
+    ``kind`` is one of :data:`ARRAY_KINDS` — every write a store to the
+    iteration's own element; some element read or updated where it is
+    stored; a ``+``/``*`` update of an element that does not move — or
+    ``None``, and then ``reason`` names why the map stays a loop.
+    """
+
+    kind: Optional[str]
+    reason: Optional[str] = None
+
+
+@lru_cache(maxsize=4096)  # the same few indices, asked about once per access
+def affine_in(index: Expr, param: str, otherwise=None) -> Optional[Tuple[int, Expr]]:
+    """``(a, b)`` such that ``index`` is ``a * param + b`` with a literal ``a``
+    and ``b`` free of ``param``; ``otherwise`` for any other dependence."""
+    offset = index.subs({param: 0})
+    slope = index.subs({param: 1}) - offset
+    if isinstance(slope, Integer) and slope * Symbol(param) + offset == index:
+        return slope.value, offset
+    return otherwise
+
+
+def _names(subset: Optional[Subset]) -> Set[str]:
+    return set() if subset is None else {symbol.name for symbol in subset.free_symbols()}
 
 
 #: In-place operator of each WCR the update statement spells directly
@@ -162,9 +216,12 @@ class SDFGWalker:
     #: Backend name for diagnostics, and the error type it raises.
     backend: str
     error = CodegenError
-    #: The one capability difference: whether a WCR update can be made
-    #: atomic.  Without atomics, maps that need them lower sequentially.
+    #: The two capability differences: whether a WCR update can be made
+    #: atomic (without atomics, maps that need them lower sequentially), and
+    #: whether the language has array operations (then every map that is an
+    #: array expression is emitted as one, see :meth:`_array_form`).
     has_atomics: bool
+    array_maps: bool = False
     #: Statement terminator and comment form (``"# {}"``).
     end: str
     comment: str
@@ -193,6 +250,10 @@ class SDFGWalker:
         self._updates: List = []
         self._touches: Dict[str, List] = {}
         self._in_parallel = False
+        #: ``id()`` of each classified map entry → its verdict.
+        self._array_forms: Dict[int, ArrayForm] = {}
+        #: The map whose members are being emitted as array operations.
+        self._array_map = None
         self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
         self._allocated_persistent: Set[str] = set()
         # Top-level parallel-scheduled maps whose safety proof succeeds —
@@ -290,7 +351,23 @@ class SDFGWalker:
 
     def emit_map(self, entry: MapEntry, emit_members: Callable[[], None], vectorized: bool,
                  parallel: Optional[ParallelismInfo]) -> None:
-        """Open the scope's loops (or vector/parallel form) around ``emit_members()``."""
+        """Open the scope's loops (or vector/parallel form) around ``emit_members()``.
+
+        ``vectorized`` asks for the emitter's vector form: array operations
+        (while ``emit_members()`` runs, ``self._array_map`` is the map and
+        reads, write targets and expressions range over its parameter)
+        where :attr:`array_maps` holds, else the annotated loop.
+        """
+        raise NotImplementedError
+
+    def array_refusal(self, assignment: Assignment) -> Optional[str]:
+        """With :attr:`array_maps`: the name under which a tasklet expression
+        the emitter cannot spell over arrays keeps its map a loop."""
+        raise NotImplementedError
+
+    def emit_reduction(self, target: str, wcr: str, values) -> None:
+        """With :attr:`array_maps`: fold the vector ``values`` into ``target``
+        by ``wcr``, left to right starting from ``target``."""
         raise NotImplementedError
 
     # -- the program -------------------------------------------------------------------
@@ -549,21 +626,29 @@ class SDFGWalker:
         else:
             return
         descriptor = self.sdfg.arrays[data]
-        accumulator = self._accumulated.get(id(edge))
-        if accumulator is not None:
-            self.emit_update(accumulator, descriptor, memlet.wcr, value)
+        array_map = self._array_map
+        moves = False
+        if id(edge) in self._accumulated:
+            target = self._accumulated[id(edge)]
         elif isinstance(descriptor, Scalar):
-            self.emit_update(data, descriptor, memlet.wcr, value)
+            target = data
         elif memlet.subset is None:
             # A dynamic whole-array memlet was mutated in place through the input view.
             if not memlet.dynamic:
                 self.emit_broadcast(data, descriptor, memlet.wcr, value)
+            return
         elif memlet.subset.is_point() or not (
             memlet.dynamic and self._covers_whole(descriptor, memlet.subset)
         ):
+            target = self.write_target(data, descriptor, memlet.subset)
+            moves = array_map is not None and array_map.params[0] in _names(memlet.subset)
+        else:
+            return
+        if array_map is not None and memlet.wcr is not None and not moves:
+            self.emit_reduction(target, memlet.wcr, value)
+        else:
             self.emit_update(
-                self.write_target(data, descriptor, memlet.subset), descriptor,
-                memlet.wcr, value, atomic=id(edge) in self._atomic_edges,
+                target, descriptor, memlet.wcr, value, atomic=id(edge) in self._atomic_edges
             )
 
     def _emit_map(self, state, entry: MapEntry, scope, order, value_names) -> None:
@@ -571,36 +656,193 @@ class SDFGWalker:
         members = [
             node for node in order if scope.get(node) is entry and node is not exit_node
         ]
-        vectorized = (
-            (self.vectorize or entry.map.vectorized)
+        # Without array operations the annotation is honoured, and wins.
+        annotated = (
+            not self.array_maps
+            and (self.vectorize or entry.map.vectorized)
             and vectorizable_map(state, entry, members)
         )
-        parallel = None if vectorized else self._parallel_maps.get(id(entry))
+        parallel = None if annotated else self._parallel_maps.get(id(entry))
+        # Reductions are rewritten only in sequentially emitted maps; a
+        # parallel map keeps its reduction and atomic paths all the way down.
+        sequential = not (annotated or parallel is not None or self._in_parallel)
+        guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
+        for name, _, _, edges in accumulators:
+            self._accumulated.update((id(edge), name) for edge in edges)
+        as_array = (
+            self.array_maps
+            and not any(isinstance(node, MapEntry) for node in members)
+            and self._array_form(state, entry, members, parallel).kind is not None
+        )
+        first = entry.map.ranges[0]
+        if as_array and guard is None and first.is_empty() is not False:
+            # An empty range may have a negative end: not what a slice means by it.
+            guard = first.start.lt(first.end)
 
         def emit_members() -> None:
             for node in members:
-                self._emit_node(state, node, scope, order, value_names, vectorized)
+                self._emit_node(state, node, scope, order, value_names, annotated)
 
-        # Reductions are rewritten only in sequentially emitted maps; a
-        # parallel map keeps its reduction and atomic paths all the way down.
-        sequential = not (vectorized or parallel is not None or self._in_parallel)
-        guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
         outside = self._in_parallel
         self._in_parallel = outside or parallel is not None
         with nullcontext() if guard is None else self.writer.block(
             self.if_header.format(self.expr(guard))
         ):
-            bound = []
-            for name, data, subset, edges in accumulators:
-                element = self.read(data, Memlet(data=data, subset=subset))
-                bound.append(self.bind_value(name, element))
-                self._accumulated.update((id(edge), name) for edge in edges)
-            self.emit_map(entry, emit_members, vectorized, parallel)
+            bound = [
+                self.bind_value(name, self.read(data, Memlet(data=data, subset=subset)))
+                for name, data, subset, _ in accumulators
+            ]
+            self._array_map = entry.map if as_array else None  # innermost: none around it
+            self.emit_map(entry, emit_members, annotated or as_array, parallel)
+            self._array_map = None
             for (_, data, subset, _), local in zip(accumulators, bound):
                 descriptor = self.sdfg.arrays[data]
                 target = self.write_target(data, descriptor, subset)
                 self.emit_update(target, descriptor, None, local)
         self._in_parallel = outside
+
+    def _array_form(self, state, entry: MapEntry, members,
+                    parallel: Optional[ParallelismInfo]) -> ArrayForm:
+        """The verdict on one map without a nested scope, reached and counted once."""
+        form = self._array_forms.get(id(entry))
+        if form is None:
+            if parallel is not None:
+                form = ArrayForm(None, "parallel_schedule")
+            else:
+                form = self._classify(state, entry, members)
+            self._array_forms[id(entry)] = form
+            prefix = f"codegen.{self.backend.lower()}"
+            if form.kind is not None:
+                PERF.increment(f"{prefix}.array_maps")
+                PERF.increment(f"{prefix}.array_maps.{form.kind.replace(' ', '_')}")
+            else:
+                PERF.increment(f"{prefix}.loop_maps")
+                PERF.increment(f"{prefix}.refused.{form.reason}")
+        return form
+
+    def _classify(self, state, entry: MapEntry, members) -> ArrayForm:
+        """What the map is as an array expression over its parameter's values.
+
+        Operation order — each tasklet over all iterations, then the next —
+        must give every element the operations the loop gives it, in the
+        loop's order.  So every write lands on an ``Array`` element through
+        a point memlet (no dynamic, range or ``min``/``max`` memlet), a
+        store's index is injective in the parameter, a container written in
+        the scope is accessed there at one and the same element per
+        iteration, and a ``+``/``*`` update of an element that does not move
+        is the scope's only access to its container and is fed a value that
+        does move.  Element types are those whose vector arithmetic is the
+        scalar one (``float64``, ``int64``), an update stores what a local
+        would hold (:meth:`_update_keeps_type`), and each tasklet is one
+        expression the emitter can spell over arrays.
+        """
+        if len(entry.map.params) != 1:
+            return ArrayForm(None, "parameters")
+        param = entry.map.params[0]
+        arrays = self.sdfg.arrays
+        reads: Dict[str, List[Optional[Subset]]] = {}
+        writes: Dict[str, List[Optional[Subset]]] = {}
+        reduced: Set[str] = set()
+        updated = False
+        moving: Set[int] = set()   # tasklets whose value moves with the parameter
+        aliased: Set[str] = set()  # containers a temporary holds a view of
+        for node in members:
+            if isinstance(node, AccessNode):
+                if any(isinstance(edge.src, AccessNode) and not edge.data.is_empty
+                       for edge in state.in_edges(node)):
+                    return ArrayForm(None, "copy")
+                continue
+            if not isinstance(node, Tasklet):
+                continue
+            assignment = single_assignment(node.code)
+            out_edges = [edge for edge in state.out_edges(node) if edge.src_conn is not None]
+            if assignment is None or any(
+                edge.src_conn != assignment.target for edge in out_edges
+            ):
+                return ArrayForm(None, "statements")
+            reason = self.array_refusal(assignment)
+            if reason is not None:
+                return ArrayForm(None, reason)
+            moves = assignment.uses(param) > 0
+            # A result bound to a temporary that is nothing but a read is a view.
+            view = isinstance(assignment.value, ast.Name) and (
+                len(out_edges) > 1 or any(isinstance(edge.dst, Tasklet) for edge in out_edges)
+            )
+            for edge in state.in_edges(node):
+                memlet = edge.data
+                if edge.dst_conn is None:
+                    continue
+                if isinstance(edge.src, Tasklet):
+                    moves = moves or id(edge.src) in moving
+                    continue
+                if isinstance(edge.src, AccessNode):
+                    data = edge.src.data
+                elif memlet.is_empty:
+                    continue
+                else:
+                    data = memlet.data
+                reason = self._element_refusal(arrays[data], memlet)
+                if reason is not None:
+                    return ArrayForm(None, reason)
+                subset = None if isinstance(arrays[data], Scalar) else memlet.subset
+                reads.setdefault(data, []).append(subset)
+                moves = moves or param in _names(subset)
+                if view and subset is not None:
+                    aliased.add(data)
+            if moves:
+                moving.add(id(node))
+            for edge in out_edges:
+                memlet = edge.data
+                if not isinstance(edge.dst, (AccessNode, MapExit)):
+                    continue
+                data = memlet.data if not memlet.is_empty else getattr(edge.dst, "data", None)
+                if data is None:
+                    continue
+                descriptor = arrays[data]
+                reason = self._element_refusal(descriptor, memlet)
+                if reason is not None:
+                    return ArrayForm(None, reason)
+                if memlet.wcr not in UPDATE_OPERATORS:
+                    return ArrayForm(None, "min_max_update")
+                if memlet.wcr is not None and not self._update_keeps_type(state, edge, descriptor):
+                    return ArrayForm(None, "rounding_update")
+                scalar = isinstance(descriptor, Scalar)
+                if scalar or id(edge) in self._accumulated or param not in _names(memlet.subset):
+                    if memlet.wcr is None:
+                        return ArrayForm(None, "scalar_store" if scalar else "not_injective")
+                    if not moves:
+                        return ArrayForm(None, "uniform_update")
+                    reduced.add(data)
+                elif not any(
+                    affine_in(index, param, (0, None))[0] for index in memlet.subset.indices()
+                ):
+                    return ArrayForm(None, "not_injective")  # no index of non-zero slope
+                updated = updated or memlet.wcr is not None
+                writes.setdefault(data, []).append(None if scalar else memlet.subset)
+        for data, subsets in writes.items():
+            accesses = subsets + reads.get(data, [])
+            if data in reduced and len(accesses) > 1:
+                return ArrayForm(None, "shared_accumulator")
+            if any(subset != accesses[0] for subset in accesses):
+                return ArrayForm(None, "crosses_iterations")
+            if data in aliased:
+                return ArrayForm(None, "aliased_value")
+        in_place = updated or any(data in reads for data in writes)
+        return ArrayForm(ARRAY_KINDS[2 if reduced else 1 if in_place else 0])
+
+    @staticmethod
+    def _element_refusal(descriptor, memlet) -> Optional[str]:
+        """Why an access through ``memlet`` is not one element of a type whose
+        vector arithmetic is the scalar one; ``None`` when it is."""
+        if descriptor.dtype not in _ARRAY_DTYPES:
+            return "narrow_type"
+        if memlet.dynamic:
+            return "dynamic_memlet"
+        if isinstance(descriptor, Array) and (
+            memlet.is_empty or memlet.subset is None or not memlet.subset.is_point()
+        ):
+            return "range_memlet"
+        return None
 
     def _accumulators(self, state, entry: MapEntry, scope):
         """``(guard, accumulators)`` of one sequentially emitted map scope.
@@ -674,8 +916,14 @@ class SDFGWalker:
         ):
             return False
         moving = {param for scope_entry in maps for param in scope_entry.map.params}
-        if moving & {symbol.name for symbol in memlet.subset.free_symbols()}:
+        if moving & _names(memlet.subset):
             return False
+        return self._update_keeps_type(state, edge, descriptor)
+
+    def _update_keeps_type(self, state, edge, descriptor) -> bool:
+        """Whether the ``+``/``*`` update ``edge`` makes of one ``descriptor``
+        element stores the type it computes: what a local (or a vector)
+        holds is then what the element would."""
         if descriptor.dtype == "float64":
             return True  # float64 op anything is float64: nothing to round
         assignment = single_assignment(edge.src.code)

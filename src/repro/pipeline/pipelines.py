@@ -15,8 +15,13 @@ pipeline   control-centric passes          bridge   data-centric passes / codege
 ``mlir``   full suite                      —        Polygeist-style MLIR codegen
 ``dace``   none (coarse view)              yes      full §6 set, SDFG codegen
 ``dcir``   full suite                      yes      full §6 set, SDFG codegen
-``dcir+vec`` as dcir                       yes      as dcir, vectorized maps
+``dcir+vec`` as dcir                       yes      as dcir, ``ivdep`` maps in C
 ========== ============================== ======== ============================
+
+(Interpreted, ``dcir+vec`` emits what ``dcir`` emits: the SDFG code
+generator writes every innermost map that is an array expression as NumPy
+operations under all three bridge pipelines.  The flag reaches the native
+backend and keeps its own cache key.)
 
 Every entry point accepts a registered pipeline *name* or a
 :class:`~repro.pipeline.spec.PipelineSpec` value, so custom compositions

@@ -113,8 +113,9 @@ class CodegenOptions:
     """Backend code-generation options.
 
     ``native_scalars`` and ``preallocate`` affect the MLIR (control-centric)
-    backend; ``vectorize`` affects the SDFG (data-centric) backend.  Options
-    not applicable to the selected backend are ignored.
+    backend; ``vectorize`` affects the C the SDFG (data-centric) backend
+    emits — interpreted, every map that is an array expression already is
+    one.  Options not applicable to the selected backend are ignored.
 
     ``backend`` selects how data-centric pipelines *execute*: ``"python"``
     (the interpreted backend) or ``"native"`` (C emitted by

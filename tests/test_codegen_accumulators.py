@@ -5,7 +5,9 @@ map is read once before the loop nest, updated in a local and written once
 after it (``codegen/sdfg_walk.py``, :meth:`SDFGWalker._accumulators`).  The
 operations, their order and their type are unchanged, so every comparison
 here is exact (``==``), on hand-built SDFGs and through both frontends, on
-both backends.
+both backends.  Interpreted, the innermost map of the nest is an array
+expression: the local is updated by ``np.add.accumulate`` over the
+iterations' values, which adds them in the loop's order.
 """
 
 import json
@@ -30,6 +32,12 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: An update that still subscripts its target (``T[0] += …``, ``T[…] *= …``).
 _SUBSCRIPTED_UPDATE = re.compile(r"^\s*\w+\[[^\]]*\] [+*]= ", re.M)
+
+
+def _fold(local, values, wcr="+"):
+    """The interpreted text that folds the vector ``values`` into ``local``."""
+    ufunc = {"+": "np.add", "*": "np.multiply"}[wcr]
+    return f"{local} = {ufunc}.accumulate(np.concatenate((({local},), {values})))[-1]\n"
 
 
 def _nest(sdfg, state, dims, inputs, code, output, extra_writes=()):
@@ -108,8 +116,7 @@ class TestWhatAccumulates:
         sdfg = _reduction(wcr)
         python, c = _texts(sdfg)
         operator = f"{wcr}="
-        assert f"_acc0 = B[0]\n    for i in range(0, 12):\n        _acc0 {operator} A[i]\n" \
-            "    B[0] = _acc0\n" in python
+        assert "_acc0 = B[0]\n    " + _fold("_acc0", "A[0:12]", wcr) + "    B[0] = _acc0\n" in python
         assert "double _acc0 = B[(int64_t)(0)];" in c and f"_acc0 {operator} A[" in c
         assert not _SUBSCRIPTED_UPDATE.search(python) and not _SUBSCRIPTED_UPDATE.search(c)
         values = np.random.default_rng(1).uniform(0.5, 1.5, 12)
@@ -185,7 +192,7 @@ class TestWhatAccumulates:
     def test_moving_target_is_refused(self):
         python, c = _texts(_reduction("+", size=4, index="i"))
         assert "_acc" not in python and "_acc" not in c
-        assert "B[i] += A[i]" in python
+        assert "B[0:4] += A[0:4]" in python
 
 
 class TestWhereItIsBound:
@@ -203,8 +210,8 @@ class TestWhereItIsBound:
         sdfg = self._cube("1")
         python, c = _texts(sdfg)
         assert "    _acc0 = T[1]\n    for i in range(0, 3):\n" in python
-        assert "                _acc0 += A[i, j, k]\n    T[1] = _acc0\n" in python
-        assert python.count("_acc0 = ") == 1 and c.count("double _acc0") == 1
+        assert "            " + _fold("_acc0", "A[i, j, 0:5]") + "    T[1] = _acc0\n" in python
+        assert python.count("_acc0 = T[") == 1 and c.count("double _acc0") == 1
         values = np.random.default_rng(3).standard_normal((3, 4, 5))
         for output in _run_both(sdfg, A=values, T=np.ones(4)):
             assert output["T"][1] == _left_to_right(values.ravel(), 1.0, "+")
@@ -217,8 +224,7 @@ class TestWhereItIsBound:
             "    for i in range(0, 3):\n"
             "        for j in range(0, 4):\n"
             "            _acc0 = T[j]\n"
-            "            for k in range(0, 5):\n"
-            "                _acc0 += A[i, j, k]\n"
+            "            " + _fold("_acc0", "A[i, j, 0:5]") +
             "            T[j] = _acc0\n"
         ) in python
         assert re.search(r"for \(int64_t j = .*\{\n\s+double _acc0 = T\[", c)
@@ -247,8 +253,7 @@ class TestWhereItIsBound:
             "    for i in range(0, 6):\n"
             "        if 0 < i:\n"
             "            _acc0 = T[0]\n"
-            "            for j in range(int(0), int(i), int(1)):\n"
-            "                _acc0 += A[i, j]\n"
+            "            " + _fold("_acc0", "A[i, 0:i]") +
             "            T[0] = _acc0\n"
         ) in python
         values = np.random.default_rng(5).standard_normal((6, 6))
@@ -306,8 +311,7 @@ class TestZeroTrips:
         assert (
             "    if 0 < N:\n"
             "        _acc0 = B[N + 1000003]\n"
-            "        for i in range(int(0), int(N), int(1)):\n"
-            "            _acc0 += A[i]\n"
+            "        " + _fold("_acc0", "A[0:N]") +
             "        B[N + 1000003] = _acc0\n"
         ) in python
         guard, load, loop, store = (
@@ -334,8 +338,9 @@ class TestZeroTrips:
         assert "_acc" not in python and "_acc" not in c
 
 
-#: ``run`` of ``TestParallelMapsKeepTheirPaths._rows`` as the parent commit
-#: (v1.10.0) emitted it, from ``def run`` on.
+#: ``run`` of ``TestParallelMapsKeepTheirPaths._rows``, from ``def run`` on: the
+#: fork/join of v1.10.0 around a worker body whose inner map is an array
+#: expression folding into the element itself — no local, no atomics.
 _PARENT_PYTHON = """\
 (**_args):
     _alloc_count = 0
@@ -343,18 +348,18 @@ _PARENT_PYTHON = """\
     N = _args['N']
     A = _args['A']
     C = _args['C']
-    _pchunks0 = _repro_chunks(int(0), int(N), int(1), _repro_workers(2)) if _repro_fork_ok else []
+    _pchunks0 = _repro_chunks(0, N, 1, _repro_workers(2)) if _repro_fork_ok else []
     if len(_pchunks0) <= 1:
-        for i in range(int(0), int(N), int(1)):
-            for k in range(int(0), int(K), int(1)):
-                C[i] += A[i, k]
+        for i in range(0, N):
+            if 0 < K:
+                C[i] = np.add.accumulate(np.concatenate(((C[i],), A[i, 0:K])))[-1]
     else:
         _pshared0 = _ReproShared()
         C = _pshared0.share(C)
         def _pbody0(_pindex, _plow, _phigh):
-            for i in range(_plow, _phigh, int(1)):
-                for k in range(int(0), int(K), int(1)):
-                    C[i] += A[i, k]
+            for i in range(_plow, _phigh):
+                if 0 < K:
+                    C[i] = np.add.accumulate(np.concatenate(((C[i],), A[i, 0:K])))[-1]
         _pprocs0 = []
         for _pindex, (_plow, _phigh) in enumerate(_pchunks0):
             _proc = _repro_ctx.Process(target=_pbody0, args=(_pindex, int(_plow), int(_phigh)))
@@ -517,7 +522,7 @@ class TestThroughTheFrontends:
             self.C_SOURCE, get_pipeline("dcir").with_codegen(backend="native")
         )
         # rows[i] *= … and total[0] += … under j, hits[0] += … over its nest.
-        assert len(re.findall(r"^\s+_acc\d+ = ", generated.code, re.M)) == 3
+        assert len(re.findall(r"^\s+_acc\d+ = \w+\[", generated.code, re.M)) == 3
         assert "int64_t _acc" in generated.native_code
         assert "double _acc" in generated.native_code
         assert compile_c(self.C_SOURCE, generated.spec).run()["__return"] == reference
@@ -552,8 +557,7 @@ class TestCounted:
 
     def test_2mm_reductions_leave_no_subscripted_update(self):
         code = generate_program(get_kernel("2mm"), "dcir").code
-        assert "for k_1 in range(0, 20):\n                _acc0 += " in code
         # All three `+=` are reductions; the one `*=` moves with its map.
         assert not re.search(r"^\s+_arr_\d+\[[^\]]*\] \+= ", code, re.M)
         assert len(re.findall(r"^\s+_arr_\d+\[[^\]]*\] \*= ", code, re.M)) == 1
-        assert len(re.findall(r"^\s+_acc\d+ \+= ", code, re.M)) == 3
+        assert len(re.findall(r"^\s+_acc\d+ = np\.add\.accumulate\(", code, re.M)) == 3
