@@ -46,8 +46,9 @@ floor/sign rules via inline helpers, and ``int()`` truncates toward zero
 — all matching the interpreted backend so differential checks compare
 equal bit-for-bit on integer data.  :func:`_c_binop` is the one place
 ``/``, ``//``, ``%`` and ``**`` are spelled (:func:`_c_minmax` for n-ary
-``min``/``max``): the tasklet translator and the ``C`` table of symbolic
-node classes both call it.
+``min``/``max``): the rows of both C tables call it — ``C_TASKLET``, which
+the shared walker (:func:`~repro.sdfg.tasklet_code.spell`) reads for
+tasklet code, and ``C``, the symbolic node classes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import Array, DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
-from ..sdfg.tasklet_code import node_dtype, typed_operands
+from ..sdfg.tasklet_code import OPERATORS, Unspelled, spell, statements
 from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker
 from .toolchain import ABI_MARKER
 from .writer import SourceWriter
@@ -243,187 +244,36 @@ def c_symbolic(expression: Expr) -> str:
     return render(expression, C, NativeCodegenError)
 
 
-def _is_float(dtype: str) -> bool:
-    return dtype in ("float64", "float32")
+def _binary(operator: str):
+    return lambda _, texts, floats: _c_binop(operator, *texts, floats)
 
 
-_CMP_OPS = {
-    ast.Eq: "==",
-    ast.NotEq: "!=",
-    ast.Lt: "<",
-    ast.LtE: "<=",
-    ast.Gt: ">",
-    ast.GtE: ">=",
+#: The C spelling of every tasklet construct (``sdfg_python.NUMPY`` holds the
+#: NumPy one), keyed by :func:`~repro.sdfg.tasklet_code.construct`: a
+#: template over the spelled operands, or a function of the node, them and
+#: whether one is floating.  Every operand is parenthesised, so C's grouping
+#: never matters; ``math`` functions take and return ``double`` (``floor``
+#: and ``ceil`` return Python ints, so the cast keeps parity).
+C_TASKLET = {
+    bool: lambda node, _, __: "1" if node.value else "0",
+    int: lambda node, _, __: _int_literal(node.value),
+    float: lambda node, _, __: repr(node.value),
+    **{operator: _binary(text) for operator, text in OPERATORS.items()},
+    ast.USub: "(-({}))", ast.UAdd: "(+({}))", ast.Not: "(!({}))", ast.Invert: "(~({}))",
+    ast.And: lambda _, texts, __: "(" + " && ".join(f"({text})" for text in texts) + ")",
+    ast.Or: lambda _, texts, __: "(" + " || ".join(f"({text})" for text in texts) + ")",
+    ast.IfExp: lambda _, texts, __: "(({2}) ? ({0}) : ({1}))".format(*texts),
+    **{f"math.{name}": f"{name}((double)({{}}))"
+       for name in ("sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs")},
+    "math.atan2": "atan2((double)({}), (double)({}))",
+    "math.pow": "pow((double)({}), (double)({}))",
+    "math.floor": "(int64_t)floor((double)({}))", "math.ceil": "(int64_t)ceil((double)({}))",
+    "float": "((double)({}))", "int": "((int64_t)({}))", "bool": "(({}) != 0)",
+    "abs": lambda _, texts, floats: None if len(texts) != 1 else f"fabs((double)({texts[0]}))"
+    if floats else f"repro_abs_i64((int64_t)({texts[0]}))",
+    "min": lambda _, texts, floats: _c_minmax("min", texts, floats) if texts[1:] else None,
+    "max": lambda _, texts, floats: _c_minmax("max", texts, floats) if texts[1:] else None,
 }
-
-_BINARY_OPS = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.FloorDiv: "//",
-    ast.Mod: "%",
-    ast.Pow: "**",
-    ast.BitAnd: "&",
-    ast.BitOr: "|",
-    ast.BitXor: "^",
-    ast.LShift: "<<",
-    ast.RShift: ">>",
-}
-
-_UNARY_MATH = {"sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs"}
-_BINARY_MATH = {"atan2", "pow"}
-
-
-class _TaskletTranslator:
-    """Translates tasklet Python into C over a typed environment.
-
-    Tasklet code (see :mod:`repro.conversion.raise_tasklets`) is a flat
-    sequence of ``name = <expression>`` lines over a small expression
-    grammar.  ``env`` maps each name the code may read — connectors, then
-    the locals it assigns — to the ``(text, dtype)`` it stands for, or to
-    ``None`` for a connector fed by an empty memlet.  Types come from
-    :func:`~repro.sdfg.tasklet_code.node_dtype`, the table tasklet fusion
-    reads as well.  The direct form
-    lowers one expression (:meth:`lower`) over the reads themselves; the
-    bound form (:meth:`translate`) declares a local per assigned name,
-    under a per-tasklet prefix so locals of different tasklets share the
-    enclosing C scope without colliding.
-    """
-
-    def __init__(self, generator: "CEmitter", env: Dict[str, Optional[Tuple[str, str]]],
-                 prefix: str = ""):
-        self.generator = generator
-        self.env = env
-        self.prefix = prefix
-
-    def translate(self, code: str) -> None:
-        try:
-            tree = ast.parse(code)
-        except SyntaxError as exc:
-            raise NativeCodegenError(f"Unparseable tasklet code: {exc}") from exc
-        for statement in tree.body:
-            if (
-                not isinstance(statement, ast.Assign)
-                or len(statement.targets) != 1
-                or not isinstance(statement.targets[0], ast.Name)
-            ):
-                raise NativeCodegenError(
-                    "Native backend supports only 'name = expression' tasklet lines"
-                )
-            name = statement.targets[0].id
-            value = self.lower(statement.value)
-            declared = self.env.get(name)
-            if declared is not None:
-                self.generator.writer.emit(f"{declared[0]} = {value[0]};")
-            else:
-                self.env[name] = self.generator.bind_value(self.prefix + name, value)
-
-    # -- expression lowering -----------------------------------------------------------
-    def lower(self, node: ast.expr) -> Tuple[str, str]:
-        """``(C text, dtype)`` of one expression; the dtype is :func:`node_dtype`'s."""
-        if isinstance(node, ast.Name):
-            return self._name(node.id)
-        operands = [self.lower(operand) for operand in typed_operands(node)]
-        text = self._render(node, [text for text, _ in operands],
-                            any(_is_float(dtype) for _, dtype in operands))
-        return text, node_dtype(node, [dtype for _, dtype in operands], {})
-
-    def _render(self, node: ast.expr, operands: List[str], floats: bool) -> str:
-        """C text of ``node`` over its lowered typed operands (``floats``: any is floating)."""
-        if isinstance(node, ast.Constant):
-            value = node.value
-            if isinstance(value, bool):
-                return "1" if value else "0"
-            if isinstance(value, int):
-                return _int_literal(value)
-            if isinstance(value, float):
-                return repr(value)
-            raise NativeCodegenError(f"Unsupported tasklet constant {value!r}")
-        if isinstance(node, ast.BinOp):
-            operator = _BINARY_OPS.get(type(node.op))
-            if operator is None:
-                raise NativeCodegenError(f"Unsupported binary operator {node.op!r}")
-            return _c_binop(operator, *operands, floats)
-        if isinstance(node, ast.UnaryOp):
-            operator = {ast.USub: "-", ast.UAdd: "+", ast.Not: "!", ast.Invert: "~"}.get(
-                type(node.op)
-            )
-            if operator is None:
-                raise NativeCodegenError(f"Unsupported unary operator {node.op!r}")
-            return f"({operator}({operands[0]}))"
-        if isinstance(node, ast.Compare):
-            if len(node.ops) != 1 or len(node.comparators) != 1:
-                raise NativeCodegenError("Chained comparisons are not supported")
-            operator = _CMP_OPS.get(type(node.ops[0]))
-            if operator is None:
-                raise NativeCodegenError(f"Unsupported comparison {node.ops[0]!r}")
-            left, _ = self.lower(node.left)
-            right, _ = self.lower(node.comparators[0])
-            return _c_binop(operator, left, right, floats)
-        if isinstance(node, ast.BoolOp):
-            joiner = " && " if isinstance(node.op, ast.And) else " || "
-            parts = [f"({self.lower(value)[0]})" for value in node.values]
-            return "(" + joiner.join(parts) + ")"
-        if isinstance(node, ast.IfExp):
-            condition, _ = self.lower(node.test)
-            return f"(({condition}) ? ({operands[0]}) : ({operands[1]}))"
-        if isinstance(node, ast.Call):
-            return self._call(node, operands, floats)
-        raise NativeCodegenError(
-            f"Unsupported tasklet expression {ast.dump(node)}"
-        )
-
-    def _name(self, name: str) -> Tuple[str, str]:
-        if name in self.env:
-            bound = self.env[name]
-            if bound is None:
-                raise NativeCodegenError(
-                    f"Tasklet reads connector {name!r} bound to an empty memlet"
-                )
-            return bound
-        sdfg = self.generator.sdfg
-        if name in sdfg.symbols:
-            return name, sdfg.symbols[name]
-        if name in sdfg.constants:
-            return name, "float64" if isinstance(sdfg.constants[name], float) else "int64"
-        raise NativeCodegenError(f"Tasklet references unknown name {name!r}")
-
-    @staticmethod
-    def _call(node: ast.Call, args: List[str], floats: bool) -> str:
-        if node.keywords:
-            raise NativeCodegenError("Keyword arguments are not supported in tasklets")
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "math"
-        ):
-            name = func.attr
-            if name in _UNARY_MATH and len(args) == 1:
-                return f"{name}((double)({args[0]}))"
-            if name in _BINARY_MATH and len(args) == 2:
-                return f"{name}((double)({args[0]}), (double)({args[1]}))"
-            if name in ("floor", "ceil") and len(args) == 1:
-                # math.floor/ceil return Python ints; the cast keeps parity.
-                return f"(int64_t){name}((double)({args[0]}))"
-            raise NativeCodegenError(f"Unsupported math function math.{name}")
-        if not isinstance(func, ast.Name):
-            raise NativeCodegenError("Unsupported tasklet call target")
-        name = func.id
-        if name == "float" and len(args) == 1:
-            return f"((double)({args[0]}))"
-        if name == "int" and len(args) == 1:
-            return f"((int64_t)({args[0]}))"
-        if name == "bool" and len(args) == 1:
-            return f"(({args[0]}) != 0)"
-        if name == "abs" and len(args) == 1:
-            if floats:
-                return f"fabs((double)({args[0]}))"
-            return f"repro_abs_i64((int64_t)({args[0]}))"
-        if name in ("min", "max") and len(args) >= 2:
-            return _c_minmax(name, args, floats)
-        raise NativeCodegenError(f"Unsupported tasklet call {name!r}")
 
 
 class CEmitter(SDFGWalker):
@@ -584,7 +434,7 @@ class CEmitter(SDFGWalker):
                 self._declared.add(name)
 
     def _declare_zero(self, name: str, dtype: str) -> None:
-        zero = "0.0" if _is_float(dtype) else "0"
+        zero = "0.0" if dtype in ("float64", "float32") else "0"
         self.writer.emit(f"{DTYPES[dtype].c_type} {name} = {zero};")
         self._declared.add(name)
 
@@ -676,21 +526,47 @@ class CEmitter(SDFGWalker):
         ):
             yield counter
 
-    def render_expression(self, assignment, bindings) -> Tuple[str, str]:
-        return _TaskletTranslator(self, bindings).lower(assignment.value)
+    def render_expression(self, assignment, env: Dict[str, Optional[Tuple[str, str]]]):
+        """``(C text, dtype)`` of a statement's expression over ``env`` (connector
+        or local → ``(text, dtype)``, ``None`` when fed by an empty memlet), the
+        SDFG's symbols and its constants."""
+        def name(identifier: str) -> Tuple[str, str]:
+            if identifier in env:
+                if env[identifier] is None:
+                    raise NativeCodegenError(f"Tasklet reads connector {identifier!r} "
+                                             "bound to an empty memlet")
+                return env[identifier]
+            if identifier not in self._name_dtypes:
+                raise NativeCodegenError(f"Tasklet references unknown name {identifier!r}")
+            return identifier, self._name_dtypes[identifier]
+
+        try:
+            return spell(assignment.value, C_TASKLET, name)
+        except Unspelled as refusal:
+            raise NativeCodegenError(f"No C spelling for tasklet {refusal.args[1]!r}") from refusal
 
     def bind_input(self, connector: str, read: Tuple[str, str]) -> Tuple[str, str]:
         self._bound_counter += 1
         return self.bind_value(f"_read{self._bound_counter - 1}", read)
 
-    def emit_tasklet(self, tasklet: Tasklet, inputs, vectorized: bool):
+    def emit_tasklet(self, tasklet: Tasklet, inputs):
+        # A per-tasklet prefix lets the locals of all tasklets share one C scope.
         prefix = f"_t{self._tasklet_counter}_"
         self._tasklet_counter += 1
         env: Dict[str, Optional[Tuple[str, str]]] = {
             connector: read and self.bind_value(prefix + connector, read)
             for connector, read in inputs
         }
-        _TaskletTranslator(self, env, prefix).translate(tasklet.code)
+        body = statements(tasklet.code)
+        if body is None or not all(statement.target for statement in body):
+            raise NativeCodegenError("Native backend supports only 'name = expression' lines")
+        for statement in body:
+            value = self.render_expression(statement, env)
+            declared = env.get(statement.target)
+            if declared is not None:
+                self.writer.emit(f"{declared[0]} = {value[0]};")
+            else:
+                env[statement.target] = self.bind_value(prefix + statement.target, value)
 
         def output(connector: str) -> Tuple[str, str]:
             value = env.get(connector)

@@ -32,7 +32,7 @@ import ast
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
@@ -40,7 +40,7 @@ from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
-from ..sdfg.tasklet_code import typed_operands
+from ..sdfg.tasklet_code import OPERATORS, Refused, Unspelled, as_operand, spell
 from .loader import load_entry
 from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, affine_in
 from .writer import SourceWriter
@@ -154,29 +154,21 @@ _REDUCTION_COMBINE = {
 }
 
 
-class Refused(str):
-    """In :data:`NUMPY`: the name under which a construct keeps its map a loop."""
-
-
-#: The NumPy spelling of a tasklet expression: for every operator and
-#: expression type of the ``ast`` tree, and every call name, that
-#: :func:`~repro.sdfg.tasklet_code.node_dtype` types, the text over its
-#: already spelled operands — or the :class:`Refused` name of what has no
+#: The NumPy spelling of a tasklet expression: for every construct that
+#: :func:`~repro.sdfg.tasklet_code.node_dtype` types, keyed by
+#: :func:`~repro.sdfg.tasklet_code.construct`, the text over its already
+#: spelled operands — or the :class:`Refused` name of what has no
 #: element-wise meaning (``a if v else b`` asks a vector for one truth
 #: value) or another one (``int ** -1`` raises, ``min`` hands back an
 #: operand).  Casts truncate as C's do.
 NUMPY = {
-    ast.Add: "{} + {}", ast.Sub: "{} - {}", ast.Mult: "{} * {}", ast.Div: "{} / {}",
-    ast.FloorDiv: "{} // {}", ast.Mod: "{} % {}", ast.Pow: Refused("power"),
-    ast.BitAnd: "{} & {}", ast.BitOr: "{} | {}", ast.BitXor: "{} ^ {}",
-    ast.LShift: "{} << {}", ast.RShift: "{} >> {}",
+    **dict.fromkeys((bool, int, float), lambda node, _, __: repr(node.value)),
+    **{operator: f"{{}} {text} {{}}" for operator, text in OPERATORS.items()},
+    ast.Pow: Refused("power"),
     ast.USub: "-{}", ast.UAdd: "+{}", ast.Invert: "~{}", ast.Not: Refused("boolean"),
-    ast.Eq: "{} == {}", ast.NotEq: "{} != {}", ast.Lt: "{} < {}", ast.LtE: "{} <= {}",
-    ast.Gt: "{} > {}", ast.GtE: "{} >= {}",
-    ast.IfExp: Refused("conditional"), ast.BoolOp: Refused("boolean"),
-    "math.sqrt": "np.sqrt({})", "math.exp": "np.exp({})", "math.log": "np.log({})",
-    "math.log2": "np.log2({})", "math.sin": "np.sin({})", "math.cos": "np.cos({})",
-    "math.tanh": "np.tanh({})", "math.fabs": "np.fabs({})",
+    ast.IfExp: Refused("conditional"), ast.And: Refused("boolean"), ast.Or: Refused("boolean"),
+    **{f"math.{name}": f"np.{name}({{}})"
+       for name in ("sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs")},
     "math.atan2": "np.arctan2({}, {})", "math.pow": "np.float_power({}, {})",
     "math.floor": "np.int64(np.floor({}))", "math.ceil": "np.int64(np.ceil({}))",
     "float": "np.float64({})", "int": "np.int64({})", "abs": "abs({})",
@@ -184,42 +176,12 @@ NUMPY = {
 }
 
 
-def numpy_expression(node: ast.expr, name: Callable[[str], str], operand: bool = False) -> str:
-    """``node`` spelled through :data:`NUMPY`; ``name`` spells an identifier.
-
-    Raises the :class:`Refused` name (as a ``LookupError``) of the first
-    construct without a spelling.  As an ``operand`` the text is
-    parenthesised unless it binds tighter than any operator.
-    """
-    if isinstance(node, ast.Name):
-        return name(node.id)
-    if isinstance(node, ast.Constant):
-        return repr(node.value)
-    operands = typed_operands(node)
-    if isinstance(node, ast.Call):
-        key = None if node.keywords else ast.unparse(node.func)
-    elif isinstance(node, ast.Compare):
-        key = type(node.ops[0]) if len(node.ops) == 1 else None  # no chained comparison
-        operands = (node.left, *node.comparators)
-    else:
-        key = type(node.op if isinstance(node, (ast.BinOp, ast.UnaryOp)) else node)
-    spelling = NUMPY.get(key)
-    if isinstance(spelling, Refused):
-        raise LookupError(spelling)
-    if spelling is None or spelling.count("{}") != len(operands):
-        raise LookupError(Refused("expression"))  # no construct, or arity, the table knows
-    text = spelling.format(*(
-        numpy_expression(child, name, operand=not isinstance(node, ast.Call)) for child in operands
-    ))
-    return f"({text})" if operand and not isinstance(node, ast.Call) else text
-
-
-@lru_cache(maxsize=8192)  # one per tasklet body: ``single_assignment`` shares them
+@lru_cache(maxsize=8192)  # one per tasklet body: ``statements`` shares them
 def _refusal(assignment) -> Optional[str]:
     """The :class:`Refused` name of ``assignment``'s expression; ``None`` when it spells."""
     try:
-        numpy_expression(assignment.value, str)
-    except LookupError as refusal:
+        spell(assignment.value, NUMPY, lambda name: (name, None), as_operand)
+    except Unspelled as refusal:
         return refusal.args[0]
     return None
 
@@ -340,7 +302,7 @@ class PythonEmitter(SDFGWalker):
         else:
             self.writer.emit(f"np.copyto({destination}, {source})")
 
-    def emit_tasklet(self, tasklet: Tasklet, inputs, vectorized: bool):
+    def emit_tasklet(self, tasklet: Tasklet, inputs):
         writer = self.writer
         for connector, expression in inputs:
             writer.emit(f"{connector} = {expression}")
@@ -353,12 +315,12 @@ class PythonEmitter(SDFGWalker):
             return assignment.operand(bindings)
         param = self._array_map.params[0]
 
-        def name(identifier: str) -> str:
+        def name(identifier: str):
             if identifier in bindings:
-                return bindings[identifier]
-            return self._parameter_values() if identifier == param else identifier
+                return bindings[identifier], None
+            return (self._parameter_values() if identifier == param else identifier), None
 
-        return numpy_expression(assignment.value, name)
+        return spell(assignment.value, NUMPY, name, as_operand)[0]
 
     array_refusal = staticmethod(_refusal)
 

@@ -78,7 +78,9 @@ from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
-from ..sdfg.tasklet_code import Assignment, assignment_dtype, name_dtypes, single_assignment
+from ..sdfg.tasklet_code import (
+    Assignment, assignment_dtype, construct, name_dtypes, single_assignment, statements,
+)
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
@@ -95,32 +97,21 @@ class CodegenError(Exception):
     """Raised when an SDFG cannot be turned into executable code."""
 
 
-#: Calls ``Vectorization`` annotates no map over: the pinned C text carries
-#: no ``ivdep`` there.  (What the interpreted emitter spells over arrays is
-#: its own table, ``sdfg_python.NUMPY``.)
-_UNANNOTATED_CALLS = frozenset({"float", "int", "bool", "min", "max"})
+#: Constructs ``Vectorization`` annotates no map over: the pinned C text
+#: carries no ``ivdep`` there.  (What the interpreted emitter spells over
+#: arrays is its own table, ``sdfg_python.NUMPY``.)
+_UNANNOTATED = frozenset({"float", "int", "bool", "min", "max",
+                          ast.IfExp, ast.And, ast.Or, ast.Not})
 
 
 def _elementwise(code: str) -> bool:
     """Whether tasklet code is plain-name assignments of arithmetic and
     ``math`` calls: no cast, builtin ``min``/``max``, conditional
     expression or boolean operator."""
-    try:
-        tree = ast.parse(code)
-    except SyntaxError:
-        return False
-    for statement in tree.body:
-        if not isinstance(statement, ast.Assign) or not all(
-            isinstance(target, ast.Name) for target in statement.targets
-        ):
-            return False
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.IfExp, ast.BoolOp, ast.Not)):
-            return False
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _UNANNOTATED_CALLS:
-            return False
-    return True
+    body = statements(code)
+    return body is not None and all(statement.target for statement in body) and not any(
+        construct(node) in _UNANNOTATED for statement in body for node in ast.walk(statement.value)
+    )
 
 
 def vectorizable_map(state, entry: "MapEntry", members) -> bool:
@@ -315,8 +306,8 @@ class SDFGWalker:
         """One access-node → access-node copy."""
         raise NotImplementedError
 
-    def emit_tasklet(self, tasklet: Tasklet, inputs: List[Tuple[str, object]],
-                     vectorized: bool) -> Callable[[str], object]:
+    def emit_tasklet(self, tasklet: Tasklet,
+                     inputs: List[Tuple[str, object]]) -> Callable[[str], object]:
         """Bound form: bind ``inputs`` (connector, read) and emit the tasklet body.
 
         Returns a function from an output connector to the value it holds.
@@ -584,7 +575,7 @@ class SDFGWalker:
                 result = self.bind_value(self._fresh_value(), result)
             output = lambda connector: result
         else:
-            output = self.emit_tasklet(tasklet, inputs, vectorized)
+            output = self.emit_tasklet(tasklet, inputs)
         for edge in out_edges:
             value = output(edge.src_conn)
             if isinstance(edge.dst, (AccessNode, MapExit)):

@@ -8,9 +8,10 @@ delimit parametrically parallel scopes (§2.2 of the paper).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..symbolic import Range
+from .tasklet_code import statements
 
 _node_counter = itertools.count()
 
@@ -78,12 +79,15 @@ class Tasklet(CodeNode):
         self.code = code
         self.language = language
 
-    def free_symbols(self) -> Set[str]:
-        """Names referenced by the code that are not connectors (best effort)."""
-        import re
-
-        names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", self.code))
-        return names - self.in_connectors - self.out_connectors
+    def free_symbols(self, symbols: Iterable[str] = ()) -> Set[str]:
+        """Names the code loads that are neither connectors nor locals it
+        assigns.  Code that does not read as Python statements (MLIR text)
+        may load any of ``symbols``."""
+        body = statements(self.code) if self.language == "python" else None
+        if body is None:
+            return set(symbols)
+        loaded = {name for line in body for name, _, _ in line.target_names + line.names}
+        return loaded - {line.target for line in body} - self.in_connectors - self.out_connectors
 
 
 #: Default map schedule: the body executes as a sequential loop nest.

@@ -188,33 +188,22 @@ class SDFG(OrderedMultiDiGraph):
         """Symbols used anywhere but never defined (by interstate-edge
         assignments or as map parameters); these must be provided by the
         caller."""
-        used = self.used_symbols()
-        assigned: Set[str] = set()
-        for edge in self.edges():
-            assigned |= set(edge.data.assignments.keys())
         from .nodes import MapEntry
 
-        for state in self.states():
-            for node in state.nodes():
-                if isinstance(node, MapEntry):
-                    assigned |= set(node.map.params)
-        return used - assigned - set(self.constants)
+        assigned = {name for edge in self.edges() for name in edge.data.assignments}
+        assigned |= {param for state in self.states() for node in state.nodes()
+                     if isinstance(node, MapEntry) for param in node.map.params}
+        return self.used_symbols() - assigned - set(self.constants)
 
     def used_symbols(self) -> Set[str]:
+        """Symbols and constants the containers, interstate edges and states use."""
         used: Set[str] = set()
         for descriptor in self.arrays.values():
             used |= {symbol.name for symbol in descriptor.free_symbols()}
         for edge in self.edges():
             used |= edge.data.free_symbols()
         for state in self.states():
-            for dataflow_edge in state.edges():
-                used |= {symbol.name for symbol in dataflow_edge.data.free_symbols()}
-            for entry in state.nodes():
-                from .nodes import MapEntry
-
-                if isinstance(entry, MapEntry):
-                    for rng in entry.map.ranges:
-                        used |= {symbol.name for symbol in rng.free_symbols()}
+            used |= state.used_symbols()
         return used & (set(self.symbols) | set(self.constants))
 
     # -- state machine ---------------------------------------------------------------------

@@ -150,6 +150,18 @@ class SDFGState(OrderedMultiDiGraph):
                 writes.add(edge.dst.data)
         return writes
 
+    def used_symbols(self) -> Set[str]:
+        """Names memlets, map ranges and tasklet code use, symbols among them."""
+        used: Set[str] = set()
+        for edge in self.edges():
+            used |= {symbol.name for symbol in edge.data.free_symbols()}
+        for node in self.nodes():
+            if isinstance(node, MapEntry):
+                used |= {symbol.name for rng in node.map.ranges for symbol in rng.free_symbols()}
+            elif isinstance(node, Tasklet):
+                used |= node.free_symbols(self.sdfg.symbols)
+        return used
+
     # -- scope queries -----------------------------------------------------------------------
     def map_entries(self) -> List[MapEntry]:
         """Map-scope entries of this state, in program order."""

@@ -35,7 +35,7 @@ from .dead_code import (
     DeadStateElimination,
     RedundantIterationElimination,
 )
-from .loop_analysis import LoopInfo, find_loops, symbols_used_in_state
+from .loop_analysis import LoopInfo, find_loops
 from .map_parameterized import (
     MapCollapse,
     MapInterchange,
@@ -77,7 +77,6 @@ __all__ = [
     "Vectorization",
     "find_loops",
     "register_data_pass",
-    "symbols_used_in_state",
     "tile_map",
     "transformation_parameters",
 ]

@@ -26,7 +26,7 @@ import networkx as nx
 
 from ..symbolic import BoolConst
 from ..sdfg import SDFG, AccessNode, SDFGState, Tasklet
-from .loop_analysis import find_loops, symbols_used_in_state
+from .loop_analysis import find_loops
 from .rewrite import Match, Transformation
 
 
@@ -242,7 +242,7 @@ class RedundantIterationElimination(Transformation):
         assigned_inside: Set[str] = set()
         loop_region = loop.body_states | {loop.guard}
         for state in loop.body_states:
-            if induction in symbols_used_in_state(state):
+            if induction in state.used_symbols():
                 return False
             reads |= state.read_set()
             writes |= state.write_set()
@@ -270,7 +270,7 @@ class RedundantIterationElimination(Transformation):
             for state in sdfg.states():
                 if state in loop_region:
                     continue
-                if assigned_inside & symbols_used_in_state(state):
+                if assigned_inside & state.used_symbols():
                     return False
             for edge in sdfg.edges():
                 if edge.src in loop_region and edge.dst in loop_region:

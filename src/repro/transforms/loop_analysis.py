@@ -148,19 +148,3 @@ def _recognize_counted_loop(info: LoopInfo) -> None:
     info.init_expr = init_expr
     info.step_expr = step_expr
     info.bound_expr = bound
-
-
-def symbols_used_in_state(state: SDFGState) -> Set[str]:
-    """Names of symbols referenced by memlets or tasklet code in a state."""
-    used: Set[str] = set()
-    for edge in state.edges():
-        used |= {symbol.name for symbol in edge.data.free_symbols()}
-    for tasklet in state.tasklets():
-        used |= tasklet.free_symbols()
-    from ..sdfg.nodes import MapEntry
-
-    for node in state.nodes():
-        if isinstance(node, MapEntry):
-            for rng in node.map.ranges:
-                used |= {symbol.name for symbol in rng.free_symbols()}
-    return used

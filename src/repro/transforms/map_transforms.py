@@ -26,6 +26,7 @@ from ..symbolic import Range, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Tasklet
 from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.parallelism import monotone_in
+from ..sdfg.tasklet_code import renamed, statements
 from .loop_analysis import LoopInfo, find_loops
 from .rewrite import Match, Transformation
 
@@ -336,6 +337,11 @@ class MapFusion(Transformation):
                 return None
             if node.data in consumed and state.in_degree(node):
                 return None
+        # Renaming the consumer's parameter needs the code of its tasklets read.
+        scope = state.scope_dict() if first_map.params != second_map.params else {}
+        if any(isinstance(node, Tasklet) and statements(node.code) is None
+               for node, entry in scope.items() if entry is consumer_entry):
+            return None
         return producer_exit, consumer_entry
 
     def _fuse_scopes(self, sdfg: SDFG, state: SDFGState, producer_exit: MapExit,
@@ -355,7 +361,7 @@ class MapFusion(Transformation):
                         edge.data = edge.data.subs(rename)
             for node in state.nodes():
                 if scope.get(node) is consumer_entry and isinstance(node, Tasklet):
-                    node.code = _rename_identifier(node.code, second_param, first_param)
+                    node.code = renamed(node.code, {second_param: first_param})
 
         # Connect the producer's inner writers of the intermediate directly
         # to the consumer's inner readers.
@@ -413,9 +419,3 @@ class MapFusion(Transformation):
         from ..sdfg.propagation import propagate_memlets_state
 
         propagate_memlets_state(sdfg, state)
-
-
-def _rename_identifier(code: str, old: str, new: str) -> str:
-    import re
-
-    return re.sub(rf"\b{re.escape(old)}\b", new, code)

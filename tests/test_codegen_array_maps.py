@@ -10,10 +10,11 @@ executes the tasklets one iteration at a time.
 
 The last two classes pin what must not move: ``__return`` of the benchmark's
 programs as the parent commit computed it (``tests/data/array_map_returns.json``),
-and the table the spelling comes from.
+and the two tables the spelling comes from — NumPy's and C's.
 """
 
 import ast
+import ctypes
 import json
 import math
 import os
@@ -22,11 +23,15 @@ import numpy as np
 import pytest
 
 from repro import compile_and_run, compile_c, generate_program, program
-from repro.codegen.sdfg_python import NUMPY, CompiledSDFG, Refused, generate_code, numpy_expression
+from repro.codegen.sdfg_c import _HELPERS, CEmitter, NativeCodegenError
+from repro.codegen.sdfg_python import NUMPY, CompiledSDFG, Refused, generate_code
 from repro.codegen.sdfg_walk import ARRAY_KINDS, affine_in
+from repro.codegen.toolchain import NATIVE_CACHE_ENV, compile_shared
 from repro.perf import PERF
 from repro.sdfg import SCHEDULE_PARALLEL, SDFG, Memlet, Tasklet, propagate_memlets_state
-from repro.sdfg.tasklet_code import _FLOAT_MATH, result_dtype
+from repro.sdfg.tasklet_code import (
+    _FLOAT_MATH, Unspelled, as_operand, result_dtype, single_assignment, spell,
+)
 from repro.symbolic import Range, parse_expr
 from repro.workloads import get_kernel
 from repro.workloads.python_suite import get_program
@@ -578,6 +583,10 @@ def test_returns_are_the_parents(preset):
 # -- the spelling table ----------------------------------------------------------------------
 
 
+def _numpy(tree) -> str:
+    return spell(tree, NUMPY, lambda name: (name, None), as_operand)[0]
+
+
 class TestNumpyTable:
     #: One expression per ``ast`` node type, operator and call name that
     #: ``node_dtype`` types.
@@ -595,7 +604,7 @@ class TestNumpyTable:
         tree = ast.parse(text, mode="eval").body
         assert result_dtype(tree, {"a": "float64", "b": "float64"}) is not None
         try:
-            spelled = numpy_expression(tree, str)
+            spelled = _numpy(tree)
         except LookupError as refusal:
             assert isinstance(refusal.args[0], Refused) and refusal.args[0] != "expression"
             return
@@ -609,9 +618,86 @@ class TestNumpyTable:
     def test_what_is_not_in_the_table_is_refused_as_an_expression(self):
         for text in ("a < b < 1.0", "math.gamma(a)", "round(a)", "a @ b", "pow(a, b=2)", "[a]"):
             with pytest.raises(LookupError, match="expression"):
-                numpy_expression(ast.parse(text, mode="eval").body, str)
+                _numpy(ast.parse(text, mode="eval").body)
 
     def test_refusal_names_are_the_counter_names(self):
         refusals = {value for value in NUMPY.values() if isinstance(value, Refused)}
         assert refusals == {"power", "boolean", "conditional", "bool_cast", "min_max"}
         assert len(ARRAY_KINDS) == 3
+
+
+def _c_spelling(text: str, dtype: str):
+    """``(C text, dtype)`` of ``text`` over symbols ``a`` and ``b`` of ``dtype``."""
+    sdfg = SDFG("table")
+    for name in ("a", "b"):
+        sdfg.add_symbol(name, dtype)
+    return CEmitter(sdfg).render_expression(single_assignment(f"_out = {text}"), {})
+
+
+class TestCTable:
+    """The same constructs through the native backend's table: spelled, or
+    refused with an error naming them — and what is spelled computes what
+    Python computes, at values of mixed sign."""
+
+    VALUES = {"float64": ((2.5, -1.5), (-3.0, 4.0)), "int64": ((7, -2), (-7, 3))}
+
+    @pytest.mark.parametrize("dtype", sorted(VALUES))
+    @pytest.mark.parametrize("text", TestNumpyTable.TYPED)
+    def test_everything_typed_is_spelled_or_refused_naming_it(self, text, dtype):
+        try:
+            _, spelled_dtype = _c_spelling(text, dtype)
+        except NativeCodegenError as error:
+            assert isinstance(error.__cause__, Unspelled)
+            assert error.__cause__.args[1] in str(error)
+            return
+        assert spelled_dtype == result_dtype(ast.parse(text, mode="eval").body,
+                                             {"a": dtype, "b": dtype})
+
+    def test_what_is_not_in_the_table_is_refused_naming_it(self):
+        for text, name in (("a < b < 1.0", "Compare"), ("math.gamma(a)", "math.gamma"),
+                           ("round(a)", "round"), ("a @ b", "MatMult"), ("pow(a, b=2)", "keyword"),
+                           ("[a]", "List"), ("math.sqrt(a, b)", "math.sqrt"), ("min(a)", "min")):
+            with pytest.raises(NativeCodegenError, match=name.replace(".", r"\.")):
+                _c_spelling(text, "float64")
+
+    def test_the_spellings_compute_what_python_computes(self, tmp_path, monkeypatch):
+        """Every spelled construct, under both element types, in one
+        translation unit beside the emitter's helpers, built by the toolchain
+        every native program goes through."""
+        monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path / "native"))
+        functions, expected = [], []
+        for dtype, values in self.VALUES.items():
+            ctype = "double" if dtype == "float64" else "int64_t"
+            lines = []
+            for text in TestNumpyTable.TYPED:
+                spelled, result = _c_spelling(text, dtype)
+                lines.append(f"    out[{len(lines)}] = (double)({spelled});")
+                expected.append((dtype, text, {"float64": float, "int64": int, "bool": bool}[result]))
+            functions.append(
+                f"void repro_{dtype}({ctype} a, {ctype} b, double *out) {{\n"
+                + "\n".join(lines) + "\n}\n"
+            )
+        code = "".join(functions)
+        helpers = "\n".join(text for name, text in _HELPERS.items() if f"{name}(" in code)
+        library = ctypes.CDLL(str(compile_shared(
+            f"#include <math.h>\n#include <stdint.h>\n{helpers}\n{code}", name="tasklet_table"
+        )))
+        compared = 0
+        for dtype, values in self.VALUES.items():
+            function = getattr(library, f"repro_{dtype}")
+            argument = ctypes.c_double if dtype == "float64" else ctypes.c_int64
+            function.argtypes = [argument, argument, ctypes.POINTER(ctypes.c_double)]
+            function.restype = None
+            cases = [case for case in expected if case[0] == dtype]
+            for a, b in values:
+                out = (ctypes.c_double * len(cases))()
+                function(a, b, out)
+                for (_, text, convert), value in zip(cases, out):
+                    try:
+                        scalar = eval(text, {"math": math, "a": a, "b": b})
+                    except (ArithmeticError, ValueError):
+                        continue  # outside the domain: Python raises where C returns NaN
+                    assert value == pytest.approx(float(convert(scalar)), rel=1e-15), \
+                        f"{text} at a={a}, b={b}"
+                    compared += 1
+        assert compared > 130

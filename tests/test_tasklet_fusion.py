@@ -12,9 +12,9 @@ import pytest
 
 from repro import compile_c, get_pipeline, run_compiled
 from repro.codegen import generate_code, have_compiler
-from repro.codegen.sdfg_c import _TaskletTranslator
+from repro.codegen.sdfg_c import C_TASKLET
 from repro.sdfg import SDFG, InterstateEdge, Memlet
-from repro.sdfg.tasklet_code import result_dtype, single_assignment
+from repro.sdfg.tasklet_code import result_dtype, single_assignment, spell
 from repro.transforms import TaskletFusion
 from repro.workloads import get_kernel
 from repro.workloads import kernel_names as polybench_names
@@ -231,7 +231,7 @@ def test_the_native_translator_types_by_the_table_fusion_reads():
     for text, dtype in expected.items():
         node = single_assignment(f"_out = {text}").value
         assert result_dtype(node, names) == dtype, text
-        assert _TaskletTranslator(None, env).lower(node)[1] == dtype, text
+        assert spell(node, C_TASKLET, env.__getitem__)[1] == dtype, text
     assert result_dtype(single_assignment("_out = unknown + 1").value, names) is None
 
 
