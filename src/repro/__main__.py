@@ -307,29 +307,44 @@ def _cmd_show_pipeline(args) -> int:
     return 0
 
 
-def _innermost_maps(program) -> str:
-    """How the interpreted emitter wrote the program's innermost maps, from
-    the ``codegen.python.*`` counters of its report ("" when it wrote none)."""
-    prefix = "codegen.python."
-    counted = {
+def _counted(program, prefix: str) -> Dict[str, int]:
+    """The ``prefix``-ed counters of the program's report, without the prefix."""
+    return {
         name[len(prefix):]: count
         for name, count in (program.report.counters if program.report is not None else {}).items()
         if name.startswith(prefix)
     }
+
+
+def _named(counted: Dict[str, int], stem: str) -> str:
+    """`` (a b 2, c 1)``: the counts whose name starts with ``stem``, by the rest."""
+    parts = [
+        f"{name[len(stem):].replace('_', ' ')} {count}"
+        for name, count in sorted(counted.items()) if name.startswith(stem)
+    ]
+    return f" ({', '.join(parts)})" if parts else ""
+
+
+def _innermost_maps(program) -> str:
+    """How the interpreted emitter wrote the program's innermost maps, from
+    the ``codegen.python.*`` counters of its report ("" when it wrote none)."""
+    counted = _counted(program, "codegen.python.")
     if not counted:
         return ""
-    def named(stem: str) -> str:
-        parts = [
-            f"{name[len(stem):].replace('_', ' ')} {count}"
-            for name, count in sorted(counted.items()) if name.startswith(stem)
-        ]
-        return f" ({', '.join(parts)})" if parts else ""
-
     return (
         f"{counted.get('array_maps', 0)} innermost as array operations"
-        + named("array_maps.")
-        + f", {counted.get('loop_maps', 0)} as loops" + named("refused.")
+        + _named(counted, "array_maps.")
+        + f", {counted.get('loop_maps', 0)} as loops" + _named(counted, "refused.")
     )
+
+
+def _loops_left(program) -> str:
+    """The state-machine loops the data stage left, per refusal name, from
+    the ``transforms.loops_left.*`` counters ("" without a data stage)."""
+    if program.sdfg is None:
+        return ""
+    counted = _counted(program, "transforms.loops_left.")
+    return f"{sum(counted.values())} left" + _named(counted, "")
 
 
 def _cmd_compile(args) -> int:
@@ -345,6 +360,9 @@ def _cmd_compile(args) -> int:
         maps = _innermost_maps(program)
         if maps:
             print(f"maps:     {maps}")
+        loops = _loops_left(program)
+        if loops:
+            print(f"loops:    {loops}")
         if program.native_code is not None:
             print(f"native:   {len(program.native_code)} bytes of C")
         elif program.native_fallback is not None:

@@ -23,7 +23,9 @@ only where a tasklet computes with it or an index is anything else.  The
 tasklet expression is spelled through :data:`NUMPY`; an update of an
 element that moves is an in-place slice update, an update of one that does
 not is folded in with ``np.add.accumulate`` — left to right from the
-element, the order of the loop it replaces.
+element, the order of the loop it replaces.  A scalar private to the
+iterations holds the vector of their values: the copy that binds it is the
+slice it reads (``_load_13 = _arr_0[i_2, 0:100]``).
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   place`` or ``reduces in order`` — or refused under a name
   (:class:`ArrayForm`), counted per compile as
   ``codegen.<backend>.array_maps`` (and ``.array_maps.<kind>``) /
-  ``.loop_maps`` (and ``.refused.<name>``).
+  ``.loop_maps`` (and ``.refused.<name>``).  A transient scalar private to
+  the map's iterations (:func:`~repro.sdfg.analysis.private_scalars`) is
+  one value per iteration there: the vector of them.
   An emitter that has array operations (:attr:`SDFGWalker.array_maps`)
   emits every classified map that would otherwise be a sequential loop in
   **operation order** — each tasklet over all iterations before the next
@@ -75,6 +77,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from ..perf import PERF
 from ..symbolic import Expr, Integer, Subset, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
+from ..sdfg.analysis import lazy_liveness, private_scalars
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
@@ -245,6 +248,8 @@ class SDFGWalker:
         self._array_forms: Dict[int, ArrayForm] = {}
         #: The map whose members are being emitted as array operations.
         self._array_map = None
+        #: Liveness of the SDFG's containers, computed when a map first asks.
+        self._liveness = lazy_liveness(sdfg)
         self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
         self._allocated_persistent: Set[str] = set()
         # Top-level parallel-scheduled maps whose safety proof succeeds —
@@ -725,23 +730,48 @@ class SDFGWalker:
         does move.  Element types are those whose vector arithmetic is the
         scalar one (``float64``, ``int64``), an update stores what a local
         would hold (:meth:`_update_keeps_type`), and each tasklet is one
-        expression the emitter can spell over arrays.
+        expression the emitter can spell over arrays.  A scalar private to
+        the iterations is stored and read like a temporary: it holds the
+        vector of their values when what binds it moves.  A copy or a bare
+        read binding it is a view of what it reads, so a map that also
+        writes that container stays a loop (``aliased_value``), as one that
+        updates the private does (``scalar_store``).
         """
         if len(entry.map.params) != 1:
             return ArrayForm(None, "parameters")
         param = entry.map.params[0]
         arrays = self.sdfg.arrays
+        private = private_scalars(self.sdfg, state, members, self._liveness) if any(
+            isinstance(node, AccessNode) and isinstance(arrays[node.data], Scalar)
+            for node in members
+        ) else set()
         reads: Dict[str, List[Optional[Subset]]] = {}
         writes: Dict[str, List[Optional[Subset]]] = {}
         reduced: Set[str] = set()
         updated = False
         moving: Set[int] = set()   # tasklets whose value moves with the parameter
+        carried: Set[str] = set()  # private scalars holding a value that moves
         aliased: Set[str] = set()  # containers a temporary holds a view of
         for node in members:
             if isinstance(node, AccessNode):
-                if any(isinstance(edge.src, AccessNode) and not edge.data.is_empty
-                       for edge in state.in_edges(node)):
-                    return ArrayForm(None, "copy")
+                for edge in state.in_edges(node):
+                    source, memlet = edge.src, edge.data
+                    if memlet.is_empty or isinstance(source, Tasklet):
+                        continue
+                    # A private bound by a copy is the slice the copy reads: a view.
+                    if not isinstance(source, AccessNode) or node.data not in private \
+                            or memlet.data != source.data:
+                        return ArrayForm(None, "copy")
+                    reason = self._element_refusal(arrays[source.data], memlet) \
+                        or self._element_refusal(arrays[node.data], memlet)
+                    if reason is not None:
+                        return ArrayForm(None, reason)
+                    subset = None if isinstance(arrays[source.data], Scalar) else memlet.subset
+                    reads.setdefault(source.data, []).append(subset)
+                    if subset is not None:
+                        aliased.add(source.data)
+                    if param in _names(subset) or source.data in carried:
+                        carried.add(node.data)
                 continue
             if not isinstance(node, Tasklet):
                 continue
@@ -757,7 +787,11 @@ class SDFGWalker:
             moves = assignment.uses(param) > 0
             # A result bound to a temporary that is nothing but a read is a view.
             view = isinstance(assignment.value, ast.Name) and (
-                len(out_edges) > 1 or any(isinstance(edge.dst, Tasklet) for edge in out_edges)
+                len(out_edges) > 1 or any(
+                    isinstance(edge.dst, Tasklet)
+                    or isinstance(edge.dst, AccessNode) and edge.dst.data in private
+                    for edge in out_edges
+                )
             )
             for edge in state.in_edges(node):
                 memlet = edge.data
@@ -777,7 +811,7 @@ class SDFGWalker:
                     return ArrayForm(None, reason)
                 subset = None if isinstance(arrays[data], Scalar) else memlet.subset
                 reads.setdefault(data, []).append(subset)
-                moves = moves or param in _names(subset)
+                moves = moves or param in _names(subset) or data in carried
                 if view and subset is not None:
                     aliased.add(data)
             if moves:
@@ -793,6 +827,13 @@ class SDFGWalker:
                 reason = self._element_refusal(descriptor, memlet)
                 if reason is not None:
                     return ArrayForm(None, reason)
+                if data in private:
+                    # One value per iteration; updated in place, a view would write through.
+                    if memlet.wcr is not None:
+                        return ArrayForm(None, "scalar_store")
+                    if moves:
+                        carried.add(data)
+                    continue
                 if memlet.wcr not in UPDATE_OPERATORS:
                     return ArrayForm(None, "min_max_update")
                 if memlet.wcr is not None and not self._update_keeps_type(state, edge, descriptor):

@@ -66,7 +66,7 @@ from ..passbase import CompilationReport, PassRunner, StageReport
 from ..passes import CONTROL_PASSES
 from ..perf import PERF
 from ..sdfg import SDFG
-from ..transforms import DATA_PASSES
+from ..transforms import DATA_PASSES, loops_left
 from .registry import PIPELINES, resolve_pipeline
 from .spec import PipelineLike, PipelineSpec, pipeline_label
 
@@ -541,6 +541,8 @@ def generate_program(
     report.add_stage("bridge", time.perf_counter() - stage_start)
     data_report = data_runner(spec).run(sdfg)
     report.stages.append(data_report)
+    for reason, count in loops_left(sdfg).items():
+        PERF.increment(f"transforms.loops_left.{reason}", count)
     stage_start = time.perf_counter()
     code = generate_sdfg_code(sdfg, vectorize=spec.codegen.vectorize)
     native_code = None

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..symbolic import Expr
 from ..symbolic.expr import Add, Integer, Min, Mul, Symbol
 from .data import Scalar
-from .nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
+from .nodes import AccessNode, MapEntry, MapExit, SCHEDULE_PARALLEL
 
 #: Environment variable overriding the default worker count of parallel
 #: schedules (both backends and the cost model honor it).
@@ -231,6 +231,13 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         if not inside:
             continue
         memlet = edge.data
+        if (
+            isinstance(destination, AccessNode) and destination in members
+            and not memlet.is_empty and memlet.wcr is None
+            and isinstance(sdfg.arrays.get(destination.data), Scalar)
+        ):
+            # A copy's memlet may name its source: what it stores is the scalar.
+            return _refuse(f"scalar {destination.data!r} written without WCR")
         # Track scalar reads so a reduction target that is *also* read in
         # the scope (a sequential dependence) refuses cleanly.
         if (

@@ -43,7 +43,7 @@ from .map_parameterized import (
     Vectorization,
     tile_map,
 )
-from .map_transforms import LoopToMap, MapFusion
+from .map_transforms import LoopToMap, MapFusion, loops_left
 from .parallelize import Parallelize
 from .memory_allocation import MemoryPreAllocation, StackPromotion
 from .pipeline import DataCentricPass
@@ -76,6 +76,7 @@ __all__ = [
     "Transformation",
     "Vectorization",
     "find_loops",
+    "loops_left",
     "register_data_pass",
     "tile_map",
     "transformation_parameters",

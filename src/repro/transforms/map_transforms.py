@@ -3,7 +3,12 @@
 ``LoopToMap`` turns a counted state-machine loop whose iterations are
 independent into a parametric ``map`` scope — the SDFG's native form of
 parametric parallelism (§3.2) and the prerequisite for both vectorized code
-generation (the ICC/SLEEF effect of Fig. 8) and map fusion.
+generation (the ICC/SLEEF effect of Fig. 8) and map fusion.  A scalar the
+iterations share only by name — each writes it before it reads it, and
+nothing reads it after the loop (:func:`~repro.sdfg.analysis.private_scalars`)
+— holds no loop back.  :meth:`LoopToMap.refusal` names what does, from the
+closed set :data:`LOOP_REFUSALS`, and :func:`loops_left` counts the loops a
+compile leaves by that name.
 
 ``MapFusion`` implements the memory-reducing loop fusion of §6.3 in a
 deliberately conservative form: two map scopes in the same state with the
@@ -20,15 +25,22 @@ fusion with a third).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..symbolic import Range, Symbol
-from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Tasklet
+from ..symbolic import Range, Subset, Symbol
+from ..sdfg import SDFG, AccessNode, Memlet, Scalar, SDFGState, Tasklet
+from ..sdfg.analysis import lazy_liveness, private_scalars, scalar_uses
 from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.parallelism import monotone_in
 from ..sdfg.tasklet_code import renamed, statements
 from .loop_analysis import LoopInfo, find_loops
 from .rewrite import Match, Transformation
+
+#: Why a loop stays a loop (:meth:`LoopToMap.refusal`), in the order checked.
+LOOP_REFUSALS = (
+    "uncounted", "multi_state_body", "latch_assignments", "symbolic_step",
+    "carried_scalar", "live_after_loop", "reads_what_it_writes", "writes_collide",
+)
 
 
 class LoopToMap(Transformation):
@@ -38,9 +50,10 @@ class LoopToMap(Transformation):
     DRAIN = "sweep"
 
     def match(self, sdfg: SDFG) -> List[Match]:
+        live = lazy_liveness(sdfg)
         matches: List[Match] = []
         for loop in find_loops(sdfg):
-            if not self._eligible(loop):
+            if self.refusal(loop, live) is not None:
                 continue
             matches.append(Match(
                 transformation=self.name,
@@ -58,70 +71,62 @@ class LoopToMap(Transformation):
         return self._convert(sdfg, match.payload["loop"])
 
     @staticmethod
-    def _eligible(loop: LoopInfo) -> bool:
-        """Pure precondition check (no mutation)."""
-        if loop.induction_symbol is None or loop.bound_expr is None:
-            return False
-        if len(loop.body_states) != 1 or len(loop.latch_edges) != 1:
-            return False
-        body = next(iter(loop.body_states))
-        if loop.latch_edges[0].src is not body or loop.body_edge.dst is not body:
-            return False
-        # The body edge and latch must not carry extra work.
-        if loop.body_edge.data.assignments:
-            return False
-        extra_assignments = {
-            name: value
-            for name, value in loop.latch_edges[0].data.assignments.items()
-            if name != loop.induction_symbol
-        }
-        if extra_assignments:
-            return False
-        # Iterations must be independent: nothing read is also written.
-        # Updates (WCR edges) commute with each other, but not with a read
-        # of what they update: ``B[i][j] += A[k][i] * B[k][j]`` carries a
-        # dependence from iteration to iteration, it is not a reduction.
-        if body.read_set() & body.write_set():
-            return False
-        if not LoopToMap._iterations_write_apart(body, loop.induction_symbol):
-            return False
-        if loop.step_expr is None or not loop.step_expr.is_constant():
-            return False
-        return True
+    def refusal(loop: LoopInfo, live=None) -> Optional[str]:
+        """Why ``loop`` stays a loop — a name of :data:`LOOP_REFUSALS` — or
+        ``None`` when its iterations may run as a map.  Nothing is mutated.
 
-    @staticmethod
-    def _iterations_write_apart(body: SDFGState, induction: str) -> bool:
-        """Whether no two iterations store to the same element, per container.
-
-        Either every write is an update (WCR) with one operator — those
-        commute wherever they land — or all of them, at every nesting level
-        and updates included, agree on one dimension: the same single
-        index, strictly monotone in the induction variable.
-        ``A[i] = x; A[i + 1] = y`` agrees on none (iteration ``i + 1``
-        overwrites what ``i`` stored) and ``s = A[i]`` has none that moves:
-        run in order the last store wins, run as a map (vectorized, or in
-        parallel) any of them may.
+        The loop must be counted with a constant step, its body one state
+        whose edges carry no assignment but the induction's.  Its iterations
+        must be independent.  A scalar the body reads, or stores other than
+        by updates of one operator, must be private to it
+        (:func:`~repro.sdfg.analysis.private_scalars`, which reads ``live``:
+        the liveness, or a function computing it); else it carries a value
+        into the next iteration (``carried_scalar``) or out of the last one
+        (``live_after_loop``).  Per other container the body writes, either
+        every write is an update with one operator and nothing reads it —
+        updates commute with each other wherever they land — or all its
+        memlets, reads and nested scopes' included, agree on one dimension:
+        the same single index, strictly monotone in the induction variable.
+        An update that also reads another element of its target carries a
+        dependence (``B[i][j] += A[k][i] * B[k][j]``: ``reads_what_it_writes``);
+        ``A[i] = A[i + 1]`` and ``A[i] = x; A[i + 1] = y`` touch an element
+        another iteration stores (``writes_collide``).  Run in order the
+        last store wins; run as a map — vectorized, or in parallel — any may.
         """
-        stores: Dict[str, List[Memlet]] = {}
-        for edge in body.edges():
-            if not edge.data.is_empty and isinstance(edge.dst, AccessNode):
-                stores.setdefault(edge.dst.data, []).append(edge.data)
-        for memlets in stores.values():
-            operator = memlets[0].wcr
-            if operator is not None and all(memlet.wcr == operator for memlet in memlets):
+        induction = loop.induction_symbol
+        if induction is None or loop.bound_expr is None:
+            return "uncounted"
+        body = next(iter(loop.body_states))
+        if (len(loop.body_states) != 1 or len(loop.latch_edges) != 1
+                or loop.latch_edges[0].src is not body or loop.body_edge.dst is not body):
+            return "multi_state_body"
+        # The body edge and latch must not carry extra work.
+        if loop.body_edge.data.assignments or \
+                set(loop.latch_edges[0].data.assignments) - {induction}:
+            return "latch_assignments"
+        if loop.step_expr is None or not loop.step_expr.is_constant():
+            return "symbolic_step"
+        sdfg = body.sdfg
+        accesses = _accesses(body)
+        shared = [
+            name for name, (stores, loads) in accesses.items()
+            if stores and isinstance(sdfg.arrays[name], Scalar) and not _reduction(stores, loads)
+        ]
+        if shared:
+            private = private_scalars(sdfg, body, body.nodes(), live)
+            uses = scalar_uses(sdfg, body)
+            for name in shared:
+                if name not in private:
+                    return "carried_scalar" if uses[name].exposed else "live_after_loop"
+        for name, (stores, loads) in accesses.items():
+            if not stores or isinstance(sdfg.arrays[name], Scalar) or _reduction(stores, loads):
                 continue
-            if any(memlet.subset is None for memlet in memlets):
-                return False
-            if not any(
-                rng.is_point() and monotone_in(rng.start, induction)
-                and all(memlet.subset.ranges[dim:dim + 1] == [rng] for memlet in memlets)
-                for dim, rng in enumerate(memlets[0].subset.ranges)
-            ):
-                return False
-        return True
+            if not _apart([memlet.subset for memlet in stores] + loads, induction):
+                return "reads_what_it_writes" if _updates(stores) else "writes_collide"
+        return None
 
     def _convert(self, sdfg: SDFG, loop: LoopInfo) -> bool:
-        if not self._eligible(loop):
+        if self.refusal(loop) is not None:
             return False
         body = next(iter(loop.body_states))
 
@@ -184,8 +189,6 @@ class LoopToMap(Transformation):
                     state.remove_node(source)
                     continue
                 descriptor_shape = state.sdfg.arrays[source.data].shape if state.sdfg else ()
-                from ..symbolic import Subset
-
                 outer = Memlet(
                     data=source.data,
                     subset=Subset.full(descriptor_shape) if descriptor_shape else None,
@@ -206,8 +209,6 @@ class LoopToMap(Transformation):
                     state.add_edge(edge.src, edge.src_conn, exit_node, connector, edge.data)
                     state.remove_edge(edge)
                 descriptor_shape = state.sdfg.arrays[sink.data].shape if state.sdfg else ()
-                from ..symbolic import Subset
-
                 outer = Memlet(
                     data=sink.data,
                     subset=Subset.full(descriptor_shape) if descriptor_shape else None,
@@ -223,6 +224,56 @@ class LoopToMap(Transformation):
         from ..sdfg.propagation import propagate_memlets_scope
 
         propagate_memlets_scope(state, entry)
+
+
+def _accesses(body: SDFGState) -> Dict[str, Tuple[List[Memlet], List[Optional[Subset]]]]:
+    """Per container ``body`` touches through an access node: the memlets of
+    its writes, and the subsets of its reads (``None`` where the memlet names
+    another container, as a copy's may)."""
+    found: Dict[str, Tuple[List[Memlet], List[Optional[Subset]]]] = {}
+    for edge in body.edges():
+        memlet = edge.data
+        if memlet.is_empty:
+            continue
+        if isinstance(edge.dst, AccessNode):
+            found.setdefault(edge.dst.data, ([], []))[0].append(memlet)
+        if isinstance(edge.src, AccessNode):
+            found.setdefault(edge.src.data, ([], []))[1].append(
+                memlet.subset if memlet.data == edge.src.data else None
+            )
+    return found
+
+
+def _updates(stores: Sequence[Memlet]) -> bool:
+    """Whether every store is an update (WCR) with one operator."""
+    return stores[0].wcr is not None and all(memlet.wcr == stores[0].wcr for memlet in stores)
+
+
+def _reduction(stores: Sequence[Memlet], loads: Sequence) -> bool:
+    """Updates with one operator that nothing reads: they land in any order."""
+    return not loads and _updates(stores)
+
+
+def _apart(subsets: Sequence[Optional[Subset]], induction: str) -> bool:
+    """Whether ``subsets`` agree on one dimension — the same single index,
+    strictly monotone in ``induction`` — so no two iterations meet in them."""
+    if any(subset is None for subset in subsets):
+        return False
+    return any(
+        rng.is_point() and monotone_in(rng.start, induction)
+        and all(subset.ranges[dim:dim + 1] == [rng] for subset in subsets)
+        for dim, rng in enumerate(subsets[0].ranges)
+    )
+
+
+def loops_left(sdfg: SDFG) -> Dict[str, int]:
+    """How many loops ``sdfg`` still has, per :meth:`LoopToMap.refusal` name."""
+    live = lazy_liveness(sdfg)
+    counted: Dict[str, int] = {}
+    for loop in find_loops(sdfg):
+        reason = LoopToMap.refusal(loop, live) or "eligible"
+        counted[reason] = counted.get(reason, 0) + 1
+    return counted
 
 
 class MapFusion(Transformation):

@@ -539,7 +539,7 @@ class TestCounted:
                     totals[key] = totals.get(key, 0) + value
         arrays = totals.pop("codegen.python.array_maps")
         loops = totals.pop("codegen.python.loop_maps", 0)
-        assert arrays + loops == 136 and arrays >= 130
+        assert arrays + loops == 151 and arrays >= 145
         kinds = {"codegen.python.array_maps." + kind.replace(" ", "_") for kind in ARRAY_KINDS}
         assert sum(totals.pop(kind) for kind in kinds) == arrays  # all three kinds occur
         assert sum(totals.values()) == loops  # each loop is refused under one name
