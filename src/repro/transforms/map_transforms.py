@@ -267,7 +267,8 @@ def _apart(subsets: Sequence[Optional[Subset]], induction: str) -> bool:
 
 
 def loops_left(sdfg: SDFG) -> Dict[str, int]:
-    """How many loops ``sdfg`` still has, per :meth:`LoopToMap.refusal` name."""
+    """How many loops ``sdfg`` still has, per :meth:`LoopToMap.refusal` name
+    (``eligible`` for one the data stage's last sweep left raisable)."""
     live = lazy_liveness(sdfg)
     counted: Dict[str, int] = {}
     for loop in find_loops(sdfg):

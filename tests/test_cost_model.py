@@ -136,9 +136,12 @@ class TestScoreAgreesWithRuntime:
         score_coarse = movement_score(coarse.movement_report())
         assert score_full < score_coarse
 
-        def best_runtime(result):
-            return min(
-                min(run_compiled(result, repetitions=5).rep_seconds) for _ in range(3)
-            )
-
-        assert best_runtime(full) < best_runtime(coarse)
+        # Since both raise gemm's `k` loop the gap is a few per cent (dcir
+        # hoists alpha's and beta's loads), so take the best of many reps,
+        # alternating the two so a slow phase of the runner hits both.
+        best = {}
+        for _ in range(5):
+            for label, result in (("full", full), ("coarse", coarse)):
+                sample = min(run_compiled(result, repetitions=10).rep_seconds)
+                best[label] = min(best.get(label, sample), sample)
+        assert best["full"] < best["coarse"]
