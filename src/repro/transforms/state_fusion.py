@@ -31,6 +31,20 @@ class StateFusion(Transformation):
     NAME = "state-fusion"
     DRAIN = "restart"
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Within one :meth:`apply`: each fused state → the last access node
+        #: per container in its program order, carried from fusion to fusion.
+        self._last_access: Dict[SDFGState, Dict[str, AccessNode]] = {}
+
+    def apply(self, sdfg: SDFG, match: Optional[Match] = None) -> bool:
+        # Nothing but this pass rewrites the graph while it drains, so a
+        # carried map stays exact until the drain ends.
+        try:
+            return super().apply(sdfg, match)
+        finally:
+            self._last_access = {}
+
     def match(self, sdfg: SDFG) -> List[Match]:
         found = (self._match_at(sdfg, first) for first in sdfg.states())
         return [entry for entry in found if entry is not None]
@@ -100,11 +114,16 @@ class StateFusion(Transformation):
         return edge
 
     def _fuse(self, sdfg: SDFG, first: SDFGState, second: SDFGState, edge) -> None:
-        # Last access node per container in the first state (for merging).
-        last_in_first: Dict[str, AccessNode] = {}
-        for node in first.program_order():
-            if isinstance(node, AccessNode):
-                last_in_first[node.data] = node
+        # Last access node per container in the first state (for merging):
+        # derived from its program order once, then carried — the fused
+        # state's program order is the first's followed by the second's.
+        last_in_first = self._last_access.pop(first, None)
+        if last_in_first is None:
+            last_in_first = {}
+            for node in first.program_order():
+                if isinstance(node, AccessNode):
+                    last_in_first[node.data] = node
+        self._last_access.pop(second, None)
 
         # Move nodes of the second state into the first, appended in their
         # own order so that the fused state's insertion order stays the
@@ -152,6 +171,12 @@ class StateFusion(Transformation):
                 # first state's accesses with an explicit dependency edge.
                 if not first.edges_between(first_node, second_node):
                     first.add_nedge(first_node, second_node, Memlet.empty())
+
+        last = dict(last_in_first)
+        for node in node_order:
+            if isinstance(node, AccessNode) and node in first:
+                last[node.data] = node
+        self._last_access[first] = last
 
         # Rewire the state machine.
         sdfg.remove_edge(edge)
