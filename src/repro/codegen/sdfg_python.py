@@ -11,21 +11,28 @@ use inside whatever loop that happens to be (modelling allocation cost on
 the critical path), and WCR memlets become in-place updates, of a local
 where the walker finds a reduction.
 
-A map is an array expression.  Every innermost map the walker classifies
-(:meth:`~repro.codegen.sdfg_walk.SDFGWalker._array_form`) is written as
+A map nest is an array expression.  Every nest the walker accepts
+(:meth:`~repro.codegen.sdfg_walk.SDFGWalker._array_form`) is written as n-d
 NumPy operations, one per tasklet, under every pipeline — the ``vectorize``
-flag of ``dcir+vec`` changes nothing here.  An index affine in the
+flag of ``dcir+vec`` changes nothing here.  Axis *n* of every operand is
+the nest's parameter *n* around the tasklet.  An index affine in one
 parameter with a positive literal coefficient, in one dimension of its
-memlet, is a **slice** (``A[i_1, 0:26]``, ``B[2:n - 1]``; with a negative
-one the same slice read backwards, ``x[0:k][::-1]``); the parameter
-becomes the vector of its values (``j = np.arange(…)``, bound on first use)
-only where a tasklet computes with it or an index is anything else.  The
-tasklet expression is spelled through :data:`NUMPY`; an update of an
-element that moves is an in-place slice update, an update of one that does
-not is folded in with ``np.add.accumulate`` — left to right from the
-element, the order of the loop it replaces.  A scalar private to the
-iterations holds the vector of their values: the copy that binds it is the
-slice it reads (``_load_13 = _arr_0[i_2, 0:100]``).
+memlet, is a **slice** along that axis (``A[0:24, 0:20]``, ``B[2:n - 1]``;
+with a negative one the same slice read backwards, ``x[0:k][::-1]``);
+slices in another order than the nest's are transposed
+(``B[0:20, 0:22].transpose(1, 0)``), and an operand that does not move
+with a later parameter gets a new axis for it (``A[0:24, 0:20, None]``), so
+that it broadcasts.  A parameter becomes the grid of its values
+(``i = np.arange(0, 24)[:, None]``, bound on first use) only where a
+tasklet computes with it or an index is anything else.  The tasklet
+expression is spelled through :data:`NUMPY`; an update of an element that
+moves with every parameter is an in-place update, an update of one that
+does not is folded in with ``np.add.accumulate`` along the axes of the
+parameters it does not move with — over the whole nest ``np.ravel`` in
+nest order — left to right from the element, the order of the loops it
+replaces.  A scalar private to the iterations holds the array of their
+values: the copy that binds it is the slice it reads
+(``_load_13 = _arr_0[0:100, 0:100]``).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import ast
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
@@ -44,7 +51,7 @@ from ..sdfg.nodes import MapEntry
 from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
 from ..sdfg.tasklet_code import OPERATORS, Refused, Unspelled, as_operand, spell
 from .loader import load_entry
-from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, affine_in
+from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, sliced_dims
 from .writer import SourceWriter
 
 
@@ -192,6 +199,13 @@ def _refusal(assignment) -> Optional[str]:
 _ACCUMULATE = {"+": "np.add", "*": "np.multiply"}
 
 
+def _subscript_of(entries: List[str]) -> str:
+    """``[a, b]`` of ``entries`` without the full slices that end it."""
+    while entries and entries[-1] == ":":
+        entries = entries[:-1]
+    return f"[{', '.join(entries)}]" if entries else ""
+
+
 class PythonEmitter(SDFGWalker):
     """Python syntax for the SDFG walk: a ``run(**kwargs)`` function."""
 
@@ -213,8 +227,10 @@ class PythonEmitter(SDFGWalker):
     def __init__(self, sdfg: SDFG, vectorize: bool = False):
         super().__init__(sdfg, vectorize, SourceWriter(braces=False))
         self._parallel_counter = 0
-        #: Whether the array map being emitted has bound its parameter's values.
-        self._values_bound = False
+        #: Nest parameter → how many axes follow its values' binding (the
+        #: ``None``\ s after ``np.arange(…)[:, …]``), for those bound and not
+        #: yet left behind by a nested map.
+        self._grids: Dict[str, int] = {}
 
     expr = staticmethod(str)  # ``str(expr)`` is Python source: symbolic/printer.py
 
@@ -282,9 +298,10 @@ class PythonEmitter(SDFGWalker):
     # -- reads, copies, tasklets, writes -----------------------------------------------
     def read(self, data: str, memlet: Memlet) -> str:
         descriptor = self.sdfg.arrays[data]
+        if isinstance(descriptor, Scalar):
+            return self._scalar(data)
         if (
-            isinstance(descriptor, Scalar)
-            or memlet.is_empty or memlet.subset is None or memlet.dynamic
+            memlet.is_empty or memlet.subset is None or memlet.dynamic
             or not memlet.subset.is_point() and self._covers_whole(descriptor, memlet.subset)
         ):
             return data
@@ -294,7 +311,7 @@ class PythonEmitter(SDFGWalker):
         source_scalar = isinstance(self.sdfg.arrays[source], Scalar)
         destination_scalar = isinstance(self.sdfg.arrays[destination], Scalar)
         if destination_scalar and source_scalar:
-            self.writer.emit(f"{destination} = {source}")
+            self.writer.emit(f"{destination} = {self._scalar(source)}")
         elif destination_scalar:
             element = self._subscript(subset) if subset is not None else "[0]"
             self.writer.emit(f"{destination} = {source}{element}")
@@ -313,14 +330,14 @@ class PythonEmitter(SDFGWalker):
         return lambda connector: connector
 
     def render_expression(self, assignment, bindings) -> str:
-        if self._array_map is None:
+        if self._nest is None:
             return assignment.operand(bindings)
-        param = self._array_map.params[0]
+        params = {param for param, _ in self._nest}
 
         def name(identifier: str):
             if identifier in bindings:
                 return bindings[identifier], None
-            return (self._parameter_values() if identifier == param else identifier), None
+            return (self._grid(identifier) if identifier in params else identifier), None
 
         return spell(assignment.value, NUMPY, name, as_operand)[0]
 
@@ -340,6 +357,8 @@ class PythonEmitter(SDFGWalker):
         return f"{data}[{self._slices(subset)}]"
 
     def emit_update(self, target: str, descriptor, wcr, value: str, atomic: bool = False) -> None:
+        if target.endswith(")"):  # a transposed view: stored into through its elements
+            target += "[...]"
         if wcr in ("min", "max"):
             self.writer.emit(f"{target} = {wcr}({target}, {value})")
         else:
@@ -349,10 +368,34 @@ class PythonEmitter(SDFGWalker):
         # Pinned output: a min/max WCR broadcast has always been a plain store.
         self.writer.emit(f"{data}[...] {UPDATE_OPERATORS.get(wcr, '=')} {value}")
 
-    def emit_reduction(self, target: str, wcr: str, values: str) -> None:
+    def emit_reduction(self, target: str, wcr: str, values: str, folded, element) -> None:
         # ``accumulate`` computes every prefix, so it cannot reassociate.
+        ufunc = _ACCUMULATE[wcr]
+        if element is None:  # one element: the values of the whole nest, in its order
+            if len(self._nest) > 1:
+                values = f"np.ravel({values})"
+            self.writer.emit(
+                f"{target} = {ufunc}.accumulate(np.concatenate((({target},), {values})))[-1]"
+            )
+            return
+        data, subset = element
+        if len(folded) == 1:  # along that axis, the target a slice of length one there
+            (axis,) = folded
+            target = data + self._subscript(subset, full=True)
+            last = ", ".join([":"] * axis + ["-1:"])
+            self.writer.emit(
+                f"{target} = {ufunc}.accumulate(np.concatenate(({target}, {values}), "
+                f"axis={axis}), axis={axis})[{last}]"
+            )
+            return
+        # Several axes: moved last and merged, in nest order, into one.
+        target = data + self._subscript(subset, bare=True)
+        kept = [axis for axis in range(len(self._nest)) if axis not in folded]
+        order = ", ".join(map(str, kept + list(folded)))
         self.writer.emit(
-            f"{target} = {_ACCUMULATE[wcr]}.accumulate(np.concatenate((({target},), {values})))[-1]"
+            f"{target} = {ufunc}.accumulate(np.concatenate(({target}[..., None], "
+            f"np.transpose({values}, ({order})).reshape({target}.shape + (-1,))), axis=-1), "
+            "axis=-1)[..., -1]"
         )
 
     # -- bounds and subscripts ---------------------------------------------------------
@@ -382,48 +425,83 @@ class PythonEmitter(SDFGWalker):
             str(rng.start) if rng.is_point() else self._span(rng, ":") for rng in subset.ranges
         )
 
-    def _subscript(self, subset: Subset) -> str:
-        """``[…]`` selecting one element; inside an array map, that element of
-        every iteration.  Where the only index that moves with the parameter
-        is ``a * p + b`` with a literal ``a`` and the map's step is a literal,
-        that is a slice — for ``a < 0`` (and a unit step) the slice of the
-        same elements read backwards, since a negative stride cannot name an
-        end below element 0 — else the index over the parameter's values."""
+    def _subscript(self, subset: Subset, full: bool = False, bare: bool = False) -> str:
+        """``[…]`` selecting one element; inside an array nest, that element of
+        every iteration, with axis *n* the nest's parameter *n*.
+
+        Where every index that moves is ``a * p + b`` along its own parameter
+        (:func:`sliced_dims`) that is a slice — for ``a < 0`` the slice of
+        the same elements read backwards, since a negative stride cannot
+        name an end below element 0 — else the indices over the parameters'
+        values.  Slices come out in nest order (a transpose where they are
+        not), with a new axis for every parameter between and after them:
+        the operand broadcasts against the nest's later axes.  ``full`` adds
+        the axes before the first one too, ``bare`` no new axis at all (a
+        target whose slices are in nest order)."""
         indices = subset.indices()
         texts = list(map(str, indices))
-        reverse = ""
-        if self._array_map is not None:
-            param, rng = self._array_map.params[0], self._array_map.ranges[0]
-            symbol = Symbol(param)
-            moving = [dim for dim, index in enumerate(indices) if symbol in index.free_symbols()]
-            slope, offset = (
-                affine_in(indices[moving[0]], param, (0, None))
-                if len(moving) == 1 and isinstance(rng.step, Integer) else (0, None)
-            )
-            if slope > 0 or (slope < 0 and rng.step == 1):
-                first, beyond = slope * rng.start + offset, slope * rng.end + offset
-                if slope > 0:
-                    elements = Range(first, beyond, slope * rng.step)
-                else:  # the last iteration's element up to the first one's
-                    elements, reverse = Range(beyond - slope, first + 1, -slope), "[::-1]"
-                texts[moving[0]] = self._span(elements, ":")
-            elif moving:
-                self._parameter_values()
-        return f"[{', '.join(texts)}]{reverse}"
+        nest = self._nest
+        plan = None if nest is None else sliced_dims(indices, nest)
+        if plan is None and nest is not None:
+            params = {param for param, _ in nest}
+            for name in sorted(s.name for s in subset.free_symbols() if s.name in params):
+                self._grid(name)
+        if not plan:
+            return f"[{', '.join(texts)}]"
+        reversed_ = []
+        for dim, axis, slope, offset in plan:
+            rng = nest[axis][1]
+            first, beyond = slope * rng.start + offset, slope * rng.end + offset
+            if slope > 0:
+                elements = Range(first, beyond, slope * rng.step)
+            else:  # the last iteration's element up to the first one's
+                elements = Range(beyond - slope, first + 1, -slope)
+            texts[dim] = self._span(elements, ":")
+            reversed_.append(slope < 0)
+        order = [axis for _, axis, _, _ in plan]
+        if bare:
+            return f"[{', '.join(texts)}]"
+        ordered = sorted(order)
+        start = 0 if full else ordered[0]
+        if order == ordered and not any(reversed_):
+            # The new axes go into the one subscript, after the slice before them.
+            later = order[1:] + [len(nest)]
+            for (dim, axis, _, _), following in reversed(list(zip(plan, later))):
+                texts[dim] += ", None" * (following - axis - 1)
+            return f"[{'None, ' * (ordered[0] - start)}{', '.join(texts)}]"
+        text = f"[{', '.join(texts)}]"
+        if any(reversed_):
+            text += _subscript_of(["::-1" if backwards else ":" for backwards in reversed_])
+        if order != ordered:
+            text += f".transpose({', '.join(str(order.index(axis)) for axis in ordered)})"
+        axes = [":" if axis in order else "None" for axis in range(start, len(nest))]
+        return text + (_subscript_of(axes) if "None" in axes else "")
 
-    def _parameter_values(self) -> str:
-        """The array map's parameter as the vector of its values, bound on first use."""
-        param, rng = self._array_map.params[0], self._array_map.ranges[0]
-        if not self._values_bound:
-            self.writer.emit(f"{param} = np.arange({self._span(rng, ', ')})")
-            self._values_bound = True
+    def _grid(self, param: str) -> str:
+        """A nest parameter as its values along its axis — ``np.arange(…)``
+        followed by a new axis for each later parameter — bound on first use."""
+        params = [name for name, _ in self._nest]
+        axis = params.index(param)
+        later = len(params) - 1 - axis
+        if self._grids.get(param) != later:
+            axes = f"[:{', None' * later}]" if later else ""
+            self.writer.emit(f"{param} = np.arange({self._span(self._nest[axis][1], ', ')}){axes}")
+            self._grids[param] = later
         return param
+
+    def _scalar(self, name: str) -> str:
+        """A scalar read inside an array nest: a private bound to moving values
+        fewer parameters in gets a new axis for each parameter more."""
+        bound = self._carried.get(name) if self._nest is not None else None
+        if bound is None or bound == len(self._nest):
+            return name
+        return f"{name}[..., {', '.join(['None'] * (len(self._nest) - bound))}]"
 
     # -- maps --------------------------------------------------------------------------
     def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:
         if vectorized:
-            self._values_bound = False
             emit_members()
+            self._grids = {}  # a nested map may have bound them with other axes, or not at all
             return
         loops = [
             f"for {param} in range({self._span(rng, ', ')})"

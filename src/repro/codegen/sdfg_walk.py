@@ -14,26 +14,36 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   where they are used (§6.3);
 * which container a write lands in and which writes are no-ops;
 * whether a map is emitted as array operations, as a parallel loop or as
-  a sequential loop nest.  A map *is* an array expression: every
-  single-parameter map without a nested scope is classified once
-  (:meth:`SDFGWalker._array_form`) as ``elementwise``, ``updates in
-  place`` or ``reduces in order`` — or refused under a name
-  (:class:`ArrayForm`), counted per compile as
-  ``codegen.<backend>.array_maps`` (and ``.array_maps.<kind>``) /
-  ``.loop_maps`` (and ``.refused.<name>``).  A transient scalar private to
-  the map's iterations (:func:`~repro.sdfg.analysis.private_scalars`) is
-  one value per iteration there: the vector of them.
-  An emitter that has array operations (:attr:`SDFGWalker.array_maps`)
-  emits every classified map that would otherwise be a sequential loop in
-  **operation order** — each tasklet over all iterations before the next
-  — under every pipeline; a parallel-scheduled map keeps its fork/join
-  and the maps inside it take the array form.  The verdict guarantees
-  that no element sees its floating-point operations in another order: a
-  store is injective in the parameter, a container written in the scope
-  is accessed there at one element per iteration, and an update of an
-  element that does not move adds (multiplies) left to right starting
-  from that element.  An emitter without array operations annotates what
-  ``Vectorization`` (or the ``vectorize`` flag) marked and
+  a sequential loop nest.  A map nest *is* an array expression: the nest
+  an outermost sequential map roots — every map inside it, a
+  multi-parameter map being a nest of one — is classified once
+  (:meth:`SDFGWalker._array_form`) over its tuple of parameters, outermost
+  first.  Accepted, each innermost map in it is ``elementwise``,
+  ``updates in place`` or ``reduces in order`` (:class:`ArrayForm`),
+  counted per compile as ``codegen.<backend>.array_maps`` (and
+  ``.array_maps.<kind>``), the nest as ``codegen.<backend>_nests.array_nests``
+  (and ``.array_nests.depth_<d>``, *d* parameters deep).  Refused under a
+  name, the root stays a loop — counted as ``.loop_maps`` (and
+  ``.refused.<name>``) if no map is nested in it, as
+  ``codegen.<backend>_nests.nest_refused.<name>`` if it has more than one
+  parameter — and each map nested in it is the root of a nest of its own:
+  a range that names an outer parameter (``triangular``) or a
+  parallel-scheduled map cuts the nest there.  A transient scalar private
+  to the iterations (:func:`~repro.sdfg.analysis.private_scalars`) is one
+  value per iteration of the maps around the tasklet binding it: the array
+  of them.  An emitter that has array operations
+  (:attr:`SDFGWalker.array_maps`) emits every accepted nest that would
+  otherwise be sequential loops in **operation order** — each member over
+  all iterations of the parameters around it before the next — under every
+  pipeline; a parallel-scheduled map keeps its fork/join and the nests
+  inside it take the array form.  The verdict guarantees that no element
+  sees its floating-point operations in another order: a store is
+  injective in the parameters around it, two accesses of a container
+  written in the nest reach one element only in one iteration of the maps
+  around both, and an update of an element that does not move with some
+  parameters adds (multiplies) along them in nest order, left to right
+  starting from that element.  An emitter without array operations
+  annotates what ``Vectorization`` (or the ``vectorize`` flag) marked and
   :func:`vectorizable_map` accepts;
 * which WCR writes are reductions over a sequential map.  An update whose
   target element does not move with the map (``C[i, j] += …`` under
@@ -70,12 +80,15 @@ below.  Hooks are ordinary methods: the walk is on the cold-compile path.
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from contextlib import nullcontext
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..perf import PERF
-from ..symbolic import Expr, Integer, Subset, Symbol
+from ..symbolic import Expr, Integer, Range, Subset, Symbol
+from ..symbolic.expr import And
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
 from ..sdfg.analysis import lazy_liveness, private_scalars
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
@@ -148,16 +161,40 @@ _ARRAY_DTYPES = frozenset({"float64", "int64"})
 
 
 class ArrayForm(NamedTuple):
-    """Verdict of :meth:`SDFGWalker._array_form` on one innermost map.
+    """Verdict of :meth:`SDFGWalker._array_form` on one map nest.
 
-    ``kind`` is one of :data:`ARRAY_KINDS` — every write a store to the
-    iteration's own element; some element read or updated where it is
-    stored; a ``+``/``*`` update of an element that does not move — or
-    ``None``, and then ``reason`` names why the map stays a loop.
+    Accepted, ``kinds`` holds one of :data:`ARRAY_KINDS` per innermost map
+    of the nest, in program order — every write a store to the iteration's
+    own element; some element read or updated where it is stored; a
+    ``+``/``*`` update of an element that does not move with some
+    parameter — and ``reason`` is ``None``; refused, ``reason`` names why
+    the nest stays loops.  ``depth`` is the number of parameters around the
+    deepest member; ``carried`` maps each private scalar bound to a value
+    that moves to the number of parameters around the tasklet binding it.
     """
 
-    kind: Optional[str]
+    kinds: Tuple[str, ...] = ()
     reason: Optional[str] = None
+    depth: int = 1
+    carried: Optional[Dict[str, int]] = None
+
+
+class _Member(NamedTuple):
+    """A node of a map nest, with the maps around it and their ``(parameter,
+    range)`` pairs, outermost first."""
+
+    node: object
+    maps: Tuple[MapEntry, ...]
+    axes: Tuple[Tuple[str, Range], ...]
+
+
+class _Access(NamedTuple):
+    """One access of a container by the member ``maps`` encloses."""
+
+    subset: Optional[Subset]
+    maps: Tuple[MapEntry, ...]
+    write: bool
+    fold: bool
 
 
 @lru_cache(maxsize=4096)  # the same few indices, asked about once per access
@@ -171,8 +208,61 @@ def affine_in(index: Expr, param: str, otherwise=None) -> Optional[Tuple[int, Ex
     return otherwise
 
 
-def _names(subset: Optional[Subset]) -> Set[str]:
-    return set() if subset is None else {symbol.name for symbol in subset.free_symbols()}
+def _names(expression) -> Set[str]:
+    """The names of the free symbols of an expression, range or subset."""
+    return set() if expression is None else {symbol.name for symbol in expression.free_symbols()}
+
+
+def _determined(indices, params: Set[str]) -> Set[str]:
+    """The parameters of ``params`` whose values ``indices`` pin down.
+
+    An index ``a * p + b`` with a literal ``a != 0`` pins ``p`` once every
+    parameter ``b`` names is pinned; equal indices then mean equal ``p``.
+    """
+    known: Set[str] = set()
+    progress = True
+    while progress:
+        progress = False
+        for index in indices:
+            free = _names(index) & params - known
+            if len(free) != 1:
+                continue
+            (param,) = free
+            form = affine_in(index, param)
+            if form is not None and form[0] and not _names(form[1]) & params - known:
+                known.add(param)
+                progress = True
+    return known
+
+
+def sliced_dims(indices, axes) -> Optional[List[Tuple[int, int, int, Expr]]]:
+    """``(dim, axis, slope, offset)`` of each index that moves with a nest
+    parameter, when every such index is a slice along one axis: ``slope *
+    p + offset`` with a literal ``slope`` (negative only under a unit
+    step), ``offset`` free of the parameters, each parameter in one index
+    and its step a literal.  ``None`` when some index needs the values of
+    the parameters instead.  ``axes`` are the ``(parameter, range)`` pairs
+    of the nest, outermost first.
+    """
+    params = [param for param, _ in axes]
+    plan, seen = [], set()
+    for dim, index in enumerate(indices):
+        moving = _names(index).intersection(params)
+        if not moving:
+            continue
+        if len(moving) > 1:
+            return None
+        (param,) = moving
+        axis = params.index(param)
+        step = axes[axis][1].step
+        form = affine_in(index, param)
+        if axis in seen or form is None or not form[0] or not isinstance(step, Integer) or (
+            form[0] < 0 and step != 1
+        ) or _names(form[1]).intersection(params):
+            return None
+        seen.add(axis)
+        plan.append((dim, axis) + form)
+    return plan
 
 
 #: In-place operator of each WCR the update statement spells directly
@@ -246,8 +336,12 @@ class SDFGWalker:
         self._in_parallel = False
         #: ``id()`` of each classified map entry → its verdict.
         self._array_forms: Dict[int, ArrayForm] = {}
-        #: The map whose members are being emitted as array operations.
-        self._array_map = None
+        #: While a nest is emitted as array operations: the ``(parameter,
+        #: range)`` pairs around the member being emitted, outermost first —
+        #: axis *n* of every operand is parameter *n* — and the nest's
+        #: :attr:`ArrayForm.carried`.
+        self._nest: Optional[Tuple[Tuple[str, Range], ...]] = None
+        self._carried: Dict[str, int] = {}
         #: Liveness of the SDFG's containers, computed when a map first asks.
         self._liveness = lazy_liveness(sdfg)
         self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
@@ -350,9 +444,10 @@ class SDFGWalker:
         """Open the scope's loops (or vector/parallel form) around ``emit_members()``.
 
         ``vectorized`` asks for the emitter's vector form: array operations
-        (while ``emit_members()`` runs, ``self._array_map`` is the map and
-        reads, write targets and expressions range over its parameter)
-        where :attr:`array_maps` holds, else the annotated loop.
+        (while ``emit_members()`` runs, ``self._nest`` holds the parameters
+        around each member and reads, write targets and expressions range
+        over them; a map nested in the nest is entered the same way) where
+        :attr:`array_maps` holds, else the annotated loop.
         """
         raise NotImplementedError
 
@@ -361,9 +456,12 @@ class SDFGWalker:
         the emitter cannot spell over arrays keeps its map a loop."""
         raise NotImplementedError
 
-    def emit_reduction(self, target: str, wcr: str, values) -> None:
-        """With :attr:`array_maps`: fold the vector ``values`` into ``target``
-        by ``wcr``, left to right starting from ``target``."""
+    def emit_reduction(self, target: str, wcr: str, values, folded: Tuple[int, ...],
+                       element: Optional[Tuple[str, Subset]]) -> None:
+        """With :attr:`array_maps`: fold ``values`` into ``target`` by
+        ``wcr`` along the nest axes ``folded`` — in nest order, left to right
+        starting from ``target``.  ``element`` is ``(data, subset)`` of a
+        target that moves with the other axes, ``None`` for one element."""
         raise NotImplementedError
 
     # -- the program -------------------------------------------------------------------
@@ -494,11 +592,13 @@ class SDFGWalker:
         self._emit_lazy_allocations(state)
         self._index_updates(state)
         scope = state.scope_dict()
-        order = state.program_order()
+        # Each scope's own nodes in program order; top-level ones under ``None``.
+        owned: Dict[Optional[MapEntry], List] = {}
+        for node in state.program_order():
+            owned.setdefault(scope.get(node), []).append(node)
         value_names: Dict[Tuple[int, Optional[str]], object] = {}
-        for node in order:
-            if scope.get(node) is None:  # others are emitted as part of their map scope
-                self._emit_node(state, node, scope, order, value_names)
+        for node in owned.get(None, ()):
+            self._emit_node(state, node, scope, owned, value_names)
 
     def _index_updates(self, state: SDFGState) -> None:
         """What :meth:`_accumulators` asks of a state, gathered in one pass:
@@ -546,12 +646,12 @@ class SDFGWalker:
                 self._allocated_persistent.add(name)
                 self._count_allocation(f"allocation of {name} on this path")
 
-    def _emit_node(self, state, node, scope, order, value_names,
+    def _emit_node(self, state, node, scope, owned, value_names,
                    vectorized: bool = False) -> None:
         if isinstance(node, Tasklet):
             self._emit_tasklet(state, node, value_names, vectorized)
         elif isinstance(node, MapEntry):
-            self._emit_map(state, node, scope, order, value_names)
+            self._emit_map(state, node, scope, owned, value_names)
         elif isinstance(node, AccessNode):
             for edge in state.in_edges(node):
                 if isinstance(edge.src, AccessNode) and not edge.data.is_empty:
@@ -622,8 +722,7 @@ class SDFGWalker:
         else:
             return
         descriptor = self.sdfg.arrays[data]
-        array_map = self._array_map
-        moves = False
+        subset = None
         if id(edge) in self._accumulated:
             target = self._accumulated[id(edge)]
         elif isinstance(descriptor, Scalar):
@@ -637,21 +736,28 @@ class SDFGWalker:
             memlet.dynamic and self._covers_whole(descriptor, memlet.subset)
         ):
             target = self.write_target(data, descriptor, memlet.subset)
-            moves = array_map is not None and array_map.params[0] in _names(memlet.subset)
+            subset = memlet.subset
         else:
             return
-        if array_map is not None and memlet.wcr is not None and not moves:
-            self.emit_reduction(target, memlet.wcr, value)
-        else:
-            self.emit_update(
-                target, descriptor, memlet.wcr, value, atomic=id(edge) in self._atomic_edges
+        if self._nest is not None and memlet.wcr is not None:
+            moving = _names(subset)
+            folded = tuple(
+                axis for axis, (param, _) in enumerate(self._nest) if param not in moving
             )
+            if folded:
+                element = (data, subset) if len(folded) < len(self._nest) else None
+                self.emit_reduction(target, memlet.wcr, value, folded, element)
+                return
+        self.emit_update(
+            target, descriptor, memlet.wcr, value, atomic=id(edge) in self._atomic_edges
+        )
 
-    def _emit_map(self, state, entry: MapEntry, scope, order, value_names) -> None:
+    def _emit_map(self, state, entry: MapEntry, scope, owned, value_names) -> None:
         exit_node = state.exit_node(entry)
-        members = [
-            node for node in order if scope.get(node) is entry and node is not exit_node
-        ]
+        members = [node for node in owned.get(entry, ()) if node is not exit_node]
+        if self._nest is not None:  # inside an array nest: the members over more axes
+            self._emit_nested(state, entry, members, scope, owned, value_names)
+            return
         # Without array operations the annotation is honoured, and wins.
         annotated = (
             not self.array_maps
@@ -665,19 +771,19 @@ class SDFGWalker:
         guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
         for name, _, _, edges in accumulators:
             self._accumulated.update((id(edge), name) for edge in edges)
-        as_array = (
-            self.array_maps
-            and not any(isinstance(node, MapEntry) for node in members)
-            and self._array_form(state, entry, members, parallel).kind is not None
+        form = (
+            self._array_form(state, entry, members, owned, parallel)
+            if self.array_maps else None
         )
-        first = entry.map.ranges[0]
-        if as_array and guard is None and first.is_empty() is not False:
+        as_array = form is not None and form.reason is None
+        if as_array:
             # An empty range may have a negative end: not what a slice means by it.
-            guard = first.start.lt(first.end)
+            nonempty = self._nonempty(entry.map.ranges)
+            guard = guard if nonempty is None else nonempty
 
         def emit_members() -> None:
             for node in members:
-                self._emit_node(state, node, scope, order, value_names, annotated)
+                self._emit_node(state, node, scope, owned, value_names, annotated)
 
         outside = self._in_parallel
         self._in_parallel = outside or parallel is not None
@@ -688,90 +794,200 @@ class SDFGWalker:
                 self.bind_value(name, self.read(data, Memlet(data=data, subset=subset)))
                 for name, data, subset, _ in accumulators
             ]
-            self._array_map = entry.map if as_array else None  # innermost: none around it
+            if as_array:
+                self._nest = tuple(zip(entry.map.params, entry.map.ranges))
+                self._carried = form.carried
             self.emit_map(entry, emit_members, annotated or as_array, parallel)
-            self._array_map = None
+            self._nest = None
             for (_, data, subset, _), local in zip(accumulators, bound):
                 descriptor = self.sdfg.arrays[data]
                 target = self.write_target(data, descriptor, subset)
                 self.emit_update(target, descriptor, None, local)
         self._in_parallel = outside
 
-    def _array_form(self, state, entry: MapEntry, members,
+    def _emit_nested(self, state, entry: MapEntry, members, scope, owned, value_names) -> None:
+        """A map inside an array nest: its members take the form over the
+        nest's parameters and its own, under the guard of a range that may
+        be empty."""
+        outer = self._nest
+        self._nest = outer + tuple(zip(entry.map.params, entry.map.ranges))
+        guard = self._nonempty(entry.map.ranges)
+
+        def emit_members() -> None:
+            for node in members:
+                self._emit_node(state, node, scope, owned, value_names)
+
+        with nullcontext() if guard is None else self.writer.block(
+            self.if_header.format(self.expr(guard))
+        ):
+            self.emit_map(entry, emit_members, True, None)
+        self._nest = outer
+
+    @staticmethod
+    def _nonempty(ranges) -> Optional[Expr]:
+        """``lo < hi`` of every range that may be empty, joined; ``None`` if none may."""
+        bounds = [rng.start.lt(rng.end) for rng in ranges if rng.is_empty() is not False]
+        return And.make(*bounds) if bounds else None
+
+    def _array_form(self, state, entry: MapEntry, members, owned,
                     parallel: Optional[ParallelismInfo]) -> ArrayForm:
-        """The verdict on one map without a nested scope, reached and counted once."""
+        """The verdict on the nest ``entry`` roots, reached and counted once.
+
+        Each innermost map of an accepted nest counts as an array map of its
+        kind, the nest under ``array_nests`` and its depth.  A refused map
+        without a nested one counts as a loop map under the refusal's name;
+        a refused nest of more than one parameter under ``nest_refused``.
+        """
         form = self._array_forms.get(id(entry))
         if form is None:
             if parallel is not None:
-                form = ArrayForm(None, "parallel_schedule")
+                form = ArrayForm(reason="parallel_schedule")
             else:
-                form = self._classify(state, entry, members)
+                form = self._classify(state, entry, owned)
             self._array_forms[id(entry)] = form
             prefix = f"codegen.{self.backend.lower()}"
-            if form.kind is not None:
-                PERF.increment(f"{prefix}.array_maps")
-                PERF.increment(f"{prefix}.array_maps.{form.kind.replace(' ', '_')}")
+            nests = f"{prefix}_nests"
+            nested = any(isinstance(node, MapEntry) for node in members)
+            if form.reason is None:
+                for kind in form.kinds:
+                    PERF.increment(f"{prefix}.array_maps")
+                    PERF.increment(f"{prefix}.array_maps.{kind.replace(' ', '_')}")
+                PERF.increment(f"{nests}.array_nests")
+                PERF.increment(f"{nests}.array_nests.depth_{form.depth}")
             else:
-                PERF.increment(f"{prefix}.loop_maps")
-                PERF.increment(f"{prefix}.refused.{form.reason}")
+                if not nested:
+                    PERF.increment(f"{prefix}.loop_maps")
+                    PERF.increment(f"{prefix}.refused.{form.reason}")
+                if nested or len(entry.map.params) > 1:
+                    PERF.increment(f"{nests}.nest_refused.{form.reason}")
         return form
 
-    def _classify(self, state, entry: MapEntry, members) -> ArrayForm:
-        """What the map is as an array expression over its parameter's values.
+    @staticmethod
+    def _nest_members(state, root: MapEntry, owned):
+        """``(members, innermost maps, depth, refusal)`` of the nest ``root``
+        roots: every node in it that is not a map, in operation order — each
+        map's own nodes in program order, a nested map's in its place — and
+        the maps without a nested one.  A map whose range names a parameter
+        around it (a triangular bound) or that is parallel-scheduled cuts
+        the nest: the refusal names it."""
+        members: List[_Member] = []
+        innermost: List[MapEntry] = []
+        depth = 0
 
-        Operation order — each tasklet over all iterations, then the next —
-        must give every element the operations the loop gives it, in the
-        loop's order.  So every write lands on an ``Array`` element through
-        a point memlet (no dynamic, range or ``min``/``max`` memlet), a
-        store's index is injective in the parameter, a container written in
-        the scope is accessed there at one and the same element per
-        iteration, and a ``+``/``*`` update of an element that does not move
-        is the scope's only access to its container and is fed a value that
-        does move.  Element types are those whose vector arithmetic is the
+        def walk(entry: MapEntry, maps, axes) -> Optional[str]:
+            nonlocal depth
+            for param, rng in zip(entry.map.params, entry.map.ranges):
+                if _names(rng).intersection(name for name, _ in axes):
+                    return "triangular"
+                axes += ((param, rng),)
+            maps += (entry,)
+            depth = max(depth, len(axes))
+            exit_node = state.exit_node(entry)
+            nested = False
+            for node in owned.get(entry, ()):
+                if node is exit_node:
+                    continue
+                if not isinstance(node, MapEntry):
+                    members.append(_Member(node, maps, axes))
+                    continue
+                nested = True
+                reason = "parallel_schedule" if node.map.schedule == SCHEDULE_PARALLEL \
+                    else walk(node, maps, axes)
+                if reason is not None:
+                    return reason
+            if not nested:
+                innermost.append(entry)
+            return None
+
+        reason = walk(root, (), ())
+        return members, innermost, depth, reason
+
+    def _classify(self, state, root: MapEntry, owned) -> ArrayForm:
+        """What the nest ``root`` roots is as an array expression over its
+        parameters' values.
+
+        Operation order — each member over all iterations of the parameters
+        around it, then the next member — must give every element the
+        operations the loops give it, in the loops' order.  So every write
+        lands on an ``Array`` element through a point memlet (no dynamic,
+        range or ``min``/``max`` memlet); a store's index is injective in the
+        parameters around it (:func:`_determined`); two accesses of a
+        container written in the nest, one of them a write, reach one
+        element only in one iteration of the maps around both (they index
+        it alike in dimensions that pin those parameters), so no iteration
+        sees what another one left; and a ``+``/``*`` update of an element
+        that does not move with some parameters is fed a value that moves
+        with all of them and folds over those parameters in nest order —
+        no other access of its container in an iteration of the maps around
+        both.  Element types are those whose vector arithmetic is the
         scalar one (``float64``, ``int64``), an update stores what a local
         would hold (:meth:`_update_keeps_type`), and each tasklet is one
         expression the emitter can spell over arrays.  A scalar private to
         the iterations is stored and read like a temporary: it holds the
-        vector of their values when what binds it moves.  A copy or a bare
-        read binding it is a view of what it reads, so a map that also
-        writes that container stays a loop (``aliased_value``), as one that
-        updates the private does (``scalar_store``).
+        array of their values when what binds it moves.  A copy or a bare
+        read binding it is a view of what it reads, so a nest that writes
+        that container at or after the binding stays loops
+        (``aliased_value``), as one that updates the private, or binds it
+        inside a nested map, does (``scalar_store``).
         """
-        if len(entry.map.params) != 1:
-            return ArrayForm(None, "parameters")
-        param = entry.map.params[0]
+        members, innermost, depth, reason = self._nest_members(state, root, owned)
+
+        def refuse(reason: str) -> ArrayForm:
+            return ArrayForm(reason=reason, depth=depth)
+
+        if reason is not None:
+            return refuse(reason)
         arrays = self.sdfg.arrays
-        private = private_scalars(self.sdfg, state, members, self._liveness) if any(
+        nodes = [member.node for member in members]
+        private = private_scalars(self.sdfg, state, nodes, self._liveness) if any(
             isinstance(node, AccessNode) and isinstance(arrays[node.data], Scalar)
-            for node in members
+            for node in nodes
         ) else set()
-        reads: Dict[str, List[Optional[Subset]]] = {}
-        writes: Dict[str, List[Optional[Subset]]] = {}
-        reduced: Set[str] = set()
-        updated = False
-        moving: Set[int] = set()   # tasklets whose value moves with the parameter
-        carried: Set[str] = set()  # private scalars holding a value that moves
-        aliased: Set[str] = set()  # containers a temporary holds a view of
-        for node in members:
+        accesses: Dict[str, List[_Access]] = {}
+        reads: Dict[MapEntry, Set[str]] = defaultdict(set)  # per map, what its tasklets read
+        writes: Dict[MapEntry, Set[str]] = defaultdict(set)
+        reduced: Set[MapEntry] = set()
+        updated: Set[MapEntry] = set()
+        moving: Dict[int, Set[str]] = {}  # tasklet → the parameters its value moves with
+        # Private → the number of parameters around its binding, and those its value moves with.
+        carried: Dict[str, Tuple[int, Set[str]]] = {}
+        aliased: Dict[str, int] = {}  # container → first member binding a view of it
+        written: Dict[str, int] = {}  # container → last member writing it
+
+        def bound_value(data: str, depth: int) -> Optional[Set[str]]:
+            """What a read ``depth`` parameters deep of ``data`` moves with;
+            ``None`` for a private bound deeper in, whose last value the loops
+            would read."""
+            binding = carried.get(data, (0, set()))
+            return None if binding[0] > depth else binding[1]
+
+        def read(data: str, subset: Optional[Subset], maps) -> None:
+            accesses.setdefault(data, []).append(_Access(subset, maps, False, False))
+            reads[maps[-1]].add(data)
+
+        for position, (node, maps, axes) in enumerate(members):
+            params = {param for param, _ in axes}
             if isinstance(node, AccessNode):
                 for edge in state.in_edges(node):
                     source, memlet = edge.src, edge.data
-                    if memlet.is_empty or isinstance(source, Tasklet):
-                        continue
+                    if memlet.is_empty or isinstance(source, (Tasklet, MapExit)):
+                        continue  # a write, counted where the tasklet makes it
                     # A private bound by a copy is the slice the copy reads: a view.
                     if not isinstance(source, AccessNode) or node.data not in private \
                             or memlet.data != source.data:
-                        return ArrayForm(None, "copy")
+                        return refuse("copy")
                     reason = self._element_refusal(arrays[source.data], memlet) \
                         or self._element_refusal(arrays[node.data], memlet)
                     if reason is not None:
-                        return ArrayForm(None, reason)
+                        return refuse(reason)
                     subset = None if isinstance(arrays[source.data], Scalar) else memlet.subset
-                    reads.setdefault(source.data, []).append(subset)
+                    read(source.data, subset, maps)
                     if subset is not None:
-                        aliased.add(source.data)
-                    if param in _names(subset) or source.data in carried:
-                        carried.add(node.data)
+                        aliased.setdefault(source.data, position)
+                    values = bound_value(source.data, len(axes))
+                    if values is None:
+                        return refuse("crosses_iterations")
+                    carried[node.data] = (len(axes), _names(subset) & params | values)
                 continue
             if not isinstance(node, Tasklet):
                 continue
@@ -780,11 +996,11 @@ class SDFGWalker:
             if assignment is None or any(
                 edge.src_conn != assignment.target for edge in out_edges
             ):
-                return ArrayForm(None, "statements")
+                return refuse("statements")
             reason = self.array_refusal(assignment)
             if reason is not None:
-                return ArrayForm(None, reason)
-            moves = assignment.uses(param) > 0
+                return refuse(reason)
+            values = {param for param in params if assignment.uses(param)}
             # A result bound to a temporary that is nothing but a read is a view.
             view = isinstance(assignment.value, ast.Name) and (
                 len(out_edges) > 1 or any(
@@ -798,7 +1014,7 @@ class SDFGWalker:
                 if edge.dst_conn is None:
                     continue
                 if isinstance(edge.src, Tasklet):
-                    moves = moves or id(edge.src) in moving
+                    values |= moving.get(id(edge.src), set())
                     continue
                 if isinstance(edge.src, AccessNode):
                     data = edge.src.data
@@ -808,14 +1024,16 @@ class SDFGWalker:
                     data = memlet.data
                 reason = self._element_refusal(arrays[data], memlet)
                 if reason is not None:
-                    return ArrayForm(None, reason)
+                    return refuse(reason)
                 subset = None if isinstance(arrays[data], Scalar) else memlet.subset
-                reads.setdefault(data, []).append(subset)
-                moves = moves or param in _names(subset) or data in carried
+                read(data, subset, maps)
+                bound = bound_value(data, len(axes))
+                if bound is None:
+                    return refuse("crosses_iterations")
+                values |= _names(subset) & params | bound
                 if view and subset is not None:
-                    aliased.add(data)
-            if moves:
-                moving.add(id(node))
+                    aliased.setdefault(data, position)
+            moving[id(node)] = values
             for edge in out_edges:
                 memlet = edge.data
                 if not isinstance(edge.dst, (AccessNode, MapExit)):
@@ -826,41 +1044,91 @@ class SDFGWalker:
                 descriptor = arrays[data]
                 reason = self._element_refusal(descriptor, memlet)
                 if reason is not None:
-                    return ArrayForm(None, reason)
+                    return refuse(reason)
                 if data in private:
-                    # One value per iteration; updated in place, a view would write through.
-                    if memlet.wcr is not None:
-                        return ArrayForm(None, "scalar_store")
-                    if moves:
-                        carried.add(data)
+                    # One value per iteration; updated in place, a view would write
+                    # through; bound in a nested map, the last iteration's would be read.
+                    if memlet.wcr is not None or isinstance(edge.dst, MapExit):
+                        return refuse("scalar_store")
+                    carried[data] = (len(axes), values)
                     continue
                 if memlet.wcr not in UPDATE_OPERATORS:
-                    return ArrayForm(None, "min_max_update")
+                    return refuse("min_max_update")
                 if memlet.wcr is not None and not self._update_keeps_type(state, edge, descriptor):
-                    return ArrayForm(None, "rounding_update")
+                    return refuse("rounding_update")
                 scalar = isinstance(descriptor, Scalar)
-                if scalar or id(edge) in self._accumulated or param not in _names(memlet.subset):
+                bound = set() if scalar or id(edge) in self._accumulated \
+                    else _names(memlet.subset) & params
+                if bound != params:
                     if memlet.wcr is None:
-                        return ArrayForm(None, "scalar_store" if scalar else "not_injective")
-                    if not moves:
-                        return ArrayForm(None, "uniform_update")
-                    reduced.add(data)
-                elif not any(
-                    affine_in(index, param, (0, None))[0] for index in memlet.subset.indices()
-                ):
-                    return ArrayForm(None, "not_injective")  # no index of non-zero slope
-                updated = updated or memlet.wcr is not None
-                writes.setdefault(data, []).append(None if scalar else memlet.subset)
-        for data, subsets in writes.items():
-            accesses = subsets + reads.get(data, [])
-            if data in reduced and len(accesses) > 1:
-                return ArrayForm(None, "shared_accumulator")
-            if any(subset != accesses[0] for subset in accesses):
-                return ArrayForm(None, "crosses_iterations")
-            if data in aliased:
-                return ArrayForm(None, "aliased_value")
-        in_place = updated or any(data in reads for data in writes)
-        return ArrayForm(ARRAY_KINDS[2 if reduced else 1 if in_place else 0])
+                        return refuse("scalar_store" if scalar else "not_injective")
+                    if values != params:
+                        return refuse("uniform_update")
+                    if bound and not self._fold_target(memlet.subset, axes, bound):
+                        return refuse("fold_target")
+                    reduced.add(maps[-1])
+                if bound and _determined(memlet.subset.indices(), bound) != bound:
+                    return refuse("not_injective")
+                if memlet.wcr is not None:
+                    updated.add(maps[-1])
+                accesses.setdefault(data, []).append(_Access(
+                    None if scalar else memlet.subset, maps, True, bound != params
+                ))
+                writes[maps[-1]].add(data)
+                written[data] = position
+        nest = {param for *_, axes in members for param, _ in axes}
+        for data, entries in accesses.items():
+            if not any(access.write for access in entries):
+                continue
+            for first, second in combinations(entries, 2):
+                if (first.write or second.write) and not self._one_iteration(first, second, nest):
+                    return refuse(
+                        "shared_accumulator" if first.fold or second.fold else "crosses_iterations"
+                    )
+            if written.get(data, -1) >= aliased.get(data, len(members)):
+                return refuse("aliased_value")
+        kinds = tuple(
+            ARRAY_KINDS[
+                2 if entry in reduced else 1 if entry in updated or reads[entry] & writes[entry] else 0
+            ]
+            for entry in innermost
+        )
+        return ArrayForm(kinds, depth=depth,
+                         carried={name: bound for name, (bound, moves) in carried.items() if moves})
+
+    @staticmethod
+    def _one_iteration(first: _Access, second: _Access, nest: Set[str]) -> bool:
+        """Whether the two accesses reach one element only in one iteration of
+        the maps around both.  In one map, neither a fold, they access one
+        and the same element; across maps, the indices they share over the
+        parameters of the maps around both pin every one of them
+        (:func:`_determined`)."""
+        if first.maps == second.maps and not (first.fold or second.fold):
+            return first.subset == second.subset
+        common = 0
+        for outer, inner in zip(first.maps, second.maps):
+            if outer is not inner:
+                break
+            common += 1
+        shared = {param for entry in first.maps[:common] for param in entry.map.params}
+        if first.subset is None or second.subset is None:
+            return not shared
+        pinning = [
+            index for index, other in zip(first.subset.indices(), second.subset.indices())
+            if index == other and _names(index) & nest <= shared
+        ]
+        return _determined(pinning, shared) == shared
+
+    @staticmethod
+    def _fold_target(subset: Subset, axes, bound: Set[str]) -> bool:
+        """Whether an element that moves with the parameters ``bound`` but not
+        with all of ``axes`` is a slice along each of them in nest order —
+        the layout a fold along the others keeps."""
+        plan = sliced_dims(subset.indices(), axes)
+        order = [axis for _, axis, _, _ in plan or ()]
+        return plan is not None and order == sorted(order) and all(
+            slope > 0 for *_, slope, _ in plan
+        )
 
     @staticmethod
     def _element_refusal(descriptor, memlet) -> Optional[str]:

@@ -5,9 +5,10 @@ map is read once before the loop nest, updated in a local and written once
 after it (``codegen/sdfg_walk.py``, :meth:`SDFGWalker._accumulators`).  The
 operations, their order and their type are unchanged, so every comparison
 here is exact (``==``), on hand-built SDFGs and through both frontends, on
-both backends.  Interpreted, the innermost map of the nest is an array
-expression: the local is updated by ``np.add.accumulate`` over the
-iterations' values, which adds them in the loop's order.
+both backends.  Interpreted, the whole nest is an array expression: the
+local is updated by ``np.add.accumulate`` over the iterations' values in
+nest order, and a target that moves with some of the nest's parameters
+folds along the axes of the others — the loops' order either way.
 """
 
 import json
@@ -209,8 +210,11 @@ class TestWhereItIsBound:
     def test_invariant_in_the_whole_nest_binds_outermost(self):
         sdfg = self._cube("1")
         python, c = _texts(sdfg)
-        assert "    _acc0 = T[1]\n    for i in range(0, 3):\n" in python
-        assert "            " + _fold("_acc0", "A[i, j, 0:5]") + "    T[1] = _acc0\n" in python
+        # Interpreted, the nest is one expression: its values in nest order.
+        assert (
+            "    _acc0 = T[1]\n    " + _fold("_acc0", "np.ravel(A[0:3, 0:4, 0:5])")
+            + "    T[1] = _acc0\n"
+        ) in python
         assert python.count("_acc0 = T[") == 1 and c.count("double _acc0") == 1
         values = np.random.default_rng(3).standard_normal((3, 4, 5))
         for output in _run_both(sdfg, A=values, T=np.ones(4)):
@@ -218,14 +222,11 @@ class TestWhereItIsBound:
 
     def test_index_naming_an_inner_parameter_binds_one_level_in(self):
         # T[j] moves with the middle map: refused at i and at j, bound at k.
+        # Interpreted, the nest is one expression folding along i and k.
         sdfg = self._cube("j")
         python, c = _texts(sdfg)
-        assert (
-            "    for i in range(0, 3):\n"
-            "        for j in range(0, 4):\n"
-            "            _acc0 = T[j]\n"
-            "            " + _fold("_acc0", "A[i, j, 0:5]") +
-            "            T[j] = _acc0\n"
+        assert "_acc" not in python and (
+            "np.transpose(A[0:3, 0:4, 0:5], (1, 0, 2)).reshape(T[0:4].shape + (-1,))"
         ) in python
         assert re.search(r"for \(int64_t j = .*\{\n\s+double _acc0 = T\[", c)
         values = np.random.default_rng(4).standard_normal((3, 4, 5))
@@ -421,7 +422,11 @@ class TestParallelMapsKeepTheirPaths:
 
     def test_the_same_map_emitted_sequentially_accumulates(self):
         python, c = _texts(self._rows(parallel=False))
-        assert "if 0 < K:\n            _acc0 = C[i]" in python
+        # Interpreted, the nest folds along k: the local is the array's own axis.
+        assert (
+            "    if 0 < N:\n        if 0 < K:\n            C[0:N, None] = np.add.accumulate("
+            "np.concatenate((C[0:N, None], A[0:N, 0:K]), axis=1), axis=1)[:, -1:]\n"
+        ) in python
         assert "double _acc0 = C[(int64_t)(i)];" in c
 
     def test_atomic_update_stays_atomic(self):
@@ -521,8 +526,11 @@ class TestThroughTheFrontends:
         generated = generate_program(
             self.C_SOURCE, get_pipeline("dcir").with_codegen(backend="native")
         )
-        # rows[i] *= … and total[0] += … under j, hits[0] += … over its nest.
-        assert len(re.findall(r"^\s+_acc\d+ = \w+\[", generated.code, re.M)) == 3
+        # total[0] += … and hits[0] += … over their nests; interpreted,
+        # rows[i] *= … folds along j in the nest it shares with rows[i] = 1.0.
+        assert len(re.findall(r"^\s+_acc\d+ = \w+\[", generated.code, re.M)) == 2
+        assert re.search(r"^\s+_arr_\d+\[0:7, None\] = np\.multiply\.accumulate\(",
+                         generated.code, re.M)
         assert "int64_t _acc" in generated.native_code
         assert "double _acc" in generated.native_code
         assert compile_c(self.C_SOURCE, generated.spec).run()["__return"] == reference
@@ -551,13 +559,20 @@ class TestCounted:
                 else get_kernel(name, entry["medium"])
             )
             code = generate_program(source, "dcir").code
-            sites[name] = len(re.findall(r"^\s+_acc\d+ = \w+\[", code, re.M))
+            # In a local, or — interpreted, in an array nest — along the axes
+            # of the nest the target does not move with.
+            sites[name] = len(re.findall(r"^\s+_acc\d+ = \w+\[", code, re.M)) + len(
+                re.findall(r"^\s+\w+\[[^\n]*\] = np\.(add|multiply)\.accumulate\("
+                           r"np\.concatenate\(\(\w+\[", code, re.M)
+            )
         assert sum(sites.values()) >= 49, sites
         assert all(sites.values()), sites  # every program has at least its checksum
 
     def test_2mm_reductions_leave_no_subscripted_update(self):
         code = generate_program(get_kernel("2mm"), "dcir").code
         # All three `+=` are reductions; the one `*=` moves with its map.
+        # The checksum folds into a local, the two products along their k axis.
         assert not re.search(r"^\s+_arr_\d+\[[^\]]*\] \+= ", code, re.M)
         assert len(re.findall(r"^\s+_arr_\d+\[[^\]]*\] \*= ", code, re.M)) == 1
-        assert len(re.findall(r"^\s+_acc\d+ = np\.add\.accumulate\(", code, re.M)) == 3
+        assert len(re.findall(r"^\s+_acc\d+ = np\.add\.accumulate\(", code, re.M)) == 1
+        assert len(re.findall(r"^\s+_arr_\d+\[[^\]]*\] = np\.add\.accumulate\(", code, re.M)) == 2

@@ -1,12 +1,12 @@
 """A map is an array expression — and where it is not, it stays a loop.
 
-The interpreted emitter writes every innermost map the walker classifies
-(``codegen/sdfg_walk.py``, :meth:`SDFGWalker._array_form`) as NumPy slice
-operations in operation order.  Each hazard below is a map whose array
-reading could differ from its loop: it is built by hand (or compiled from C
-or traced Python), its text is checked for the form it must take, and its
-outputs are compared bit for bit (``float.hex``) with a scalar reference that
-executes the tasklets one iteration at a time.
+The interpreted emitter writes every map nest the walker classifies
+(``codegen/sdfg_walk.py``, :meth:`SDFGWalker._array_form`) as n-d NumPy
+operations in operation order.  Each hazard below is a map or a nest whose
+array reading could differ from its loops: it is built by hand (or compiled
+from C or traced Python), its text is checked for the form it must take, and
+its outputs are compared bit for bit (``float.hex``) with a scalar reference
+that executes the tasklets one iteration at a time.
 
 The last two classes pin what must not move: ``__return`` of the benchmark's
 programs as the parent commit computed it (``tests/data/array_map_returns.json``),
@@ -15,6 +15,7 @@ and the two tables the spelling comes from — NumPy's and C's.
 
 import ast
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import compile_and_run, compile_c, generate_program, program
+from repro import compile_and_run, compile_c, generate_program, get_pipeline, program
 from repro.codegen.sdfg_c import _HELPERS, CEmitter, NativeCodegenError
 from repro.codegen.sdfg_python import NUMPY, CompiledSDFG, Refused, generate_code
 from repro.codegen.sdfg_walk import ARRAY_KINDS, affine_in
@@ -305,16 +306,6 @@ class TestWritesThatMustStayLoops:
         output = _run(sdfg, {"A": values, "B": np.zeros(16)})
         _same_bits(output, {"A": np.zeros(16), "B": values})
 
-    def test_two_parameters(self):
-        sdfg = SDFG("plane")
-        sdfg.add_array("M", [4, 4], "float64")
-        state = sdfg.add_state("s0", is_start_state=True)
-        state.add_mapped_tasklet("t", {"i": Range(0, 4), "j": Range(0, 4)}, {},
-                                 "_out = i * 4.0 + j", {"_out": Memlet.simple("M", "i, j")})
-        before = PERF.snapshot()
-        generate_code(sdfg)
-        assert _counted(before) == {"loop_maps": 1, "refused.parameters": 1}
-
 
 class TestElementTypes:
     @pytest.mark.parametrize("dtype", ["float32", "int32"])
@@ -448,6 +439,313 @@ class TestInsideAParallelMap:
         code = generate_code(sdfg)
         assert "_repro_chunks(0, 16, 1," in code and "for i in range(_plow, _phigh):" in code
         assert _counted(before) == {"loop_maps": 1, "refused.parallel_schedule": 1}
+
+
+# -- whole nests -----------------------------------------------------------------------------
+
+
+def _nest_sdfg(arrays, tree, symbols=(), private=()):
+    """A nest of maps built from ``tree``: ``({param: range}, [member, …])``,
+    where a member is a nested tree or a tasklet as in :func:`_map_sdfg`.
+
+    A container named in ``private`` is a transient scalar: a tasklet writes
+    it into the scope the tasklet sits in, and tasklets of that scope or of
+    maps nested in it read it there.
+    """
+    sdfg = SDFG("nest")
+    for symbol in symbols:
+        sdfg.add_symbol(symbol)
+    for name, (shape, dtype) in arrays.items():
+        sdfg.add_array(name, shape, dtype)
+    for name in private:
+        sdfg.add_scalar(name, "float64", transient=True)
+    state = sdfg.add_state("s0", is_start_state=True)
+    outside, bound, entered, left = {}, {}, set(), set()
+
+    def build(tree, scopes):
+        dims, members = tree
+        entry, exit_node = state.add_map("m", list(dims), list(dims.values()))
+        if scopes:
+            state.add_nedge(scopes[-1][0], entry)
+        scopes = scopes + [(entry, exit_node)]
+        for member in members:
+            if isinstance(member[0], dict):
+                build(member, scopes)
+                continue
+            code, inputs, (data, index, wcr) = member
+            tasklet = state.add_tasklet("t", list(inputs), ["_out"], code)
+            if not inputs:
+                state.add_nedge(entry, tasklet)
+            for connector, (source, read_index) in inputs.items():
+                memlet = Memlet.simple(source, read_index or "0")
+                node, depth = bound.get(source) or (outside.get(source), 0)
+                if node is None:
+                    node = outside[source] = state.add_access(source)
+                conn = None
+                for scope_entry, _ in scopes[depth:]:
+                    if (scope_entry, source) not in entered:
+                        state.add_edge(node, conn, scope_entry, f"IN_{source}", memlet.clone())
+                        entered.add((scope_entry, source))
+                    node, conn = scope_entry, f"OUT_{source}"
+                state.add_edge(node, conn, tasklet, connector, memlet.clone())
+            write = Memlet.simple(data, index or "0", wcr=wcr)
+            if data in private:
+                bound[data] = (state.add_access(data), len(scopes))
+                state.add_edge(tasklet, "_out", bound[data][0], None, write)
+                continue
+            node, conn = tasklet, "_out"
+            for _, scope_exit in reversed(scopes):
+                state.add_edge(node, conn, scope_exit, f"IN_{data}", write.clone())
+                node, conn = scope_exit, f"OUT_{data}"
+                if (scope_exit, data) in left:
+                    break
+                left.add((scope_exit, data))
+            else:
+                state.add_edge(node, conn, state.add_access(data), None, write.clone())
+
+    build(tree, [])
+    propagate_memlets_state(sdfg, state)
+    return sdfg
+
+
+def _nest_reference(tree, containers, symbols):
+    """Run ``tree`` as the loops it stands for, one tasklet at a time, on copies."""
+    containers = {name: np.copy(value) for name, value in containers.items()}
+    scalars = {}
+
+    def run(tree, names):
+        dims, members = tree
+        for values in itertools.product(*(rng.evaluate(names) for rng in dims.values())):
+            scope = dict(names, **dict(zip(dims, values)))
+            for member in members:
+                if isinstance(member[0], dict):
+                    run(member, scope)
+                    continue
+                code, inputs, (data, index, wcr) = member
+                local = dict(scope, math=math)
+                for connector, (source, read_index) in inputs.items():
+                    local[connector] = scalars[source] if read_index is None \
+                        else containers[source][eval(read_index, {}, scope)]
+                exec(code, local)
+                if index is None:
+                    scalars[data] = local["_out"]
+                    continue
+                target, where = containers[data], eval(index, {}, scope)
+                if wcr == "+":
+                    target[where] += local["_out"]
+                elif wcr == "*":
+                    target[where] *= local["_out"]
+                else:
+                    target[where] = local["_out"]
+
+    run(tree, dict(symbols))
+    return containers
+
+
+def _check_nest(tree, arrays, *, counted, private=(), symbols=None, runs=({},)):
+    """Build, emit, run and compare bit for bit; returns the emitted text.
+
+    ``counted`` is every ``codegen.python`` counter the compile moves, without
+    the prefix (the nest counters as ``nests.<name>``); each of ``runs`` is
+    one assignment of ``symbols``.
+    """
+    sdfg = _nest_sdfg(arrays, tree, symbols or (), private)
+    before = PERF.snapshot()
+    code = generate_code(sdfg)
+    moved = {
+        name[len("codegen.python"):].replace("_nests.", "nests.", 1).lstrip("."): count
+        for name, count in PERF.delta_since(before).items()
+        if name.startswith("codegen.python")
+    }
+    assert moved == counted, code
+    containers = {
+        name: _values(shape, dtype, seed)
+        for seed, (name, (shape, dtype)) in enumerate(arrays.items())
+    }
+    for assignment in runs:
+        expected = _nest_reference(tree, containers, assignment)
+        _same_bits(_run(sdfg, containers, **assignment), expected)
+    return code
+
+
+def _loops(code):
+    return [line.strip() for line in code.splitlines() if line.strip().startswith("for ")]
+
+
+_I, _J, _K = Range(0, 6), Range(0, 5), Range(0, 4)
+_NEST_ARRAYS = {
+    "A": ([6, 4], "float64"), "B": ([4, 5], "float64"), "C": ([6, 5], "float64"),
+    "S": ([6, 6], "float64"), "T": ([5], "float64"),
+}
+
+
+class TestNests:
+    def test_a_multi_parameter_map_is_a_nest_of_one(self):
+        code = _check_nest(
+            ({"i": _I, "j": _J}, [("_out = (i * 4.0) + j", {}, ("C", "i, j", None))]),
+            _NEST_ARRAYS,
+            counted={"array_maps": 1, "array_maps.elementwise": 1,
+                     "nests.array_nests": 1, "nests.array_nests.depth_2": 1},
+        )
+        assert "i = np.arange(0, 6)[:, None]\n    j = np.arange(0, 5)\n" in code
+        assert "C[0:6, 0:5] = (i * 4.0) + j" in code and not _loops(code)
+
+    @pytest.mark.parametrize("shape", ["one map", "two maps"])
+    def test_transposed_in_place_write_stays_a_loop(self, shape):
+        # A[i, j] = A[j, i] reads, below the diagonal, what an earlier iteration wrote.
+        tasklet = ("_out = _a", {"_a": ("S", "j, i")}, ("S", "i, j", None))
+        if shape == "one map":
+            tree = ({"i": _I, "j": _I}, [tasklet])
+            counted = {"loop_maps": 1, "refused.crosses_iterations": 1,
+                       "nests.nest_refused.crosses_iterations": 1}
+        else:  # refused as a nest, and the inner map alone too
+            tree = ({"i": _I}, [({"j": _I}, [tasklet])])
+            counted = {"loop_maps": 1, "refused.crosses_iterations": 1,
+                       "nests.nest_refused.crosses_iterations": 1}
+        code = _check_nest(tree, _NEST_ARRAYS, counted=counted)
+        assert _loops(code) == ["for i in range(0, 6):", "for j in range(0, 6):"]
+
+    def test_gemm_nest_folds_along_its_middle_parameter(self):
+        # for i: C[i, :] *= 1.5; for k: for j: C[i, j] += A[i, k] * B[k, j]
+        tree = ({"i": _I}, [
+            ({"j": _J}, [("_out = 1.5", {}, ("C", "i, j", "*"))]),
+            ({"k": _K}, [({"j": _J}, [
+                ("_out = 0.5 * _a * _b", {"_a": ("A", "i, k"), "_b": ("B", "k, j")},
+                 ("C", "i, j", "+")),
+            ])]),
+        ])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 2, "array_maps.updates_in_place": 1, "array_maps.reduces_in_order": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_3": 1,
+        })
+        assert not _loops(code) and "C[0:6, 0:5] *= 1.5" in code
+        assert (
+            "C[0:6, None, 0:5] = np.add.accumulate(np.concatenate((C[0:6, None, 0:5], "
+            "(0.5 * A[0:6, 0:4, None]) * B[0:4, 0:5]), axis=1), axis=1)[:, -1:]"
+        ) in code
+
+    def test_fold_over_the_outer_and_inner_parameter(self):
+        # T[j] moves with the middle parameter only: both others fold, in nest order.
+        tree = ({"i": _I}, [({"j": _J}, [({"k": _K}, [
+            ("_out = _a * _b", {"_a": ("A", "i, k"), "_b": ("B", "k, j")}, ("T", "j", "+")),
+        ])])])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 1, "array_maps.reduces_in_order": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_3": 1,
+        })
+        assert not _loops(code) and "np.transpose(" in code and ".reshape(T[0:5].shape" in code
+
+    def test_triangular_inner_bound_is_refused_by_name(self):
+        tree = ({"i": _I}, [({"j": Range(0, "i + 1")}, [
+            ("_out = _a", {"_a": ("S", "i, j")}, ("C", "i, 0", "+")),
+        ])])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 1, "array_maps.reduces_in_order": 1,
+            "nests.nest_refused.triangular": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_1": 1,
+        })
+        assert _loops(code) == ["for i in range(0, 6):"] and "S[i, 0:i + 1]" in code
+
+    def test_a_row_rewritten_every_iteration_stays_loops(self):
+        # T is one row, stored for every i: as one statement, the last row would win.
+        tree = ({"i": _I}, [
+            ({"j": _J}, [("_out = _a", {"_a": ("C", "i, j")}, ("T", "j", None))]),
+            ({"j": _J}, [("_out = _t * 2.0", {"_t": ("T", "j")}, ("S", "i, j", None))]),
+        ])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 2, "array_maps.elementwise": 2,
+            "nests.nest_refused.not_injective": 1,
+            "nests.array_nests": 2, "nests.array_nests.depth_1": 2,
+        })
+        assert _loops(code) == ["for i in range(0, 6):"]
+
+    def test_the_next_row_read_in_another_map_stays_loops(self):
+        # Iteration i reads row i + 1 before iteration i + 1 stores it.
+        tree = ({"i": Range(0, 5)}, [
+            ({"j": _J}, [("_out = _c", {"_c": ("C", "i, j")}, ("S", "i, j", None))]),
+            ({"j": _J}, [("_out = _s * 2.0", {"_s": ("S", "i + 1, j")}, ("C", "i, j", "+"))]),
+        ])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 2, "array_maps.elementwise": 1, "array_maps.updates_in_place": 1,
+            "nests.nest_refused.crosses_iterations": 1,
+            "nests.array_nests": 2, "nests.array_nests.depth_1": 2,
+        })
+        assert _loops(code) == ["for i in range(0, 5):"]
+
+    @pytest.mark.parametrize("n", [0, -3, 4])
+    def test_an_outer_range_that_may_be_empty(self, n):
+        # A negative end is no empty slice: the whole nest sits under ``0 < N``.
+        tree = ({"i": Range(0, "N")}, [({"j": _J}, [
+            ("_out = _c * 2.0", {"_c": ("C", "i, j")}, ("S", "i, j", None)),
+        ])])
+        code = _check_nest(tree, _NEST_ARRAYS, symbols=["N"], runs=[{"N": n}], counted={
+            "array_maps": 1, "array_maps.elementwise": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_2": 1,
+        })
+        assert "    if 0 < N:\n        S[0:N, 0:5] = C[0:N, 0:5] * 2.0\n" in code
+
+    def test_an_outer_index_with_a_negative_slope(self):
+        tree = ({"i": _I}, [({"j": _J}, [
+            ("_out = _c + _a", {"_c": ("C", "5 - i, j"), "_a": ("A", "i, 3 - j % 4")},
+             ("S", "5 - i, j", None)),
+        ])])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 1, "array_maps.elementwise": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_2": 1,
+        })
+        assert "S[0:6, 0:5][::-1] = C[0:6, 0:5][::-1] + A[i, -1 * (j % 4) + 3]" in code
+
+    def test_a_store_out_of_nest_order_is_transposed(self):
+        tree = ({"i": _I}, [({"j": _J}, [
+            ("_out = _c * 2.0", {"_c": ("C", "i, j")}, ("S", "j, i", None)),
+        ])])
+        code = _check_nest(tree, _NEST_ARRAYS, counted={
+            "array_maps": 1, "array_maps.elementwise": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_2": 1,
+        })
+        assert "S[0:5, 0:6].transpose(1, 0)[...] = C[0:6, 0:5] * 2.0" in code
+
+    def test_a_private_scalar_bound_in_the_outer_body(self):
+        tree = ({"i": _I}, [
+            ("_out = _a * 2.0", {"_a": ("A", "i, 0")}, ("t", None, None)),
+            ({"j": _J}, [("_out = _c + _t", {"_c": ("C", "i, j"), "_t": ("t", None)},
+                          ("S", "i, j", None))]),
+        ])
+        code = _check_nest(tree, _NEST_ARRAYS, private=["t"], counted={
+            "array_maps": 1, "array_maps.elementwise": 1,
+            "nests.array_nests": 1, "nests.array_nests.depth_2": 1,
+        })
+        assert "t = A[0:6, 0] * 2.0" in code and "S[0:6, 0:5] = C[0:6, 0:5] + t[..., None]" in code
+
+    def test_a_view_bound_after_its_container_is_written(self):
+        # atax: the sums fold into A[:, 0] first, then t views the finished column.
+        tree = ({"i": _I}, [
+            ({"j": _J}, [("_out = _c", {"_c": ("C", "i, j")}, ("A", "i, 0", "+"))]),
+            ("_out = _a", {"_a": ("A", "i, 0")}, ("t", None, None)),
+            ({"j": _J}, [("_out = _c * _t", {"_c": ("C", "i, j"), "_t": ("t", None)},
+                          ("T", "j", "+"))]),
+        ])
+        code = _check_nest(tree, _NEST_ARRAYS, private=["t"], counted={
+            "array_maps": 2, "array_maps.reduces_in_order": 2,
+            "nests.array_nests": 1, "nests.array_nests.depth_2": 1,
+        })
+        assert not _loops(code) and "    t = A[0:6, 0]\n" in code
+        assert "T[None, 0:5] = np.add.accumulate(np.concatenate((T[None, 0:5], " in code
+
+    @pytest.mark.parametrize("kernel", ["gemm", "2mm", "heat-3d"])
+    def test_collapsed_maps_return_the_pinned_value(self, kernel):
+        """``map-collapse`` makes multi-parameter maps: each is a nest of one."""
+        with open(os.path.join(_ROOT, "benchmarks", "e2e", "sizes.json"), encoding="utf-8") as fh:
+            size = json.load(fh)["kernels"][kernel]["medium"]
+        spec = get_pipeline("dcir")
+        spec = spec.with_passes("data", list(spec.data_passes) + ["map-collapse"])
+        generated = generate_program(get_kernel(kernel, size), spec)
+        assert any(len(entry.map.params) > 1 for _, entry in generated.sdfg.map_entries())
+        counters = generated.report.counters
+        assert counters.get("codegen.python.loop_maps", 0) == 0
+        assert not [line for line in generated.code.splitlines() if line.strip().startswith("for ")]
+        value = float(generated.to_result().run()["__return"])
+        assert value.hex() == float.fromhex(_PINNED["medium"][f"{kernel}/dcir"]).hex()
 
 
 # -- through the frontends -------------------------------------------------------------------
