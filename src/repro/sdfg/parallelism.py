@@ -67,8 +67,8 @@ class ParallelismInfo:
     #: OpenMP ``reduction(...)`` clauses natively, per-chunk partial slots
     #: combined by the parent in the interpreted executor.
     reductions: Tuple[Tuple[str, str], ...] = ()
-    #: ``id()`` of write edges whose WCR update must be atomic (array
-    #: targets not partitioned by the chunked parameter).
+    #: ``id()`` of write edges whose WCR update must be atomic (integer
+    #: array targets not partitioned by the chunked parameter).
     atomic_edges: FrozenSet[int] = frozenset()
     #: Array containers written inside the scope (the interpreted executor
     #: mirrors exactly these into shared memory).
@@ -198,9 +198,12 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     Every innermost write inside the scope must either be partitioned by
     the chunked (first) parameter — some subset dimension strictly
     monotone in a partition-family parameter — or carry a WCR: scalar WCR
-    targets become reductions, non-partitioned array ``+``/``*`` WCR
-    updates are marked for atomic emission, and non-partitioned
-    ``min``/``max`` array WCR (which has no native atomic form) refuses.
+    targets become reductions, and non-partitioned integer array
+    ``+``/``*`` WCR updates are marked for atomic emission.  A
+    non-partitioned ``min``/``max`` array WCR (which has no native atomic
+    form) refuses, and so does a non-partitioned floating-point ``+``/``*``
+    one: atomics would add in whatever order the threads arrive, and the
+    answer would change from run to run.
     """
     map_obj = entry.map
     if not map_obj.params:
@@ -284,6 +287,11 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             written_arrays.append(data)
         if partitioned:
             continue
+        if memlet.wcr in ("+", "*") and descriptor.dtype.startswith("float"):
+            return _refuse(
+                f"non-partitioned {memlet.wcr}-WCR write to floating-point {data!r} "
+                "would sum in thread order"
+            )
         if memlet.wcr in ("+", "*"):
             atomic_edges.add(id(edge))
             continue

@@ -430,7 +430,7 @@ class TestParallelMapsKeepTheirPaths:
         assert "double _acc0 = C[(int64_t)(i)];" in c
 
     def test_atomic_update_stays_atomic(self):
-        sdfg = _reduction("+", size=64)
+        sdfg = _reduction("+", dtype="int64", size=64)
         for _, entry in sdfg.map_entries():
             entry.map.schedule = SCHEDULE_PARALLEL
         c = generate_c_code(sdfg)

@@ -103,8 +103,8 @@ class TestAnalysis:
 
     def test_unpartitioned_array_wcr_needs_atomics(self):
         def build(sdfg, state):
-            sdfg.add_array("A", [64], "float64")
-            sdfg.add_array("B", [4], "float64")
+            sdfg.add_array("A", [64], "int64")
+            sdfg.add_array("B", [4], "int64")
             state.add_mapped_tasklet(
                 "hist", {"i": Range(0, 64)},
                 {"_a": Memlet.simple("A", "i")}, "_out = _a",
@@ -116,15 +116,19 @@ class TestAnalysis:
         assert info.ok, info.reason
         assert len(info.atomic_edges) == 1
 
-    def test_unpartitioned_minmax_array_wcr_refused(self):
-        # min/max have no native atomic update in C — refuse rather than race.
+    @pytest.mark.parametrize("wcr,dtype", [
+        ("min", "float64"), ("max", "int64"), ("+", "float64"), ("*", "float64"),
+    ])
+    def test_unpartitioned_array_wcr_refused(self, wcr, dtype):
+        # min/max have no native atomic update in C, and a float atomic adds
+        # in the order the threads arrive — refuse rather than race.
         def build(sdfg, state):
-            sdfg.add_array("A", [64], "float64")
-            sdfg.add_array("B", [4], "float64")
+            sdfg.add_array("A", [64], dtype)
+            sdfg.add_array("B", [4], dtype)
             state.add_mapped_tasklet(
                 "mn", {"i": Range(0, 64)},
                 {"_a": Memlet.simple("A", "i")}, "_out = _a",
-                {"_out": Memlet.simple("B", "0", wcr="min")},
+                {"_out": Memlet.simple("B", "0", wcr=wcr)},
             )
 
         sdfg, state, entry = _single_map(build)
