@@ -113,9 +113,9 @@ class NativeCodegenError(CodegenError):
 #: stores (symm and syr2k ran 7–15 % slower than with ``malloc``, whose
 #: chunk headers staggered them; one line apart they run 20–30 % faster).
 #:
-#: ``repro_omp_threads`` resolves the worker count of a parallel map in the
-#: interpreted backend's order: explicit ``n_threads`` annotation, then the
-#: environment override, then the OpenMP runtime default (1 without OpenMP).
+#: ``repro_omp_threads`` resolves the worker count of a parallel map:
+#: explicit ``n_threads`` annotation, then the environment override, then
+#: the OpenMP runtime default (1 without OpenMP).
 _HELPERS = {
     "repro_take": """\
 __attribute__((malloc, noinline)) static void *repro_take(char **ws, uint64_t bytes) {
@@ -281,7 +281,7 @@ class CEmitter(SDFGWalker):
 
     backend = "native"
     error = NativeCodegenError
-    has_atomics = True  # ``#pragma omp atomic``
+    runs_parallel = True  # ``#pragma omp parallel for``, atomics included
     end = ";"
     comment = "/* {} */"
     while_header = "while ({})"

@@ -9,7 +9,9 @@ dispatch overhead), transient containers are allocated either up front
 (``persistent`` lifetime, after memory pre-allocation) or at their first
 use inside whatever loop that happens to be (modelling allocation cost on
 the critical path), and WCR memlets become in-place updates, of a local
-where the walker finds a reduction.
+where the walker finds a reduction.  A map's schedule is not read: every
+map runs in order, which is sound for one ``Parallelize`` proved safe too;
+only native code (:mod:`repro.codegen.sdfg_c`) runs maps in parallel.
 
 A map nest is an array expression.  Every nest the walker accepts
 (:meth:`~repro.codegen.sdfg_walk.SDFGWalker._array_form`) is written as n-d
@@ -48,7 +50,6 @@ from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
 from ..sdfg import SDFG, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
-from ..sdfg.parallelism import NUM_THREADS_ENV, ParallelismInfo
 from ..sdfg.tasklet_code import OPERATORS, Refused, Unspelled, as_operand, spell
 from .loader import load_entry
 from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, sliced_dims
@@ -58,109 +59,6 @@ from .writer import SourceWriter
 # Derived from the central dtype table so the interpreted and native
 # backends can never disagree on element types (sdfg/data.py::DTYPES).
 _NUMPY_DTYPES = {name: f"np.{info.numpy_name}" for name, info in DTYPES.items()}
-
-
-# Runtime support for parallel-scheduled maps, emitted into the generated
-# module only when the SDFG actually contains one (sequential programs
-# stay byte-identical).  Workers are forked processes writing through
-# ``multiprocessing.shared_memory`` segments: fork keeps the generated
-# body function callable without pickling, shared memory makes array
-# writes visible to the parent, and per-chunk partial slots carry scalar
-# reduction results back (the fork itself privatizes everything else).
-_PARALLEL_HELPERS = f"""\
-import multiprocessing as _repro_mp
-import os as _repro_os
-from multiprocessing import shared_memory as _repro_shm
-
-_repro_fork_ok = "fork" in _repro_mp.get_all_start_methods()
-_repro_ctx = _repro_mp.get_context("fork") if _repro_fork_ok else None
-
-def _repro_workers(requested):
-    if requested and int(requested) > 0:
-        return int(requested)
-    env = _repro_os.environ.get({NUM_THREADS_ENV!r}, "").strip()
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    try:
-        return max(1, len(_repro_os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, _repro_os.cpu_count() or 1)
-
-def _repro_chunks(start, end, step, pieces):
-    total = len(range(start, end, step))
-    if total == 0:
-        return []
-    pieces = max(1, min(int(pieces), total))
-    bounds = []
-    for index in range(pieces):
-        low = (total * index) // pieces
-        high = (total * (index + 1)) // pieces
-        if high > low:
-            bounds.append((start + step * low, start + step * high))
-    return bounds
-
-class _ReproShared:
-    def __init__(self):
-        self._arrays = []
-        self._extra = []
-    def share(self, array):
-        segment = _repro_shm.SharedMemory(create=True, size=max(1, array.nbytes))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-        view[...] = array
-        self._arrays.append((segment, array))
-        return view
-    def partials(self, count, dtype, identity):
-        size = max(1, int(count) * np.dtype(dtype).itemsize)
-        segment = _repro_shm.SharedMemory(create=True, size=size)
-        view = np.ndarray((int(count),), dtype=dtype, buffer=segment.buf)
-        view[...] = identity
-        self._extra.append(segment)
-        return view
-    def restore(self):
-        originals = []
-        for segment, original in self._arrays:
-            view = np.ndarray(original.shape, dtype=original.dtype, buffer=segment.buf)
-            original[...] = view
-            del view
-            originals.append(original)
-        for segment, _ in self._arrays:
-            segment.close()
-            segment.unlink()
-        for segment in self._extra:
-            segment.close()
-            segment.unlink()
-        self._arrays = []
-        self._extra = []
-        return tuple(originals)\
-"""
-
-
-def _reduction_identity(operator: str, dtype: str) -> str:
-    """Identity-element literal for one scalar reduction, as source text."""
-    floating = dtype.startswith("float")
-    if operator == "+":
-        return "0.0" if floating else "0"
-    if operator == "*":
-        return "1.0" if floating else "1"
-    if operator == "min":
-        return "float('inf')" if floating else f"int(np.iinfo({_NUMPY_DTYPES[dtype]}).max)"
-    if operator == "max":
-        return "float('-inf')" if floating else f"int(np.iinfo({_NUMPY_DTYPES[dtype]}).min)"
-    raise CodegenError(f"No reduction identity for WCR operator {operator!r}")
-
-
-#: Parent-side fold of one partials vector into the pre-map scalar value.
-_REDUCTION_COMBINE = {
-    "+": "{name} = {name} + {partials}.sum().item()",
-    "*": "{name} = {name} * {partials}.prod().item()",
-    "min": "{name} = min({name}, {partials}.min().item())",
-    "max": "{name} = max({name}, {partials}.max().item())",
-}
 
 
 #: The NumPy spelling of a tasklet expression: for every construct that
@@ -210,9 +108,7 @@ class PythonEmitter(SDFGWalker):
     """Python syntax for the SDFG walk: a ``run(**kwargs)`` function."""
 
     backend = "Python"
-    # The interpreted executor's workers are processes: there are no
-    # atomics, so maps needing atomic WCR updates lower sequentially.
-    has_atomics = False
+    runs_parallel = False  # a map's schedule is ignored: in order is always sound
     array_maps = True  # NumPy
     end = ""
     comment = "# {}"
@@ -226,7 +122,6 @@ class PythonEmitter(SDFGWalker):
 
     def __init__(self, sdfg: SDFG, vectorize: bool = False):
         super().__init__(sdfg, vectorize, SourceWriter(braces=False))
-        self._parallel_counter = 0
         #: Nest parameter → how many axes follow its values' binding (the
         #: ``None``\ s after ``np.arange(…)[:, …]``), for those bound and not
         #: yet left behind by a nested map.
@@ -239,9 +134,6 @@ class PythonEmitter(SDFGWalker):
         writer = self.writer
         writer.emit("import math")
         writer.emit("import numpy as np")
-        if self._parallel_maps:
-            for line in _PARALLEL_HELPERS.splitlines():
-                writer.emit(line)
         writer.emit()
 
     def entry_header(self) -> str:
@@ -499,103 +391,17 @@ class PythonEmitter(SDFGWalker):
 
     # -- maps --------------------------------------------------------------------------
     def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:
+        # ``parallel`` is always ``None``: this emitter runs every map in order.
         if vectorized:
             emit_members()
             self._grids = {}  # a nested map may have bound them with other axes, or not at all
             return
-        loops = [
-            f"for {param} in range({self._span(rng, ', ')})"
-            for param, rng in zip(entry.map.params, entry.map.ranges)
-        ]
-        if parallel is not None:
-            self._emit_fork_join(entry, loops, emit_members, parallel)
-        else:
-            self._emit_loops(loops, emit_members)
-
-    def _emit_loops(self, headers: List[str], emit_members) -> None:
         with ExitStack() as nest:
-            for header in headers:
-                nest.enter_context(self.writer.block(header))
+            for param, rng in zip(entry.map.params, entry.map.ranges):
+                nest.enter_context(
+                    self.writer.block(f"for {param} in range({self._span(rng, ', ')})")
+                )
             emit_members()
-
-    def _emit_fork_join(self, entry: MapEntry, loops: List[str], emit_members,
-                        info: ParallelismInfo) -> None:
-        """Emit a map as a fork/join over chunks of its first dimension.
-
-        ``loops`` are the headers of the map's sequential loop nest.
-        The chunk grain is the outermost map parameter (after MapTiling
-        that is the tile loop), split contiguously across the resolved
-        worker count.  Written arrays move into shared-memory segments so
-        worker writes survive the fork boundary; scalar WCR reductions
-        accumulate privately per chunk into partial slots that the parent
-        folds back in chunk order (deterministic for a fixed chunking).
-        Degenerate chunkings — one worker, empty range, or no ``fork``
-        start method on this platform — take the sequential loop nest.
-        """
-        writer = self.writer
-        index = self._parallel_counter
-        self._parallel_counter += 1
-        chunks = f"_pchunks{index}"
-        first = entry.map.ranges[0]
-        step = self._integer(first.step)
-        requested = entry.map.n_threads or 0
-        writer.emit(
-            f"{chunks} = _repro_chunks({self._integer(first.start)}, "
-            f"{self._integer(first.end)}, {step}, "
-            f"_repro_workers({requested})) if _repro_fork_ok else []"
-        )
-        with writer.block(f"if len({chunks}) <= 1"):
-            self._emit_loops(loops, emit_members)
-        with writer.block("else"):
-            shared = f"_pshared{index}"
-            writer.emit(f"{shared} = _ReproShared()")
-            written = list(info.written_arrays)
-            for name in written:
-                writer.emit(f"{name} = {shared}.share({name})")
-            partials = {}
-            for name, operator in info.reductions:
-                slot = f"_partial{index}_{name}"
-                partials[name] = slot
-                dtype = self.sdfg.arrays[name].dtype
-                identity = _reduction_identity(operator, dtype)
-                writer.emit(
-                    f"{slot} = {shared}.partials(len({chunks}), "
-                    f"{_NUMPY_DTYPES[dtype]}, {identity})"
-                )
-            body = f"_pbody{index}"
-            with writer.block(f"def {body}(_pindex, _plow, _phigh)"):
-                for name, operator in info.reductions:
-                    dtype = self.sdfg.arrays[name].dtype
-                    writer.emit(f"{name} = {_reduction_identity(operator, dtype)}")
-                stride = "" if first.step == 1 else f", {step}"
-                chunk_loop = f"for {entry.map.params[0]} in range(_plow, _phigh{stride})"
-                self._emit_loops([chunk_loop] + loops[1:], emit_members)
-                for name, _ in info.reductions:
-                    writer.emit(f"{partials[name]}[_pindex] = {name}")
-            procs = f"_pprocs{index}"
-            writer.emit(f"{procs} = []")
-            with writer.block(f"for _pindex, (_plow, _phigh) in enumerate({chunks})"):
-                writer.emit(
-                    f"_proc = _repro_ctx.Process(target={body}, "
-                    "args=(_pindex, int(_plow), int(_phigh)))"
-                )
-                writer.emit("_proc.start()")
-                writer.emit(f"{procs}.append(_proc)")
-            with writer.block(f"for _proc in {procs}"):
-                writer.emit("_proc.join()")
-                with writer.block("if _proc.exitcode != 0"):
-                    writer.emit(
-                        "raise RuntimeError('parallel map worker failed "
-                        "(exit code %r)' % (_proc.exitcode,))"
-                    )
-            for name, operator in info.reductions:
-                writer.emit(_REDUCTION_COMBINE[operator].format(name=name, partials=partials[name]))
-                writer.emit(f"{partials[name]} = None")
-            if written:
-                targets = ", ".join(written) + ("," if len(written) == 1 else "")
-                writer.emit(f"{targets} = {shared}.restore()")
-            else:
-                writer.emit(f"{shared}.restore()")
 
 
 @dataclass

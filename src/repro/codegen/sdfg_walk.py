@@ -14,7 +14,10 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   where they are used (§6.3);
 * which container a write lands in and which writes are no-ops;
 * whether a map is emitted as array operations, as a parallel loop or as
-  a sequential loop nest.  A map nest *is* an array expression: the nest
+  a sequential loop nest.  Only an emitter that runs maps in parallel
+  (:attr:`SDFGWalker.runs_parallel`, native C) reads a map's schedule;
+  for any other every map is sequential, a sound schedule for one the
+  proof accepted.  A map nest *is* an array expression: the nest
   an outermost sequential map roots — every map inside it, a
   multi-parameter map being a nest of one — is classified once
   (:meth:`SDFGWalker._array_form`) over its tuple of parameters, outermost
@@ -27,16 +30,15 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   ``.refused.<name>``) if no map is nested in it, as
   ``codegen.<backend>_nests.nest_refused.<name>`` if it has more than one
   parameter — and each map nested in it is the root of a nest of its own:
-  a range that names an outer parameter (``triangular``) or a
-  parallel-scheduled map cuts the nest there.  A transient scalar private
+  a range that names an outer parameter (``triangular``) cuts the nest
+  there.  A transient scalar private
   to the iterations (:func:`~repro.sdfg.analysis.private_scalars`) is one
   value per iteration of the maps around the tasklet binding it: the array
   of them.  An emitter that has array operations
   (:attr:`SDFGWalker.array_maps`) emits every accepted nest that would
   otherwise be sequential loops in **operation order** — each member over
   all iterations of the parameters around it before the next — under every
-  pipeline; a parallel-scheduled map keeps its fork/join and the nests
-  inside it take the array form.  The verdict guarantees that no element
+  pipeline and every schedule.  The verdict guarantees that no element
   sees its floating-point operations in another order: a store is
   injective in the parameters around it, two accesses of a container
   written in the nest reach one element only in one iteration of the maps
@@ -53,8 +55,8 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   results are bit-identical.  The local is bound at the outermost map for
   which :meth:`SDFGWalker._accumulators` holds; a map that may run zero
   times gets the load/store pair under its own ``lo < hi`` guard.
-  Parallel maps (and everything nested in
-  them) keep their reduction and atomic paths, ``min``/``max`` updates
+  Parallel maps of an emitter that runs them so (and everything nested
+  in them) keep their reduction and atomic paths, ``min``/``max`` updates
   and element types whose store would round where a local does not
   (anything but ``float64``, or ``int64`` updated with an integer) are
   left as they are;
@@ -300,11 +302,13 @@ class SDFGWalker:
     #: Backend name for diagnostics, and the error type it raises.
     backend: str
     error = CodegenError
-    #: The two capability differences: whether a WCR update can be made
-    #: atomic (without atomics, maps that need them lower sequentially), and
-    #: whether the language has array operations (then every map that is an
-    #: array expression is emitted as one, see :meth:`_array_form`).
-    has_atomics: bool
+    #: The two capability differences: whether the emitter runs maps in
+    #: parallel (then a parallel-scheduled map the proof accepts gets the
+    #: emitter's parallel form, atomic WCR updates included; otherwise the
+    #: schedule is not read), and whether the language has array operations
+    #: (then every map that is an array expression is emitted as one, see
+    #: :meth:`_array_form`).
+    runs_parallel: bool
     array_maps: bool = False
     #: Statement terminator and comment form (``"# {}"``).
     end: str
@@ -351,12 +355,12 @@ class SDFGWalker:
         self._parallel_maps: Dict[int, ParallelismInfo] = {}
         self._atomic_edges: Set[int] = set()
         for state, entry in sdfg.map_entries():
-            if entry.map.schedule != SCHEDULE_PARALLEL:
+            if not self.runs_parallel or entry.map.schedule != SCHEDULE_PARALLEL:
                 continue
             if state.scope_dict().get(entry) is not None:
                 continue
             info = analyze_map_parallelism(sdfg, state, entry)
-            if info.ok and (self.has_atomics or not info.atomic_edges):
+            if info.ok:
                 self._parallel_maps[id(entry)] = info
                 self._atomic_edges |= info.atomic_edges
 
@@ -771,10 +775,7 @@ class SDFGWalker:
         guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
         for name, _, _, edges in accumulators:
             self._accumulated.update((id(edge), name) for edge in edges)
-        form = (
-            self._array_form(state, entry, members, owned, parallel)
-            if self.array_maps else None
-        )
+        form = self._array_form(state, entry, members, owned) if self.array_maps else None
         as_array = form is not None and form.reason is None
         if as_array:
             # An empty range may have a negative end: not what a slice means by it.
@@ -829,8 +830,7 @@ class SDFGWalker:
         bounds = [rng.start.lt(rng.end) for rng in ranges if rng.is_empty() is not False]
         return And.make(*bounds) if bounds else None
 
-    def _array_form(self, state, entry: MapEntry, members, owned,
-                    parallel: Optional[ParallelismInfo]) -> ArrayForm:
+    def _array_form(self, state, entry: MapEntry, members, owned) -> ArrayForm:
         """The verdict on the nest ``entry`` roots, reached and counted once.
 
         Each innermost map of an accepted nest counts as an array map of its
@@ -840,10 +840,7 @@ class SDFGWalker:
         """
         form = self._array_forms.get(id(entry))
         if form is None:
-            if parallel is not None:
-                form = ArrayForm(reason="parallel_schedule")
-            else:
-                form = self._classify(state, entry, owned)
+            form = self._classify(state, entry, owned)
             self._array_forms[id(entry)] = form
             prefix = f"codegen.{self.backend.lower()}"
             nests = f"{prefix}_nests"
@@ -868,8 +865,7 @@ class SDFGWalker:
         roots: every node in it that is not a map, in operation order — each
         map's own nodes in program order, a nested map's in its place — and
         the maps without a nested one.  A map whose range names a parameter
-        around it (a triangular bound) or that is parallel-scheduled cuts
-        the nest: the refusal names it."""
+        around it (a triangular bound) cuts the nest: the refusal names it."""
         members: List[_Member] = []
         innermost: List[MapEntry] = []
         depth = 0
@@ -891,8 +887,7 @@ class SDFGWalker:
                     members.append(_Member(node, maps, axes))
                     continue
                 nested = True
-                reason = "parallel_schedule" if node.map.schedule == SCHEDULE_PARALLEL \
-                    else walk(node, maps, axes)
+                reason = walk(node, maps, axes)
                 if reason is not None:
                     return reason
             if not nested:

@@ -93,10 +93,10 @@ class Tasklet(CodeNode):
 #: Default map schedule: the body executes as a sequential loop nest.
 SCHEDULE_SEQUENTIAL = "sequential"
 
-#: Parallel map schedule: both backends split the map's *first* parameter
-#: across workers (OpenMP threads natively, forked shared-memory chunk
-#: workers interpreted).  Set by ``Parallelize`` after the safety proof in
-#: :mod:`repro.sdfg.parallelism` succeeds.
+#: Parallel map schedule: native code splits the map's *first* parameter
+#: across OpenMP threads; the interpreted backend runs it in order.  Set by
+#: ``Parallelize`` after the safety proof in :mod:`repro.sdfg.parallelism`
+#: succeeds.
 SCHEDULE_PARALLEL = "parallel"
 
 #: The valid values of :attr:`Map.schedule`.

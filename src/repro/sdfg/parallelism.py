@@ -11,7 +11,7 @@ reduction clauses, which WCR updates need atomics, which loop variables
 must be privatized), or a negative verdict with the reason.
 
 The proof partitions iterations by the map's **first parameter** — the
-loop both backends actually split across workers.  A write is *safe*
+loop native code splits across its OpenMP threads.  A write is *safe*
 when some dimension of its subset is strictly monotone in a parameter of
 the partition family: the first parameter itself, or an inner-map
 parameter whose range is an interval ``[p, p + step)`` of it — exactly
@@ -32,7 +32,7 @@ from .data import Scalar
 from .nodes import AccessNode, MapEntry, MapExit, SCHEDULE_PARALLEL
 
 #: Environment variable overriding the default worker count of parallel
-#: schedules (both backends and the cost model honor it).
+#: schedules (native OpenMP code and the cost model honor it).
 NUM_THREADS_ENV = "REPRO_NUM_THREADS"
 
 
@@ -64,15 +64,11 @@ class ParallelismInfo:
     #: The parameter whose iterations are split across workers.
     chunk_param: Optional[str] = None
     #: Scalar WCR accumulators, as sorted ``(container, operator)`` pairs —
-    #: OpenMP ``reduction(...)`` clauses natively, per-chunk partial slots
-    #: combined by the parent in the interpreted executor.
+    #: OpenMP ``reduction(...)`` clauses.
     reductions: Tuple[Tuple[str, str], ...] = ()
     #: ``id()`` of write edges whose WCR update must be atomic (integer
     #: array targets not partitioned by the chunked parameter).
     atomic_edges: FrozenSet[int] = frozenset()
-    #: Array containers written inside the scope (the interpreted executor
-    #: mirrors exactly these into shared memory).
-    written_arrays: Tuple[str, ...] = ()
     #: Loop parameters of the scope beyond the chunked one (the map's own
     #: trailing parameters plus every nested map's); the C backend adds a
     #: ``private(...)`` clause for any of them declared at function scope.
@@ -225,7 +221,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
 
     reductions: Dict[str, str] = {}
     atomic_edges: Set[int] = set()
-    written_arrays: List[str] = []
     read_scalars: Set[str] = set()
 
     for edge in state.edges():
@@ -283,8 +278,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             _injective_dimension(index, family, scope_params)
             for index in memlet.subset.indices()
         )
-        if data not in written_arrays:
-            written_arrays.append(data)
         if partitioned:
             continue
         if memlet.wcr in ("+", "*") and descriptor.dtype.startswith("float"):
@@ -313,7 +306,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         chunk_param=chunk_param,
         reductions=tuple(sorted(reductions.items())),
         atomic_edges=frozenset(atomic_edges),
-        written_arrays=tuple(sorted(written_arrays)),
         private_params=tuple(dict.fromkeys(private)),
     )
 

@@ -5,11 +5,12 @@
 both backends lower them as sequential loop nests.  This transformation
 runs the conservative safety proof in :mod:`repro.sdfg.parallelism` on
 every outermost map scope and, where the proof succeeds, flips the map's
-``schedule`` annotation to ``"parallel"`` — nothing else.  The backends
-key everything off the annotation: the C generator emits ``#pragma omp
-parallel for`` (with ``reduction(...)`` clauses and ``#pragma omp
-atomic`` lowered from WCR memlets), the interpreted backend forks
-chunked shared-memory workers.
+``schedule`` annotation to ``"parallel"`` — nothing else.  Native code
+keys off the annotation: the C generator emits ``#pragma omp parallel
+for``, with ``reduction(...)`` clauses, and ``#pragma omp atomic``
+lowered from integer WCR memlets.  The interpreted backend does not read
+it: it runs every map in order, a sound schedule for any map the proof
+accepted, so its text is the text without this pass.
 
 The natural grain is the outer tile loop ``MapTiling`` produces: its
 step equals the tile size, so each worker owns whole tiles and the

@@ -32,7 +32,7 @@ enumerates that neighbourhood of a base :class:`~repro.PipelineSpec`:
   pass params);
 * **schedule variants** — appending the ``parallelize`` pass
   (``schedule:parallel``, ``schedule:parallel(n_threads=N)``), the
-  parallel-schedule axis.  ``Parallelize`` is deliberately excluded from
+  parallel-schedule axis of a native spec.  ``Parallelize`` is deliberately excluded from
   the generic addition axis: a schedule is a *request* the safety proof
   may refuse, so it gets its own origin family with an explicit
   thread-count sweep instead of being enumerated like a rewrite.
@@ -266,13 +266,16 @@ class SearchSpace:
         One candidate per thread-count preset, plus the ``None`` preset
         (worker count resolved at run time from ``REPRO_NUM_THREADS`` or
         the machine).  Maps the safety proof refuses simply stay
-        sequential, so every candidate is a valid compilation.
+        sequential, so every candidate is a valid compilation.  Offered
+        only to native code: the interpreted backend does not read a
+        schedule, so its candidate would be the base's code under a new
+        content address.
         """
         from ..transforms import DATA_PASSES
         from ..transforms.parallelize import Parallelize
 
-        if not spec.bridge:
-            return []  # schedules annotate SDFG maps
+        if not spec.bridge or spec.codegen.backend != "native":
+            return []  # schedules annotate SDFG maps, and only C reads them
         if Parallelize.NAME not in DATA_PASSES.names():
             return []
         if any(pass_spec.name == Parallelize.NAME for pass_spec in spec.data_passes):

@@ -339,42 +339,8 @@ class TestZeroTrips:
         assert "_acc" not in python and "_acc" not in c
 
 
-#: ``run`` of ``TestParallelMapsKeepTheirPaths._rows``, from ``def run`` on: the
-#: fork/join of v1.10.0 around a worker body whose inner map is an array
-#: expression folding into the element itself — no local, no atomics.
-_PARENT_PYTHON = """\
-(**_args):
-    _alloc_count = 0
-    K = _args['K']
-    N = _args['N']
-    A = _args['A']
-    C = _args['C']
-    _pchunks0 = _repro_chunks(0, N, 1, _repro_workers(2)) if _repro_fork_ok else []
-    if len(_pchunks0) <= 1:
-        for i in range(0, N):
-            if 0 < K:
-                C[i] = np.add.accumulate(np.concatenate(((C[i],), A[i, 0:K])))[-1]
-    else:
-        _pshared0 = _ReproShared()
-        C = _pshared0.share(C)
-        def _pbody0(_pindex, _plow, _phigh):
-            for i in range(_plow, _phigh):
-                if 0 < K:
-                    C[i] = np.add.accumulate(np.concatenate(((C[i],), A[i, 0:K])))[-1]
-        _pprocs0 = []
-        for _pindex, (_plow, _phigh) in enumerate(_pchunks0):
-            _proc = _repro_ctx.Process(target=_pbody0, args=(_pindex, int(_plow), int(_phigh)))
-            _proc.start()
-            _pprocs0.append(_proc)
-        for _proc in _pprocs0:
-            _proc.join()
-            if _proc.exitcode != 0:
-                raise RuntimeError('parallel map worker failed (exit code %r)' % (_proc.exitcode,))
-        C, = _pshared0.restore()
-    return {'__allocations': _alloc_count, 'A': A, 'C': C}
-"""
-
-#: The same program's ``repro_run``, from its parameter list on.
+#: ``repro_run`` of ``TestParallelMapsKeepTheirPaths._rows``, from its parameter
+#: list on: the OpenMP loop of v1.10.0, no local, no atomics.
 _PARENT_C = """\
 (double *restrict A, double *restrict C, int64_t K, int64_t N, int64_t *_alloc_out, char *_ws) {
     int64_t _alloc_count = 0;
@@ -417,7 +383,8 @@ class TestParallelMapsKeepTheirPaths:
 
     def test_parallelized_map_text_equals_the_parents(self):
         python, c = _texts(self._rows(parallel=True))
-        assert python.split("def run", 1)[1] == _PARENT_PYTHON
+        # Interpreted, the schedule is not read: the sequential map's text.
+        assert python == generate_code(self._rows(parallel=False))
         assert c.split("void repro_run", 1)[1] == _PARENT_C
 
     def test_the_same_map_emitted_sequentially_accumulates(self):
@@ -435,10 +402,9 @@ class TestParallelMapsKeepTheirPaths:
             entry.map.schedule = SCHEDULE_PARALLEL
         c = generate_c_code(sdfg)
         assert "#pragma omp atomic" in c and "_acc" not in c
-        # The interpreted backend has no atomics: it emits the map as a
-        # sequential loop, and a sequential loop accumulates.
+        # Interpreted, the map runs in order, and a sequential loop accumulates.
         python = generate_code(sdfg)
-        assert "_repro_chunks" not in python and "_acc0 = B[0]" in python
+        assert python == generate_code(_reduction("+", dtype="int64", size=64))
 
 
 class TestOrderOfOperations:

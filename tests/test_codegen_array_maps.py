@@ -391,7 +391,8 @@ class TestBounds:
 
 class TestInsideAParallelMap:
     def _rows(self, threads):
-        """``for i (parallel): for k: C[i] += A[i, k]; B[i, k] = A[i, k] * i``."""
+        """``for i: for k: C[i] += A[i, k]; B[i, k] = A[i, k] * i``, the outer
+        map parallel-scheduled on ``threads`` unless that is ``None``."""
         sdfg = SDFG("rows")
         sdfg.add_array("A", [12, 9], "float64")
         sdfg.add_array("B", [12, 9], "float64")
@@ -399,7 +400,8 @@ class TestInsideAParallelMap:
         state = sdfg.add_state("s0", is_start_state=True)
         outer, outer_exit = state.add_map("rows", ["i"], [Range(0, 12)])
         inner, inner_exit = state.add_map("cols", ["k"], [Range(0, 9)])
-        outer.map.schedule, outer.map.n_threads = SCHEDULE_PARALLEL, threads
+        if threads is not None:
+            outer.map.schedule, outer.map.n_threads = SCHEDULE_PARALLEL, threads
         read = state.add_access("A")
         state.add_edge(read, None, outer, "IN_A", Memlet.simple("A", "i, k"))
         state.add_edge(outer, "OUT_A", inner, "IN_A", Memlet.simple("A", "i, k"))
@@ -414,31 +416,17 @@ class TestInsideAParallelMap:
         propagate_memlets_state(sdfg, state)
         return sdfg
 
-    def test_fork_join_outside_array_form_inside(self):
-        code = generate_code(self._rows(2))
-        worker = code.split("def _pbody0(", 1)[1].split("_pprocs0 = []", 1)[0]
-        assert "for i in range(_plow, _phigh):" in worker and "for k in" not in worker
-        assert "C[i] = np.add.accumulate(np.concatenate(((C[i],), A[i, 0:9])))[-1]" in worker
-        assert "B[i, 0:9] = A[i, 0:9] * i" in worker and "_acc" not in code
-
-    def test_answers_equal_at_one_and_two_threads(self):
-        A, C = _values([12, 9], "float64", 0), _values([12], "float64", 5)
-        expected = np.copy(C)
-        for i in range(12):
-            for k in range(9):
-                expected[i] += A[i, k]
-        for threads in (1, 2):
-            output = _run(self._rows(threads), {"A": A, "B": np.zeros((12, 9)), "C": C})
-            _same_bits(output, {"C": expected, "B": A * np.arange(12.0)[:, None]})
-
-    def test_a_parallel_innermost_map_keeps_its_fork_join(self):
+    def _innermost(self, parallel):
         sdfg = _map_sdfg(_AB, [_copy()], Range(0, 16))
-        for _, entry in sdfg.map_entries():
-            entry.map.schedule, entry.map.n_threads = SCHEDULE_PARALLEL, 2
-        before = PERF.snapshot()
-        code = generate_code(sdfg)
-        assert "_repro_chunks(0, 16, 1," in code and "for i in range(_plow, _phigh):" in code
-        assert _counted(before) == {"loop_maps": 1, "refused.parallel_schedule": 1}
+        if parallel:
+            for _, entry in sdfg.map_entries():
+                entry.map.schedule, entry.map.n_threads = SCHEDULE_PARALLEL, 2
+        return sdfg
+
+    def test_the_schedule_changes_no_text(self):
+        # Interpreted, every map runs in order: the text is the sequential one.
+        for build, parallel in ((self._rows, 2), (self._innermost, True)):
+            assert generate_code(build(parallel)) == generate_code(build(None))
 
 
 # -- whole nests -----------------------------------------------------------------------------

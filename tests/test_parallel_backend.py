@@ -1,21 +1,19 @@
-"""Parallel execution backends: differential equality and WCR stress.
+"""Parallel execution: differential equality and WCR stress, natively.
 
 PR 10's acceptance bar for parallel execution is *semantic*: every
 parallel run must compute what the sequential schedule computes —
 integers and allocation counts bit-stable, floats within 1e-12 relative
 drift (reduction reassociation is the only permitted difference) — and
-repeated parallel runs must be stable among themselves.  These tests
-drive both executors:
+repeated parallel runs must be stable among themselves.  Only native
+code runs maps in parallel (OpenMP: reduction clauses, atomic updates);
+the interpreted backend does not read a map's schedule, which these
+tests pin as text.  They drive:
 
-* the interpreted backend's fork/join shared-memory executor over the
-  whole NumPy-frontend suite under ``REPRO_NUM_THREADS=2``;
-* the native backend's OpenMP emission (reduction clauses, atomic
-  updates) on hand-built WCR SDFGs and the parallelizable PolyBench
-  kernels;
-* a discovery sweep asserting the WCR-under-parallelism property for
-  every PolyBench kernel whose default-pipeline SDFG carries WCR memlets
-  (currently none survive lowering — the sweep documents that and guards
-  the day one does).
+* the whole NumPy-frontend suite at ``REPRO_NUM_THREADS=2``;
+* hand-built WCR SDFGs (scalar reductions, integer atomics);
+* every PolyBench kernel at 1, 2 and 3 threads, whose ``__return`` must
+  carry sequential's bits — the checksum loops are WCR updates, and a
+  float one the proof refuses rather than sum in thread order.
 """
 
 import numpy as np
@@ -23,7 +21,7 @@ import pytest
 
 from repro.codegen import have_compiler
 from repro.codegen.sdfg_c import generate_c_code
-from repro.codegen.sdfg_python import CompiledSDFG, generate_code
+from repro.codegen.sdfg_python import generate_code
 from repro.codegen.toolchain import CompiledNative
 from repro.pipeline.pipelines import generate_sdfg
 from repro.sdfg import SDFG, Memlet, SCHEDULE_PARALLEL
@@ -79,53 +77,43 @@ def _annotate_all(sdfg: SDFG, n_threads=None) -> int:
     return len(matches)
 
 
+def _native(sdfg: SDFG) -> CompiledNative:
+    return CompiledNative.from_code(generate_c_code(sdfg))
+
+
 # ---------------------------------------------------------------------------
-# Interpreted fork/join executor
+# The NumPy-frontend suite
 # ---------------------------------------------------------------------------
 
-class TestInterpretedExecutor:
+class TestPythonSuite:
+    @requires_cc
     @pytest.mark.parametrize("kernel", sorted(python_suite()))
     def test_python_suite_differential(self, kernel, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        program = python_suite()[kernel]
-        sdfg = generate_sdfg(program, pipeline="dcir")
-        reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
+        sdfg = generate_sdfg(python_suite()[kernel], pipeline="dcir")
+        reference = _native(sdfg).run()
         assert _annotate_all(sdfg) > 0
-        code = generate_code(sdfg)
-        assert "_repro_chunks" in code
-        parallel = CompiledSDFG.from_code(code, name="par").run()
-        _outputs_match(reference, parallel)
+        code = generate_c_code(sdfg)
+        assert "#pragma omp parallel for" in code
+        _outputs_match(reference, CompiledNative.from_code(code).run())
 
-    def test_sequential_codegen_carries_no_executor(self):
+    def test_interpreted_text_ignores_the_schedule(self):
         sdfg = generate_sdfg(python_suite()["heat1d"], pipeline="dcir")
-        code = generate_code(sdfg)
-        assert "_repro" not in code  # byte-identical to pre-schedule output
+        sequential = generate_code(sdfg)
+        assert _annotate_all(sdfg, n_threads=2) > 0
+        assert generate_code(sdfg) == sequential
 
-    def test_single_worker_falls_back_to_loops(self, monkeypatch):
+    @requires_cc
+    def test_single_thread_matches_sequential(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "1")
         sdfg = generate_sdfg(python_suite()["heat1d"], pipeline="dcir")
-        reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
+        reference = _native(sdfg).run()
         _annotate_all(sdfg)
-        parallel = CompiledSDFG.from_code(generate_code(sdfg), name="par").run()
-        _outputs_match(reference, parallel)
-
-    def test_atomic_needing_map_stays_sequential(self):
-        # Unpartitioned array WCR needs atomics; processes have none, so
-        # the interpreted backend must refuse the fork and emit plain loops.
-        sdfg = SDFG("atomic")
-        sdfg.add_array("A", [64], "float64")
-        sdfg.add_array("B", [4], "float64")
-        state = sdfg.add_state("s0", is_start_state=True)
-        _, entry, _ = state.add_mapped_tasklet(
-            "hist", {"i": Range(0, 64)},
-            {"_a": Memlet.simple("A", "i")}, "_out = _a",
-            {"_out": Memlet.simple("B", "0", wcr="+")},
-        )
-        entry.map.schedule = SCHEDULE_PARALLEL
-        assert "_repro_chunks" not in generate_code(sdfg)
+        _outputs_match(reference, _native(sdfg).run())
 
 
 class TestWCRStress:
+    @requires_cc
     @pytest.mark.parametrize("wcr,dtype", [
         ("+", "int64"), ("max", "int64"), ("+", "float64"),
         ("*", "float64"), ("min", "float64"),
@@ -139,24 +127,21 @@ class TestWCRStress:
             values = np.random.default_rng(3).uniform(0.9, 1.1, 1000)
         else:
             values = np.random.default_rng(3).standard_normal(1000)
-        reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run(
-            A=values.copy(), s=1 if wcr == "*" else 0
-        )
+        start = 1 if wcr == "*" else 0
+        reference = _native(sdfg).run(A=values.copy(), s=start)["s"]
         for _, entry in sdfg.map_entries():
             entry.map.schedule = SCHEDULE_PARALLEL
-        code = generate_code(sdfg)
-        assert "_partial" in code  # the reduction rides the partial slots
-        compiled = CompiledSDFG.from_code(code, name="par")
-        results = [
-            compiled.run(A=values.copy(), s=1 if wcr == "*" else 0)["s"]
-            for _ in range(STRESS_RUNS)
-        ]
-        # Bit-stable across repeated parallel runs (fixed chunking).
-        assert len({repr(value) for value in results}) == 1
-        if dtype == "int64":
-            assert results[0] == reference["s"]  # integers are exact
+        code = generate_c_code(sdfg)
+        assert f"reduction({wcr}:s)" in code
+        compiled = CompiledNative.from_code(code)
+        results = [compiled.run(A=values.copy(), s=start)["s"] for _ in range(STRESS_RUNS)]
+        if dtype == "int64" or wcr in ("min", "max"):
+            # Exact whatever the order: bit-stable, and sequential's bits.
+            assert {float(value).hex() for value in results} == {float(reference).hex()}
         else:
-            assert results[0] == pytest.approx(reference["s"], rel=FLOAT_DRIFT)
+            # OpenMP combines the partials in an unspecified order.
+            for value in results:
+                assert value == pytest.approx(reference, rel=FLOAT_DRIFT)
 
     @requires_cc
     @pytest.mark.parametrize("wcr", ["+", "*"])
@@ -215,26 +200,28 @@ def test_polybench_native_parallel_differential(kernel, monkeypatch):
     _outputs_match(reference, parallel)
 
 
+@requires_cc
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_polybench_wcr_under_parallelism(kernel, monkeypatch):
-    """Differential gate for every PolyBench kernel carrying WCR memlets.
+    """Every PolyBench kernel returns sequential's bits at 1, 2 and 3 threads.
 
-    The default lowering currently folds all accumulations into tasklet
-    bodies before codegen, so no WCR memlet survives and each instance
-    skips — but the sweep is live: the first pipeline change that keeps a
-    WCR memlet puts that kernel under the parallel differential check
-    automatically.
+    Each kernel's checksum loop is a WCR update; a floating-point one that
+    would need atomics is refused by the proof, so no parallel run may
+    change a bit.  A kernel left with no provable map emits sequential's C
+    even when every outermost map asks for a parallel schedule: the
+    annotation is a request, the proof is the authority.
     """
     sdfg = generate_sdfg(get_kernel(kernel), pipeline="dcir")
-    wcr_edges = [
-        edge for state in sdfg.states() for edge in state.edges()
-        if edge.data.wcr is not None
-    ]
-    if not wcr_edges:
-        pytest.skip("no WCR memlets survive the default pipeline for this kernel")
-    monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-    reference = CompiledSDFG.from_code(generate_code(sdfg), name="seq").run()
+    sequential = generate_c_code(sdfg)
+    reference = CompiledNative.from_code(sequential).run()["__return"]
     if _annotate_all(sdfg) == 0:
-        pytest.skip("no provably-parallel map on this kernel")
-    parallel = CompiledSDFG.from_code(generate_code(sdfg), name="par").run()
-    _outputs_match(reference, parallel)
+        for state, entry in sdfg.map_entries():
+            if state.scope_dict().get(entry) is None:
+                entry.map.schedule = SCHEDULE_PARALLEL
+        assert generate_c_code(sdfg) == sequential
+        return
+    parallel = _native(sdfg)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+        returned = parallel.run()["__return"]
+        assert float(returned).hex() == float(reference).hex(), threads
