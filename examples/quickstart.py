@@ -104,17 +104,17 @@ def parallel_demo() -> None:
 
     The ``parallelize`` pass annotates exactly the maps the safety
     analysis proves free of cross-iteration write conflicts (WCR
-    updates become reductions or atomics).  Both backends honor the
-    annotation — OpenMP pragmas in the native C, a fork/join
-    shared-memory executor in the interpreted Python — and degrade to
-    plain sequential loops on machines that cannot fan out, so the
-    demo is correct everywhere and only *faster* with cores to spare.
+    updates become reductions or integer atomics).  Native code honors
+    the annotation with OpenMP pragmas and degrades to plain sequential
+    loops where OpenMP is missing, so the demo is correct everywhere and
+    only *faster* with cores to spare.  (The interpreted backend runs
+    every map in order whatever its schedule.)
     """
     from repro.sdfg import SCHEDULE_PARALLEL
     from repro.workloads import get_kernel
 
     source = get_kernel("atax", {"M": 96, "N": 96})
-    base = get_pipeline("dcir")
+    base = get_pipeline("dcir").with_codegen(backend="native")
     passes = [(p.name, dict(p.params)) for p in base.data_passes]
     parallel = base.with_passes("data", passes + [("parallelize", {"n_threads": 2})])
 

@@ -144,7 +144,7 @@ from .errors import (
 )
 from .frontend_py import PythonProgram, lower_python, program
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 from .service import (  # noqa: E402  (needs __version__ for cache keys)
     CompileCache,

@@ -235,9 +235,10 @@ def _add_compile_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threads", type=int, metavar="N",
-        help="request parallel map schedules (appends the 'parallelize' "
-        "pass): N > 0 pins the worker count, 0 resolves it at run time "
-        "from REPRO_NUM_THREADS or the machine",
+        help="schedule native code's maps in parallel (appends the "
+        "'parallelize' pass; interpreted Python runs every map in order): "
+        "N > 0 pins the worker count, 0 resolves it at run time from "
+        "REPRO_NUM_THREADS or the machine",
     )
 
 

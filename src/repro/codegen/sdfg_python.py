@@ -52,7 +52,7 @@ from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
 from ..sdfg.tasklet_code import OPERATORS, Refused, Unspelled, as_operand, spell
 from .loader import load_entry
-from .sdfg_walk import UPDATE_OPERATORS, CodegenError, SDFGWalker, sliced_dims
+from .sdfg_walk import UPDATE_OPERATORS, SDFGWalker, sliced_dims
 from .writer import SourceWriter
 
 
