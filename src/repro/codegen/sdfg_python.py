@@ -391,7 +391,6 @@ class PythonEmitter(SDFGWalker):
 
     # -- maps --------------------------------------------------------------------------
     def emit_map(self, entry: MapEntry, emit_members, vectorized: bool, parallel) -> None:
-        # ``parallel`` is always ``None``: this emitter runs every map in order.
         if vectorized:
             emit_members()
             self._grids = {}  # a nested map may have bound them with other axes, or not at all

@@ -55,8 +55,8 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   results are bit-identical.  The local is bound at the outermost map for
   which :meth:`SDFGWalker._accumulators` holds; a map that may run zero
   times gets the load/store pair under its own ``lo < hi`` guard.
-  Parallel maps of an emitter that runs them so (and everything nested
-  in them) keep their reduction and atomic paths, ``min``/``max`` updates
+  Maps an emitter runs in parallel (and everything nested in them) keep
+  their reduction and atomic paths, ``min``/``max`` updates
   and element types whose store would round where a local does not
   (anything but ``float64``, or ``int64`` updated with an integer) are
   left as they are;

@@ -32,10 +32,11 @@ enumerates that neighbourhood of a base :class:`~repro.PipelineSpec`:
   pass params);
 * **schedule variants** — appending the ``parallelize`` pass
   (``schedule:parallel``, ``schedule:parallel(n_threads=N)``), the
-  parallel-schedule axis of a native spec.  ``Parallelize`` is deliberately excluded from
-  the generic addition axis: a schedule is a *request* the safety proof
-  may refuse, so it gets its own origin family with an explicit
-  thread-count sweep instead of being enumerated like a rewrite.
+  parallel-schedule axis of a native spec.  ``Parallelize`` is
+  deliberately excluded from the generic addition axis: a schedule is a
+  *request* the safety proof may refuse, so it gets its own origin family
+  with an explicit thread-count sweep instead of being enumerated like a
+  rewrite.
 
 Candidates are deduplicated by spec :meth:`~repro.PipelineSpec.content_id`
 and enumerated in a deterministic order — the foundation of the seeded,
