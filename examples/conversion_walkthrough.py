@@ -44,7 +44,7 @@ def main() -> None:
     print(sdfg)
     print("containers:", {name: str(desc) for name, desc in sdfg.arrays.items()})
     print("symbols   :", sorted(sdfg.symbols))
-    for state in sdfg.topological_states():
+    for state in sdfg.states():
         if state.is_empty():
             continue
         print(f"  state {state.label}:")

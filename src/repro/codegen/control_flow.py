@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from ..symbolic import Expr, Not
-from ..sdfg import SDFG, InterstateEdge, SDFGState, StateEdge
+from ..sdfg import SDFG, SDFGState
 from ..transforms.loop_analysis import LoopInfo, find_loops
 
 
@@ -77,36 +75,26 @@ class ControlFlowBuilder:
         self._postdominators = self._compute_postdominators()
         # States participating in cycles that are not recognized structured
         # loops must be emitted by the generic dispatcher.
-        self._cyclic_states: Set[SDFGState] = set()
-        for component in nx.strongly_connected_components(sdfg._graph):
-            if len(component) > 1:
-                self._cyclic_states |= set(component)
+        self._cyclic_states: Set[SDFGState] = sdfg.on_cycles()
         loop_covered = set(self.loops)
         for loop in self.loops.values():
             loop_covered |= loop.body_states
         self._unstructured_cycles = self._cyclic_states - loop_covered
 
     def _compute_postdominators(self) -> Dict[SDFGState, Optional[SDFGState]]:
-        # Build a bare reversed CFG (states only, no edge payloads).
-        # ``MultiDiGraph.reverse(copy=True)`` deep-copies every interstate
-        # edge — and, through its state references, effectively the whole
-        # SDFG — which used to dominate compile time.
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.sdfg._graph.nodes())
-        graph.add_edges_from((dst, src) for src, dst in self.sdfg._graph.edges())
-        sink = "__virtual_sink__"
-        graph.add_node(sink)
-        for state in self.sdfg.states():
-            if self.sdfg.out_degree(state) == 0:
-                graph.add_edge(sink, state)
-        try:
-            dominators = nx.immediate_dominators(graph, sink)
-        except nx.NetworkXError:
-            return {}
+        # Dominators of the reversed edges, from a virtual sink that every
+        # state without successors leaves to; the sink itself reads as None.
+        sdfg, sink = self.sdfg, object()
+        exits = [state for state in sdfg.states() if sdfg.out_degree(state) == 0]
+        dominators = sdfg.immediate_dominators(
+            sink,
+            successors=lambda state: exits if state is sink else sdfg.predecessors(state),
+            predecessors=lambda state: [sink] if state in exits else sdfg.successors(state),
+        )
         return {
-            state: parent if parent != sink else None
+            state: None if parent is sink else parent
             for state, parent in dominators.items()
-            if state != sink
+            if state is not sink
         }
 
     # -- public API ---------------------------------------------------------------
@@ -194,9 +182,9 @@ class ControlFlowBuilder:
         return sequence
 
     def _dispatch_from(self, entry: SDFGState) -> DispatchNode:
-        # ``nx.descendants`` is a set of id-hashed states: list them in SDFG
+        # ``descendants`` is a set of id-hashed states: list them in SDFG
         # state order, so every process emits the same dispatcher.
-        descendants = nx.descendants(self.sdfg._graph, entry)
+        descendants = self.sdfg.descendants(entry)
         reachable = [entry] + [s for s in self.sdfg.states() if s in descendants]
         return DispatchNode(entry=entry, states=reachable)
 

@@ -9,21 +9,11 @@ dataflow; interstate edges carry symbolic conditions and symbol assignments
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-import networkx as nx
-
-from ..symbolic import (
-    BoolExpr,
-    Expr,
-    Integer,
-    Symbol,
-    TRUE,
-    sympify,
-)
+from ..symbolic import Expr, Symbol, TRUE, sympify
 from .data import Array, Data, Scalar
 from .graph import OrderedMultiDiGraph
-from .memlet import Memlet
 from .state import SDFGState
 
 
@@ -181,9 +171,6 @@ class SDFG(OrderedMultiDiGraph):
         self.symbols[name] = dtype
         return Symbol(name)
 
-    def add_constant(self, name: str, value: Union[int, float]) -> None:
-        self.constants[name] = value
-
     def free_symbols(self) -> Set[str]:
         """Symbols used anywhere but never defined (by interstate-edge
         assignments or as map parameters); these must be provided by the
@@ -238,18 +225,6 @@ class SDFG(OrderedMultiDiGraph):
             self.start_state = None
 
     states = OrderedMultiDiGraph.nodes
-
-    def topological_states(self) -> List[SDFGState]:
-        """States in a quasi-topological order (loops broken arbitrarily)."""
-        try:
-            return self.program_order()
-        except nx.NetworkXUnfeasible:
-            # Cyclic state machine (loops): DFS preorder from the start state.
-            if self.start_state is None:
-                return self.states()
-            order = list(nx.dfs_preorder_nodes(self._graph, self.start_state))
-            reached = set(order)
-            return order + [state for state in self.states() if state not in reached]
 
     # -- queries ---------------------------------------------------------------------------------
     def arglist(self) -> Dict[str, Data]:

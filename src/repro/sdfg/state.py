@@ -115,16 +115,10 @@ class SDFGState(OrderedMultiDiGraph):
 
     # -- traversal helpers ----------------------------------------------------------------
     def data_nodes(self) -> List[AccessNode]:
-        return [node for node in self._graph if isinstance(node, AccessNode)]
+        return [node for node in self._succ if isinstance(node, AccessNode)]
 
     def tasklets(self) -> List[Tasklet]:
-        return [node for node in self._graph if isinstance(node, Tasklet)]
-
-    def source_nodes(self) -> List[Node]:
-        return [node for node in self._graph if not self._graph._pred[node]]
-
-    def sink_nodes(self) -> List[Node]:
-        return [node for node in self._graph if not self._graph._succ[node]]
+        return [node for node in self._succ if isinstance(node, Tasklet)]
 
     def is_empty(self) -> bool:
         return self.number_of_nodes() == 0
@@ -186,7 +180,7 @@ class SDFGState(OrderedMultiDiGraph):
     # -- scopes ------------------------------------------------------------------------------
     def scope_dict(self) -> Dict[Node, Optional[MapEntry]]:
         """Map each node to its innermost enclosing scope entry (or None)."""
-        scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._graph}
+        scope: Dict[Node, Optional[MapEntry]] = {node: None for node in self._succ}
         for entry in self.map_entries():
             exit_node = self.exit_node(entry)
             # Nodes strictly between entry and exit belong to this scope.
@@ -197,26 +191,26 @@ class SDFGState(OrderedMultiDiGraph):
 
     def _scope_members(self, entry: Node, exit_node: Node) -> Set[Node]:
         members: Set[Node] = set()
-        frontier = list(self._graph._succ[entry])
+        frontier = list(self._succ[entry])
         while frontier:
             node = frontier.pop()
             if node is exit_node or node in members:
                 continue
             members.add(node)
-            frontier.extend(self._graph._succ[node])
+            frontier.extend(self._succ[node])
         return members
 
     def exit_node(self, entry: Node) -> Node:
         """The exit node matching a scope entry."""
         if isinstance(entry, MapEntry):
-            for node in self._graph:
+            for node in self._succ:
                 if isinstance(node, MapExit) and node.map is entry.map:
                     return node
         raise KeyError(f"No exit node for scope entry {entry!r}")
 
     def entry_node(self, exit_node: Node) -> Node:
         if isinstance(exit_node, MapExit):
-            for node in self._graph:
+            for node in self._succ:
                 if isinstance(node, MapEntry) and node.map is exit_node.map:
                     return node
         raise KeyError(f"No entry node for scope exit {exit_node!r}")

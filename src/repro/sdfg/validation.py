@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import Set
 
-import networkx as nx
-
-from ..symbolic import Integer
 from .data import Scalar
+from .graph import GraphCycleError
 from .memlet import Memlet
 from .nodes import AccessNode, MapEntry, MapExit, Tasklet
 from .sdfg import SDFG, InvalidSDFGError
@@ -48,7 +46,7 @@ def _validate_symbols(sdfg: SDFG) -> None:
 def _validate_reachability(sdfg: SDFG) -> None:
     if sdfg.start_state is None or len(sdfg.states()) <= 1:
         return
-    reachable = set(nx.descendants(sdfg._graph, sdfg.start_state)) | {sdfg.start_state}
+    reachable = sdfg.descendants(sdfg.start_state) | {sdfg.start_state}
     unreachable = [state.label for state in sdfg.states() if state not in reachable]
     if unreachable:
         # Unreachable states are not an error (dead-state elimination removes
@@ -75,8 +73,10 @@ def validate_state(sdfg: SDFG, state: SDFGState) -> None:
 
 
 def _validate_acyclic(state: SDFGState) -> None:
-    if not nx.is_directed_acyclic_graph(state._graph):
-        raise InvalidSDFGError(f"State {state.label!r} contains a dataflow cycle")
+    try:
+        state.program_order()
+    except GraphCycleError:
+        raise InvalidSDFGError(f"State {state.label!r} contains a dataflow cycle") from None
 
 
 def _validate_tasklet_connectors(state: SDFGState, tasklet: Tasklet) -> None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-import networkx as nx
-
 from ..symbolic import BoolConst
 from ..sdfg import SDFG, AccessNode, SDFGState, Tasklet
 from .loop_analysis import find_loops
@@ -135,35 +133,21 @@ class DeadDataflowElimination(Transformation):
         for edge in sdfg.edges():
             observable |= edge.data.free_symbols() & set(sdfg.arrays)
 
-        # feeds[x] = containers written by computations that read x.
-        feeds: Dict[str, Set[str]] = {name: set() for name in sdfg.arrays}
+        # fed_by[y] = containers read by computations that write y.
+        fed_by: Dict[str, Set[str]] = {}
         for state in sdfg.states():
-            graph = state._graph
             for read in state.data_nodes():
-                written: Set[str] = set()
-                for reached in nx.descendants(graph, read):
+                for reached in state.descendants(read):
                     if isinstance(reached, AccessNode):
-                        written.add(reached.data)
-                feeds.setdefault(read.data, set()).update(written)
+                        fed_by.setdefault(reached.data, set()).add(read.data)
 
         live = set(observable)
         frontier = list(observable)
         while frontier:
-            target = frontier.pop()
-            for source, targets in feeds.items():
-                if source in live:
-                    continue
-                if targets & live:
+            for source in fed_by.get(frontier.pop(), ()):
+                if source not in live:
                     live.add(source)
                     frontier.append(source)
-        # Re-run until fixed point (feeds is not transitive by itself).
-        changed = True
-        while changed:
-            changed = False
-            for source, targets in feeds.items():
-                if source not in live and targets & live:
-                    live.add(source)
-                    changed = True
         return live
 
     def _cascade(self, state: SDFGState) -> None:

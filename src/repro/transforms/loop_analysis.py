@@ -10,12 +10,10 @@ redundant-iteration and loop-to-map transformations, and the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
-from ..symbolic import Compare, Expr, Integer, Not, Symbol
+from ..symbolic import Compare, Expr, Integer, Symbol
 from ..sdfg import SDFG, SDFGState, StateEdge
 
 
@@ -50,8 +48,7 @@ def _back_edges(sdfg: SDFG) -> List[StateEdge]:
     """Edges whose destination dominates their source (loop latches)."""
     if sdfg.start_state is None:
         return []
-    graph = sdfg._graph
-    dominators = nx.immediate_dominators(graph, sdfg.start_state)
+    dominators = sdfg.immediate_dominators(sdfg.start_state)
 
     def dominates(a: SDFGState, b: SDFGState) -> bool:
         current = b
