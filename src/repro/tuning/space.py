@@ -300,8 +300,13 @@ class SearchSpace:
             return []
         # Only flags that reach the spec's backend: toggling an ignored
         # flag would create a new content address for a byte-identical
-        # compilation (a wasted candidate).
-        flags = ("vectorize",) if spec.bridge else ("native_scalars", "preallocate")
+        # compilation (a wasted candidate).  Only C reads ``vectorize``.
+        if not spec.bridge:
+            flags = ("native_scalars", "preallocate")
+        elif spec.codegen.backend == "native":
+            flags = ("vectorize",)
+        else:
+            flags = ()
         found: List[Candidate] = []
         for flag in flags:
             value = not getattr(spec.codegen, flag)

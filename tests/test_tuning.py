@@ -99,9 +99,9 @@ class TestSearchSpace:
         # dcir is both the base and a registered seed: only "base" survives.
         origins = [candidate.origin for candidate in candidates]
         assert "base" in origins and "registered:dcir" not in origins
-        # dcir+vec duplicates the codegen:vectorize toggle of the base, so
-        # the only surviving codegen mutation is the native-backend axis
-        # (present exactly when this machine has a C compiler).
+        # Interpreted, vectorize changes no emitted byte and is not offered,
+        # so the only codegen mutation is the native-backend axis (present
+        # exactly when this machine has a C compiler).
         from repro.codegen import have_compiler
 
         codegen_origins = [o for o in origins if o.startswith("codegen:")]
@@ -130,6 +130,15 @@ class TestSearchSpace:
             if candidate.origin.startswith("ablate:")
         }
         assert ablated == expected
+
+    def test_vectorize_is_offered_only_to_native_code(self):
+        def codegen_origins(base):
+            space = SearchSpace(base, include_registered=False)
+            return {c.origin for c in space.candidates() if c.origin.startswith("codegen:")}
+
+        assert not any(o.startswith("codegen:vectorize") for o in codegen_origins("dcir"))
+        native = get_pipeline("dcir").with_codegen(backend="native")
+        assert "codegen:vectorize=True" in codegen_origins(native)
 
     def test_non_bridge_base_sweeps_mlir_codegen_flags(self):
         space = SearchSpace("gcc", include_registered=False, ablations=False,
