@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..ir.core import Block, Operation, Value, register_operation
 from ..ir.types import FunctionType, Type
@@ -47,10 +47,6 @@ class FuncOp(Operation):
     @property
     def body(self) -> Block:
         return self.regions[0].entry_block
-
-    @property
-    def entry_arguments(self) -> List[Value]:
-        return list(self.body.arguments)
 
     def verify_op(self) -> None:
         if not self.regions[0].blocks:

@@ -29,10 +29,6 @@ class CType:
         return self.pointer_depth > 0
 
     @property
-    def is_floating(self) -> bool:
-        return self.base in ("float", "double")
-
-    @property
     def is_integer(self) -> bool:
         return self.base in ("int", "long", "char")
 

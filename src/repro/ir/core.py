@@ -476,14 +476,6 @@ class Builder:
             raise IRError("Operation is not inside a block")
         return Builder(op.parent_block, op.parent_block.index_of(op) + 1)
 
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self.block = block
-        self.index = None
-
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self.block = block
-        self.index = 0
-
     # -- insertion ---------------------------------------------------------------
     def insert(self, op: Operation) -> Operation:
         if self.block is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .core import Block, Operation, Region, Value
-from .types import FunctionType, Type
+from .types import Type
 
 
 class _NameScope:
@@ -153,8 +153,3 @@ def print_operation(op: Operation) -> str:
 def print_module(module: Operation) -> str:
     """Print a module operation to text (alias of :func:`print_operation`)."""
     return print_operation(module)
-
-
-def function_signature_text(name: str, function_type: FunctionType) -> str:
-    """Helper used by custom printers for function-like ops."""
-    return f"@{name} : {function_type}"

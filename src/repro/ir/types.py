@@ -50,14 +50,6 @@ class Type:
         return isinstance(self, FloatType)
 
     @property
-    def is_index(self) -> bool:
-        return isinstance(self, IndexType)
-
-    @property
-    def is_memref(self) -> bool:
-        return isinstance(self, MemRefType)
-
-    @property
     def is_scalar(self) -> bool:
         return isinstance(self, (IntegerType, FloatType, IndexType))
 

@@ -95,9 +95,6 @@ class StageReport:
     def changed(self) -> bool:
         return any(record.changed for record in self.records)
 
-    def applied_passes(self) -> List[str]:
-        return [record.name for record in self.records if record.changed]
-
     def match_totals(self) -> Dict[str, Dict[str, int]]:
         """Aggregated pattern accounting per pass name.
 

@@ -73,9 +73,6 @@ class PerfCounters:
                 delta[name] = change
         return delta
 
-    def reset(self) -> None:
-        self._counts.clear()
-
     # -- reporting --------------------------------------------------------------
     def hit_rate(self, prefix: str) -> Optional[float]:
         """Hit rate of a ``<prefix>.hits`` / ``<prefix>.misses`` counter pair."""

@@ -32,7 +32,6 @@ from .pipelines import (
     GeneratedProgram,
     PipelineError,
     RunResult,
-    available_functions,
     compile_and_run,
     compile_c,
     control_runner,
@@ -60,7 +59,6 @@ __all__ = [
     "PipelineSpec",
     "RunResult",
     "StageReport",
-    "available_functions",
     "compile_and_run",
     "compile_c",
     "control_runner",

@@ -58,7 +58,7 @@ from ..codegen import (
     sdfg_movement_report,
 )
 from ..codegen.sdfg_c import NativeCodegenError, generate_c_code
-from ..conversion import mlir_to_sdfg, module_function_names, require_function
+from ..conversion import mlir_to_sdfg, require_function
 from ..errors import PipelineError
 from ..frontend import compile_c_to_mlir
 from ..frontend_py import ProgramLike, as_program, compile_python_to_mlir
@@ -83,9 +83,9 @@ SourceLike = Union[str, ProgramLike]
 #: model's iteration-overhead term scores;
 #: v5: payloads carry the native (C) backend's emitted source and the
 #: fallback diagnostic, and specs carry the ``codegen.backend`` axis;
-#: v6: map schedules — generated code for parallel-annotated maps embeds
-#: the fork/join executor (interpreted) or OpenMP pragmas (native), so
-#: cached payloads from earlier versions would miss the schedule.)
+#: v6: map schedules — native code for parallel-annotated maps carries
+#: OpenMP pragmas (interpreted code ignores a schedule), so cached payloads
+#: from earlier versions would miss the schedule.)
 PAYLOAD_VERSION = 6
 
 
@@ -394,11 +394,6 @@ def result_from_payload(payload: Dict) -> CompileResult:
         _cached_movement=movement,
         _cached_eliminated=list(payload.get("eliminated_containers", [])),
     )
-
-
-def available_functions(module) -> List[str]:
-    """Names of the functions defined by a compiled MLIR module."""
-    return module_function_names(module)
 
 
 def compile_frontend(source, spec: PipelineSpec):

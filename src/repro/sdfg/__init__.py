@@ -5,7 +5,7 @@ Public entry points: :class:`SDFG`, :class:`SDFGState`,
 descriptors (:class:`Array`, :class:`Scalar`).
 """
 
-from .analysis import live_containers_per_state, private_scalars, state_access_sets
+from .analysis import live_containers_per_state, private_scalars
 from .data import (
     Array,
     Data,
@@ -68,7 +68,6 @@ __all__ = [
     "propagate_memlets_sdfg",
     "propagate_memlets_state",
     "propagate_subset",
-    "state_access_sets",
     "validate_sdfg",
     "validate_state",
 ]

@@ -1,11 +1,9 @@
-"""State-machine level analyses: access sets, liveness and private scalars.
+"""State-machine level analyses: liveness and private scalars.
 
-These analyses back the extended dead code elimination of §6.2 (Dead State
-Elimination works on symbolic conditions; Dead Dataflow Elimination walks
-the state machine in reverse topological order tracking future-reused
-containers), the memory-scheduling heuristics of §6.3, and the one question
-``LoopToMap`` and the code generators' array form must answer alike: which
-scalars does an iteration keep to itself?
+They answer the one question ``LoopToMap`` and the code generators' array
+form must answer alike: which scalars does an iteration keep to itself?
+(Dead Dataflow Elimination, §6.2, does not read this liveness: it closes
+over which containers feed which, in :mod:`repro.transforms.dead_code`.)
 
 The bridge, CSE, scalar replacement and LICM leave per-iteration values in
 transient :class:`~repro.sdfg.data.Scalar` containers (``_load_5 =
@@ -31,11 +29,6 @@ from .state import SDFGState
 
 #: Per state, the containers that may still be read after it.
 Liveness = Dict[SDFGState, Set[str]]
-
-
-def state_access_sets(sdfg: SDFG) -> Dict[SDFGState, Tuple[Set[str], Set[str]]]:
-    """Per-state (read set, write set) of container names."""
-    return {state: (state.read_set(), state.write_set()) for state in sdfg.states()}
 
 
 class ScalarUse(NamedTuple):

@@ -10,7 +10,7 @@ pre-allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class Data:
 
     def numpy_dtype(self) -> np.dtype:
         return np.dtype(_DTYPE_TO_NUMPY[self.dtype])
-
-    def concrete_shape(self, symbols: Mapping[str, int]) -> Tuple[int, ...]:
-        """Shape with all symbols substituted (for allocation at runtime)."""
-        return tuple(int(dim.evaluate(dict(symbols))) for dim in self.shape)
 
     def clone(self) -> "Data":
         copy = type(self).__new__(type(self))

@@ -29,7 +29,7 @@ Environment knobs (all optional)::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Type
 
 from ..errors import TransientError
@@ -124,9 +124,6 @@ class RetryPolicy:
     def none(cls) -> "RetryPolicy":
         """A single-attempt policy (retries disabled)."""
         return cls(max_attempts=1)
-
-    def with_(self, **overrides) -> "RetryPolicy":
-        return replace(self, **overrides)
 
     # -- the schedule -----------------------------------------------------------
     def delay(self, attempt: int) -> float:
