@@ -84,21 +84,22 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from contextlib import nullcontext
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..perf import PERF
-from ..symbolic import Expr, Integer, Range, Subset, Symbol
+from ..symbolic import Expr, Integer, Range, Subset
 from ..symbolic.expr import And
+from ..symbolic.ranges import affine_in
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
-from ..sdfg.analysis import lazy_liveness, private_scalars
+from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_scalars, site_ranges
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
 from ..sdfg.tasklet_code import (
     Assignment, assignment_dtype, construct, name_dtypes, single_assignment, statements,
 )
+from ..transforms.loop_analysis import lazy_induction_ranges
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
@@ -191,23 +192,13 @@ class _Member(NamedTuple):
 
 
 class _Access(NamedTuple):
-    """One access of a container by the member ``maps`` encloses."""
+    """One access of a container by the member ``node``, which ``maps`` encloses."""
 
     subset: Optional[Subset]
     maps: Tuple[MapEntry, ...]
     write: bool
     fold: bool
-
-
-@lru_cache(maxsize=4096)  # the same few indices, asked about once per access
-def affine_in(index: Expr, param: str, otherwise=None) -> Optional[Tuple[int, Expr]]:
-    """``(a, b)`` such that ``index`` is ``a * param + b`` with a literal ``a``
-    and ``b`` free of ``param``; ``otherwise`` for any other dependence."""
-    offset = index.subs({param: 0})
-    slope = index.subs({param: 1}) - offset
-    if isinstance(slope, Integer) and slope * Symbol(param) + offset == index:
-        return slope.value, offset
-    return otherwise
+    node: object
 
 
 def _names(expression) -> Set[str]:
@@ -346,8 +337,10 @@ class SDFGWalker:
         #: :attr:`ArrayForm.carried`.
         self._nest: Optional[Tuple[Tuple[str, Range], ...]] = None
         self._carried: Dict[str, int] = {}
-        #: Liveness of the SDFG's containers, computed when a map first asks.
+        #: Liveness of the SDFG's containers, and the ranges of the loops
+        #: around each state, computed when a map first asks.
         self._liveness = lazy_liveness(sdfg)
+        self._inductions = lazy_induction_ranges(sdfg)
         self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
         self._allocated_persistent: Set[str] = set()
         # Top-level parallel-scheduled maps whose safety proof succeeds —
@@ -607,8 +600,10 @@ class SDFGWalker:
     def _index_updates(self, state: SDFGState) -> None:
         """What :meth:`_accumulators` asks of a state, gathered in one pass:
         its ``+``/``*`` WCR writes out of tasklets, and for every container
-        the source nodes of the edges that touch it in any other way (a
-        read, a copy, any other write; a map exit only hands writes on)."""
+        the source nodes of the edges that touch it in any other way, each
+        with the edge when it is a tasklet's read (any other touch — a copy,
+        any other write — with ``None``; a map exit only hands writes on, a
+        map entry's in-edge only bounds the reads inside the map)."""
         edges = state.edges()
         self._updates = [edge for edge in edges if _is_update(edge)]
         self._touches = {}
@@ -617,6 +612,13 @@ class SDFGWalker:
         for edge in edges:
             source, destination, memlet = edge.src, edge.dst, edge.data
             if _is_update(edge) or isinstance(source, MapExit):
+                continue
+            if not memlet.is_empty and isinstance(destination, (Tasklet, MapEntry)) and (
+                isinstance(source, MapEntry)
+                or isinstance(source, AccessNode) and source.data == memlet.data
+            ):
+                if isinstance(destination, Tasklet):
+                    self._touches.setdefault(memlet.data, []).append((source, edge))
                 continue
             touched = [] if memlet.is_empty else [memlet.data]
             if isinstance(source, AccessNode) and (
@@ -629,7 +631,7 @@ class SDFGWalker:
             ):
                 touched.append(destination.data)
             for data in touched:
-                self._touches.setdefault(data, []).append(source)
+                self._touches.setdefault(data, []).append((source, None))
 
     def _emit_lazy_allocations(self, state: SDFGState) -> None:
         """Charge allocation cost for non-pre-allocated transients.
@@ -775,7 +777,7 @@ class SDFGWalker:
         guard, accumulators = self._accumulators(state, entry, scope) if sequential else (None, [])
         for name, _, _, edges in accumulators:
             self._accumulated.update((id(edge), name) for edge in edges)
-        form = self._array_form(state, entry, members, owned) if self.array_maps else None
+        form = self._array_form(state, entry, members, owned, scope) if self.array_maps else None
         as_array = form is not None and form.reason is None
         if as_array:
             # An empty range may have a negative end: not what a slice means by it.
@@ -830,7 +832,7 @@ class SDFGWalker:
         bounds = [rng.start.lt(rng.end) for rng in ranges if rng.is_empty() is not False]
         return And.make(*bounds) if bounds else None
 
-    def _array_form(self, state, entry: MapEntry, members, owned) -> ArrayForm:
+    def _array_form(self, state, entry: MapEntry, members, owned, scope) -> ArrayForm:
         """The verdict on the nest ``entry`` roots, reached and counted once.
 
         Each innermost map of an accepted nest counts as an array map of its
@@ -840,7 +842,7 @@ class SDFGWalker:
         """
         form = self._array_forms.get(id(entry))
         if form is None:
-            form = self._classify(state, entry, owned)
+            form = self._classify(state, entry, owned, scope)
             self._array_forms[id(entry)] = form
             prefix = f"codegen.{self.backend.lower()}"
             nests = f"{prefix}_nests"
@@ -897,7 +899,7 @@ class SDFGWalker:
         reason = walk(root, (), ())
         return members, innermost, depth, reason
 
-    def _classify(self, state, root: MapEntry, owned) -> ArrayForm:
+    def _classify(self, state, root: MapEntry, owned, scope) -> ArrayForm:
         """What the nest ``root`` roots is as an array expression over its
         parameters' values.
 
@@ -909,8 +911,9 @@ class SDFGWalker:
         parameters around it (:func:`_determined`); two accesses of a
         container written in the nest, one of them a write, reach one
         element only in one iteration of the maps around both (they index
-        it alike in dimensions that pin those parameters), so no iteration
-        sees what another one left; and a ``+``/``*`` update of an element
+        it alike in dimensions that pin those parameters) or, a read and a
+        write, none in any two iterations of the nest (:meth:`_may_meet`),
+        so no iteration sees what another one left; and a ``+``/``*`` update of an element
         that does not move with some parameters is fed a value that moves
         with all of them and folds over those parameters in nest order —
         no other access of its container in an iteration of the maps around
@@ -921,8 +924,8 @@ class SDFGWalker:
         the iterations is stored and read like a temporary: it holds the
         array of their values when what binds it moves.  A copy or a bare
         read binding it is a view of what it reads, so a nest that writes
-        that container at or after the binding stays loops
-        (``aliased_value``), as one that updates the private, or binds it
+        that container at or after the binding, where the view may reach,
+        stays loops (``aliased_value``), as one that updates the private, or binds it
         inside a nested map, does (``scalar_store``).
         """
         members, innermost, depth, reason = self._nest_members(state, root, owned)
@@ -946,7 +949,8 @@ class SDFGWalker:
         moving: Dict[int, Set[str]] = {}  # tasklet → the parameters its value moves with
         # Private → the number of parameters around its binding, and those its value moves with.
         carried: Dict[str, Tuple[int, Set[str]]] = {}
-        aliased: Dict[str, int] = {}  # container → first member binding a view of it
+        # Container → (member, read) of each view of it bound, in member order.
+        views: Dict[str, List[Tuple[int, _Access]]] = defaultdict(list)
         written: Dict[str, int] = {}  # container → last member writing it
 
         def bound_value(data: str, depth: int) -> Optional[Set[str]]:
@@ -956,9 +960,11 @@ class SDFGWalker:
             binding = carried.get(data, (0, set()))
             return None if binding[0] > depth else binding[1]
 
-        def read(data: str, subset: Optional[Subset], maps) -> None:
-            accesses.setdefault(data, []).append(_Access(subset, maps, False, False))
+        def read(data: str, subset: Optional[Subset], maps, node) -> _Access:
+            access = _Access(subset, maps, False, False, node)
+            accesses.setdefault(data, []).append(access)
             reads[maps[-1]].add(data)
+            return access
 
         for position, (node, maps, axes) in enumerate(members):
             params = {param for param, _ in axes}
@@ -976,9 +982,9 @@ class SDFGWalker:
                     if reason is not None:
                         return refuse(reason)
                     subset = None if isinstance(arrays[source.data], Scalar) else memlet.subset
-                    read(source.data, subset, maps)
+                    access = read(source.data, subset, maps, node)
                     if subset is not None:
-                        aliased.setdefault(source.data, position)
+                        views[source.data].append((position, access))
                     values = bound_value(source.data, len(axes))
                     if values is None:
                         return refuse("crosses_iterations")
@@ -1021,13 +1027,13 @@ class SDFGWalker:
                 if reason is not None:
                     return refuse(reason)
                 subset = None if isinstance(arrays[data], Scalar) else memlet.subset
-                read(data, subset, maps)
+                access = read(data, subset, maps, node)
                 bound = bound_value(data, len(axes))
                 if bound is None:
                     return refuse("crosses_iterations")
                 values |= _names(subset) & params | bound
                 if view and subset is not None:
-                    aliased.setdefault(data, position)
+                    views[data].append((position, access))
             moving[id(node)] = values
             for edge in out_edges:
                 memlet = edge.data
@@ -1067,7 +1073,7 @@ class SDFGWalker:
                 if memlet.wcr is not None:
                     updated.add(maps[-1])
                 accesses.setdefault(data, []).append(_Access(
-                    None if scalar else memlet.subset, maps, True, bound != params
+                    None if scalar else memlet.subset, maps, True, bound != params, node
                 ))
                 writes[maps[-1]].add(data)
                 written[data] = position
@@ -1076,11 +1082,16 @@ class SDFGWalker:
             if not any(access.write for access in entries):
                 continue
             for first, second in combinations(entries, 2):
-                if (first.write or second.write) and not self._one_iteration(first, second, nest):
+                if (first.write or second.write) and not self._one_iteration(first, second, nest) \
+                        and self._may_meet(state, scope, first, second, nest):
                     return refuse(
                         "shared_accumulator" if first.fold or second.fold else "crosses_iterations"
                     )
-            if written.get(data, -1) >= aliased.get(data, len(members)):
+            bindings = views.get(data)
+            if bindings and written.get(data, -1) >= bindings[0][0] and any(
+                self._may_meet(state, scope, view, access, nest)
+                for _, view in bindings for access in entries if access.write
+            ):
                 return refuse("aliased_value")
         kinds = tuple(
             ARRAY_KINDS[
@@ -1113,6 +1124,22 @@ class SDFGWalker:
             if index == other and _names(index) & nest <= shared
         ]
         return _determined(pinning, shared) == shared
+
+    def _site(self, state, scope, subset: Optional[Subset], node) -> Site:
+        """``subset`` accessed at ``node`` of ``state``, with the ranges of the
+        maps and loops around it."""
+        return Site(subset, site_ranges(scope, node, self._inductions().get(state, {})))
+
+    def _may_meet(self, state, scope, first: _Access, second: _Access, nest: Set[str]) -> bool:
+        """Whether two accesses of a nest whose parameters are ``nest`` are
+        not a read and a write that never meet in any two of its iterations
+        (:func:`~repro.sdfg.analysis.may_meet`)."""
+        if first.write == second.write:
+            return True
+        read, write = (second, first) if first.write else (first, second)
+        site = self._site(state, scope, read.subset, read.node)
+        return may_meet(site, self._site(state, scope, write.subset, write.node),
+                        site.ranges.keys() - nest)
 
     @staticmethod
     def _fold_target(subset: Subset, axes, bound: Set[str]) -> bool:
@@ -1147,8 +1174,10 @@ class SDFGWalker:
         index names no parameter of ``entry`` or of a map nested between it
         and the write, and the container is touched nowhere else inside the
         scope except by updates of the same element with the same operator
-        (which share the local).  Writes an enclosing map already bound are
-        skipped, so each is bound at the outermost scope that qualifies.
+        (which share the local) and by reads that never reach that element
+        in any iteration of the scope (:func:`~repro.sdfg.analysis.may_meet`).
+        Writes an enclosing map already bound are skipped, so each is bound
+        at the outermost scope that qualifies.
 
         The load and the store run once whatever the trip counts inside, so
         the scope must be entered exactly when the update would have run:
@@ -1187,7 +1216,10 @@ class SDFGWalker:
         accumulators = []
         for data, edges in writes.items():
             if data in refused or any(
-                nested(source) is not None for source in self._touches.get(data, ())
+                nested(source) is not None and (
+                    read is None or self._reaches(state, scope, read, (entry,) + nested(read.dst), edges)
+                )
+                for source, read in self._touches.get(data, ())
             ):
                 continue
             subset, wcr = edges[0].data.subset, edges[0].data.wcr
@@ -1198,6 +1230,17 @@ class SDFGWalker:
         if not accumulators or ranges[0].is_empty() is False:
             return None, accumulators
         return ranges[0].start.lt(ranges[0].end), accumulators
+
+    def _reaches(self, state, scope, read, maps: Tuple[MapEntry, ...], updates) -> bool:
+        """Whether the tasklet read ``read`` inside ``maps`` (outermost first)
+        may reach an element one of ``updates`` updates, in any iterations
+        of those maps."""
+        site = self._site(state, scope, read.data.subset, read.dst)
+        fixed = site.ranges.keys() - {param for entry in maps for param in entry.map.params}
+        return any(
+            may_meet(site, self._site(state, scope, edge.data.subset, edge.src), fixed)
+            for edge in updates
+        )
 
     def _reduces(self, state, edge, data: Optional[str], maps: Tuple[MapEntry, ...]) -> bool:
         """Whether ``edge``, a ``+``/``*`` update of ``data`` inside ``maps``

@@ -15,13 +15,22 @@ read can see the value the scalar held when the state began (it is
 that value (the state **kills** it).  Liveness reads both; a scalar that is
 not upward-exposed in a loop body and not live after it is **private**
 (:func:`private_scalars`).
+
+One more question is asked alike by update detection, ``LoopToMap`` and
+the array form: can a read of a container ever reach an element a write
+of it touches (:func:`may_meet`)?  ``A[i][j] -= A[i][k] * A[k][j]`` under
+``k < j < i`` reads two other elements than the one it updates, in every
+iteration of every loop around it, so the read holds no loop back.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union,
+)
 
+from ..symbolic import Range, Subset, Symbol
 from .data import Scalar
 from .nodes import AccessNode, MapEntry, MapExit
 from .sdfg import SDFG
@@ -184,3 +193,53 @@ def private_scalars(
     elif callable(live):
         live = live()
     return candidates - live[state]
+
+
+class Site(NamedTuple):
+    """Where an access happens: the subset it touches, and the range of every
+    loop induction variable and map parameter around it (:func:`site_ranges`)."""
+
+    subset: Optional[Subset]
+    ranges: Mapping[str, Range]
+
+
+def site_ranges(scope, node, loops: Mapping[str, Range]) -> Dict[str, Range]:
+    """The ranges around ``node`` of a state whose :meth:`scope_dict` is
+    ``scope``: each parameter of the maps enclosing it, innermost first, then
+    ``loops`` — the state's loop inductions
+    (:func:`~repro.transforms.loop_analysis.induction_ranges`) — for any
+    name no map took."""
+    ranges: Dict[str, Range] = {}
+    entry = scope.get(node)
+    while entry is not None:
+        for param, rng in zip(entry.map.params, entry.map.ranges):
+            ranges.setdefault(param, rng)
+        entry = scope.get(entry)
+    for name, rng in loops.items():
+        ranges.setdefault(name, rng)
+    return ranges
+
+
+def may_meet(access: Site, write: Site, fixed: Collection[str] = ()) -> bool:
+    """Whether ``access`` may ever reach an element ``write`` touches.
+
+    A symbol ``fixed`` names holds one value at both sites: the loops and
+    maps around the scope the question is about.  Every other symbol of
+    ``access.ranges`` — the loops and maps inside that scope — is renamed
+    apart, so it may hold any value of its range at the access whatever it
+    holds at the write.  The two never meet when some dimension's ranges
+    are disjoint over all those values (:meth:`Subset.disjoint`): trmm's
+    ``B[k][j]`` and ``B[i][j]`` under ``k`` in ``[i + 1, N)``.  Whatever
+    cannot be shown — a missing subset, a bound that is not affine in a
+    symbol, a symbol without a range — may meet.
+    """
+    if access.subset is None or write.subset is None:
+        return True
+    apart = {name: Symbol(f"{name}'") for name in access.ranges if name not in fixed}
+    bounds = dict(write.ranges)
+    for name, rng in access.ranges.items():
+        if name in apart:
+            bounds[apart[name].name] = rng.subs(apart)
+        else:
+            bounds.setdefault(name, rng)
+    return not access.subset.subs(apart).disjoint(write.subset, bounds)

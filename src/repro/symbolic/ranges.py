@@ -17,13 +17,74 @@ their free symbols.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .expr import Expr, Integer, Max, Min, Symbol, SymbolicError, sympify
 
 RangeLike = Union["Range", tuple, int, Expr, str]
 
 _ONE = Integer(1)
+
+
+@lru_cache(maxsize=4096)  # the same few indices, asked about once per access
+def affine_in(index: Expr, param: str, otherwise=None) -> Optional[Tuple[int, Expr]]:
+    """``(a, b)`` such that ``index`` is ``a * param + b`` with a literal ``a``
+    and ``b`` free of ``param``; ``otherwise`` for any other dependence."""
+    offset = index.subs({param: 0})
+    slope = index.subs({param: 1}) - offset
+    if isinstance(slope, Integer) and slope * Symbol(param) + offset == index:
+        return slope.value, offset
+    return otherwise
+
+
+def _innermost_first(bounds: Mapping[str, "Range"]) -> Optional[List[str]]:
+    """The names of ``bounds``, each before every name its range mentions;
+    ``None`` when ranges mention each other in a cycle."""
+    order: List[str] = []
+    done: Dict[str, bool] = {}  # False while a name's range is being visited
+
+    def visit(name: str) -> bool:
+        if name in done:
+            return done[name]
+        done[name] = False
+        if not all(visit(symbol.name) for symbol in bounds[name].free_symbols()
+                   if symbol.name in bounds):
+            return False
+        done[name] = True
+        order.append(name)
+        return True
+
+    if not all(visit(name) for name in bounds):
+        return None
+    return order[::-1]
+
+
+def upper_bound(expr: Expr, bounds: Mapping[str, "Range"]) -> Optional[int]:
+    """The largest value ``expr`` takes while each symbol ``bounds`` names lies
+    in its range, or ``None`` when that is not a literal.
+
+    Each symbol is replaced by the end of its range that maximises what is
+    left — its last element where ``expr`` grows with it, its first where
+    it shrinks — innermost first, so a symbol whose range names another is
+    gone before that one is: ``i + 1 - k`` over ``k`` in ``[i + 1, N)`` is
+    at most ``0`` whatever ``i`` and ``N`` are.  Each replaced symbol must
+    appear affinely (:func:`affine_in`).  An empty range gives a bound no
+    value reaches, which is sound: nothing runs with a value from it.
+    """
+    order = _innermost_first(bounds)
+    if order is None:
+        return None
+    for name in order:
+        if Symbol(name) not in expr.free_symbols():
+            continue
+        form = affine_in(expr, name)
+        if form is None:
+            return None
+        slope, rest = form
+        rng = bounds[name]
+        expr = rest + slope * (rng.end - _ONE if slope > 0 else rng.start)
+    return expr.value if isinstance(expr, Integer) else None
 
 
 def _mapping_names(mapping: Mapping) -> set:
@@ -110,6 +171,17 @@ class Range:
                 return True
             return not empty
         return None
+
+    def disjoint(self, other: "Range", bounds: Mapping[str, "Range"]) -> bool:
+        """Whether no index lies in both ranges, whatever values the symbols
+        ``bounds`` names take in their ranges (:func:`upper_bound`): one
+        range ends where the other starts or before.  ``False`` when that
+        cannot be shown."""
+        for low, high in ((self, other), (other, self)):
+            top = upper_bound(low.end - high.start, bounds)
+            if top is not None and top <= 0:
+                return True
+        return False
 
     def union(self, other: "Range") -> "Range":
         """Bounding-box union (may over-approximate; step normalizes to 1)."""
@@ -270,6 +342,13 @@ class Subset:
             if overlap is None:
                 result = None
         return result
+
+    def disjoint(self, other: "Subset", bounds: Mapping[str, Range]) -> bool:
+        """Whether the subsets share no element: some dimension's ranges are
+        :meth:`Range.disjoint` over ``bounds``."""
+        return self.dims == other.dims and any(
+            mine.disjoint(theirs, bounds) for mine, theirs in zip(self.ranges, other.ranges)
+        )
 
     def union(self, other: "Subset") -> "Subset":
         if self.dims != other.dims:

@@ -11,9 +11,10 @@ redundant-iteration and loop-to-map transformations, and the cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Set
 
-from ..symbolic import Compare, Expr, Integer, Symbol
+from ..symbolic import Compare, Expr, Integer, Range, Symbol
 from ..sdfg import SDFG, SDFGState, StateEdge
 
 
@@ -145,3 +146,59 @@ def _recognize_counted_loop(info: LoopInfo) -> None:
     info.init_expr = init_expr
     info.step_expr = step_expr
     info.bound_expr = bound
+
+
+def induction_ranges(sdfg: SDFG, loops: List[LoopInfo]) -> Dict[SDFGState, Dict[str, Range]]:
+    """Per state, the range ``[init, bound)`` each counted loop around it holds
+    its induction variable in.
+
+    That range is a fact of the loop's body when the loop moves the
+    variable only up: every entry sets it to ``init``, the latch adds a
+    positive literal to it, no other edge inside the loop assigns it or
+    a symbol ``init`` or ``bound`` names, and neither names a data
+    container (which the body's dataflow may write).  A loop that breaks
+    any of these tells nothing.
+    """
+    ranges: Dict[SDFGState, Dict[str, Range]] = {}
+    for loop in loops:
+        induction = loop.induction_symbol
+        if induction is None or loop.bound_expr is None or loop.init_expr is None:
+            continue
+        frozen = {
+            symbol.name for symbol in loop.init_expr.free_symbols() | loop.bound_expr.free_symbols()
+        }
+
+        def moves(edge: StateEdge) -> bool:
+            """Whether ``edge``, inside the loop, assigns a symbol of the
+            bounds, or the induction variable other than as the latch's step up."""
+            assigned = edge.data.assignments
+            if frozen & assigned.keys():
+                return True
+            if induction not in assigned:
+                return False
+            step = assigned[induction] - Symbol(induction)
+            return not (edge in loop.latch_edges and isinstance(step, Integer) and step.value > 0)
+
+        inside = loop.body_states | {loop.guard}
+        if (frozen | {induction}) & sdfg.arrays.keys() or any(
+            edge.data.assignments.get(induction) != loop.init_expr
+            or frozen & edge.data.assignments.keys()
+            for edge in loop.entry_edges
+        ) or any(
+            moves(edge) for state in inside for edge in sdfg.out_edges(state) if edge.dst in inside
+        ):
+            continue
+        rng = Range(loop.init_expr, loop.bound_expr)
+        for state in loop.body_states:
+            ranges.setdefault(state, {})[induction] = rng
+    return ranges
+
+
+def lazy_induction_ranges(
+    sdfg: SDFG, loops: Optional[List[LoopInfo]] = None,
+) -> Callable[[], Dict[SDFGState, Dict[str, Range]]]:
+    """:func:`induction_ranges` of ``sdfg`` over ``loops`` — by default the
+    loops :func:`find_loops` finds — computed on the first call."""
+    return lru_cache(maxsize=None)(
+        lambda: induction_ranges(sdfg, find_loops(sdfg) if loops is None else loops)
+    )

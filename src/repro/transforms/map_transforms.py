@@ -6,7 +6,9 @@ parametric parallelism (§3.2) and the prerequisite for both vectorized code
 generation (the ICC/SLEEF effect of Fig. 8) and map fusion.  A scalar the
 iterations share only by name — each writes it before it reads it, and
 nothing reads it after the loop (:func:`~repro.sdfg.analysis.private_scalars`)
-— holds no loop back.  :meth:`LoopToMap.refusal` names what does, from the
+— holds no loop back, and neither does a read that never reaches an element
+the body writes (:func:`~repro.sdfg.analysis.may_meet`).
+:meth:`LoopToMap.refusal` names what does, from the
 closed set :data:`LOOP_REFUSALS`, and :func:`loops_left` counts the loops a
 compile leaves by that name.
 
@@ -25,15 +27,15 @@ fusion with a third).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..symbolic import Range, Subset, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, Scalar, SDFGState, Tasklet
-from ..sdfg.analysis import lazy_liveness, private_scalars, scalar_uses
+from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_scalars, scalar_uses, site_ranges
 from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.parallelism import monotone_in
 from ..sdfg.tasklet_code import renamed, statements
-from .loop_analysis import LoopInfo, find_loops
+from .loop_analysis import LoopInfo, find_loops, lazy_induction_ranges
 from .rewrite import Match, Transformation
 
 #: Why a loop stays a loop (:meth:`LoopToMap.refusal`), in the order checked.
@@ -51,9 +53,11 @@ class LoopToMap(Transformation):
 
     def match(self, sdfg: SDFG) -> List[Match]:
         live = lazy_liveness(sdfg)
+        loops = find_loops(sdfg)
+        inductions = lazy_induction_ranges(sdfg, loops)
         matches: List[Match] = []
-        for loop in find_loops(sdfg):
-            if self.refusal(loop, live) is not None:
+        for loop in loops:
+            if self.refusal(loop, live, inductions) is not None:
                 continue
             matches.append(Match(
                 transformation=self.name,
@@ -63,15 +67,15 @@ class LoopToMap(Transformation):
                     f"for {loop.induction_symbol} in "
                     f"[{loop.init_expr}, {loop.bound_expr}) step {loop.step_expr}"
                 ),
-                payload={"loop": loop},
+                payload={"loop": loop, "inductions": inductions},
             ))
         return matches
 
     def apply_match(self, sdfg: SDFG, match: Match) -> bool:
-        return self._convert(sdfg, match.payload["loop"])
+        return self._convert(sdfg, match.payload["loop"], match.payload["inductions"])
 
     @staticmethod
-    def refusal(loop: LoopInfo, live=None) -> Optional[str]:
+    def refusal(loop: LoopInfo, live=None, inductions=None) -> Optional[str]:
         """Why ``loop`` stays a loop — a name of :data:`LOOP_REFUSALS` — or
         ``None`` when its iterations may run as a map.  Nothing is mutated.
 
@@ -87,11 +91,17 @@ class LoopToMap(Transformation):
         updates commute with each other wherever they land — or all its
         memlets, reads and nested scopes' included, agree on one dimension:
         the same single index, strictly monotone in the induction variable.
-        An update that also reads another element of its target carries a
-        dependence (``B[i][j] += A[k][i] * B[k][j]``: ``reads_what_it_writes``);
-        ``A[i] = A[i + 1]`` and ``A[i] = x; A[i + 1] = y`` touch an element
-        another iteration stores (``writes_collide``).  Run in order the
-        last store wins; run as a map — vectorized, or in parallel — any may.
+        A read that never reaches an element the body stores, in any pair of
+        iterations of the loop and of the maps in its body, counts for
+        neither (:func:`_meeting_loads`; ``inductions`` returns the ranges
+        of the loops around, :func:`lazy_induction_ranges`): over ``k`` in
+        ``[i + 1, N)``, ``B[i][j] += A[k][i] * B[k][j]`` is a reduction.
+        An update that also reads an element of its target it may reach
+        carries a dependence (over ``k`` in ``[i, N)``, the same update:
+        ``reads_what_it_writes``); ``A[i] = A[i + 1]`` and ``A[i] = x;
+        A[i + 1] = y`` touch an element another iteration stores
+        (``writes_collide``).  Run in order the last store wins; run as a
+        map — vectorized, or in parallel — any may.
         """
         induction = loop.induction_symbol
         if induction is None or loop.bound_expr is None:
@@ -121,12 +131,27 @@ class LoopToMap(Transformation):
         for name, (stores, loads) in accesses.items():
             if not stores or isinstance(sdfg.arrays[name], Scalar) or _reduction(stores, loads):
                 continue
-            if not _apart([memlet.subset for memlet in stores] + loads, induction):
-                return "reads_what_it_writes" if _updates(stores) else "writes_collide"
+            stored = [memlet.subset for memlet in stores]
+            if _apart(stored + loads, induction):
+                continue
+            refused = "reads_what_it_writes" if _updates(stores) else "writes_collide"
+            if not (_updates(stores) or _apart(stored, induction)):
+                return refused  # the stores collide, whatever is read
+            if inductions is None:
+                inductions = lazy_induction_ranges(sdfg)
+            # Adding a subset never makes ``_apart`` hold: the first that
+            # breaks it decides.
+            meeting = []
+            for load in _meeting_loads(body, name, inductions().get(body, {}), induction):
+                meeting.append(load)
+                if not _apart(stored + meeting, induction):
+                    return refused
+            if not (meeting or _updates(stores) or _apart(stored, induction)):
+                return refused
         return None
 
-    def _convert(self, sdfg: SDFG, loop: LoopInfo) -> bool:
-        if self.refusal(loop) is not None:
+    def _convert(self, sdfg: SDFG, loop: LoopInfo, inductions=None) -> bool:
+        if self.refusal(loop, inductions=inductions) is not None:
             return False
         body = next(iter(loop.body_states))
 
@@ -244,6 +269,34 @@ def _accesses(body: SDFGState) -> Dict[str, Tuple[List[Memlet], List[Optional[Su
     return found
 
 
+def _meeting_loads(body: SDFGState, name: str, around: Dict[str, Range],
+                   induction: str) -> Iterator[Optional[Subset]]:
+    """The subsets of the reads of ``name`` in ``body`` that may reach an
+    element a store of it touches (:func:`~repro.sdfg.analysis.may_meet`),
+    in any two iterations of the loop of ``induction`` and of the maps in
+    ``body``; ``around`` holds the ranges of the loops around ``body``, the
+    loop's own included.  A read is where a tasklet or an access node takes
+    it; the memlet a nested scope's entry takes is a bounding box of those.
+    ``None`` stands for a read whose subset is another container's."""
+    scope = body.scope_dict()
+    stores, reads = [], []
+    for edge in body.edges():
+        memlet, source, destination = edge.data, edge.src, edge.dst
+        if memlet.is_empty:
+            continue
+        subset = memlet.subset if memlet.data == name else None
+        if isinstance(destination, AccessNode) and destination.data == name:
+            stores.append(Site(subset, site_ranges(scope, destination, around)))
+        if isinstance(destination, MapEntry):
+            continue
+        if isinstance(source, AccessNode) and source.data == name \
+                or isinstance(source, MapEntry) and memlet.data == name:
+            reads.append(Site(subset, site_ranges(scope, destination, around)))
+    fixed = around.keys() - {induction}
+    return (read.subset for read in reads
+            if any(may_meet(read, store, fixed) for store in stores))
+
+
 def _updates(stores: Sequence[Memlet]) -> bool:
     """Whether every store is an update (WCR) with one operator."""
     return stores[0].wcr is not None and all(memlet.wcr == stores[0].wcr for memlet in stores)
@@ -270,9 +323,11 @@ def loops_left(sdfg: SDFG) -> Dict[str, int]:
     """How many loops ``sdfg`` still has, per :meth:`LoopToMap.refusal` name
     (``eligible`` for one the data stage's last sweep left raisable)."""
     live = lazy_liveness(sdfg)
+    loops = find_loops(sdfg)
+    inductions = lazy_induction_ranges(sdfg, loops)
     counted: Dict[str, int] = {}
-    for loop in find_loops(sdfg):
-        reason = LoopToMap.refusal(loop, live) or "eligible"
+    for loop in loops:
+        reason = LoopToMap.refusal(loop, live, inductions) or "eligible"
         counted[reason] = counted.get(reason, 0) + 1
     return counted
 

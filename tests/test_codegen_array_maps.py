@@ -248,10 +248,10 @@ class TestWritesThatMustStayLoops:
         _check([_copy(write="i + 1", target="A", code="_out = _a + 1.0")], Range(0, 15),
                refused="crosses_iterations")
 
-    def test_another_row_of_the_container_written(self):
-        # Rows k and k + 1 never meet, but the verdict compares subsets, not values.
-        _check([_copy("k, i", "k + 1, i", source="M", target="M")], arrays=_ABM,
-               refused="crosses_iterations", k=4)
+    def test_rows_it_cannot_tell_apart(self):
+        # Rows k and m meet when k == m; nothing says whether they do.
+        _check([_copy("k, i", "m, i", source="M", target="M")], arrays=_ABM,
+               refused="crosses_iterations", k=4, m=5)
 
     def test_updates_of_neighbouring_elements(self):
         # A[k] gets iteration k - 1's second update before iteration k's first.
@@ -332,6 +332,12 @@ class TestInPlaceAndInOrder:
     def test_in_place_store(self):
         code = _check([_copy(target="A", code="_out = _a * 2.0")], kind=1)
         assert "A[0:16] = A[0:16] * 2.0" in code
+
+    def test_another_row_of_the_container_written(self):
+        # Rows k and k + 1 never meet, whatever k is: the read is a plain read.
+        code = _check([_copy("k, i", "k + 1, i", source="M", target="M")], arrays=_ABM,
+                      kind=1, k=4)
+        assert "M[k + 1, 0:16] = M[k, 0:16]" in code
 
     @pytest.mark.parametrize("wcr", ["+", "*"])
     def test_moving_update_is_a_slice_update(self, wcr):
@@ -825,7 +831,7 @@ class TestCounted:
                     totals[key] = totals.get(key, 0) + value
         arrays = totals.pop("codegen.python.array_maps")
         loops = totals.pop("codegen.python.loop_maps", 0)
-        assert arrays + loops == 151 and arrays >= 145
+        assert (arrays, loops) == (157, 0)
         kinds = {"codegen.python.array_maps." + kind.replace(" ", "_") for kind in ARRAY_KINDS}
         assert sum(totals.pop(kind) for kind in kinds) == arrays  # all three kinds occur
         assert sum(totals.values()) == loops  # each loop is refused under one name

@@ -627,21 +627,40 @@ class TestSoundness:
         assert [e.data.wcr for e in state.out_edges(tasklet)] == ["+"]
         assert sorted(e.dst_conn for e in state.in_edges(tasklet)) == ["_in0", "_in1"]
 
-    @pytest.mark.parametrize("code", [
-        "_out = ((_in0 + _in1) + 1.0)",  # the read sits below the top-level operator
-        "_out = (_in0 - _in1)",          # not commutative
-        "_out = (_in0 + _in0)",          # the target is not one operand
-    ])
-    def test_wcr_detection_refuses_what_is_not_an_update(self, code):
+    @staticmethod
+    def _combine(code, dtype="float64"):
+        """``A[3] = code(A[3] as _in0, v as _in1)`` in one state."""
         sdfg = SDFG("wcr")
-        sdfg.add_array("A", [8], "float64")
-        sdfg.add_scalar("v", "float64")
+        sdfg.add_array("A", [8], dtype)
+        sdfg.add_scalar("v", dtype)
         state = sdfg.add_state("s0", is_start_state=True)
         tasklet = state.add_tasklet("t", ["_in0", "_in1"], ["_out"], code)
         state.add_edge(state.add_access("A"), None, tasklet, "_in0", Memlet.simple("A", "3"))
         state.add_edge(state.add_access("v"), None, tasklet, "_in1", Memlet(data="v"))
         state.add_edge(tasklet, "_out", state.add_access("A"), None, Memlet.simple("A", "3"))
+        return sdfg, state, tasklet
+
+    @pytest.mark.parametrize("code, dtype", [
+        ("_out = ((_in0 + _in1) + 1.0)", "float64"),  # the read sits below the top-level operator
+        ("_out = (_in1 - _in0)", "float64"),          # v - A[3]: the target is what is subtracted
+        ("_out = (_in0 - _in1)", "int64"),            # -INT64_MIN is undefined behaviour in C
+        ("_out = (_in0 + _in0)", "float64"),          # the target is not one operand
+    ])
+    def test_wcr_detection_refuses_what_is_not_an_update(self, code, dtype):
+        sdfg, _, _ = self._combine(code, dtype)
         assert not AugAssignToWCR().apply(sdfg)
+
+    @pytest.mark.parametrize("code, update", [
+        ("_out = (_in0 - _in1)", "_out = -(_in1)"),
+        ("_out = (_in0 - (_in1 * 2.0))", "_out = -(_in1 * 2.0)"),
+    ])
+    def test_wcr_detection_adds_what_a_float_difference_subtracts(self, code, update):
+        """IEEE 754 defines ``x - y`` as ``x + (-y)``: the update is exact."""
+        sdfg, state, tasklet = self._combine(code)
+        assert AugAssignToWCR().apply(sdfg)
+        assert tasklet.code == update
+        assert [e.data.wcr for e in state.out_edges(tasklet)] == ["+"]
+        assert [e.dst_conn for e in state.in_edges(tasklet)] == ["_in1"]
 
     def test_wcr_detection_refuses_a_second_read_of_the_target(self):
         """trmm: ``B[i] += A[k] * B[k]`` depends on other elements' updates."""
