@@ -1137,9 +1137,8 @@ class SDFGWalker:
         if first.write == second.write:
             return True
         read, write = (second, first) if first.write else (first, second)
-        site = self._site(state, scope, read.subset, read.node)
-        return may_meet(site, self._site(state, scope, write.subset, write.node),
-                        site.ranges.keys() - nest)
+        return may_meet(self._site(state, scope, read.subset, read.node),
+                        self._site(state, scope, write.subset, write.node), nest)
 
     @staticmethod
     def _fold_target(subset: Subset, axes, bound: Set[str]) -> bool:
@@ -1236,9 +1235,9 @@ class SDFGWalker:
         may reach an element one of ``updates`` updates, in any iterations
         of those maps."""
         site = self._site(state, scope, read.data.subset, read.dst)
-        fixed = site.ranges.keys() - {param for entry in maps for param in entry.map.params}
+        params = {param for entry in maps for param in entry.map.params}
         return any(
-            may_meet(site, self._site(state, scope, edge.data.subset, edge.src), fixed)
+            may_meet(site, self._site(state, scope, edge.data.subset, edge.src), params)
             for edge in updates
         )
 

@@ -220,26 +220,27 @@ def site_ranges(scope, node, loops: Mapping[str, Range]) -> Dict[str, Range]:
     return ranges
 
 
-def may_meet(access: Site, write: Site, fixed: Collection[str] = ()) -> bool:
+def may_meet(access: Site, write: Site, apart: Collection[str]) -> bool:
     """Whether ``access`` may ever reach an element ``write`` touches.
 
-    A symbol ``fixed`` names holds one value at both sites: the loops and
-    maps around the scope the question is about.  Every other symbol of
-    ``access.ranges`` — the loops and maps inside that scope — is renamed
-    apart, so it may hold any value of its range at the access whatever it
-    holds at the write.  The two never meet when some dimension's ranges
-    are disjoint over all those values (:meth:`Subset.disjoint`): trmm's
-    ``B[k][j]`` and ``B[i][j]`` under ``k`` in ``[i + 1, N)``.  Whatever
-    cannot be shown — a missing subset, a bound that is not affine in a
-    symbol, a symbol without a range — may meet.
+    The symbols ``apart`` names — the loops and maps inside the scope the
+    question is about — may hold different values at the two sites: each
+    is renamed apart at the access, where it takes any value of its range
+    there, and any value at all where it has none.  Every other symbol
+    holds one value at both sites.  The two never meet when some
+    dimension's ranges are disjoint over all those values
+    (:meth:`Subset.disjoint`): trmm's ``B[k][j]`` and ``B[i][j]`` under
+    ``k`` in ``[i + 1, N)``.  Whatever cannot be shown — a missing subset,
+    a bound that is not affine in a symbol, a symbol without a range — may
+    meet.
     """
     if access.subset is None or write.subset is None:
         return True
-    apart = {name: Symbol(f"{name}'") for name in access.ranges if name not in fixed}
+    primed = {name: Symbol(f"{name}'") for name in apart}
     bounds = dict(write.ranges)
     for name, rng in access.ranges.items():
-        if name in apart:
-            bounds[apart[name].name] = rng.subs(apart)
+        if name in primed:
+            bounds[primed[name].name] = rng.subs(primed)
         else:
             bounds.setdefault(name, rng)
-    return not access.subset.subs(apart).disjoint(write.subset, bounds)
+    return not access.subset.subs(primed).disjoint(write.subset, bounds)

@@ -134,8 +134,9 @@ class LoopToMap(Transformation):
             stored = [memlet.subset for memlet in stores]
             if _apart(stored + loads, induction):
                 continue
-            refused = "reads_what_it_writes" if _updates(stores) else "writes_collide"
-            if not (_updates(stores) or _apart(stored, induction)):
+            updates = _updates(stores)
+            refused = "reads_what_it_writes" if updates else "writes_collide"
+            if not (updates or _apart(stored, induction)):
                 return refused  # the stores collide, whatever is read
             if inductions is None:
                 inductions = lazy_induction_ranges(sdfg)
@@ -146,8 +147,6 @@ class LoopToMap(Transformation):
                 meeting.append(load)
                 if not _apart(stored + meeting, induction):
                     return refused
-            if not (meeting or _updates(stores) or _apart(stored, induction)):
-                return refused
         return None
 
     def _convert(self, sdfg: SDFG, loop: LoopInfo, inductions=None) -> bool:
@@ -274,11 +273,15 @@ def _meeting_loads(body: SDFGState, name: str, around: Dict[str, Range],
     """The subsets of the reads of ``name`` in ``body`` that may reach an
     element a store of it touches (:func:`~repro.sdfg.analysis.may_meet`),
     in any two iterations of the loop of ``induction`` and of the maps in
-    ``body``; ``around`` holds the ranges of the loops around ``body``, the
-    loop's own included.  A read is where a tasklet or an access node takes
-    it; the memlet a nested scope's entry takes is a bounding box of those.
-    ``None`` stands for a read whose subset is another container's."""
+    ``body``; ``around`` holds the ranges of the loops around ``body`` that
+    are facts (the loop's own, unless it moves its bounds, is one).  A read
+    is where a tasklet or an access node takes it; the memlet a nested
+    scope's entry takes is a bounding box of those.  ``None`` stands for a
+    read whose subset is another container's."""
     scope = body.scope_dict()
+    apart = {induction}.union(*(
+        node.map.params for node in body.nodes() if isinstance(node, MapEntry)
+    ))
     stores, reads = [], []
     for edge in body.edges():
         memlet, source, destination = edge.data, edge.src, edge.dst
@@ -292,9 +295,8 @@ def _meeting_loads(body: SDFGState, name: str, around: Dict[str, Range],
         if isinstance(source, AccessNode) and source.data == name \
                 or isinstance(source, MapEntry) and memlet.data == name:
             reads.append(Site(subset, site_ranges(scope, destination, around)))
-    fixed = around.keys() - {induction}
     return (read.subset for read in reads
-            if any(may_meet(read, store, fixed) for store in stores))
+            if any(may_meet(read, store, apart) for store in stores))
 
 
 def _updates(stores: Sequence[Memlet]) -> bool:

@@ -121,7 +121,7 @@ class AugAssignToWCR(Transformation):
             ranges = {**around, **maps}
             written = Site(target_subset, ranges)
             if any(
-                may_meet(Site(edge.data.subset, ranges), written, around.keys() - maps.keys())
+                may_meet(Site(edge.data.subset, ranges), written, maps.keys())
                 for edge in reads if edge is not read_edge
             ):
                 return None

@@ -47,20 +47,25 @@ class TestThePredicate:
     def test_rows_below_the_updated_one(self):
         read = Site(Subset.parse("k, j"), self.BOUNDS)
         write = Site(Subset.parse("i, j"), {"i": Range(0, "N")})
-        assert not may_meet(read, write, fixed={"i"})
+        assert not may_meet(read, write, apart={"k"})
         # Over every i as well, row k of one iteration is row i of another.
-        assert may_meet(read, write)
+        assert may_meet(read, write, apart={"i", "k"})
 
     def test_a_prefix_sum_meets_only_across_iterations(self):
         ranges = {"i": Range(1, "N")}
         read, write = Site(Subset.parse("i - 1"), ranges), Site(Subset.parse("i"), ranges)
-        assert not may_meet(read, write, fixed={"i"})
-        assert may_meet(read, write)
+        assert not may_meet(read, write, apart=())
+        assert may_meet(read, write, apart={"i"})
 
     def test_what_cannot_be_shown_may_meet(self):
         ranges = {"k": Range("M", "N")}
-        assert may_meet(Site(Subset.parse("k"), ranges), Site(Subset.parse("i"), {}))
-        assert may_meet(Site(None, ranges), Site(Subset.parse("i"), {}))
+        assert may_meet(Site(Subset.parse("k"), ranges), Site(Subset.parse("i"), {}), apart={"k"})
+        assert may_meet(Site(None, ranges), Site(Subset.parse("i"), {}), apart={"k"})
+
+    def test_a_symbol_apart_without_a_range_may_take_any_value(self):
+        read, write = Site(Subset.parse("i"), {}), Site(Subset.parse("i + 1"), {})
+        assert not may_meet(read, write, apart=())
+        assert may_meet(read, write, apart={"i"})
 
 
 # -- hand-built loop nests ----------------------------------------------------------------------
@@ -215,6 +220,20 @@ class TestHandBuilt:
         assert ranges[body]["j"] == Range(0, columns)
         assert _raise(sdfg) == left
         _check_runs(sdfg, levels, tasklet, {"A": [8, 8]})
+
+    def test_a_shift_whose_loop_is_no_fact_stays_a_loop(self):
+        """The entry also sets the bound ``n``, so the loop's range is no fact
+        (:func:`induction_ranges`); ``i`` still differs between iterations,
+        and ``A[i]`` of one is ``A[i + 1]`` of the one before."""
+        levels, arrays = [("i", "0", "n")], {"A": [8]}
+        tasklet = ("_out = _in0", {"_in0": ("A", "i")}, ("A", "i + 1", None))
+        sdfg = _nest(levels, arrays, tasklet)
+        entry = next(edge for edge in sdfg.edges() if edge.src.label == "init")
+        entry.data.assignments["n"] = parse_expr("M")
+        assert not induction_ranges(sdfg, find_loops(sdfg))
+        assert LoopToMap.refusal(_inner(sdfg, "i")) == "writes_collide"
+        assert _raise(sdfg) == {"writes_collide": 1}
+        _check_runs(sdfg, [("i", "0", "M")], tasklet, arrays, M=7)
 
     def test_a_loop_that_moves_its_bound_tells_nothing(self):
         levels, tasklet = _trmm("i + 1")
