@@ -84,6 +84,7 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from contextlib import nullcontext
+from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -204,28 +205,6 @@ class _Access(NamedTuple):
 def _names(expression) -> Set[str]:
     """The names of the free symbols of an expression, range or subset."""
     return set() if expression is None else {symbol.name for symbol in expression.free_symbols()}
-
-
-def _determined(indices, params: Set[str]) -> Set[str]:
-    """The parameters of ``params`` whose values ``indices`` pin down.
-
-    An index ``a * p + b`` with a literal ``a != 0`` pins ``p`` once every
-    parameter ``b`` names is pinned; equal indices then mean equal ``p``.
-    """
-    known: Set[str] = set()
-    progress = True
-    while progress:
-        progress = False
-        for index in indices:
-            free = _names(index) & params - known
-            if len(free) != 1:
-                continue
-            (param,) = free
-            form = affine_in(index, param)
-            if form is not None and form[0] and not _names(form[1]) & params - known:
-                known.add(param)
-                progress = True
-    return known
 
 
 def sliced_dims(indices, axes) -> Optional[List[Tuple[int, int, int, Expr]]]:
@@ -907,13 +886,14 @@ class SDFGWalker:
         around it, then the next member — must give every element the
         operations the loops give it, in the loops' order.  So every write
         lands on an ``Array`` element through a point memlet (no dynamic,
-        range or ``min``/``max`` memlet); a store's index is injective in the
-        parameters around it (:func:`_determined`); two accesses of a
-        container written in the nest, one of them a write, reach one
-        element only in one iteration of the maps around both (they index
-        it alike in dimensions that pin those parameters) or, a read and a
-        write, none in any two iterations of the nest (:meth:`_may_meet`),
-        so no iteration sees what another one left; and a ``+``/``*`` update of an element
+        range or ``min``/``max`` memlet); a store meets itself in no two
+        iterations of the parameters it moves with; two accesses of a
+        container written in the nest, one of them a write, meet in no two
+        iterations of the maps around both — one question,
+        :func:`~repro.sdfg.analysis.may_meet`, carried by those maps'
+        parameters with the rest of the nest apart — so no iteration sees
+        what another one left, and within one iteration the members run in
+        the loops' order; and a ``+``/``*`` update of an element
         that does not move with some parameters is fed a value that moves
         with all of them and folds over those parameters in nest order —
         no other access of its container in an iteration of the maps around
@@ -952,6 +932,8 @@ class SDFGWalker:
         # Container → (member, read) of each view of it bound, in member order.
         views: Dict[str, List[Tuple[int, _Access]]] = defaultdict(list)
         written: Dict[str, int] = {}  # container → last member writing it
+
+        site = partial(self._site, state, scope)
 
         def bound_value(data: str, depth: int) -> Optional[Set[str]]:
             """What a read ``depth`` parameters deep of ``data`` moves with;
@@ -1068,8 +1050,11 @@ class SDFGWalker:
                     if bound and not self._fold_target(memlet.subset, axes, bound):
                         return refuse("fold_target")
                     reduced.add(maps[-1])
-                if bound and _determined(memlet.subset.indices(), bound) != bound:
-                    return refuse("not_injective")
+                if bound:
+                    store = site(memlet.subset, node)
+                    moves = tuple(param for param, _ in axes if param in bound)
+                    if may_meet(store, store, (), moves):
+                        return refuse("not_injective")
                 if memlet.wcr is not None:
                     updated.add(maps[-1])
                 accesses.setdefault(data, []).append(_Access(
@@ -1082,14 +1067,18 @@ class SDFGWalker:
             if not any(access.write for access in entries):
                 continue
             for first, second in combinations(entries, 2):
-                if (first.write or second.write) and not self._one_iteration(first, second, nest) \
-                        and self._may_meet(state, scope, first, second, nest):
+                if not (first.write or second.write):
+                    continue
+                around = tuple(param for outer, inner in zip(first.maps, second.maps)
+                               if outer is inner for param in outer.map.params)
+                if may_meet(site(first.subset, first.node), site(second.subset, second.node),
+                            nest.difference(around), around):
                     return refuse(
                         "shared_accumulator" if first.fold or second.fold else "crosses_iterations"
                     )
             bindings = views.get(data)
             if bindings and written.get(data, -1) >= bindings[0][0] and any(
-                self._may_meet(state, scope, view, access, nest)
+                may_meet(site(view.subset, view.node), site(access.subset, access.node), nest)
                 for _, view in bindings for access in entries if access.write
             ):
                 return refuse("aliased_value")
@@ -1102,43 +1091,10 @@ class SDFGWalker:
         return ArrayForm(kinds, depth=depth,
                          carried={name: bound for name, (bound, moves) in carried.items() if moves})
 
-    @staticmethod
-    def _one_iteration(first: _Access, second: _Access, nest: Set[str]) -> bool:
-        """Whether the two accesses reach one element only in one iteration of
-        the maps around both.  In one map, neither a fold, they access one
-        and the same element; across maps, the indices they share over the
-        parameters of the maps around both pin every one of them
-        (:func:`_determined`)."""
-        if first.maps == second.maps and not (first.fold or second.fold):
-            return first.subset == second.subset
-        common = 0
-        for outer, inner in zip(first.maps, second.maps):
-            if outer is not inner:
-                break
-            common += 1
-        shared = {param for entry in first.maps[:common] for param in entry.map.params}
-        if first.subset is None or second.subset is None:
-            return not shared
-        pinning = [
-            index for index, other in zip(first.subset.indices(), second.subset.indices())
-            if index == other and _names(index) & nest <= shared
-        ]
-        return _determined(pinning, shared) == shared
-
     def _site(self, state, scope, subset: Optional[Subset], node) -> Site:
         """``subset`` accessed at ``node`` of ``state``, with the ranges of the
-        maps and loops around it."""
-        return Site(subset, site_ranges(scope, node, self._inductions().get(state, {})))
-
-    def _may_meet(self, state, scope, first: _Access, second: _Access, nest: Set[str]) -> bool:
-        """Whether two accesses of a nest whose parameters are ``nest`` are
-        not a read and a write that never meet in any two of its iterations
-        (:func:`~repro.sdfg.analysis.may_meet`)."""
-        if first.write == second.write:
-            return True
-        read, write = (second, first) if first.write else (first, second)
-        return may_meet(self._site(state, scope, read.subset, read.node),
-                        self._site(state, scope, write.subset, write.node), nest)
+        maps and loops around it, computed when :func:`may_meet` asks."""
+        return Site(subset, lambda: site_ranges(scope, node, self._inductions().get(state, {})))
 
     @staticmethod
     def _fold_target(subset: Subset, axes, bound: Set[str]) -> bool:

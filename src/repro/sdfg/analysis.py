@@ -1,4 +1,4 @@
-"""State-machine level analyses: liveness and private scalars.
+"""State-machine level analyses: liveness, private scalars, dependence.
 
 They answer the one question ``LoopToMap`` and the code generators' array
 form must answer alike: which scalars does an iteration keep to itself?
@@ -16,21 +16,26 @@ that value (the state **kills** it).  Liveness reads both; a scalar that is
 not upward-exposed in a loop body and not live after it is **private**
 (:func:`private_scalars`).
 
-One more question is asked alike by update detection, ``LoopToMap`` and
-the array form: can a read of a container ever reach an element a write
-of it touches (:func:`may_meet`)?  ``A[i][j] -= A[i][k] * A[k][j]`` under
-``k < j < i`` reads two other elements than the one it updates, in every
-iteration of every loop around it, so the read holds no loop back.
+Every other "can two iterations touch one element?" is one predicate,
+:func:`may_meet`: update detection, ``LoopToMap``, the parallelism proof
+(:mod:`repro.sdfg.parallelism`) and the code generators' array form and
+accumulators ask it, each naming which loop and map parameters may
+differ between the two accesses and which of them must.
+``A[i][j] -= A[i][k] * A[k][j]`` under ``k < j < i`` reads two other
+elements than the one it updates, in every iteration of every loop around
+it, so the read holds no loop back; covariance's ``C[i][j]`` and
+``C[j][i]`` over ``j`` in ``[i, M)`` meet in no two iterations of ``j``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union,
+    Callable, Collection, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
-from ..symbolic import Range, Subset, Symbol
+from ..symbolic import Integer, Range, Subset, Symbol
 from .data import Scalar
 from .nodes import AccessNode, MapEntry, MapExit
 from .sdfg import SDFG
@@ -197,10 +202,12 @@ def private_scalars(
 
 class Site(NamedTuple):
     """Where an access happens: the subset it touches, and the range of every
-    loop induction variable and map parameter around it (:func:`site_ranges`)."""
+    loop induction variable and map parameter around it (:func:`site_ranges`)
+    — or a function returning them, called only when the subsets alone do
+    not keep the two sites apart (:func:`may_meet`)."""
 
     subset: Optional[Subset]
-    ranges: Mapping[str, Range]
+    ranges: Union[Mapping[str, Range], Callable[[], Mapping[str, Range]]]
 
 
 def site_ranges(scope, node, loops: Mapping[str, Range]) -> Dict[str, Range]:
@@ -220,8 +227,10 @@ def site_ranges(scope, node, loops: Mapping[str, Range]) -> Dict[str, Range]:
     return ranges
 
 
-def may_meet(access: Site, write: Site, apart: Collection[str]) -> bool:
-    """Whether ``access`` may ever reach an element ``write`` touches.
+def may_meet(access: Site, write: Site, apart: Collection[str],
+             carried: Sequence[str] = ()) -> bool:
+    """Whether ``access`` may reach an element ``write`` touches — in two
+    iterations that differ in ``carried``, when it names any.
 
     The symbols ``apart`` names — the loops and maps inside the scope the
     question is about — may hold different values at the two sites: each
@@ -230,17 +239,68 @@ def may_meet(access: Site, write: Site, apart: Collection[str]) -> bool:
     holds one value at both sites.  The two never meet when some
     dimension's ranges are disjoint over all those values
     (:meth:`Subset.disjoint`): trmm's ``B[k][j]`` and ``B[i][j]`` under
-    ``k`` in ``[i + 1, N)``.  Whatever cannot be shown — a missing subset,
-    a bound that is not affine in a symbol, a symbol without a range — may
-    meet.
+    ``k`` in ``[i + 1, N)``.
+
+    ``carried`` names loop or map parameters, outermost first, and asks
+    the direction-vector question (Wolfe; Banerjee's inequalities): per
+    level, the names before it hold one value at both sites, its own is
+    renamed and asked once over the later iterations ``[p + step, end)``
+    and once over the earlier ``[start, p - step + 1)``, and the names
+    after it are apart.  So covariance's stores ``C[i][j]`` and
+    ``C[j][i]`` over ``j`` in ``[i, M)`` meet only where ``j`` is one
+    value at both.  Whatever cannot be shown — a missing subset, a bound
+    that is not affine in a symbol, a symbol without a range — may meet.
     """
     if access.subset is None or write.subset is None:
         return True
-    primed = {name: Symbol(f"{name}'") for name in apart}
-    bounds = dict(write.ranges)
-    for name, rng in access.ranges.items():
-        if name in primed:
-            bounds[primed[name].name] = rng.subs(primed)
+    apart, carried = frozenset(apart), tuple(carried)
+    # Every symbol may take any value first: that is sound, and usually enough.
+    if not _meets(access.subset, (), write.subset, (), apart, carried):
+        return False
+    return _meets(access.subset, _items(access.ranges), write.subset, _items(write.ranges),
+                  apart, carried)
+
+
+def _items(ranges) -> Tuple[Tuple[str, Range], ...]:
+    return tuple((ranges() if callable(ranges) else ranges).items())
+
+
+@lru_cache(maxsize=8192)  # a pass asks again of the same hash-consed subsets
+def _meets(access: Subset, access_ranges, write: Subset, write_ranges,
+           apart: FrozenSet[str], carried: Tuple[str, ...]) -> bool:
+    def disjoint(moved, moved_ranges, held, held_ranges, primed: Dict[str, Symbol],
+                 pinned: Mapping[str, Range]) -> bool:
+        """Whether ``moved``, its names ``primed`` renamed, never meets ``held``."""
+        bounds = dict(held_ranges)
+        for name, rng in moved_ranges:
+            if name in primed:
+                bounds[primed[name].name] = rng.subs(primed)
+            else:
+                bounds.setdefault(name, rng)
+        bounds.update(pinned)
+        return moved.subs(primed).disjoint(held, bounds)
+
+    def rename(names) -> Dict[str, Symbol]:
+        return {name: Symbol(f"{name}'") for name in names}
+
+    sites = (access, access_ranges, write, write_ranges)
+    if not carried:
+        return not disjoint(*sites, rename(apart), {})
+    swapped = (write, write_ranges, access, access_ranges)
+    ranges = {**dict(write_ranges), **dict(access_ranges)}
+    for level, name in enumerate(carried):
+        primed = rename(apart.difference(carried[:level]).union(carried[level:]))
+        here = ranges.get(name)
+        if here is None:  # it runs from and to symbols that have no range
+            start, end, step = Symbol(f"{name}'start"), Symbol(f"{name}'end"), Integer(1)
         else:
-            bounds.setdefault(name, rng)
-    return not access.subset.subs(primed).disjoint(write.subset, bounds)
+            start, end, step = here.start.subs(primed), here.end.subs(primed), here.step
+        value, key = Symbol(name), primed[name].name
+        later = {key: Range(value + step, end)}
+        earlier = {key: Range(start, value - step + 1)}
+        # Each direction is asked with either site renamed: a bound says
+        # only how the renamed name lies against the other, not the reverse.
+        if not (disjoint(*sites, primed, later) or disjoint(*swapped, primed, earlier)) or \
+                not (disjoint(*sites, primed, earlier) or disjoint(*swapped, primed, later)):
+            return True
+    return False

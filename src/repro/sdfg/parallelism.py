@@ -12,22 +12,24 @@ must be privatized), or a negative verdict with the reason.
 
 The proof partitions iterations by the map's **first parameter** — the
 loop native code splits across its OpenMP threads.  A write is *safe*
-when some dimension of its subset is strictly monotone in a parameter of
-the partition family: the first parameter itself, or an inner-map
-parameter whose range is an interval ``[p, p + step)`` of it — exactly
-the intra-tile parameters :func:`~repro.transforms.map_parameterized.tile_map`
-creates, which is why the outer tile loop of ``MapTiling`` is the
-natural parallel grain.
+when it meets no write of its container in an iteration with another
+value of that parameter: one question,
+:func:`~repro.sdfg.analysis.may_meet` carried by the first parameter,
+every other parameter of the scope apart, over the ranges of the maps
+around each write.  The intra-tile parameters
+:func:`~repro.transforms.map_parameterized.tile_map` creates range over
+``[p, min(p + T, N))`` of the tile parameter ``p`` (step ``T``), so two
+tiles never meet — which is why the outer tile loop of ``MapTiling`` is
+the natural parallel grain.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..symbolic import Expr
-from ..symbolic.expr import Add, Integer, Min, Mul, Symbol
+from .analysis import Site, may_meet, site_ranges
 from .data import Scalar
 from .nodes import AccessNode, MapEntry, MapExit, SCHEDULE_PARALLEL
 
@@ -94,108 +96,16 @@ def _scope_nodes(state, entry: MapEntry) -> Set:
     return members
 
 
-def monotone_in(expression: Expr, param: str) -> bool:
-    """Whether ``expression`` is strictly monotone in ``param`` by structure.
-
-    Accepts the affine shapes subsets actually use — ``p``, ``p + c``,
-    ``c * p``, ``c * p + d`` — where the remaining terms are free of
-    ``param``.  Anything else (``p % 2``, ``p * p``) is refused.
-    """
-    if isinstance(expression, Symbol):
-        return expression.name == param
-    if isinstance(expression, Mul):
-        coefficient = [a for a in expression.args if isinstance(a, Integer)]
-        symbols = [a for a in expression.args if isinstance(a, Symbol)]
-        return (
-            len(expression.args) == 2
-            and len(coefficient) == 1
-            and coefficient[0].value != 0
-            and len(symbols) == 1
-            and symbols[0].name == param
-        )
-    if isinstance(expression, Add):
-        carrying = [
-            a for a in expression.args
-            if param in {s.name for s in a.free_symbols()}
-        ]
-        return len(carrying) == 1 and monotone_in(carrying[0], param)
-    return False
-
-
-def _injective_dimension(expression: Expr, family: Set[str], scope_params: Set[str]) -> bool:
-    """Whether one subset dimension separates partition chunks.
-
-    True when the index depends on exactly one scope parameter, that
-    parameter belongs to the partition family, and the dependence is
-    strictly monotone — so two iterations from different chunks can never
-    produce the same index value in this dimension.
-    """
-    names = {symbol.name for symbol in expression.free_symbols()}
-    carried = names & scope_params
-    if len(carried) != 1:
-        return False
-    (param,) = carried
-    if param not in family:
-        return False
-    return monotone_in(expression, param)
-
-
-def _interval_of(start: Expr, end: Expr, param: str, step: Expr) -> bool:
-    """Whether ``[start, end)`` is an interval ``[param, param + step)``.
-
-    This is the shape :func:`~repro.transforms.map_parameterized.tile_map`
-    emits for intra-tile parameters (``[p_tile, min(p_tile + tile, N))``
-    under an outer step of ``tile``): consecutive values of ``param`` then
-    yield pairwise-disjoint inner ranges, so the inner parameter inherits
-    the outer one's partitioning.
-    """
-    if not (isinstance(start, Symbol) and start.name == param):
-        return False
-    if not isinstance(step, Integer) or step.value < 1:
-        return False
-
-    def bounded(expr: Expr) -> bool:
-        if isinstance(expr, Symbol) and expr.name == param:
-            return True  # empty interval — trivially contained
-        if isinstance(expr, Add) and len(expr.args) == 2:
-            offsets = [a for a in expr.args if isinstance(a, Integer)]
-            bases = [a for a in expr.args if isinstance(a, Symbol) and a.name == param]
-            return (
-                len(offsets) == 1
-                and len(bases) == 1
-                and 0 < offsets[0].value <= step.value
-            )
-        return False
-
-    if bounded(end):
-        return True
-    if isinstance(end, Min):
-        return any(bounded(arg) for arg in end.args)
-    return False
-
-
-def _partition_family(state, entry: MapEntry, members: Set) -> Set[str]:
-    """The chunked parameter plus inner parameters that inherit its partition."""
-    chunk_param = entry.map.params[0]
-    step = entry.map.ranges[0].step
-    family = {chunk_param}
-    for node in members:
-        if not isinstance(node, MapEntry):
-            continue
-        for param, rng in zip(node.map.params, node.map.ranges):
-            if _interval_of(rng.start, rng.end, chunk_param, step):
-                family.add(param)
-    return family
-
-
 def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     """Prove (or refuse) that one outermost map scope may run in parallel.
 
     Every innermost write inside the scope must either be partitioned by
-    the chunked (first) parameter — some subset dimension strictly
-    monotone in a partition-family parameter — or carry a WCR: scalar WCR
-    targets become reductions, and non-partitioned integer array
-    ``+``/``*`` WCR updates are marked for atomic emission.  A
+    the chunked (first) parameter — it meets no write of its container in
+    an iteration of another chunk (:func:`~repro.sdfg.analysis.may_meet`,
+    carried by that parameter, every other parameter of the scope apart)
+    — or carry a WCR: scalar WCR targets become reductions, and
+    integer array ``+``/``*`` WCR updates that meet only updates with
+    their own operator are marked for atomic emission.  A
     non-partitioned ``min``/``max`` array WCR (which has no native atomic
     form) refuses, and so does a non-partitioned floating-point ``+``/``*``
     one: atomics would add in whatever order the threads arrive, and the
@@ -206,22 +116,21 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         return _refuse("map has no parameters")
     if map_obj.vectorized:
         return _refuse("map is annotated for vector emission")
-    if state.scope_dict().get(entry) is not None:
+    scope = state.scope_dict()
+    if scope.get(entry) is not None:
         return _refuse("only outermost map scopes are parallelized")
 
     members = _scope_nodes(state, entry)
     chunk_param = map_obj.params[0]
-    family = _partition_family(state, entry, members)
-    scope_params: Set[str] = set(map_obj.params)
     private: List[str] = list(map_obj.params[1:])
     for node in state.nodes():  # not ``members``: a set's order is per process
         if node in members and isinstance(node, MapEntry):
-            scope_params.update(node.map.params)
             private.extend(node.map.params)
 
     reductions: Dict[str, str] = {}
-    atomic_edges: Set[int] = set()
     read_scalars: Set[str] = set()
+    # Per array, its writes: the edge, where it lands, and its operator.
+    writes: Dict[str, List[Tuple[object, Site, Optional[str]]]] = {}
 
     for edge in state.edges():
         source, destination = edge.src, edge.dst
@@ -274,25 +183,30 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             return _refuse(f"unanalyzable (dynamic or unsubscripted) write to {data!r}")
         if not memlet.subset.is_point():
             return _refuse(f"non-point write to {data!r}")
-        partitioned = any(
-            _injective_dimension(index, family, scope_params)
-            for index in memlet.subset.indices()
-        )
-        if partitioned:
-            continue
-        if memlet.wcr in ("+", "*") and descriptor.dtype.startswith("float"):
-            return _refuse(
-                f"non-partitioned {memlet.wcr}-WCR write to floating-point {data!r} "
-                "would sum in thread order"
-            )
-        if memlet.wcr in ("+", "*"):
+        site = Site(memlet.subset, site_ranges(scope, source, {}))
+        writes.setdefault(data, []).append((edge, site, memlet.wcr))
+
+    apart = frozenset(private)
+    atomic_edges: Set[int] = set()
+    for data, found in writes.items():
+        float_type = sdfg.arrays[data].dtype.startswith("float")
+        for edge, site, wcr in found:
+            meeting = {
+                other_wcr for _, other, other_wcr in found
+                if may_meet(other, site, apart, (chunk_param,))
+            }
+            if not meeting:
+                continue
+            if wcr is None or meeting != {wcr}:
+                return _refuse(f"cross-iteration write conflict on {data!r}")
+            if wcr in ("+", "*") and float_type:
+                return _refuse(
+                    f"non-partitioned {wcr}-WCR write to floating-point {data!r} "
+                    "would sum in thread order"
+                )
+            if wcr in ("min", "max"):
+                return _refuse(f"non-partitioned {wcr}-WCR write to {data!r} has no atomic form")
             atomic_edges.add(id(edge))
-            continue
-        if memlet.wcr in ("min", "max"):
-            return _refuse(
-                f"non-partitioned {memlet.wcr}-WCR write to {data!r} has no atomic form"
-            )
-        return _refuse(f"cross-iteration write conflict on {data!r}")
 
     conflicted = read_scalars & set(reductions)
     if conflicted:

@@ -68,14 +68,20 @@ def upper_bound(expr: Expr, bounds: Mapping[str, "Range"]) -> Optional[int]:
     left — its last element where ``expr`` grows with it, its first where
     it shrinks — innermost first, so a symbol whose range names another is
     gone before that one is: ``i + 1 - k`` over ``k`` in ``[i + 1, N)`` is
-    at most ``0`` whatever ``i`` and ``N`` are.  Each replaced symbol must
+    at most ``0`` whatever ``i`` and ``N`` are.  Where that end is a
+    ``Min`` (a growing ``expr``) or a ``Max`` (a shrinking one), any of its
+    arguments bounds it, and the least bound found is the answer: a tile
+    ``[p, min(p + 8, N))`` ends before ``p + 8``.  Each replaced symbol must
     appear affinely (:func:`affine_in`).  An empty range gives a bound no
     value reaches, which is sound: nothing runs with a value from it.
     """
     order = _innermost_first(bounds)
-    if order is None:
-        return None
-    for name in order:
+    return None if order is None else _upper_bound(expr, bounds, tuple(order))
+
+
+def _upper_bound(expr: Expr, bounds: Mapping[str, "Range"],
+                 order: Tuple[str, ...]) -> Optional[int]:
+    for position, name in enumerate(order):
         if Symbol(name) not in expr.free_symbols():
             continue
         form = affine_in(expr, name)
@@ -83,7 +89,15 @@ def upper_bound(expr: Expr, bounds: Mapping[str, "Range"]) -> Optional[int]:
             return None
         slope, rest = form
         rng = bounds[name]
-        expr = rest + slope * (rng.end - _ONE if slope > 0 else rng.start)
+        if slope > 0:
+            ends = [end - _ONE for end in
+                    (rng.end.args if isinstance(rng.end, Min) else (rng.end,))]
+        else:
+            ends = rng.start.args if isinstance(rng.start, Max) else (rng.start,)
+        found = [bound for end in ends
+                 if (bound := _upper_bound(rest + slope * end, bounds, order[position + 1:]))
+                 is not None]
+        return min(found, default=None)
     return expr.value if isinstance(expr, Integer) else None
 
 

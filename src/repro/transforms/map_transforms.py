@@ -6,9 +6,10 @@ parametric parallelism (§3.2) and the prerequisite for both vectorized code
 generation (the ICC/SLEEF effect of Fig. 8) and map fusion.  A scalar the
 iterations share only by name — each writes it before it reads it, and
 nothing reads it after the loop (:func:`~repro.sdfg.analysis.private_scalars`)
-— holds no loop back, and neither does a read that never reaches an element
-the body writes (:func:`~repro.sdfg.analysis.may_meet`).
-:meth:`LoopToMap.refusal` names what does, from the
+— holds no loop back.  Of every container the body writes, no store may
+touch an element another iteration reads or stores: one question,
+:func:`~repro.sdfg.analysis.may_meet` carried by the induction variable.
+:meth:`LoopToMap.refusal` names what holds a loop back, from the
 closed set :data:`LOOP_REFUSALS`, and :func:`loops_left` counts the loops a
 compile leaves by that name.
 
@@ -16,7 +17,9 @@ compile leaves by that name.
 deliberately conservative form: two map scopes in the same state with the
 same iteration space, connected exclusively through an elementwise
 transient, are merged; the intermediate drops from an array to a scalar,
-promoting cache locality and reducing the memory footprint.
+promoting cache locality and reducing the memory footprint.  The consumer
+must read exactly the element the producer wrote, so fusion compares
+subsets for equality: that is no dependence test.
 
 Both are pattern-based :class:`~repro.transforms.Transformation` subclasses:
 ``LoopToMap`` matches independent counted loops (one sweep, every match
@@ -27,13 +30,13 @@ fusion with a third).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..symbolic import Range, Subset, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, Scalar, SDFGState, Tasklet
 from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_scalars, scalar_uses, site_ranges
 from ..sdfg.nodes import MapEntry, MapExit
-from ..sdfg.parallelism import monotone_in
 from ..sdfg.tasklet_code import renamed, statements
 from .loop_analysis import LoopInfo, find_loops, lazy_induction_ranges
 from .rewrite import Match, Transformation
@@ -86,22 +89,18 @@ class LoopToMap(Transformation):
         (:func:`~repro.sdfg.analysis.private_scalars`, which reads ``live``:
         the liveness, or a function computing it); else it carries a value
         into the next iteration (``carried_scalar``) or out of the last one
-        (``live_after_loop``).  Per other container the body writes, either
-        every write is an update with one operator and nothing reads it —
-        updates commute with each other wherever they land — or all its
-        memlets, reads and nested scopes' included, agree on one dimension:
-        the same single index, strictly monotone in the induction variable.
-        A read that never reaches an element the body stores, in any pair of
-        iterations of the loop and of the maps in its body, counts for
-        neither (:func:`_meeting_loads`; ``inductions`` returns the ranges
-        of the loops around, :func:`lazy_induction_ranges`): over ``k`` in
-        ``[i + 1, N)``, ``B[i][j] += A[k][i] * B[k][j]`` is a reduction.
-        An update that also reads an element of its target it may reach
-        carries a dependence (over ``k`` in ``[i, N)``, the same update:
-        ``reads_what_it_writes``); ``A[i] = A[i + 1]`` and ``A[i] = x;
-        A[i + 1] = y`` touch an element another iteration stores
-        (``writes_collide``).  Run in order the last store wins; run as a
-        map — vectorized, or in parallel — any may.
+        (``live_after_loop``).  Per other container the body writes, no
+        store may touch an element that another iteration reads or stores
+        (:func:`~repro.sdfg.analysis.may_meet`, carried by the induction,
+        the body's map parameters apart, over the ranges of the loops
+        around — ``inductions`` returns them, :func:`lazy_induction_ranges`);
+        two updates with one operator commute wherever they land.  Over
+        ``k`` in ``[i + 1, N)``, ``B[i][j] += A[k][i] * B[k][j]`` is a
+        reduction; over ``k`` in ``[i, N)`` the update reads what another
+        iteration updates (``reads_what_it_writes``); ``A[i] = A[i + 1]``
+        and ``A[i] = x; A[i + 1] = y`` touch an element another iteration
+        stores (``writes_collide``).  Run in order the last store wins; run
+        as a map — vectorized, or in parallel — any may.
         """
         induction = loop.induction_symbol
         if induction is None or loop.bound_expr is None:
@@ -117,10 +116,12 @@ class LoopToMap(Transformation):
         if loop.step_expr is None or not loop.step_expr.is_constant():
             return "symbolic_step"
         sdfg = body.sdfg
-        accesses = _accesses(body)
+        if inductions is None:
+            inductions = lazy_induction_ranges(sdfg)
+        accesses = _accesses(body, lambda: inductions().get(body, {}))
         shared = [
             name for name, (stores, loads) in accesses.items()
-            if stores and isinstance(sdfg.arrays[name], Scalar) and not _reduction(stores, loads)
+            if stores and isinstance(sdfg.arrays[name], Scalar) and (loads or not _updates(stores))
         ]
         if shared:
             private = private_scalars(sdfg, body, body.nodes(), live)
@@ -128,25 +129,17 @@ class LoopToMap(Transformation):
             for name in shared:
                 if name not in private:
                     return "carried_scalar" if uses[name].exposed else "live_after_loop"
+        apart = frozenset(param for node in body.nodes() if isinstance(node, MapEntry)
+                          for param in node.map.params)
         for name, (stores, loads) in accesses.items():
-            if not stores or isinstance(sdfg.arrays[name], Scalar) or _reduction(stores, loads):
+            if not stores or isinstance(sdfg.arrays[name], Scalar):
                 continue
-            stored = [memlet.subset for memlet in stores]
-            if _apart(stored + loads, induction):
-                continue
-            updates = _updates(stores)
-            refused = "reads_what_it_writes" if updates else "writes_collide"
-            if not (updates or _apart(stored, induction)):
-                return refused  # the stores collide, whatever is read
-            if inductions is None:
-                inductions = lazy_induction_ranges(sdfg)
-            # Adding a subset never makes ``_apart`` hold: the first that
-            # breaks it decides.
-            meeting = []
-            for load in _meeting_loads(body, name, inductions().get(body, {}), induction):
-                meeting.append(load)
-                if not _apart(stored + meeting, induction):
-                    return refused
+            refused = "reads_what_it_writes" if _updates(stores) else "writes_collide"
+            for position, (store, wcr) in enumerate(stores):
+                for other, other_wcr in stores[position:] + [(load, None) for load in loads]:
+                    if (wcr is None or wcr != other_wcr) and \
+                            may_meet(other, store, apart, (induction,)):
+                        return refused
         return None
 
     def _convert(self, sdfg: SDFG, loop: LoopInfo, inductions=None) -> bool:
@@ -250,75 +243,47 @@ class LoopToMap(Transformation):
         propagate_memlets_scope(state, entry)
 
 
-def _accesses(body: SDFGState) -> Dict[str, Tuple[List[Memlet], List[Optional[Subset]]]]:
-    """Per container ``body`` touches through an access node: the memlets of
-    its writes, and the subsets of its reads (``None`` where the memlet names
-    another container, as a copy's may)."""
-    found: Dict[str, Tuple[List[Memlet], List[Optional[Subset]]]] = {}
-    for edge in body.edges():
-        memlet = edge.data
-        if memlet.is_empty:
-            continue
-        if isinstance(edge.dst, AccessNode):
-            found.setdefault(edge.dst.data, ([], []))[0].append(memlet)
-        if isinstance(edge.src, AccessNode):
-            found.setdefault(edge.src.data, ([], []))[1].append(
-                memlet.subset if memlet.data == edge.src.data else None
-            )
-    return found
+def _accesses(body: SDFGState, loops: Callable[[], Dict[str, Range]]
+              ) -> Dict[str, Tuple[List[Tuple[Site, Optional[str]]], List[Site]]]:
+    """Per container ``body`` touches: each store with its operator, and each
+    read.  An access is where a tasklet or an access node makes it, with
+    the ranges of the maps around it and of the loops (``loops`` returns
+    those); a nested scope's boundary memlet is only a bounding box of
+    those.  A memlet that names another container, as a copy's may, has
+    no subset."""
+    scope = None
+    known: Dict[object, Dict[str, Range]] = {}
 
+    def ranges(node) -> Dict[str, Range]:
+        nonlocal scope
+        if node not in known:
+            if scope is None:
+                scope = body.scope_dict()
+            known[node] = site_ranges(scope, node, loops())
+        return known[node]
 
-def _meeting_loads(body: SDFGState, name: str, around: Dict[str, Range],
-                   induction: str) -> Iterator[Optional[Subset]]:
-    """The subsets of the reads of ``name`` in ``body`` that may reach an
-    element a store of it touches (:func:`~repro.sdfg.analysis.may_meet`),
-    in any two iterations of the loop of ``induction`` and of the maps in
-    ``body``; ``around`` holds the ranges of the loops around ``body`` that
-    are facts (the loop's own, unless it moves its bounds, is one).  A read
-    is where a tasklet or an access node takes it; the memlet a nested
-    scope's entry takes is a bounding box of those.  ``None`` stands for a
-    read whose subset is another container's."""
-    scope = body.scope_dict()
-    apart = {induction}.union(*(
-        node.map.params for node in body.nodes() if isinstance(node, MapEntry)
-    ))
-    stores, reads = [], []
+    def site(memlet: Memlet, name: str, node) -> Site:
+        return Site(memlet.subset if memlet.data == name else None, partial(ranges, node))
+
+    found: Dict[str, Tuple[List[Tuple[Site, Optional[str]]], List[Site]]] = {}
     for edge in body.edges():
         memlet, source, destination = edge.data, edge.src, edge.dst
         if memlet.is_empty:
             continue
-        subset = memlet.subset if memlet.data == name else None
-        if isinstance(destination, AccessNode) and destination.data == name:
-            stores.append(Site(subset, site_ranges(scope, destination, around)))
+        if isinstance(destination, (AccessNode, MapExit)) and not isinstance(source, MapExit):
+            name = destination.data if isinstance(destination, AccessNode) else memlet.data
+            found.setdefault(name, ([], []))[0].append((site(memlet, name, source), memlet.wcr))
         if isinstance(destination, MapEntry):
             continue
-        if isinstance(source, AccessNode) and source.data == name \
-                or isinstance(source, MapEntry) and memlet.data == name:
-            reads.append(Site(subset, site_ranges(scope, destination, around)))
-    return (read.subset for read in reads
-            if any(may_meet(read, store, apart) for store in stores))
+        if isinstance(source, (AccessNode, MapEntry)):
+            name = source.data if isinstance(source, AccessNode) else memlet.data
+            found.setdefault(name, ([], []))[1].append(site(memlet, name, destination))
+    return found
 
 
-def _updates(stores: Sequence[Memlet]) -> bool:
+def _updates(stores: Sequence[Tuple[Site, Optional[str]]]) -> bool:
     """Whether every store is an update (WCR) with one operator."""
-    return stores[0].wcr is not None and all(memlet.wcr == stores[0].wcr for memlet in stores)
-
-
-def _reduction(stores: Sequence[Memlet], loads: Sequence) -> bool:
-    """Updates with one operator that nothing reads: they land in any order."""
-    return not loads and _updates(stores)
-
-
-def _apart(subsets: Sequence[Optional[Subset]], induction: str) -> bool:
-    """Whether ``subsets`` agree on one dimension — the same single index,
-    strictly monotone in ``induction`` — so no two iterations meet in them."""
-    if any(subset is None for subset in subsets):
-        return False
-    return any(
-        rng.is_point() and monotone_in(rng.start, induction)
-        and all(subset.ranges[dim:dim + 1] == [rng] for subset in subsets)
-        for dim, rng in enumerate(subsets[0].ranges)
-    )
+    return stores[0][1] is not None and all(wcr == stores[0][1] for _, wcr in stores)
 
 
 def loops_left(sdfg: SDFG) -> Dict[str, int]:

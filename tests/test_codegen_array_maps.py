@@ -249,9 +249,10 @@ class TestWritesThatMustStayLoops:
                refused="crosses_iterations")
 
     def test_rows_it_cannot_tell_apart(self):
-        # Rows k and m meet when k == m; nothing says whether they do.
-        _check([_copy("k, i", "m, i", source="M", target="M")], arrays=_ABM,
-               refused="crosses_iterations", k=4, m=5)
+        # Rows k and m meet when k == m, nothing says whether they do, and then
+        # iteration i + 1 reads what iteration i stored.
+        _check([_copy("k, i", "m, i + 1", source="M", target="M")], Range(0, 15),
+               arrays=_ABM, refused="crosses_iterations", k=4, m=5)
 
     def test_updates_of_neighbouring_elements(self):
         # A[k] gets iteration k - 1's second update before iteration k's first.
@@ -338,6 +339,14 @@ class TestInPlaceAndInOrder:
         code = _check([_copy("k, i", "k + 1, i", source="M", target="M")], arrays=_ABM,
                       kind=1, k=4)
         assert "M[k + 1, 0:16] = M[k, 0:16]" in code
+
+    @pytest.mark.parametrize("k, m", [(4, 5), (4, 4)])
+    def test_rows_that_meet_only_within_one_iteration(self, k, m):
+        # Rows k and m may be one row, but column i is touched in iteration i
+        # alone: reading all of row k before storing row m is what the loop does.
+        code = _check([_copy("k, i", "m, i", source="M", target="M")], arrays=_ABM,
+                      kind=1, k=k, m=m)
+        assert "M[m, 0:16] = M[k, 0:16]" in code
 
     @pytest.mark.parametrize("wcr", ["+", "*"])
     def test_moving_update_is_a_slice_update(self, wcr):

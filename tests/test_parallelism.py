@@ -147,6 +147,27 @@ class TestAnalysis:
         sdfg, state, entry = _single_map(build)
         assert not analyze_map_parallelism(sdfg, state, entry).ok
 
+    @pytest.mark.parametrize("params, writes, ok", [
+        ({"p": Range(0, 32)}, ["2*p", "2*p + 1"], True),  # even and odd elements
+        ({"p": Range(0, 32)}, ["p", "p + 1"], False),     # p + 1 of one chunk is p of the next
+        ({"p": Range(0, 32), "j": Range(0, 2)}, ["p + j"], False),
+    ])
+    def test_writes_that_meet_no_write_of_another_chunk(self, params, writes, ok):
+        def build(sdfg, state):
+            sdfg.add_array("A", [64], "float64")
+            sdfg.add_array("B", [66], "float64")
+            outputs = {f"_o{n}": Memlet.simple("B", index) for n, index in enumerate(writes)}
+            state.add_mapped_tasklet(
+                "spread", params, {"_a": Memlet.simple("A", "p")},
+                "\n".join(f"{name} = _a" for name in outputs), outputs,
+            )
+
+        sdfg, state, entry = _single_map(build)
+        info = analyze_map_parallelism(sdfg, state, entry)
+        assert info.ok is ok, info.reason
+        if not ok:
+            assert info.reason == "cross-iteration write conflict on 'B'"
+
     def test_private_parameters_come_out_in_graph_order(self):
         """Node ids differ from compile to compile; the clause order may not."""
         orders = set()

@@ -701,6 +701,7 @@ class TestSoundness:
         ([("i", None), ("i", "+")], True),           # zero it, then accumulate: one element
         ([("0", "+"), ("i", "+")], True),            # one operator commutes anywhere
         ([("i", None), ("i + 1", None)], False),     # iteration i + 1 overwrites i's store
+        ([("2*i", None), ("2*i + 1", None)], True),  # even and odd elements never meet
         ([("0", None)], False),                      # the last store wins, in order only
         ([("i % 2", None)], False),
         ([("0", "+"), ("0", "*")], False),           # two operators do not commute

@@ -67,15 +67,73 @@ class TestThePredicate:
         assert not may_meet(read, write, apart=())
         assert may_meet(read, write, apart={"i"})
 
+    def test_a_tile_ends_before_the_next_one_starts(self):
+        tiles = {"p": Range(0, "N", 8), "i": Range("p", "min(p + 8, N)")}
+        assert upper_bound(parse_expr("i - p"), tiles) == 7  # either argument of the min bounds it
+        back = {"p": Range(0, "N"), "i": Range("max(p - 8, 0)", "p")}
+        assert upper_bound(parse_expr("p - i"), back) == 8
+        tile = Site(Subset.parse("i"), tiles)
+        assert not may_meet(tile, tile, apart={"i"}, carried=("p",))
+
+
+class TestCarried:
+    """``may_meet(..., carried=)``: in two iterations that differ in the
+    carried names, never in one."""
+
+    RANGES = {"i": Range(0, "N")}
+
+    @pytest.mark.parametrize("first, second", [
+        ("i", "i + 1"),   # the first meets the second one iteration later
+        ("i + 1", "i"),   # and one iteration earlier
+    ])
+    def test_each_direction(self, first, second):
+        one, other = (Site(Subset.parse(index), self.RANGES) for index in (first, second))
+        assert may_meet(one, other, (), carried=("i",))
+        assert not may_meet(one, other, (), carried=())  # no iteration meets itself
+
+    def test_one_iteration_is_not_two(self):
+        store = Site(Subset.parse("i"), self.RANGES)
+        assert may_meet(store, store, apart=())
+        assert not may_meet(store, store, (), carried=("i",))
+
+    def test_even_and_odd_elements(self):
+        even, odd = (Site(Subset.parse(index), self.RANGES) for index in ("2*i", "2*i + 1"))
+        assert not may_meet(even, odd, (), carried=("i",))
+        assert may_meet(even, Site(Subset.parse("2*i + 2"), self.RANGES), (), carried=("i",))
+
+    @pytest.mark.parametrize("start, meet", [("i", False), ("0", True)])
+    def test_a_row_and_a_column_from_the_diagonal_on(self, start, meet):
+        """Over ``j >= i``, ``C[i][j']`` is ``C[j][i]`` only where ``j' = i = j``."""
+        ranges = {"j": Range(start, "M")}
+        row, column = Site(Subset.parse("i, j"), ranges), Site(Subset.parse("j, i"), ranges)
+        assert may_meet(row, column, (), carried=("j",)) is meet
+        assert may_meet(column, row, (), carried=("j",)) is meet
+
+    def test_outer_levels_hold_inner_ones_vary(self):
+        ranges = {"i": Range(0, "N"), "j": Range(0, "N")}
+        point, diagonal = Site(Subset.parse("i, j"), ranges), Site(Subset.parse("i + j"), ranges)
+        assert not may_meet(point, point, (), carried=("i", "j"))
+        assert may_meet(diagonal, diagonal, (), carried=("i", "j"))
+        # With ``j`` apart, not carried, one ``i`` may hold two values of ``j``.
+        assert not may_meet(point, point, {"j"}, carried=("i",))
+        assert may_meet(Site(Subset.parse("i"), ranges), Site(Subset.parse("i"), ranges),
+                        {"j"}, carried=())
+
+    def test_a_carried_name_without_a_range(self):
+        """A loop whose bounds are no fact still moves its induction."""
+        shift, point = Site(Subset.parse("i + 1"), {}), Site(Subset.parse("i"), {})
+        assert may_meet(shift, point, (), carried=("i",))
+        assert not may_meet(point, point, (), carried=("i",))
+
 
 # -- hand-built loop nests ----------------------------------------------------------------------
 
 
-def _nest(levels, arrays, tasklet):
+def _nest(levels, arrays, *tasklets):
     """``for name in [start, end)`` for each ``(name, start, end)`` of
     ``levels``, outermost first, one state per level, around one state that
-    runs ``tasklet`` — ``(code, {connector: (data, index)}, (data, index,
-    wcr))``."""
+    runs ``tasklets`` in order — each ``(code, {connector: (data, index)},
+    (data, index, wcr))``."""
     sdfg = SDFG("nest")
     sdfg.add_symbol("M")
     for name, shape in arrays.items():
@@ -88,16 +146,16 @@ def _nest(levels, arrays, tasklet):
         before = sdfg.add_state(f"in_{name}")
         sdfg.add_edge(guard, before, InterstateEdge(condition=f"{name} < {end}"))
         guards.append((guard, name, end))
-    code, inputs, (data, index, wcr) = tasklet
-    node = before.add_tasklet("t", list(inputs), ["_out"], code)
-    sources = {}
-    for connector, (source, read_index) in inputs.items():
-        if source not in sources:
-            sources[source] = before.add_access(source)
-        before.add_edge(sources[source], None, node, connector,
-                        Memlet.simple(source, read_index))
-    before.add_edge(node, "_out", before.add_access(data), None,
-                    Memlet.simple(data, index, wcr=wcr))
+    for code, inputs, (data, index, wcr) in tasklets:
+        node = before.add_tasklet("t", list(inputs), ["_out"], code)
+        sources = {}
+        for connector, (source, read_index) in inputs.items():
+            if source not in sources:
+                sources[source] = before.add_access(source)
+            before.add_edge(sources[source], None, node, connector,
+                            Memlet.simple(source, read_index))
+        before.add_edge(node, "_out", before.add_access(data), None,
+                        Memlet.simple(data, index, wcr=wcr))
     for guard, name, end in reversed(guards):
         sdfg.add_edge(before, guard, InterstateEdge(assignments={name: f"{name} + 1"}))
         before = sdfg.add_state(f"done_{name}")
@@ -105,22 +163,22 @@ def _nest(levels, arrays, tasklet):
     return sdfg
 
 
-def _reference(levels, tasklet, containers, symbols):
+def _reference(levels, tasklets, containers, symbols):
     """The loops of :func:`_nest`, run in Python on copies of ``containers``."""
     containers = {name: np.copy(value) for name, value in containers.items()}
-    code, inputs, (data, index, wcr) = tasklet
 
     def run(depth, names):
         if depth == len(levels):
-            scope = dict(names)
-            for connector, (source, read_index) in inputs.items():
-                scope[connector] = containers[source][eval(read_index, {}, names)]
-            exec(code, scope)
-            where = eval(index, {}, names)
-            if wcr == "+":
-                containers[data][where] += scope["_out"]
-            else:
-                containers[data][where] = scope["_out"]
+            for code, inputs, (data, index, wcr) in tasklets:
+                scope = dict(names)
+                for connector, (source, read_index) in inputs.items():
+                    scope[connector] = containers[source][eval(read_index, {}, names)]
+                exec(code, scope)
+                where = eval(index, {}, names)
+                if wcr == "+":
+                    containers[data][where] += scope["_out"]
+                else:
+                    containers[data][where] = scope["_out"]
             return
         name, start, end = levels[depth]
         for value in range(eval(start, {}, names), eval(end, {}, names)):
@@ -130,13 +188,13 @@ def _reference(levels, tasklet, containers, symbols):
     return containers
 
 
-def _check_runs(sdfg, levels, tasklet, arrays, **symbols):
+def _check_runs(sdfg, levels, tasklets, arrays, **symbols):
     """Both backends compute, bit for bit, what the loops do."""
     containers = {
         name: np.random.default_rng(seed).uniform(0.5, 1.5, shape)
         for seed, (name, shape) in enumerate(arrays.items())
     }
-    expected = _reference(levels, tasklet, containers, symbols)
+    expected = _reference(levels, tasklets, containers, symbols)
     copies = lambda: {name: np.copy(value) for name, value in containers.items()}
     outputs = [CompiledSDFG.from_code(generate_code(sdfg)).run(**copies(), **symbols)]
     if have_compiler():
@@ -177,7 +235,7 @@ class TestHandBuilt:
         sdfg = _nest(levels, _TRMM_ARRAYS, tasklet)
         assert loops_left(sdfg) == {"writes_collide": 1, "multi_state_body": 1}
         assert _raise(sdfg) == {"multi_state_body": 1}
-        _check_runs(sdfg, levels, tasklet, _TRMM_ARRAYS)
+        _check_runs(sdfg, levels, [tasklet], _TRMM_ARRAYS)
 
     def test_trmm_rows_from_the_target_on_meet_it(self):
         """``k = i`` reads the element being updated: no update, no map."""
@@ -185,7 +243,7 @@ class TestHandBuilt:
         sdfg = _nest(levels, _TRMM_ARRAYS, tasklet)
         assert not AugAssignToWCR().apply(sdfg)
         assert _raise(sdfg) == {"writes_collide": 1, "multi_state_body": 1}
-        _check_runs(sdfg, levels, tasklet, _TRMM_ARRAYS)
+        _check_runs(sdfg, levels, [tasklet], _TRMM_ARRAYS)
 
     @pytest.mark.parametrize("start, refusal", [
         ("i + 1", None),
@@ -203,7 +261,7 @@ class TestHandBuilt:
         assert not AugAssignToWCR().apply(sdfg)
         assert _raise(sdfg) == {"writes_collide": 1, "multi_state_body": 1}
         for m in (0, 3):
-            _check_runs(sdfg, levels, tasklet, _TRMM_ARRAYS, M=m)
+            _check_runs(sdfg, levels, [tasklet], _TRMM_ARRAYS, M=m)
 
     @pytest.mark.parametrize("columns, left", [
         ("i", {"multi_state_body": 2}),                      # j < i: A[k][j] is never A[i][j]
@@ -219,7 +277,7 @@ class TestHandBuilt:
         body = next(state for state in sdfg.states() if state.label == "in_k")
         assert ranges[body]["j"] == Range(0, columns)
         assert _raise(sdfg) == left
-        _check_runs(sdfg, levels, tasklet, {"A": [8, 8]})
+        _check_runs(sdfg, levels, [tasklet], {"A": [8, 8]})
 
     def test_a_shift_whose_loop_is_no_fact_stays_a_loop(self):
         """The entry also sets the bound ``n``, so the loop's range is no fact
@@ -233,7 +291,25 @@ class TestHandBuilt:
         assert not induction_ranges(sdfg, find_loops(sdfg))
         assert LoopToMap.refusal(_inner(sdfg, "i")) == "writes_collide"
         assert _raise(sdfg) == {"writes_collide": 1}
-        _check_runs(sdfg, [("i", "0", "M")], tasklet, arrays, M=7)
+        _check_runs(sdfg, [("i", "0", "M")], [tasklet], arrays, M=7)
+
+    @pytest.mark.parametrize("start, refusal, left", [
+        ("i", None, {"multi_state_body": 1}),
+        # One dimension at a time, row and column meet in two iterations.
+        ("0", "writes_collide", {"writes_collide": 1, "multi_state_body": 1}),
+    ])
+    def test_covariance_stores_a_row_and_a_column(self, start, refusal, left):
+        """``C[i][j] = …; C[j][i] = …`` over ``j`` in ``[start, 8)``: from the
+        diagonal on, the two stores meet only where ``j = i``, in one
+        iteration."""
+        levels = [("i", "0", "8"), ("j", start, "8")]
+        tasklets = [("_out = _in0", {"_in0": ("A", "i, j")}, ("C", "i, j", None)),
+                    ("_out = (_in0 * 2.0)", {"_in0": ("A", "i, j")}, ("C", "j, i", None))]
+        arrays = {"A": [8, 8], "C": [8, 8]}
+        sdfg = _nest(levels, arrays, *tasklets)
+        assert LoopToMap.refusal(_inner(sdfg, "j")) == refusal
+        assert _raise(sdfg) == left
+        _check_runs(sdfg, levels, tasklets, arrays)
 
     def test_a_loop_that_moves_its_bound_tells_nothing(self):
         levels, tasklet = _trmm("i + 1")
