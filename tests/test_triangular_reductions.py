@@ -1,9 +1,10 @@
 """A read that never reaches the updated element holds no loop back.
 
-Update detection, ``LoopToMap`` and the interpreted array form ask one
-question (:func:`~repro.sdfg.analysis.may_meet`): over the ranges of the
-loops and maps around two accesses, can the read ever reach an element the
-write touches?  The counted loops around a state bound their induction
+Update detection, ``LoopToMap``, the parallelism proof and the interpreted
+array form ask one question (:func:`~repro.sdfg.analysis.may_meet`): over
+the ranges of the loops and maps around two accesses, can one ever reach an
+element the other touches — with ``carried``, in two iterations that differ
+in those names?  The counted loops around a state bound their induction
 variables (:func:`~repro.transforms.loop_analysis.induction_ranges`), so
 ``j < i`` around ``for k < j`` proves that lu's ``A[k][j]`` is never
 ``A[i][j]``.  The state machines here are built by hand, one loop per
