@@ -88,12 +88,13 @@ Data-centric passes are pattern-based transformations
 (deterministic site enumeration) from ``apply_match(sdfg, match)``
 (one-site rewrite), records per-run match/application counts on its
 :class:`~repro.passbase.PassRecord`, and declares tunable parameters
-(``MapTiling(tile_size=16)``, ``Vectorization(width=8)``) that serialize
-through :class:`PassSpec` params into the spec's content address.
+(``MapTiling(tile_size=16)``, ``Parallelize(n_threads=2)``) that
+serialize through :class:`PassSpec` params into the spec's content
+address.
 
 Auto-tuning (:mod:`repro.tuning`) searches the pipeline space *between*
 the six compositions per kernel — ablations, reorderings, codegen-option
-sweeps, transformation-parameter presets and tiled/vectorized schedule
+sweeps, transformation-parameter presets and tiled/collapsed schedule
 additions — with pluggable strategies and evaluators, every candidate
 batch deduplicated through the compile cache::
 
@@ -144,7 +145,7 @@ from .errors import (
 )
 from .frontend_py import PythonProgram, lower_python, program
 
-__version__ = "1.17.0"
+__version__ = "1.17.1"
 
 from .service import (  # noqa: E402  (needs __version__ for cache keys)
     CompileCache,

@@ -31,7 +31,7 @@ from .loader import ProgramLoadError, load_entry
 from .mlir_python import CompiledMLIR, MLIRCodegenError, compile_mlir, generate_mlir_code
 from .sdfg_c import NativeCodegenError, generate_c_code
 from .sdfg_python import CompiledSDFG, compile_sdfg, generate_code
-from .sdfg_walk import CodegenError, vectorizable_map
+from .sdfg_walk import CodegenError
 from .toolchain import (
     CompiledNative,
     CompilerFeatures,
@@ -71,7 +71,6 @@ __all__ = [
     "generate_c_code",
     "generate_code",
     "have_compiler",
-    "vectorizable_map",
     "generate_mlir_code",
     "load_entry",
     "movement_score",

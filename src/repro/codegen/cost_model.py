@@ -36,12 +36,7 @@ class MovementReport:
     """Aggregate data-movement statistics for one program.
 
     ``iterations`` models dynamic loop overhead: the total number of
-    innermost-body executions of state-machine loops *and* map scopes.  A
-    map annotated for vector emission (``Vectorization``) executes its
-    body as one vector operation, so it contributes 1 per dynamic
-    execution instead of its range product — which is how the static
-    model scores tiled/vectorized schedules differently from their scalar
-    originals despite identical byte traffic.
+    innermost-body executions of state-machine loops *and* map scopes.
     """
 
     elements_moved: float = 0.0
@@ -177,14 +172,11 @@ def _scope_context(scope, innermost, symbols) -> "Tuple[Dict[str, float], float]
 def _map_body_executions(map_obj, symbols) -> float:
     """Dynamic body executions of one map scope per enclosing execution.
 
-    The range product for scalar loops; 1 for maps annotated for vector
-    emission (the body runs as a single vector operation).  A
-    parallel-scheduled map charges the per-worker share of its body
-    executions (its critical path) plus a fork/join constant — byte
-    traffic is unchanged, since parallelism moves the same data.
+    The range product of its parameters.  A parallel-scheduled map charges
+    the per-worker share of its body executions (its critical path) plus a
+    fork/join constant — byte traffic is unchanged, since parallelism moves
+    the same data.
     """
-    if map_obj.vectorized:
-        return 1.0
     product = 1.0
     for rng in map_obj.ranges:
         product *= max(1.0, _evaluate(rng.num_elements(), symbols, default=1.0))

@@ -12,10 +12,10 @@ and an interpreted run of the same SDFG report identical
   dispatch fallback becomes an integer state machine);
 * map scopes become counted loops — integer-literal bounds written in the
   header, a bound that is an expression hoisted into ``const int64_t``
-  ``_loN``/``_hiN``/``_stN`` so it is evaluated once; maps annotated by
-  ``Vectorization`` (or swept by the global ``vectorize`` flag) become
-  SIMD-friendly inner loops (``#pragma GCC ivdep`` over the fixed-width
-  body the transform already tiled);
+  ``_loN``/``_hiN``/``_stN`` so it is evaluated once; under the
+  ``vectorize`` flag, a sequential map the walker accepts
+  (:func:`~repro.codegen.sdfg_walk.vectorizable_map`) asks the C compiler
+  for SIMD (``#pragma GCC ivdep``);
 * WCR memlets become in-place accumulations (``+=``, ``*=``, min/max), into
   a ``double``/``int64_t`` local where the walker finds a reduction;
 * transient arrays are carved from one caller-owned workspace (the
@@ -635,8 +635,8 @@ class CEmitter(SDFGWalker):
                         writer.emit(f"const int64_t {name} = (int64_t)({c_symbolic(bound)});")
                 declare = "" if param in self._declared else "int64_t "
                 if vectorized:
-                    # A Vectorization(width)-tiled inner map: fixed-width,
-                    # single-parameter, WCR-free — safe to ask for SIMD.
+                    # A sequential, single-parameter, WCR-free map of
+                    # element-wise tasklets: safe to ask for SIMD.
                     writer.emit("#pragma GCC ivdep")
                 if parallel is not None and position == 0:
                     self._emit_parallel_pragma(entry, parallel)

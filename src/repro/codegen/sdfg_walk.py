@@ -45,8 +45,8 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   around both, and an update of an element that does not move with some
   parameters adds (multiplies) along them in nest order, left to right
   starting from that element.  An emitter without array operations
-  annotates what ``Vectorization`` (or the ``vectorize`` flag) marked and
-  :func:`vectorizable_map` accepts;
+  annotates, under the ``vectorize`` flag, each map that stays sequential
+  and :func:`vectorizable_map` accepts;
 * which WCR writes are reductions over a sequential map.  An update whose
   target element does not move with the map (``C[i, j] += …`` under
   ``for k``) accumulates in a local: ``_accN = T[idx]`` ahead of the loop
@@ -117,7 +117,7 @@ class CodegenError(Exception):
     """Raised when an SDFG cannot be turned into executable code."""
 
 
-#: Constructs ``Vectorization`` annotates no map over: the pinned C text
+#: Constructs the ``vectorize`` flag annotates no map over: the pinned C text
 #: carries no ``ivdep`` there.  (What the interpreted emitter spells over
 #: arrays is its own table, ``sdfg_python.NUMPY``.)
 _UNANNOTATED = frozenset({"float", "int", "bool", "min", "max",
@@ -135,13 +135,10 @@ def _elementwise(code: str) -> bool:
 
 
 def vectorizable_map(state, entry: "MapEntry", members) -> bool:
-    """Whether a map scope may carry the ``vectorized`` annotation.
-
-    The matcher of the ``Vectorization`` transformation, and what an
-    emitter without array operations checks before it honours the
-    annotation (or the global ``vectorize`` flag of ``dcir+vec``): single
-    parameter, no nested scopes, tasklets that are element-wise
-    assignments (:func:`_elementwise`), and no WCR updates.
+    """Whether an emitter without array operations annotates a map scope
+    under the ``vectorize`` flag of ``dcir+vec``: single parameter, no
+    nested scopes, tasklets that are element-wise assignments
+    (:func:`_elementwise`), and no WCR updates.
     """
     if len(entry.map.params) != 1:
         return False
@@ -743,13 +740,15 @@ class SDFGWalker:
         if self._nest is not None:  # inside an array nest: the members over more axes
             self._emit_nested(state, entry, members, scope, owned, value_names)
             return
-        # Without array operations the annotation is honoured, and wins.
+        parallel = self._parallel_maps.get(id(entry))
+        # Without array operations the ``vectorize`` flag annotates a map
+        # that stays sequential: a proven parallel schedule wins.
         annotated = (
-            not self.array_maps
-            and (self.vectorize or entry.map.vectorized)
+            parallel is None
+            and not self.array_maps
+            and self.vectorize
             and vectorizable_map(state, entry, members)
         )
-        parallel = None if annotated else self._parallel_maps.get(id(entry))
         # Reductions are rewritten only in sequentially emitted maps; a
         # parallel map keeps its reduction and atomic paths all the way down.
         sequential = not (annotated or parallel is not None or self._in_parallel)

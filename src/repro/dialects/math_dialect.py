@@ -1,9 +1,9 @@
 """``math`` dialect: transcendental functions emitted for C math calls.
 
 Each op takes one (or two for ``math.powf``/``math.atan2``) floating-point
-operands and produces a result of the same type.  The table at the bottom
-maps each op to the Python/numpy function used by code generation and
-constant folding, so that every pipeline computes identical values.
+operands and produces a result of the same type.  The tables at the bottom
+map each op to the Python function used by code generation and constant
+folding, so that every pipeline computes identical values.
 """
 
 from __future__ import annotations
@@ -91,22 +91,6 @@ MATH_PYTHON_FUNCTIONS: Dict[str, str] = {
     "math.ceil": "math.ceil",
     "math.powf": "math.pow",
     "math.atan2": "math.atan2",
-}
-
-#: Vectorized (numpy) equivalents — used by the ICC/SLEEF-style backend.
-MATH_NUMPY_FUNCTIONS: Dict[str, str] = {
-    "math.exp": "np.exp",
-    "math.log": "np.log",
-    "math.log2": "np.log2",
-    "math.sqrt": "np.sqrt",
-    "math.absf": "np.abs",
-    "math.sin": "np.sin",
-    "math.cos": "np.cos",
-    "math.tanh": "np.tanh",
-    "math.floor": "np.floor",
-    "math.ceil": "np.ceil",
-    "math.powf": "np.power",
-    "math.atan2": "np.arctan2",
 }
 
 #: C library names recognized by the frontend, mapped to math-dialect ops.

@@ -54,7 +54,7 @@ class PassSpec:
 
     ``params`` are passed to the pass constructor as keyword arguments
     when the pipeline is built — for pattern-based transformations these
-    are the tunable transformation parameters (``tile_size``, ``width``,
+    are the tunable transformation parameters (``tile_size``, ``n_threads``,
     ``max_elements``, plus the universal ``only_matches`` /
     ``max_applications``).  They are part of the canonical serialization,
     so a parameter change produces a new spec ``content_id`` (and hence a

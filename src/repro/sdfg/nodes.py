@@ -110,13 +110,6 @@ class Map:
     (:mod:`repro.transforms.map_parameterized`,
     :mod:`repro.transforms.parallelize`):
 
-    * ``vectorized`` — set by ``Vectorization``: the native backend asks the
-      C compiler for SIMD on this map's loop (``#pragma GCC ivdep``) and the
-      cost model charges its body once.  The global ``vectorize`` codegen
-      flag has the same effect on every eligible map (the ``dcir+vec``
-      pipeline).  The interpreted backend does not read it: there every
-      innermost map that is an array expression is emitted as one
-      (:mod:`repro.codegen.sdfg_walk`).
     * ``tiling`` — the tile size this map was strip-mined with; set on the
       *outer* (tile-loop) map by ``MapTiling`` so the pattern does not
       re-match maps it already created.
@@ -135,7 +128,6 @@ class Map:
         self.label = label
         self.params: List[str] = list(params)
         self.ranges: List[Range] = list(ranges)
-        self.vectorized: bool = False
         self.tiling: Optional[int] = None
         self.schedule: str = SCHEDULE_SEQUENTIAL
         self.n_threads: Optional[int] = None

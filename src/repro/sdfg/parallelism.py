@@ -114,8 +114,6 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     map_obj = entry.map
     if not map_obj.params:
         return _refuse("map has no parameters")
-    if map_obj.vectorized:
-        return _refuse("map is annotated for vector emission")
     scope = state.scope_dict()
     if scope.get(entry) is not None:
         return _refuse("only outermost map scopes are parallelized")

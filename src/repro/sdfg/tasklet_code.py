@@ -4,8 +4,8 @@ The bridge raises every MLIR operation to a tasklet whose body is a flat
 sequence of ``name = <expression>`` lines (§5.2).  :func:`statements` parses
 a body once into its statements — :mod:`ast` trees plus the source offsets
 of every name — for all readers: ``Tasklet.free_symbols`` (so the symbols a
-state and an SDFG use), map fusion's rename, the ``Vectorization`` check,
-the native bound form, and through :func:`single_assignment` tasklet
+state and an SDFG use), map fusion's rename, the ``vectorize`` flag's
+check, the native bound form, and through :func:`single_assignment` tasklet
 fusion, update detection, both direct forms and the array form.  Rewrites
 splice text at those offsets, so they are exact where a regular expression
 over identifiers would also hit attribute names or substrings.  Expressions

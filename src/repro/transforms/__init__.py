@@ -13,7 +13,7 @@ matched and were rewritten — surfaced on every
 
 Transformation parameters are constructor keyword arguments, declared for
 the auto-tuner via ``PARAMS`` (e.g. ``MapTiling(tile_size=16)``,
-``Vectorization(width=8)``, ``StackPromotion(max_elements=1024)``); they
+``StackPromotion(max_elements=1024)``); they
 serialize through :class:`~repro.pipeline.spec.PassSpec` params into the
 spec's content address.  Two parameters exist on every transformation:
 ``only_matches`` (apply only the given match indices — per-match enable
@@ -24,8 +24,8 @@ one ordered §6 suite (simplification, then memory scheduling) is
 :data:`repro.pipeline.DATA_SUITE`, and
 :func:`repro.pipeline.data_runner` is what builds a runner from a spec;
 the parameterized scheduling transforms (``MapTiling``, ``MapInterchange``,
-``MapCollapse``, ``Vectorization``) are additive choices the tuner's
-search space proposes on top.  Symbol inference is not a pass here: the
+``MapCollapse``) are additive choices the tuner's search space proposes on
+top.  Symbol inference is not a pass here: the
 bridge's :class:`~repro.conversion.symbols.SymbolicEvaluator` does it.
 """
 
@@ -40,7 +40,6 @@ from .map_parameterized import (
     MapCollapse,
     MapInterchange,
     MapTiling,
-    Vectorization,
     tile_map,
 )
 from .map_transforms import LoopToMap, MapFusion, loops_left
@@ -74,7 +73,6 @@ __all__ = [
     "StateFusion",
     "TaskletFusion",
     "Transformation",
-    "Vectorization",
     "find_loops",
     "loops_left",
     "register_data_pass",

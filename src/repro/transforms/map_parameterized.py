@@ -1,13 +1,11 @@
-"""Parameterized map-scope transformations: tiling, interchange, collapse,
-vectorization.
+"""Parameterized map-scope transformations: tiling, interchange, collapse.
 
 The paper's evaluation hand-picks schedules the SDFG representation can
-express but the original pipeline never searched: tiled iteration spaces,
-reordered loop nests, and fixed-width vectorization.  These four
-pattern-based transformations make that space explicit, with their
-parameters (tile size, vector width) declared as tuner axes
-(:attr:`~repro.transforms.Transformation.PARAMS`) so ``python -m repro
-tune`` explores the compositions the paper picks by hand:
+express but the original pipeline never searched: tiled iteration spaces
+and reordered loop nests.  These three pattern-based transformations make
+that space explicit, with their parameters (tile size) declared as tuner
+axes (:attr:`~repro.transforms.Transformation.PARAMS`) so ``python -m
+repro tune`` explores the compositions the paper picks by hand:
 
 * :class:`MapTiling` — strip-mine every parameter of a map scope by
   ``tile_size``: the map becomes an outer tile loop (step = tile size)
@@ -19,13 +17,8 @@ tune`` explores the compositions the paper picks by hand:
 * :class:`MapCollapse` — merge a perfectly nested map pair into one
   multi-parameter map (the inverse of strip-mining), collapsing loop
   overhead and exposing a single larger iteration space.
-* :class:`Vectorization` — the explicit, parameterized form of the
-  ``dcir+vec`` codegen flag: annotate eligible maps for vector emission.
-  ``width=None`` vectorizes the whole iteration space; an integer width
-  strip-mines by ``width`` first and vectorizes the intra-tile map, i.e.
-  fixed-width SIMD.
 
-All four are additive scheduling choices rather than members of the §6
+All three are additive scheduling choices rather than members of the §6
 simplification suite, so they advertise ``ADDABLE = True`` and the
 tuner's search space proposes *adding* them (with each preset parameter
 value) to pipelines that lack them.
@@ -113,9 +106,9 @@ def tile_map(state: SDFGState, entry: MapEntry, tile_size: int) -> Tuple[MapEntr
 
 
 def _tileable(state: SDFGState, entry: MapEntry) -> bool:
-    """Whether a map is a fresh, unit-step, non-vector scope worth tiling."""
+    """Whether a map is a fresh, unit-step scope worth tiling."""
     map_obj = entry.map
-    if map_obj.tiling is not None or map_obj.vectorized:
+    if map_obj.tiling is not None:
         return False
     if not map_obj.params:
         return False
@@ -341,74 +334,3 @@ class MapCollapse(Transformation):
         state.remove_node(inner_exit)
         if state.out_degree(entry) == 0:
             state.add_nedge(entry, outer_exit)
-
-
-class Vectorization(Transformation):
-    """Explicit, parameterized vectorization of eligible map scopes.
-
-    The paper models ICC/SLEEF vectorized math with the hard-wired
-    ``dcir+vec`` pipeline (a global codegen flag); this transformation is
-    the per-map, tunable replacement.  ``width=None`` annotates each
-    eligible map for whole-range vector emission; an integer ``width``
-    strip-mines the map by that width first and annotates the intra-tile
-    map — fixed-width SIMD with a scalar-free remainder (the inner range
-    is clamped with ``min``).
-    """
-
-    NAME = "vectorization"
-    DRAIN = "sweep"
-    ADDABLE = True
-    PARAMS = {"width": (None, 4, 8, 16)}
-
-    def __init__(self, width: Optional[int] = None, **kwargs):
-        super().__init__(**kwargs)
-        if width is not None and int(width) < 2:
-            raise ValueError(f"Vector width must be >= 2 (or None), got {width}")
-        self.width = None if width is None else int(width)
-
-    def match(self, sdfg: SDFG) -> List[Match]:
-        from ..codegen.sdfg_walk import vectorizable_map
-
-        matches: List[Match] = []
-        for state, entry in sdfg.map_entries():
-            if entry.map.vectorized or entry.map.tiling is not None:
-                continue
-            if self.width is not None and any(
-                rng.step != _ONE for rng in entry.map.ranges
-            ):
-                continue
-            children = state.scope_children().get(entry, [])
-            members = [node for node in children if not isinstance(node, MapExit)]
-            if not vectorizable_map(state, entry, members):
-                continue
-            width_label = "full" if self.width is None else str(self.width)
-            matches.append(Match(
-                transformation=self.name,
-                kind="map",
-                where=state.label,
-                subject=f"{entry.map.label} (width {width_label})",
-                payload={"state": state, "entry": entry},
-            ))
-        return matches
-
-    def apply_match(self, sdfg: SDFG, match: Match) -> bool:
-        from ..codegen.sdfg_walk import vectorizable_map
-
-        state: SDFGState = match.payload["state"]
-        entry: MapEntry = match.payload["entry"]
-        if state not in sdfg.states() or entry not in state:
-            return False
-        if entry.map.vectorized or entry.map.tiling is not None:
-            return False
-        children = state.scope_children().get(entry, [])
-        members = [node for node in children if not isinstance(node, MapExit)]
-        if not vectorizable_map(state, entry, members):
-            return False
-        if self.width is None:
-            entry.map.vectorized = True
-            return True
-        if any(rng.step != _ONE for rng in entry.map.ranges):
-            return False
-        inner_entry, _ = tile_map(state, entry, self.width)
-        inner_entry.map.vectorized = True
-        return True

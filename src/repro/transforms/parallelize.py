@@ -101,8 +101,6 @@ class Parallelize(Transformation):
     @staticmethod
     def _eligible(state: SDFGState, entry: MapEntry) -> bool:
         map_obj = entry.map
-        if map_obj.schedule != SCHEDULE_SEQUENTIAL:
-            return False
-        if map_obj.vectorized or not map_obj.params:
+        if map_obj.schedule != SCHEDULE_SEQUENTIAL or not map_obj.params:
             return False
         return state.scope_dict().get(entry) is None

@@ -18,7 +18,7 @@ from .dead_code import (
     DeadStateElimination,
     RedundantIterationElimination,
 )
-from .map_parameterized import MapCollapse, MapInterchange, MapTiling, Vectorization
+from .map_parameterized import MapCollapse, MapInterchange, MapTiling
 from .map_transforms import LoopToMap, MapFusion
 from .parallelize import Parallelize
 from .memory_allocation import MemoryPreAllocation, StackPromotion
@@ -45,7 +45,6 @@ for _cls in (
     MapTiling,
     MapInterchange,
     MapCollapse,
-    Vectorization,
     # Schedule annotation (tuner ``schedule:`` axis).
     Parallelize,
 ):

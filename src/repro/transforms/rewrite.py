@@ -2,7 +2,7 @@
 
 The paper's central claim (§6) is that lifting control-centric IR into the
 data-centric SDFG unlocks *graph transformations* — fusion, tiling,
-vectorization — that flag-driven pass pipelines cannot express.  This
+parallelization — that flag-driven pass pipelines cannot express.  This
 module makes those transformations first-class: instead of a monolithic
 whole-graph ``apply(sdfg)``, a :class:`Transformation` separates
 

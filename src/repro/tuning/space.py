@@ -23,8 +23,8 @@ enumerates that neighbourhood of a base :class:`~repro.PipelineSpec`:
   max_elements=1024``);
 * **additions** — appending an ``ADDABLE`` parameterized scheduling
   transform the spec lacks (``MapTiling``, ``MapInterchange``,
-  ``MapCollapse``, ``Vectorization``) with each preset of its primary
-  parameter — the tiled/vectorized schedules the paper's evaluation
+  ``MapCollapse``) with each preset of its primary parameter — the
+  tiled/interchanged/collapsed schedules the paper's evaluation
   hand-picks;
 * **match-limit variants** — capping a pattern-based pass at one
   application (``max_applications=1``), the coarse form of per-match

@@ -459,7 +459,7 @@ class TestWorkspace:
         assert ours == [expected] * 200
 
 
-# -- vectorization annotations survive into C ----------------------------------------------
+# -- the vectorize flag asks for SIMD in C -------------------------------------------------
 
 
 @requires_cc
@@ -467,7 +467,7 @@ def test_vectorized_maps_emit_simd_pragmas():
     from repro.pipeline import generate_sdfg
 
     # atax's inner maps are WCR-free point-wise updates, so the
-    # Vectorization annotation survives into a SIMD-friendly C loop
+    # ``vectorize`` flag annotates them with a SIMD-friendly C loop
     # (gemm's innermost loop is a reduction and correctly does not).
     sdfg = generate_sdfg(get_kernel("atax"), "dcir+vec")
     code = generate_c_code(sdfg, vectorize=True)

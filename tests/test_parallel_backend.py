@@ -201,26 +201,35 @@ def test_polybench_native_parallel_differential(kernel, monkeypatch):
 
 
 @requires_cc
-@pytest.mark.parametrize("kernel", kernel_names())
-def test_polybench_wcr_under_parallelism(kernel, monkeypatch):
+@pytest.mark.parametrize("kernel,vectorize", [
+    pytest.param(kernel, vectorize, id=f"{kernel}-vectorize" if vectorize else kernel)
+    for vectorize in (False, True) for kernel in kernel_names()
+])
+def test_polybench_wcr_under_parallelism(kernel, vectorize, monkeypatch):
     """Every PolyBench kernel returns sequential's bits at 1, 2 and 3 threads.
 
     Each kernel's checksum loop is a WCR update; a floating-point one that
     would need atomics is refused by the proof, so no parallel run may
     change a bit.  A kernel left with no provable map emits sequential's C
     even when every outermost map asks for a parallel schedule: the
-    annotation is a request, the proof is the authority.
+    annotation is a request, the proof is the authority.  The ``vectorize``
+    flag (``dcir+vec``) annotates only maps that stay sequential, so it
+    keeps every parallel loop the proof accepted.
     """
     sdfg = generate_sdfg(get_kernel(kernel), pipeline="dcir")
-    sequential = generate_c_code(sdfg)
+    sequential = generate_c_code(sdfg, vectorize=vectorize)
     reference = CompiledNative.from_code(sequential).run()["__return"]
     if _annotate_all(sdfg) == 0:
         for state, entry in sdfg.map_entries():
             if state.scope_dict().get(entry) is None:
                 entry.map.schedule = SCHEDULE_PARALLEL
-        assert generate_c_code(sdfg) == sequential
+        assert generate_c_code(sdfg, vectorize=vectorize) == sequential
         return
-    parallel = _native(sdfg)
+    code = generate_c_code(sdfg, vectorize=vectorize)
+    if vectorize:
+        pragma = "#pragma omp parallel for"
+        assert code.count(pragma) == generate_c_code(sdfg).count(pragma)
+    parallel = CompiledNative.from_code(code)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("REPRO_NUM_THREADS", threads)
         returned = parallel.run()["__return"]

@@ -145,14 +145,15 @@ class TestRegistry:
         assert "map-fusoin" in str(excinfo.value)
         assert "map-fusion" in str(excinfo.value)
 
-    def test_spec_naming_a_deleted_pass_fails_validation(self):
+    @pytest.mark.parametrize("deleted", ["scalar-to-symbol", "vectorization"])
+    def test_spec_naming_a_deleted_pass_fails_validation(self, deleted):
         # A spec saved as JSON before the pass was deleted: loud, not skipped.
         saved = get_pipeline("dcir").to_dict()
-        saved["data_passes"].insert(0, {"name": "scalar-to-symbol", "params": {}})
+        saved["data_passes"].insert(0, {"name": deleted, "params": {}})
         with pytest.raises(PipelineError) as excinfo:
             PipelineSpec.from_dict(saved).validate()
         message = str(excinfo.value)
-        assert "Unknown data-centric pass 'scalar-to-symbol'" in message
+        assert f"Unknown data-centric pass '{deleted}'" in message
         assert "registered passes: state-fusion, " in message
 
 
@@ -196,10 +197,10 @@ class TestPassSpecParams:
     def test_with_params_returns_a_fresh_spec(self):
         from repro.pipeline.spec import PassSpec
 
-        spec = PassSpec("vectorization", {"width": 4})
-        wider = spec.with_params(width=8)
-        assert wider.params == {"width": 8}
-        assert spec.params == {"width": 4}
+        spec = PassSpec("map-tiling", {"tile_size": 4})
+        wider = spec.with_params(tile_size=8)
+        assert wider.params == {"tile_size": 8}
+        assert spec.params == {"tile_size": 4}
 
     def test_bad_params_fail_with_a_helpful_error(self):
         spec = get_pipeline("dcir").derive()

@@ -28,11 +28,11 @@ from repro.transforms import (
     MapTiling,
     Match,
     MemoryPreAllocation,
+    Parallelize,
     RedundantIterationElimination,
     StackPromotion,
     StateFusion,
     Transformation,
-    Vectorization,
     find_loops,
 )
 
@@ -420,9 +420,9 @@ class TestRewriteEngine:
         from repro.transforms import transformation_parameters
 
         assert transformation_parameters(MapTiling) == {"tile_size": 32}
-        assert transformation_parameters(Vectorization) == {"width": None}
+        assert transformation_parameters(Parallelize) == {"n_threads": None}
         assert set(StackPromotion.PARAMS) == {"max_elements"}
-        for cls in (MapTiling, MapInterchange, MapCollapse, Vectorization):
+        for cls in (MapTiling, MapInterchange, MapCollapse):
             assert cls.ADDABLE and issubclass(cls, Transformation)
 
 
@@ -819,43 +819,6 @@ class TestParameterizedTransforms:
         assert tiling.matches(sdfg) == []
         outputs, _ = _run_sdfg(sdfg, A=a, B=np.zeros(10))
         assert np.allclose(outputs["B"], expected["B"])
-
-    def test_vectorization_full_range_annotates_the_map(self):
-        import numpy as np
-
-        sdfg = _concrete_scale_sdfg(8)
-        vectorization = Vectorization()
-        assert len(vectorization.matches(sdfg)) == 1
-        assert vectorization.apply(sdfg)
-        entry = sdfg.states()[0].map_entries()[0]
-        assert entry.map.vectorized
-        assert vectorization.matches(sdfg) == []  # annotated maps do not re-match
-        code = sdfg.compile().code
-        assert "B[0:8] = " in code
-        a = np.arange(8, dtype=np.float64)
-        outputs, _ = _run_sdfg(sdfg, A=a, B=np.zeros(8))
-        assert np.allclose(outputs["B"], a * 2.0)
-
-    def test_vectorization_with_width_tiles_then_annotates(self):
-        import numpy as np
-
-        sdfg = _concrete_scale_sdfg(10)
-        assert Vectorization(width=4).apply(sdfg)
-        sdfg.validate()
-        entries = sdfg.states()[0].map_entries()
-        assert len(entries) == 2
-        outer, inner = entries
-        assert outer.map.tiling == 4 and not outer.map.vectorized
-        assert inner.map.vectorized
-        code = sdfg.compile().code
-        assert "B[i_tile:min(i_tile + 4, 10)] = " in code  # clamped remainder
-        a = np.arange(10, dtype=np.float64)
-        outputs, _ = _run_sdfg(sdfg, A=a, B=np.zeros(10))
-        assert np.allclose(outputs["B"], a * 2.0)
-
-    def test_vectorization_rejects_width_one(self):
-        with pytest.raises(ValueError, match="width"):
-            Vectorization(width=1)
         with pytest.raises(ValueError, match="tile_size"):
             MapTiling(tile_size=0)
 
@@ -955,10 +918,10 @@ class TestTransformsCLI:
         assert cli_main(["transforms", "match", "--kernel", "atax", "loop-to-map"]) == 0
         printed = capsys.readouterr().out
         # loop-to-map already ran in the prefix of dcir, so the interesting
-        # enumeration is vectorization on the final graph.
-        assert cli_main(["transforms", "match", "--kernel", "atax", "vectorization"]) == 0
+        # enumeration is map-collapse on the final graph.
+        assert cli_main(["transforms", "match", "--kernel", "atax", "map-collapse"]) == 0
         printed = capsys.readouterr().out
-        assert "1 match(es)" in printed and "vectorization [map]" in printed
+        assert "1 match(es)" in printed and "map-collapse [map-pair]" in printed
 
     def test_transforms_match_json_with_params(self, capsys):
         import json as json_module
@@ -978,7 +941,7 @@ class TestTransformsCLI:
 
         assert cli_main([
             "transforms", "match", "--kernel", "atax", "--pipeline", "gcc",
-            "vectorization",
+            "map-collapse",
         ]) == 2
         assert "bridge" in capsys.readouterr().err
 

@@ -176,7 +176,6 @@ class TestSearchSpace:
                             limit_variants=False)
         origins = {c.origin for c in space.candidates() if c.origin.startswith("add:")}
         assert "add:map-tiling(tile_size=16)" in origins
-        assert "add:vectorization(width=None)" in origins
         assert "add:map-interchange" in origins
         assert "add:map-collapse" in origins
         # Added passes land at the end of the data stage with their params.
@@ -204,7 +203,7 @@ class TestSearchSpace:
 
     def test_parameterized_candidates_compile_and_score(self):
         """Greedy over the parameterized space never loses to dcir (atax has
-        a map scope, so vectorization/tiling candidates are live)."""
+        a map scope, so tiling/collapse candidates are live)."""
         report = tune_kernel(
             "atax", strategy=GreedyStrategy(rounds=1), session=_session(),
             space=SearchSpace("dcir", include_registered=False),
@@ -213,7 +212,8 @@ class TestSearchSpace:
         assert report.winner is not None
         assert report.winner.score <= base_entry.score
         scored_origins = {e.candidate.origin for e in report.ranking if e.ok}
-        assert any(o.startswith("add:vectorization") for o in scored_origins)
+        assert any(o.startswith("add:map-tiling") for o in scored_origins)
+        assert "add:map-collapse" in scored_origins
 
 
 # -- strategies and evaluators -----------------------------------------------------------
