@@ -74,11 +74,13 @@ compiles batches in parallel, and runs whole workload suites::
     result = cache.get_or_compile(C_SOURCE, "dcir")        # cold: compiles
     result = cache.get_or_compile(C_SOURCE, "dcir")        # warm: cache_hit=True
 
-    # Parallel batch compilation with per-item error isolation.
+    # Batch compilation (a process pool when CPUs allow) with per-item
+    # error isolation.
     outcomes = compile_many([(C_SOURCE, p) for p in PIPELINES], cache=cache)
 
-    # Suite runner: compile + run a workload set, with cache reuse and a
-    # structured report (compile/run time, cache hits, movement stats).
+    # Suite runner: one cached compile_many batch under the session's
+    # executor, deadline, retries and degradation mode, then timed runs and
+    # a structured report (compile/run time, cache hits, movement stats).
     session = Session(cache=cache)
     report = session.run_suite(polybench_suite(["gemm", "atax"]), pipelines=("gcc", "dcir"))
     print(report.table())
@@ -96,7 +98,8 @@ Auto-tuning (:mod:`repro.tuning`) searches the pipeline space *between*
 the six compositions per kernel — ablations, reorderings, codegen-option
 sweeps, transformation-parameter presets and tiled/collapsed schedule
 additions — with pluggable strategies and evaluators, every candidate
-batch deduplicated through the compile cache::
+batch compiled by the session's ``compile_many`` and deduplicated through
+the compile cache::
 
     report = tune_kernel("gemm", budget=8, seed=0)   # reproducible search
     register_winner(report, "gemm-tuned")            # now a named pipeline

@@ -674,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search only the base spec's neighbourhood (skip registered-pipeline seeds)",
     )
     tune_parser.add_argument(
-        "--executor", choices=("process", "thread", "serial"),
+        "--executor", choices=("process", "serial"),
         help="how candidate batches compile (default: processes when CPUs allow)",
     )
     tune_parser.add_argument(

@@ -23,7 +23,7 @@ exactly one worker).  Known fault classes:
   entry, as a writer killed mid-``write`` would leave behind.
 * ``worker_kill`` — a process-pool worker SIGKILLs itself before
   compiling, as the OOM killer would (fires only inside pool workers,
-  never in the parent or in thread executors).
+  never in the parent).
 
 ``REPRO_FAULTS_SEED`` seeds the per-fault RNGs (default 0), so a fault
 plan fires at the same decision points in every run.  When a *global*
@@ -102,7 +102,7 @@ def parse_faults(text: str) -> Dict[str, FaultSpec]:
 
 #: Set (via :func:`mark_pool_worker`, a pool initializer) in processes
 #: that are expendable: ``worker_kill`` only ever fires where this is
-#: True, so it can never take down the parent or a thread executor.
+#: True, so it can never take down the parent.
 _IN_POOL_WORKER = False
 
 

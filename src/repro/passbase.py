@@ -136,8 +136,6 @@ class CompilationReport:
     #: Profiler counter increments attributed to this compilation
     #: (a delta of :data:`repro.perf.PERF` around the compile).  Includes
     #: symbolic-engine cache statistics, frontend/pass work counts, etc.
-    #: Exact for non-overlapping compiles; compiles running concurrently
-    #: on threads of one process fold each other's work into their deltas
     #: (worker *processes* keep independent counters).
     counters: Dict[str, int] = field(default_factory=dict)
 

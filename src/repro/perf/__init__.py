@@ -26,9 +26,9 @@ core without cycles).  Counters are plain dict increments — cheap enough
 for hot paths — and are process-local: parallel compilation *worker
 processes* accumulate their own counters.  Within one process the
 profiler is global, so snapshot/delta attribution (e.g. a
-``CompilationReport``'s counters) is only exact for compiles that do not
-overlap in time; compiles run concurrently on *threads* in the same
-process see each other's increments folded into their deltas.
+``CompilationReport``'s counters) is exact for compiles that do not
+overlap in time — the library's batches never overlap two in one
+process: they compile serially or in worker processes.
 """
 
 from __future__ import annotations

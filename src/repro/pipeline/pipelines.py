@@ -136,14 +136,10 @@ class CompileResult:
         """Per-stage compile-time breakdown (empty when unknown)."""
         return self.report.stage_seconds if self.report is not None else {}
 
-    def movement_report(self, symbols: Optional[Dict[str, float]] = None) -> Optional[MovementReport]:
+    def movement_report(self) -> Optional[MovementReport]:
         if self.sdfg is not None:
-            return sdfg_movement_report(self.sdfg, symbols)
-        # Rehydrated results carry the report computed at compile time with
-        # default symbol values; honoring custom ``symbols`` needs the live
-        # SDFG, so return None rather than silently wrong statistics.
-        if symbols:
-            return None
+            return sdfg_movement_report(self.sdfg)
+        # Rehydrated results carry the report computed at compile time.
         return self._cached_movement
 
     @property

@@ -9,8 +9,8 @@ over and over; this subsystem makes such sweeps cheap and scalable:
   pipelines content-address correctly) with an in-memory LRU and an
   optional on-disk store (``REPRO_CACHE_DIR``), rehydrating results from
   generated code without re-running any pass;
-* :func:`compile_many` — parallel batch compilation over
-  ``concurrent.futures`` executors with per-item error capture;
+* :func:`compile_many` — batch compilation over a process pool (or
+  in-process) with per-item error capture;
 * :class:`Session` — a suite runner that compiles and runs whole workload
   sets with cache reuse and returns a structured :class:`SuiteReport`
   (compile/run time, cache hits, movement and allocation statistics,
@@ -30,7 +30,6 @@ from .batch import (
     CompileRequest,
     as_request,
     compile_many,
-    compile_specs,
     default_executor,
 )
 from .cache import (
@@ -67,7 +66,6 @@ __all__ = [
     "as_request",
     "cache_key",
     "compile_many",
-    "compile_specs",
     "default_executor",
     "normalize_source",
     "payload_digest",

@@ -2,11 +2,11 @@
 
 Evaluation sweeps compile many independent (kernel × pipeline) pairs; the
 compilation stages are pure (no shared mutable state), so they parallelize
-naturally.  :func:`compile_many` fans the cold items out over a
-``concurrent.futures`` executor — processes by default when more than one
-CPU is available (compilation is CPU-bound pure Python, so threads cannot
-exceed one core's throughput under the GIL) — and captures per-item errors
-so one failing kernel never aborts a sweep.
+naturally.  :func:`compile_many` fans the cold items out over a process
+pool when more than one CPU is available, and runs them in-process
+otherwise (compilation is CPU-bound pure Python, so threads would never
+beat a serial loop under the GIL) — and captures per-item errors so one
+failing kernel never aborts a sweep.
 
 Requests name pipelines by registered string *or* carry a full
 :class:`~repro.pipeline.PipelineSpec`.  Names are resolved to specs in the
@@ -16,8 +16,8 @@ receive the serialized spec, not a name they could not resolve.  The same
 caveat applies one level down to *pass* names: a spec referencing a pass
 registered at runtime (rather than at ``import repro``) resolves in fork
 workers but not under a spawn start method, where the worker re-imports a
-registry that never saw the registration — use ``executor="thread"`` or
-``"serial"`` for such specs on spawn platforms.
+registry that never saw the registration — use ``executor="serial"`` for
+such specs on spawn platforms.
 
 Workers run only the *pure* stage (:func:`repro.pipeline.generate_program`)
 and return the serializable payload; the parent rehydrates results and
@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -142,15 +142,15 @@ def as_request(item: RequestLike) -> CompileRequest:
 
 def default_executor() -> str:
     """Executor kind used when none is requested."""
-    return "process" if (os.cpu_count() or 1) > 1 else "thread"
+    return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
 
 def _compile_payload(request: CompileRequest) -> Dict:
     """Worker: run the pure compile stage, returning payload or error info.
 
     Must stay module-level and return only pickle-friendly data so it works
-    identically under ``ProcessPoolExecutor`` (pickled across the fork)
-    and ``ThreadPoolExecutor``.  The request's deadline is enforced
+    identically in a ``ProcessPoolExecutor`` worker (pickled across the
+    fork) and in-process.  The request's deadline is enforced
     cooperatively: pure Python stages cannot be preempted, so it is
     checked before starting and after finishing — a blown deadline
     reports :class:`~repro.errors.CompileTimeout` rather than returning
@@ -201,7 +201,7 @@ def compile_many(
 ) -> List[BatchOutcome]:
     """Compile a batch of requests, in parallel, with per-item error capture.
 
-    ``executor`` is ``"process"``, ``"thread"`` or ``"serial"`` (default:
+    ``executor`` is ``"process"`` or ``"serial"`` (default:
     picked by :func:`default_executor`).  When a ``cache`` is given, hits
     are served without entering the pool and fresh payloads are stored back,
     so a batch both benefits from and warms the cache.  The returned list
@@ -233,6 +233,7 @@ def compile_many(
     keys: List[Optional[str]] = [None] * len(requests)
     pending: List[int] = []
     for index, request in enumerate(requests):
+        start = time.perf_counter()
         try:
             spec = resolve_pipeline(request.pipeline)
             if cache is not None:
@@ -243,6 +244,7 @@ def compile_many(
                 error=str(exc),
                 error_type=type(exc).__name__,
                 error_traceback=traceback.format_exc(),
+                failure_kind=failure_kind(exc),
             )
             continue
         resolved[index] = replace(request, pipeline=spec)
@@ -250,14 +252,18 @@ def compile_many(
             payload = cache.lookup(keys[index])
             if payload is not None:
                 PERF.increment("compile_cache.hits")
-                outcomes[index] = BatchOutcome(request=request, result=result_from_payload(payload))
+                outcomes[index] = BatchOutcome(
+                    request=request,
+                    result=result_from_payload(payload),
+                    seconds=time.perf_counter() - start,
+                )
                 continue
             PERF.increment("compile_cache.misses")
         pending.append(index)
 
     kind = executor or default_executor()
-    if kind not in ("process", "thread", "serial"):
-        raise ValueError(f"Unknown executor {kind!r}; choose 'process', 'thread' or 'serial'")
+    if kind not in ("process", "serial"):
+        raise ValueError(f"Unknown executor {kind!r}; choose 'process' or 'serial'")
 
     attempts: Dict[int, int] = {index: 0 for index in pending}
 
@@ -333,15 +339,12 @@ def compile_many(
         for index in pending:
             serial_item(index)
     else:
-        pool_cls = ProcessPoolExecutor if kind == "process" else ThreadPoolExecutor
         workers = max_workers or min(len(pending), os.cpu_count() or 1)
 
         def make_pool():
-            if pool_cls is ProcessPoolExecutor:
-                # The initializer marks workers expendable, so injected
-                # worker_kill faults only ever fire in pool children.
-                return pool_cls(max_workers=max(1, workers), initializer=mark_pool_worker)
-            return pool_cls(max_workers=max(1, workers))
+            # The initializer marks workers expendable, so injected
+            # worker_kill faults only ever fire in pool children.
+            return ProcessPoolExecutor(max_workers=max(1, workers), initializer=mark_pool_worker)
 
         try:
             pool = make_pool()
@@ -415,41 +418,3 @@ def compile_many(
     if missing:  # pragma: no cover - every path above populates its index
         raise RuntimeError(f"compile_many left outcomes unset at indices {missing}")
     return outcomes
-
-
-def compile_specs(
-    source,
-    pipelines: Iterable[PipelineLike],
-    function: Optional[str] = None,
-    labels: Optional[Iterable[Optional[str]]] = None,
-    executor: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    cache: Optional[CompileCache] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-) -> List[BatchOutcome]:
-    """Compile *one* source through many pipelines — the sweep/tuning shape.
-
-    Thin wrapper over :func:`compile_many` for the common evaluation batch
-    where the kernel is fixed and the pipeline varies (ablation studies,
-    the auto-tuner's candidate evaluation).  The shared source is hashed
-    once per pipeline by the cache key, so equivalent specs — however the
-    caller produced them — deduplicate onto a single compilation.
-    """
-    pipelines = list(pipelines)
-    labels = list(labels) if labels is not None else [None] * len(pipelines)
-    if len(labels) != len(pipelines):
-        raise ValueError(
-            f"compile_specs got {len(pipelines)} pipelines but {len(labels)} labels"
-        )
-    return compile_many(
-        [
-            CompileRequest(source=source, pipeline=pipeline, function=function, name=label)
-            for pipeline, label in zip(pipelines, labels)
-        ],
-        executor=executor,
-        max_workers=max_workers,
-        cache=cache,
-        retry_policy=retry_policy,
-        timeout=timeout,
-    )

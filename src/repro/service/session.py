@@ -202,7 +202,9 @@ class Session:
     """A compilation service session: cache + executor policy + suite runner.
 
     The session also carries the robustness policy every compile under it
-    inherits: a default per-request ``timeout`` (seconds), a
+    inherits: a default per-request ``timeout`` (seconds; it bounds the
+    pure stage of every request in a :meth:`compile_many` batch, and every
+    result threads it to the deferred toolchain build), a
     ``retry_policy`` for transient failures (default: environment-driven
     :meth:`~repro.service.resilience.RetryPolicy.from_env`), and a
     ``degradation`` mode — ``"fallback"`` (a failed native backend
@@ -244,17 +246,17 @@ class Session:
         self, source: str, pipeline: PipelineLike = "dcir", function: Optional[str] = None
     ) -> CompileResult:
         """Cached single compile of a pipeline name or spec
-        (see :meth:`CompileCache.get_or_compile`)."""
+        (see :meth:`CompileCache.get_or_compile`); the session's deadline
+        bounds only the result's toolchain build."""
         return self._apply_policy(self.cache.get_or_compile(source, pipeline, function=function))
 
-    def compile_many(
-        self, items: Iterable, executor: Optional[str] = None, max_workers: Optional[int] = None
-    ) -> List[BatchOutcome]:
-        """Cached parallel batch compile with per-item error capture."""
+    def compile_many(self, items: Iterable) -> List[BatchOutcome]:
+        """Cached batch compile with per-item error capture, under the
+        session's executor, deadline, retry policy and degradation mode."""
         outcomes = compile_many(
             items,
-            executor=executor or self.executor,
-            max_workers=max_workers or self.max_workers,
+            executor=self.executor,
+            max_workers=self.max_workers,
             cache=self.cache,
             retry_policy=self.retry_policy,
             timeout=self.timeout,
@@ -269,25 +271,19 @@ class Session:
         workloads: WorkloadsLike,
         pipelines: Sequence[PipelineLike] = ("dcir",),
         repetitions: int = 1,
-        parallel: bool = False,
-        symbols: Optional[Dict[str, float]] = None,
     ) -> SuiteReport:
         """Compile and run every workload through every pipeline.
 
         ``pipelines`` mixes registered names and
         :class:`~repro.pipeline.PipelineSpec` values freely — custom specs
         sweep exactly like the built-in six (entries are labelled with the
-        spec's display label).  With ``parallel=True`` the cold compiles
-        are batched through the session executor first — entries keep
-        honest statistics (a compile done in the batch phase reports the
-        worker's compile time and ``cache_hit=False``, not the ~ms cache
-        rehydration that follows); runs always happen sequentially
-        in-process (they are being timed).  Compilation or runtime errors
-        are captured per entry, never aborting the remaining suite.
-
-        ``symbols`` needs a live SDFG to evaluate, so ``moved_bytes`` is
-        None for entries rehydrated from the cache (see
-        :meth:`~repro.pipeline.CompileResult.movement_report`).
+        spec's display label).  Every cell compiles in one
+        :meth:`compile_many` batch, so the session's executor, deadline,
+        retry policy and degradation mode hold for each of them; an entry
+        reports the compile time and cache status of its batch outcome.
+        Runs happen sequentially in-process (they are being timed).
+        Compilation or runtime errors are captured per entry, never
+        aborting the remaining suite.
         """
         named = list(workloads.items()) if isinstance(workloads, Mapping) else list(workloads)
         pairs = [(name, source, pipeline) for name, source in named for pipeline in pipelines]
@@ -303,54 +299,29 @@ class Session:
             except Exception:
                 spec_ids[position] = None
 
-        batched: List[Optional[BatchOutcome]] = [None] * len(pairs)
-        if parallel and len(pairs) > 1:
-            batched = self.compile_many(
-                [CompileRequest(source=source, pipeline=pipeline, name=name)
-                 for name, source, pipeline in pairs]
-            )  # warms the cache; per-item errors re-surface in the loop below
+        outcomes = self.compile_many(
+            [CompileRequest(source=source, pipeline=pipeline, name=name)
+             for name, source, pipeline in pairs]
+        )
 
         report = SuiteReport()
-        for index, (name, source, pipeline) in enumerate(pairs):
+        for index, ((name, _source, pipeline), outcome) in enumerate(zip(pairs, outcomes)):
             entry = SuiteEntry(
                 workload=name,
                 pipeline=pipeline_label(pipeline),
                 spec_id=spec_ids[index % len(pipelines)],
+                compile_seconds=outcome.seconds,
+                cache_hit=outcome.cache_hit,
+                attempts=outcome.attempts,
             )
-            outcome = batched[index]
-            if outcome is not None and not outcome.ok:
-                # Already failed in the batch phase; don't recompile just to
-                # observe the same error again.
-                entry.compile_seconds = outcome.seconds
+            report.entries.append(entry)
+            if not outcome.ok:
                 entry.error = outcome.error
                 entry.error_type = outcome.error_type
                 entry.failure_kind = outcome.failure_kind
-                entry.attempts = outcome.attempts
-                report.entries.append(entry)
                 continue
-            if outcome is not None:
-                # Use the batch result directly (its payload may already
-                # have been evicted from the LRU), attributing the worker's
-                # compile time and cache status, not a rehydration's.
-                compiled = outcome.result
-                entry.compile_seconds = outcome.seconds
-                entry.cache_hit = outcome.cache_hit
-                entry.attempts = outcome.attempts
-            else:
-                compile_start = time.perf_counter()
-                try:
-                    compiled = self.compile(source, pipeline)
-                except Exception as exc:
-                    entry.compile_seconds = time.perf_counter() - compile_start
-                    entry.error = str(exc)
-                    entry.error_type = type(exc).__name__
-                    entry.failure_kind = classify_failure(exc)
-                    entry.attempts = max(1, getattr(exc, "attempts", 1))
-                    report.entries.append(entry)
-                    continue
-                entry.compile_seconds = time.perf_counter() - compile_start
-                entry.cache_hit = compiled.cache_hit
-            movement = compiled.movement_report(symbols)
+            compiled = outcome.result
+            movement = compiled.movement_report()
             if movement is not None:
                 entry.moved_bytes = movement.bytes_moved
             try:
@@ -360,14 +331,12 @@ class Session:
                 entry.error_type = type(exc).__name__
                 entry.failure_kind = classify_failure(exc)
                 entry.degraded = compiled.backend_diagnostic
-                report.entries.append(entry)
                 continue
             entry.run_seconds = run.seconds
             entry.allocations = run.allocations
             entry.degraded = compiled.backend_diagnostic
             value = run.return_value
             entry.return_value = float(value) if value is not None else None
-            report.entries.append(entry)
 
         report.wall_seconds = time.perf_counter() - start
         report.cache_stats = self.cache.stats.snapshot()

@@ -41,7 +41,7 @@ class Parallelize(Transformation):
     NAME = "parallelize"
     DRAIN = "sweep"
     # The tuner proposes this pass through its dedicated ``schedule:``
-    # axis (SearchSpace.schedule_variants) rather than the generic
+    # axis (SearchSpace._schedule_variants) rather than the generic
     # additions stage, so the schedule choice shows up as its own
     # labelled dimension of the search space.
     ADDABLE = False

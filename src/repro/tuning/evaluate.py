@@ -1,11 +1,11 @@
 """Candidate evaluators: score a batch of pipeline specs for one kernel.
 
-Both evaluators dispatch every candidate batch through
-:func:`repro.service.compile_specs` on the session's executor, so the
-content-addressed :class:`~repro.service.CompileCache` deduplicates
-shared candidates (two strategies proposing the same spec, or a repeat
-tuning run over the same space) into zero-work rehydrations — re-running
-a search costs ~nothing.
+Both evaluators compile every candidate batch through
+:meth:`repro.service.Session.compile_many`, under the session's executor,
+deadline, retry policy and degradation mode, so the content-addressed
+:class:`~repro.service.CompileCache` deduplicates shared candidates (two
+strategies proposing the same spec, or a repeat tuning run over the same
+space) into zero-work rehydrations — re-running a search costs ~nothing.
 
 * :class:`StaticEvaluator` scores by the data-movement cost model
   (:func:`repro.codegen.movement_score`): fully deterministic, so seeded
@@ -13,11 +13,13 @@ a search costs ~nothing.
 * :class:`RuntimeEvaluator` scores by measured best-of-N runtime of the
   generated program, and differentially checks every candidate's return
   value against the base pipeline's — an unsound ablation (one that
-  changes the computed result) is disqualified rather than ranked.
+  changes the computed result) is disqualified rather than ranked, and so
+  is a candidate that ran on another backend than its spec requests.
 
 Scores are "lower is better" in both cases; a candidate that cannot be
-scored (compile error, missing movement report, mismatching output)
-carries ``score=None`` plus the reason, and ranks after every scored one.
+scored (compile error, missing movement report, degraded backend,
+mismatching output) carries ``score=None`` plus the reason, and ranks
+after every scored one.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..codegen import movement_score, sdfg_movement_report
+from ..codegen import movement_score
 from ..errors import PipelineError
 from ..passbase import suggest
-from ..perf import PERF
-from ..pipeline import generate_program, run_compiled
+from ..pipeline import run_compiled
 from ..pipeline.spec import PipelineSpec
-from ..service import compile_specs
+from ..service import CompileRequest
 from .space import Candidate
 
 
@@ -106,21 +107,19 @@ class Evaluator:
     def _compile(
         self, source: str, candidates: Sequence[Candidate], session, function: Optional[str]
     ) -> List[EvaluatedCandidate]:
-        """Compile every candidate through the session's cache + executor.
+        """Compile every candidate in one :meth:`Session.compile_many` batch.
 
         Returns index-aligned :class:`EvaluatedCandidate` shells with
         compile facts filled in and ``score`` still None; compile errors
         are already recorded per-candidate.
         """
-        outcomes = compile_specs(
-            source,
-            [candidate.spec for candidate in candidates],
-            function=function,
-            labels=[candidate.origin for candidate in candidates],
-            executor=session.executor,
-            max_workers=session.max_workers,
-            cache=session.cache,
-        )
+        outcomes = session.compile_many([
+            CompileRequest(
+                source=source, pipeline=candidate.spec, function=function,
+                name=candidate.origin,
+            )
+            for candidate in candidates
+        ])
         evaluated: List[EvaluatedCandidate] = []
         for candidate, outcome in zip(candidates, outcomes):
             entry = EvaluatedCandidate(
@@ -156,45 +155,17 @@ class StaticEvaluator(Evaluator):
 
     Only data-centric (``bridge=True``) pipelines carry a movement report;
     control-centric candidates score ``None`` and rank last (the model has
-    no visibility into the MLIR backend's movement).  ``symbols`` supplies
-    values for any free size symbols — PolyBench kernels bake their sizes
-    in as constants, so it is normally unnecessary, and it costs: results
-    arriving from the batch/cache layer carry only the movement snapshot
-    computed with default symbol values, so honoring custom symbols forces
-    one in-process recompile per data-centric candidate (no cache reuse).
+    no visibility into the MLIR backend's movement).
     """
 
     name = "static"
-
-    def __init__(self, symbols: Optional[Dict[str, float]] = None):
-        self.symbols = dict(symbols) if symbols else None
 
     def evaluate(self, source, candidates, session, function=None, base=None):
         evaluated = self._compile(source, candidates, session, function)
         for entry in evaluated:
             if entry.error is not None:
                 continue
-            movement = entry.result.movement_report(self.symbols)
-            if movement is None and self.symbols and entry.candidate.spec.bridge:
-                # Batch results are payload rehydrations without a live
-                # SDFG; custom symbols need one, so redo the pure compile —
-                # and book the work onto the candidate's counters, or the
-                # report would claim a zero-work run while N full compiles
-                # executed.
-                before = PERF.snapshot()
-                try:
-                    program = generate_program(
-                        source, entry.candidate.spec, function=function
-                    )
-                except Exception as exc:
-                    entry.error = str(exc)
-                    entry.error_type = type(exc).__name__
-                    continue
-                finally:
-                    for name, value in PERF.delta_since(before).items():
-                        entry.counters[name] = entry.counters.get(name, 0) + value
-                if program.sdfg is not None:
-                    movement = sdfg_movement_report(program.sdfg, self.symbols)
+            movement = entry.result.movement_report()
             if movement is None:
                 entry.error = (
                     "no movement report (static scoring needs a data-centric "
@@ -215,6 +186,10 @@ class RuntimeEvaluator(Evaluator):
     base pipeline's (the suite runner's correctness oracle): a candidate
     whose checksum disagrees is an *unsound* ablation and is disqualified
     (``score=None``) instead of being allowed to win by computing less.
+    A candidate whose run degraded to another backend than its spec's
+    ``codegen.backend`` (a native build that fell back to the interpreter)
+    records ``error_type="Degraded"`` with the backend's diagnostic: its
+    time measures a different program than the one the spec names.
     """
 
     name = "runtime"
@@ -246,6 +221,10 @@ class RuntimeEvaluator(Evaluator):
             except Exception as exc:  # a mis-ablated pipeline may only fail at runtime
                 entry.error = str(exc)
                 entry.error_type = type(exc).__name__
+                continue
+            if entry.result.backend != entry.candidate.spec.codegen.backend:
+                entry.error = entry.result.backend_diagnostic
+                entry.error_type = "Degraded"
                 continue
             entry.run_seconds = run.seconds
             entry.rep_seconds = list(run.rep_seconds)

@@ -82,30 +82,10 @@ class Candidate:
 class SearchSpace:
     """Deterministic candidate enumeration around a base pipeline spec."""
 
-    def __init__(
-        self,
-        base: PipelineLike = "dcir",
-        include_registered: bool = True,
-        ablations: bool = True,
-        reorderings: bool = True,
-        iteration_variants: bool = True,
-        codegen_variants: bool = True,
-        parameter_variants: bool = True,
-        additions: bool = True,
-        limit_variants: bool = True,
-        schedule_variants: bool = True,
-    ):
+    def __init__(self, base: PipelineLike = "dcir", include_registered: bool = True):
         self.base = resolve_pipeline(base).validate()
         self.base_label = base if isinstance(base, str) else self.base.label
         self.include_registered = include_registered
-        self.ablations = ablations
-        self.reorderings = reorderings
-        self.iteration_variants = iteration_variants
-        self.codegen_variants = codegen_variants
-        self.parameter_variants = parameter_variants
-        self.additions = additions
-        self.limit_variants = limit_variants
-        self.schedule_variants = schedule_variants
         self._candidates: "List[Candidate] | None" = None
 
     # -- enumeration -----------------------------------------------------------------
@@ -154,38 +134,31 @@ class SearchSpace:
             raise PipelineError(f"Unknown search stage {stage!r}; choose one of {STAGES}")
         found: List[Candidate] = []
         passes = spec.stage_passes(stage)
-        if self.ablations:
-            seen: set = set()
-            for pass_spec in passes:
-                if pass_spec.name in seen:
-                    continue  # without_pass removes every occurrence
-                seen.add(pass_spec.name)
-                found.append(Candidate(
-                    spec=spec.without_pass(pass_spec.name),
-                    origin=f"ablate:{pass_spec.name}",
-                ))
-        if self.reorderings:
-            for index in range(len(passes) - 1):
-                found.append(Candidate(
-                    spec=spec.swap_passes(stage, index, index + 1),
-                    origin=f"swap:{stage}:{passes[index].name}<->{passes[index + 1].name}",
-                ))
-        if self.iteration_variants and passes:
-            field_name = f"{stage}_max_iterations"
-            if getattr(spec, field_name) != 1:
-                found.append(Candidate(
-                    spec=spec.derive(**{field_name: 1}),
-                    origin=f"iterations:{stage}=1",
-                ))
+        seen: set = set()
+        for pass_spec in passes:
+            if pass_spec.name in seen:
+                continue  # without_pass removes every occurrence
+            seen.add(pass_spec.name)
+            found.append(Candidate(
+                spec=spec.without_pass(pass_spec.name),
+                origin=f"ablate:{pass_spec.name}",
+            ))
+        for index in range(len(passes) - 1):
+            found.append(Candidate(
+                spec=spec.swap_passes(stage, index, index + 1),
+                origin=f"swap:{stage}:{passes[index].name}<->{passes[index + 1].name}",
+            ))
+        field_name = f"{stage}_max_iterations"
+        if passes and getattr(spec, field_name) != 1:
+            found.append(Candidate(
+                spec=spec.derive(**{field_name: 1}),
+                origin=f"iterations:{stage}=1",
+            ))
         if stage == "data":
-            if self.parameter_variants:
-                found.extend(self._parameter_variants(spec))
-            if self.limit_variants:
-                found.extend(self._limit_variants(spec))
-            if self.additions:
-                found.extend(self._additions(spec))
-            if self.schedule_variants:
-                found.extend(self._schedule_variants(spec))
+            found.extend(self._parameter_variants(spec))
+            found.extend(self._limit_variants(spec))
+            found.extend(self._additions(spec))
+            found.extend(self._schedule_variants(spec))
         return found
 
     # -- transformation-parameter axes -------------------------------------------------
@@ -296,8 +269,6 @@ class SearchSpace:
         return found
 
     def _codegen_mutations(self, spec: PipelineSpec) -> List[Candidate]:
-        if not self.codegen_variants:
-            return []
         # Only flags that reach the spec's backend: toggling an ignored
         # flag would create a new content address for a byte-identical
         # compilation (a wasted candidate).  Only C reads ``vectorize``.

@@ -4,7 +4,7 @@
 :class:`~repro.tuning.space.SearchSpace` proposes candidate specs, a
 :class:`~repro.tuning.strategy.Strategy` decides which to evaluate, an
 :class:`~repro.tuning.evaluate.Evaluator` scores them — every batch
-dispatched in parallel through :func:`repro.service.compile_specs` on the
+compiled through :meth:`repro.service.Session.compile_many` on the
 session's :class:`~repro.service.CompileCache`, so repeat runs over the
 same space rehydrate every previously evaluated candidate with zero
 frontend/pass work (the report's ``counters`` prove it).
@@ -208,12 +208,11 @@ def tune(
     stats_after = session.cache.stats
 
     # Every entry's counters count, including candidates later disqualified
-    # during scoring (unsound ablations, unscorable backends) and scoring-
-    # time recompiles of cache-hit candidates (the static evaluator's
-    # custom-symbols path): the "counters == {} means zero compile work"
-    # contract must account for all work performed, not just the work that
-    # produced a ranking score.  Cache hits served without work contribute
-    # empty dicts by construction.
+    # during scoring (unsound ablations, unscorable or degraded backends):
+    # the "counters == {} means zero compile work" contract must account
+    # for all work performed, not just the work that produced a ranking
+    # score.  Cache hits served without work contribute empty dicts by
+    # construction.
     counters: Dict[str, int] = {}
     for entry in evaluated:
         for name, value in entry.counters.items():

@@ -515,17 +515,13 @@ class TestMeasurementPath:
 
     def test_runtime_evaluator_records_rep_seconds(self):
         from repro.service import CompileCache, Session
-        from repro.tuning import SearchSpace
+        from repro.tuning import Candidate
         from repro.tuning.evaluate import RuntimeEvaluator
 
-        space = SearchSpace("dcir", include_registered=False, ablations=False,
-                            reorderings=False, iteration_variants=False,
-                            codegen_variants=False, additions=False,
-                            limit_variants=False, parameter_variants=False)
         session = Session(cache=CompileCache(max_entries=64, use_env_directory=False))
         evaluator = RuntimeEvaluator(repetitions=2, warmup=1)
         evaluated = evaluator.evaluate(
-            get_kernel("atax"), space.candidates(), session,
+            get_kernel("atax"), [Candidate(get_pipeline("dcir"), "base")], session,
             base=get_pipeline("dcir"),
         )
         entry = evaluated[0]

@@ -288,10 +288,6 @@ class TestScheduleAxes:
         assert not any(
             c.origin.startswith("schedule:") for c in SearchSpace("dcir").candidates()
         )
-        spaceless = SearchSpace(native, schedule_variants=False)
-        assert not any(
-            c.origin.startswith("schedule:") for c in spaceless.candidates()
-        )
 
     def test_schedule_axis_skips_non_bridge_pipelines(self):
         assert not any(

@@ -462,11 +462,12 @@ class TestCustomPipelineEndToEnd:
         assert outcomes[0].error_type == "PipelineError"
         assert "no-such-pipeline" in outcomes[0].error
         assert outcomes[0].error_traceback
+        assert outcomes[0].failure_kind == "permanent"
 
     def test_parallel_suite_isolates_and_attributes_batch_errors(self):
-        session = Session(cache=_fresh_cache(), executor="thread")
+        session = Session(cache=_fresh_cache(), executor="process")
         report = session.run_suite(
-            {"good": SAXPY, "bad": "int broken( {"}, pipelines=("gcc", "dcir"), parallel=True
+            {"good": SAXPY, "bad": "int broken( {"}, pipelines=("gcc", "dcir")
         )
         by_workload = report.by_workload()
         assert all(entry.ok for entry in by_workload["good"])

@@ -11,6 +11,7 @@ spec ``content_id`` on every entry).
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -23,7 +24,11 @@ from repro import (
     unregister_pipeline,
 )
 from repro.__main__ import main as cli_main
-from repro.service import SUITE_SCHEMA, CompileCache, compile_specs
+from repro.codegen import have_compiler
+from repro.codegen.toolchain import NATIVE_CACHE_ENV
+from repro.faults import FAULTS_ENV, reset_plan
+from repro.service import SUITE_SCHEMA, CompileCache, RetryPolicy
+from repro.service.resilience import BACKOFF_ENV
 from repro.tuning import (
     Candidate,
     ExhaustiveStrategy,
@@ -41,6 +46,8 @@ from repro.tuning import (
 from repro.workloads import get_kernel
 
 SIZES = {"NI": 6, "NJ": 7, "NK": 8}
+
+requires_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler on PATH")
 
 
 def _session(**kwargs):
@@ -120,8 +127,7 @@ class TestSearchSpace:
         assert SearchSpace("gcc").candidates()[0].origin == "base"
 
     def test_ablations_cover_every_distinct_pass(self):
-        space = SearchSpace("dcir", include_registered=False, reorderings=False,
-                            iteration_variants=False, codegen_variants=False)
+        space = SearchSpace("dcir", include_registered=False)
         dcir = get_pipeline("dcir")
         expected = {p.name for p in dcir.control_passes + dcir.data_passes}
         ablated = {
@@ -141,8 +147,7 @@ class TestSearchSpace:
         assert "codegen:vectorize=True" in codegen_origins(native)
 
     def test_non_bridge_base_sweeps_mlir_codegen_flags(self):
-        space = SearchSpace("gcc", include_registered=False, ablations=False,
-                            reorderings=False, iteration_variants=False)
+        space = SearchSpace("gcc", include_registered=False)
         origins = {c.origin for c in space.candidates() if c.origin.startswith("codegen:")}
         assert origins == {"codegen:native_scalars=False", "codegen:preallocate=False"}
 
@@ -152,10 +157,7 @@ class TestSearchSpace:
             space.stage_mutations(space.base, "frontend")
 
     def test_parameter_axes_sweep_declared_presets(self):
-        space = SearchSpace("dcir", include_registered=False, ablations=False,
-                            reorderings=False, iteration_variants=False,
-                            codegen_variants=False, additions=False,
-                            limit_variants=False)
+        space = SearchSpace("dcir", include_registered=False)
         origins = {c.origin for c in space.candidates() if c.origin.startswith("param:")}
         # stack-promotion is the only paper-suite pass with a declared axis;
         # its default preset is skipped (identical compilation).
@@ -170,10 +172,7 @@ class TestSearchSpace:
                 assert len(promo) == 1 and "max_elements" in promo[0].params
 
     def test_additions_propose_addable_scheduling_transforms(self):
-        space = SearchSpace("dcir", include_registered=False, ablations=False,
-                            reorderings=False, iteration_variants=False,
-                            codegen_variants=False, parameter_variants=False,
-                            limit_variants=False)
+        space = SearchSpace("dcir", include_registered=False)
         origins = {c.origin for c in space.candidates() if c.origin.startswith("add:")}
         assert "add:map-tiling(tile_size=16)" in origins
         assert "add:map-interchange" in origins
@@ -190,10 +189,7 @@ class TestSearchSpace:
                        for c in space.candidates())
 
     def test_limit_variants_cap_pattern_passes(self):
-        space = SearchSpace("dcir", include_registered=False, ablations=False,
-                            reorderings=False, iteration_variants=False,
-                            codegen_variants=False, parameter_variants=False,
-                            additions=False)
+        space = SearchSpace("dcir", include_registered=False)
         limited = [c for c in space.candidates() if c.origin.startswith("limit:")]
         assert len(limited) == len(space.base.data_passes)
         for candidate in limited:
@@ -327,8 +323,7 @@ class TestTuning:
         assert report.winner.score <= base_entry.score
 
     def test_runtime_evaluator_scores_and_checks_results(self):
-        space = SearchSpace("dcir", include_registered=False, reorderings=False,
-                            iteration_variants=False, codegen_variants=False)
+        space = SearchSpace("dcir", include_registered=False)
         report = tune(
             get_kernel("gemm", SIZES),
             strategy=ExhaustiveStrategy(budget=4),
@@ -378,37 +373,6 @@ class TestTuning:
         assert ranking[0].ok and not ranking[-1].ok
         assert ranking[-1].error_type is not None
 
-    def test_static_evaluator_honors_custom_symbols(self):
-        """Custom symbols must still score (regression: batch results are
-        payload rehydrations without a live SDFG, so the symbols path has
-        to recompile in-process instead of reporting Unscorable)."""
-        report = tune_kernel(
-            "gemm", sizes=SIZES, budget=4, seed=0,
-            evaluator=StaticEvaluator(symbols={"UNUSED": 64.0}),
-            session=_session(executor="serial"),
-        )
-        assert report.winner is not None
-        default = tune_kernel(
-            "gemm", sizes=SIZES, budget=4, seed=0, session=_session(executor="serial")
-        )
-        # gemm bakes its sizes in as constants, so an unused symbol binding
-        # must not change any score or the elected winner.
-        assert report.winner_id == default.winner_id
-        assert report.winner.score == default.winner.score
-
-    def test_custom_symbols_recompiles_are_booked_as_compile_work(self):
-        """The symbols fallback re-runs the pipeline even for cache-hit
-        candidates; that work must land in report.counters, or the report
-        would prove a 'zero-work' run while N full compiles executed."""
-        session = _session(executor="serial")
-        tune_kernel("gemm", sizes=SIZES, budget=3, seed=0, session=session)  # warm
-        report = tune_kernel(
-            "gemm", sizes=SIZES, budget=3, seed=0,
-            evaluator=StaticEvaluator(symbols={"UNUSED": 8.0}), session=session,
-        )
-        assert report.cache_misses == 0  # every payload came from the cache
-        assert report.counters.get("frontend.runs", 0) > 0  # ...but work happened
-
     def test_static_evaluator_cannot_score_mlir_backends(self):
         evaluated = StaticEvaluator().evaluate(
             get_kernel("gemm", SIZES),
@@ -417,6 +381,77 @@ class TestTuning:
         )
         assert not evaluated[0].ok
         assert evaluated[0].error_type == "Unscorable"
+
+
+# -- one session, one answer ------------------------------------------------------------
+
+
+class TestOneAnswerPerSession:
+    """Suites and the tuner compile through ``Session.compile_many``: the
+    session's deadline, retry policy and degradation mode hold for every
+    request it compiles, whichever entry point asked."""
+
+    def test_session_deadline_fails_every_suite_entry_and_candidate(self):
+        session = _session(
+            timeout=1e-6, executor="serial",
+            retry_policy=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
+        )
+        suite = session.run_suite(
+            {"gemm": get_kernel("gemm", SIZES)}, pipelines=("gcc", "dcir")
+        )
+        assert [entry.error_type for entry in suite.entries] == ["CompileTimeout"] * 2
+        assert [entry.failure_kind for entry in suite.entries] == ["timeout"] * 2
+        assert [entry.attempts for entry in suite.entries] == [2, 2]
+
+        report = tune_kernel("gemm", sizes=SIZES, budget=3, seed=0, session=session)
+        assert report.winner is None
+        assert [entry.error_type for entry in report.ranking] == ["CompileTimeout"] * 3
+
+    def test_strict_session_reaches_every_candidate_result(self):
+        modes = []
+
+        class Recording(StaticEvaluator):
+            def _compile(self, *args):
+                evaluated = super()._compile(*args)
+                modes.extend(entry.result.degradation for entry in evaluated)
+                return evaluated
+
+        report = tune_kernel(
+            "gemm", sizes=SIZES, budget=4, seed=0, evaluator=Recording(),
+            session=_session(executor="serial", degradation="strict"),
+        )
+        assert len(modes) == len(report.ranking) == 4
+        assert set(modes) == {"strict"}
+
+    @requires_cc
+    @pytest.mark.parametrize(
+        "degradation, error_type", [("fallback", "Degraded"), ("strict", "ToolchainCrash")]
+    )
+    def test_a_failed_native_build_scores_no_candidate(
+        self, degradation, error_type, tmp_path, monkeypatch
+    ):
+        """A native candidate that ran interpreted timed another program:
+        it is recorded as degraded (or, strict, as the typed build error),
+        never ranked against native times."""
+        monkeypatch.setenv(FAULTS_ENV, "cc_crash:1")
+        monkeypatch.setenv(NATIVE_CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(BACKOFF_ENV, "0.001")
+        reset_plan()
+        native = get_pipeline("dcir").with_codegen(backend="native")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # fallback warns per build
+            report = tune(
+                get_kernel("gemm", SIZES),
+                base=native,
+                strategy=ExhaustiveStrategy(budget=3),
+                evaluator=RuntimeEvaluator(repetitions=1, warmup=0),
+                space=SearchSpace(native, include_registered=False),
+                session=_session(executor="serial", degradation=degradation),
+                kernel="gemm",
+            )
+        assert report.winner is None
+        assert [entry.error_type for entry in report.ranking] == [error_type] * 3
+        assert all(entry.error for entry in report.ranking)  # the diagnostic is kept
 
 
 # -- winner registration -----------------------------------------------------------------
@@ -494,18 +529,6 @@ class TestServicePlumbing:
         cache.get_or_compile(source, "dcir")
         assert cache.contains_compile(source, "dcir")
         assert not cache.contains_compile(source, "gcc")
-
-    def test_compile_specs_sweeps_one_source_over_many_pipelines(self):
-        source = get_kernel("gemm", SIZES)
-        outcomes = compile_specs(
-            source, ["gcc", get_pipeline("dcir")], labels=["g", "d"], executor="serial"
-        )
-        assert [outcome.request.label for outcome in outcomes] == ["g", "d"]
-        assert all(outcome.ok for outcome in outcomes)
-
-    def test_compile_specs_validates_label_alignment(self):
-        with pytest.raises(ValueError, match="labels"):
-            compile_specs("int f() { return 0; }", ["gcc", "dcir"], labels=["only-one"])
 
 
 # -- the tune CLI ------------------------------------------------------------------------
