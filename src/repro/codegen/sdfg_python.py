@@ -34,7 +34,10 @@ parameters it does not move with — over the whole nest ``np.ravel`` in
 nest order — left to right from the element, the order of the loops it
 replaces.  A scalar private to the iterations holds the array of their
 values: the copy that binds it is the slice it reads
-(``_load_13 = _arr_0[0:100, 0:100]``).
+(``_load_13 = _arr_0[0:100, 0:100]``).  A private array holds one copy
+per iteration of the maps around its binding, allocated where that map
+is entered and indexed by their parameters ahead of its own dimensions
+(``_arr_2_copies[0:10, 0:8, 0:12] = 0.0``).
 """
 
 from __future__ import annotations

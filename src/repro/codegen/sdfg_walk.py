@@ -32,9 +32,14 @@ interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
   parameter — and each map nested in it is the root of a nest of its own:
   a range that names an outer parameter (``triangular``) cuts the nest
   there.  A transient scalar private
-  to the iterations (:func:`~repro.sdfg.analysis.private_scalars`) is one
+  to the iterations (:func:`~repro.sdfg.analysis.private_containers`) is one
   value per iteration of the maps around the tasklet binding it: the array
-  of them.  An emitter that has array operations
+  of them.  A private transient array holds one copy per iteration of the
+  maps around its binding — the scope all its access nodes but the first
+  share — indexed by those maps' parameters ahead of its own dimensions
+  (:meth:`SDFGWalker._located`; doitgen's ``sumv[p]`` under ``r, q`` is
+  ``sumv[r, q, p]``), so its stores, updates and folds take the forms of
+  any other array's.  An emitter that has array operations
   (:attr:`SDFGWalker.array_maps`) emits every accepted nest that would
   otherwise be sequential loops in **operation order** — each member over
   all iterations of the parameters around it before the next — under every
@@ -89,11 +94,11 @@ from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..perf import PERF
-from ..symbolic import Expr, Integer, Range, Subset
+from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import And
 from ..symbolic.ranges import affine_in
 from ..sdfg import SDFG, AccessNode, Memlet, SDFGState, Scalar, Tasklet
-from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_scalars, site_ranges
+from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_containers, site_ranges
 from ..sdfg.data import Array, LIFETIME_PERSISTENT
 from ..sdfg.nodes import MapEntry, MapExit, SCHEDULE_PARALLEL
 from ..sdfg.parallelism import ParallelismInfo, analyze_map_parallelism
@@ -171,13 +176,15 @@ class ArrayForm(NamedTuple):
     parameter — and ``reason`` is ``None``; refused, ``reason`` names why
     the nest stays loops.  ``depth`` is the number of parameters around the
     deepest member; ``carried`` maps each private scalar bound to a value
-    that moves to the number of parameters around the tasklet binding it.
+    that moves to the number of parameters around the tasklet binding it;
+    ``copies`` maps each private array to the map entry of its binding.
     """
 
     kinds: Tuple[str, ...] = ()
     reason: Optional[str] = None
     depth: int = 1
     carried: Optional[Dict[str, int]] = None
+    copies: Optional[Dict[str, MapEntry]] = None
 
 
 class _Member(NamedTuple):
@@ -313,6 +320,10 @@ class SDFGWalker:
         #: :attr:`ArrayForm.carried`.
         self._nest: Optional[Tuple[Tuple[str, Range], ...]] = None
         self._carried: Dict[str, int] = {}
+        #: Of the nest being emitted: each private array → the map binding it,
+        #: and once declared, the name of its copies and the axes they span.
+        self._bindings: Dict[str, MapEntry] = {}
+        self._copies: Dict[str, Tuple[str, Tuple[Tuple[str, Range], ...]]] = {}
         #: Liveness of the SDFG's containers, and the ranges of the loops
         #: around each state, computed when a map first asks.
         self._liveness = lazy_liveness(sdfg)
@@ -685,6 +696,10 @@ class SDFGWalker:
 
     def _read_expression(self, edge, value_names):
         source, memlet = edge.src, edge.data
+        if memlet.data in self._copies and not memlet.is_empty:
+            name, axes = self._copies[memlet.data]
+            return self.write_target(name, self.sdfg.arrays[memlet.data],
+                                     self._located(memlet.subset, axes))
         if isinstance(source, AccessNode):
             return self.read(source.data, memlet)
         if not isinstance(source, MapEntry):
@@ -714,6 +729,10 @@ class SDFGWalker:
             if not memlet.dynamic:
                 self.emit_broadcast(data, descriptor, memlet.wcr, value)
             return
+        elif data in self._copies:
+            data, axes = self._copies[data]
+            subset = self._located(memlet.subset, axes)
+            target = self.write_target(data, descriptor, subset)
         elif memlet.subset.is_point() or not (
             memlet.dynamic and self._covers_whole(descriptor, memlet.subset)
         ):
@@ -777,9 +796,10 @@ class SDFGWalker:
             ]
             if as_array:
                 self._nest = tuple(zip(entry.map.params, entry.map.ranges))
-                self._carried = form.carried
+                self._carried, self._bindings = form.carried, form.copies
+                self._declare_copies(entry)
             self.emit_map(entry, emit_members, annotated or as_array, parallel)
-            self._nest = None
+            self._nest, self._bindings, self._copies = None, {}, {}
             for (_, data, subset, _), local in zip(accumulators, bound):
                 descriptor = self.sdfg.arrays[data]
                 target = self.write_target(data, descriptor, subset)
@@ -801,8 +821,32 @@ class SDFGWalker:
         with nullcontext() if guard is None else self.writer.block(
             self.if_header.format(self.expr(guard))
         ):
+            self._declare_copies(entry)
             self.emit_map(entry, emit_members, True, None)
         self._nest = outer
+
+    def _declare_copies(self, entry: MapEntry) -> None:
+        """Give each private array ``entry`` binds its copies: one per
+        iteration of the nest's maps down to ``entry``, under a name no
+        container or symbol has."""
+        for data, binding in self._bindings.items():
+            if binding is not entry:
+                continue
+            descriptor, name = self.sdfg.arrays[data], f"{data}_copies"
+            while name in self.sdfg.arrays or name in self.sdfg.symbols:
+                name += "_"
+            extents = [rng.end - rng.start for _, rng in self._nest]
+            self.declare_transient(name, Array(descriptor.dtype, extents + list(descriptor.shape),
+                                               transient=True))
+            self._copies[data] = (name, self._nest)
+
+    @staticmethod
+    def _located(subset: Subset, axes) -> Subset:
+        """``subset`` of a private array in the copy of the iteration of
+        ``axes``: each parameter, from its range's start, ahead of the
+        array's own dimensions."""
+        return Subset([Range(Symbol(param) - rng.start, Symbol(param) - rng.start + 1)
+                       for param, rng in axes] + list(subset.ranges))
 
     @staticmethod
     def _nonempty(ranges) -> Optional[Expr]:
@@ -916,10 +960,24 @@ class SDFGWalker:
             return refuse(reason)
         arrays = self.sdfg.arrays
         nodes = [member.node for member in members]
-        private = private_scalars(self.sdfg, state, nodes, self._liveness) if any(
-            isinstance(node, AccessNode) and isinstance(arrays[node.data], Scalar)
-            for node in nodes
+        private = private_containers(self.sdfg, state, nodes, self._liveness) if any(
+            isinstance(node, AccessNode) and (
+                isinstance(arrays[node.data], Scalar) or arrays[node.data].transient
+            ) for node in nodes
         ) else set()
+        # A private array is bound where its shallowest access node is.
+        homes: Dict[str, _Member] = {}
+        for member in members:
+            data = getattr(member.node, "data", None)
+            if data in private and isinstance(arrays[data], Array) and (
+                data not in homes or len(member.maps) < len(homes[data].maps)
+            ):
+                homes[data] = member
+        private -= homes.keys()
+
+        def located(data: str, subset: Optional[Subset]) -> Optional[Subset]:
+            home = homes.get(data)
+            return subset if home is None else self._located(subset, home.axes)
         accesses: Dict[str, List[_Access]] = {}
         reads: Dict[MapEntry, Set[str]] = defaultdict(set)  # per map, what its tasklets read
         writes: Dict[MapEntry, Set[str]] = defaultdict(set)
@@ -1007,7 +1065,7 @@ class SDFGWalker:
                 reason = self._element_refusal(arrays[data], memlet)
                 if reason is not None:
                     return refuse(reason)
-                subset = None if isinstance(arrays[data], Scalar) else memlet.subset
+                subset = None if isinstance(arrays[data], Scalar) else located(data, memlet.subset)
                 access = read(data, subset, maps, node)
                 bound = bound_value(data, len(axes))
                 if bound is None:
@@ -1039,25 +1097,26 @@ class SDFGWalker:
                 if memlet.wcr is not None and not self._update_keeps_type(state, edge, descriptor):
                     return refuse("rounding_update")
                 scalar = isinstance(descriptor, Scalar)
+                subset = located(data, memlet.subset)
                 bound = set() if scalar or id(edge) in self._accumulated \
-                    else _names(memlet.subset) & params
+                    else _names(subset) & params
                 if bound != params:
                     if memlet.wcr is None:
                         return refuse("scalar_store" if scalar else "not_injective")
                     if values != params:
                         return refuse("uniform_update")
-                    if bound and not self._fold_target(memlet.subset, axes, bound):
+                    if bound and not self._fold_target(subset, axes, bound):
                         return refuse("fold_target")
                     reduced.add(maps[-1])
                 if bound:
-                    store = site(memlet.subset, node)
+                    store = site(subset, node)
                     moves = tuple(param for param, _ in axes if param in bound)
                     if may_meet(store, store, (), moves):
                         return refuse("not_injective")
                 if memlet.wcr is not None:
                     updated.add(maps[-1])
                 accesses.setdefault(data, []).append(_Access(
-                    None if scalar else memlet.subset, maps, True, bound != params, node
+                    None if scalar else subset, maps, True, bound != params, node
                 ))
                 writes[maps[-1]].add(data)
                 written[data] = position
@@ -1088,7 +1147,8 @@ class SDFGWalker:
             for entry in innermost
         )
         return ArrayForm(kinds, depth=depth,
-                         carried={name: bound for name, (bound, moves) in carried.items() if moves})
+                         carried={name: bound for name, (bound, moves) in carried.items() if moves},
+                         copies={name: home.maps[-1] for name, home in homes.items()})
 
     def _site(self, state, scope, subset: Optional[Subset], node) -> Site:
         """``subset`` accessed at ``node`` of ``state``, with the ranges of the

@@ -5,7 +5,7 @@ Public entry points: :class:`SDFG`, :class:`SDFGState`,
 descriptors (:class:`Array`, :class:`Scalar`).
 """
 
-from .analysis import live_containers_per_state, private_scalars
+from .analysis import live_containers_per_state, private_containers
 from .data import (
     Array,
     Data,
@@ -64,7 +64,7 @@ __all__ = [
     "WCR_OPERATORS",
     "live_containers_per_state",
     "mlir_type_to_dtype",
-    "private_scalars",
+    "private_containers",
     "propagate_memlets_sdfg",
     "propagate_memlets_state",
     "propagate_subset",

@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .analysis import Site, may_meet, site_ranges
+from .analysis import Site, may_meet, private_containers, site_ranges
 from .data import Scalar
 from .nodes import AccessNode, MapEntry, MapExit, SCHEDULE_PARALLEL
 
@@ -109,7 +109,10 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
     non-partitioned ``min``/``max`` array WCR (which has no native atomic
     form) refuses, and so does a non-partitioned floating-point ``+``/``*``
     one: atomics would add in whatever order the threads arrive, and the
-    answer would change from run to run.
+    answer would change from run to run.  An array private to the scope
+    (:func:`~repro.sdfg.analysis.private_containers`) refuses under its own
+    reason: each iteration stores all of it, and native code keeps one copy
+    that every thread would share.
     """
     map_obj = entry.map
     if not map_obj.params:
@@ -119,6 +122,12 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
         return _refuse("only outermost map scopes are parallelized")
 
     members = _scope_nodes(state, entry)
+
+    def refuse_write(data: str, reason: str) -> ParallelismInfo:
+        if sdfg.arrays[data].transient and data in private_containers(sdfg, state, members):
+            reason = f"private array {data!r}: one copy, stored whole by every iteration"
+        return _refuse(reason)
+
     chunk_param = map_obj.params[0]
     private: List[str] = list(map_obj.params[1:])
     for node in state.nodes():  # not ``members``: a set's order is per process
@@ -178,9 +187,9 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             continue
         # Array write.
         if memlet.dynamic or memlet.subset is None:
-            return _refuse(f"unanalyzable (dynamic or unsubscripted) write to {data!r}")
+            return refuse_write(data, f"unanalyzable (dynamic or unsubscripted) write to {data!r}")
         if not memlet.subset.is_point():
-            return _refuse(f"non-point write to {data!r}")
+            return refuse_write(data, f"non-point write to {data!r}")
         site = Site(memlet.subset, site_ranges(scope, source, {}))
         writes.setdefault(data, []).append((edge, site, memlet.wcr))
 
@@ -196,14 +205,16 @@ def analyze_map_parallelism(sdfg, state, entry: MapEntry) -> ParallelismInfo:
             if not meeting:
                 continue
             if wcr is None or meeting != {wcr}:
-                return _refuse(f"cross-iteration write conflict on {data!r}")
+                return refuse_write(data, f"cross-iteration write conflict on {data!r}")
             if wcr in ("+", "*") and float_type:
-                return _refuse(
-                    f"non-partitioned {wcr}-WCR write to floating-point {data!r} "
+                return refuse_write(
+                    data, f"non-partitioned {wcr}-WCR write to floating-point {data!r} "
                     "would sum in thread order"
                 )
             if wcr in ("min", "max"):
-                return _refuse(f"non-partitioned {wcr}-WCR write to {data!r} has no atomic form")
+                return refuse_write(
+                    data, f"non-partitioned {wcr}-WCR write to {data!r} has no atomic form"
+                )
             atomic_edges.add(id(edge))
 
     conflicted = read_scalars & set(reductions)

@@ -23,7 +23,7 @@ Every transformation is registered by name in :data:`DATA_PASSES`.  The
 one ordered §6 suite (simplification, then memory scheduling) is
 :data:`repro.pipeline.DATA_SUITE`, and
 :func:`repro.pipeline.data_runner` is what builds a runner from a spec;
-the parameterized scheduling transforms (``MapTiling``, ``MapInterchange``,
+the parameterized scheduling transforms (``MapTiling``,
 ``MapCollapse``) are additive choices the tuner's search space proposes on
 top.  Symbol inference is not a pass here: the
 bridge's :class:`~repro.conversion.symbols.SymbolicEvaluator` does it.
@@ -38,7 +38,6 @@ from .dead_code import (
 from .loop_analysis import LoopInfo, find_loops
 from .map_parameterized import (
     MapCollapse,
-    MapInterchange,
     MapTiling,
     tile_map,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "LoopToMap",
     "MapCollapse",
     "MapFusion",
-    "MapInterchange",
     "MapTiling",
     "Match",
     "MemoryPreAllocation",

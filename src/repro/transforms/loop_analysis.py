@@ -119,6 +119,51 @@ def find_loops(sdfg: SDFG) -> List[LoopInfo]:
     return list(loops.values())
 
 
+def chain_loop(sdfg: SDFG, state: SDFGState) -> Optional[LoopInfo]:
+    """The loop around ``state`` when that loop's body is straight-line: a
+    chain of states, each entered only from the one before and left by one
+    unconditional edge, from the guard's body edge through ``state`` back to
+    the guard.  Found by walking that chain, without the dominator analysis
+    :func:`find_loops` runs over the whole state machine."""
+
+    def step(current: SDFGState) -> Optional[StateEdge]:
+        edges = sdfg.out_edges(current)
+        return edges[0] if len(edges) == 1 and edges[0].data.is_unconditional else None
+
+    guard, seen = state, {state}
+    edge = step(guard)
+    while edge is not None:
+        guard = edge.dst
+        if guard in seen:
+            return None  # a cycle no guard closes
+        seen.add(guard)
+        edge = step(guard)
+    out_edges = sdfg.out_edges(guard)
+    if guard is state or len(out_edges) != 2:
+        return None
+    for body_edge, exit_edge in (out_edges, out_edges[::-1]):
+        chain: List[SDFGState] = []
+        current, latch = body_edge.dst, None
+        while current is not guard and current not in chain and len(sdfg.in_edges(current)) == 1:
+            chain.append(current)
+            latch = step(current)
+            if latch is None:
+                break
+            current = latch.dst
+        if current is guard and latch is not None and state in chain:
+            info = LoopInfo(
+                guard=guard,
+                body_states=set(chain),
+                entry_edges=[edge for edge in sdfg.in_edges(guard) if edge is not latch],
+                body_edge=body_edge,
+                exit_edge=exit_edge,
+                latch_edges=[latch],
+            )
+            _recognize_counted_loop(info)
+            return info
+    return None
+
+
 def _recognize_counted_loop(info: LoopInfo) -> None:
     """Fill induction symbol / bounds when the loop is a counted loop."""
     condition = info.body_edge.data.condition

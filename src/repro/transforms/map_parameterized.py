@@ -1,8 +1,8 @@
-"""Parameterized map-scope transformations: tiling, interchange, collapse.
+"""Parameterized map-scope transformations: tiling and collapse.
 
 The paper's evaluation hand-picks schedules the SDFG representation can
 express but the original pipeline never searched: tiled iteration spaces
-and reordered loop nests.  These three pattern-based transformations make
+and merged loop nests.  These two pattern-based transformations make
 that space explicit, with their parameters (tile size) declared as tuner
 axes (:attr:`~repro.transforms.Transformation.PARAMS`) so ``python -m
 repro tune`` explores the compositions the paper picks by hand:
@@ -10,15 +10,11 @@ repro tune`` explores the compositions the paper picks by hand:
 * :class:`MapTiling` — strip-mine every parameter of a map scope by
   ``tile_size``: the map becomes an outer tile loop (step = tile size)
   around a new inner intra-tile map.  The SDFG analogue of loop blocking.
-* :class:`MapInterchange` — reorder the parameters of a multi-parameter
-  map so the parameter indexing the innermost (fastest-varying) dimension
-  of the most memlets iterates innermost — the stride-1 locality
-  heuristic.  Matching is directional, so the pass is idempotent.
 * :class:`MapCollapse` — merge a perfectly nested map pair into one
   multi-parameter map (the inverse of strip-mining), collapsing loop
   overhead and exposing a single larger iteration space.
 
-All three are additive scheduling choices rather than members of the §6
+Both are additive scheduling choices rather than members of the §6
 simplification suite, so they advertise ``ADDABLE = True`` and the
 tuner's search space proposes *adding* them (with each preset parameter
 value) to pipelines that lack them.
@@ -159,87 +155,6 @@ class MapTiling(Transformation):
             return False
         tile_map(state, entry, self.tile_size)
         return True
-
-
-class MapInterchange(Transformation):
-    """Reorder map parameters for stride-1 innermost access (loop interchange).
-
-    For multi-parameter maps the parameters are emitted outermost-first;
-    this pass moves the parameter that indexes the last (fastest-varying)
-    dimension of the most member memlets to the innermost position.  The
-    match is directional — it only fires when the reorder strictly
-    improves the locality count — so repeated runs are idempotent.
-    """
-
-    NAME = "map-interchange"
-    DRAIN = "sweep"
-    ADDABLE = True
-
-    def match(self, sdfg: SDFG) -> List[Match]:
-        matches: List[Match] = []
-        for state, entry in sdfg.map_entries():
-            order = self._better_order(state, entry)
-            if order is None:
-                continue
-            matches.append(Match(
-                transformation=self.name,
-                kind="map",
-                where=state.label,
-                subject=f"{entry.map.label}: ({', '.join(entry.map.params)}) "
-                        f"-> ({', '.join(order)})",
-                payload={"state": state, "entry": entry, "order": order},
-            ))
-        return matches
-
-    def apply_match(self, sdfg: SDFG, match: Match) -> bool:
-        state: SDFGState = match.payload["state"]
-        entry: MapEntry = match.payload["entry"]
-        if state not in sdfg.states() or entry not in state:
-            return False
-        order = self._better_order(state, entry)
-        if order is None or order != match.payload["order"]:
-            return False
-        map_obj = entry.map
-        by_param = dict(zip(map_obj.params, map_obj.ranges))
-        map_obj.params = list(order)
-        map_obj.ranges = [by_param[param] for param in order]
-        return True
-
-    def _better_order(self, state: SDFGState, entry: MapEntry) -> Optional[List[str]]:
-        """The locality-sorted parameter order, when it differs from the current.
-
-        Parameters are ranked by how many member memlets index their last
-        dimension with that parameter (descending order = outermost
-        first, so the highest-count parameter iterates innermost).  Ranges
-        must be mutually independent for the reorder to be meaningful.
-        """
-        map_obj = entry.map
-        if len(map_obj.params) < 2:
-            return None
-        params = list(map_obj.params)
-        # Interchange requires independent ranges (no triangular nests).
-        names = set(params)
-        for rng in map_obj.ranges:
-            if {sym.name for sym in rng.free_symbols()} & names:
-                return None
-        counts = {param: 0 for param in params}
-        scope = state.scope_dict()
-        for edge in state.edges():
-            if scope.get(edge.src) is not entry and scope.get(edge.dst) is not entry:
-                continue
-            memlet = edge.data
-            if memlet.is_empty or memlet.subset is None or not memlet.subset.ranges:
-                continue
-            last = memlet.subset.ranges[-1]
-            for param in params:
-                if param in {sym.name for sym in last.free_symbols()}:
-                    counts[param] += 1
-        # Stable sort: ascending locality count, original order tiebreak —
-        # the best-count parameter ends up last (innermost).
-        order = sorted(params, key=lambda param: counts[param])
-        if order == params or all(counts[p] == counts[params[0]] for p in params):
-            return None
-        return order
 
 
 class MapCollapse(Transformation):

@@ -3,15 +3,18 @@
 ``LoopToMap`` turns a counted state-machine loop whose iterations are
 independent into a parametric ``map`` scope — the SDFG's native form of
 parametric parallelism (§3.2) and the prerequisite for both vectorized code
-generation (the ICC/SLEEF effect of Fig. 8) and map fusion.  A scalar the
-iterations share only by name — each writes it before it reads it, and
-nothing reads it after the loop (:func:`~repro.sdfg.analysis.private_scalars`)
-— holds no loop back.  Of every container the body writes, no store may
-touch an element another iteration reads or stores: one question,
+generation (the ICC/SLEEF effect of Fig. 8) and map fusion.  A scalar or
+array the iterations share only by name — each stores all of it before it
+reads it, and nothing reads it after the loop
+(:func:`~repro.sdfg.analysis.private_containers`) — holds no loop back.  Of
+every other container the body writes, no store may touch an element
+another iteration reads or stores: one question,
 :func:`~repro.sdfg.analysis.may_meet` carried by the induction variable.
 :meth:`LoopToMap.refusal` names what holds a loop back, from the
 closed set :data:`LOOP_REFUSALS`, and :func:`loops_left` counts the loops a
-compile leaves by that name.
+compile leaves by that name.  A nest raises inside-out in one run: once a
+loop is a map, the body of the loop around it may be straight-line, and
+then it is fused into one state and tested again.
 
 ``MapFusion`` implements the memory-reducing loop fusion of §6.3 in a
 deliberately conservative form: two map scopes in the same state with the
@@ -31,15 +34,18 @@ fusion with a third).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..symbolic import Range, Subset, Symbol
 from ..sdfg import SDFG, AccessNode, Memlet, Scalar, SDFGState, Tasklet
-from ..sdfg.analysis import Site, lazy_liveness, may_meet, private_scalars, scalar_uses, site_ranges
+from ..sdfg.analysis import (
+    Site, container_uses, lazy_liveness, may_meet, private_containers, site_ranges,
+)
 from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.tasklet_code import renamed, statements
-from .loop_analysis import LoopInfo, find_loops, lazy_induction_ranges
+from .loop_analysis import LoopInfo, chain_loop, find_loops, lazy_induction_ranges
 from .rewrite import Match, Transformation
+from .state_fusion import StateFusion
 
 #: Why a loop stays a loop (:meth:`LoopToMap.refusal`), in the order checked.
 LOOP_REFUSALS = (
@@ -75,7 +81,13 @@ class LoopToMap(Transformation):
         return matches
 
     def apply_match(self, sdfg: SDFG, match: Match) -> bool:
-        return self._convert(sdfg, match.payload["loop"], match.payload["inductions"])
+        loop = match.payload["loop"]
+        if self.refusal(loop, inductions=match.payload["inductions"]) is not None:
+            return False
+        while loop is not None:
+            body = self._convert(sdfg, loop)
+            loop = self._enclosing(sdfg, body)
+        return True
 
     @staticmethod
     def refusal(loop: LoopInfo, live=None, inductions=None) -> Optional[str]:
@@ -86,15 +98,16 @@ class LoopToMap(Transformation):
         whose edges carry no assignment but the induction's.  Its iterations
         must be independent.  A scalar the body reads, or stores other than
         by updates of one operator, must be private to it
-        (:func:`~repro.sdfg.analysis.private_scalars`, which reads ``live``:
-        the liveness, or a function computing it); else it carries a value
-        into the next iteration (``carried_scalar``) or out of the last one
-        (``live_after_loop``).  Per other container the body writes, no
-        store may touch an element that another iteration reads or stores
-        (:func:`~repro.sdfg.analysis.may_meet`, carried by the induction,
-        the body's map parameters apart, over the ranges of the loops
-        around — ``inductions`` returns them, :func:`lazy_induction_ranges`);
-        two updates with one operator commute wherever they land.  Over
+        (:func:`~repro.sdfg.analysis.private_containers`, which reads
+        ``live``: the liveness, or a function computing it); else it carries
+        a value into the next iteration (``carried_scalar``) or out of the
+        last one (``live_after_loop``).  Per array the body writes and does
+        not keep private, no store may touch an element that another
+        iteration reads or stores (:func:`~repro.sdfg.analysis.may_meet`,
+        carried by the induction, the body's map parameters apart, over the
+        ranges of the loops around — ``inductions`` returns them,
+        :func:`lazy_induction_ranges`); two updates with one operator
+        commute wherever they land.  Over
         ``k`` in ``[i + 1, N)``, ``B[i][j] += A[k][i] * B[k][j]`` is a
         reduction; over ``k`` in ``[i, N)`` the update reads what another
         iteration updates (``reads_what_it_writes``); ``A[i] = A[i + 1]``
@@ -123,9 +136,10 @@ class LoopToMap(Transformation):
             name for name, (stores, loads) in accesses.items()
             if stores and isinstance(sdfg.arrays[name], Scalar) and (loads or not _updates(stores))
         ]
+        private: Optional[Set[str]] = None
         if shared:
-            private = private_scalars(sdfg, body, body.nodes(), live)
-            uses = scalar_uses(sdfg, body)
+            private = private_containers(sdfg, body, body.nodes(), live)
+            uses = container_uses(sdfg, body)
             for name in shared:
                 if name not in private:
                     return "carried_scalar" if uses[name].exposed else "live_after_loop"
@@ -135,16 +149,19 @@ class LoopToMap(Transformation):
             if not stores or isinstance(sdfg.arrays[name], Scalar):
                 continue
             refused = "reads_what_it_writes" if _updates(stores) else "writes_collide"
-            for position, (store, wcr) in enumerate(stores):
-                for other, other_wcr in stores[position:] + [(load, None) for load in loads]:
-                    if (wcr is None or wcr != other_wcr) and \
-                            may_meet(other, store, apart, (induction,)):
-                        return refused
+            if any(
+                (wcr is None or wcr != other_wcr) and may_meet(other, store, apart, (induction,))
+                for position, (store, wcr) in enumerate(stores)
+                for other, other_wcr in stores[position:] + [(load, None) for load in loads]
+            ):
+                if private is None:
+                    private = private_containers(sdfg, body, body.nodes(), live)
+                if name not in private:
+                    return refused
         return None
 
-    def _convert(self, sdfg: SDFG, loop: LoopInfo, inductions=None) -> bool:
-        if self.refusal(loop, inductions=inductions) is not None:
-            return False
+    def _convert(self, sdfg: SDFG, loop: LoopInfo) -> SDFGState:
+        """Make ``loop``, which :meth:`refusal` accepts, a map; return its body."""
         body = next(iter(loop.body_states))
 
         induction = loop.induction_symbol
@@ -169,7 +186,20 @@ class LoopToMap(Transformation):
             sdfg.start_state = body
         if sdfg.in_degree(guard) == 0 and sdfg.out_degree(guard) == 0:
             sdfg.remove_state(guard)
-        return True
+        return body
+
+    def _enclosing(self, sdfg: SDFG, body: SDFGState) -> Optional[LoopInfo]:
+        """The loop around ``body`` when raising it left that loop's body
+        straight-line (:func:`chain_loop`) and, fused into one state, the
+        loop may be a map."""
+        loop = chain_loop(sdfg, body)
+        if loop is not None and len(loop.body_states) > 1:
+            first = loop.body_edge.dst
+            StateFusion().fuse_run(sdfg, first, loop.body_states)
+            loop = chain_loop(sdfg, first)
+        if loop is None or len(loop.body_states) > 1 or self.refusal(loop) is not None:
+            return None
+        return loop
 
     @staticmethod
     def _wrap_state_in_map(state: SDFGState, label: str, param: str, map_range: Range) -> None:

@@ -18,7 +18,7 @@ from .dead_code import (
     DeadStateElimination,
     RedundantIterationElimination,
 )
-from .map_parameterized import MapCollapse, MapInterchange, MapTiling
+from .map_parameterized import MapCollapse, MapTiling
 from .map_transforms import LoopToMap, MapFusion
 from .parallelize import Parallelize
 from .memory_allocation import MemoryPreAllocation, StackPromotion
@@ -43,7 +43,6 @@ for _cls in (
     MapFusion,
     # Parameterized scheduling transforms (tuner-searchable additions).
     MapTiling,
-    MapInterchange,
     MapCollapse,
     # Schedule annotation (tuner ``schedule:`` axis).
     Parallelize,

@@ -95,6 +95,15 @@ class StateFusion(Transformation):
         self._fuse(sdfg, first, second, edge)
         return True
 
+    def fuse_run(self, sdfg: SDFG, first: SDFGState, states) -> None:
+        """Fuse into ``first`` each state of ``states`` that follows it, one
+        after the other, for as long as the next one may be fused."""
+        edge = self._fusable_edge(sdfg, first)
+        while edge is not None and edge.dst in states:
+            self._fuse(sdfg, first, edge.dst, edge)
+            edge = self._fusable_edge(sdfg, first)
+        self._last_access = {}
+
     @staticmethod
     def _fusable_edge(sdfg: SDFG, first: SDFGState):
         """The single fusable out-transition of ``first`` (or None)."""

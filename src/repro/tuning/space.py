@@ -22,10 +22,9 @@ enumerates that neighbourhood of a base :class:`~repro.PipelineSpec`:
   each preset value of each parameter (``param:stack-promotion:
   max_elements=1024``);
 * **additions** — appending an ``ADDABLE`` parameterized scheduling
-  transform the spec lacks (``MapTiling``, ``MapInterchange``,
-  ``MapCollapse``) with each preset of its primary parameter — the
-  tiled/interchanged/collapsed schedules the paper's evaluation
-  hand-picks;
+  transform the spec lacks (``MapTiling``, ``MapCollapse``) with each
+  preset of its primary parameter — the tiled and collapsed schedules the
+  paper's evaluation hand-picks;
 * **match-limit variants** — capping a pattern-based pass at one
   application (``max_applications=1``), the coarse form of per-match
   enable subsets (``only_matches`` remains available through explicit

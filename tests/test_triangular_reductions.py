@@ -235,7 +235,9 @@ class TestHandBuilt:
         levels, tasklet = _trmm("i + 1")
         sdfg = _nest(levels, _TRMM_ARRAYS, tasklet)
         assert loops_left(sdfg) == {"writes_collide": 1, "multi_state_body": 1}
-        assert _raise(sdfg) == {"multi_state_body": 1}
+        # Raised, ``k`` leaves ``i`` a one-state body that updates ``B[i]``
+        # where another iteration reads it.
+        assert _raise(sdfg) == {"reads_what_it_writes": 1}
         _check_runs(sdfg, levels, [tasklet], _TRMM_ARRAYS)
 
     def test_trmm_rows_from_the_target_on_meet_it(self):
@@ -265,7 +267,8 @@ class TestHandBuilt:
             _check_runs(sdfg, levels, [tasklet], _TRMM_ARRAYS, M=m)
 
     @pytest.mark.parametrize("columns, left", [
-        ("i", {"multi_state_body": 2}),                      # j < i: A[k][j] is never A[i][j]
+        # j < i: A[k][j] is never A[i][j]; raised, k leaves j reading A[i][k]
+        ("i", {"reads_what_it_writes": 1, "multi_state_body": 1}),
         ("8", {"writes_collide": 1, "multi_state_body": 2}),  # k = i < j reads A[i][j]
     ])
     def test_lu_raises_only_below_the_diagonal(self, columns, left):
@@ -295,7 +298,7 @@ class TestHandBuilt:
         _check_runs(sdfg, [("i", "0", "M")], [tasklet], arrays, M=7)
 
     @pytest.mark.parametrize("start, refusal, left", [
-        ("i", None, {"multi_state_body": 1}),
+        ("i", None, {}),  # raised, j leaves i storing row i and column i from i on
         # One dimension at a time, row and column meet in two iterations.
         ("0", "writes_collide", {"writes_collide": 1, "multi_state_body": 1}),
     ])

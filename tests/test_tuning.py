@@ -175,7 +175,6 @@ class TestSearchSpace:
         space = SearchSpace("dcir", include_registered=False)
         origins = {c.origin for c in space.candidates() if c.origin.startswith("add:")}
         assert "add:map-tiling(tile_size=16)" in origins
-        assert "add:map-interchange" in origins
         assert "add:map-collapse" in origins
         # Added passes land at the end of the data stage with their params.
         tiled = next(c for c in space.candidates()
