@@ -21,10 +21,11 @@ walks ``PATH`` once per ``(REPRO_CC, PATH)`` value, and
 :data:`LOADED_LIBRARY_LIMIT` libraries it ``dlopen``-ed in a lock-guarded
 table keyed by ``(code, name, cache directory, compiler)``.  A table hit
 costs one ``os.stat`` of the ``.so`` — its (inode, size, mtime) must
-still be what was loaded — and shares the library handle and entry
-function, nothing mutable: each :class:`CompiledNative` gets its own
-``abi`` dict.  A missing or replaced ``.so``, another
-``REPRO_NATIVE_CACHE_DIR`` or another ``REPRO_CC`` misses the table and
+still be what was loaded — and shares the library handle, its entry
+function and the ABI, nothing mutable: the ABI is frozen once, at load,
+into read-only mappings and tuples.  A missing or replaced ``.so``,
+another ``REPRO_NATIVE_CACHE_DIR`` or ``REPRO_CACHE_DIR``, or a
+``REPRO_CC`` or ``PATH`` that finds another compiler misses the table and
 takes the full build / ``dlopen`` / self-heal path below.
 
 Every external wait here is bounded and every failure typed: the
@@ -42,7 +43,6 @@ garbled on disk) is quarantined and rebuilt once before
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import hashlib
 import json
@@ -57,7 +57,8 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -237,15 +238,18 @@ def compiler_features(
     )
 
 
-def native_cache_dir() -> Path:
-    """Directory holding compiled shared objects (created on demand)."""
+def native_cache_dir() -> str:
+    """Directory holding compiled shared objects (created on demand).
+
+    A string, not a ``Path``: the loaded-library table keys every hit by it.
+    """
     override = os.environ.get(NATIVE_CACHE_ENV)
     if override:
-        return Path(override)
+        return override
     base = os.environ.get("REPRO_CACHE_DIR")
     if base:
-        return Path(base) / "native"
-    return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+        return os.path.join(base, "native")
+    return os.path.join(tempfile.gettempdir(), f"repro-native-{os.getuid()}")
 
 
 def _source_digest(code: str, compiler: str, flags: tuple = CFLAGS) -> str:
@@ -336,7 +340,7 @@ def compile_shared(
         features = compiler_features(compiler, probe_openmp=True)
         if features is not None and features.openmp:
             flags = CFLAGS + (OPENMP_FLAG,)
-    directory = native_cache_dir()
+    directory = Path(native_cache_dir())
     digest = _source_digest(code, compiler, flags)
     library = directory / f"{name}-{digest[:16]}.so"
     if library.exists():
@@ -392,7 +396,16 @@ def parse_abi(code: str) -> Dict:
     raise ToolchainError("Generated C source carries no native ABI header")
 
 
-def _evaluate_shape(dims: List[str], env: Dict[str, float]) -> tuple:
+def _freeze(value):
+    """A read-only copy of a parsed ABI: mappings for dicts, tuples for lists."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _freeze(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def _evaluate_shape(dims: Tuple[str, ...], env: Dict[str, float]) -> tuple:
     return tuple(int(sympify(dim).evaluate(dict(env))) for dim in dims)
 
 
@@ -467,7 +480,7 @@ def _stat_signature(path) -> Optional[Tuple[int, int, int]]:
 
 
 #: Libraries this process already has mapped: ``(code, name, cache
-#: directory, compiler)`` → ``(stat signature, abi, library, function)``.
+#: directory, compiler)`` → ``(stat signature, frozen abi, library, function)``.
 _LOADED = BoundedTable(LOADED_LIBRARY_LIMIT)
 
 
@@ -483,7 +496,9 @@ class CompiledNative:
     """
 
     code: str
-    abi: Dict
+    #: The ABI header, frozen: one read-only object shared by every
+    #: :class:`CompiledNative` of the same loaded library.
+    abi: Mapping
     library: Path
     _function: object = field(repr=False, default=None)
 
@@ -504,7 +519,10 @@ class CompiledNative:
         cache directory and compiler is served from the loaded-library
         table after one ``os.stat`` confirms the ``.so`` on disk is still
         the file that was mapped (``toolchain.so_cache_hits`` ticks as for
-        any other reuse); everything else takes the full path.
+        any other reuse); everything else takes the full path.  The ABI is
+        parsed and frozen once, when the library is loaded: every
+        :class:`CompiledNative` of that library shares the one read-only
+        object (mutating it raises), so a hit copies nothing.
 
         A cached shared object that fails to ``dlopen`` (truncated or
         garbled by a killed writer or a bad disk) is quarantined
@@ -519,8 +537,7 @@ class CompiledNative:
             signature, abi, library, function = entry
             if signature is not None and _stat_signature(library) == signature:
                 PERF.increment("toolchain.so_cache_hits")
-                return cls(code=code, abi=copy.deepcopy(abi), library=library,
-                           _function=function)
+                return cls(code=code, abi=abi, library=library, _function=function)
             _LOADED.discard(key)
 
         abi = parse_abi(code)
@@ -569,7 +586,8 @@ class CompiledNative:
                     "version": features.version,
                     "openmp": bool(features.openmp),
                 }
-        _LOADED.put(key, (signature, copy.deepcopy(abi), library, function))
+        abi = _freeze(abi)
+        _LOADED.put(key, (signature, abi, library, function))
         return cls(code=code, abi=abi, library=library, _function=function)
 
     # -- the interpreted-backend calling convention -----------------------------------

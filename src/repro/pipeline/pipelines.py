@@ -45,8 +45,10 @@ former and cheaply redo the latter:
 from __future__ import annotations
 
 import gc
+import threading
 import time
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -89,6 +91,36 @@ SourceLike = Union[str, ProgramLike]
 PAYLOAD_VERSION = 6
 
 
+class _SpecField:
+    """:attr:`CompileResult.spec`: a live spec, or a serialized one parsed
+    on first read.
+
+    A result rehydrated from the compile cache holds its payload's spec
+    dict, which few warm callers ever look at; the first read turns it into
+    a :class:`PipelineSpec` of this result's own (``from_dict`` copies every
+    option, so the parse aliases neither the payload nor another result's).
+    """
+
+    def __set_name__(self, owner, name):
+        self._slot = f"_{name}"
+        self._parsing = threading.Lock()
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass default
+        spec = result.__dict__[self._slot]
+        if isinstance(spec, Mapping):
+            # Threads sharing a result must all get the one parse it keeps.
+            with self._parsing:
+                spec = result.__dict__[self._slot]
+                if isinstance(spec, Mapping):
+                    spec = result.__dict__[self._slot] = PipelineSpec.from_dict(spec)
+        return spec
+
+    def __set__(self, result, spec):
+        result.__dict__[self._slot] = spec
+
+
 @dataclass
 class CompileResult:
     """Result of compiling a program through one pipeline."""
@@ -101,8 +133,9 @@ class CompileResult:
     mlir_module: object = None
     compile_seconds: float = 0.0
     optimization_report: object = None
-    #: Declarative spec of the pipeline that produced this result.
-    spec: Optional[PipelineSpec] = None
+    #: Declarative spec of the pipeline that produced this result (a
+    #: rehydrated result parses it from the payload when first read).
+    spec: Optional[PipelineSpec] = _SpecField()
     #: Per-stage compilation report (frontend/control/bridge/data/codegen).
     report: Optional[CompilationReport] = None
     #: True when this result was rehydrated from the compile cache rather
@@ -352,7 +385,9 @@ def result_from_payload(payload: Dict) -> CompileResult:
     :func:`~repro.codegen.loader.load_entry`), a native one loads nothing
     until it is run.  The rehydrated result has no live SDFG/MLIR objects; the
     movement report, eliminated-container list and stage timings recorded
-    at compile time stand in for them.
+    at compile time stand in for them.  Its spec stays the payload's dict
+    until :attr:`CompileResult.spec` is first read, which parses it into a
+    spec of the result's own.
     """
     movement = None
     if payload.get("movement") is not None:
@@ -365,9 +400,6 @@ def result_from_payload(payload: Dict) -> CompileResult:
             iterations=snapshot.get("iterations", 0.0),
             per_container=dict(snapshot.get("per_container", {})),
         )
-    spec = None
-    if payload.get("spec") is not None:
-        spec = PipelineSpec.from_dict(payload["spec"])
     report = None
     if payload.get("stage_seconds"):
         report = CompilationReport(pipeline=payload["pipeline"])
@@ -384,7 +416,7 @@ def result_from_payload(payload: Dict) -> CompileResult:
         pipeline=payload["pipeline"],
         function=payload.get("function"),
         compile_seconds=payload.get("compile_seconds", 0.0),
-        spec=spec,
+        spec=payload.get("spec"),
         report=report,
         cache_hit=True,
         _cached_movement=movement,

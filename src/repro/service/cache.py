@@ -16,10 +16,12 @@ produces a new address.  Two stores back the cache:
   results share no mutable state between callers).  A memory hit costs a
   key (one hash over the normalized source and the spec's fields,
   serialized without copying them), a dictionary lookup and the
-  rehydration; what the result would only need later — the interpreted
-  source of a native result, the shared object — is loaded when it is
-  run, from the process-level tables of :mod:`repro.codegen.loader` and
-  :mod:`repro.codegen.toolchain`;
+  rehydration; what the result would only need later is built when it is
+  first used — its spec is parsed from the payload when first read, and
+  the interpreted source of a native result and the shared object are
+  loaded when it is run, from the process-level tables of
+  :mod:`repro.codegen.loader` and :mod:`repro.codegen.toolchain` (the
+  latter hands every hit one read-only ABI);
 * an optional on-disk store (one JSON file per key) that survives
   processes, letting consecutive test or benchmark invocations skip
   compilation entirely.  Set the ``REPRO_CACHE_DIR`` environment variable
@@ -224,12 +226,12 @@ class CompileCache:
         method never raises for bad data.
         """
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
-            return None  # unreadable (permissions, racing unlink): plain miss
+            return None  # absent, unreadable (permissions), racing unlink: plain miss
         try:
             document = json.loads(text)
         except ValueError:

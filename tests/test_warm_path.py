@@ -3,11 +3,13 @@
 A warm request is key → LRU → rehydrate → loaded-library table → call.
 These tests count the work a hit must *not* redo (``compile`` of the
 interpreted source, ``shutil.which`` walks over PATH, fresh ``dlopen``s,
-``cc`` runs) and pin down what the process-level tables must never
-weaken: a changed ``.so``, cache directory or compiler misses the table,
-results share no mutable state, and concurrent callers agree.
+``cc`` runs, parsing the stored spec, copying the ABI) and pin down what
+the process-level tables must never weaken: a changed ``.so``, cache
+directory or compiler misses the table, results share no mutable state,
+and concurrent callers agree.
 """
 
+import copy
 import ctypes
 import os
 import shutil
@@ -21,6 +23,7 @@ from repro.codegen import CompiledNative, have_compiler, loader
 from repro.codegen.toolchain import CC_ENV, NATIVE_CACHE_ENV
 from repro.errors import ToolchainError
 from repro.perf import PERF
+from repro.service.cache import cache_key
 from repro.workloads import get_kernel
 
 requires_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler on PATH")
@@ -42,11 +45,13 @@ class Calls:
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Counters on the three seams a warm hit must leave alone."""
+    """Counters on the five seams a warm hit must leave alone."""
     counted = {
         "compile": Calls(compile),
         "which": Calls(shutil.which),
         "CDLL": Calls(ctypes.CDLL),
+        "from_dict": Calls(PipelineSpec.from_dict),
+        "deepcopy": Calls(copy.deepcopy),
     }
 
     def install():
@@ -54,6 +59,8 @@ def counters(monkeypatch):
         monkeypatch.setattr(loader, "compile", counted["compile"], raising=False)
         monkeypatch.setattr(shutil, "which", counted["which"])
         monkeypatch.setattr(ctypes, "CDLL", counted["CDLL"])
+        monkeypatch.setattr(PipelineSpec, "from_dict", counted["from_dict"])
+        monkeypatch.setattr(copy, "deepcopy", counted["deepcopy"])
         return counted
 
     return install
@@ -94,7 +101,7 @@ def test_native_warm_hits_only_hash_and_call(so_dir, native_spec, counters):
     delta = PERF.delta_since(before)
 
     assert {name: calls.count for name, calls in counted.items()} == {
-        "compile": 0, "which": 0, "CDLL": 0,
+        "compile": 0, "which": 0, "CDLL": 0, "from_dict": 0, "deepcopy": 0,
     }
     assert delta.get("toolchain.so_cache_hits", 0) == WARM_HITS
     assert delta.get("toolchain.cc_runs", 0) == 0
@@ -116,6 +123,49 @@ def test_interpreted_hits_compile_once_into_fresh_namespaces(counters):
     namespaces = {id(r.runner.__globals__) for r in results}
     assert len(namespaces) == WARM_HITS
     assert len({r.runner.__code__ for r in results}) == 1
+
+
+def test_hits_parse_their_own_spec_on_first_read():
+    cache = CompileCache(use_env_directory=False)
+    source, stored = get_kernel("atax"), get_pipeline("dcir")
+    cache.get_or_compile(source, stored)
+    payload = cache.lookup(cache_key(source, stored))
+    document = copy.deepcopy(payload["spec"])
+
+    first, second = (cache.get_or_compile(source, stored) for _ in range(2))
+    assert first.cache_hit and second.cache_hit
+    for result in (first, second):
+        assert result.spec.name == stored.name
+        assert result.spec.content_id() == stored.content_id()
+    assert first.spec is first.spec and first.spec is not second.spec
+
+    first.spec.data_passes.pop()
+    first.spec.codegen.vectorize = True
+    assert second.spec.content_id() == stored.content_id()
+    assert payload["spec"] == document
+    assert cache.get_or_compile(source, stored).spec.content_id() == stored.content_id()
+
+
+def test_threads_reading_one_hit_get_one_spec():
+    cache = CompileCache(use_env_directory=False)
+    source = get_kernel("atax")
+    cache.get_or_compile(source, "dcir")
+    hits = [cache.get_or_compile(source, "dcir") for _ in range(20)]
+
+    def read(result):
+        return [result.spec for _ in range(8)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the first parse
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = [
+                {id(spec) for batch in pool.map(read, [hit] * 8, timeout=60) for spec in batch}
+                for hit in hits
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [{id(hit.spec)} for hit in hits]
 
 
 # -- what must still miss the loaded-library table ---------------------------------------------
@@ -218,9 +268,14 @@ def test_threads_hammering_one_key_agree(so_dir, native_spec):
 def test_table_hits_share_no_abi_state(so_dir, gemm_code):
     first = CompiledNative.from_code(gemm_code)
     expected = first.run()["__return"]
-    first.abi["args"].clear()
+    with pytest.raises(TypeError):
+        first.abi["entry"] = "elsewhere"
+    with pytest.raises(AttributeError):
+        first.abi["args"].clear()
+    with pytest.raises(TypeError):
+        first.abi["args"][0]["dtype"] = "int8"
     second = CompiledNative.from_code(gemm_code)
-    assert second.abi is not first.abi and second.abi["args"]
+    assert second.abi is first.abi  # one read-only ABI, nothing to copy
     assert second.run()["__return"] == expected
 
 
