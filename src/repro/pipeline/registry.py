@@ -32,17 +32,18 @@ def register_pipeline(spec: PipelineSpec, overwrite: bool = False) -> PipelineSp
     like any other entry (but the determinism guarantees then no longer
     apply to the replaced name).
 
-    The registry stores a deep copy, so later mutation of the passed spec
-    cannot silently rewrite what the name means (or its cache identity).
+    The registry stores the spec itself: a spec is a value, so nothing can
+    later rewrite what the name means (or its cache identity).
     """
     if not spec.name:
-        raise PipelineError("Cannot register an anonymous pipeline spec (set spec.name)")
+        raise PipelineError(
+            "Cannot register an anonymous pipeline spec (name it: spec.derive(name=...))"
+        )
     if spec.name in _REGISTRY and not overwrite:
         raise PipelineError(
             f"Pipeline {spec.name!r} is already registered; pass overwrite=True to replace it"
         )
-    spec = spec.copy().validate()
-    _REGISTRY[spec.name] = spec
+    _REGISTRY[spec.name] = spec.validate()
     return spec
 
 
@@ -56,11 +57,12 @@ def get_pipeline(name: str) -> PipelineSpec:
 
     Unknown names raise :class:`PipelineError` listing every *currently*
     registered pipeline (including user-registered ones) and suggesting the
-    closest match.  The returned spec is a deep copy: mutate it freely (the
-    usual way to build ablations) without affecting the registered entry.
+    closest match.  The returned spec is the registered value itself; build
+    ablations by deriving from it (``derive``, ``without_pass``,
+    ``with_passes``, ``with_codegen``).
     """
     try:
-        return _REGISTRY[name].copy()
+        return _REGISTRY[name]
     except KeyError:
         raise PipelineError(
             f"Unknown pipeline {name!r}; "
@@ -158,13 +160,13 @@ DATA_SUITE = (
 
 
 def paper_control_passes(include_memref_dce: bool = True) -> List[PassSpec]:
-    """The §4 control-centric suite as pass specs (a fresh, editable list)."""
+    """The §4 control-centric suite as pass specs (a fresh list)."""
     names = CONTROL_SUITE if include_memref_dce else CONTROL_SUITE[:-1]
     return [PassSpec(name) for name in names]
 
 
 def paper_data_passes() -> List[PassSpec]:
-    """The §6 data-centric suite as pass specs (a fresh, editable list)."""
+    """The §6 data-centric suite as pass specs (a fresh list)."""
     return [PassSpec(name) for name in DATA_SUITE]
 
 

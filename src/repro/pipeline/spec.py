@@ -23,6 +23,18 @@ share a cache entry regardless of what they are called, and any change to
 the pass list, pass options or codegen flags produces a new content
 address.
 
+Specs are values.  :class:`PipelineSpec`, :class:`PassSpec` and
+:class:`CodegenOptions` are frozen dataclasses, pass lists are tuples, and
+pass parameters and frontend options are read-only ``dict``/``list``
+subclasses: every edit raises ``TypeError`` (or
+``dataclasses.FrozenInstanceError``).  A variant is derived instead —
+:meth:`PipelineSpec.derive`, :meth:`~PipelineSpec.with_passes`,
+:meth:`~PipelineSpec.with_codegen`, :meth:`PassSpec.with_params` or
+``dataclasses.replace``.  A spec that cannot change serializes once: its
+cache-key JSON, :meth:`~PipelineSpec.canonical_json` and
+:meth:`~PipelineSpec.content_id` are computed on first use and kept, and
+specs, passes and options are shared rather than copied.
+
 Every public entry point (``compile_c``, ``generate_program``,
 ``CompileCache.get_or_compile``, ``compile_many``, ``Session``) accepts a
 registered pipeline name *or* a spec; :func:`pipeline_label` maps either to
@@ -31,24 +43,78 @@ a display string.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Union
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import PipelineError
 from ..passes import CONTROL_PASSES
 from ..transforms import DATA_PASSES
 
 
-def _own(options: Optional[Mapping]) -> Dict[str, object]:
-    """A dict of ``options`` that aliases nothing, nested values included."""
-    return copy.deepcopy(dict(options)) if options else {}
+def _refuse(self, *args, **kwargs):
+    raise TypeError(
+        "Pipeline spec options are read-only: derive a new spec (derive, "
+        "with_passes, with_codegen, PassSpec.with_params) instead of editing one"
+    )
 
 
-@dataclass
+class _FrozenDict(dict):
+    """A ``dict`` that refuses edits; equal to, and serialized as, a plain one."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # Pickle and deepcopy would otherwise refill the copy item by item.
+        return _FrozenDict, (dict(self),)
+
+
+class _FrozenList(list):
+    """A ``list`` that refuses edits; equal to, and serialized as, a plain one."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+    def __reduce__(self):
+        return _FrozenList, (list(self),)
+
+
+def _freeze(value):
+    """``value`` with every dict and list in it (at any depth) read-only."""
+    if isinstance(value, (_FrozenDict, _FrozenList)):
+        return value  # frozen all the way down when built
+    if isinstance(value, Mapping):
+        return _FrozenDict({key: _freeze(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return _FrozenList([_freeze(item) for item in value])
+    if type(value) is tuple:
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def _thaw(value):
+    """Plain ``dict``/``list`` copies of a frozen value, for serialized output."""
+    if isinstance(value, dict):
+        return {key: _thaw(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_thaw(item) for item in value]
+    if type(value) is tuple:
+        return tuple(_thaw(item) for item in value)
+    return value
+
+
+def _options(options) -> _FrozenDict:
+    """An options mapping (or ``None``) as a read-only dict."""
+    return options if isinstance(options, _FrozenDict) else _freeze(dict(options or {}))
+
+
+@dataclass(frozen=True)
 class PassSpec:
     """One pass invocation inside a spec: a registered name plus parameters.
 
@@ -58,27 +124,27 @@ class PassSpec:
     ``max_elements``, plus the universal ``only_matches`` /
     ``max_applications``).  They are part of the canonical serialization,
     so a parameter change produces a new spec ``content_id`` (and hence a
-    new compile-cache address).
+    new compile-cache address).  They are read-only: :meth:`with_params`
+    derives a pass with other values.
     """
 
     name: str
-    params: Dict[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _options(self.params))
 
     @classmethod
     def of(cls, item: "PassLike") -> "PassSpec":
         """Coerce a name, ``(name, params)`` pair or dict into a spec.
 
-        Always returns a fresh instance owning a deep copy of the params —
-        ``PipelineSpec.__post_init__`` routes every pass list through here
-        (once), so two specs never share ``PassSpec`` objects or params
-        dicts, nor a spec and the serialized form it was read from, even
-        when one is derived from the other's lists.  A mapping may carry only
-        ``name`` and ``params``: any other key (a typo'd ``"parms"``) would
-        otherwise build the pass with default parameters and content-alias
-        the default spec in the compile cache.
+        A spec is returned as it is.  A mapping may carry only ``name`` and
+        ``params``: any other key (a typo'd ``"parms"``) would otherwise
+        build the pass with default parameters and content-alias the
+        default spec in the compile cache.
         """
         if isinstance(item, PassSpec):
-            return cls(name=item.name, params=_own(item.params))
+            return item
         if isinstance(item, str):
             return cls(name=item)
         if isinstance(item, Mapping):
@@ -88,27 +154,23 @@ class PassSpec:
                     f"Unknown key {unknown[0]!r} in pass specification {dict(item)!r}; "
                     "accepted keys: 'name', 'params'"
                 )
-            return cls(name=item["name"], params=_own(item.get("params")))
+            return cls(name=item["name"], params=item.get("params"))
         if isinstance(item, Sequence) and len(item) == 2:
-            return cls(name=item[0], params=_own(item[1]))
+            return cls(name=item[0], params=item[1])
         raise PipelineError(f"Cannot interpret {item!r} as a pass specification")
 
     def with_params(self, **params) -> "PassSpec":
-        """A fresh spec with some parameters replaced (a tuning-axis step)."""
-        merged = _own(self.params)
-        merged.update(params)
-        return PassSpec(name=self.name, params=merged)
+        """A spec with some parameters replaced (a tuning-axis step)."""
+        return replace(self, params={**self.params, **params})
 
     def to_dict(self) -> Dict:
-        # Deep-copied so serialized snapshots (and spec copies built from
-        # them) never alias nested mutable parameter values.
-        return {"name": self.name, "params": _own(self.params)}
+        return {"name": self.name, "params": _thaw(self.params)}
 
 
 PassLike = Union[PassSpec, str, Mapping, Sequence]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodegenOptions:
     """Backend code-generation options.
 
@@ -132,8 +194,6 @@ class CodegenOptions:
 
     def __post_init__(self):
         if self.backend not in ("python", "native"):
-            from ..errors import PipelineError
-
             raise PipelineError(
                 f"Unknown codegen backend {self.backend!r}; choose 'python' or 'native'"
             )
@@ -157,31 +217,28 @@ class CodegenOptions:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineSpec:
-    """Declarative description of one complete compilation pipeline."""
+    """Declarative description of one complete compilation pipeline (a value)."""
 
     name: Optional[str] = None
     description: str = ""
-    frontend_options: Dict[str, object] = field(default_factory=dict)
-    control_passes: List[PassSpec] = field(default_factory=list)
+    frontend_options: Mapping[str, object] = field(default_factory=dict)
+    control_passes: Tuple[PassSpec, ...] = ()
     control_max_iterations: int = 3
     bridge: bool = False
-    data_passes: List[PassSpec] = field(default_factory=list)
+    data_passes: Tuple[PassSpec, ...] = ()
     data_max_iterations: int = 3
     codegen: CodegenOptions = field(default_factory=CodegenOptions)
 
     def __post_init__(self):
-        # Defensively copy every mutable field: two specs must never share
-        # state, or mutating one would silently change the other's cache
-        # identity (PassSpec.of always returns fresh instances).
-        self.frontend_options = _own(self.frontend_options)
-        self.control_passes = [PassSpec.of(item) for item in self.control_passes]
-        self.data_passes = [PassSpec.of(item) for item in self.data_passes]
+        # Coerce every field into its read-only form; fields of a spec this
+        # one was derived from are frozen already and kept as they are.
+        object.__setattr__(self, "frontend_options", _options(self.frontend_options))
+        object.__setattr__(self, "control_passes", tuple(map(PassSpec.of, self.control_passes)))
+        object.__setattr__(self, "data_passes", tuple(map(PassSpec.of, self.data_passes)))
         if isinstance(self.codegen, Mapping):
-            self.codegen = CodegenOptions.from_dict(self.codegen)
-        else:
-            self.codegen = replace(self.codegen)
+            object.__setattr__(self, "codegen", CodegenOptions.from_dict(self.codegen))
         if self.data_passes and not self.bridge:
             raise PipelineError(
                 "A pipeline with data-centric passes must set bridge=True "
@@ -203,39 +260,45 @@ class PipelineSpec:
         This is the cache-key basis — a registered name and an equivalent
         anonymous spec content-address identically, while any change to
         passes, options or codegen flags yields a different address.
-        The returned dict is a snapshot sharing nothing with the spec.
+        Its containers are plain dicts and lists.
         """
-        return self._basis(_own)
+        return _thaw(self._basis())
 
-    def cache_basis_view(self) -> Dict:
-        """:meth:`cache_basis` without the copies, for serializing keys.
-
-        The nested option dicts *are* the spec's own: dump the view and
-        drop it, never keep or mutate it.
-        """
-        return self._basis(lambda options: options)
-
-    def _basis(self, options: Callable[[Dict], Dict]) -> Dict:
+    def _basis(self) -> Dict:
         return {
-            "frontend": options(self.frontend_options),
-            "control_passes": [
-                {"name": p.name, "params": options(p.params)} for p in self.control_passes
-            ],
+            "frontend": self.frontend_options,
+            "control_passes": [{"name": p.name, "params": p.params} for p in self.control_passes],
             "control_max_iterations": int(self.control_max_iterations),
             "bridge": bool(self.bridge),
-            "data_passes": [
-                {"name": p.name, "params": options(p.params)} for p in self.data_passes
-            ],
+            "data_passes": [{"name": p.name, "params": p.params} for p in self.data_passes],
             "data_max_iterations": int(self.data_max_iterations),
             "codegen": self.codegen.to_dict(),
         }
 
+    @cached_property
+    def cache_basis_json(self) -> str:
+        """:meth:`cache_basis` as ``json.dumps(..., sort_keys=True)`` text.
+
+        Computed once per spec; ``cache_key`` splices it into the request's
+        key text.
+        """
+        return json.dumps(self._basis(), sort_keys=True)
+
+    @cached_property
+    def _canonical_json(self) -> str:
+        return json.dumps(self._basis(), sort_keys=True, separators=(",", ":"))
+
+    @cached_property
+    def _content_id(self) -> str:
+        return hashlib.sha256(self._canonical_json.encode("utf-8")).hexdigest()
+
     def canonical_json(self) -> str:
-        return json.dumps(self.cache_basis_view(), sort_keys=True, separators=(",", ":"))
+        """Compact sorted-key JSON of :meth:`cache_basis` (computed once)."""
+        return self._canonical_json
 
     def content_id(self) -> str:
         """SHA-256 of the canonical serialization (stable across processes)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return self._content_id
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineSpec":
@@ -246,11 +309,11 @@ class PipelineSpec:
         return cls(
             name=data.get("name"),
             description=data.get("description", ""),
-            frontend_options=data.get("frontend") or {},
-            control_passes=data.get("control_passes") or [],
+            frontend_options=data.get("frontend"),
+            control_passes=data.get("control_passes") or (),
             control_max_iterations=int(data.get("control_max_iterations", 3)),
             bridge=bool(data.get("bridge", False)),
-            data_passes=data.get("data_passes") or [],
+            data_passes=data.get("data_passes") or (),
             data_max_iterations=int(data.get("data_max_iterations", 3)),
             codegen=CodegenOptions.from_dict(data.get("codegen")),
         )
@@ -261,22 +324,16 @@ class PipelineSpec:
         """Display name: the registered name, or a content-derived tag."""
         return self.name or f"custom-{self.content_id()[:12]}"
 
-    def copy(self) -> "PipelineSpec":
-        """Deep, independent copy (mutating it never affects the original)."""
-        return PipelineSpec.from_dict(self.to_dict())
-
     def derive(self, **changes) -> "PipelineSpec":
-        """Deep copy with fields replaced — the ablation/sweep building block.
+        """A spec with fields replaced — the ablation/sweep building block.
 
-        The copy shares no mutable state with its parent, so editing its
-        pass lists, options or codegen flags in place is safe.  Unless
-        explicitly overridden, it is anonymous (name and description
+        Unless explicitly overridden, it is anonymous (name and description
         cleared): a derived pipeline is a *different* pipeline and must
         not content-alias its parent's registered name.
         """
         changes.setdefault("name", None)
         changes.setdefault("description", "")
-        return replace(self.copy(), **changes)
+        return replace(self, **changes)
 
     def without_pass(self, pass_name: str, **changes) -> "PipelineSpec":
         """Ablation helper: a derived spec with every ``pass_name`` removed.
@@ -328,8 +385,8 @@ class PipelineSpec:
             return self.derive(data_passes=list(passes), **changes)
         raise PipelineError(f"Unknown pass stage {stage!r}; choose 'control' or 'data'")
 
-    def stage_passes(self, stage: str) -> List[PassSpec]:
-        """The (live) pass list of one stage, by stage name."""
+    def stage_passes(self, stage: str) -> Tuple[PassSpec, ...]:
+        """The passes of one stage, by stage name."""
         if stage == "control":
             return self.control_passes
         if stage == "data":
@@ -342,7 +399,7 @@ class PipelineSpec:
         Indices follow Python semantics (negatives count from the end);
         out-of-range indices raise :class:`PipelineError`.
         """
-        passes = [PassSpec.of(p) for p in self.stage_passes(stage)]
+        passes = list(self.stage_passes(stage))
         try:
             passes[first], passes[second] = passes[second], passes[first]
         except IndexError:

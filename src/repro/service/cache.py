@@ -14,12 +14,13 @@ produces a new address.  Two stores back the cache:
 * an in-memory LRU holding serialized payloads (never live objects — every
   hit rehydrates a fresh :class:`~repro.pipeline.CompileResult`, so cached
   results share no mutable state between callers).  A memory hit costs a
-  key (one hash over the normalized source and the spec's fields,
-  serialized without copying them), a dictionary lookup and the
-  rehydration; what the result would only need later is built when it is
-  first used — its spec is parsed from the payload when first read, and
-  the interpreted source of a native result and the shared object are
-  loaded when it is run, from the process-level tables of
+  key (one hash over the normalized source and the spec's JSON, which a
+  spec — a value — computes once and every later key reuses), a
+  dictionary lookup and the rehydration; what the result would only need
+  later is built when it is first used — its spec is parsed from the
+  payload when first read, and the interpreted source of a native result
+  and the shared object are loaded when it is run, from the process-level
+  tables of
   :mod:`repro.codegen.loader` and :mod:`repro.codegen.toolchain` (the
   latter hands every hit one read-only ABI);
 * an optional on-disk store (one JSON file per key) that survives
@@ -112,16 +113,17 @@ def cache_key(source, pipeline: PipelineLike = "dcir", function: Optional[str] =
     ``pipeline`` is a registered name or a
     :class:`~repro.pipeline.PipelineSpec`; either way the key is computed
     from the spec's canonical serialization, so equivalent pipelines share
-    a key regardless of how (or whether) they are named.
+    a key regardless of how (or whether) they are named.  The hashed text
+    is ``json.dumps({"function": …, "pipeline": <cache basis>, "source": …,
+    "version": …}, sort_keys=True)``; the spec's part of it is its
+    :attr:`~repro.pipeline.PipelineSpec.cache_basis_json`, serialized once
+    per spec.
     """
-    basis = json.dumps(
-        {
-            "source": normalize_source(source),
-            "pipeline": resolve_pipeline(pipeline).cache_basis_view(),
-            "function": function,
-            "version": __version__,
-        },
-        sort_keys=True,
+    basis = '{"function": %s, "pipeline": %s, "source": %s, "version": %s}' % (
+        json.dumps(function),
+        resolve_pipeline(pipeline).cache_basis_json,
+        json.dumps(normalize_source(source)),
+        json.dumps(__version__),
     )
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -80,7 +80,7 @@ class TuningReport:
             raise PipelineError(
                 f"Tuning of {self.kernel!r} produced no scorable candidate"
             )
-        return winner.candidate.spec.copy()
+        return winner.candidate.spec
 
     def best_registered(self) -> Optional[EvaluatedCandidate]:
         """Best-ranked candidate that is a pre-registered pipeline seed."""
@@ -278,10 +278,12 @@ def register_winner(report: TuningReport, name: str, overwrite: bool = False) ->
     so compiles through the new name hit the cache entries the tuning run
     already created.
     """
-    spec = report.winner_spec()
-    spec.name = name
-    spec.description = (
-        f"Tuned for {report.kernel} ({report.evaluator} evaluator, "
-        f"origin {report.ranking[0].candidate.origin})"
+    spec = replace(
+        report.winner_spec(),
+        name=name,
+        description=(
+            f"Tuned for {report.kernel} ({report.evaluator} evaluator, "
+            f"origin {report.ranking[0].candidate.origin})"
+        ),
     )
     return register_pipeline(spec, overwrite=overwrite)

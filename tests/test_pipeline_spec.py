@@ -10,6 +10,7 @@ outputs, ``CompileCache.__contains__`` validation) and the CLI.
 
 import json
 import os
+from dataclasses import FrozenInstanceError
 import subprocess
 import sys
 import time
@@ -162,10 +163,8 @@ class TestPassSpecParams:
         from repro.pipeline.spec import PassSpec
 
         base = get_pipeline("dcir")
-        tuned = base.derive()
-        tuned.data_passes.append(PassSpec("map-tiling", {"tile_size": 16}))
-        other = base.derive()
-        other.data_passes.append(PassSpec("map-tiling", {"tile_size": 32}))
+        tuned = base.with_passes("data", [*base.data_passes, PassSpec("map-tiling", {"tile_size": 16})])
+        other = base.with_passes("data", [*base.data_passes, PassSpec("map-tiling", {"tile_size": 32})])
         assert tuned.content_id() != base.content_id()
         assert tuned.content_id() != other.content_id()
         assert "params" in tuned.cache_basis()["data_passes"][-1]
@@ -203,10 +202,10 @@ class TestPassSpecParams:
         assert spec.params == {"tile_size": 4}
 
     def test_bad_params_fail_with_a_helpful_error(self):
-        spec = get_pipeline("dcir").derive()
         from repro.pipeline.spec import PassSpec
 
-        spec.data_passes.append(PassSpec("map-tiling", {"no_such_param": 1}))
+        base = get_pipeline("dcir")
+        spec = base.with_passes("data", [*base.data_passes, PassSpec("map-tiling", {"no_such_param": 1})])
         with pytest.raises(PipelineError, match="no_such_param"):
             compile_c(SAXPY, spec)
 
@@ -247,16 +246,21 @@ class TestSerialization:
         assert "map-fusion" in str(excinfo.value)
 
     def test_specs_built_from_shared_options_are_independent(self):
+        # Specs are values: one cannot edit the options it shares with a
+        # sibling, and the caller's dict is not the specs' own.
         from repro import CodegenOptions
 
         codegen = CodegenOptions()
         frontend = {"run_verifier": True}
         first = PipelineSpec(codegen=codegen, frontend_options=frontend)
         second = PipelineSpec(codegen=codegen, frontend_options=frontend)
-        first.codegen.vectorize = True
-        first.frontend_options["run_verifier"] = False
+        with pytest.raises(FrozenInstanceError):
+            first.codegen.vectorize = True
+        with pytest.raises(TypeError, match="derive a new spec"):
+            first.frontend_options["run_verifier"] = False
+        frontend["run_verifier"] = False
         assert second.codegen.vectorize is False
-        assert second.frontend_options == {"run_verifier": True}
+        assert first.frontend_options == second.frontend_options == {"run_verifier": True}
         assert codegen.vectorize is False
 
     def test_pipelines_view_keeps_tuple_ergonomics(self):
@@ -285,38 +289,55 @@ class TestSerialization:
             PipelineSpec(data_passes=["map-fusion"])
 
     def test_derived_and_fetched_specs_share_no_mutable_state(self):
-        # Mutating a derived or fetched spec must never rewrite the
-        # registered entry (that would silently change what a name means
-        # and break the name ≡ equivalent-spec cache identity).
+        # No edit of a derived or fetched spec may rewrite the registered
+        # entry (that would silently change what a name means and break the
+        # name ≡ equivalent-spec cache identity): specs are values, and
+        # every kind of edit raises.
         derived = get_pipeline("dcir").derive(name="my-vec")
-        derived.codegen.vectorize = True
-        derived.data_passes.pop()
-        derived.frontend_options["run_verifier"] = False
+        with pytest.raises(FrozenInstanceError):
+            derived.codegen.vectorize = True
+        with pytest.raises(FrozenInstanceError):
+            derived.data_passes = ()
+        with pytest.raises(AttributeError):
+            derived.data_passes.pop()
+        with pytest.raises(TypeError, match="derive a new spec"):
+            derived.frontend_options["run_verifier"] = False
         assert get_pipeline("dcir").codegen.vectorize is False
         assert len(get_pipeline("dcir").data_passes) == len(DATA_SUITE)
         assert get_pipeline("dcir").frontend_options == {}
 
         fetched = get_pipeline("gcc")
-        fetched.codegen.native_scalars = False
+        with pytest.raises(FrozenInstanceError):
+            fetched.codegen.native_scalars = False
+        with pytest.raises(FrozenInstanceError):
+            fetched.name = "renamed"
         assert get_pipeline("gcc").codegen.native_scalars is True
         assert get_pipeline("clang").codegen.native_scalars is True
 
-        # PassSpec objects are never shared across specs, even via derive:
-        # mutating an ablation's pass options must not touch the parent.
+        # A derived spec shares its parent's PassSpecs, whose params refuse edits.
         parent = get_pipeline("dcir")
         child = parent.without_pass("map-fusion")
-        child.data_passes[0].params["tweak"] = 1
+        with pytest.raises(TypeError, match="derive a new spec"):
+            child.data_passes[0].params["tweak"] = 1
         assert parent.data_passes[0].params == {}
         assert cache_key(SAXPY, parent) == cache_key(SAXPY, "dcir")
 
-        spec = _ablated("isolation-test")
-        spec.control_passes[0].params["levels"] = [1, 2]
+        ablated = _ablated()
+        first, *rest = ablated.control_passes
+        spec = ablated.with_passes(
+            "control", [first.with_params(levels=[1, 2]), *rest], name="isolation-test"
+        )
         register_pipeline(spec)
         try:
-            spec.codegen.vectorize = True  # caller mutation after registering
-            spec.control_passes[0].params["levels"].append(3)  # nested mutation
+            with pytest.raises(FrozenInstanceError):
+                spec.codegen.vectorize = True  # caller edit after registering
+            with pytest.raises(AttributeError):
+                spec.control_passes.append("cse")
+            with pytest.raises(TypeError, match="derive a new spec"):
+                spec.control_passes[0].params["levels"].append(3)  # nested edit
             assert get_pipeline("isolation-test").codegen.vectorize is False
             assert get_pipeline("isolation-test").control_passes[0].params == {"levels": [1, 2]}
+            assert len(get_pipeline("isolation-test").control_passes) == len(ablated.control_passes)
         finally:
             unregister_pipeline("isolation-test")
 
@@ -446,8 +467,9 @@ class TestCustomPipelineEndToEnd:
             unregister_pipeline("pool-test-pipeline")
 
     def test_unserializable_options_are_isolated_per_item(self):
-        bad = get_pipeline("dcir")
-        bad.data_passes[0].params["bad"] = {1, 2, 3}  # sets are not JSON
+        base = get_pipeline("dcir")
+        first, *rest = base.data_passes
+        bad = base.with_passes("data", [first.with_params(bad={1, 2, 3}), *rest])  # sets are not JSON
         with pytest.raises(PipelineError, match="JSON-serializable"):
             compile_c(SAXPY, bad)
         outcomes = compile_many(

@@ -868,8 +868,8 @@ class TestParameterizedTransforms:
 
         source = get_kernel("atax", {"M": 6, "N": 7})
         reference = run_compiled(compile_c(source, "dcir"))
-        spec = get_pipeline("dcir").derive()
-        spec.data_passes.append(PassSpec("map-tiling", {"tile_size": 4}))
+        base = get_pipeline("dcir")
+        spec = base.with_passes("data", [*base.data_passes, PassSpec("map-tiling", {"tile_size": 4})])
         tiled = run_compiled(compile_c(source, spec))
         assert np.isclose(float(tiled.return_value), float(reference.return_value))
 

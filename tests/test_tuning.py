@@ -16,6 +16,7 @@ import warnings
 import pytest
 
 from repro import (
+    PassSpec,
     PipelineError,
     PipelineSpec,
     Session,
@@ -359,8 +360,7 @@ class TestTuning:
         assert mismatched[0].score is None
 
     def test_error_candidates_rank_after_scored_ones(self):
-        bad = PipelineSpec(control_passes=["canonicalize"])
-        bad.control_passes[0].name = "no-such-pass"  # bypass of() validation
+        bad = PipelineSpec(control_passes=[PassSpec("no-such-pass")])  # names are checked later
         evaluated = StaticEvaluator().evaluate(
             get_kernel("gemm", SIZES),
             [Candidate(get_pipeline("dcir"), "base"), Candidate(bad, "broken")],

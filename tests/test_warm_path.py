@@ -3,18 +3,20 @@
 A warm request is key → LRU → rehydrate → loaded-library table → call.
 These tests count the work a hit must *not* redo (``compile`` of the
 interpreted source, ``shutil.which`` walks over PATH, fresh ``dlopen``s,
-``cc`` runs, parsing the stored spec, copying the ABI) and pin down what
-the process-level tables must never weaken: a changed ``.so``, cache
-directory or compiler misses the table, results share no mutable state,
-and concurrent callers agree.
+``cc`` runs, parsing the stored spec, serializing the requested spec,
+copying the ABI) and pin down what the process-level tables must never
+weaken: a changed ``.so``, cache directory or compiler misses the table,
+results share no mutable state, and concurrent callers agree.
 """
 
 import copy
 import ctypes
+import functools
 import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -42,16 +44,21 @@ class Calls:
         self.count += 1
         return self.wrapped(*args, **kwargs)
 
+    def __get__(self, instance, owner=None):
+        # Installed on a class, it counts method calls too.
+        return self if instance is None else functools.partial(self, instance)
+
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Counters on the five seams a warm hit must leave alone."""
+    """Counters on the six seams a warm hit must leave alone."""
     counted = {
         "compile": Calls(compile),
         "which": Calls(shutil.which),
         "CDLL": Calls(ctypes.CDLL),
         "from_dict": Calls(PipelineSpec.from_dict),
         "deepcopy": Calls(copy.deepcopy),
+        "basis": Calls(PipelineSpec._basis),
     }
 
     def install():
@@ -61,6 +68,7 @@ def counters(monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", counted["CDLL"])
         monkeypatch.setattr(PipelineSpec, "from_dict", counted["from_dict"])
         monkeypatch.setattr(copy, "deepcopy", counted["deepcopy"])
+        monkeypatch.setattr(PipelineSpec, "_basis", counted["basis"])
         return counted
 
     return install
@@ -101,7 +109,7 @@ def test_native_warm_hits_only_hash_and_call(so_dir, native_spec, counters):
     delta = PERF.delta_since(before)
 
     assert {name: calls.count for name, calls in counted.items()} == {
-        "compile": 0, "which": 0, "CDLL": 0, "from_dict": 0, "deepcopy": 0,
+        "compile": 0, "which": 0, "CDLL": 0, "from_dict": 0, "deepcopy": 0, "basis": 0,
     }
     assert delta.get("toolchain.so_cache_hits", 0) == WARM_HITS
     assert delta.get("toolchain.cc_runs", 0) == 0
@@ -119,6 +127,8 @@ def test_interpreted_hits_compile_once_into_fresh_namespaces(counters):
     # One compile for the first hit's "<cached:...>" name — none when an
     # earlier test of this process already loaded the same artifact.
     assert counted["compile"].count <= 1
+    # By name: the registered spec itself, whose key text was built by the miss.
+    assert counted["from_dict"].count == 0 and counted["basis"].count == 0
     assert all(r.cache_hit and r.run()["__return"] == expected for r in results)
     namespaces = {id(r.runner.__globals__) for r in results}
     assert len(namespaces) == WARM_HITS
@@ -139,9 +149,19 @@ def test_hits_parse_their_own_spec_on_first_read():
         assert result.spec.content_id() == stored.content_id()
     assert first.spec is first.spec and first.spec is not second.spec
 
-    first.spec.data_passes.pop()
-    first.spec.codegen.vectorize = True
-    assert second.spec.content_id() == stored.content_id()
+    # Every kind of edit raises; the sibling, the stored spec and the payload stay.
+    with pytest.raises(AttributeError):
+        first.spec.data_passes.pop()
+    with pytest.raises(FrozenInstanceError):
+        first.spec.codegen.vectorize = True
+    with pytest.raises(FrozenInstanceError):
+        first.spec.name = "renamed"
+    with pytest.raises(TypeError, match="derive a new spec"):
+        first.spec.data_passes[0].params["tile_size"] = 16
+    with pytest.raises(TypeError, match="derive a new spec"):
+        first.spec.frontend_options["run_verifier"] = False
+    assert first.spec.content_id() == second.spec.content_id() == stored.content_id()
+    assert stored == get_pipeline("dcir")
     assert payload["spec"] == document
     assert cache.get_or_compile(source, stored).spec.content_id() == stored.content_id()
 
@@ -279,7 +299,7 @@ def test_table_hits_share_no_abi_state(so_dir, gemm_code):
     assert second.run()["__return"] == expected
 
 
-# -- specs coerce once, and still alias nothing ------------------------------------------------
+# -- specs are values: parsed once, and no edit reaches them ----------------------------------
 
 
 def test_from_dict_shares_no_params_with_its_input_or_a_sibling():
@@ -296,12 +316,38 @@ def test_from_dict_shares_no_params_with_its_input_or_a_sibling():
         assert params == raw and params is not raw
         assert params["only_matches"] is not raw["only_matches"]
         assert spec.frontend_options["defines"] is not document["frontend"]["defines"]
-    assert first.data_passes[-1].params is not second.data_passes[-1].params
-    assert first.data_passes[0].params is not second.data_passes[0].params  # empty ones too
 
+    # Editing the input document after parsing reaches neither spec ...
     raw["only_matches"].append(2)
-    first.data_passes[-1].params["tile_size"] = 16
+    document["frontend"]["defines"]["N"].append(3)
+    # ... and every kind of edit of a spec raises.
+    tiling = first.data_passes[-1]
+    with pytest.raises(FrozenInstanceError):
+        first.bridge = False
+    with pytest.raises(FrozenInstanceError):
+        tiling.params = {}
+    with pytest.raises(AttributeError):
+        first.data_passes.append(tiling)
+    with pytest.raises(AttributeError):
+        first.data_passes.pop()
+    with pytest.raises(TypeError, match="derive a new spec"):
+        tiling.params["tile_size"] = 16
+    with pytest.raises(TypeError, match="derive a new spec"):
+        tiling.params["only_matches"].append(2)
+    with pytest.raises(TypeError, match="derive a new spec"):
+        first.frontend_options["defines"] = {}
+    with pytest.raises(TypeError, match="derive a new spec"):
+        first.frontend_options["defines"]["N"].append(3)
+    for spec in (first, second):
+        assert spec.data_passes[-1].params == {"tile_size": 8, "only_matches": [0, 1]}
+        assert spec.frontend_options == {"defines": {"N": [1, 2]}}
+    assert first.content_id() == second.content_id()
+    assert first.with_passes(
+        "data", [*first.data_passes[:-1], tiling.with_params(tile_size=16)]
+    ).content_id() != first.content_id()
+
+    # Serialized output is the caller's: plain containers it may edit freely.
+    params = second.cache_basis()["data_passes"][-1]["params"]
+    assert params is not second.data_passes[-1].params
+    params["only_matches"].append(5)
     assert second.data_passes[-1].params == {"tile_size": 8, "only_matches": [0, 1]}
-    assert first.content_id() != second.content_id()
-    # Serializing a key copies nothing, and must not let the caller in either.
-    assert second.cache_basis()["data_passes"][-1]["params"] is not second.data_passes[-1].params
