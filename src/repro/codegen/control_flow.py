@@ -37,11 +37,13 @@ class SequenceNode(ControlFlowNode):
 
 @dataclass
 class LoopNode(ControlFlowNode):
-    """``while condition:`` loop around a guard state."""
+    """``while condition:`` loop around a guard state; ``info`` is what
+    :func:`~repro.transforms.loop_analysis.find_loops` found about it."""
 
     guard: SDFGState
     condition: Expr
     body: SequenceNode
+    info: LoopInfo
     exit_assignments: Dict[str, Expr] = field(default_factory=dict)
 
 
@@ -124,6 +126,7 @@ class ControlFlowBuilder:
                         condition=loop.body_edge.data.condition,
                         body=body,
                         exit_assignments=dict(loop.exit_edge.data.assignments),
+                        info=loop,
                     )
                 )
                 current = loop.exit_edge.dst

@@ -133,7 +133,7 @@ def _walk(sdfg: SDFG, node: ControlFlowNode, multiplier: float, symbols, report)
     elif isinstance(node, StateNode):
         _count_state(sdfg, node.state, multiplier, symbols, report)
     elif isinstance(node, LoopNode):
-        trips = _loop_trip_count(sdfg, node, symbols)
+        trips = _loop_trip_count(node, symbols)
         report.iterations += multiplier * trips
         _count_state(sdfg, node.guard, multiplier * (trips + 1), symbols, report)
         _walk(sdfg, node.body, multiplier * trips, symbols, report)
@@ -186,15 +186,9 @@ def _map_body_executions(map_obj, symbols) -> float:
     return product
 
 
-def _loop_trip_count(sdfg: SDFG, node: LoopNode, symbols) -> float:
-    from ..transforms.loop_analysis import find_loops
-
-    for loop in find_loops(sdfg):
-        if loop.guard is node.guard:
-            trip = loop.trip_count()
-            if trip is not None:
-                return max(0.0, _evaluate(trip, symbols, default=1.0))
-    return 1.0
+def _loop_trip_count(node: LoopNode, symbols) -> float:
+    trip = node.info.trip_count()
+    return 1.0 if trip is None else max(0.0, _evaluate(trip, symbols, default=1.0))
 
 
 def _count_state(sdfg: SDFG, state: SDFGState, multiplier: float, symbols, report: MovementReport) -> None:

@@ -38,6 +38,18 @@ values: the copy that binds it is the slice it reads
 per iteration of the maps around its binding, allocated where that map
 is entered and indexed by their parameters ahead of its own dimensions
 (``_arr_2_copies[0:10, 0:8, 0:12] = 0.0``).
+
+A loop nest with no map in it runs on Python lists.  A **scalar region**
+is an outermost loop with no map, whole-array copy or dispatch region in
+it, over transient ``float64`` containers, arrays only at a point, whose
+tasklets compute on floats only what gives ``np.float64``'s bits
+(:data:`SAME_BITS`).  Each array it touches is a list while it runs
+(``_arr_0_l = _arr_0.tolist()``, ``_arr_0_l[i_0 - 1][j_0]``); the arrays it
+wrote are stored back after it (``_arr_0[...] = _arr_0_l``), the live
+scalars it wrote made ``np.float64`` again.  In it a counted loop is a
+``for`` over a ``range``, then its induction is set to the value the
+``while`` would leave.  An element read is a list index, not a boxed NumPy
+scalar: seidel-2d, floyd-warshall and softmax run 3–6 times faster.
 """
 
 from __future__ import annotations
@@ -46,14 +58,18 @@ import ast
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..perf import PERF
 from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
-from ..sdfg import SDFG, Memlet, Scalar, Tasklet
+from ..sdfg import SDFG, AccessNode, Array, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
 from ..sdfg.nodes import MapEntry
-from ..sdfg.tasklet_code import OPERATORS, Refused, Unspelled, as_operand, spell
+from ..sdfg.tasklet_code import (
+    OPERATORS, Refused, Unspelled, as_operand, construct, spell, statements,
+)
+from .control_flow import LoopNode, states_in_tree
 from .loader import load_entry
 from .sdfg_walk import UPDATE_OPERATORS, SDFGWalker, sliced_dims
 from .writer import SourceWriter
@@ -84,6 +100,28 @@ NUMPY = {
     "float": "np.float64({})", "int": "np.int64({})", "abs": "abs({})",
     "bool": Refused("bool_cast"), "min": Refused("min_max"), "max": Refused("min_max"),
 }
+
+
+#: The operators and calls that give the same bits on a Python ``float`` as
+#: on ``np.float64`` (``tests/test_codegen_scalar_regions.py``): all a scalar
+#: region computes on floats.  Division only by a nonzero literal: a ``float``
+#: raises where ``np.float64`` gives ``inf``.
+SAME_BITS = frozenset({
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd, ast.IfExp, "abs", "float", "min",
+    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+})
+
+
+def _admitted(node, _, floating):
+    """A :data:`SCALAR` row: anything on integers, on a float what :data:`SAME_BITS` admits."""
+    divisor = node.right if isinstance(getattr(node, "op", None), ast.Div) else None
+    return None if floating and (construct(node) not in SAME_BITS or divisor is not None and not (
+        isinstance(divisor, ast.Constant) and type(divisor.value) in (int, float) and divisor.value
+    )) else ""
+
+
+#: What a scalar region admits, as a spelling table whose rows spell nothing.
+SCALAR = dict.fromkeys(NUMPY, _admitted)
 
 
 @lru_cache(maxsize=8192)  # one per tasklet body: ``statements`` shares them
@@ -129,6 +167,10 @@ class PythonEmitter(SDFGWalker):
         #: ``None``\ s after ``np.arange(…)[:, …]``), for those bound and not
         #: yet left behind by a nested map.
         self._grids: Dict[str, int] = {}
+        #: In a scalar region: each array it touches → the name of its list.
+        self._lists: Optional[Dict[str, str]] = None
+        #: The inductions of the ``for`` loops being emitted, not assigned.
+        self._counting: Set[str] = set()
 
     expr = staticmethod(str)  # ``str(expr)`` is Python source: symbolic/printer.py
 
@@ -182,7 +224,104 @@ class PythonEmitter(SDFGWalker):
 
     # -- control flow ------------------------------------------------------------------
     def emit_assignment(self, name: str, value: Expr) -> None:
-        self.writer.emit(f"{name} = {value}")
+        if name not in self._counting:
+            self.writer.emit(f"{name} = {value}")
+
+    def emit_loop(self, node: LoopNode) -> None:
+        region = self._region(node) if self._lists is None else None
+        counted = self._range(node) if self._lists is not None else None
+        if region is not None:  # its arrays as lists while it runs
+            touched, written = region
+            PERF.increment("codegen.python.scalar_regions")
+            self._lists, taken = {}, self.sdfg.arrays.keys() | self.sdfg.symbols.keys()
+            for data in touched:
+                if isinstance(self.sdfg.arrays[data], Array):
+                    name = f"{data}_l"
+                    while name in taken:
+                        name += "_"
+                    self._lists[data] = name
+                    self.writer.emit(f"{name} = {data}.tolist()")
+            self.emit_loop(node)
+            lists, self._lists = self._lists, None
+            live = self._liveness()[node.guard] if written - lists.keys() else ()
+            for data in sorted(written):
+                if data in lists:
+                    self.writer.emit(f"{data}[...] = {lists[data]}")
+                elif data in live:
+                    self.writer.emit(f"{data} = np.float64({data})")
+        elif counted is not None:  # its latch's step is the range's
+            induction, span, last = counted
+            self._counting.add(induction)
+            with self.writer.block(f"for {induction} in range({span})"):
+                self._emit_sequence(node.body)
+            self._counting.discard(induction)
+            self.writer.emit(f"{induction} = {last}")
+        else:
+            super().emit_loop(node)
+
+    def _region(self, node: LoopNode) -> Optional[Tuple[List[str], Set[str]]]:
+        """``(touched, written)`` containers of a loop that is a scalar region:
+        no map, whole-array copy or dispatch region (which runs on past the
+        loop) in it, interstate edges over symbols, transient ``float64``
+        containers, arrays at points, tasklets :meth:`_scalar_tasklet` accepts."""
+        arrays, states = self.sdfg.arrays, states_in_tree(node)
+        if not (node.info.body_states | {node.guard}).issuperset(states):
+            return None
+        touched, written = set(), set()
+        for state in states:
+            for item in state.nodes():
+                if isinstance(item, AccessNode):
+                    touched.add(item.data)
+                elif not isinstance(item, Tasklet) or not self._scalar_tasklet(state, item):
+                    return None
+            for edge in state.edges():
+                memlet, ends = edge.data, (edge.src, edge.dst)
+                points = [isinstance(end, AccessNode) and isinstance(arrays[end.data], Array)
+                          for end in ends]
+                if memlet.is_empty:  # an order, or a tasklet's whole array
+                    if any(points) and not all(isinstance(end, AccessNode) for end in ends):
+                        return None
+                elif all(points) or isinstance(arrays[memlet.data], Array) and (
+                    memlet.dynamic or memlet.subset is None or not memlet.subset.is_point()
+                ):
+                    return None
+                else:  # a tasklet writes what its memlet names, a copy its destination
+                    touched.add(memlet.data)
+                    if isinstance(edge.dst, AccessNode):
+                        written.add(memlet.data if isinstance(edge.src, Tasklet) else edge.dst.data)
+        if any(not arrays[data].transient or arrays[data].dtype != "float64" for data in touched) \
+                or any(edge.data.free_symbols() & arrays.keys()
+                       for state in states for edge in self.sdfg.out_edges(state)):
+            return None
+        return sorted(touched), written
+
+    def _scalar_tasklet(self, state, tasklet: Tasklet) -> bool:
+        """Whether each statement of a tasklet is a float :data:`SCALAR` spells:
+        connectors and unknown names count as floats, symbols as their type."""
+        body = statements(tasklet.code) if tasklet.language == "python" else None
+        connectors = {edge.dst_conn for edge in state.in_edges(tasklet)}
+        dtypes = {name: dtype for name, dtype in self._name_dtypes.items() if name not in connectors}
+        try:
+            return body is not None and all(statement.target is not None and spell(
+                statement.value, SCALAR, lambda name: (name, dtypes.get(name, "float64"))
+            )[1] == "float64" for statement in body)
+        except Unspelled:
+            return False
+
+    def _range(self, node: LoopNode) -> Optional[Tuple[str, str, Expr]]:
+        """``(induction, range arguments, exit value)`` of a loop counted up by
+        a positive literal over bounds nothing in it or on its entry assigns
+        (:func:`~repro.transforms.loop_analysis.induction_ranges`), with one
+        latch that assigns nothing else, no guard state and integral bounds.
+        The exit value is the one the ``while`` would leave."""
+        info, body = node.info, next(iter(node.info.body_states), None)
+        induction, start, end = info.induction_symbol, info.init_expr, info.bound_expr
+        if induction not in self._inductions().get(body, ()) or not node.guard.is_empty() or \
+                [edge.data.assignments.keys() for edge in info.latch_edges] != [{induction}] or \
+                not (self._integral(start) and self._integral(end)):
+            return None
+        last = Max.make(start, start + info.trip_count() * info.step_expr)
+        return induction, self._span(Range(start, end, info.step_expr), ", "), last
 
     def dispatch_register(self, node):
         codes = {state: repr(state.label) for state in node.states}
@@ -208,11 +347,11 @@ class PythonEmitter(SDFGWalker):
         if destination_scalar and source_scalar:
             self.writer.emit(f"{destination} = {self._scalar(source)}")
         elif destination_scalar:
-            element = self._subscript(subset) if subset is not None else "[0]"
-            self.writer.emit(f"{destination} = {source}{element}")
+            element = self._point(source, subset) if subset is not None else f"{source}[0]"
+            self.writer.emit(f"{destination} = {element}")
         elif source_scalar:
-            element = self._subscript(subset) if subset is not None else "[:]"
-            self.writer.emit(f"{destination}{element} = {source}")
+            element = self._point(destination, subset) if subset is not None else f"{destination}[:]"
+            self.writer.emit(f"{element} = {source}")
         else:
             self.writer.emit(f"np.copyto({destination}, {source})")
 
@@ -248,7 +387,7 @@ class PythonEmitter(SDFGWalker):
 
     def write_target(self, data: str, descriptor, subset: Subset) -> str:
         if subset.is_point():
-            return data + self._subscript(subset)
+            return self._point(data, subset)
         return f"{data}[{self._slices(subset)}]"
 
     def emit_update(self, target: str, descriptor, wcr, value: str, atomic: bool = False) -> None:
@@ -371,6 +510,12 @@ class PythonEmitter(SDFGWalker):
             text += f".transpose({', '.join(str(order.index(axis)) for axis in ordered)})"
         axes = [":" if axis in order else "None" for axis in range(start, len(nest))]
         return text + (_subscript_of(axes) if "None" in axes else "")
+
+    def _point(self, data: str, subset: Subset) -> str:
+        """``data[subset]``; in a scalar region, the element of its list."""
+        if self._lists is None:
+            return data + self._subscript(subset)
+        return self._lists[data] + "".join(f"[{index}]" for index in subset.indices())
 
     def _grid(self, param: str) -> str:
         """A nest parameter as its values along its axis — ``np.arange(…)``

@@ -497,15 +497,7 @@ class SDFGWalker:
         elif isinstance(node, SequenceNode):
             self._emit_sequence(node)
         elif isinstance(node, LoopNode):
-            if node.guard.is_empty():
-                with writer.block(self.while_header.format(self.expr(node.condition))):
-                    self._emit_sequence(node.body)
-            else:
-                with writer.block(self.while_header.format(self.true)):
-                    self._emit_state(node.guard)
-                    with writer.block(self.unless_header.format(self.expr(node.condition))):
-                        writer.emit("break" + self.end)
-                    self._emit_sequence(node.body)
+            self.emit_loop(node)
             self._emit_assignments(node.exit_assignments)
         elif isinstance(node, BranchNode):
             with writer.block(self.if_header.format(self.expr(node.condition))):
@@ -517,6 +509,20 @@ class SDFGWalker:
             self._emit_dispatch(node)
         else:  # pragma: no cover - defensive
             raise self.error(f"Unknown control-flow node {node!r}")
+
+    def emit_loop(self, node: LoopNode) -> None:
+        """One loop of the control-flow tree, up to its exit assignments: a
+        ``while`` around its body, with its guard state (if any) ahead of the test."""
+        writer = self.writer
+        if node.guard.is_empty():
+            with writer.block(self.while_header.format(self.expr(node.condition))):
+                self._emit_sequence(node.body)
+            return
+        with writer.block(self.while_header.format(self.true)):
+            self._emit_state(node.guard)
+            with writer.block(self.unless_header.format(self.expr(node.condition))):
+                writer.emit("break" + self.end)
+            self._emit_sequence(node.body)
 
     def _emit_arm(self, assignments: Dict[str, Expr], body: SequenceNode) -> None:
         self._emit_assignments(assignments)

@@ -73,6 +73,9 @@ class _FrozenDict(dict):
         # Pickle and deepcopy would otherwise refill the copy item by item.
         return _FrozenDict, (dict(self),)
 
+    def __hash__(self):  # equal dicts hold equal items, in any order
+        return hash(frozenset(self.items()))
+
 
 class _FrozenList(list):
     """A ``list`` that refuses edits; equal to, and serialized as, a plain one."""
@@ -83,6 +86,9 @@ class _FrozenList(list):
 
     def __reduce__(self):
         return _FrozenList, (list(self),)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 def _freeze(value):

@@ -841,6 +841,8 @@ class TestCounted:
         arrays = totals.pop("codegen.python.array_maps")
         loops = totals.pop("codegen.python.loop_maps", 0)
         assert (arrays, loops) == (157, 0)
+        # Map-free loop nests, not maps: tests/test_codegen_scalar_regions.py.
+        assert totals.pop("codegen.python.scalar_regions") == 4
         kinds = {"codegen.python.array_maps." + kind.replace(" ", "_") for kind in ARRAY_KINDS}
         assert sum(totals.pop(kind) for kind in kinds) == arrays  # all three kinds occur
         assert sum(totals.values()) == loops  # each loop is refused under one name

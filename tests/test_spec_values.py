@@ -123,3 +123,23 @@ def test_serialized_output_is_plain_containers():
     assert type(tiling["params"]["only_matches"]) is list
     assert type(document["codegen"]) is dict
     assert PipelineSpec.from_dict(document) == _nested()
+
+
+def test_equal_specs_hash_equal_and_key_a_dict():
+    """Hashing agrees with equality, down through the read-only params."""
+    table = {get_pipeline(name): name for name in PAPER_PIPELINES}
+    assert len(table) == len(PAPER_PIPELINES)
+    for name in PAPER_PIPELINES:
+        rebuilt = PipelineSpec.from_dict(get_pipeline(name).to_dict())
+        assert rebuilt is not get_pipeline(name) and table[rebuilt] == name
+    reordered = PipelineSpec(
+        name="nested",
+        frontend_options={"defines": {"M": [], "N": [1, 2]}},
+        control_passes=["cse"],
+        bridge=True,
+        data_passes=[PassSpec("map-tiling", {"only_matches": [0, 2], "tile_size": 8})],
+    )
+    for equal in (reordered, pickle.loads(pickle.dumps(_nested())), copy.deepcopy(_nested())):
+        assert equal == _nested() and hash(equal) == hash(_nested())
+    assert {_nested(): 1}[reordered] == 1
+    assert len({_nested(), _nested().derive(name="other")}) == 2
