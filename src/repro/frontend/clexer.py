@@ -62,10 +62,16 @@ class CLexerError(Exception):
     """Raised when the source contains characters the lexer cannot handle."""
 
 
-_FLOAT_RE = re.compile(r"\d+\.\d*([eE][+-]?\d+)?[fF]?|\.\d+([eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?")
-_INT_RE = re.compile(r"0[xX][0-9a-fA-F]+|\d+[uUlL]*")
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_STRING_RE = re.compile(r'"(\\.|[^"\\])*"')
+# One alternation tried in the order float, int, identifier, string,
+# operator (longest first); whitespace is skipped, counting newlines.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<float>\d+\.\d*(?:[eE][+-]?\d+)?[fF]?|\.\d+(?:[eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?)"
+    r"|(?P<int>0[xX][0-9a-fA-F]+|\d+[uUlL]*)"
+    r"|(?P<id>[A-Za-z_][A-Za-z_0-9]*)"
+    r'|(?P<string>"(?:\\.|[^"\\])*")'
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
+)
 
 
 def preprocess(source: str) -> Tuple[str, Dict[str, str]]:
@@ -109,44 +115,21 @@ def tokenize(source: str) -> List[Token]:
     line = 1
     length = len(source)
     while position < length:
-        char = source[position]
-        if char == "\n":
-            line += 1
-            position += 1
+        match = _TOKEN_RE.match(source, position)
+        if match is None:
+            raise CLexerError(f"Unexpected character {source[position]!r} at line {line}")
+        kind = match.lastgroup
+        text = match.group()
+        position = match.end()
+        if kind == "space":
+            line += text.count("\n")
             continue
-        if char.isspace():
-            position += 1
-            continue
-        match = _FLOAT_RE.match(source, position)
-        if match and ("." in match.group(0) or "e" in match.group(0) or "E" in match.group(0)):
-            text = match.group(0).rstrip("fF")
-            tokens.append(Token("float", text, line))
-            position = match.end()
-            continue
-        match = _INT_RE.match(source, position)
-        if match:
-            text = match.group(0)
-            tokens.append(Token("int", text.rstrip("uUlL"), line))
-            position = match.end()
-            continue
-        match = _ID_RE.match(source, position)
-        if match:
-            text = match.group(0)
-            kind = "keyword" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, line))
-            position = match.end()
-            continue
-        match = _STRING_RE.match(source, position)
-        if match:
-            tokens.append(Token("string", match.group(0), line))
-            position = match.end()
-            continue
-        for operator in OPERATORS:
-            if source.startswith(operator, position):
-                tokens.append(Token("op", operator, line))
-                position += len(operator)
-                break
-        else:
-            raise CLexerError(f"Unexpected character {char!r} at line {line}")
+        if kind == "float":
+            text = text.rstrip("fF")
+        elif kind == "int":
+            text = text.rstrip("uUlL")
+        elif kind == "id" and text in KEYWORDS:
+            kind = "keyword"
+        tokens.append(Token(kind, text, line))
     tokens.append(Token("eof", "", line))
     return tokens

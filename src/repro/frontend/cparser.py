@@ -294,15 +294,20 @@ class CParser:
         ("*", "/", "%"),
     ]
 
+    _LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
     def parse_binary(self, level: int) -> Expression:
-        if level >= len(self._PRECEDENCE):
-            return self.parse_unary()
-        lhs = self.parse_binary(level + 1)
-        while self.peek().text in self._PRECEDENCE[level] and self.peek().kind == "op":
-            op = self.next().text
-            rhs = self.parse_binary(level + 1)
-            lhs = BinaryOp(op, lhs, rhs)
-        return lhs
+        """Parse operators of ``_PRECEDENCE[level:]`` by precedence climbing:
+        a right operand takes only operators binding tighter than its own,
+        so one level's operators fold to the left."""
+        lhs = self.parse_unary()
+        while True:
+            token = self.peek()
+            bound = self._LEVEL.get(token.text, -1) if token.kind == "op" else -1
+            if bound < level:
+                return lhs
+            self.next()
+            lhs = BinaryOp(token.text, lhs, self.parse_binary(bound + 1))
 
     def parse_unary(self) -> Expression:
         token = self.peek()

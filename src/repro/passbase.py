@@ -7,8 +7,9 @@ the single implementation of that machinery, mirroring MLIR's homogenized
 pass infrastructure:
 
 * :class:`PassBase` — a named pass with a ``run(target) -> bool`` hook;
-* :class:`PassRunner` — runs an ordered pass list, optionally repeating
-  until a fixed point, producing a :class:`StageReport`;
+* :class:`PassRunner` — runs an ordered pass list in cycles until one
+  cycle's worth of runs in a row changes nothing, producing a
+  :class:`StageReport`;
 * :class:`PassRegistry` — a name → pass-class registry so declarative
   pipeline specs (:mod:`repro.pipeline.spec`) can reference passes by name;
 * :class:`StageReport` / :class:`PassRecord` — per-stage pass statistics;
@@ -78,8 +79,9 @@ class StageReport:
     #: Wall time of the whole stage including runner overhead; falls back
     #: to the per-pass sum when the stage was not run through a runner.
     wall_seconds: Optional[float] = None
-    #: False when the runner's ``max_iterations`` ended the stage while its
-    #: last sweep still changed something; True when it stopped by itself.
+    #: False when the runner's ``max_iterations`` ended the stage before
+    #: one cycle's worth of runs in a row changed nothing; True when it
+    #: stopped by itself.
     converged: bool = True
 
     @property
@@ -194,10 +196,17 @@ def match_suffix(record: PassRecord) -> str:
 
 
 class PassRunner:
-    """Runs an ordered sequence of passes, optionally to a fixed point.
+    """Runs an ordered sequence of passes in cycles, up to a fixed point.
 
     The runner is IR-agnostic: it only requires each pass to implement
-    ``run(target) -> bool``.
+    ``run(target) -> bool``.  It runs the passes in order, again and
+    again, and stops as soon as the last ``len(passes)`` runs all
+    reported no change: every pass has then seen the current IR and
+    found nothing to do, and since a pass is a deterministic function of
+    the IR, any further run would be quiet too.  ``max_iterations`` caps
+    the stage at that many cycles (``max_iterations × len(passes)``
+    runs); the report's ``converged`` is False when the cap, not such a
+    quiet cycle, ended it.
     """
 
     def __init__(
@@ -213,26 +222,27 @@ class PassRunner:
     def run(self, target) -> StageReport:
         report = StageReport(stage=self.stage)
         wall_start = time.perf_counter()
-        for _ in range(self.max_iterations):
-            iteration_changed = False
-            for pass_obj in self.passes:
-                start = time.perf_counter()
-                changed = bool(pass_obj.run(target))
-                elapsed = time.perf_counter() - start
-                report.records.append(PassRecord(
-                    pass_obj.name, changed, elapsed,
-                    # Pattern-based passes report per-invocation site counts.
-                    matches=getattr(pass_obj, "last_matches", None),
-                    applied=getattr(pass_obj, "last_applied", None),
-                ))
-                PERF.increment("passes.runs")
-                if changed:
-                    PERF.increment("passes.applied")
-                iteration_changed = iteration_changed or changed
-            if not iteration_changed:
+        cycle = len(self.passes)
+        quiet = 0  # runs since the last one that changed something
+        for pass_obj in self.passes * self.max_iterations:
+            if quiet == cycle:
                 break
-        else:
-            report.converged = False
+            start = time.perf_counter()
+            changed = bool(pass_obj.run(target))
+            elapsed = time.perf_counter() - start
+            report.records.append(PassRecord(
+                pass_obj.name, changed, elapsed,
+                # Pattern-based passes report per-invocation site counts.
+                matches=getattr(pass_obj, "last_matches", None),
+                applied=getattr(pass_obj, "last_applied", None),
+            ))
+            PERF.increment("passes.runs")
+            if changed:
+                PERF.increment("passes.applied")
+                quiet = 0
+            else:
+                quiet += 1
+        report.converged = quiet == cycle
         report.wall_seconds = time.perf_counter() - wall_start
         return report
 

@@ -13,7 +13,18 @@ from repro.dialects.sdfg_dialect import (
     SymbolStore,
     TaskletOp,
 )
-from repro.frontend import CParseError, LoweringError, compile_c_to_ast, compile_c_to_mlir, parse_c
+from repro.frontend import (
+    CLexerError,
+    CParseError,
+    LoweringError,
+    compile_c_to_ast,
+    compile_c_to_mlir,
+    parse_c,
+    preprocess,
+    tokenize,
+)
+from repro.frontend import c_ast
+from repro.frontend.cparser import CParser
 from repro.ir import (
     Builder,
     DYNAMIC,
@@ -243,6 +254,168 @@ class TestCFrontend:
 
     def test_verifies(self):
         verify(compile_c_to_mlir(CSOURCE))
+
+
+def _tokens(source):
+    return [(t.kind, t.text) for t in tokenize(preprocess(source)[0])][:-1]
+
+
+_PRECEDENCE = CParser._PRECEDENCE
+
+
+def _shape(node):
+    """An expression fully parenthesized, one pair per operator."""
+    if isinstance(node, c_ast.BinaryOp):
+        return f"({_shape(node.lhs)} {node.op} {_shape(node.rhs)})"
+    if isinstance(node, c_ast.UnaryOp):
+        return f"({node.op}{_shape(node.operand)})"
+    if isinstance(node, c_ast.Cast):
+        return f"(({node.ctype.base}){_shape(node.operand)})"
+    if isinstance(node, c_ast.Ternary):
+        parts = (node.condition, node.then_value, node.else_value)
+        return "({} ? {} : {})".format(*map(_shape, parts))
+    if isinstance(node, c_ast.Assignment):
+        return f"({_shape(node.target)} {node.op}= {_shape(node.value)})"
+    if isinstance(node, c_ast.IncDec):
+        return f"({node.op}{_shape(node.target)})" if node.prefix else f"({_shape(node.target)}{node.op})"
+    if isinstance(node, c_ast.Subscript):
+        return f"{_shape(node.base)}[{_shape(node.index)}]"
+    if isinstance(node, c_ast.Call):
+        return f"{node.name}({', '.join(map(_shape, node.arguments))})"
+    if isinstance(node, c_ast.Identifier):
+        return node.name
+    return repr(node.value)
+
+
+def _parsed(expression):
+    parser = CParser(tokenize(preprocess(expression)[0]))
+    node = parser.parse_expression()
+    assert parser.peek().kind == "eof", expression
+    return _shape(node)
+
+
+class TestCLexer:
+    @pytest.mark.parametrize("source, tokens", [
+        ("a<<=b", [("id", "a"), ("op", "<<="), ("id", "b")]),
+        ("a>>=b", [("id", "a"), ("op", ">>="), ("id", "b")]),
+        ("p->x", [("id", "p"), ("op", "->"), ("id", "x")]),
+        ("i++", [("id", "i"), ("op", "++")]),
+        ("s+=t", [("id", "s"), ("op", "+="), ("id", "t")]),
+        ("a+++b", [("id", "a"), ("op", "++"), ("op", "+"), ("id", "b")]),
+        ("a<<b<=c", [("id", "a"), ("op", "<<"), ("id", "b"), ("op", "<="), ("id", "c")]),
+        ("a&&b&c", [("id", "a"), ("op", "&&"), ("id", "b"), ("op", "&"), ("id", "c")]),
+        ("a- -b", [("id", "a"), ("op", "-"), ("op", "-"), ("id", "b")]),
+    ])
+    def test_operators_match_longest_first(self, source, tokens):
+        assert _tokens(source) == tokens
+
+    @pytest.mark.parametrize("source, token", [
+        ("1.", ("float", "1.")),
+        (".5", ("float", ".5")),
+        ("1e5", ("float", "1e5")),
+        ("2.5e-3f", ("float", "2.5e-3")),
+        ("3.F", ("float", "3.")),
+        ("1E+2", ("float", "1E+2")),
+        ("0x1F", ("int", "0x1F")),
+        ("10UL", ("int", "10")),
+        ("7", ("int", "7")),
+        ('"a \\" b"', ("string", '"a \\" b"')),
+    ])
+    def test_literals(self, source, token):
+        assert _tokens(source) == [token]
+
+    def test_a_literal_and_what_follows(self):
+        assert _tokens("x[1.5e2f*.5]") == [
+            ("id", "x"), ("op", "["), ("float", "1.5e2"), ("op", "*"),
+            ("float", ".5"), ("op", "]"),
+        ]
+        assert _tokens("1.x") == [("float", "1."), ("id", "x")]
+
+    @pytest.mark.parametrize("word, kind", [
+        ("int", "keyword"), ("for", "keyword"), ("sizeof", "keyword"),
+        ("integer", "id"), ("for_", "id"), ("_int", "id"), ("int2", "id"),
+    ])
+    def test_keywords_are_whole_words(self, word, kind):
+        assert _tokens(word) == [(kind, word)]
+
+    def test_lines_stay_right_after_comments_and_defines(self):
+        source = (
+            "/* one\n"
+            "   two */ int x;\n"
+            "#define N 4\n"
+            "// four\n"
+            "float y = N; /* six\n"
+            "*/\n"
+            "\t\r\n"
+            "z"
+        )
+        lines = [(t.text, t.line) for t in tokenize(preprocess(source)[0])]
+        assert lines == [
+            ("int", 2), ("x", 2), (";", 2),
+            ("float", 5), ("y", 5), ("=", 5), ("(", 5), ("4", 5), (")", 5), (";", 5),
+            ("z", 8), ("", 8),
+        ]
+
+    def test_an_unknown_character_names_its_line(self):
+        with pytest.raises(CLexerError, match=r"^Unexpected character '@' at line 3$"):
+            tokenize("int f() {\n\n  return @; }")
+
+
+class TestCExpressions:
+    @pytest.mark.parametrize("level", range(len(_PRECEDENCE) - 1))
+    def test_each_level_binds_looser_than_the_next(self, level):
+        for loose in _PRECEDENCE[level]:
+            for tight in _PRECEDENCE[level + 1]:
+                assert _parsed(f"a {loose} b {tight} c") == f"(a {loose} (b {tight} c))"
+                assert _parsed(f"a {tight} b {loose} c") == f"((a {tight} b) {loose} c)"
+
+    def test_every_level_binds_looser_than_every_later_one(self):
+        firsts = [ops[0] for ops in _PRECEDENCE]
+        for i, loose in enumerate(firsts):
+            for tight in firsts[i + 1:]:
+                assert _parsed(f"a {loose} b {tight} c {loose} d") == (
+                    f"((a {loose} (b {tight} c)) {loose} d)"
+                )
+
+    @pytest.mark.parametrize("ops", _PRECEDENCE)
+    def test_one_level_folds_left(self, ops):
+        for first in ops:
+            for second in ops:
+                assert _parsed(f"a {first} b {second} c") == f"((a {first} b) {second} c)"
+
+    @pytest.mark.parametrize("expression, shape", [
+        ("a - b - c", "((a - b) - c)"),
+        ("a / b / c", "((a / b) / c)"),
+        ("a < b == c", "((a < b) == c)"),
+        ("a - b - c - d", "(((a - b) - c) - d)"),
+        ("a - (b - c)", "(a - (b - c))"),
+        ("a || b && c || d", "((a || (b && c)) || d)"),
+        ("a + b * c - d / e % f", "((a + (b * c)) - ((d / e) % f))"),
+    ])
+    def test_associativity_and_grouping(self, expression, shape):
+        assert _parsed(expression) == shape
+
+    @pytest.mark.parametrize("expression, shape", [
+        ("-a * b", "((-a) * b)"),
+        ("!a && b", "((!a) && b)"),
+        ("-(a + b) * c", "((-(a + b)) * c)"),
+        ("a * -b + c", "((a * (-b)) + c)"),
+        ("(double)a / b", "(((double)a) / b)"),
+        ("(int)(a + b) * c", "(((int)(a + b)) * c)"),
+        ("a++ + b", "((a++) + b)"),
+        ("--a * b", "((--a) * b)"),
+        ("x[i + 1] * 2", "(x[(i + 1)] * 2)"),
+        ("f(a + b, c * d) - e", "(f((a + b), (c * d)) - e)"),
+        ("a ? b + c : d - e", "(a ? (b + c) : (d - e))"),
+        ("a || b ? c : d", "((a || b) ? c : d)"),
+        ("a < b ? a : b * 2", "((a < b) ? a : (b * 2))"),
+        ("x = a + b * c", "(x = (a + (b * c)))"),
+        ("x += a - b - c", "(x += ((a - b) - c))"),
+        ("x = y = a & b", "(x = (y = (a & b)))"),
+        ("x[i] *= a < b == c", "(x[i] *= ((a < b) == c))"),
+    ])
+    def test_binary_operators_under_other_forms(self, expression, shape):
+        assert _parsed(expression) == shape
 
 
 class TestControlCentricPasses:

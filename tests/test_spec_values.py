@@ -4,7 +4,10 @@ A spec's cache-key text and ``content_id()`` address every compile-cache
 entry, on disk too: if either moved, every cache a previous release wrote
 would silently stop hitting.  The literal digests below were computed
 before specs became frozen values, whose serializations are computed once
-per spec and spliced into each key.
+per spec and spliced into each key.  The release ``__version__`` is hashed
+into every key too, so the pinned keys are computed under the release they
+were recorded at, and any other release must move every one of them: a
+release whose emitted text differs serves nothing a previous one cached.
 """
 
 import copy
@@ -14,10 +17,15 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import repro
+import repro.service.cache as cache_module
 from repro import PassSpec, PipelineSpec, get_pipeline
 from repro.pipeline import PAPER_PIPELINES
 from repro.service.cache import cache_key
 from repro.workloads import get_kernel
+
+#: The ``__version__`` the keys below were computed under.
+PINNED_VERSION = "1.18.0"
 
 #: ``cache_key(get_kernel(kernel), pipeline, function)``, default (``small``) sizes.
 PINNED_KEYS = {
@@ -51,10 +59,26 @@ def _pipeline(label):
     return label
 
 
+def _keys():
+    return {
+        (kernel, label, function): cache_key(get_kernel(kernel), _pipeline(label), function)
+        for kernel, label, function in PINNED_KEYS
+    }
+
+
 @pytest.mark.parametrize("kernel, label, function", sorted(PINNED_KEYS, key=str))
-def test_cache_keys_are_pinned(kernel, label, function):
+def test_cache_keys_are_pinned(kernel, label, function, monkeypatch):
+    monkeypatch.setattr(cache_module, "__version__", PINNED_VERSION)
     key = cache_key(get_kernel(kernel), _pipeline(label), function)
     assert key == PINNED_KEYS[kernel, label, function]
+
+
+@pytest.mark.parametrize("version", [repro.__version__, "1.18.1", "1.17.0", "1.18", "2.0.0", ""])
+def test_any_other_version_moves_every_key(version, monkeypatch):
+    assert version != PINNED_VERSION
+    monkeypatch.setattr(cache_module, "__version__", version)
+    moved = _keys()
+    assert all(moved[entry] != PINNED_KEYS[entry] for entry in PINNED_KEYS)
 
 
 def test_paper_content_ids_are_pinned():
