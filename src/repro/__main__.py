@@ -327,8 +327,9 @@ def _named(counted: Dict[str, int], stem: str) -> str:
 
 
 def _innermost_maps(program) -> str:
-    """How the interpreted emitter wrote the program's innermost maps, from
-    the ``codegen.python.*`` counters of its report, and how many map nests
+    """How the interpreted emitter wrote the program's innermost maps (those
+    in a loop nest run on lists apart), from the ``codegen.python.*``
+    counters of its report, and how many map nests
     became one expression, from the ``codegen.python_nests.*`` ones ("" when
     it wrote no map)."""
     counted = _counted(program, "codegen.python.")
@@ -340,9 +341,11 @@ def _innermost_maps(program) -> str:
         for name, count in nests.items() if name.startswith("array_nests.depth_")
     )
     refused = sum(count for name, count in nests.items() if name.startswith("nest_refused."))
+    listed = counted.get("region_maps", 0)
     return (
         f"{counted.get('array_maps', 0)} innermost as array operations"
         + _named(counted, "array_maps.")
+        + (f", {listed} on lists" if listed else "")
         + f", {counted.get('loop_maps', 0)} as loops" + _named(counted, "refused.")
         + f"; {nests.get('array_nests', 0)} nests as one expression"
         + (f" ({', '.join(f'{count} of depth {depth}' for depth, count in depths)})"

@@ -39,39 +39,58 @@ per iteration of the maps around its binding, allocated where that map
 is entered and indexed by their parameters ahead of its own dimensions
 (``_arr_2_copies[0:10, 0:8, 0:12] = 0.0``).
 
-A loop nest with no map in it runs on Python lists.  A **scalar region**
-is an outermost loop with no map, whole-array copy or dispatch region in
-it, over transient ``float64`` containers, arrays only at a point, whose
-tasklets compute on floats only what gives ``np.float64``'s bits
-(:data:`SAME_BITS`).  Each array it touches is a list while it runs
-(``_arr_0_l = _arr_0.tolist()``, ``_arr_0_l[i_0 - 1][j_0]``); the arrays it
-wrote are stored back after it (``_arr_0[...] = _arr_0_l``), the live
+A loop nest runs on Python lists where that is faster.  A **scalar
+region** is an outermost loop with no whole-array copy or dispatch region
+in it, over transient ``float64`` containers, arrays only at a point,
+whose tasklets compute on floats only what gives ``np.float64``'s bits
+(:data:`SAME_BITS`), and whose maps, if it holds any, are short: fewer
+than :data:`SHORT_MAPS` (32) elements per array statement executed, by a
+closed-form count over the literal trip counts of its loops and maps
+(:mod:`repro.symbolic.sums`).  Each array it touches is a list while it
+runs (``_arr_0_l = _arr_0.tolist()``, ``_arr_0_l[i_0][j_0]``); the arrays
+it wrote are stored back after it (``_arr_0[...] = _arr_0_l``), the live
 scalars it wrote made ``np.float64`` again.  In it a counted loop is a
 ``for`` over a ``range``, then its induction is set to the value the
-``while`` would leave.  An element read is a list index, not a boxed NumPy
-scalar: seidel-2d, floyd-warshall and softmax run 3–6 times faster.
+``while`` would leave; a map is a ``for`` per parameter in ascending order,
+the order of the loop it was raised from and of ``accumulate``, its
+reductions into a local.  A row that does not change in a loop is bound
+ahead of it (``_arr_0_l0 = _arr_0_l[i_0 - 1]``, ``_arr_0_l0[j_0 - 1]``)
+only where its index is provably in range
+(:func:`~repro.symbolic.ranges.upper_bound`): a lookup that a loop making
+no trip would skip cannot raise.  An element read is a list index, not a
+boxed NumPy scalar: seidel-2d, floyd-warshall, softmax, cholesky and lu
+run 2–6 times faster than on NumPy.
+
+Outside array nests a ``math`` call that raises where ``np.float64`` gives
+``nan`` or ``±inf`` is guarded (``math.sqrt(x) if x >= 0.0 else
+float(np.sqrt(x))``, :data:`PYTHON`), and in a scalar region so is a
+division by anything but a literal (:data:`LISTS`).
 """
 
 from __future__ import annotations
 
 import ast
-from contextlib import ExitStack
+from collections import defaultdict
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..perf import PERF
 from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
+from ..symbolic.ranges import upper_bound
+from ..symbolic.sums import ONE, Polynomial, plus, summed
 from ..sdfg import SDFG, AccessNode, Array, Memlet, Scalar, Tasklet
 from ..sdfg.data import DTYPES
-from ..sdfg.nodes import MapEntry
+from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.tasklet_code import (
     OPERATORS, Refused, Unspelled, as_operand, construct, spell, statements,
 )
-from .control_flow import LoopNode, states_in_tree
+from .control_flow import BranchNode, DispatchNode, LoopNode, SequenceNode, StateNode, states_in_tree
 from .loader import load_entry
-from .sdfg_walk import UPDATE_OPERATORS, SDFGWalker, sliced_dims
+from .sdfg_walk import UPDATE_OPERATORS, ArrayForm, SDFGWalker, sliced_dims
 from .writer import SourceWriter
 
 
@@ -102,22 +121,98 @@ NUMPY = {
 }
 
 
+#: ``math`` calls a Python ``float`` evaluates as ``np.float64`` does only
+#: where a condition on the argument holds — elsewhere ``math`` raises where
+#: NumPy gives ``nan`` or ``±inf`` — with that condition.
+_GUARDS = {"math.sqrt": "{} >= 0.0", "math.log": "{} > 0.0", "math.log2": "{} > 0.0",
+           "math.exp": "{} <= 709.0", "math.sin": "abs({}) < math.inf",
+           "math.cos": "abs({}) < math.inf"}
+
+
+def _temporary(node, text: str) -> Tuple[str, str]:
+    """``(value, binding)``: ``text`` twice when it is a name, else a temporary
+    bound by the first use.  The temporary is ``_g`` and the number of
+    guarded nodes under and at ``node``, so no guard below it reuses it."""
+    if text.isidentifier():
+        return text, text
+    name = f"_g{sum(1 for child in ast.walk(node) if _guards(child, True))}"
+    return name, f"({name} := {text})"
+
+
+def _guards(node, lists: bool) -> bool:
+    """Whether :data:`PYTHON` (``lists``: :data:`LISTS`) guards ``node``: a
+    :data:`_GUARDS` call, in a scalar region a division by anything but a literal."""
+    return construct(node) in _GUARDS or lists and isinstance(node, ast.BinOp) and isinstance(
+        node.op, ast.Div) and not isinstance(node.right, ast.Constant)
+
+
+def _guarded_call(name: str):
+    function, condition = name[len("math."):], _GUARDS[name]
+
+    def row(node, texts, _):
+        value, binding = _temporary(node, texts[0])
+        return f"({name}({value}) if {condition.format(binding)} else float(np.{function}({value})))"
+    return row
+
+
+def _call(name: str):
+    return lambda _, texts, __: f"{name}({', '.join(texts)})"
+
+
+#: The Python spelling of a tasklet expression on scalars that calls a
+#: :data:`_GUARDS` function: the call under its guard, NumPy's value outside
+#: it (``math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))``), the rest in
+#: Python.  Any other expression is emitted as written.
+PYTHON = {
+    **dict.fromkeys((bool, int, float), lambda node, _, __: repr(node.value)),
+    **{operator: f"{{}} {text} {{}}" for operator, text in OPERATORS.items()},
+    ast.USub: "-{}", ast.UAdd: "+{}", ast.Invert: "~{}", ast.Not: "not {}",
+    ast.IfExp: lambda _, texts, __: f"{texts[0]} if {texts[2]} else {texts[1]}",
+    ast.And: lambda _, texts, __: " and ".join(texts),
+    ast.Or: lambda _, texts, __: " or ".join(texts),
+    **{name: _call(name) for name in NUMPY if isinstance(name, str)},
+    **{name: _guarded_call(name) for name in _GUARDS},
+}
+
+
+def _division(node, texts, _):
+    """``a / b`` by anything but a literal, guarded: a ``float`` raises where
+    ``np.float64`` gives ``±inf`` or ``nan``."""
+    left, right = texts
+    if not _guards(node, True):
+        return f"{left} / {right}"
+    value, binding = _temporary(node, right)
+    return f"{left} / {value} if {binding} else float(np.float64({left}) / {value})"
+
+
+#: :data:`PYTHON` in a scalar region, where elements are ``float``\ s: a
+#: division is guarded too.
+LISTS = {**PYTHON, ast.Div: _division}
+
+
+@lru_cache(maxsize=8192)
+def _respelled(assignment, lists: bool) -> bool:
+    """Whether a scalar ``assignment`` is spelled through :data:`PYTHON`
+    (``lists``: :data:`LISTS`) rather than as written."""
+    return any(_guards(node, lists) for node in ast.walk(assignment.value))
+
+
 #: The operators and calls that give the same bits on a Python ``float`` as
-#: on ``np.float64`` (``tests/test_codegen_scalar_regions.py``): all a scalar
-#: region computes on floats.  Division only by a nonzero literal: a ``float``
-#: raises where ``np.float64`` gives ``inf``.
+#: on ``np.float64`` in the spelling of :data:`LISTS`
+#: (``tests/test_codegen_scalar_regions.py``): all a scalar region computes
+#: on floats.  Not division by a literal zero, which is no number to guard.
 SAME_BITS = frozenset({
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd, ast.IfExp, "abs", "float", "min",
-    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, "math.sqrt",
 })
 
 
 def _admitted(node, _, floating):
     """A :data:`SCALAR` row: anything on integers, on a float what :data:`SAME_BITS` admits."""
     divisor = node.right if isinstance(getattr(node, "op", None), ast.Div) else None
-    return None if floating and (construct(node) not in SAME_BITS or divisor is not None and not (
-        isinstance(divisor, ast.Constant) and type(divisor.value) in (int, float) and divisor.value
-    )) else ""
+    return None if floating and (construct(node) not in SAME_BITS or isinstance(
+        divisor, ast.Constant) and not (type(divisor.value) in (int, float) and divisor.value)
+    ) else ""
 
 
 #: What a scalar region admits, as a spelling table whose rows spell nothing.
@@ -145,6 +240,43 @@ def _subscript_of(entries: List[str]) -> str:
     return f"[{', '.join(entries)}]" if entries else ""
 
 
+#: A loop nest with maps in it runs on lists when its maps compute fewer
+#: elements than this per array statement executed (:meth:`PythonEmitter._short`):
+#: there an element costs less as a ``float`` in a ``for`` loop than as its
+#: share of a NumPy call.  The nests the rule decides among the 32
+#: benchmark programs at ``medium``, list time ÷ NumPy time of the program:
+#:
+#: ===========  ========  ===========
+#: program      elements  list ÷ NumPy
+#: ===========  ========  ===========
+#: cholesky         14       0.30
+#: lu               21       0.41
+#: trisolv          62       1.10
+#: durbin           75       1.47
+#: jacobi-1d       438       8.3
+#: heat-3d         512       4.2
+#: ===========  ========  ===========
+SHORT_MAPS = 32
+
+
+#: The verdict on every map of a scalar region: a loop, in order.
+_IN_REGION = ArrayForm(reason="scalar_region")
+
+
+@dataclass
+class _Loop:
+    """A loop being emitted in a scalar region: the symbols assigned in it
+    (``None`` for a ``while``, past which nothing is hoisted), the range of
+    each induction of its header, where its header is, and each row bound
+    ahead of it → the name bound."""
+
+    assigned: Optional[Set[str]]
+    bounds: Dict[str, Range]
+    position: int
+    indent: str
+    rows: Dict[str, str] = field(default_factory=dict)
+
+
 class PythonEmitter(SDFGWalker):
     """Python syntax for the SDFG walk: a ``run(**kwargs)`` function."""
 
@@ -167,8 +299,13 @@ class PythonEmitter(SDFGWalker):
         #: ``None``\ s after ``np.arange(…)[:, …]``), for those bound and not
         #: yet left behind by a nested map.
         self._grids: Dict[str, int] = {}
-        #: In a scalar region: each array it touches → the name of its list.
+        #: In a scalar region: each array it touches → the name of its list,
+        #: the names no container, symbol, list or row has, and the loops
+        #: around what is being emitted, outermost first.
         self._lists: Optional[Dict[str, str]] = None
+        self._taken: Set[str] = set()
+        self._rows = 0
+        self._loops: List[_Loop] = []
         #: The inductions of the ``for`` loops being emitted, not assigned.
         self._counting: Set[str] = set()
 
@@ -228,54 +365,109 @@ class PythonEmitter(SDFGWalker):
             self.writer.emit(f"{name} = {value}")
 
     def emit_loop(self, node: LoopNode) -> None:
-        region = self._region(node) if self._lists is None else None
-        counted = self._range(node) if self._lists is not None else None
-        if region is not None:  # its arrays as lists while it runs
-            touched, written = region
-            PERF.increment("codegen.python.scalar_regions")
-            self._lists, taken = {}, self.sdfg.arrays.keys() | self.sdfg.symbols.keys()
-            for data in touched:
-                if isinstance(self.sdfg.arrays[data], Array):
-                    name = f"{data}_l"
-                    while name in taken:
-                        name += "_"
-                    self._lists[data] = name
-                    self.writer.emit(f"{name} = {data}.tolist()")
-            self.emit_loop(node)
-            lists, self._lists = self._lists, None
-            live = self._liveness()[node.guard] if written - lists.keys() else ()
-            for data in sorted(written):
-                if data in lists:
-                    self.writer.emit(f"{data}[...] = {lists[data]}")
-                elif data in live:
-                    self.writer.emit(f"{data} = np.float64({data})")
-        elif counted is not None:  # its latch's step is the range's
-            induction, span, last = counted
+        if self._lists is not None:  # in a scalar region
+            counted = self._range(node)
+            if counted is None:  # a ``while``: no row is hoisted past it
+                with self._loop(None, None, {}):
+                    super().emit_loop(node)
+                return
+            induction, rng, last = counted  # its latch's step is the range's
             self._counting.add(induction)
-            with self.writer.block(f"for {induction} in range({span})"):
+            assigned = {name for state in states_in_tree(node)
+                        for edge in self.sdfg.out_edges(state) for name in edge.data.assignments}
+            with self._loop(f"for {induction} in range({self._span(rng, ', ')})",
+                            assigned | {induction}, {induction: rng}):
                 self._emit_sequence(node.body)
             self._counting.discard(induction)
             self.writer.emit(f"{induction} = {last}")
-        else:
+            return
+        region = self._region(node)
+        if region is None:
             super().emit_loop(node)
+            return
+        touched, written = region  # its arrays as lists while it runs
+        PERF.increment("codegen.python.scalar_regions")
+        self._lists, self._taken = {}, set(self.sdfg.arrays.keys() | self.sdfg.symbols.keys())
+        self._rows = 0
+        for data in touched:
+            if isinstance(self.sdfg.arrays[data], Array):
+                self._lists[data] = self._fresh(f"{data}_l")
+                self.writer.emit(f"{self._lists[data]} = {data}.tolist()")
+        self.emit_loop(node)
+        lists, self._lists = self._lists, None
+        live = self._liveness()[node.guard] if written - lists.keys() else ()
+        for data in sorted(written):
+            if data in lists:
+                self.writer.emit(f"{data}[...] = {lists[data]}")
+            elif data in live:
+                self.writer.emit(f"{data} = np.float64({data})")
+
+    def _fresh(self, name: str) -> str:
+        """``name``, or it followed by underscores, that nothing in the region has."""
+        while name in self._taken:
+            name += "_"
+        self._taken.add(name)
+        return name
+
+    @contextmanager
+    def _loop(self, header: Optional[str], assigned: Optional[Set[str]], bounds):
+        """A loop of a scalar region: ``header``'s block (``None``: the caller
+        writes a ``while``), with the rows hoisted ahead of it written
+        before its header once its body is."""
+        writer = self.writer
+        loop = _Loop(assigned, bounds, len(writer.lines), "    " * writer.indent)
+        self._loops.append(loop)
+        with nullcontext() if header is None else writer.block(header):
+            yield
+        self._loops.pop()
+        writer.lines[loop.position:loop.position] = [
+            f"{loop.indent}{name} = {row}" for row, name in loop.rows.items()
+        ]
+
+    def _hoisted(self, data: str, indices) -> Optional["_Loop"]:
+        """The outermost loop of the region ahead of which the row
+        ``data[indices]`` may be bound: every loop from it in assigns no
+        symbol of its indices, and each index is provably within its
+        dimension under the ranges of the loops around the binding — which
+        may then run where a loop makes no trip.  ``None`` for none."""
+        names = {symbol.name for index in indices for symbol in index.free_symbols()}
+        depth = len(self._loops)
+        while depth and self._loops[depth - 1].assigned is not None \
+                and not names & self._loops[depth - 1].assigned:
+            depth -= 1
+        if depth == len(self._loops) or names & self.sdfg.arrays.keys():
+            return None
+        bounds = {name: rng for loop in self._loops[:depth] for name, rng in loop.bounds.items()}
+        for index, extent in zip(indices, self.sdfg.arrays[data].shape):
+            highest, lowest = upper_bound(index, bounds), upper_bound(-index, bounds)
+            if highest is None or lowest is None or lowest > 0 or not (
+                isinstance(extent, Integer) and highest < extent.value
+            ):
+                return None
+        return self._loops[depth]
 
     def _region(self, node: LoopNode) -> Optional[Tuple[List[str], Set[str]]]:
         """``(touched, written)`` containers of a loop that is a scalar region:
-        no map, whole-array copy or dispatch region (which runs on past the
-        loop) in it, interstate edges over symbols, transient ``float64``
-        containers, arrays at points, tasklets :meth:`_scalar_tasklet` accepts."""
+        no whole-array copy or dispatch region (which runs on past the loop)
+        in it, interstate edges over symbols, transient ``float64``
+        containers, arrays at points, tasklets :meth:`_scalar_tasklet`
+        accepts, and maps, if any, that :meth:`_short` finds short."""
         arrays, states = self.sdfg.arrays, states_in_tree(node)
         if not (node.info.body_states | {node.guard}).issuperset(states):
             return None
-        touched, written = set(), set()
+        touched, written, maps = set(), set(), False
         for state in states:
             for item in state.nodes():
                 if isinstance(item, AccessNode):
                     touched.add(item.data)
+                elif isinstance(item, (MapEntry, MapExit)):
+                    maps = True
                 elif not isinstance(item, Tasklet) or not self._scalar_tasklet(state, item):
                     return None
             for edge in state.edges():
                 memlet, ends = edge.data, (edge.src, edge.dst)
+                if isinstance(edge.src, MapExit) or isinstance(edge.dst, MapEntry):
+                    continue  # what a map moves in or out: its members' edges say how
                 points = [isinstance(end, AccessNode) and isinstance(arrays[end.data], Array)
                           for end in ends]
                 if memlet.is_empty:  # an order, or a tasklet's whole array
@@ -287,20 +479,103 @@ class PythonEmitter(SDFGWalker):
                     return None
                 else:  # a tasklet writes what its memlet names, a copy its destination
                     touched.add(memlet.data)
-                    if isinstance(edge.dst, AccessNode):
+                    if isinstance(edge.dst, (AccessNode, MapExit)):
                         written.add(memlet.data if isinstance(edge.src, Tasklet) else edge.dst.data)
         if any(not arrays[data].transient or arrays[data].dtype != "float64" for data in touched) \
                 or any(edge.data.free_symbols() & arrays.keys()
                        for state in states for edge in self.sdfg.out_edges(state)):
             return None
+        if maps and not self._short(node):
+            PERF.increment("codegen.python.region_refused.long_maps")
+            return None
         return sorted(touched), written
+
+    def _short(self, node: LoopNode) -> bool:
+        """Whether the maps in a loop nest compute fewer than
+        :data:`SHORT_MAPS` elements per array statement executed, by the
+        literal trip counts of the loops and maps in it."""
+        counts = self._tally(node)
+        if counts is None or any(monomial for part in counts for monomial in part):
+            return False  # not literal
+        elements, statements = (part.get((), 0) for part in counts)
+        return 0 < elements < SHORT_MAPS * statements
+
+    def _tally(self, node) -> Optional[Tuple[Polynomial, Polynomial]]:
+        """``(elements, statements)`` of the innermost maps in a control-flow
+        node: the iterations their members run and how many array statements
+        that would be, over the inductions of the loops around it; ``None``
+        where a loop with maps in it is no counted loop, or a bound no
+        polynomial."""
+        if isinstance(node, StateNode):
+            return self._map_tally(node.state)
+        parts = {SequenceNode: lambda: node.children,
+                 BranchNode: lambda: (node.then_body, node.else_body),
+                 LoopNode: lambda: (StateNode(node.guard), node.body),
+                 DispatchNode: lambda: map(StateNode, node.states)}[type(node)]()
+        counts = [self._tally(part) for part in parts]
+        if None in counts:
+            return None
+        totals = tuple(reduce(plus, column, {}) for column in zip(*counts)) or ({}, {})
+        if isinstance(node, (SequenceNode, BranchNode)) or totals == ({}, {}):
+            return totals
+        counted = self._range(node) if isinstance(node, LoopNode) else None
+        if counted is None:  # runs its maps an unknown number of times
+            return None
+        induction, rng, _ = counted
+        totals = tuple(summed(total, induction, rng) for total in totals)
+        return None if None in totals else totals
+
+    @staticmethod
+    def _map_tally(state) -> Optional[Tuple[Polynomial, Polynomial]]:
+        """:meth:`_tally` of one state.  A map nest is one array statement
+        per innermost map in it; a nested map whose range names a parameter
+        of its nest roots a nest of its own, one statement per iteration
+        of the maps around it."""
+        scope, nested = state.scope_dict(), defaultdict(list)
+        for item in state.nodes():
+            if isinstance(item, MapEntry):
+                nested[scope.get(item)].append(item)
+
+        def walk(entry: MapEntry, nest: Set[str]):
+            """``(elements, statements, innermost maps of its nest)`` of one
+            run of ``entry``; ``nest`` holds the parameters around it in its nest."""
+            nest = nest | set(entry.map.params)
+            elements, statements, innermost = ({}, {}, 0) if nested[entry] else (ONE, {}, 1)
+            for inner in nested[entry]:
+                cut = any(symbol.name in nest for rng in inner.map.ranges
+                          for symbol in rng.free_symbols())
+                counts = walk(inner, set() if cut else nest)
+                if counts is None:
+                    return None
+                elements, statements = plus(elements, counts[0]), plus(statements, counts[1])
+                if cut:
+                    statements = plus(statements, {(): Fraction(counts[2])})
+                else:
+                    innermost += counts[2]
+            for param, rng in reversed(list(zip(entry.map.params, entry.map.ranges))):
+                elements, statements = summed(elements, param, rng), summed(statements, param, rng)
+                if elements is None or statements is None:
+                    return None
+            return elements, statements, innermost
+
+        elements, statements = {}, {}
+        for entry in nested[None]:
+            counts = walk(entry, set())
+            if counts is None:
+                return None
+            elements = plus(elements, counts[0])
+            statements = plus(statements, plus(counts[1], {(): Fraction(counts[2])}))
+        return elements, statements
 
     def _scalar_tasklet(self, state, tasklet: Tasklet) -> bool:
         """Whether each statement of a tasklet is a float :data:`SCALAR` spells:
-        connectors and unknown names count as floats, symbols as their type."""
+        connectors and unknown names count as floats, symbols and map
+        parameters as their type."""
         body = statements(tasklet.code) if tasklet.language == "python" else None
         connectors = {edge.dst_conn for edge in state.in_edges(tasklet)}
         dtypes = {name: dtype for name, dtype in self._name_dtypes.items() if name not in connectors}
+        dtypes.update((param, "int64") for item in state.nodes() if isinstance(item, MapEntry)
+                      for param in item.map.params if param not in connectors)
         try:
             return body is not None and all(statement.target is not None and spell(
                 statement.value, SCALAR, lambda name: (name, dtypes.get(name, "float64"))
@@ -308,9 +583,9 @@ class PythonEmitter(SDFGWalker):
         except Unspelled:
             return False
 
-    def _range(self, node: LoopNode) -> Optional[Tuple[str, str, Expr]]:
-        """``(induction, range arguments, exit value)`` of a loop counted up by
-        a positive literal over bounds nothing in it or on its entry assigns
+    def _range(self, node: LoopNode) -> Optional[Tuple[str, Range, Expr]]:
+        """``(induction, range, exit value)`` of a loop counted up by a
+        positive literal over bounds nothing in it or on its entry assigns
         (:func:`~repro.transforms.loop_analysis.induction_ranges`), with one
         latch that assigns nothing else, no guard state and integral bounds.
         The exit value is the one the ``while`` would leave."""
@@ -321,7 +596,7 @@ class PythonEmitter(SDFGWalker):
                 not (self._integral(start) and self._integral(end)):
             return None
         last = Max.make(start, start + info.trip_count() * info.step_expr)
-        return induction, self._span(Range(start, end, info.step_expr), ", "), last
+        return induction, Range(start, end, info.step_expr), last
 
     def dispatch_register(self, node):
         codes = {state: repr(state.label) for state in node.states}
@@ -359,13 +634,31 @@ class PythonEmitter(SDFGWalker):
         writer = self.writer
         for connector, expression in inputs:
             writer.emit(f"{connector} = {expression}")
-        for line in tasklet.code.splitlines():
+        body = statements(tasklet.code) if tasklet.language == "python" else None
+        lines = tasklet.code.splitlines() if body is None else tasklet.code.strip().split("\n")
+        for position, line in enumerate(lines):
+            if body is not None and _respelled(body[position], self._lists is not None):
+                line = line[:body[position].value.col_offset] + self._scalar_text(body[position], {})
             writer.emit(line)
         return lambda connector: connector
 
+    def _scalar_text(self, assignment, bindings) -> str:
+        """A tasklet expression outside an array nest over ``bindings``: as
+        written, or where it must guard, spelled through :data:`PYTHON`
+        (:data:`LISTS` in a scalar region)."""
+        lists = self._lists is not None
+        if _respelled(assignment, lists):
+            try:
+                text, _ = spell(assignment.value, LISTS if lists else PYTHON,
+                                lambda name: (bindings.get(name, name), None), as_operand)
+                return as_operand(text, assignment.value)
+            except Unspelled:
+                pass
+        return assignment.operand(bindings)
+
     def render_expression(self, assignment, bindings) -> str:
         if self._nest is None:
-            return assignment.operand(bindings)
+            return self._scalar_text(assignment, bindings)
         params = {param for param, _ in self._nest}
 
         def name(identifier: str):
@@ -512,10 +805,23 @@ class PythonEmitter(SDFGWalker):
         return text + (_subscript_of(axes) if "None" in axes else "")
 
     def _point(self, data: str, subset: Subset) -> str:
-        """``data[subset]``; in a scalar region, the element of its list."""
+        """``data[subset]``; in a scalar region, the element of its list,
+        through each of its rows that :meth:`_hoisted` binds ahead of a loop
+        (``_arr_0_l0 = _arr_0_l[i_0 - 1]``, ``_arr_0_l0[j_0 - 1]``)."""
         if self._lists is None:
             return data + self._subscript(subset)
-        return self._lists[data] + "".join(f"[{index}]" for index in subset.indices())
+        text, indices = self._lists[data], subset.indices()
+        rows = 0
+        while rows < len(indices) - 1:
+            loop = self._hoisted(data, indices[:rows + 1])
+            if loop is None:
+                break
+            row = f"{text}[{indices[rows]}]"
+            if row not in loop.rows:
+                loop.rows[row] = self._fresh(f"{self._lists[data]}{self._rows}")
+                self._rows += 1
+            text, rows = loop.rows[row], rows + 1
+        return text + "".join(f"[{index}]" for index in indices[rows:])
 
     def _grid(self, param: str) -> str:
         """A nest parameter as its values along its axis — ``np.arange(…)``
@@ -545,10 +851,19 @@ class PythonEmitter(SDFGWalker):
             return
         with ExitStack() as nest:
             for param, rng in zip(entry.map.params, entry.map.ranges):
-                nest.enter_context(
-                    self.writer.block(f"for {param} in range({self._span(rng, ', ')})")
-                )
+                header = f"for {param} in range({self._span(rng, ', ')})"
+                nest.enter_context(self.writer.block(header) if self._lists is None
+                                   else self._loop(header, {param}, {param: rng}))
             emit_members()
+
+    def _array_form(self, state, entry, members, owned, scope) -> ArrayForm:
+        """In a scalar region a map is a loop, each innermost one counted as
+        ``region_maps``; elsewhere the walker's verdict."""
+        if self._lists is None:
+            return super()._array_form(state, entry, members, owned, scope)
+        if not any(isinstance(node, MapEntry) for node in members):
+            PERF.increment("codegen.python.region_maps")
+        return _IN_REGION
 
 
 @dataclass

@@ -840,9 +840,11 @@ class TestCounted:
                     totals[key] = totals.get(key, 0) + value
         arrays = totals.pop("codegen.python.array_maps")
         loops = totals.pop("codegen.python.loop_maps", 0)
-        assert (arrays, loops) == (157, 0)
-        # Map-free loop nests, not maps: tests/test_codegen_scalar_regions.py.
-        assert totals.pop("codegen.python.scalar_regions") == 4
+        # Maps in loop nests that run on lists: tests/test_codegen_scalar_regions.py.
+        listed = totals.pop("codegen.python.region_maps")
+        assert (arrays, listed, loops) == (153, 4, 0) and arrays + listed == 157
+        assert totals.pop("codegen.python.scalar_regions") == 6
+        assert totals.pop("codegen.python.region_refused.long_maps") == 7
         kinds = {"codegen.python.array_maps." + kind.replace(" ", "_") for kind in ARRAY_KINDS}
         assert sum(totals.pop(kind) for kind in kinds) == arrays  # all three kinds occur
         assert sum(totals.values()) == loops  # each loop is refused under one name
