@@ -635,11 +635,12 @@ class PythonEmitter(SDFGWalker):
         for connector, expression in inputs:
             writer.emit(f"{connector} = {expression}")
         body = statements(tasklet.code) if tasklet.language == "python" else None
-        lines = tasklet.code.splitlines() if body is None else tasklet.code.strip().split("\n")
-        for position, line in enumerate(lines):
-            if body is not None and _respelled(body[position], self._lists is not None):
-                line = line[:body[position].value.col_offset] + self._scalar_text(body[position], {})
-            writer.emit(line)
+        if body is None or not any(_respelled(line, self._lists is not None) for line in body):
+            for line in tasklet.code.splitlines():
+                writer.emit(line)
+        else:  # each line's target, then its expression as guarded
+            for line, statement in zip(tasklet.code.strip().split("\n"), body):
+                writer.emit(line[:statement.value.col_offset] + self._scalar_text(statement, {}))
         return lambda connector: connector
 
     def _scalar_text(self, assignment, bindings) -> str:
