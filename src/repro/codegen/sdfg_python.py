@@ -88,7 +88,7 @@ from ..sdfg.nodes import MapEntry, MapExit
 from ..sdfg.tasklet_code import (
     OPERATORS, Refused, Unspelled, as_operand, construct, spell, statements,
 )
-from .control_flow import BranchNode, DispatchNode, LoopNode, SequenceNode, StateNode, states_in_tree
+from .control_flow import BranchNode, LoopNode, SequenceNode, StateNode, states_in_tree
 from .loader import load_entry
 from .sdfg_walk import UPDATE_OPERATORS, ArrayForm, SDFGWalker, sliced_dims
 from .writer import SourceWriter
@@ -243,8 +243,9 @@ def _subscript_of(entries: List[str]) -> str:
 #: A loop nest with maps in it runs on lists when its maps compute fewer
 #: elements than this per array statement executed (:meth:`PythonEmitter._short`):
 #: there an element costs less as a ``float`` in a ``for`` loop than as its
-#: share of a NumPy call.  The nests the rule decides among the 32
-#: benchmark programs at ``medium``, list time ÷ NumPy time of the program:
+#: share of a NumPy call.  Nests the rule decides among the 32 benchmark
+#: programs at ``medium`` (the other stencils lie further above), list time
+#: ÷ NumPy time of the program, the two texts timed alternately:
 #:
 #: ===========  ========  ===========
 #: program      elements  list ÷ NumPy
@@ -508,10 +509,14 @@ class PythonEmitter(SDFGWalker):
         polynomial."""
         if isinstance(node, StateNode):
             return self._map_tally(node.state)
-        parts = {SequenceNode: lambda: node.children,
-                 BranchNode: lambda: (node.then_body, node.else_body),
-                 LoopNode: lambda: (StateNode(node.guard), node.body),
-                 DispatchNode: lambda: map(StateNode, node.states)}[type(node)]()
+        if isinstance(node, SequenceNode):
+            parts = node.children
+        elif isinstance(node, BranchNode):
+            parts = (node.then_body, node.else_body)
+        elif isinstance(node, LoopNode):
+            parts = (StateNode(node.guard), node.body)
+        else:  # a dispatch region
+            parts = [StateNode(state) for state in node.states]
         counts = [self._tally(part) for part in parts]
         if None in counts:
             return None

@@ -39,6 +39,7 @@ from repro.symbolic import (
     symbols,
 )
 from repro.symbolic.printer import PYTHON, render
+from repro.symbolic.sums import polynomial, summed
 
 
 class TestExpressionConstruction:
@@ -327,6 +328,21 @@ def test_property_addition_commutes(a, b, n, m):
 def test_property_range_matches_python_range(start, length, step):
     rng = Range(start, start + length, step)
     assert int(rng.num_elements().evaluate({})) == len(range(start, start + length, step))
+
+
+@given(st.integers(0, 6), st.integers(1, 12), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_property_closed_form_sums_are_the_enumerated_ones(start, length, skew, step):
+    """``summed`` over a triangular nest (``j`` from ``i + skew``) and over a
+    range its step divides gives what enumerating the iterations gives."""
+    i, j, k = Symbol("i"), Symbol("j"), Symbol("k")
+    end = start + length
+    inner = summed(polynomial(i * j + j * j + 3), "j", Range(i + skew, end + skew))
+    expected = sum(a * b + b * b + 3 for a in range(start, end) for b in range(a + skew, end + skew))
+    assert summed(inner, "i", Range(start, end)) == ({(): expected} if expected else {})
+    stepped = summed(polynomial(k * k + k), "k", Range(start, start + length * step, step))
+    expected = sum(x * x + x for x in range(start, start + length * step, step))
+    assert stepped == ({(): expected} if expected else {})
 
 
 @given(st.integers(0, 10), st.integers(1, 10), st.integers(0, 10), st.integers(1, 10))
