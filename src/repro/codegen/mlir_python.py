@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..dialects.arith import BINARY_PYTHON_OPERATORS, CMP_PYTHON_OPERATORS
 from ..dialects.func import FuncOp
-from ..dialects.math_dialect import MATH_PYTHON_FUNCTIONS
 from ..dialects.scf import ForOp, IfOp, WhileOp
 from ..ir.core import Operation, Value
 from ..ir.types import DYNAMIC, FloatType, IndexType, IntegerType, MemRefType
+from ..operators import Operator, python_call, python_text, record_of
 from .loader import load_entry
 from .writer import SourceWriter
 
@@ -98,41 +97,17 @@ class MLIRPythonGenerator:
         name = op.name
         if name == "arith.constant":
             writer.emit(f"{self._name(op.result)} = {op.attributes['value']!r}")
-        elif name in BINARY_PYTHON_OPERATORS:
-            operator = BINARY_PYTHON_OPERATORS[name]
-            lhs, rhs = self._name(op.operand(0)), self._name(op.operand(1))
-            if name in ("arith.divsi", "arith.remsi"):
-                # C semantics: truncate towards zero.
-                function = "int" if name == "arith.divsi" else "math.fmod"
-                writer.emit(f"{self._name(op.result)} = int({function}({lhs} / {rhs}))"
-                            if name == "arith.divsi"
-                            else f"{self._name(op.result)} = int(math.fmod({lhs}, {rhs}))")
-            else:
-                writer.emit(f"{self._name(op.result)} = {lhs} {operator} {rhs}")
-        elif name in ("arith.minsi", "arith.minf"):
-            writer.emit(f"{self._name(op.result)} = min({self._name(op.operand(0))}, {self._name(op.operand(1))})")
-        elif name in ("arith.maxsi", "arith.maxf"):
-            writer.emit(f"{self._name(op.result)} = max({self._name(op.operand(0))}, {self._name(op.operand(1))})")
-        elif name in ("arith.cmpi", "arith.cmpf"):
-            predicate = CMP_PYTHON_OPERATORS[op.attributes["predicate"]]
-            writer.emit(
-                f"{self._name(op.result)} = {self._name(op.operand(0))} {predicate} "
-                f"{self._name(op.operand(1))}"
-            )
+        elif (record := record_of(op)) is not None:
+            writer.emit(f"{self._name(op.result)} = {self._record_text(op, record)}")
         elif name == "arith.select":
             writer.emit(
                 f"{self._name(op.result)} = {self._name(op.operand(1))} if "
                 f"{self._name(op.operand(0))} else {self._name(op.operand(2))}"
             )
-        elif name == "arith.negf":
-            writer.emit(f"{self._name(op.result)} = -{self._name(op.operand(0))}")
         elif name in ("arith.index_cast", "arith.extsi", "arith.trunci", "arith.fptosi"):
             writer.emit(f"{self._name(op.result)} = int({self._name(op.operand(0))})")
         elif name in ("arith.sitofp", "arith.extf", "arith.truncf"):
             writer.emit(f"{self._name(op.result)} = float({self._name(op.operand(0))})")
-        elif name in MATH_PYTHON_FUNCTIONS:
-            arguments = ", ".join(self._name(operand) for operand in op.operands)
-            writer.emit(f"{self._name(op.result)} = {MATH_PYTHON_FUNCTIONS[name]}({arguments})")
         elif name in ("memref.alloc", "memref.alloca"):
             self._emit_alloc(op)
         elif name == "memref.load":
@@ -172,6 +147,23 @@ class MLIRPythonGenerator:
             raise MLIRCodegenError(f"Cannot generate Python for operation {name!r}")
 
     # -- memory -------------------------------------------------------------------------
+    def _record_text(self, op: Operation, record: Operator) -> str:
+        """The value of an ``arith``/``math`` operation: its record's Python
+        text, C's truncating ``/`` and ``%`` on integers, and a call whose
+        guard reads two operands under that guard.  A one-operand guard is
+        left out, so the pinned text of the shipped programs that call
+        ``exp``, ``log`` or ``sqrt`` does not move: there such a call still
+        raises where C gives ``nan`` or ``±inf`` (ROADMAP)."""
+        operands = [self._name(operand) for operand in op.operands]
+        if record.name == "arith.divsi":
+            lhs, rhs = operands
+            return f"{lhs} // {rhs} + ({lhs} % {rhs} != 0 and ({lhs} < 0) != ({rhs} < 0))"
+        if record.name == "arith.remsi":
+            return f"int(math.fmod({operands[0]}, {operands[1]}))"
+        if record.guard is not None and record.arity > 1:
+            return python_call(record, operands)
+        return python_text(record, operands)
+
     def _emit_alloc(self, op: Operation) -> None:
         memref_type: MemRefType = op.result.type
         if self._is_scalar_cell(op.result):

@@ -58,6 +58,7 @@ import json
 from contextlib import ExitStack, contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..operators import CALLS
 from ..symbolic import Expr, Subset
 from ..symbolic.expr import (
     Add,
@@ -252,8 +253,8 @@ def _binary(operator: str):
 #: NumPy one), keyed by :func:`~repro.sdfg.tasklet_code.construct`: a
 #: template over the spelled operands, or a function of the node, them and
 #: whether one is floating.  Every operand is parenthesised, so C's grouping
-#: never matters; ``math`` functions take and return ``double`` (``floor``
-#: and ``ceil`` return Python ints, so the cast keeps parity).
+#: never matters; a call of an operation's record
+#: (:data:`~repro.operators.CALLS`) is its C function on ``double``\ s.
 C_TASKLET = {
     bool: lambda node, _, __: "1" if node.value else "0",
     int: lambda node, _, __: _int_literal(node.value),
@@ -263,11 +264,8 @@ C_TASKLET = {
     ast.And: lambda _, texts, __: "(" + " && ".join(f"({text})" for text in texts) + ")",
     ast.Or: lambda _, texts, __: "(" + " || ".join(f"({text})" for text in texts) + ")",
     ast.IfExp: lambda _, texts, __: "(({2}) ? ({0}) : ({1}))".format(*texts),
-    **{f"math.{name}": f"{name}((double)({{}}))"
-       for name in ("sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs")},
-    "math.atan2": "atan2((double)({}), (double)({}))",
-    "math.pow": "pow((double)({}), (double)({}))",
-    "math.floor": "(int64_t)floor((double)({}))", "math.ceil": "(int64_t)ceil((double)({}))",
+    **{name: f"{record.c[0]}({', '.join(['(double)({})'] * record.arity)})"
+       for name, record in CALLS.items()},
     "float": "((double)({}))", "int": "((int64_t)({}))", "bool": "(({}) != 0)",
     "abs": lambda _, texts, floats: None if len(texts) != 1 else f"fabs((double)({texts[0]}))"
     if floats else f"repro_abs_i64((int64_t)({texts[0]}))",

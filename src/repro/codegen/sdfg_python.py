@@ -77,6 +77,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..operators import CALLS, python_call
 from ..perf import PERF
 from ..symbolic import Expr, Integer, Range, Subset, Symbol
 from ..symbolic.expr import Add, FloorDiv, Max, Min, Mod, Mul
@@ -112,46 +113,39 @@ NUMPY = {
     ast.Pow: Refused("power"),
     ast.USub: "-{}", ast.UAdd: "+{}", ast.Invert: "~{}", ast.Not: Refused("boolean"),
     ast.IfExp: Refused("conditional"), ast.And: Refused("boolean"), ast.Or: Refused("boolean"),
-    **{f"math.{name}": f"np.{name}({{}})"
-       for name in ("sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs")},
-    "math.atan2": "np.arctan2({}, {})", "math.pow": "np.float_power({}, {})",
-    "math.floor": "np.int64(np.floor({}))", "math.ceil": "np.int64(np.ceil({}))",
+    **{name: f"{record.numpy}({', '.join(['{}'] * record.arity)})"
+       for name, record in CALLS.items()},
     "float": "np.float64({})", "int": "np.int64({})", "abs": "abs({})",
     "bool": Refused("bool_cast"), "min": Refused("min_max"), "max": Refused("min_max"),
 }
 
 
-#: ``math`` calls a Python ``float`` evaluates as ``np.float64`` does only
-#: where a condition on the argument holds — elsewhere ``math`` raises where
-#: NumPy gives ``nan`` or ``±inf`` — with that condition.
-_GUARDS = {"math.sqrt": "{} >= 0.0", "math.log": "{} > 0.0", "math.log2": "{} > 0.0",
-           "math.exp": "{} <= 709.0", "math.sin": "abs({}) < math.inf",
-           "math.cos": "abs({}) < math.inf"}
-
-
-def _temporary(node, text: str) -> Tuple[str, str]:
-    """``(value, binding)``: ``text`` twice when it is a name, else a temporary
-    bound by the first use.  The temporary is ``_g`` and the number of
-    guarded nodes under and at ``node``, so no guard below it reuses it."""
+def _temporary(node, text: str, index: int = 0) -> Tuple[str, str]:
+    """``(value, binding)`` of operand ``index``: ``text`` twice when it is a
+    name, else a temporary bound by the first use.  The temporary is ``_g``
+    and the number of guarded nodes under and at ``node`` (then ``_`` and
+    ``index`` past the first operand), so no guard below it reuses it."""
     if text.isidentifier():
         return text, text
     name = f"_g{sum(1 for child in ast.walk(node) if _guards(child, True))}"
+    name += f"_{index}" if index else ""
     return name, f"({name} := {text})"
 
 
 def _guards(node, lists: bool) -> bool:
     """Whether :data:`PYTHON` (``lists``: :data:`LISTS`) guards ``node``: a
-    :data:`_GUARDS` call, in a scalar region a division by anything but a literal."""
-    return construct(node) in _GUARDS or lists and isinstance(node, ast.BinOp) and isinstance(
-        node.op, ast.Div) and not isinstance(node.right, ast.Constant)
+    call whose record has a guard, in a scalar region a division by anything
+    but a literal."""
+    record = CALLS.get(construct(node))
+    return record is not None and record.guard is not None or lists and isinstance(
+        node, ast.BinOp) and isinstance(node.op, ast.Div) and not isinstance(
+        node.right, ast.Constant)
 
 
-def _guarded_call(name: str):
-    function, condition = name[len("math."):], _GUARDS[name]
-
+def _guarded_call(record):
     def row(node, texts, _):
-        value, binding = _temporary(node, texts[0])
-        return f"({name}({value}) if {condition.format(binding)} else float(np.{function}({value})))"
+        values, bindings = zip(*(_temporary(node, text, index) for index, text in enumerate(texts)))
+        return python_call(record, values, bindings)
     return row
 
 
@@ -160,9 +154,10 @@ def _call(name: str):
 
 
 #: The Python spelling of a tasklet expression on scalars that calls a
-#: :data:`_GUARDS` function: the call under its guard, NumPy's value outside
-#: it (``math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))``), the rest in
-#: Python.  Any other expression is emitted as written.
+#: function with a guard: the call under its record's guard, NumPy's value
+#: outside it (``math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))``,
+#: :func:`~repro.operators.python_call`), the rest in Python.  Any other
+#: expression is emitted as written.
 PYTHON = {
     **dict.fromkeys((bool, int, float), lambda node, _, __: repr(node.value)),
     **{operator: f"{{}} {text} {{}}" for operator, text in OPERATORS.items()},
@@ -170,8 +165,9 @@ PYTHON = {
     ast.IfExp: lambda _, texts, __: f"{texts[0]} if {texts[2]} else {texts[1]}",
     ast.And: lambda _, texts, __: " and ".join(texts),
     ast.Or: lambda _, texts, __: " or ".join(texts),
-    **{name: _call(name) for name in NUMPY if isinstance(name, str)},
-    **{name: _guarded_call(name) for name in _GUARDS},
+    **{name: _call(name) for name in ("float", "int", "bool", "abs", "min", "max")},
+    **{name: _call(name) if record.guard is None else _guarded_call(record)
+       for name, record in CALLS.items()},
 }
 
 
@@ -203,7 +199,7 @@ def _respelled(assignment, lists: bool) -> bool:
 #: on floats.  Not division by a literal zero, which is no number to guard.
 SAME_BITS = frozenset({
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd, ast.IfExp, "abs", "float", "min",
-    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, "math.sqrt",
+    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, "math.sqrt", "math.fabs",
 })
 
 

@@ -4,7 +4,8 @@ MLIR tasklets would otherwise be compiled as separate translation units
 and only optimized via LTO; raising them to Python (DaCe-native) tasklets
 inlines them during compilation and enables data-centric analyses.  The
 raiser converts each operation in a tasklet body into an equivalent Python
-expression: ``arith.addi %a, %b`` → ``a + b``, ``math.exp`` → ``math.exp``,
+expression, an operation's record (:mod:`repro.operators`) spelling it:
+``arith.addi %a, %b`` → ``a + b``, ``math.exp`` → ``math.exp``,
 ``sdfg.sym_value`` → the symbolic expression, and ``sdfg.return`` →
 assignments to the output connectors.
 """
@@ -13,14 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..dialects.arith import (
-    BINARY_PYTHON_OPERATORS,
-    CMP_PYTHON_OPERATORS,
-    ConstantOp,
-)
-from ..dialects.math_dialect import MATH_PYTHON_FUNCTIONS
 from ..dialects.sdfg_dialect import TaskletOp
 from ..ir.core import Operation, Value
+from ..operators import python_text, record_of
 
 
 class RaiseError(Exception):
@@ -77,45 +73,22 @@ def raise_tasklet(tasklet: TaskletOp) -> Tuple[str, List[str], List[str], str]:
 
 def _render_op(op: Operation, expressions: Dict[Value, str]) -> Optional[str]:
     name = op.name
-    if isinstance(op, ConstantOp) or name == "arith.constant":
-        value = op.attributes["value"]
-        return repr(value)
+    if name == "arith.constant":
+        return repr(op.attributes["value"])
     if name == "sdfg.sym_value":
         return "(" + op.attributes["expr"] + ")"
-    if name in BINARY_PYTHON_OPERATORS:
-        lhs = _render_operand(op.operand(0), expressions)
-        rhs = _render_operand(op.operand(1), expressions)
-        return f"({lhs} {BINARY_PYTHON_OPERATORS[name]} {rhs})"
-    if name in ("arith.minsi", "arith.minf"):
-        return f"min({_render_operand(op.operand(0), expressions)}, {_render_operand(op.operand(1), expressions)})"
-    if name in ("arith.maxsi", "arith.maxf"):
-        return f"max({_render_operand(op.operand(0), expressions)}, {_render_operand(op.operand(1), expressions)})"
-    if name in ("arith.cmpi", "arith.cmpf"):
-        predicate = CMP_PYTHON_OPERATORS[op.attributes["predicate"]]
-        lhs = _render_operand(op.operand(0), expressions)
-        rhs = _render_operand(op.operand(1), expressions)
-        return f"({lhs} {predicate} {rhs})"
+    record = record_of(op)
+    if record is not None:
+        text = python_text(record, [_render_operand(operand, expressions)
+                                    for operand in op.operands])
+        return text if record.is_call else f"({text})"
     if name == "arith.select":
         condition = _render_operand(op.operand(0), expressions)
         true_value = _render_operand(op.operand(1), expressions)
         false_value = _render_operand(op.operand(2), expressions)
         return f"({true_value} if {condition} else {false_value})"
-    if name == "arith.negf":
-        return f"(-{_render_operand(op.operand(0), expressions)})"
-    if name in MATH_PYTHON_FUNCTIONS:
-        arguments = ", ".join(_render_operand(operand, expressions) for operand in op.operands)
-        return f"{MATH_PYTHON_FUNCTIONS[name]}({arguments})"
-    if name == "arith.sitofp":
+    if name in ("arith.sitofp", "arith.extf", "arith.truncf"):
         return f"float({_render_operand(op.operand(0), expressions)})"
-    if name == "arith.fptosi":
+    if name in ("arith.fptosi", "arith.index_cast", "arith.extsi", "arith.trunci"):
         return f"int({_render_operand(op.operand(0), expressions)})"
-    if name in ("arith.index_cast", "arith.extsi", "arith.trunci"):
-        return f"int({_render_operand(op.operand(0), expressions)})"
-    if name in ("arith.extf", "arith.truncf"):
-        return f"float({_render_operand(op.operand(0), expressions)})"
-    if name in ("arith.andi", "arith.ori", "arith.xori"):
-        operator = {"arith.andi": "&", "arith.ori": "|", "arith.xori": "^"}[name]
-        lhs = _render_operand(op.operand(0), expressions)
-        rhs = _render_operand(op.operand(1), expressions)
-        return f"({lhs} {operator} {rhs})"
     return None

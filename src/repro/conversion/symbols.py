@@ -18,38 +18,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..dialects import arith
-from ..ir.core import Operation, Value, defining_op
-from ..ir.types import FloatType, IndexType, IntegerType
-from ..symbolic import (
-    Compare,
-    Expr,
-    FloorDiv,
-    Integer,
-    Max,
-    Min,
-    Mod,
-    Not,
-    Float,
-)
+from ..ir.core import Value, defining_op
+from ..ir.types import IndexType, IntegerType
+from ..operators import record_of
+from ..symbolic import Expr, Float, Integer, Not
 
-#: Integer arith ops with a direct symbolic counterpart.
-_SYMBOLIC_BINARY = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.divsi": lambda a, b: FloorDiv.make(a, b),
-    "arith.floordivsi": lambda a, b: FloorDiv.make(a, b),
-    "arith.remsi": lambda a, b: Mod.make(a, b),
-    "arith.minsi": lambda a, b: Min.make(a, b),
-    "arith.maxsi": lambda a, b: Max.make(a, b),
-}
-
-_IDENTITY_CASTS = (
-    "arith.index_cast",
-    "arith.extsi",
-    "arith.trunci",
-)
+#: Casts between integer types: a value's expression is its operand's.
+IDENTITY_CASTS = frozenset({"arith.index_cast", "arith.extsi", "arith.trunci"})
 
 
 class SymbolicEvaluator:
@@ -84,28 +59,18 @@ class SymbolicEvaluator:
             if isinstance(value.type, (IntegerType, IndexType)):
                 return Integer(int(constant))
             return Float(float(constant))
-        if name in _IDENTITY_CASTS:
+        if name in IDENTITY_CASTS:
             return self.get(op.operand(0))
-        if name in _SYMBOLIC_BINARY:
+        record = record_of(op)
+        if record is not None and record.symbolic is not None:
             lhs = self.get(op.operand(0))
             rhs = self.get(op.operand(1))
             if lhs is None or rhs is None:
                 return None
-            if name in ("arith.divsi", "arith.remsi", "arith.floordivsi"):
-                if not (rhs.is_constant() and rhs.evaluate({}) != 0):
-                    # Avoid symbolic division by possibly-zero expressions.
-                    if not rhs.free_symbols():
-                        return None
-            return _SYMBOLIC_BINARY[name](lhs, rhs)
-        if name == "arith.cmpi":
-            lhs = self.get(op.operand(0))
-            rhs = self.get(op.operand(1))
-            if lhs is None or rhs is None:
-                return None
-            return Compare.make(arith.CMP_PYTHON_OPERATORS[op.attributes["predicate"]], lhs, rhs)
-        if name == "arith.select":
-            # Selects are handled as tasklets; no symbolic form.
-            return None
+            if name in ("arith.divsi", "arith.remsi") and not (
+                    rhs.is_constant() and rhs.evaluate({}) != 0) and not rhs.free_symbols():
+                return None  # no symbolic division by a constant zero
+            return record.symbolic(lhs, rhs)
         if name == "arith.xori":
             # i1 negation idiom: xor with constant 1.
             rhs_expr = self.get(op.operand(1))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..dialects import arith, math_dialect
+from ..dialects import arith
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..dialects.sdfg_dialect import (
@@ -47,8 +47,9 @@ from ..dialects.scf import ForOp, IfOp, WhileOp
 from ..ir.core import Block, Builder, Operation, Value
 from ..ir.printer import print_operation
 from ..ir.types import DYNAMIC, FloatType, IndexType, IntegerType, MemRefType, Type
+from ..operators import OPERATIONS, SYMBOLIC
 from ..symbolic import Expr, Integer, Symbol
-from .symbols import SymbolicEvaluator
+from .symbols import IDENTITY_CASTS, SymbolicEvaluator
 
 
 class ConversionError(Exception):
@@ -56,36 +57,10 @@ class ConversionError(Exception):
 
 
 #: Ops handled symbolically when their operands are symbolic.
-_SYMBOLIC_CANDIDATES = {
-    "arith.constant",
-    "arith.addi",
-    "arith.subi",
-    "arith.muli",
-    "arith.divsi",
-    "arith.floordivsi",
-    "arith.remsi",
-    "arith.minsi",
-    "arith.maxsi",
-    "arith.index_cast",
-    "arith.extsi",
-    "arith.trunci",
-    "arith.cmpi",
-}
+_SYMBOLIC_CANDIDATES = {"arith.constant", *IDENTITY_CASTS, *SYMBOLIC}
 
 #: Ops that always become tasklets.
-_COMPUTE_OPS = set(arith.BINARY_SEMANTICS) | set(math_dialect.MATH_SEMANTICS) | {
-    "arith.cmpi",
-    "arith.cmpf",
-    "arith.select",
-    "arith.negf",
-    "arith.sitofp",
-    "arith.fptosi",
-    "arith.extf",
-    "arith.truncf",
-    "arith.extsi",
-    "arith.trunci",
-    "arith.index_cast",
-}
+_COMPUTE_OPS = {*(name for name, _ in OPERATIONS), *arith.CAST_OPS, arith.SelectOp.OP_NAME}
 
 
 class SDFGDialectConverter:

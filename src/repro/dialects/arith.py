@@ -2,19 +2,18 @@
 
 The operation set mirrors the subset Polygeist emits for C programs.  All
 binary operations share one implementation class parameterized by the op
-name; a table at the bottom of the module maps each op name to its Python
-semantics, which the canonicalizer (constant folding) and both code
-generators reuse so that every pipeline computes identical results.
+name.  What each one means, and how every layer writes it, is its record in
+:mod:`repro.operators`.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..ir.core import Operation, Value, register_operation
-from ..ir.types import F64, I1, INDEX, FloatType, IndexType, IntegerType, Type
+from ..ir.types import F64, I1, IndexType, IntegerType, Type
 from ..ir.verifier import VerificationError
+from ..operators import OPERATIONS
 
 
 @register_operation
@@ -48,8 +47,6 @@ class ConstantOp(Operation):
 class BinaryOp(Operation):
     """Shared implementation of two-operand, one-result arithmetic ops."""
 
-    IS_COMMUTATIVE = False
-
     @classmethod
     def build(cls, lhs: Value, rhs: Value, result_type: Optional[Type] = None) -> "BinaryOp":
         result_type = result_type or lhs.type
@@ -70,38 +67,27 @@ class BinaryOp(Operation):
             raise VerificationError(f"{self.name} requires exactly one result", self)
 
 
-def _binary(name: str, commutative: bool = False) -> type:
-    cls = type(
-        name.replace(".", "_"),
-        (BinaryOp,),
-        {"OP_NAME": name, "IS_COMMUTATIVE": commutative},
-    )
-    return register_operation(cls)
+def _binary(name: str) -> type:
+    return register_operation(type(name.replace(".", "_"), (BinaryOp,), {"OP_NAME": name}))
 
 
 # Integer arithmetic
-AddIOp = _binary("arith.addi", commutative=True)
+AddIOp = _binary("arith.addi")
 SubIOp = _binary("arith.subi")
-MulIOp = _binary("arith.muli", commutative=True)
+MulIOp = _binary("arith.muli")
 DivSIOp = _binary("arith.divsi")
 RemSIOp = _binary("arith.remsi")
-FloorDivSIOp = _binary("arith.floordivsi")
-MinSIOp = _binary("arith.minsi", commutative=True)
-MaxSIOp = _binary("arith.maxsi", commutative=True)
-AndIOp = _binary("arith.andi", commutative=True)
-OrIOp = _binary("arith.ori", commutative=True)
-XOrIOp = _binary("arith.xori", commutative=True)
+AndIOp = _binary("arith.andi")
+OrIOp = _binary("arith.ori")
+XOrIOp = _binary("arith.xori")
 ShLIOp = _binary("arith.shli")
 ShRSIOp = _binary("arith.shrsi")
 
 # Floating-point arithmetic
-AddFOp = _binary("arith.addf", commutative=True)
+AddFOp = _binary("arith.addf")
 SubFOp = _binary("arith.subf")
-MulFOp = _binary("arith.mulf", commutative=True)
+MulFOp = _binary("arith.mulf")
 DivFOp = _binary("arith.divf")
-RemFOp = _binary("arith.remf")
-MinFOp = _binary("arith.minf", commutative=True)
-MaxFOp = _binary("arith.maxf", commutative=True)
 
 
 @register_operation
@@ -115,46 +101,35 @@ class NegFOp(Operation):
         return NegFOp(NegFOp.OP_NAME, operands=[value], result_types=[value.type])
 
 
+class CompareOp(Operation):
+    """Shared implementation of comparisons producing an ``i1``: one
+    predicate per record of :mod:`repro.operators`."""
+
+    @classmethod
+    def build(cls, predicate: str, lhs: Value, rhs: Value) -> "CompareOp":
+        if (cls.OP_NAME, predicate) not in OPERATIONS:
+            raise VerificationError(f"Unknown {cls.OP_NAME} predicate {predicate!r}")
+        op = cls(cls.OP_NAME, operands=[lhs, rhs], result_types=[I1])
+        op.attributes["predicate"] = predicate
+        return op
+
+    @property
+    def predicate(self) -> str:
+        return self.attributes["predicate"]
+
+
 @register_operation
-class CmpIOp(Operation):
-    """``arith.cmpi`` — integer comparison producing an ``i1``."""
+class CmpIOp(CompareOp):
+    """``arith.cmpi`` — integer comparison."""
 
     OP_NAME = "arith.cmpi"
 
-    PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
-
-    @staticmethod
-    def build(predicate: str, lhs: Value, rhs: Value) -> "CmpIOp":
-        if predicate not in CmpIOp.PREDICATES:
-            raise VerificationError(f"Unknown cmpi predicate {predicate!r}")
-        op = CmpIOp(CmpIOp.OP_NAME, operands=[lhs, rhs], result_types=[I1])
-        op.attributes["predicate"] = predicate
-        return op
-
-    @property
-    def predicate(self) -> str:
-        return self.attributes["predicate"]
-
 
 @register_operation
-class CmpFOp(Operation):
-    """``arith.cmpf`` — floating-point comparison producing an ``i1``."""
+class CmpFOp(CompareOp):
+    """``arith.cmpf`` — floating-point comparison."""
 
     OP_NAME = "arith.cmpf"
-
-    PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge", "ueq", "une")
-
-    @staticmethod
-    def build(predicate: str, lhs: Value, rhs: Value) -> "CmpFOp":
-        if predicate not in CmpFOp.PREDICATES:
-            raise VerificationError(f"Unknown cmpf predicate {predicate!r}")
-        op = CmpFOp(CmpFOp.OP_NAME, operands=[lhs, rhs], result_types=[I1])
-        op.attributes["predicate"] = predicate
-        return op
-
-    @property
-    def predicate(self) -> str:
-        return self.attributes["predicate"]
 
 
 @register_operation
@@ -193,111 +168,6 @@ TruncFOp = _cast("arith.truncf")
 ExtSIOp = _cast("arith.extsi")
 TruncIOp = _cast("arith.trunci")
 
-
-# ---------------------------------------------------------------------------
-# Python semantics of each operation (shared by folding and codegen)
-# ---------------------------------------------------------------------------
-
-
-def _int_div(a, b):
-    # C semantics: truncation towards zero for signed division.
-    quotient = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        quotient = -quotient
-    return quotient
-
-
-def _int_rem(a, b):
-    return a - _int_div(a, b) * b
-
-
-BINARY_SEMANTICS: Dict[str, Callable] = {
-    "arith.addi": operator.add,
-    "arith.subi": operator.sub,
-    "arith.muli": operator.mul,
-    "arith.divsi": _int_div,
-    "arith.remsi": _int_rem,
-    "arith.floordivsi": operator.floordiv,
-    "arith.minsi": min,
-    "arith.maxsi": max,
-    "arith.andi": operator.and_,
-    "arith.ori": operator.or_,
-    "arith.xori": operator.xor,
-    "arith.shli": operator.lshift,
-    "arith.shrsi": operator.rshift,
-    "arith.addf": operator.add,
-    "arith.subf": operator.sub,
-    "arith.mulf": operator.mul,
-    "arith.divf": operator.truediv,
-    "arith.remf": lambda a, b: a - b * int(a / b),
-    "arith.minf": min,
-    "arith.maxf": max,
-}
-
-#: Python source operator used by code generators for each binary op.
-BINARY_PYTHON_OPERATORS: Dict[str, str] = {
-    "arith.addi": "+",
-    "arith.subi": "-",
-    "arith.muli": "*",
-    "arith.divsi": "//",
-    "arith.remsi": "%",
-    "arith.floordivsi": "//",
-    "arith.andi": "&",
-    "arith.ori": "|",
-    "arith.xori": "^",
-    "arith.shli": "<<",
-    "arith.shrsi": ">>",
-    "arith.addf": "+",
-    "arith.subf": "-",
-    "arith.mulf": "*",
-    "arith.divf": "/",
-    "arith.remf": "%",
-}
-
-CMP_SEMANTICS: Dict[str, Callable] = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "slt": operator.lt,
-    "sle": operator.le,
-    "sgt": operator.gt,
-    "sge": operator.ge,
-    "ult": operator.lt,
-    "ule": operator.le,
-    "ugt": operator.gt,
-    "uge": operator.ge,
-    "oeq": operator.eq,
-    "one": operator.ne,
-    "olt": operator.lt,
-    "ole": operator.le,
-    "ogt": operator.gt,
-    "oge": operator.ge,
-    "ueq": operator.eq,
-    "une": operator.ne,
-}
-
-CMP_PYTHON_OPERATORS: Dict[str, str] = {
-    "eq": "==",
-    "ne": "!=",
-    "slt": "<",
-    "sle": "<=",
-    "sgt": ">",
-    "sge": ">=",
-    "ult": "<",
-    "ule": "<=",
-    "ugt": ">",
-    "uge": ">=",
-    "oeq": "==",
-    "one": "!=",
-    "olt": "<",
-    "ole": "<=",
-    "ogt": ">",
-    "oge": ">=",
-    "ueq": "==",
-    "une": "!=",
-}
-
-
-def is_integer_op(op_name: str) -> bool:
-    """Whether the arith op operates on integers (affects folding types)."""
-    return op_name.endswith(("addi", "subi", "muli", "divsi", "remsi", "floordivsi",
-                             "minsi", "maxsi", "andi", "ori", "xori", "shli", "shrsi"))
+#: Every cast, by op name.
+CAST_OPS = frozenset(cls.OP_NAME for cls in (
+    IndexCastOp, SIToFPOp, FPToSIOp, ExtFOp, TruncFOp, ExtSIOp, TruncIOp))

@@ -1,15 +1,11 @@
 """``math`` dialect: transcendental functions emitted for C math calls.
 
 Each op takes one (or two for ``math.powf``/``math.atan2``) floating-point
-operands and produces a result of the same type.  The tables at the bottom
-map each op to the Python function used by code generation and constant
-folding, so that every pipeline computes identical values.
+operands and produces a result of the same type.  What each one means, and
+how every layer writes it, is its record in :mod:`repro.operators`.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Callable, Dict
 
 from ..ir.core import Operation, Value, register_operation
 from ..ir.verifier import VerificationError
@@ -60,53 +56,3 @@ CeilOp = _unary("math.ceil")
 PowFOp = _binary("math.powf")
 Atan2Op = _binary("math.atan2")
 
-
-#: Python-level semantics for folding and interpretation.
-MATH_SEMANTICS: Dict[str, Callable] = {
-    "math.exp": math.exp,
-    "math.log": math.log,
-    "math.log2": math.log2,
-    "math.sqrt": math.sqrt,
-    "math.absf": abs,
-    "math.sin": math.sin,
-    "math.cos": math.cos,
-    "math.tanh": math.tanh,
-    "math.floor": math.floor,
-    "math.ceil": math.ceil,
-    "math.powf": math.pow,
-    "math.atan2": math.atan2,
-}
-
-#: Function name used in generated Python code (``math.<name>``).
-MATH_PYTHON_FUNCTIONS: Dict[str, str] = {
-    "math.exp": "math.exp",
-    "math.log": "math.log",
-    "math.log2": "math.log2",
-    "math.sqrt": "math.sqrt",
-    "math.absf": "abs",
-    "math.sin": "math.sin",
-    "math.cos": "math.cos",
-    "math.tanh": "math.tanh",
-    "math.floor": "math.floor",
-    "math.ceil": "math.ceil",
-    "math.powf": "math.pow",
-    "math.atan2": "math.atan2",
-}
-
-#: C library names recognized by the frontend, mapped to math-dialect ops.
-C_MATH_FUNCTIONS: Dict[str, str] = {
-    "exp": "math.exp",
-    "log": "math.log",
-    "log2": "math.log2",
-    "sqrt": "math.sqrt",
-    "sqrtf": "math.sqrt",
-    "fabs": "math.absf",
-    "abs": "math.absf",
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tanh": "math.tanh",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "pow": "math.powf",
-    "atan2": "math.atan2",
-}

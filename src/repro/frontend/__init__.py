@@ -16,7 +16,7 @@ frontend-agnostic:
    positive step; data-dependent loops become ``scf.while``;
    conditionals become ``scf.if``.  No unstructured branches.
 4. **math-dialect calls.** Math functions lower to ``math.*`` ops via
-   the ``C_MATH_FUNCTIONS`` table — never opaque calls.
+   their records in ``repro.operators`` — never opaque calls.
 5. **Scalar checksum return.** Kernels return one ``f64``/``i32`` value
    so every backend's result is comparable against the reference.
 """

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..dialects import arith, math_dialect, memref, scf
+from ..dialects import arith, memref, scf
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import CallOp, FuncOp, ReturnOp
-from ..ir.core import Block, Builder, Operation, Value
+from ..ir.core import OPERATION_REGISTRY, Block, Builder, Operation, Value
 from ..ir.types import (
     DYNAMIC,
     F64,
@@ -41,6 +41,7 @@ from ..ir.types import (
     MemRefType,
     Type,
 )
+from ..operators import C_FUNCTIONS, C_OPERATORS
 from . import c_ast as ast
 
 
@@ -504,17 +505,12 @@ class FunctionLowering:
         zero = self._typed_constant(0, typed.value.type)
         return self.builder.create(arith.CmpIOp, "ne", typed.value, zero).result
 
-    _CMP_PRED_INT = {"<": "slt", "<=": "sle", ">": "sgt", ">=": "sge", "==": "eq", "!=": "ne"}
-    _CMP_PRED_FLOAT = {"<": "olt", "<=": "ole", ">": "ogt", ">=": "oge", "==": "oeq", "!=": "one"}
-
     def _lower_comparison(self, op: str, lhs: _TypedValue, rhs: _TypedValue) -> _TypedValue:
-        if lhs.is_float or rhs.is_float:
-            lval = self._to_float(lhs)
-            rval = self._to_float(rhs)
-            result = self.builder.create(arith.CmpFOp, self._CMP_PRED_FLOAT[op], lval, rval)
-        else:
-            lval, rval = self._unify_ints(lhs, rhs)
-            result = self.builder.create(arith.CmpIOp, self._CMP_PRED_INT[op], lval, rval)
+        is_float = lhs.is_float or rhs.is_float
+        lval, rval = (self._to_float(lhs), self._to_float(rhs)) if is_float \
+            else self._unify_ints(lhs, rhs)
+        record = C_OPERATORS[op, not is_float]
+        result = self.builder.create(OPERATION_REGISTRY[record.name], record.predicate, lval, rval)
         return _TypedValue(result.result, False)
 
     def _unify_ints(self, lhs: _TypedValue, rhs: _TypedValue) -> Tuple[Value, Value]:
@@ -536,23 +532,18 @@ class FunctionLowering:
             rval = self.builder.create(arith.ExtSIOp, rval, lval.type).result
         return lval, rval
 
-    _INT_OPS = {"+": arith.AddIOp, "-": arith.SubIOp, "*": arith.MulIOp, "/": arith.DivSIOp,
-                "%": arith.RemSIOp, "&": arith.AndIOp, "|": arith.OrIOp, "^": arith.XOrIOp,
-                "<<": arith.ShLIOp, ">>": arith.ShRSIOp}
-    _FLOAT_OPS = {"+": arith.AddFOp, "-": arith.SubFOp, "*": arith.MulFOp, "/": arith.DivFOp}
-
     def _lower_arithmetic(self, op: str, lhs: _TypedValue, rhs: _TypedValue) -> _TypedValue:
-        if lhs.is_float or rhs.is_float:
-            if op not in self._FLOAT_OPS:
-                raise LoweringError(f"Operator {op!r} is not supported on floating-point values")
-            lval = self._to_float(lhs)
-            rval = self._to_float(rhs)
-            result = self.builder.create(self._FLOAT_OPS[op], lval, rval, F64)
+        is_float = lhs.is_float or rhs.is_float
+        record = C_OPERATORS.get((op, not is_float))
+        if record is None:
+            raise LoweringError(f"Operator {op!r} is not supported on "
+                                f"{'floating-point' if is_float else 'integer'} values")
+        if is_float:
+            lval, rval = self._to_float(lhs), self._to_float(rhs)
+            result = self.builder.create(OPERATION_REGISTRY[record.name], lval, rval, F64)
             return _TypedValue(result.result, True)
-        if op not in self._INT_OPS:
-            raise LoweringError(f"Unsupported integer operator {op!r}")
         lval, rval = self._unify_ints(lhs, rhs)
-        result = self.builder.create(self._INT_OPS[op], lval, rval, lval.type)
+        result = self.builder.create(OPERATION_REGISTRY[record.name], lval, rval, lval.type)
         return _TypedValue(result.result, False)
 
     def _lower_unary(self, expression: ast.UnaryOp) -> _TypedValue:
@@ -621,13 +612,9 @@ class FunctionLowering:
                 variable = self._lookup(argument.name)
                 self.builder.create(memref.DeallocOp, variable.value)
             return _TypedValue(self._typed_constant(0, I32), False)
-        if name in math_dialect.C_MATH_FUNCTIONS:
-            op_name = math_dialect.C_MATH_FUNCTIONS[name]
+        if name in C_FUNCTIONS:
             operands = [self._to_float(self.lower_expression(arg)) for arg in expression.arguments]
-            from ..ir.core import OPERATION_REGISTRY
-
-            op_class = OPERATION_REGISTRY[op_name]
-            result = self.builder.create(op_class, *operands)
+            result = self.builder.create(OPERATION_REGISTRY[C_FUNCTIONS[name].name], *operands)
             return _TypedValue(result.result, True)
         # User-defined function in the same translation unit.
         try:

@@ -39,28 +39,17 @@ from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Un
 
 from ..errors import FrontendError
 from ..frontend import c_ast
+from ..operators import C_FUNCTIONS, RECORDS
 from ..symbolic import Integer, SymbolicError, parse_expr
 from .program import PythonProgram
 
 _DOUBLE = c_ast.CType("double")
 _INT = c_ast.CType("int")
 
-#: NumPy/math function names → C math-library names the shared lowering
-#: maps onto the ``math`` dialect (see ``C_MATH_FUNCTIONS``).
-_UNARY_MATH = {
-    "exp": "exp",
-    "log": "log",
-    "log2": "log2",
-    "sqrt": "sqrt",
-    "tanh": "tanh",
-    "sin": "sin",
-    "cos": "cos",
-    "floor": "floor",
-    "ceil": "ceil",
-    "abs": "fabs",
-    "absolute": "fabs",
-    "fabs": "fabs",
-}
+#: ``np.<name>`` element-wise functions: the records whose NumPy spelling
+#: that is (``math.<name>`` is looked up by C name, ``C_FUNCTIONS``).
+_NUMPY_MATH = {record.numpy[len("np."):]: record for record in RECORDS
+               if record.numpy and record.arity == 1}
 
 #: Reduction spellings: np.<name>(a) and a.<name>().
 _REDUCTIONS = {"sum": "sum", "mean": "mean", "max": "max", "min": "min",
@@ -1038,9 +1027,9 @@ class Translator:
             if isinstance(value, _Scalar):
                 self._error(f"np.{fname} expects an array argument", node)
             return self._reduction(_REDUCTIONS[fname], value, node)
-        if fname in _UNARY_MATH:
+        if fname in _NUMPY_MATH:
             value = self._one_arg(node, f"np.{fname}")
-            return self._unary_math(_UNARY_MATH[fname], value)
+            return self._unary_math(_NUMPY_MATH[fname].c[0], value)
         if fname in ("maximum", "minimum"):
             if len(node.args) != 2:
                 self._error(f"np.{fname} takes exactly two arguments", node)
@@ -1057,30 +1046,21 @@ class Translator:
             return self._scalar_binop("**", lhs, rhs, node)
         self._error(
             f"Unsupported NumPy function np.{fname} (supported: allocation "
-            f"{sorted(_ALLOCATORS)}, elementwise {sorted(_UNARY_MATH)}, "
+            f"{sorted(_ALLOCATORS)}, elementwise {sorted(_NUMPY_MATH)}, "
             f"maximum/minimum/power, reductions {sorted(set(_REDUCTIONS))})",
             node,
         )
 
     def _math_call(self, fname: str, node: pyast.Call) -> _Scalar:
-        table = dict(_UNARY_MATH, pow=None)
-        if fname == "pow":
-            if len(node.args) != 2:
-                self._error("math.pow takes exactly two arguments", node)
-            lhs = self._expression(node.args[0])
-            rhs = self._expression(node.args[1])
-            if isinstance(lhs, _ArrayExpr) or isinstance(rhs, _ArrayExpr):
-                self._error("math.pow operates on scalars (use np.power)", node)
-            return _Scalar(c_ast.Call("pow", [lhs.expr, rhs.expr]), True)
-        if fname not in table or table[fname] is None:
+        record = C_FUNCTIONS.get(fname)
+        if record is None:
             self._error(f"Unsupported math function math.{fname}", node)
-        value = self._one_arg(node, f"math.{fname}")
-        if isinstance(value, _ArrayExpr):
-            self._error(
-                f"math.{fname} operates on scalars (use np.{fname} for arrays)",
-                node,
-            )
-        return _Scalar(c_ast.Call(table[fname], [value.expr]), True)
+        if len(node.args) != record.arity:
+            self._error(f"math.{fname} takes exactly {record.arity} argument(s)", node)
+        values = [self._expression(argument) for argument in node.args]
+        if any(isinstance(value, _ArrayExpr) for value in values):
+            self._error(f"math.{fname} operates on scalars (use np.{fname} for arrays)", node)
+        return _Scalar(c_ast.Call(record.c[0], [value.expr for value in values]), True)
 
     def _builtin_call(self, fname: str, node: pyast.Call) -> _Value:
         if fname == "range":

@@ -150,8 +150,6 @@ class Operation:
     IS_TERMINATOR: bool = False
     #: Regions of the op cannot reference SSA values defined outside it.
     IS_ISOLATED_FROM_ABOVE: bool = False
-    #: Operands can be reordered without changing semantics.
-    IS_COMMUTATIVE: bool = False
 
     def __init__(
         self,

@@ -1,27 +1,25 @@
 """Canonicalization: constant folding and algebraic simplification.
 
-Folds ``arith`` and ``math`` operations whose operands are constants,
-applies neutral/absorbing-element identities (``x + 0``, ``x * 1``,
-``x * 0``), folds comparisons and selects over constants, and simplifies
-``scf.if`` with a constant condition by splicing the taken branch into the
-parent block.  This is the control-centric workhorse that both the GCC- and
+Folds ``arith`` and ``math`` operations whose operands are constants by
+what C computes (:mod:`repro.operators`) — except where C leaves the value
+undefined, or it is ``inf`` or ``nan``, which no literal spells in every
+language — applies the neutral and absorbing elements of integer operations
+(``x + 0``, ``x * 1``, ``x * 0``; on floats none holds for every ``x``),
+folds selects and casts of constants, and simplifies ``scf.if`` with a
+constant condition by splicing the taken branch into the parent block.  This is the control-centric workhorse that both the GCC- and
 MLIR-style baseline pipelines and DCIR share (§4 of the paper).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
-from ..dialects import arith, math_dialect
-from ..dialects.arith import (
-    BINARY_SEMANTICS,
-    CMP_SEMANTICS,
-    ConstantOp,
-    is_integer_op,
-)
-from ..dialects.math_dialect import MATH_SEMANTICS
+from ..dialects import arith
+from ..dialects.arith import ConstantOp
 from ..ir.core import Builder, Operation, Value, defining_op
 from ..ir.types import FloatType, IndexType, IntegerType
+from ..operators import Operator, Undefined, record_of
 from .pass_manager import Pass
 
 
@@ -66,32 +64,16 @@ class Canonicalize(Pass):
         return changed
 
     def _fold_op(self, op: Operation) -> bool:
+        record = record_of(op)
+        if record is not None:
+            return self._fold_record(op, record)
         name = op.name
-        if name in BINARY_SEMANTICS:
-            return self._fold_binary(op)
-        if name in MATH_SEMANTICS:
-            return self._fold_math(op)
-        if name in (arith.CmpIOp.OP_NAME, arith.CmpFOp.OP_NAME):
-            return self._fold_compare(op)
         if name == arith.SelectOp.OP_NAME:
             return self._fold_select(op)
-        if name in (
-            arith.IndexCastOp.OP_NAME,
-            arith.SIToFPOp.OP_NAME,
-            arith.FPToSIOp.OP_NAME,
-            arith.ExtFOp.OP_NAME,
-            arith.TruncFOp.OP_NAME,
-            arith.ExtSIOp.OP_NAME,
-            arith.TruncIOp.OP_NAME,
-        ):
+        if name in arith.CAST_OPS:
             return self._fold_cast(op)
         if name == "scf.if":
             return self._fold_if(op)
-        if name == arith.NegFOp.OP_NAME:
-            value = constant_value(op.operand(0))
-            if value is not None:
-                self._replace_with_constant(op, -value)
-                return True
         return False
 
     # -- folds ------------------------------------------------------------------
@@ -101,65 +83,32 @@ class Canonicalize(Pass):
         op.result.replace_all_uses_with(constant)
         op.erase()
 
-    def _fold_binary(self, op: Operation) -> bool:
-        lhs = constant_value(op.operand(0))
-        rhs = constant_value(op.operand(1))
-        semantics = BINARY_SEMANTICS[op.name]
-        if lhs is not None and rhs is not None:
-            if op.name in ("arith.divsi", "arith.remsi", "arith.divf") and rhs == 0:
-                return False  # keep the (undefined) op rather than crash folding
-            result = semantics(lhs, rhs)
-            if is_integer_op(op.name):
-                result = int(result)
+    def _fold_record(self, op: Operation, record: Operator) -> bool:
+        values = [constant_value(operand) for operand in op.operands]
+        if None not in values:
+            try:
+                result = record.reference(*values)
+            except Undefined:
+                return False  # keep what C leaves undefined
+            if not math.isfinite(result):
+                return False  # keep the op: ``inf`` and ``nan`` have no literal
             self._replace_with_constant(op, result)
             return True
-        # Algebraic identities with one constant operand.
-        base_name = op.name.split(".")[-1]
-        if rhs is not None:
-            if rhs == 0 and base_name in ("addi", "addf", "subi", "subf", "ori", "xori"):
-                return self._replace_with_value(op, op.operand(0))
-            if rhs == 1 and base_name in ("muli", "mulf", "divsi", "divf", "floordivsi"):
-                return self._replace_with_value(op, op.operand(0))
-            if rhs == 0 and base_name in ("muli", "andi"):
-                self._replace_with_constant(op, 0)
-                return True
-            if rhs == 0.0 and base_name == "mulf":
-                self._replace_with_constant(op, 0.0)
-                return True
-        if lhs is not None:
-            if lhs == 0 and base_name in ("addi", "addf", "ori", "xori"):
-                return self._replace_with_value(op, op.operand(1))
-            if lhs == 1 and base_name in ("muli", "mulf"):
-                return self._replace_with_value(op, op.operand(1))
-            if lhs == 0 and base_name in ("muli", "andi"):
-                self._replace_with_constant(op, 0)
+        neutral, absorbing = record.identities
+        sides = ((values[-1], 0), (values[0], 1)) if record.commutative else ((values[-1], 0),)
+        for constant, other in sides:
+            if constant is None:
+                continue
+            if constant == neutral:
+                return self._replace_with_value(op, op.operand(other))
+            if constant == absorbing:
+                self._replace_with_constant(op, absorbing)
                 return True
         return False
 
     def _replace_with_value(self, op: Operation, value: Value) -> bool:
         op.result.replace_all_uses_with(value)
         op.erase()
-        return True
-
-    def _fold_math(self, op: Operation) -> bool:
-        values = [constant_value(operand) for operand in op.operands]
-        if any(value is None for value in values):
-            return False
-        try:
-            result = MATH_SEMANTICS[op.name](*[float(value) for value in values])
-        except (ValueError, OverflowError):
-            return False
-        self._replace_with_constant(op, result)
-        return True
-
-    def _fold_compare(self, op: Operation) -> bool:
-        lhs = constant_value(op.operand(0))
-        rhs = constant_value(op.operand(1))
-        if lhs is None or rhs is None:
-            return False
-        predicate = op.attributes["predicate"]
-        result = CMP_SEMANTICS[predicate](lhs, rhs)
-        self._replace_with_constant(op, 1 if result else 0)
         return True
 
     def _fold_select(self, op: Operation) -> bool:

@@ -20,6 +20,8 @@ from collections import ChainMap
 from functools import lru_cache
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from ..operators import CALLS
+
 #: Expression nodes that bind tighter than any operator: their text can
 #: replace a name without parentheses.
 _ATOMS = (ast.Name, ast.Constant, ast.Call, ast.Subscript, ast.Attribute)
@@ -134,11 +136,6 @@ def renamed(code: str, replacements: Mapping[str, str]) -> Optional[str]:
     ], replacements)
 
 
-#: ``math`` functions the backends evaluate in double precision.
-_FLOAT_MATH = frozenset(
-    {"sqrt", "exp", "log", "log2", "sin", "cos", "tanh", "fabs", "atan2", "pow"}
-)
-
 _FLOATS = ("float64", "float32")
 
 
@@ -175,8 +172,9 @@ def node_dtype(node: ast.expr, operands: Sequence[Optional[str]],
     it, and tasklet fusion decides by it whether a store converts.
     ``names`` types the identifiers (connectors, symbols, constants);
     ``None`` is "unknown".  Arithmetic promotes to ``float64`` / ``float32``
-    / ``int64``; true division, ``**``, ``math`` functions and any ``%`` or
-    ``//`` with a floating operand are evaluated in ``float64``; tests are
+    / ``int64``; true division, ``**`` and any ``%`` or ``//`` with a
+    floating operand are evaluated in ``float64``, a call of an operation's
+    record (:data:`~repro.operators.CALLS`) has its record's type; tests are
     ``bool``.
     """
     if isinstance(node, ast.Constant):
@@ -198,10 +196,9 @@ def node_dtype(node: ast.expr, operands: Sequence[Optional[str]],
         return _promote(*operands[:2])
     if isinstance(node, ast.Call) and operands:
         func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _FLOAT_MATH:
-                return "float64"
-            return "int64" if func.attr in ("floor", "ceil") else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            record = CALLS.get(f"{func.value.id}.{func.attr}")
+            return None if record is None else record.dtype
         if isinstance(func, ast.Name):
             if func.id in ("float", "int", "bool"):
                 return {"float": "float64", "int": "int64", "bool": "bool"}[func.id]

@@ -28,10 +28,11 @@ from repro.codegen.sdfg_c import _HELPERS, CEmitter, NativeCodegenError
 from repro.codegen.sdfg_python import NUMPY, CompiledSDFG, Refused, generate_code
 from repro.codegen.sdfg_walk import ARRAY_KINDS, affine_in
 from repro.codegen.toolchain import NATIVE_CACHE_ENV, compile_shared
+from repro.operators import CALLS
 from repro.perf import PERF
 from repro.sdfg import SCHEDULE_PARALLEL, SDFG, Memlet, Tasklet, propagate_memlets_state
 from repro.sdfg.tasklet_code import (
-    _FLOAT_MATH, Unspelled, as_operand, result_dtype, single_assignment, spell,
+    Unspelled, as_operand, result_dtype, single_assignment, spell,
 )
 from repro.symbolic import Range, parse_expr
 from repro.workloads import get_kernel
@@ -899,8 +900,7 @@ class TestNumpyTable:
         ["a + b", "a - b", "a * b", "a / b", "a // b", "a % b", "a ** b", "-a", "+a", "not a",
          "a < b", "a <= b", "a > b", "a >= b", "a == b", "a != b", "a and b", "a or b",
          "a if b else 1.0", "1", "1.5", "True", "a"]
-        + [f"math.{name}(a)" for name in sorted(_FLOAT_MATH - {"atan2", "pow"})]
-        + ["math.atan2(a, b)", "math.pow(a, b)", "math.floor(a)", "math.ceil(a)"]
+        + [f"{name}({', '.join('ab'[:record.arity])})" for name, record in sorted(CALLS.items())]
         + ["float(a)", "int(a)", "bool(a)", "abs(a)", "min(a, b)", "max(a, b)"]
     )
 
@@ -916,7 +916,8 @@ class TestNumpyTable:
         a, b = np.array([0.3, 1.7, 2.5]), np.array([1.1, 0.4, 2.5])
         vector = eval(spelled, {"np": np, "a": a, "b": b})
         for position in range(3):
-            scalar = eval(text, {"math": math, "a": float(a[position]), "b": float(b[position])})
+            scalar = eval(text, {"math": math, "np": np, "a": float(a[position]),
+                                 "b": float(b[position])})
             element = vector[position] if np.ndim(vector) else vector
             assert element == pytest.approx(scalar, rel=1e-15), spelled
 
@@ -999,7 +1000,7 @@ class TestCTable:
                 function(a, b, out)
                 for (_, text, convert), value in zip(cases, out):
                     try:
-                        scalar = eval(text, {"math": math, "a": a, "b": b})
+                        scalar = eval(text, {"math": math, "np": np, "a": a, "b": b})
                     except (ArithmeticError, ValueError):
                         continue  # outside the domain: Python raises where C returns NaN
                     assert value == pytest.approx(float(convert(scalar)), rel=1e-15), \

@@ -224,7 +224,7 @@ def test_the_native_translator_types_by_the_table_fusion_reads():
         "float(n)": "float64", "int(a)": "int64", "bool(n)": "bool",
         "abs(n)": "int64", "abs(a)": "float64", "abs(f)": "float64",
         "min(n, 3)": "int64", "max(a, n)": "float64", "max(f, n)": "float64",
-        "math.sqrt(n)": "float64", "math.floor(a)": "int64",
+        "math.sqrt(n)": "float64", "np.floor(a)": "float64",
         "a if n < 2 else f": "float64", "n < 2": "bool", "b and n": "bool",
         "(a * f) - n": "float64", "1.5": "float64", "7": "int64", "True": "bool",
     }
