@@ -146,7 +146,6 @@ class MLIRPythonGenerator:
         else:
             raise MLIRCodegenError(f"Cannot generate Python for operation {name!r}")
 
-    # -- memory -------------------------------------------------------------------------
     def _record_text(self, op: Operation, record: Operator) -> str:
         """The value of an ``arith``/``math`` operation: its record's Python
         text, C's truncating ``/`` and ``%`` on integers, and a call whose
@@ -164,6 +163,7 @@ class MLIRPythonGenerator:
             return python_call(record, operands)
         return python_text(record, operands)
 
+    # -- memory -------------------------------------------------------------------------
     def _emit_alloc(self, op: Operation) -> None:
         memref_type: MemRefType = op.result.type
         if self._is_scalar_cell(op.result):
