@@ -267,6 +267,7 @@ C_TASKLET = {
     **{name: f"{record.c[0]}({', '.join(['(double)({})'] * record.arity)})"
        for name, record in CALLS.items()},
     "float": "((double)({}))", "int": "((int64_t)({}))", "bool": "(({}) != 0)",
+    # ``abs`` is also ``fabs``'s record, whose row this replaces: it takes integers too.
     "abs": lambda _, texts, floats: None if len(texts) != 1 else f"fabs((double)({texts[0]}))"
     if floats else f"repro_abs_i64((int64_t)({texts[0]}))",
     "min": lambda _, texts, floats: _c_minmax("min", texts, floats) if texts[1:] else None,

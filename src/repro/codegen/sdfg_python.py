@@ -115,7 +115,7 @@ NUMPY = {
     ast.IfExp: Refused("conditional"), ast.And: Refused("boolean"), ast.Or: Refused("boolean"),
     **{name: f"{record.numpy}({', '.join(['{}'] * record.arity)})"
        for name, record in CALLS.items()},
-    "float": "np.float64({})", "int": "np.int64({})", "abs": "abs({})",
+    "float": "np.float64({})", "int": "np.int64({})",
     "bool": Refused("bool_cast"), "min": Refused("min_max"), "max": Refused("min_max"),
 }
 
@@ -165,7 +165,7 @@ PYTHON = {
     ast.IfExp: lambda _, texts, __: f"{texts[0]} if {texts[2]} else {texts[1]}",
     ast.And: lambda _, texts, __: " and ".join(texts),
     ast.Or: lambda _, texts, __: " or ".join(texts),
-    **{name: _call(name) for name in ("float", "int", "bool", "abs", "min", "max")},
+    **{name: _call(name) for name in ("float", "int", "bool", "min", "max")},
     **{name: _call(name) if record.guard is None else _guarded_call(record)
        for name, record in CALLS.items()},
 }
@@ -199,7 +199,7 @@ def _respelled(assignment, lists: bool) -> bool:
 #: on floats.  Not division by a literal zero, which is no number to guard.
 SAME_BITS = frozenset({
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd, ast.IfExp, "abs", "float", "min",
-    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, "math.sqrt", "math.fabs",
+    "max", ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, "math.sqrt",
 })
 
 

@@ -39,17 +39,16 @@ from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Un
 
 from ..errors import FrontendError
 from ..frontend import c_ast
-from ..operators import C_FUNCTIONS, RECORDS
+from ..operators import SOURCES
 from ..symbolic import Integer, SymbolicError, parse_expr
 from .program import PythonProgram
 
 _DOUBLE = c_ast.CType("double")
 _INT = c_ast.CType("int")
 
-#: ``np.<name>`` element-wise functions: the records whose NumPy spelling
-#: that is (``math.<name>`` is looked up by C name, ``C_FUNCTIONS``).
-_NUMPY_MATH = {record.numpy[len("np."):]: record for record in RECORDS
-               if record.numpy and record.arity == 1}
+#: ``np.<name>`` element-wise functions, each the record it lowers to.
+_NUMPY_MATH = {name[len("np."):]: record for name, record in SOURCES.items()
+               if name.startswith("np.")}
 
 #: Reduction spellings: np.<name>(a) and a.<name>().
 _REDUCTIONS = {"sum": "sum", "mean": "mean", "max": "max", "min": "min",
@@ -1052,14 +1051,16 @@ class Translator:
         )
 
     def _math_call(self, fname: str, node: pyast.Call) -> _Scalar:
-        record = C_FUNCTIONS.get(fname)
+        record = SOURCES.get(f"math.{fname}")
         if record is None:
             self._error(f"Unsupported math function math.{fname}", node)
         if len(node.args) != record.arity:
             self._error(f"math.{fname} takes exactly {record.arity} argument(s)", node)
         values = [self._expression(argument) for argument in node.args]
         if any(isinstance(value, _ArrayExpr) for value in values):
-            self._error(f"math.{fname} operates on scalars (use np.{fname} for arrays)", node)
+            numpy = [name for name in record.sources if name.startswith("np.")]
+            self._error(f"math.{fname} operates on scalars"
+                        + (f" (use {numpy[0]} for arrays)" if numpy else ""), node)
         return _Scalar(c_ast.Call(record.c[0], [value.expr for value in values]), True)
 
     def _builtin_call(self, fname: str, node: pyast.Call) -> _Value:

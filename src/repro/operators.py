@@ -17,7 +17,9 @@ is written once, here, as an :class:`Operator`:
   which is the :func:`~repro.sdfg.tasklet_code.construct` key every
   spelling table of tasklet code looks it up by; ``numpy`` — the NumPy
   function a call is spelled with over arrays (an operator is spelled as
-  itself);
+  itself); ``sources`` — the ``math.``/``np.`` functions a Python program
+  calls it by (the Python frontend's names, which are Python's and
+  NumPy's, not the emitters');
 * ``guard`` — the domain, over ``{0}``, ``{1}``, on which the Python call
   gives C's value; elsewhere it raises where C gives ``nan`` or ``±inf``,
   and NumPy's value stands in (``None``: everywhere);
@@ -26,10 +28,11 @@ is written once, here, as an :class:`Operator`:
 
 Every consumer reads a view of :data:`RECORDS`: :data:`OPERATIONS` (by MLIR
 operation, for folding and the converters), :data:`C_OPERATORS` and
-:data:`C_FUNCTIONS` (for the C frontend), :data:`CALLS` (the tasklet
-constructs that are calls, for the spelling tables).  A view that lacks an
-operation does not support it.  ``tests/test_operator_table.py`` holds every
-record, on every path, to ``cc -O2`` on its C spelling.
+:data:`C_FUNCTIONS` (for the C frontend), :data:`SOURCES` (for the Python
+frontend), :data:`CALLS` (the tasklet constructs that are calls, for the
+spelling tables).  A view that lacks an operation does not support it.
+``tests/test_operator_table.py`` holds every record, on every path, to
+``cc -O2`` on its C spelling.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class Operator(NamedTuple):
     dtype: str
     python: str
     numpy: Optional[str]
+    sources: Tuple[str, ...]
     guard: Optional[str]
     symbolic: Optional[Callable]
 
@@ -141,26 +145,27 @@ def _libm(name: str, numpy: str) -> Callable[..., float]:
 def _integer(name, c, python, reference, commutative=False, identities=(None, None),
              symbolic=None) -> Operator:
     return Operator(f"arith.{name}", None, (c,), 2, True, commutative, identities, reference,
-                    "int64", python, None, None, symbolic)
+                    "int64", python, None, (), None, symbolic)
 
 
 def _float(name, c, python, reference, commutative=False) -> Operator:
     return Operator(f"arith.{name}", None, (c,), 2, False, commutative, (None, None),
-                    reference, "float64", python, None, None, None)
+                    reference, "float64", python, None, (), None, None)
 
 
 def _compare(name, predicate, c, integral) -> Operator:
     return Operator(name, predicate, (c,), 2, integral, c in ("==", "!="), (None, None),
-                    _COMPARISONS[c], "bool", c, None, None,
+                    _COMPARISONS[c], "bool", c, None, (), None,
                     partial(Compare.make, c) if integral else None)
 
 
-def _math(name, c, python, numpy, arity=1, guard=None) -> Operator:
-    module, function = python.split(".")
-    reference = _libm(function, numpy[len("np."):]) if module == "math" \
-        else _numpy(getattr(np, function))
+def _math(name, c, python, numpy, sources, arity=1, guard=None) -> Operator:
+    if python.startswith("math."):
+        reference = _libm(python[len("math."):], numpy[len("np."):])
+    else:
+        reference = _numpy(abs if numpy == "abs" else getattr(np, numpy[len("np."):]))
     return Operator(f"math.{name}", None, c, arity, False, False, (None, None), reference,
-                    "float64", python, numpy, guard, None)
+                    "float64", python, numpy, sources, guard, None)
 
 
 _COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
@@ -185,27 +190,34 @@ RECORDS: Tuple[Operator, ...] = (
     _float("mulf", "*", "*", operator.mul, True),
     _float("divf", "/", "/", _numpy(np.divide)),
     Operator("arith.negf", None, ("-",), 1, False, False, (None, None), operator.neg,
-             "float64", "-", None, None, None),
+             "float64", "-", None, (), None, None),
     *(_compare("arith.cmpi", predicate, c, True) for predicate, c in (
         ("eq", "=="), ("ne", "!="), ("slt", "<"), ("sle", "<="), ("sgt", ">"), ("sge", ">="))),
     # C's ``!=`` is true when an operand is NaN: unordered not-equal.
     *(_compare("arith.cmpf", predicate, c, False) for predicate, c in (
         ("oeq", "=="), ("une", "!="), ("olt", "<"), ("ole", "<="), ("ogt", ">"), ("oge", ">="))),
-    _math("exp", ("exp",), "math.exp", "np.exp", guard="{0} <= 709.0"),
-    _math("log", ("log",), "math.log", "np.log", guard="{0} > 0.0"),
-    _math("log2", ("log2",), "math.log2", "np.log2", guard="{0} > 0.0"),
-    _math("sqrt", ("sqrt", "sqrtf"), "math.sqrt", "np.sqrt", guard="{0} >= 0.0"),
-    _math("absf", ("fabs", "abs"), "math.fabs", "np.abs"),
-    _math("sin", ("sin",), "math.sin", "np.sin", guard="abs({0}) < math.inf"),
-    _math("cos", ("cos",), "math.cos", "np.cos", guard="abs({0}) < math.inf"),
-    _math("tanh", ("tanh",), "math.tanh", "np.tanh"),
+    _math("exp", ("exp",), "math.exp", "np.exp", ("math.exp", "np.exp"), guard="{0} <= 709.0"),
+    _math("log", ("log",), "math.log", "np.log", ("math.log", "np.log"), guard="{0} > 0.0"),
+    _math("log2", ("log2",), "math.log2", "np.log2", ("math.log2", "np.log2"),
+          guard="{0} > 0.0"),
+    _math("sqrt", ("sqrt", "sqrtf"), "math.sqrt", "np.sqrt", ("math.sqrt", "np.sqrt"),
+          guard="{0} >= 0.0"),
+    # The builtin ``abs`` keeps an ``np.float64`` one (``math.fabs`` makes a
+    # ``float``, and ``1.0 / float`` raises at zero where C gives ``inf``).
+    _math("absf", ("fabs", "abs"), "abs", "abs",
+          ("math.fabs", "np.abs", "np.absolute", "np.fabs")),
+    _math("sin", ("sin",), "math.sin", "np.sin", ("math.sin", "np.sin"),
+          guard="abs({0}) < math.inf"),
+    _math("cos", ("cos",), "math.cos", "np.cos", ("math.cos", "np.cos"),
+          guard="abs({0}) < math.inf"),
+    _math("tanh", ("tanh",), "math.tanh", "np.tanh", ("math.tanh", "np.tanh")),
     # ``math.floor`` returns an ``int``; C's ``floor`` a ``double``.
-    _math("floor", ("floor",), "np.floor", "np.floor"),
-    _math("ceil", ("ceil",), "np.ceil", "np.ceil"),
+    _math("floor", ("floor",), "np.floor", "np.floor", ("math.floor", "np.floor")),
+    _math("ceil", ("ceil",), "np.ceil", "np.ceil", ("math.ceil", "np.ceil")),
     # ``b * log(a)`` below 709 in magnitude and ``a`` positive: no overflow, no domain error.
-    _math("powf", ("pow",), "math.pow", "np.float_power", 2,
+    _math("powf", ("pow",), "math.pow", "np.float_power", ("math.pow",), 2,
           "abs({1} * math.log(abs({0}) or 1.0)) < 709.0 and {0} > 0.0"),
-    _math("atan2", ("atan2",), "math.atan2", "np.arctan2", 2),
+    _math("atan2", ("atan2",), "math.atan2", "np.arctan2", ("math.atan2",), 2),
 )
 
 #: ``(MLIR operation, predicate)`` → record; the predicate is ``None`` but on comparisons.
@@ -226,6 +238,9 @@ C_FUNCTIONS: Dict[str, Operator] = {
 
 #: Tasklet call construct (``"math.sqrt"``) → its record.
 CALLS: Dict[str, Operator] = {record.python: record for record in RECORDS if record.is_call}
+
+#: ``math.``/``np.`` function a Python program calls → the record it lowers to.
+SOURCES: Dict[str, Operator] = {name: record for record in RECORDS for name in record.sources}
 
 #: MLIR operation names the bridge may lift to a symbolic expression.
 SYMBOLIC = frozenset(record.name for record in RECORDS if record.symbolic is not None)

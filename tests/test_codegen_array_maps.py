@@ -901,7 +901,7 @@ class TestNumpyTable:
          "a < b", "a <= b", "a > b", "a >= b", "a == b", "a != b", "a and b", "a or b",
          "a if b else 1.0", "1", "1.5", "True", "a"]
         + [f"{name}({', '.join('ab'[:record.arity])})" for name, record in sorted(CALLS.items())]
-        + ["float(a)", "int(a)", "bool(a)", "abs(a)", "min(a, b)", "max(a, b)"]
+        + ["float(a)", "int(a)", "bool(a)", "min(a, b)", "max(a, b)"]
     )
 
     @pytest.mark.parametrize("text", TYPED)

@@ -40,7 +40,7 @@ INTEGERS = (0, 1, -1, 7, -9)
 
 #: Each admitted construct on floats ``a``, ``b`` (and the test ``c``).
 _UNARY = {ast.USub: "-a", ast.UAdd: "+a", "abs": "abs(a)", "float": "float(a)",
-          "math.sqrt": "math.sqrt(a)", "math.fabs": "math.fabs(a)"}
+          "math.sqrt": "math.sqrt(a)"}
 _BINARY = {
     ast.Add: "a + b", ast.Sub: "a - b", ast.Mult: "a * b", ast.Div: "a / b",
     ast.Eq: "a == b", ast.NotEq: "a != b", ast.Lt: "a < b", ast.LtE: "a <= b",

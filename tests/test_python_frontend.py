@@ -103,6 +103,35 @@ def test_python_division_semantics():
     assert out.return_value == pytest.approx(division(), abs=1e-12)
 
 
+@pytest.mark.parametrize("call", ["abs", "math.fabs", "np.abs", "np.absolute", "np.fabs"])
+def test_every_python_name_of_fabs_is_read_as_fabs(call):
+    magnitudes = _prog(
+        f"""
+        def magnitudes(N=4):
+            s = 0.0
+            for i in range(N):
+                s += {call}(i - 2.5)
+            return s
+        """,
+        "magnitudes", N=4,
+    )
+    assert magnitudes() == 5.0
+    assert compile_and_run(magnitudes, "dcir").return_value == 5.0
+
+
+@pytest.mark.parametrize("call", ["math.sqrtf", "math.abs", "math.absolute", "np.sqrtf"])
+def test_a_function_python_lacks_is_refused(call):
+    """C's ``sqrtf`` and NumPy's ``abs`` are no ``math`` or ``np`` functions."""
+    error = _frontend_error(
+        f"""
+        def bad(N=4):
+            return {call}(2.0)
+        """,
+        N=4,
+    )
+    assert "Unsupported" in str(error) and call.split(".")[1] in str(error)
+
+
 @pytest.mark.parametrize("pipeline", [
     pytest.param("mlir", marks=pytest.mark.xfail(
         strict=True,
