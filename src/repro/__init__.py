@@ -148,7 +148,7 @@ from .errors import (
 )
 from .frontend_py import PythonProgram, lower_python, program
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 from .service import (  # noqa: E402  (needs __version__ for cache keys)
     CompileCache,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from ..dialects.func import FuncOp
 from ..dialects.scf import ForOp, IfOp, WhileOp
-from ..ir.core import Operation, Value
+from ..ir.core import Operation, Value, defining_op
 from ..ir.types import DYNAMIC, FloatType, IndexType, IntegerType, MemRefType
 from ..operators import Operator, python_call, python_text, record_of
 from .loader import load_entry
@@ -44,6 +44,12 @@ _NUMPY_DTYPES = {
 
 def _numpy_dtype(type_obj) -> str:
     return _NUMPY_DTYPES.get(str(type_obj), "np.float64")
+
+
+def _literal_zero(value: Value) -> bool:
+    """Whether ``value`` is an ``arith.constant`` zero (of either sign)."""
+    op = defining_op(value)
+    return op is not None and op.name == "arith.constant" and op.attributes["value"] == 0
 
 
 class MLIRPythonGenerator:
@@ -148,18 +154,20 @@ class MLIRPythonGenerator:
 
     def _record_text(self, op: Operation, record: Operator) -> str:
         """The value of an ``arith``/``math`` operation: its record's Python
-        text, C's truncating ``/`` and ``%`` on integers, and a call whose
-        guard reads two operands under that guard.  A one-operand guard is
-        left out, so the pinned text of the shipped programs that call
-        ``exp``, ``log`` or ``sqrt`` does not move: there such a call still
-        raises where C gives ``nan`` or ``±inf`` (ROADMAP)."""
+        text, C's truncating ``/`` and ``%`` on integers, a call under its
+        record's guard, and a division by a literal zero through NumPy (a
+        ``float`` divided by zero raises where C gives ``±inf`` or ``nan``)."""
         operands = [self._name(operand) for operand in op.operands]
         if record.name == "arith.divsi":
             lhs, rhs = operands
             return f"{lhs} // {rhs} + ({lhs} % {rhs} != 0 and ({lhs} < 0) != ({rhs} < 0))"
         if record.name == "arith.remsi":
-            return f"int(math.fmod({operands[0]}, {operands[1]}))"
-        if record.guard is not None and record.arity > 1:
+            lhs, rhs = operands
+            # Python's ``%`` takes the divisor's sign, C's the dividend's.
+            return f"(_r - {rhs} if (_r := {lhs} % {rhs}) and {lhs} ^ {rhs} < 0 else _r)"
+        if record.name == "arith.divf" and _literal_zero(op.operand(1)):
+            return f"np.divide({operands[0]}, {operands[1]})"
+        if record.guard is not None:
             return python_call(record, operands)
         return python_text(record, operands)
 

@@ -63,8 +63,9 @@ run 2–6 times faster than on NumPy.
 
 Outside array nests a ``math`` call that raises where ``np.float64`` gives
 ``nan`` or ``±inf`` is guarded (``math.sqrt(x) if x >= 0.0 else
-float(np.sqrt(x))``, :data:`PYTHON`), and in a scalar region so is a
-division by anything but a literal (:data:`LISTS`).
+float(np.sqrt(x))``, :data:`PYTHON`), a division by a literal zero is
+``np.divide``'s, and in a scalar region a division by anything but a
+literal is guarded (:data:`LISTS`).
 """
 
 from __future__ import annotations
@@ -100,16 +101,32 @@ from .writer import SourceWriter
 _NUMPY_DTYPES = {name: f"np.{info.numpy_name}" for name, info in DTYPES.items()}
 
 
+def _zero(node) -> bool:
+    """Whether ``node`` is a literal zero of either sign (``0.0``, ``(-0.0)``)."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and not node.value
+
+
+def _by_zero(node, texts, _):
+    """``a / b``, NumPy's when ``b`` is a literal zero: a ``float`` divided by
+    zero raises where NumPy, like C, gives ``±inf`` or ``nan``."""
+    left, right = texts
+    return f"np.divide({left}, {right})" if _zero(node.right) else f"{left} / {right}"
+
+
 #: The NumPy spelling of a tasklet expression: for every construct that
 #: :func:`~repro.sdfg.tasklet_code.node_dtype` types, keyed by
 #: :func:`~repro.sdfg.tasklet_code.construct`, the text over its already
 #: spelled operands — or the :class:`Refused` name of what has no
 #: element-wise meaning (``a if v else b`` asks a vector for one truth
 #: value) or another one (``int ** -1`` raises, ``min`` hands back an
-#: operand).  Casts truncate as C's do.
+#: operand).  Casts truncate as C's do, and a division by a literal zero is
+#: ``np.divide``'s (:func:`_by_zero`).
 NUMPY = {
     **dict.fromkeys((bool, int, float), lambda node, _, __: repr(node.value)),
     **{operator: f"{{}} {text} {{}}" for operator, text in OPERATORS.items()},
+    ast.Div: _by_zero,
     ast.Pow: Refused("power"),
     ast.USub: "-{}", ast.UAdd: "+{}", ast.Invert: "~{}", ast.Not: Refused("boolean"),
     ast.IfExp: Refused("conditional"), ast.And: Refused("boolean"), ast.Or: Refused("boolean"),
@@ -134,12 +151,14 @@ def _temporary(node, text: str, index: int = 0) -> Tuple[str, str]:
 
 def _guards(node, lists: bool) -> bool:
     """Whether :data:`PYTHON` (``lists``: :data:`LISTS`) guards ``node``: a
-    call whose record has a guard, in a scalar region a division by anything
-    but a literal."""
+    call whose record has a guard, a division by a literal zero, and in a
+    scalar region a division by anything but a literal."""
     record = CALLS.get(construct(node))
-    return record is not None and record.guard is not None or lists and isinstance(
-        node, ast.BinOp) and isinstance(node.op, ast.Div) and not isinstance(
-        node.right, ast.Constant)
+    if record is not None and record.guard is not None:
+        return True
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    return _zero(node.right) or lists and not isinstance(node.right, ast.Constant)
 
 
 def _guarded_call(record):
@@ -154,10 +173,11 @@ def _call(name: str):
 
 
 #: The Python spelling of a tasklet expression on scalars that calls a
-#: function with a guard: the call under its record's guard, NumPy's value
-#: outside it (``math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))``,
-#: :func:`~repro.operators.python_call`), the rest in Python.  Any other
-#: expression is emitted as written.
+#: function with a guard or divides by a literal zero: the call under its
+#: record's guard, NumPy's value outside it (``math.sqrt(x) if x >= 0.0 else
+#: float(np.sqrt(x))``, :func:`~repro.operators.python_call`), the division
+#: ``np.divide``'s, the rest in Python.  Any other expression is emitted as
+#: written.
 PYTHON = {
     **dict.fromkeys((bool, int, float), lambda node, _, __: repr(node.value)),
     **{operator: f"{{}} {text} {{}}" for operator, text in OPERATORS.items()},
@@ -168,6 +188,7 @@ PYTHON = {
     **{name: _call(name) for name in ("float", "int", "bool", "min", "max")},
     **{name: _call(name) if record.guard is None else _guarded_call(record)
        for name, record in CALLS.items()},
+    ast.Div: _by_zero,
 }
 
 

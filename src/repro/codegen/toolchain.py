@@ -58,7 +58,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -405,10 +405,6 @@ def _freeze(value):
     return value
 
 
-def _evaluate_shape(dims: Tuple[str, ...], env: Dict[str, float]) -> tuple:
-    return tuple(int(sympify(dim).evaluate(dict(env))) for dim in dims)
-
-
 #: ``MADV_WIPEONFORK`` (Linux 4.14), which the ``mmap`` module does not name.
 _MADV_WIPEONFORK = 18
 
@@ -461,13 +457,70 @@ _WORKSPACE = _Workspace()
 
 
 def _workspace_bytes(declared, env: Dict[str, float]) -> int:
-    """Bytes of workspace one call needs, from the ABI header's ``workspace``."""
-    value = declared if isinstance(declared, int) else sympify(declared).evaluate(dict(env))
+    """Bytes of workspace one call needs: the ABI header's ``workspace``
+    (an int, or an expression of the symbols) under ``env``."""
+    value = declared if isinstance(declared, int) else declared.evaluate(env)
     if value < 0 or value != int(value):
         raise ToolchainError(
             f"Native workspace size {declared!r} evaluates to {value!r} bytes under {env!r}"
         )
     return int(value)
+
+
+class _Argument(NamedTuple):
+    """One argument of a loaded entry point: what :meth:`CompiledNative.run` passes."""
+
+    name: str
+    array: bool
+    #: Allocated by ``run`` (an array) or zeroed (a scalar), never read from the caller.
+    transient: bool
+    #: Element type of an array.
+    dtype: np.dtype
+    #: ctypes type of a scalar's cell.
+    cell: type
+    #: A scalar the caller leaves out starts at this (``0.0`` or ``0``);
+    #: its type is the type ``run`` returns the scalar as.
+    default: object
+    #: A transient array's dimensions, parsed.
+    shape: tuple
+
+
+class _CallPlan(NamedTuple):
+    """How to call one loaded library, derived once from its ABI."""
+
+    arguments: Tuple[_Argument, ...]
+    symbols: Tuple[str, ...]
+    constants: Mapping
+    #: Bytes of workspace a call needs: an int, or an expression of the symbols.
+    workspace: object
+    #: Whether a call evaluates an expression (a transient's shape, the
+    #: workspace): only then does it build the symbols' environment.
+    evaluates: bool
+
+
+def _call_plan(abi: Mapping) -> _CallPlan:
+    arguments = []
+    for arg in abi["args"]:
+        info = DTYPES[arg["dtype"]]
+        array = arg["kind"] == "array"
+        arguments.append(_Argument(
+            name=arg["name"],
+            array=array,
+            transient=arg["transient"],
+            dtype=np.dtype(info.numpy_name),
+            cell=getattr(ctypes, info.ctypes_name),
+            default=0.0 if arg["dtype"].startswith("float") else 0,
+            shape=tuple(sympify(dim) for dim in arg["shape"]) if array and arg["transient"] else (),
+        ))
+    declared = abi["workspace"]
+    constant = isinstance(declared, int)
+    return _CallPlan(
+        arguments=tuple(arguments),
+        symbols=tuple(abi["symbols"]),
+        constants=abi.get("constants", {}),
+        workspace=_workspace_bytes(declared, {}) if constant else sympify(declared),
+        evaluates=not constant or any(arg.shape for arg in arguments),
+    )
 
 
 def _stat_signature(path) -> Optional[Tuple[int, int, int]]:
@@ -480,7 +533,8 @@ def _stat_signature(path) -> Optional[Tuple[int, int, int]]:
 
 
 #: Libraries this process already has mapped: ``(code, name, cache
-#: directory, compiler)`` → ``(stat signature, frozen abi, library, function)``.
+#: directory, compiler)`` → ``(stat signature, frozen abi, call plan,
+#: library, function)``.
 _LOADED = BoundedTable(LOADED_LIBRARY_LIMIT)
 
 
@@ -501,6 +555,9 @@ class CompiledNative:
     abi: Mapping
     library: Path
     _function: object = field(repr=False, default=None)
+    #: What :meth:`run` passes for each argument, derived from the ABI when
+    #: the library is loaded and shared like it.
+    _plan: Optional[_CallPlan] = field(repr=False, default=None)
 
     def __call__(self, **kwargs):
         return self.run(**kwargs)
@@ -522,7 +579,9 @@ class CompiledNative:
         any other reuse); everything else takes the full path.  The ABI is
         parsed and frozen once, when the library is loaded: every
         :class:`CompiledNative` of that library shares the one read-only
-        object (mutating it raises), so a hit copies nothing.
+        object (mutating it raises), so a hit copies nothing.  So is the
+        call plan :meth:`run` follows: each argument's kind, ctypes type,
+        dtype and default, and the workspace size when it is a constant.
 
         A cached shared object that fails to ``dlopen`` (truncated or
         garbled by a killed writer or a bad disk) is quarantined
@@ -534,10 +593,10 @@ class CompiledNative:
         key = (code, name, native_cache_dir(), find_compiler())
         entry = _LOADED.get(key)
         if entry is not None:
-            signature, abi, library, function = entry
+            signature, abi, plan, library, function = entry
             if signature is not None and _stat_signature(library) == signature:
                 PERF.increment("toolchain.so_cache_hits")
-                return cls(code=code, abi=abi, library=library, _function=function)
+                return cls(code=code, abi=abi, library=library, _function=function, _plan=plan)
             _LOADED.discard(key)
 
         abi = parse_abi(code)
@@ -587,8 +646,9 @@ class CompiledNative:
                     "openmp": bool(features.openmp),
                 }
         abi = _freeze(abi)
-        _LOADED.put(key, (signature, abi, library, function))
-        return cls(code=code, abi=abi, library=library, _function=function)
+        plan = _call_plan(abi)
+        _LOADED.put(key, (signature, abi, plan, library, function))
+        return cls(code=code, abi=abi, library=library, _function=function, _plan=plan)
 
     # -- the interpreted-backend calling convention -----------------------------------
     def run(self, **kwargs) -> Dict:
@@ -602,35 +662,33 @@ class CompiledNative:
         two 1 Mi-element ``float64`` arguments that is ~17 ms a call against
         ~20 µs contiguous (2-vCPU Intel Xeon), so convert an array reused
         across calls once with ``np.ascontiguousarray``."""
-        abi = self.abi
-        symbol_values = {name: int(kwargs[name]) for name in abi["symbols"]}
-        env = {**abi.get("constants", {}), **symbol_values}
+        plan = self._plan
+        symbol_values = [int(kwargs[name]) for name in plan.symbols]
+        env = {**plan.constants, **dict(zip(plan.symbols, symbol_values))} if plan.evaluates else None
         argv = []
         arrays = []  # (name, caller object, marshalled buffer)
-        cells = []  # (name, dtype, ctypes cell)
-        for arg in abi["args"]:
-            info = DTYPES[arg["dtype"]]
-            if arg["kind"] == "array":
-                dtype = np.dtype(info.numpy_name)
-                if arg["transient"]:
+        cells = []  # (name, result type, ctypes cell)
+        for arg in plan.arguments:
+            if arg.array:
+                if arg.transient:
                     # Wrapper-allocated output (a transient in return_values):
                     # the interpreted backend allocates it inside run().
-                    original = buffer = np.empty(_evaluate_shape(arg["shape"], env), dtype)
+                    shape = tuple(int(dim.evaluate(env)) for dim in arg.shape)
+                    original = buffer = np.empty(shape, arg.dtype)
                 else:
-                    original = kwargs[arg["name"]]
-                    buffer = np.ascontiguousarray(original, dtype=dtype)
+                    original = kwargs[arg.name]
+                    buffer = np.ascontiguousarray(original, dtype=arg.dtype)
                 argv.append(ctypes.c_void_p(buffer.ctypes.data))
-                arrays.append((arg["name"], original, buffer))
+                arrays.append((arg.name, original, buffer))
             else:
-                default = 0.0 if arg["dtype"].startswith("float") else 0
-                initial = 0 if arg["transient"] else kwargs.get(arg["name"], default)
-                cell = getattr(ctypes, info.ctypes_name)(initial)
+                cell = arg.cell(0 if arg.transient else kwargs.get(arg.name, arg.default))
                 argv.append(ctypes.byref(cell))
-                cells.append((arg["name"], arg["dtype"], cell))
-        argv.extend(ctypes.c_int64(symbol_values[name]) for name in abi["symbols"])
+                cells.append((arg.name, type(arg.default), cell))
+        argv += [ctypes.c_int64(value) for value in symbol_values]
         allocations = ctypes.c_int64(0)
         argv.append(ctypes.byref(allocations))
-        argv.append(ctypes.c_void_p(_WORKSPACE.reserve(_workspace_bytes(abi["workspace"], env))))
+        workspace = plan.workspace if env is None else _workspace_bytes(plan.workspace, env)
+        argv.append(ctypes.c_void_p(_WORKSPACE.reserve(workspace)))
         self._function(*argv)
         outputs: Dict = {"__allocations": int(allocations.value)}
         for name, original, buffer in arrays:
@@ -641,7 +699,6 @@ class CompiledNative:
                 outputs[name] = original
             else:
                 outputs[name] = buffer
-        for name, dtype, cell in cells:
-            value = cell.value
-            outputs[name] = float(value) if dtype.startswith("float") else int(value)
+        for name, kind, cell in cells:
+            outputs[name] = kind(cell.value)
         return outputs

@@ -38,6 +38,7 @@ import json
 import math
 import textwrap
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional, Union
 
 from ..errors import FrontendError
@@ -90,7 +91,14 @@ class PythonProgram:
 
     # -- identity -----------------------------------------------------------------
     def cache_source(self) -> str:
-        """Deterministic digest basis: canonical source + name + sizes."""
+        """Deterministic digest basis: canonical source + name + sizes.
+
+        A program is a value, so the text is built once and kept with it.
+        """
+        return self._digest_basis
+
+    @cached_property
+    def _digest_basis(self) -> str:
         return json.dumps(
             {
                 "frontend": "python",

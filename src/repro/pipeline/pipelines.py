@@ -48,7 +48,6 @@ import gc
 import threading
 import time
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -60,8 +59,9 @@ from ..codegen import (
     sdfg_movement_report,
 )
 from ..codegen.sdfg_c import NativeCodegenError, generate_c_code
+from ..codegen.toolchain import CompiledNative
 from ..conversion import mlir_to_sdfg, require_function
-from ..errors import PipelineError
+from ..errors import PermanentError, PipelineError, TransientError
 from ..frontend import compile_c_to_mlir
 from ..frontend_py import ProgramLike, as_program, compile_python_to_mlir
 from ..passbase import CompilationReport, PassRunner, StageReport
@@ -91,34 +91,73 @@ SourceLike = Union[str, ProgramLike]
 PAYLOAD_VERSION = 6
 
 
-class _SpecField:
-    """:attr:`CompileResult.spec`: a live spec, or a serialized one parsed
-    on first read.
+#: What a field of a rehydrated result holds until it is first read.
+_UNREAD = object()
 
-    A result rehydrated from the compile cache holds its payload's spec
-    dict, which few warm callers ever look at; the first read turns it into
-    a :class:`PipelineSpec` of this result's own (``from_dict`` copies every
-    option, so the parse aliases neither the payload nor another result's).
+
+class _FromPayload:
+    """A :class:`CompileResult` field a cache hit builds on first read.
+
+    A result rehydrated from the compile cache keeps its payload, which few
+    warm callers ever look into; such a field holds :data:`_UNREAD` until
+    the first read calls ``build(payload)``, which makes a value of this
+    result's own (every builder copies what it takes, so no two hits share
+    one and none aliases the payload).  Threads sharing a result must all
+    get the one value it keeps, so the build runs under a lock.  A result
+    made by :meth:`GeneratedProgram.to_result` holds its live values.
     """
+
+    def __init__(self, build: Callable[[Dict], object]):
+        self._build = build
+        self._building = threading.Lock()
 
     def __set_name__(self, owner, name):
         self._slot = f"_{name}"
-        self._parsing = threading.Lock()
 
     def __get__(self, result, owner=None):
         if result is None:
             return None  # the dataclass default
-        spec = result.__dict__[self._slot]
-        if isinstance(spec, Mapping):
-            # Threads sharing a result must all get the one parse it keeps.
-            with self._parsing:
-                spec = result.__dict__[self._slot]
-                if isinstance(spec, Mapping):
-                    spec = result.__dict__[self._slot] = PipelineSpec.from_dict(spec)
-        return spec
+        value = result.__dict__[self._slot]
+        if value is _UNREAD:
+            with self._building:
+                value = result.__dict__[self._slot]
+                if value is _UNREAD:
+                    value = result.__dict__[self._slot] = self._build(result._payload)
+        return value
 
-    def __set__(self, result, spec):
-        result.__dict__[self._slot] = spec
+    def __set__(self, result, value):
+        result.__dict__[self._slot] = value
+
+
+def _spec_of(payload: Dict) -> Optional[PipelineSpec]:
+    spec = payload.get("spec")
+    return PipelineSpec.from_dict(spec) if spec is not None else None
+
+
+def _report_of(payload: Dict) -> Optional[CompilationReport]:
+    if not payload.get("stage_seconds"):
+        return None
+    report = CompilationReport(pipeline=payload["pipeline"])
+    capped = payload.get("capped_stages") or ()
+    for stage, seconds in payload["stage_seconds"].items():
+        report.add_stage(stage, seconds).converged = stage not in capped
+    # Profiler counters recorded by the original (cache-filling) compile.
+    report.counters = dict(payload.get("counters") or {})
+    return report
+
+
+def _movement_of(payload: Dict) -> Optional[MovementReport]:
+    snapshot = payload.get("movement")
+    if snapshot is None:
+        return None
+    return MovementReport(
+        elements_moved=snapshot.get("elements_moved", 0.0),
+        bytes_moved=snapshot.get("bytes_moved", 0.0),
+        allocations=snapshot.get("allocations", 0.0),
+        allocated_bytes=snapshot.get("allocated_bytes", 0.0),
+        iterations=snapshot.get("iterations", 0.0),
+        per_container=dict(snapshot.get("per_container", {})),
+    )
 
 
 @dataclass
@@ -135,9 +174,10 @@ class CompileResult:
     optimization_report: object = None
     #: Declarative spec of the pipeline that produced this result (a
     #: rehydrated result parses it from the payload when first read).
-    spec: Optional[PipelineSpec] = _SpecField()
-    #: Per-stage compilation report (frontend/control/bridge/data/codegen).
-    report: Optional[CompilationReport] = None
+    spec: Optional[PipelineSpec] = _FromPayload(_spec_of)
+    #: Per-stage compilation report (frontend/control/bridge/data/codegen;
+    #: a rehydrated result builds it from the payload when first read).
+    report: Optional[CompilationReport] = _FromPayload(_report_of)
     #: True when this result was rehydrated from the compile cache rather
     #: than produced by a fresh run of the compilation pipeline.
     cache_hit: bool = False
@@ -158,8 +198,10 @@ class CompileResult:
     #: Deadline (seconds) threaded to the toolchain when the deferred
     #: native build runs (None: the toolchain's own default applies).
     timeout: Optional[float] = None
-    _cached_movement: Optional[MovementReport] = field(repr=False, default=None)
-    _cached_eliminated: Optional[List[str]] = field(repr=False, default=None)
+    #: The movement report recorded at compile time (rehydrated results only).
+    _cached_movement: Optional[MovementReport] = _FromPayload(_movement_of)
+    #: The cached payload a rehydrated result was made from.
+    _payload: Optional[Dict] = field(repr=False, default=None)
 
     def run(self, **kwargs) -> Dict:
         return self.runner(**kwargs)
@@ -179,7 +221,8 @@ class CompileResult:
     def eliminated_containers(self) -> List[str]:
         if self.sdfg is not None:
             return list(self.sdfg.eliminated_containers)
-        return list(self._cached_eliminated or [])
+        # Rehydrated results carry the list recorded at compile time.
+        return list((self._payload or {}).get("eliminated_containers", []))
 
 
 @dataclass
@@ -321,9 +364,6 @@ class _LazyNativeRunner:
 
     def __call__(self, **kwargs) -> Dict:
         if self._callable is None:
-            from ..codegen.toolchain import CompiledNative
-            from ..errors import PermanentError, TransientError
-
             try:
                 self._callable = CompiledNative.from_code(
                     self._native_code,
@@ -385,29 +425,11 @@ def result_from_payload(payload: Dict) -> CompileResult:
     :func:`~repro.codegen.loader.load_entry`), a native one loads nothing
     until it is run.  The rehydrated result has no live SDFG/MLIR objects; the
     movement report, eliminated-container list and stage timings recorded
-    at compile time stand in for them.  Its spec stays the payload's dict
-    until :attr:`CompileResult.spec` is first read, which parses it into a
-    spec of the result's own.
+    at compile time stand in for them.  They, and the spec, stay in the
+    payload until first read: reading :attr:`CompileResult.spec`,
+    :attr:`~CompileResult.report` or :meth:`~CompileResult.movement_report`
+    builds that one value, for this result alone.
     """
-    movement = None
-    if payload.get("movement") is not None:
-        snapshot = payload["movement"]
-        movement = MovementReport(
-            elements_moved=snapshot.get("elements_moved", 0.0),
-            bytes_moved=snapshot.get("bytes_moved", 0.0),
-            allocations=snapshot.get("allocations", 0.0),
-            allocated_bytes=snapshot.get("allocated_bytes", 0.0),
-            iterations=snapshot.get("iterations", 0.0),
-            per_container=dict(snapshot.get("per_container", {})),
-        )
-    report = None
-    if payload.get("stage_seconds"):
-        report = CompilationReport(pipeline=payload["pipeline"])
-        capped = payload.get("capped_stages") or ()
-        for stage, seconds in payload["stage_seconds"].items():
-            report.add_stage(stage, seconds).converged = stage not in capped
-        # Profiler counters recorded by the original (cache-filling) compile.
-        report.counters = dict(payload.get("counters") or {})
     return _build_result(
         payload["code"],
         f"<cached:{payload['pipeline']}>",
@@ -416,11 +438,11 @@ def result_from_payload(payload: Dict) -> CompileResult:
         pipeline=payload["pipeline"],
         function=payload.get("function"),
         compile_seconds=payload.get("compile_seconds", 0.0),
-        spec=payload.get("spec"),
-        report=report,
+        spec=_UNREAD,
+        report=_UNREAD,
         cache_hit=True,
-        _cached_movement=movement,
-        _cached_eliminated=list(payload.get("eliminated_containers", [])),
+        _cached_movement=_UNREAD,
+        _payload=payload,
     )
 
 

@@ -52,7 +52,9 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .. import __version__
+from ..codegen.bounded import BoundedTable
 from ..faults import active_plan
+from ..frontend_py import PythonProgram, as_program
 from ..perf import PERF
 from ..pipeline import (
     CompileResult,
@@ -75,6 +77,10 @@ CACHE_FORMAT = "repro-cache-entry/v2"
 #: Subdirectory corrupted/alien entries are moved into (kept, not
 #: deleted: quarantined files are forensic evidence of torn writes).
 QUARANTINE_DIR = "quarantine"
+
+#: How many request keys :func:`cache_key` remembers (least recently used
+#: goes first).  A forgotten key is simply hashed again.
+REQUEST_KEY_LIMIT = 1024
 
 
 def payload_digest(payload: Dict) -> str:
@@ -100,11 +106,14 @@ def normalize_source(source) -> str:
     process and under every ``PYTHONHASHSEED``.
     """
     if not isinstance(source, str):
-        from ..frontend_py import as_program
-
         return as_program(source).cache_source()
     lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return "\n".join(line.rstrip() for line in lines).strip("\n")
+
+
+#: Keys of C sources and programs already asked for: ``(source or the
+#: program's digest basis, spec key JSON, function, __version__)`` → key.
+_KEYS = BoundedTable(REQUEST_KEY_LIMIT)
 
 
 def cache_key(source, pipeline: PipelineLike = "dcir", function: Optional[str] = None) -> str:
@@ -118,12 +127,31 @@ def cache_key(source, pipeline: PipelineLike = "dcir", function: Optional[str] =
     "version": …}, sort_keys=True)``; the spec's part of it is its
     :attr:`~repro.pipeline.PipelineSpec.cache_basis_json`, serialized once
     per spec.
+
+    A C source or a :class:`~repro.frontend_py.PythonProgram` (a value,
+    whose digest basis is computed once) is hashed once: the key is
+    remembered per (source, spec, function, ``__version__``), the last of
+    them read on every call.  A plain function is hashed on every call —
+    its source is whatever its file holds now.
     """
+    basis_json, version = resolve_pipeline(pipeline).cache_basis_json, __version__
+    if not isinstance(source, (str, PythonProgram)):
+        return _hash_request(normalize_source(source), basis_json, function, version)
+    text = source if isinstance(source, str) else source.cache_source()
+    request = (text, basis_json, function, version)
+    key = _KEYS.get(request)
+    if key is None:
+        key = _hash_request(normalize_source(source), basis_json, function, version)
+        _KEYS.put(request, key)
+    return key
+
+
+def _hash_request(normalized: str, basis_json: str, function: Optional[str], version: str) -> str:
     basis = '{"function": %s, "pipeline": %s, "source": %s, "version": %s}' % (
         json.dumps(function),
-        resolve_pipeline(pipeline).cache_basis_json,
-        json.dumps(normalize_source(source)),
-        json.dumps(__version__),
+        basis_json,
+        json.dumps(normalized),
+        json.dumps(version),
     )
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 

@@ -65,14 +65,6 @@ INTEGER_OPERANDS = INTEGERS + (INT64_MIN,)
 FLOORING = {"interpreted", "native", "numpy", "lists", "evaluate", "c_symbolic"}
 
 
-#: ``mlir_python`` writes ``exp``, ``log``, ``log2``, ``sqrt``, ``sin`` and
-#: ``cos`` without their records' guards: outside it the call raises where C
-#: gives ``nan`` or ``±inf`` (ROADMAP, *Each operator means what C says*).
-#: Their pinned text in shipped programs moves with the fix, so it needs a
-#: digest regeneration; strict, so the fix flips them.
-UNGUARDED = "mlir_python writes a one-operand call without its record's guard"
-
-
 def _key(record) -> str:
     return f"{record.name}.{record.predicate}" if record.predicate else record.name
 
@@ -369,9 +361,6 @@ def _cases():
             marks = []
             if record.name in ("arith.divsi", "arith.remsi") and path in FLOORING:
                 marks = [pytest.mark.xfail(strict=True, reason="ROADMAP (a): floors where C truncates")]
-            if path == "mlir_python" and record.guard is not None and record.arity == 1:
-                marks = [pytest.mark.xfail(strict=True, raises=(ValueError, OverflowError),
-                                           reason=UNGUARDED)]
             yield pytest.param(record, path, id=f"{_key(record)}-{path}", marks=marks)
 
 
@@ -429,8 +418,10 @@ def test_no_record_is_unreachable():
 
 #: One-statement kernels where two tables used to disagree: a float identity
 #: fold, ``floor`` typed as an integer, ``pow`` outside ``math.pow``'s domain
-#: and range, a folded constant that no literal spells, and ``fabs`` spelled
-#: so that it keeps an ``np.float64`` (C divides by its zero).
+#: and range, a folded constant that no literal spells, ``fabs`` spelled so
+#: that it keeps an ``np.float64`` (C divides by its zero), ``%`` on an
+#: ``int64`` no ``double`` holds (2**53 + 1), and literals divided by a
+#: literal zero (two Python ``float``\ s, where C gives ``±inf`` and ``nan``).
 PROBES = {
     "fabs-of-zero": "1.0 / fabs(x[2])",
     "mulf-by-zero": "1.0 / (x[3] * 0.0)",
@@ -439,6 +430,10 @@ PROBES = {
     "pow-range": "pow(10.0, 400.0)",
     "inf-constant": "1e300 * 1e10",
     "nan-constant": "1e300 * 1e10 - 1e300 * 1e10",
+    "remsi-past-2**53": "(double)(((long)x[3] + 9007199254740995L) % 2)",
+    "one-by-zero": "1.0 / 0.0",
+    "minus-one-by-zero": "-1.0 / 0.0",
+    "zero-by-zero": "0.0 / 0.0",
 }
 
 

@@ -3,15 +3,18 @@
 A warm request is key → LRU → rehydrate → loaded-library table → call.
 These tests count the work a hit must *not* redo (``compile`` of the
 interpreted source, ``shutil.which`` walks over PATH, fresh ``dlopen``s,
-``cc`` runs, parsing the stored spec, serializing the requested spec,
-copying the ABI) and pin down what the process-level tables must never
-weaken: a changed ``.so``, cache directory or compiler misses the table,
+``cc`` runs, parsing the stored spec, serializing the requested spec or
+hashing the request again, copying the ABI, building a report nobody
+reads) and pin down what the process-level tables must never weaken: a
+changed ``.so``, cache directory, compiler or release misses the table,
 results share no mutable state, and concurrent callers agree.
 """
 
 import copy
 import ctypes
 import functools
+import hashlib
+import json
 import os
 import shutil
 import sys
@@ -25,8 +28,11 @@ from repro.codegen import CompiledNative, have_compiler, loader
 from repro.codegen.toolchain import CC_ENV, NATIVE_CACHE_ENV
 from repro.errors import ToolchainError
 from repro.perf import PERF
+from repro.pipeline import pipelines
+from repro.service import cache as cache_module
 from repro.service.cache import cache_key
 from repro.workloads import get_kernel
+from repro.workloads.python_suite import get_program
 
 requires_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler on PATH")
 
@@ -186,6 +192,106 @@ def test_threads_reading_one_hit_get_one_spec():
     finally:
         sys.setswitchinterval(interval)
     assert seen == [{id(hit.spec)} for hit in hits]
+
+
+@requires_cc
+@pytest.mark.parametrize("kind", ["c", "program"])
+def test_warm_hits_hash_nothing(so_dir, native_spec, monkeypatch, kind):
+    source = get_kernel("gemm") if kind == "c" else get_program("axpy_chain")
+    cache = CompileCache(use_env_directory=False)
+    expected = cache.get_or_compile(source, native_spec).run()["__return"]  # miss
+    assert cache.get_or_compile(source, native_spec).run()["__return"] == expected  # first hit
+
+    counted = {
+        "normalize_source": Calls(cache_module.normalize_source),
+        "json.dumps": Calls(json.dumps),
+        "sha256": Calls(hashlib.sha256),
+    }
+    monkeypatch.setattr(cache_module, "normalize_source", counted["normalize_source"])
+    monkeypatch.setattr(json, "dumps", counted["json.dumps"])
+    monkeypatch.setattr(hashlib, "sha256", counted["sha256"])
+    for _ in range(WARM_HITS):
+        result = cache.get_or_compile(source, native_spec)
+        assert result.cache_hit and result.run()["__return"] == expected
+    assert {name: calls.count for name, calls in counted.items()} == {
+        "normalize_source": 0, "json.dumps": 0, "sha256": 0,
+    }
+
+
+def test_a_new_release_moves_every_remembered_key(monkeypatch):
+    requests = [f"double kernel() {{ return {i}.0; }}"
+                for i in range(cache_module.REQUEST_KEY_LIMIT - 1)]
+    requests.append(get_program("axpy_chain"))
+    keys = [cache_key(request) for request in requests]  # the memo is full
+    monkeypatch.setattr(cache_module, "__version__", "0.0.0+other")
+    # Most recent first, so each is asked for while the memo still holds it.
+    moved = [cache_key(request) for request in reversed(requests)]
+    assert not set(moved) & set(keys)
+    monkeypatch.undo()
+    assert [cache_key(request) for request in requests] == keys
+
+
+def test_hits_build_their_reports_on_first_read(monkeypatch):
+    cache = CompileCache(use_env_directory=False)
+    source = get_kernel("atax")
+    cache.get_or_compile(source, "dcir")
+    built = {
+        "CompilationReport": Calls(pipelines.CompilationReport),
+        "MovementReport": Calls(pipelines.MovementReport),
+    }
+    for name, calls in built.items():
+        monkeypatch.setattr(pipelines, name, calls)
+
+    first, second = (cache.get_or_compile(source, "dcir") for _ in range(2))
+    assert first.cache_hit and second.cache_hit
+    assert {name: calls.count for name, calls in built.items()} == {
+        "CompilationReport": 0, "MovementReport": 0,
+    }
+    assert first.report is first.report
+    assert built["CompilationReport"].count == 1 and built["MovementReport"].count == 0
+    assert first.movement_report() is first.movement_report()
+    assert built["MovementReport"].count == 1
+
+    # Each hit builds its own: equal values, no shared object.
+    assert second.report is not first.report
+    assert second.report.counters == first.report.counters
+    assert second.report.counters is not first.report.counters
+    assert second.stage_seconds == first.stage_seconds
+    assert second.movement_report() is not first.movement_report()
+    assert second.movement_report() == first.movement_report()
+    assert second.movement_report().per_container is not first.movement_report().per_container
+    assert second.eliminated_containers == first.eliminated_containers
+    assert second.eliminated_containers is not first.eliminated_containers
+    first.report.counters.clear()
+    first.movement_report().per_container.clear()
+    first.eliminated_containers.clear()
+    third = cache.get_or_compile(source, "dcir")
+    assert third.report.counters == second.report.counters != {}
+    assert third.movement_report() == second.movement_report()
+    assert third.eliminated_containers == second.eliminated_containers
+
+
+def test_threads_reading_one_hit_get_one_report():
+    cache = CompileCache(use_env_directory=False)
+    source = get_kernel("atax")
+    cache.get_or_compile(source, "dcir")
+    hits = [cache.get_or_compile(source, "dcir") for _ in range(20)]
+
+    def read(result):
+        return [(result.report, result.movement_report()) for _ in range(8)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the first build
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = [
+                {tuple(map(id, pair)) for batch in pool.map(read, [hit] * 8, timeout=60)
+                 for pair in batch}
+                for hit in hits
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [{(id(hit.report), id(hit.movement_report()))} for hit in hits]
 
 
 # -- what must still miss the loaded-library table ---------------------------------------------
