@@ -10,8 +10,8 @@ that never build an SDFG.  All three write through :mod:`.writer`.
 
 from .control_flow import (
     BranchNode,
+    CodegenError,
     ControlFlowBuilder,
-    DispatchNode,
     LoopNode,
     SequenceNode,
     StateNode,
@@ -31,7 +31,6 @@ from .loader import ProgramLoadError, load_entry
 from .mlir_python import CompiledMLIR, MLIRCodegenError, compile_mlir, generate_mlir_code
 from .sdfg_c import NativeCodegenError, generate_c_code
 from .sdfg_python import CompiledSDFG, compile_sdfg, generate_code
-from .sdfg_walk import CodegenError
 from .toolchain import (
     CompiledNative,
     CompilerFeatures,
@@ -52,7 +51,6 @@ __all__ = [
     "CompiledNative",
     "CompiledSDFG",
     "ControlFlowBuilder",
-    "DispatchNode",
     "LoopNode",
     "MLIRCodegenError",
     "MovementReport",

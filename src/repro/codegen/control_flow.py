@@ -3,9 +3,12 @@
 The SDFG state machine is a general CFG; for code generation we raise it
 back into structured regions (sequences, counted/while loops, branches)
 using dominator analysis — the same capability §5.1 notes for the reverse
-(SDFG → MLIR) direction.  State machines that do not fit the structured
-patterns fall back to a generic dispatch region, so any SDFG can be
-generated.
+(SDFG → MLIR) direction.  Every state machine the bridge builds raises,
+``while`` loops whose condition spans several states included (their
+straight-line head runs inside the loop, ahead of the guard).  A state
+machine that fits none of the structured patterns — a state with more
+than two successors, a cycle entered at two points — raises
+:class:`CodegenError` naming the state where raising stopped.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from typing import Dict, List, Optional, Set
 from ..symbolic import Expr, Not
 from ..sdfg import SDFG, SDFGState
 from ..transforms.loop_analysis import LoopInfo, find_loops
+
+
+class CodegenError(Exception):
+    """Raised when an SDFG cannot be turned into executable code."""
 
 
 class ControlFlowNode:
@@ -37,14 +44,17 @@ class SequenceNode(ControlFlowNode):
 
 @dataclass
 class LoopNode(ControlFlowNode):
-    """``while condition:`` loop around a guard state; ``info`` is what
-    :func:`~repro.transforms.loop_analysis.find_loops` found about it."""
+    """``while condition:`` loop around a guard state, which its head's
+    states (empty for every ``for``) run ahead of in each iteration;
+    ``info`` is what :func:`~repro.transforms.loop_analysis.find_loops`
+    found about it."""
 
     guard: SDFGState
     condition: Expr
     body: SequenceNode
     info: LoopInfo
     exit_assignments: Dict[str, Expr] = field(default_factory=dict)
+    head: SequenceNode = field(default_factory=SequenceNode)
 
 
 @dataclass
@@ -58,30 +68,21 @@ class BranchNode(ControlFlowNode):
     else_assignments: Dict[str, Expr] = field(default_factory=dict)
 
 
-@dataclass
-class DispatchNode(ControlFlowNode):
-    """Fallback: interpret the remaining state machine generically."""
-
-    entry: SDFGState
-    states: List[SDFGState] = field(default_factory=list)
-
-
 class ControlFlowBuilder:
     """Builds the structured control-flow tree of an SDFG."""
 
     def __init__(self, sdfg: SDFG):
         self.sdfg = sdfg
+        #: Each loop by its header, the state it is entered at.
         self.loops: Dict[SDFGState, LoopInfo] = {
-            loop.guard: loop for loop in find_loops(sdfg)
+            loop.header: loop for loop in find_loops(sdfg)
         }
         self._postdominators = self._compute_postdominators()
-        # States participating in cycles that are not recognized structured
-        # loops must be emitted by the generic dispatcher.
-        self._cyclic_states: Set[SDFGState] = sdfg.on_cycles()
-        loop_covered = set(self.loops)
+        # States on cycles that are no recognized loop have no structured form.
+        loop_covered: Set[SDFGState] = set()
         for loop in self.loops.values():
-            loop_covered |= loop.body_states
-        self._unstructured_cycles = self._cyclic_states - loop_covered
+            loop_covered |= loop.body_states | {loop.guard}
+        self._unstructured_cycles = sdfg.on_cycles() - loop_covered
 
     def _compute_postdominators(self) -> Dict[SDFGState, Optional[SDFGState]]:
         # Dominators of the reversed edges, from a virtual sink that every
@@ -112,21 +113,24 @@ class ControlFlowBuilder:
         visited: Set[SDFGState] = set()
         while current is not None and current is not stop:
             if current in visited or current in self._unstructured_cycles:
-                # Unexpected cycle not recognized as a loop: fall back.
-                sequence.children.append(self._dispatch_from(current))
-                return sequence
+                raise _unstructured(current, "is on a cycle that is no loop")
             visited.add(current)
 
             loop = self.loops.get(current)
-            if loop is not None and loop.exit_edge is not None:
+            if loop is not None:
                 body = self._build_region(loop.body_edge.dst, current)
+                head = [
+                    StateNode(state, dict(self.sdfg.out_edges(state)[0].data.assignments))
+                    for state in loop.head
+                ]
                 sequence.children.append(
                     LoopNode(
-                        guard=current,
+                        guard=loop.guard,
                         condition=loop.body_edge.data.condition,
                         body=body,
                         exit_assignments=dict(loop.exit_edge.data.assignments),
                         info=loop,
+                        head=SequenceNode(head),
                     )
                 )
                 current = loop.exit_edge.dst
@@ -160,8 +164,7 @@ class ControlFlowBuilder:
             elif len(out_edges) == 2:
                 merge = self._postdominators.get(current)
                 if merge is None and stop is None:
-                    sequence.children.append(self._dispatch_from(current))
-                    return sequence
+                    raise _unstructured(current, "branches to paths that never merge")
                 first, second = out_edges
                 # Prefer the positively-conditioned edge as the "then" branch.
                 if isinstance(first.data.condition, Not):
@@ -180,16 +183,12 @@ class ControlFlowBuilder:
                 )
                 current = merge
             else:
-                sequence.children.append(self._dispatch_from(current))
-                return sequence
+                raise _unstructured(current, f"has {len(out_edges)} successors")
         return sequence
 
-    def _dispatch_from(self, entry: SDFGState) -> DispatchNode:
-        # ``descendants`` is a set of id-hashed states: list them in SDFG
-        # state order, so every process emits the same dispatcher.
-        descendants = self.sdfg.descendants(entry)
-        reachable = [entry] + [s for s in self.sdfg.states() if s in descendants]
-        return DispatchNode(entry=entry, states=reachable)
+
+def _unstructured(state: SDFGState, why: str) -> CodegenError:
+    return CodegenError(f"State {state.label!r} {why}: the state machine has no structured form")
 
 
 def build_control_flow(sdfg: SDFG) -> SequenceNode:
@@ -206,11 +205,10 @@ def states_in_tree(node: ControlFlowNode) -> List[SDFGState]:
         for child in node.children:
             result.extend(states_in_tree(child))
     elif isinstance(node, LoopNode):
+        result.extend(states_in_tree(node.head))
         result.append(node.guard)
         result.extend(states_in_tree(node.body))
     elif isinstance(node, BranchNode):
         result.extend(states_in_tree(node.then_body))
         result.extend(states_in_tree(node.else_body))
-    elif isinstance(node, DispatchNode):
-        result.extend(node.states)
     return result

@@ -23,11 +23,11 @@ from ..sdfg.parallelism import default_workers
 from .control_flow import (
     BranchNode,
     ControlFlowNode,
-    DispatchNode,
     LoopNode,
     SequenceNode,
     StateNode,
     build_control_flow,
+    states_in_tree,
 )
 
 
@@ -135,15 +135,13 @@ def _walk(sdfg: SDFG, node: ControlFlowNode, multiplier: float, symbols, report)
     elif isinstance(node, LoopNode):
         trips = _loop_trip_count(node, symbols)
         report.iterations += multiplier * trips
-        _count_state(sdfg, node.guard, multiplier * (trips + 1), symbols, report)
+        for state in (*states_in_tree(node.head), node.guard):
+            _count_state(sdfg, state, multiplier * (trips + 1), symbols, report)
         _walk(sdfg, node.body, multiplier * trips, symbols, report)
     elif isinstance(node, BranchNode):
         # Both branches weighted by half (no branch-probability information).
         _walk(sdfg, node.then_body, multiplier * 0.5, symbols, report)
         _walk(sdfg, node.else_body, multiplier * 0.5, symbols, report)
-    elif isinstance(node, DispatchNode):
-        for state in node.states:
-            _count_state(sdfg, state, multiplier, symbols, report)
 
 
 def _scope_context(scope, innermost, symbols) -> "Tuple[Dict[str, float], float]":

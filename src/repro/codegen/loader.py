@@ -14,10 +14,11 @@ programs, and keying the cache on the bare name would show one kernel's
 source in another kernel's traceback.
 
 Loading the same source again — every compile-cache hit of an interpreted
-result does — costs a hash and an ``exec``, not a ``compile``: the
-immutable code object is kept in a table of the last
-:data:`CODE_OBJECT_LIMIT` artifacts, keyed by the full content digest and
-the display filename.  Only the code object is shared; each load executes
+result does — costs a table lookup and an ``exec``, not a hash or a
+``compile``: the immutable code object is kept in a table of the last
+:data:`CODE_OBJECT_LIMIT` artifacts, keyed by the source text itself and
+the display filename; the content hash is taken only on a miss, for the
+per-artifact filename.  Only the code object is shared; each load executes
 it into a fresh namespace, so no two loaded programs share globals.
 """
 
@@ -34,7 +35,7 @@ from .bounded import BoundedTable
 #: recently used goes first); an evicted one is simply compiled again.
 CODE_OBJECT_LIMIT = 256
 
-#: ``(sha256 of the source, display filename)`` → code object.
+#: ``(source, display filename)`` → code object.
 _CODE_OBJECTS = BoundedTable(CODE_OBJECT_LIMIT)
 
 
@@ -56,10 +57,10 @@ def _register_source(code: str, unique: str) -> None:
 
 def _code_object(code: str, filename: str) -> CodeType:
     """The compiled form of ``code``, from the table when it was seen before."""
-    digest = hashlib.sha256(code.encode("utf-8")).hexdigest()
-    key = (digest, filename)
+    key = (code, filename)
     compiled = _CODE_OBJECTS.get(key)
     if compiled is None:
+        digest = hashlib.sha256(code.encode("utf-8")).hexdigest()
         compiled = compile(code, f"<{filename.strip('<>')}#{digest[:12]}>", "exec")
         _CODE_OBJECTS.put(key, compiled)
     if compiled.co_filename not in linecache.cache:  # first load, or cleared since

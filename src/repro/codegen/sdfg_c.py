@@ -8,8 +8,7 @@ with the Python backend (:mod:`repro.codegen.sdfg_walk`), so a native run
 and an interpreted run of the same SDFG report identical
 ``__allocations`` counts and outputs:
 
-* raised control flow becomes ``while``/``if``/``for`` statements (the
-  dispatch fallback becomes an integer state machine);
+* raised control flow becomes ``while``/``if``/``for`` statements;
 * map scopes become counted loops — integer-literal bounds written in the
   header, a bound that is an expression hoisted into ``const int64_t``
   ``_loN``/``_hiN``/``_stN`` so it is evaluated once; under the
@@ -285,17 +284,14 @@ class CEmitter(SDFGWalker):
     comment = "/* {} */"
     while_header = "while ({})"
     if_header = "if ({})"
-    elif_header = "else if ({})"
     unless_header = "if (!({}))"
     true = "1"
-    dispatch_live = "{} >= 0"
     empty_read = None  # Python binds None; unusable in C
 
     def __init__(self, sdfg: SDFG, vectorize: bool = False):
         super().__init__(sdfg, vectorize, SourceWriter(braces=True))
         self._tasklet_counter = 0
         self._bound_counter = 0
-        self._dispatch_counter = 0
         self._declared: Set[str] = set()
         self._interface = self._interface_containers()
 
@@ -461,14 +457,6 @@ class CEmitter(SDFGWalker):
         if name not in self._declared:
             raise NativeCodegenError(f"Assignment to undeclared symbol {name!r}")
         self.writer.emit(f"{name} = {c_symbolic(value)};")
-
-    def dispatch_register(self, node):
-        register = f"_disp{self._dispatch_counter}"
-        self._dispatch_counter += 1
-        codes = {state: str(position) for position, state in enumerate(node.states)}
-        codes[None] = "-1"
-        self.writer.emit(f"int64_t {register} = {codes[node.entry]};")
-        return register, codes
 
     # -- reads, copies, tasklets, writes -----------------------------------------------
     def read(self, data: str, memlet: Memlet) -> Tuple[str, str]:

@@ -4,12 +4,12 @@
 with the native backend (:mod:`repro.codegen.sdfg_walk`).  DaCe generates
 C++ from SDFGs; this reproduction generates Python (the substrate
 available here), preserving what matters for the evaluation:
-structured loops are raised from the state machine (no per-iteration
-dispatch overhead), transient containers are allocated either up front
-(``persistent`` lifetime, after memory pre-allocation) or at their first
-use inside whatever loop that happens to be (modelling allocation cost on
-the critical path), and WCR memlets become in-place updates, of a local
-where the walker finds a reduction.  A map's schedule is not read: every
+every loop is raised from the state machine to a structured ``while``
+(no per-iteration state dispatch), transient containers are allocated
+either up front (``persistent`` lifetime, after memory pre-allocation) or
+at their first use inside whatever loop that happens to be (modelling
+allocation cost on the critical path), and WCR memlets become in-place
+updates, of a local where the walker finds a reduction.  A map's schedule is not read: every
 map runs in order, which is sound for one ``Parallelize`` proved safe too;
 only native code (:mod:`repro.codegen.sdfg_c`) runs maps in parallel.
 
@@ -40,16 +40,17 @@ is entered and indexed by their parameters ahead of its own dimensions
 (``_arr_2_copies[0:10, 0:8, 0:12] = 0.0``).
 
 A loop nest runs on Python lists where that is faster.  A **scalar
-region** is an outermost loop with no whole-array copy or dispatch region
-in it, over transient ``float64`` containers, arrays only at a point,
-whose tasklets compute on floats only what gives ``np.float64``'s bits
-(:data:`SAME_BITS`), and whose maps, if it holds any, are short: fewer
-than :data:`SHORT_MAPS` (32) elements per array statement executed, by a
-closed-form count over the literal trip counts of its loops and maps
-(:mod:`repro.symbolic.sums`).  Each array it touches is a list while it
-runs (``_arr_0_l = _arr_0.tolist()``, ``_arr_0_l[i_0][j_0]``); the arrays
-it wrote are stored back after it (``_arr_0[...] = _arr_0_l``), the live
-scalars it wrote made ``np.float64`` again.  In it a counted loop is a
+region** is an outermost loop with no whole-array copy and no state
+outside the loop in it, over transient ``float64`` containers, arrays only
+at a point, whose tasklets compute on floats only what gives
+``np.float64``'s bits (:data:`SAME_BITS`), and whose maps, if it holds
+any, are short: fewer than :data:`SHORT_MAPS` (32) elements per array
+statement executed, by a closed-form count over the literal trip counts of
+its loops and maps (:mod:`repro.symbolic.sums`).  Each array it touches is
+a list while it runs (``_arr_0_l = _arr_0.tolist()``,
+``_arr_0_l[i_0][j_0]``); the arrays it wrote are stored back after it
+(``_arr_0[...] = _arr_0_l``), the live scalars it wrote made
+``np.float64`` again.  In it a counted loop is a
 ``for`` over a ``range``, then its induction is set to the value the
 ``while`` would leave; a map is a ``for`` per parameter in ascending order,
 the order of the loop it was raised from and of ``accumulate``, its
@@ -305,10 +306,8 @@ class PythonEmitter(SDFGWalker):
     comment = "# {}"
     while_header = "while {}"
     if_header = "if {}"
-    elif_header = "elif {}"
     unless_header = "if not ({})"
     true = "True"
-    dispatch_live = "{} is not None"
     empty_read = "None"
 
     def __init__(self, sdfg: SDFG, vectorize: bool = False):
@@ -466,9 +465,9 @@ class PythonEmitter(SDFGWalker):
 
     def _region(self, node: LoopNode) -> Optional[Tuple[List[str], Set[str]]]:
         """``(touched, written)`` containers of a loop that is a scalar region:
-        no whole-array copy or dispatch region (which runs on past the loop)
-        in it, interstate edges over symbols, transient ``float64``
-        containers, arrays at points, tasklets :meth:`_scalar_tasklet`
+        no whole-array copy in it and no state outside the loop (a branch
+        that leaves it runs on past its exit), interstate edges over
+        symbols, transient ``float64`` containers, arrays at points, tasklets :meth:`_scalar_tasklet`
         accepts, and maps, if any, that :meth:`_short` finds short."""
         arrays, states = self.sdfg.arrays, states_in_tree(node)
         if not (node.info.body_states | {node.guard}).issuperset(states):
@@ -530,17 +529,15 @@ class PythonEmitter(SDFGWalker):
             parts = node.children
         elif isinstance(node, BranchNode):
             parts = (node.then_body, node.else_body)
-        elif isinstance(node, LoopNode):
-            parts = (StateNode(node.guard), node.body)
-        else:  # a dispatch region
-            parts = [StateNode(state) for state in node.states]
+        else:  # a loop
+            parts = (node.head, StateNode(node.guard), node.body)
         counts = [self._tally(part) for part in parts]
         if None in counts:
             return None
         totals = tuple(reduce(plus, column, {}) for column in zip(*counts)) or ({}, {})
         if isinstance(node, (SequenceNode, BranchNode)) or totals == ({}, {}):
             return totals
-        counted = self._range(node) if isinstance(node, LoopNode) else None
+        counted = self._range(node)
         if counted is None:  # runs its maps an unknown number of times
             return None
         induction, rng, _ = counted
@@ -619,12 +616,6 @@ class PythonEmitter(SDFGWalker):
             return None
         last = Max.make(start, start + info.trip_count() * info.step_expr)
         return induction, Range(start, end, info.step_expr), last
-
-    def dispatch_register(self, node):
-        codes = {state: repr(state.label) for state in node.states}
-        codes[None] = "None"
-        self.writer.emit(f"_state = {codes[node.entry]}")
-        return "_state", codes
 
     # -- reads, copies, tasklets, writes -----------------------------------------------
     def read(self, data: str, memlet: Memlet) -> str:

@@ -4,8 +4,8 @@
 native (C) backend must make identically, so that a native run and an
 interpreted run of one SDFG agree on outputs *and* on ``__allocations``:
 
-* the order of the raised control-flow tree (states, loops, branches, and
-  the state-machine skeleton of regions that did not raise);
+* the order of the raised control-flow tree (states, loops — a ``while``
+  loop's head states ahead of its guard — and branches);
 * per-state order — program order, the topological order closest to the
   order nodes were inserted in — and which nodes a map scope owns;
 * value-edge naming (``_valN``) between code nodes;
@@ -108,18 +108,14 @@ from ..sdfg.tasklet_code import (
 from ..transforms.loop_analysis import lazy_induction_ranges
 from .control_flow import (
     BranchNode,
+    CodegenError,
+    ControlFlowBuilder,
     ControlFlowNode,
-    DispatchNode,
     LoopNode,
     SequenceNode,
     StateNode,
-    build_control_flow,
 )
 from .writer import SourceWriter
-
-
-class CodegenError(Exception):
-    """Raised when an SDFG cannot be turned into executable code."""
 
 
 #: Constructs the ``vectorize`` flag annotates no map over: the pinned C text
@@ -291,12 +287,8 @@ class SDFGWalker:
     #: block opener), and the always-true condition.
     while_header: str
     if_header: str
-    elif_header: str
     unless_header: str
     true: str
-    #: Condition (``{}`` = register) under which a dispatch register still
-    #: names a state.
-    dispatch_live: str
     #: What a connector fed by an empty memlet is bound to.
     empty_read: object
 
@@ -325,9 +317,11 @@ class SDFGWalker:
         self._bindings: Dict[str, MapEntry] = {}
         self._copies: Dict[str, Tuple[str, Tuple[Tuple[str, Range], ...]]] = {}
         #: Liveness of the SDFG's containers, and the ranges of the loops
-        #: around each state, computed when a map first asks.
+        #: around each state (over the loops the control-flow tree was
+        #: raised from), computed when a map first asks.
         self._liveness = lazy_liveness(sdfg)
-        self._inductions = lazy_induction_ranges(sdfg)
+        self._control_flow = ControlFlowBuilder(sdfg)
+        self._inductions = lazy_induction_ranges(sdfg, list(self._control_flow.loops.values()))
         self._name_dtypes = name_dtypes(sdfg.symbols, sdfg.constants)
         self._allocated_persistent: Set[str] = set()
         # Top-level parallel-scheduled maps whose safety proof succeeds —
@@ -371,14 +365,6 @@ class SDFGWalker:
 
     def emit_assignment(self, name: str, value: Expr) -> None:
         """One interstate symbol assignment."""
-        raise NotImplementedError
-
-    def dispatch_register(self, node: DispatchNode) -> Tuple[str, Dict]:
-        """Initialise a state register at ``node.entry``.
-
-        Returns its name and the code of every state in ``node.states``,
-        plus the code of "no state left" under the key ``None``.
-        """
         raise NotImplementedError
 
     def read(self, data: str, memlet):
@@ -455,7 +441,7 @@ class SDFGWalker:
         with writer.block(self.entry_header()):
             self.emit_prologue()
             self._emit_transients()
-            tree = build_control_flow(self.sdfg)
+            tree = self._control_flow.build()
             if not tree.children:
                 writer.fill()  # pinned output: a stateless SDFG gets an explicit no-op
             self._emit_sequence(tree)
@@ -505,20 +491,20 @@ class SDFGWalker:
             if node.else_body.children or node.else_assignments:
                 with writer.block("else"):
                     self._emit_arm(node.else_assignments, node.else_body)
-        elif isinstance(node, DispatchNode):
-            self._emit_dispatch(node)
         else:  # pragma: no cover - defensive
             raise self.error(f"Unknown control-flow node {node!r}")
 
     def emit_loop(self, node: LoopNode) -> None:
         """One loop of the control-flow tree, up to its exit assignments: a
-        ``while`` around its body, with its guard state (if any) ahead of the test."""
+        ``while`` around its body, with its head and guard state (if any)
+        ahead of the test."""
         writer = self.writer
-        if node.guard.is_empty():
+        if node.guard.is_empty() and not node.head.children:
             with writer.block(self.while_header.format(self.expr(node.condition))):
                 self._emit_sequence(node.body)
             return
         with writer.block(self.while_header.format(self.true)):
+            self._emit_sequence(node.head)
             self._emit_state(node.guard)
             with writer.block(self.unless_header.format(self.expr(node.condition))):
                 writer.emit("break" + self.end)
@@ -534,46 +520,6 @@ class SDFGWalker:
     def _emit_assignments(self, assignments: Dict[str, Expr]) -> None:
         for name, value in assignments.items():
             self.emit_assignment(name, value)
-
-    def _emit_dispatch(self, node: DispatchNode) -> None:
-        """State-machine skeleton for regions that did not raise to structured flow."""
-        writer = self.writer
-        register, codes = self.dispatch_register(node)
-
-        def goto(state: Optional[SDFGState]) -> None:
-            writer.emit(f"{register} = {codes[state]}{self.end}")
-
-        with writer.block(self.while_header.format(self.dispatch_live.format(register))):
-            for position, state in enumerate(node.states):
-                with writer.block(self._case(position, f"{register} == {codes[state]}")):
-                    self._emit_state(state)
-                    self._emit_transitions(self.sdfg.out_edges(state), goto)
-            with writer.block("else"):
-                goto(None)
-
-    def _case(self, position: int, condition: str) -> str:
-        return (self.elif_header if position else self.if_header).format(condition)
-
-    def _emit_transitions(self, out_edges, goto: Callable) -> None:
-        if not out_edges:
-            goto(None)
-            return
-        writer = self.writer
-        unconditional = False
-        for position, edge in enumerate(out_edges):
-            if not edge.data.is_unconditional:
-                header = self._case(position, self.expr(edge.data.condition))
-            elif position:
-                header = "else"
-            else:
-                header = self._case(0, self.true)
-            unconditional = unconditional or edge.data.is_unconditional
-            with writer.block(header):
-                self._emit_assignments(edge.data.assignments)
-                goto(edge.dst)
-        if not unconditional:
-            with writer.block("else"):
-                goto(None)
 
     # -- state dataflow ----------------------------------------------------------------
     def _emit_state(self, state: SDFGState) -> None:

@@ -2,17 +2,21 @@
 
 The converter lowers ``scf.for`` to a guard state with a conditional body
 edge, a conditional exit edge, and a latch edge carrying the increment
-assignment.  Several consumers need to re-discover that structure: the
-structured code generator (raising control flow back from the state
-machine, as §5.1 notes is possible via dominator analysis), the
-redundant-iteration and loop-to-map transformations, and the cost model.
+assignment.  It lowers ``scf.while`` the same way, except that the states
+computing the condition come first: the latch then returns to the first
+of a straight-line *head* of states that ends at the guard (until
+``state-fusion`` merges them into it).  Several consumers need to
+re-discover that structure: the structured code generator (raising control
+flow back from the state machine, as §5.1 notes is possible via dominator
+analysis), the redundant-iteration and loop-to-map transformations, and
+the cost model.  A loop with a head is never counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..symbolic import Compare, Expr, Integer, Range, Symbol
 from ..sdfg import SDFG, SDFGState, StateEdge
@@ -20,7 +24,11 @@ from ..sdfg import SDFG, SDFGState, StateEdge
 
 @dataclass
 class LoopInfo:
-    """A natural loop in the state machine with a recognized guard."""
+    """A natural loop in the state machine with a recognized guard.
+
+    ``head`` is the straight-line chain of states the latch returns to
+    ahead of the guard (empty for every ``for``); ``body_states`` are all
+    states of the loop but the guard, the head's among them."""
 
     guard: SDFGState
     body_states: Set[SDFGState]
@@ -32,6 +40,12 @@ class LoopInfo:
     init_expr: Optional[Expr] = None
     step_expr: Optional[Expr] = None
     bound_expr: Optional[Expr] = None  # loop runs while  induction < bound
+    head: List[SDFGState] = field(default_factory=list)
+
+    @property
+    def header(self) -> SDFGState:
+        """The state the loop is entered at and its latches return to."""
+        return self.head[0] if self.head else self.guard
 
     @property
     def condition(self) -> Expr:
@@ -84,12 +98,33 @@ def _natural_loop(sdfg: SDFG, back_edge: StateEdge) -> Set[SDFGState]:
     return body
 
 
+def _unconditional_successor(sdfg: SDFG, state: SDFGState) -> Optional[StateEdge]:
+    """The edge ``state`` is left by, when it is its only one and unconditional."""
+    edges = sdfg.out_edges(state)
+    return edges[0] if len(edges) == 1 and edges[0].data.is_unconditional else None
+
+
+def _head(sdfg: SDFG, header: SDFGState) -> Tuple[List[SDFGState], SDFGState]:
+    """``(head, guard)``: the straight-line chain from ``header``, each state
+    of it left by one unconditional edge and each after the first entered
+    only from the one before, and the state that chain ends at."""
+    head, current = [], header
+    edge = _unconditional_successor(sdfg, current)
+    while edge is not None and edge.dst is not header and len(sdfg.in_edges(edge.dst)) == 1:
+        head.append(current)
+        current = edge.dst
+        edge = _unconditional_successor(sdfg, current)
+    return head, current
+
+
 def find_loops(sdfg: SDFG) -> List[LoopInfo]:
-    """Find structured loops: guards with one body edge and one exit edge."""
+    """Find structured loops: guards with one body edge and one exit edge,
+    reached from the latches' target through a straight-line head."""
     loops: Dict[SDFGState, LoopInfo] = {}
     for back_edge in _back_edges(sdfg):
-        guard = back_edge.dst
+        header = back_edge.dst
         body = _natural_loop(sdfg, back_edge)
+        head, guard = _head(sdfg, header)
         out_edges = sdfg.out_edges(guard)
         if len(out_edges) != 2:
             continue
@@ -98,7 +133,7 @@ def find_loops(sdfg: SDFG) -> List[LoopInfo]:
         if len(inside) != 1 or len(outside) != 1:
             continue
         entry_edges = [
-            edge for edge in sdfg.in_edges(guard) if edge.src not in body or edge.src is guard
+            edge for edge in sdfg.in_edges(header) if edge.src not in body or edge.src is header
         ]
         entry_edges = [edge for edge in entry_edges if edge is not back_edge]
         if guard in loops:
@@ -113,8 +148,10 @@ def find_loops(sdfg: SDFG) -> List[LoopInfo]:
             body_edge=inside[0],
             exit_edge=outside[0],
             latch_edges=[back_edge],
+            head=head,
         )
-        _recognize_counted_loop(info)
+        if not head:
+            _recognize_counted_loop(info)
         loops[guard] = info
     return list(loops.values())
 
@@ -126,10 +163,7 @@ def chain_loop(sdfg: SDFG, state: SDFGState) -> Optional[LoopInfo]:
     the guard.  Found by walking that chain, without the dominator analysis
     :func:`find_loops` runs over the whole state machine."""
 
-    def step(current: SDFGState) -> Optional[StateEdge]:
-        edges = sdfg.out_edges(current)
-        return edges[0] if len(edges) == 1 and edges[0].data.is_unconditional else None
-
+    step = partial(_unconditional_successor, sdfg)
     guard, seen = state, {state}
     edge = step(guard)
     while edge is not None:

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import PipelineSpec, compile_c, generate_program
 from repro.codegen import (
+    CodegenError,
     build_control_flow,
     compile_mlir,
     compile_sdfg,
+    generate_c_code,
     generate_code,
     generate_mlir_code,
+    have_compiler,
     sdfg_movement_report,
     states_in_tree,
 )
@@ -25,6 +29,11 @@ from repro.ir import print_module, verify
 from repro.pipeline import control_runner, data_runner, get_pipeline
 from repro.sdfg import Memlet, SDFG, InterstateEdge
 from repro.symbolic import Range
+
+BACKENDS = [
+    "python",
+    pytest.param("native", marks=pytest.mark.skipif(not have_compiler(), reason="no C compiler")),
+]
 
 FIG5_SOURCE = """
 int fName(int *A, int *B) {
@@ -230,8 +239,6 @@ class TestCodegen:
         return sdfg
 
     def test_direct_form_binds_a_temporary_only_where_dataflow_forks(self):
-        from repro.codegen import generate_c_code
-
         once = self._fork_sdfg("_out = (_in + 1.0)")
         assert "B[i] = (A[i] + 1.0)" in generate_code(once)
         assert "_in" not in generate_code(once) and "_t0_" not in generate_c_code(once)
@@ -252,11 +259,55 @@ class TestCodegen:
         result = compile_sdfg(sdfg).run(A=np.arange(4.0), B=np.zeros(4), i=2)
         assert result["B"][2] == 6.0
 
-    def test_dispatcher_fallback_for_while_loops(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_while_loops_are_raised(self, backend):
+        # The bridge's ``while``: the states computing its condition run
+        # ahead of the guard, inside the loop.
         source = "int f() { int i = 0; while (i < 5) { i = i + 1; } return i; }"
-        module = compile_c_to_mlir(source)
-        sdfg = mlir_to_sdfg(module)
-        assert compile_sdfg(sdfg).run()["__return"] == 5
+        program = generate_program(source, PipelineSpec(bridge=True).with_codegen(backend=backend))
+        assert "_state ==" not in program.code and "while True:" in program.code
+        if backend == "native":
+            assert program.native_fallback is None and "while (1) {" in program.native_code
+        assert program.to_result().run()["__return"] == 5
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("spec", ["bridge", "dace-state-fusion", "dcir-state-fusion"])
+    def test_while_loops_over_arrays_are_raised(self, spec, backend):
+        source = (
+            "double f(double A[10]) { int i = 0; double s = 0.0; while (i * i < 50) {"
+            " if (s < 7.0) { s = s + A[i]; } else { s = s - 1.0; } i = i + 1; }"
+            " return s + i; }"
+        )
+        pipeline = (PipelineSpec(bridge=True) if spec == "bridge"
+                    else get_pipeline(spec.split("-")[0]).without_pass("state-fusion"))
+        program = generate_program(source, pipeline.with_codegen(backend=backend))
+        assert "_state ==" not in program.code and "while True:" in program.code
+        A = np.arange(10.0)
+        expected = compile_c(source, "gcc").run(A=A.copy())["__return"]
+        assert expected == 15.0
+        assert program.to_result().run(A=A.copy())["__return"] == expected
+
+    @pytest.mark.parametrize("shape", ["three-way branch", "cycle entered twice"])
+    def test_unstructured_state_machines_raise(self, shape):
+        sdfg = SDFG("unstructured")
+        sdfg.add_symbol("x")
+        start = sdfg.add_state("start", is_start_state=True)
+        a, b, end = (sdfg.add_state(label) for label in ("a", "b", "end"))
+        if shape == "three-way branch":
+            sdfg.add_edge(start, a, InterstateEdge("x < 0"))
+            sdfg.add_edge(start, b, InterstateEdge("x > 0"))
+            sdfg.add_edge(start, end, InterstateEdge("x == 0"))
+            sdfg.add_edge(a, end)
+            sdfg.add_edge(b, end)
+        else:  # ``a`` and ``b`` are one cycle, entered at each
+            sdfg.add_edge(start, a, InterstateEdge("x < 0"))
+            sdfg.add_edge(start, b, InterstateEdge("not (x < 0)"))
+            sdfg.add_edge(a, b)
+            sdfg.add_edge(b, a, InterstateEdge("x < 5", {"x": "x + 1"}))
+            sdfg.add_edge(b, end, InterstateEdge("not (x < 5)"))
+        for generate in (generate_code, generate_c_code, sdfg_movement_report):
+            with pytest.raises(CodegenError, match="no structured form"):
+                generate(sdfg)
 
     def test_cost_model_counts_movement(self):
         module = compile_c_to_mlir(LOOP_SOURCE)

@@ -95,21 +95,22 @@ def test_codegen_is_stable_under_hash_seed_variation():
         assert seed_zero[f"{name}/{pipeline}"] == digest
 
 
-# An unraised ``while`` loop: with no data-centric pass to raise it, both
-# SDFG code generators emit the generic state dispatcher, whose states used
-# to be listed in the iteration order of a set of id-hashed objects.
+# A ``while`` loop whose condition spans several states: with no data-centric
+# pass to fuse them, both SDFG code generators raise it with those states
+# ahead of the guard, in the same order under every hash seed.
 _WHILE_SOURCE = (
     "int f() { int i = 0; int s = 0; while (i * i < 50) {"
     " if (s < 7) { s = s + i; } else { s = s - 1; } i = i + 1; } return s + i; }"
 )
 
-_DISPATCH_CHILD = f"""
+_WHILE_CHILD = f"""
 import hashlib, json
 from repro import PipelineSpec, generate_program
 
 spec = PipelineSpec(bridge=True).with_codegen(backend="native")
 program = generate_program({_WHILE_SOURCE!r}, spec)
-assert "_state ==" in program.code, "expected a dispatch region"
+assert "_state ==" not in program.code and "while True:" in program.code
+assert "while (1) {{" in program.native_code
 print(json.dumps({{
     "python": hashlib.sha256(program.code.encode()).hexdigest(),
     "c": hashlib.sha256(program.native_code.encode()).hexdigest(),
@@ -117,12 +118,13 @@ print(json.dumps({{
 """
 
 
-def test_dispatch_regions_are_stable_under_hash_seed_variation():
-    seed_zero = _digests_under_seed("0", _DISPATCH_CHILD)
-    assert seed_zero == _digests_under_seed("4242", _DISPATCH_CHILD)
+def test_raised_while_loops_are_stable_under_hash_seed_variation():
+    seed_zero = _digests_under_seed("0", _WHILE_CHILD)
+    assert seed_zero == _digests_under_seed("4242", _WHILE_CHILD)
 
     spec = repro.PipelineSpec(bridge=True).with_codegen(backend="native")
     program = generate_program(_WHILE_SOURCE, spec)
     assert hashlib.sha256(program.code.encode()).hexdigest() == seed_zero["python"]
     assert hashlib.sha256(program.native_code.encode()).hexdigest() == seed_zero["c"]
     assert load_runner(program.code)()["__return"] == 15
+    assert program.to_result().run()["__return"] == 15

@@ -420,8 +420,9 @@ def test_no_record_is_unreachable():
 #: fold, ``floor`` typed as an integer, ``pow`` outside ``math.pow``'s domain
 #: and range, a folded constant that no literal spells, ``fabs`` spelled so
 #: that it keeps an ``np.float64`` (C divides by its zero), ``%`` on an
-#: ``int64`` no ``double`` holds (2**53 + 1), and literals divided by a
-#: literal zero (two Python ``float``\ s, where C gives ``±inf`` and ``nan``).
+#: ``int64`` no ``double`` holds (2**53 + 1), literals divided by a
+#: literal zero (two Python ``float``\ s, where C gives ``±inf`` and ``nan``),
+#: and a division by a computed zero (``sqrt(-0.0)``, a Python ``float``).
 PROBES = {
     "fabs-of-zero": "1.0 / fabs(x[2])",
     "mulf-by-zero": "1.0 / (x[3] * 0.0)",
@@ -434,7 +435,13 @@ PROBES = {
     "one-by-zero": "1.0 / 0.0",
     "minus-one-by-zero": "-1.0 / 0.0",
     "zero-by-zero": "0.0 / 0.0",
+    "one-by-sqrt-of-zero": "1.0 / sqrt(x[2])",
 }
+
+#: Probes that raise ``ZeroDivisionError`` where their text runs as Python:
+#: every interpreted case, and ``native`` under the pipelines that build no
+#: SDFG (they have no C, and fall back to the interpreted text).
+DIVIDES_A_PYTHON_ZERO = {"one-by-sqrt-of-zero"}
 
 
 #: ``x`` of every probe.
@@ -453,9 +460,21 @@ def _probe_reference(name: str, directory: str) -> float:
     return run_reference(build_reference(name, _probe(name) + call, Path(directory)))[1]
 
 
-@pytest.mark.parametrize("backend", ["python", "native"])
-@pytest.mark.parametrize("pipeline", ["gcc", "clang", "mlir", "dace", "dcir"])
-@pytest.mark.parametrize("name", sorted(PROBES))
+def _probe_cases():
+    for name in sorted(PROBES):
+        for pipeline in ("gcc", "clang", "mlir", "dace", "dcir"):
+            for backend in ("python", "native"):
+                marks = []
+                if name in DIVIDES_A_PYTHON_ZERO and (
+                        backend == "python" or pipeline not in ("dace", "dcir")):
+                    marks = [pytest.mark.xfail(
+                        strict=True, raises=ZeroDivisionError,
+                        reason="ROADMAP (f): a computed Python float zero raises as a divisor")]
+                yield pytest.param(name, pipeline, backend, marks=marks,
+                                   id=f"{name}-{pipeline}-{backend}")
+
+
+@pytest.mark.parametrize("name, pipeline, backend", _probe_cases())
 def test_the_probes_return_what_cc_returns(name, pipeline, backend, tmp_path_factory):
     expected = _probe_reference(name, str(tmp_path_factory.getbasetemp() / "probes"))
     compiled = compile_c(_probe(name), get_pipeline(pipeline).with_codegen(backend=backend))

@@ -195,12 +195,13 @@ def test_threads_reading_one_hit_get_one_spec():
 
 
 @requires_cc
-@pytest.mark.parametrize("kind", ["c", "program"])
+@pytest.mark.parametrize("kind", ["c", "program", "interpreted"])
 def test_warm_hits_hash_nothing(so_dir, native_spec, monkeypatch, kind):
-    source = get_kernel("gemm") if kind == "c" else get_program("axpy_chain")
+    source = get_program("axpy_chain") if kind == "program" else get_kernel("gemm")
+    spec = get_pipeline("dcir") if kind == "interpreted" else native_spec
     cache = CompileCache(use_env_directory=False)
-    expected = cache.get_or_compile(source, native_spec).run()["__return"]  # miss
-    assert cache.get_or_compile(source, native_spec).run()["__return"] == expected  # first hit
+    expected = cache.get_or_compile(source, spec).run()["__return"]  # miss
+    assert cache.get_or_compile(source, spec).run()["__return"] == expected  # first hit
 
     counted = {
         "normalize_source": Calls(cache_module.normalize_source),
@@ -211,7 +212,7 @@ def test_warm_hits_hash_nothing(so_dir, native_spec, monkeypatch, kind):
     monkeypatch.setattr(json, "dumps", counted["json.dumps"])
     monkeypatch.setattr(hashlib, "sha256", counted["sha256"])
     for _ in range(WARM_HITS):
-        result = cache.get_or_compile(source, native_spec)
+        result = cache.get_or_compile(source, spec)
         assert result.cache_hit and result.run()["__return"] == expected
     assert {name: calls.count for name, calls in counted.items()} == {
         "normalize_source": 0, "json.dumps": 0, "sha256": 0,
